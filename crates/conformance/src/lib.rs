@@ -1,6 +1,6 @@
 //! Conformance lab for the SEPTIC reproduction.
 //!
-//! Four cooperating pieces, all seeded and fully deterministic:
+//! Five cooperating pieces, all seeded and fully deterministic:
 //!
 //! - [`grammar`] — a grammar-driven generator that produces benign query
 //!   templates and, per taxonomy class from `crates/attacks`, derived
@@ -18,10 +18,15 @@
 //! - [`fuzz`] — a deterministic byte-level fuzz harness for the SQL
 //!   front end, with a minimizing shrinker, run from `cargo test`.
 //!
+//! - [`access`] — random tables and predicates for the access-path
+//!   equivalence oracle: an index lookup may only ever propose candidates,
+//!   so `WHERE P` must agree with the scan that `WHERE (P) OR 0` forces.
+//!
 //! [`astgen`] and [`rng`] are shared infrastructure: an every-node-kind
 //! SQL statement generator for roundtrip properties, and the xorshift RNG
 //! everything derives its randomness from.
 
+pub mod access;
 pub mod astgen;
 pub mod differential;
 pub mod fuzz;

@@ -4,17 +4,18 @@
 //! MySQL evaluation semantics: three-valued logic, implicit numeric
 //! coercion, division-by-zero-is-NULL, case-insensitive identifiers.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use septic_sql::ast::*;
-use septic_vm::Vm;
+use septic_vm::{Program, Vm};
 
 use crate::catalog::TableSchema;
 use crate::error::DbError;
 use crate::expr::{call_scalar, is_aggregate, SideEffects};
-use crate::plan::SelectPlan;
-use crate::storage::{Database, Row};
+use crate::plan::{point_key, Access, SelectPlan};
+use crate::storage::{Database, PkKey, Row, TableStore};
 use crate::value::Value;
 use crate::vmexec::{self, ProgramCache};
 
@@ -161,7 +162,7 @@ pub fn where_program(
     db: &Database,
     stmt: &Statement,
     cache: &ProgramCache,
-) -> Option<Arc<septic_vm::Program>> {
+) -> Option<Arc<Program>> {
     let Statement::Select(s) = stmt else {
         return None;
     };
@@ -227,31 +228,59 @@ fn validate_select(db: &Database, select: &Select) -> Result<(), DbError> {
 // ---------------------------------------------------------------------------
 
 /// One table binding in the FROM clause: the alias it is visible under plus
-/// its schema.
-pub(crate) struct Binding {
-    pub(crate) name: String,
-    pub(crate) schema: TableSchema,
+/// the table it reads (borrowed from the database; owned only for a
+/// synthesized `information_schema` view).
+pub(crate) struct Binding<'a> {
+    pub(crate) name: &'a str,
+    pub(crate) store: Cow<'a, TableStore>,
 }
 
-/// A composite row: one storage row per binding (parallel to the layout).
-#[derive(Debug, Clone)]
-pub(crate) struct CRow {
-    pub(crate) cells: Vec<Row>,
+impl Binding<'_> {
+    pub(crate) fn schema(&self) -> &TableSchema {
+        &self.store.schema
+    }
+}
+
+/// A composite row: one borrowed storage row per binding (parallel to the
+/// layout). Rows are never copied on their way through the pipeline; the
+/// projection clones the cells it outputs.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct CRow<'r> {
+    pub(crate) cells: Vec<&'r [Value]>,
 }
 
 #[derive(Clone, Copy)]
 struct EvalCtx<'a> {
     db: &'a Database,
-    layout: &'a [Binding],
-    row: &'a CRow,
+    layout: &'a [Binding<'a>],
+    row: &'a CRow<'a>,
     /// All rows of the current group when aggregating.
-    group: Option<&'a [CRow]>,
+    group: Option<&'a [CRow<'a>]>,
     /// Enclosing scope for correlated subqueries.
     outer: Option<&'a EvalCtx<'a>>,
     now: i64,
 }
 
 impl<'a> EvalCtx<'a> {
+    /// The context of a statement before any row is in play: callers
+    /// swap `row` (and `group`) in per evaluation with `..scope`.
+    fn scope(
+        db: &'a Database,
+        layout: &'a [Binding<'a>],
+        outer: Option<&'a EvalCtx<'a>>,
+        now: i64,
+    ) -> Self {
+        static NO_ROW: CRow<'static> = CRow { cells: Vec::new() };
+        EvalCtx {
+            db,
+            layout,
+            row: &NO_ROW,
+            group: None,
+            outer,
+            now,
+        }
+    }
+
     fn resolve(&self, table: Option<&str>, name: &str) -> Option<Value> {
         for (bi, binding) in self.layout.iter().enumerate() {
             if let Some(t) = table {
@@ -259,7 +288,7 @@ impl<'a> EvalCtx<'a> {
                     continue;
                 }
             }
-            if let Ok(ci) = binding.schema.column_index(name) {
+            if let Ok(ci) = binding.schema().column_index(name) {
                 return Some(self.row.cells[bi][ci].clone());
             }
             if table.is_some() {
@@ -558,7 +587,7 @@ fn eval_aggregate(
     let group = ctx
         .group
         .ok_or_else(|| DbError::Semantic(format!("aggregate {name}() outside grouping")))?;
-    let eval_member = |row: &CRow, e: &Expr, fx: &mut SideEffects| -> Result<Value, DbError> {
+    let eval_member = |row: &CRow<'_>, e: &Expr, fx: &mut SideEffects| -> Result<Value, DbError> {
         let member_ctx = EvalCtx {
             row,
             group: None,
@@ -705,137 +734,154 @@ fn run_select_arm(
     // which the compiler does not model.
     let cache = if outer.is_none() { cache } else { None };
     let plan = SelectPlan::build(db, select)?;
-    let rows = scan_stage(db, &plan)?;
-    let rows = join_stage(db, &plan, rows, outer, now, fx)?;
-    let rows = filter_stage(db, &plan, rows, outer, cache, now, fx)?;
+    let rows = source_stage(db, &plan, outer, cache, now, fx)?;
     let result = emit_stage(db, &plan, rows, outer, cache, now, fx)?;
     let result = limit_stage(&plan, result);
-    Ok((plan.project.columns.clone(), result))
+    Ok((plan.project.columns, result))
 }
 
-/// Scan: cartesian product of the FROM tables. With no FROM there is a
-/// single empty composite row (`SELECT 1`).
-fn scan_stage(db: &Database, plan: &SelectPlan<'_>) -> Result<Vec<CRow>, DbError> {
-    let mut rows: Vec<CRow> = vec![CRow { cells: Vec::new() }];
-    for t in &plan.scan {
-        let store = db.table_or_virtual(&t.name)?;
-        let mut next = Vec::new();
-        for base in &rows {
-            for (_, row) in store.scan() {
-                let mut cells = base.cells.clone();
-                cells.push(row.clone());
-                next.push(CRow { cells });
-            }
+/// The cached (or just compiled) program for `expr` with its literal
+/// slots filled for this statement; `None` means "use the walker".
+fn compiled(
+    expr: &Expr,
+    layout: &[Binding<'_>],
+    cache: Option<&ProgramCache>,
+) -> Option<(Arc<Program>, Vec<Value>)> {
+    let program = cache?.program_for(expr, layout)?;
+    let mut slots = Vec::with_capacity(program.slots() as usize);
+    vmexec::collect_literals(expr, &mut slots);
+    debug_assert_eq!(slots.len(), program.slots() as usize);
+    Some((program, slots))
+}
+
+/// A WHERE / ON predicate readied for one statement: the compiled program
+/// on a reusable VM stack when the caller's cache has one for the shape,
+/// the recursive walker otherwise (no cache, or a walker-only shape in
+/// the negative cache). No predicate at all holds on every row.
+struct Predicate<'e> {
+    expr: Option<&'e Expr>,
+    compiled: Option<(Arc<Program>, Vec<Value>)>,
+    vm: Vm<Value>,
+}
+
+impl<'e> Predicate<'e> {
+    fn new(expr: Option<&'e Expr>, layout: &[Binding<'_>], cache: Option<&ProgramCache>) -> Self {
+        Predicate {
+            expr,
+            compiled: expr.and_then(|e| compiled(e, layout, cache)),
+            vm: Vm::new(),
         }
-        rows = next;
     }
-    Ok(rows)
-}
 
-/// Nested-loop joins, in plan order. Only the layout prefix up to the
-/// joined binding is visible to the ON predicate — later joins have not
-/// produced cells yet. LEFT joins null-pad probe rows with no match.
-fn join_stage(
-    db: &Database,
-    plan: &SelectPlan<'_>,
-    mut rows: Vec<CRow>,
-    outer: Option<&EvalCtx<'_>>,
-    now: i64,
-    fx: &mut SideEffects,
-) -> Result<Vec<CRow>, DbError> {
-    for join in &plan.joins {
-        let store = db.table_or_virtual(&join.table.name)?;
-        let visible = &plan.layout[..=join.binding];
-        let mut next = Vec::new();
-        for base in &rows {
-            let mut matched = false;
-            for (_, row) in store.scan() {
-                let mut cells = base.cells.clone();
-                cells.push(row.clone());
-                let candidate = CRow { cells };
-                let keep = match join.on {
-                    None => true,
-                    Some(on) => {
-                        let ctx = EvalCtx {
-                            db,
-                            layout: visible,
-                            row: &candidate,
-                            group: None,
-                            outer,
-                            now,
-                        };
-                        eval(on, &ctx, fx)?.is_truthy()
-                    }
+    fn holds(&mut self, ctx: &EvalCtx<'_>, fx: &mut SideEffects) -> Result<bool, DbError> {
+        let value = match (&self.compiled, self.expr) {
+            (Some((program, slots)), _) => {
+                let mut host = vmexec::ExprHost {
+                    slots,
+                    row: ctx.row,
+                    now: ctx.now,
+                    fx,
                 };
-                if keep {
-                    matched = true;
-                    next.push(candidate);
-                }
+                self.vm.run(program, &mut host)?
             }
-            if !matched && join.kind == JoinKind::Left {
-                let mut cells = base.cells.clone();
-                cells.push(vec![
-                    Value::Null;
-                    plan.layout[join.binding].schema.columns.len()
-                ]);
-                next.push(CRow { cells });
-            }
-        }
-        rows = next;
+            (None, Some(expr)) => eval(expr, ctx, fx)?,
+            (None, None) => return Ok(true),
+        };
+        Ok(value.is_truthy())
     }
-    Ok(rows)
 }
 
-/// Filter: the WHERE per-row hot loop. With a program cache the predicate
-/// runs as a compiled program on a reusable VM stack; otherwise (or for
-/// walker-only shapes in the negative cache) the recursive evaluator runs
-/// as before.
-fn filter_stage(
-    db: &Database,
-    plan: &SelectPlan<'_>,
-    rows: Vec<CRow>,
-    outer: Option<&EvalCtx<'_>>,
+/// The one scan-and-filter loop, shared by SELECT sources, join steps,
+/// UPDATE and DELETE. Appends each candidate of `store` — the row indexed
+/// under `key`, or every live row without one — to the composite `row`,
+/// evaluates `pred` on it **in place** (nothing is copied to be looked
+/// at) and hands the survivors to `keep` with their slot; `keep` returns
+/// `false` to stop early (LIMIT). `scope` supplies everything of the
+/// evaluation context but the row.
+fn scan_filter<'r>(
+    store: &'r TableStore,
+    key: Option<&PkKey>,
+    pred: &mut Predicate<'_>,
+    scope: &EvalCtx<'_>,
+    row: &mut CRow<'r>,
+    fx: &mut SideEffects,
+    mut keep: impl FnMut(usize, &CRow<'r>, &mut SideEffects) -> Result<bool, DbError>,
+) -> Result<(), DbError> {
+    for (slot, candidate) in store.candidates(key) {
+        row.cells.push(candidate);
+        let more = !pred.holds(&EvalCtx { row, ..*scope }, fx)? || keep(slot, row, fx)?;
+        row.cells.pop();
+        if !more {
+            break;
+        }
+    }
+    Ok(())
+}
+
+/// Sources: every FROM table and JOIN extends the composite rows built so
+/// far by the rows of its table that its access path proposes and its ON
+/// predicate keeps; LEFT joins null-pad rows with no match. The last
+/// source evaluates WHERE as well, so a composite row is materialised
+/// only once it is known to survive. With no FROM there is a single
+/// empty composite row (`SELECT 1`).
+fn source_stage<'p>(
+    db: &'p Database,
+    plan: &'p SelectPlan<'_>,
+    outer: Option<&'p EvalCtx<'p>>,
     cache: Option<&ProgramCache>,
     now: i64,
     fx: &mut SideEffects,
-) -> Result<Vec<CRow>, DbError> {
-    let Some(where_clause) = plan.filter else {
-        return Ok(rows);
-    };
-    let compiled = cache.and_then(|c| c.program_for(where_clause, &plan.layout));
-    let mut kept = Vec::new();
-    if let Some(program) = compiled {
-        let mut slots = Vec::new();
-        vmexec::collect_literals(where_clause, &mut slots);
-        debug_assert_eq!(slots.len(), program.slots() as usize);
-        let mut vm = Vm::new();
-        for row in rows {
-            let mut host = vmexec::ExprHost {
-                slots: &slots,
-                row: &row,
-                now,
-                fx,
-            };
-            if vm.run(&program, &mut host)?.is_truthy() {
-                kept.push(row);
-            }
-        }
-    } else {
-        for row in rows {
-            let ctx = EvalCtx {
-                db,
-                layout: &plan.layout,
-                row: &row,
-                group: None,
-                outer,
-                now,
-            };
-            if eval(where_clause, &ctx, fx)?.is_truthy() {
-                kept.push(row);
-            }
-        }
+) -> Result<Vec<CRow<'p>>, DbError> {
+    let scope = EvalCtx::scope(db, &plan.layout, outer, now);
+    let mut filter = Predicate::new(plan.filter, &plan.layout, cache);
+    let mut rows = vec![CRow::default()];
+    if plan.sources.is_empty() && !filter.holds(&scope, fx)? {
+        rows.clear();
     }
-    Ok(kept)
+    for (i, source) in plan.sources.iter().enumerate() {
+        let store: &TableStore = &plan.layout[i].store;
+        let last = i + 1 == plan.sources.len();
+        // Only the layout prefix up to this binding is visible to ON —
+        // later sources have not produced cells yet.
+        let scope = EvalCtx {
+            layout: &plan.layout[..=i],
+            ..scope
+        };
+        let (left, on) = match source.join {
+            Some((kind, on)) => (kind == JoinKind::Left, on),
+            None => (false, None),
+        };
+        let mut on = Predicate::new(on, scope.layout, None);
+        let mut next = Vec::new();
+        for mut row in rows {
+            let probed;
+            let key = match &source.access {
+                Access::FullScan => None,
+                Access::PkPoint(key) => Some(key),
+                // Per probe value: one the index cannot serve scans.
+                Access::PkProbe(probe) => {
+                    probed = store.lookup_key(&eval(probe, &EvalCtx { row: &row, ..scope }, fx)?);
+                    probed.as_ref()
+                }
+            };
+            let mut matched = false;
+            scan_filter(store, key, &mut on, &scope, &mut row, fx, |_, row, fx| {
+                matched = true;
+                if !last || filter.holds(&EvalCtx { row, ..scope }, fx)? {
+                    next.push(row.clone());
+                }
+                Ok(true)
+            })?;
+            if !matched && left {
+                row.cells.push(&source.pad);
+                if !last || filter.holds(&EvalCtx { row: &row, ..scope }, fx)? {
+                    next.push(row);
+                }
+            }
+        }
+        rows = next;
+    }
+    Ok(rows)
 }
 
 /// Aggregate + Project + Sort + Distinct: turns filtered composite rows
@@ -846,7 +892,7 @@ fn filter_stage(
 fn emit_stage(
     db: &Database,
     plan: &SelectPlan<'_>,
-    rows: Vec<CRow>,
+    rows: Vec<CRow<'_>>,
     outer: Option<&EvalCtx<'_>>,
     cache: Option<&ProgramCache>,
     now: i64,
@@ -854,92 +900,78 @@ fn emit_stage(
 ) -> Result<Vec<Row>, DbError> {
     let layout = &plan.layout;
     let columns = &plan.project.columns;
+    let scope = EvalCtx::scope(db, layout, outer, now);
 
     // Compile non-aggregate projection expressions once for the whole
     // result set; items that stay on the walker keep `None`.
-    let item_programs: Vec<Option<(Arc<septic_vm::Program>, Vec<Value>)>> = plan
+    let item_programs: Vec<Option<(Arc<Program>, Vec<Value>)>> = plan
         .project
         .items
         .iter()
-        .map(|item| match (cache, item) {
-            (Some(c), SelectItem::Expr { expr, .. }) => {
-                c.program_for(expr, layout).map(|program| {
-                    let mut slots = Vec::new();
-                    vmexec::collect_literals(expr, &mut slots);
-                    debug_assert_eq!(slots.len(), program.slots() as usize);
-                    (program, slots)
-                })
-            }
+        .map(|item| match item {
+            SelectItem::Expr { expr, .. } => compiled(expr, layout, cache),
             _ => None,
         })
         .collect();
     let project_vm = std::cell::RefCell::new(Vm::new());
 
-    let project =
-        |row: &CRow, group: Option<&[CRow]>, fx: &mut SideEffects| -> Result<Row, DbError> {
-            let ctx = EvalCtx {
-                db,
-                layout,
-                row,
-                group,
-                outer,
-                now,
-            };
-            let mut out = Vec::with_capacity(columns.len());
-            for (ii, item) in plan.project.items.iter().enumerate() {
-                match item {
-                    SelectItem::Wildcard => {
-                        for (bi, _) in layout.iter().enumerate() {
-                            out.extend(row.cells[bi].iter().cloned());
-                        }
+    let project = |ctx: &EvalCtx<'_>, fx: &mut SideEffects| -> Result<Row, DbError> {
+        let row = ctx.row;
+        let mut out = Vec::with_capacity(columns.len());
+        for (ii, item) in plan.project.items.iter().enumerate() {
+            match item {
+                SelectItem::Wildcard => {
+                    for cells in &row.cells {
+                        out.extend(cells.iter().cloned());
                     }
-                    SelectItem::QualifiedWildcard(t) => {
-                        let bi = layout
-                            .iter()
-                            .position(|b| b.name.eq_ignore_ascii_case(t))
-                            .ok_or_else(|| DbError::UnknownTable(t.clone()))?;
-                        out.extend(row.cells[bi].iter().cloned());
-                    }
-                    SelectItem::Expr { expr, .. } => match &item_programs[ii] {
-                        Some((program, slots)) => {
-                            let mut host = vmexec::ExprHost {
-                                slots,
-                                row,
-                                now,
-                                fx,
-                            };
-                            out.push(project_vm.borrow_mut().run(program, &mut host)?);
-                        }
-                        None => out.push(eval(expr, &ctx, fx)?),
-                    },
                 }
+                SelectItem::QualifiedWildcard(t) => {
+                    let bi = layout
+                        .iter()
+                        .position(|b| b.name.eq_ignore_ascii_case(t))
+                        .ok_or_else(|| DbError::UnknownTable(t.clone()))?;
+                    out.extend(row.cells[bi].iter().cloned());
+                }
+                SelectItem::Expr { expr, .. } => match &item_programs[ii] {
+                    Some((program, slots)) => {
+                        let mut host = vmexec::ExprHost {
+                            slots,
+                            row,
+                            now,
+                            fx,
+                        };
+                        out.push(project_vm.borrow_mut().run(program, &mut host)?);
+                    }
+                    None => out.push(eval(expr, ctx, fx)?),
+                },
             }
-            Ok(out)
-        };
+        }
+        Ok(out)
+    };
 
     let mut result: Vec<Row>;
     if let Some(agg) = &plan.aggregate {
         // group rows
-        let mut groups: Vec<(CRow, Vec<CRow>)> = Vec::new();
+        let null_rows: Vec<Row>;
+        let mut groups: Vec<(CRow<'_>, Vec<CRow<'_>>)> = Vec::new();
         if agg.group_by.is_empty() {
-            let rep = rows.first().cloned().unwrap_or(CRow {
-                cells: layout
+            // An empty input still yields one group; its representative
+            // row is all NULLs.
+            null_rows = match rows.first() {
+                Some(_) => Vec::new(),
+                None => layout
                     .iter()
-                    .map(|b| vec![Value::Null; b.schema.columns.len()])
+                    .map(|b| vec![Value::Null; b.schema().columns.len()])
                     .collect(),
+            };
+            let rep = rows.first().cloned().unwrap_or_else(|| CRow {
+                cells: null_rows.iter().map(Vec::as_slice).collect(),
             });
             groups.push((rep, rows));
         } else {
             let mut index: HashMap<String, usize> = HashMap::new();
             for row in rows {
-                let ctx = EvalCtx {
-                    db,
-                    layout,
-                    row: &row,
-                    group: None,
-                    outer,
-                    now,
-                };
+                let ctx = EvalCtx { row: &row, ..scope };
                 let mut key = String::new();
                 for g in agg.group_by {
                     key.push_str(&format!("{:?}", eval(g, &ctx, fx)?));
@@ -959,29 +991,18 @@ fn emit_stage(
         result = Vec::new();
         let mut order_keys: Vec<Vec<Value>> = Vec::new();
         for (rep, members) in &groups {
+            let ctx = EvalCtx {
+                row: rep,
+                group: Some(members),
+                ..scope
+            };
             if let Some(h) = agg.having {
-                let ctx = EvalCtx {
-                    db,
-                    layout,
-                    row: rep,
-                    group: Some(members),
-                    outer,
-                    now,
-                };
                 if !eval(h, &ctx, fx)?.is_truthy() {
                     continue;
                 }
             }
-            result.push(project(rep, Some(members), fx)?);
+            result.push(project(&ctx, fx)?);
             if !plan.order_by.is_empty() {
-                let ctx = EvalCtx {
-                    db,
-                    layout,
-                    row: rep,
-                    group: Some(members),
-                    outer,
-                    now,
-                };
                 let mut keys = Vec::new();
                 for o in plan.order_by {
                     keys.push(order_key(&o.expr, &ctx, &result[result.len() - 1], fx)?);
@@ -995,17 +1016,10 @@ fn emit_stage(
     } else {
         // ORDER BY over raw rows, then project
         if !plan.order_by.is_empty() {
-            let mut keyed: Vec<(Vec<Value>, CRow)> = Vec::with_capacity(rows.len());
+            let mut keyed: Vec<(Vec<Value>, CRow<'_>)> = Vec::with_capacity(rows.len());
             for row in rows {
-                let ctx = EvalCtx {
-                    db,
-                    layout,
-                    row: &row,
-                    group: None,
-                    outer,
-                    now,
-                };
-                let projected = project(&row, None, fx)?;
+                let ctx = EvalCtx { row: &row, ..scope };
+                let projected = project(&ctx, fx)?;
                 let mut keys = Vec::new();
                 for o in plan.order_by {
                     keys.push(order_key(&o.expr, &ctx, &projected, fx)?);
@@ -1015,12 +1029,12 @@ fn emit_stage(
             keyed.sort_by(|a, b| compare_key_vecs(&a.0, &b.0, plan.order_by));
             result = Vec::with_capacity(keyed.len());
             for (_, row) in keyed {
-                result.push(project(&row, None, fx)?);
+                result.push(project(&EvalCtx { row: &row, ..scope }, fx)?);
             }
         } else {
             result = Vec::with_capacity(rows.len());
             for row in &rows {
-                result.push(project(row, None, fx)?);
+                result.push(project(&EvalCtx { row, ..scope }, fx)?);
             }
         }
         if plan.distinct {
@@ -1095,8 +1109,8 @@ fn run_insert(
     cache: Option<&ProgramCache>,
     fx: &mut SideEffects,
 ) -> Result<QueryOutput, DbError> {
-    let schema = db.table(&insert.table)?.schema.clone();
     // Resolve target column indexes.
+    let schema = &db.table(&insert.table)?.schema;
     let targets: Vec<usize> = if insert.columns.is_empty() {
         (0..schema.columns.len()).collect()
     } else {
@@ -1108,8 +1122,7 @@ fn run_insert(
     };
     let source_rows: Vec<Row> = match &insert.source {
         InsertSource::Values(rows) => {
-            let layout: Vec<Binding> = Vec::new();
-            let crow = CRow { cells: Vec::new() };
+            let ctx = EvalCtx::scope(db, &[], None, now);
             let mut out = Vec::with_capacity(rows.len());
             for row in rows {
                 if row.len() != targets.len() {
@@ -1117,14 +1130,6 @@ fn run_insert(
                         "column count doesn't match value count".into(),
                     ));
                 }
-                let ctx = EvalCtx {
-                    db,
-                    layout: &layout,
-                    row: &crow,
-                    group: None,
-                    outer: None,
-                    now,
-                };
                 let mut vals = Vec::with_capacity(row.len());
                 for e in row {
                     vals.push(eval(e, &ctx, fx)?);
@@ -1146,21 +1151,18 @@ fn run_insert(
     let mut affected = 0usize;
     let mut last_id = None;
     for vals in source_rows {
-        let mut full: Row = schema
-            .columns
+        let store = db.table_mut(&insert.table)?;
+        let columns = &store.schema.columns;
+        let mut full: Row = columns
             .iter()
             .map(|c| c.default.clone().unwrap_or(Value::Null))
             .collect();
         for (v, &ti) in vals.into_iter().zip(&targets) {
-            full[ti] = schema.columns[ti].coerce(v);
+            full[ti] = columns[ti].coerce(v);
         }
-        let store = db.table_mut(&insert.table)?;
         let slot = store.insert(full)?;
         if let Some(pk) = store.schema.primary_key_index() {
-            last_id = store
-                .scan()
-                .find(|(s, _)| *s == slot)
-                .and_then(|(_, row)| row[pk].to_int());
+            last_id = store.row(slot).and_then(|row| row[pk].to_int());
         }
         affected += 1;
     }
@@ -1171,6 +1173,45 @@ fn run_insert(
     })
 }
 
+/// The front half of UPDATE and DELETE: calls `visit` with the slot and
+/// the evaluation context of every row of `table` that satisfies
+/// `where_clause`, in slot order, through the same access path selection
+/// and the same scan-and-filter loop as a one-table SELECT. `visit`
+/// returns `false` once its LIMIT is reached.
+fn for_each_target(
+    db: &Database,
+    table: &str,
+    where_clause: Option<&Expr>,
+    now: i64,
+    cache: Option<&ProgramCache>,
+    fx: &mut SideEffects,
+    mut visit: impl FnMut(usize, &EvalCtx<'_>, &mut SideEffects) -> Result<bool, DbError>,
+) -> Result<(), DbError> {
+    let store = db.table(table)?;
+    let layout = [Binding {
+        name: &store.schema.name,
+        store: Cow::Borrowed(store),
+    }];
+    let key = point_key(where_clause, &layout, 0);
+    let mut pred = Predicate::new(where_clause, &layout, cache);
+    let scope = EvalCtx::scope(db, &layout, None, now);
+    let mut row = CRow::default();
+    scan_filter(
+        store,
+        key.as_ref(),
+        &mut pred,
+        &scope,
+        &mut row,
+        fx,
+        |slot, row, fx| visit(slot, &EvalCtx { row, ..scope }, fx),
+    )
+}
+
+/// True while a statement's LIMIT (if any) allows more than `taken` rows.
+fn under_limit(limit: Option<&Limit>, taken: usize) -> bool {
+    limit.is_none_or(|l| (taken as u64) < l.count)
+}
+
 fn run_update(
     db: &mut Database,
     update: &Update,
@@ -1178,76 +1219,33 @@ fn run_update(
     cache: Option<&ProgramCache>,
     fx: &mut SideEffects,
 ) -> Result<QueryOutput, DbError> {
-    let schema = db.table(&update.table)?.schema.clone();
-    let layout = vec![Binding {
-        name: schema.name.clone(),
-        schema: schema.clone(),
-    }];
+    // Plan phase (immutable): decide slot → new row.
+    let schema = &db.table(&update.table)?.schema;
     let targets: Vec<usize> = update
         .assignments
         .iter()
         .map(|(c, _)| schema.column_index(c))
         .collect::<Result<_, _>>()?;
-    // Compile-once fast path for the WHERE predicate (literals go to slots).
-    let compiled = match (&update.where_clause, cache) {
-        (Some(w), Some(c)) => c.program_for(w, &layout).map(|program| {
-            let mut slots = Vec::with_capacity(program.slots() as usize);
-            if let Some(w) = &update.where_clause {
-                vmexec::collect_literals(w, &mut slots);
-            }
-            (program, slots)
-        }),
-        _ => None,
-    };
-    let mut vm = Vm::new();
-    // Plan phase (immutable): decide slot → new row.
-    let mut plan: Vec<(usize, Row)> = Vec::new();
-    {
-        let store = db.table(&update.table)?;
-        for (slot, row) in store.scan() {
-            let crow = CRow {
-                cells: vec![row.clone()],
-            };
-            let ctx = EvalCtx {
-                db,
-                layout: &layout,
-                row: &crow,
-                group: None,
-                outer: None,
-                now,
-            };
-            let keep = if let Some((program, slots)) = &compiled {
-                let mut host = vmexec::ExprHost {
-                    slots,
-                    row: &crow,
-                    now,
-                    fx,
-                };
-                vm.run(program, &mut host)?.is_truthy()
-            } else {
-                match &update.where_clause {
-                    None => true,
-                    Some(w) => eval(w, &ctx, fx)?.is_truthy(),
-                }
-            };
-            if !keep {
-                continue;
-            }
-            let mut new_row = row.clone();
+    let mut changes: Vec<(usize, Row)> = Vec::new();
+    for_each_target(
+        db,
+        &update.table,
+        update.where_clause.as_ref(),
+        now,
+        cache,
+        fx,
+        |slot, ctx, fx| {
+            let mut new_row = ctx.row.cells[0].to_vec();
             for ((_, e), &ti) in update.assignments.iter().zip(&targets) {
-                new_row[ti] = schema.columns[ti].coerce(eval(e, &ctx, fx)?);
+                new_row[ti] = schema.columns[ti].coerce(eval(e, ctx, fx)?);
             }
-            plan.push((slot, new_row));
-            if let Some(l) = &update.limit {
-                if plan.len() as u64 >= l.count {
-                    break;
-                }
-            }
-        }
-    }
-    let affected = plan.len();
+            changes.push((slot, new_row));
+            Ok(under_limit(update.limit.as_ref(), changes.len()))
+        },
+    )?;
+    let affected = changes.len();
     let store = db.table_mut(&update.table)?;
-    for (slot, new_row) in plan {
+    for (slot, new_row) in changes {
         store.update_slot(slot, new_row)?;
     }
     Ok(QueryOutput {
@@ -1263,61 +1261,19 @@ fn run_delete(
     cache: Option<&ProgramCache>,
     fx: &mut SideEffects,
 ) -> Result<QueryOutput, DbError> {
-    let schema = db.table(&delete.table)?.schema.clone();
-    let layout = vec![Binding {
-        name: schema.name.clone(),
-        schema,
-    }];
-    let compiled = match (&delete.where_clause, cache) {
-        (Some(w), Some(c)) => c.program_for(w, &layout).map(|program| {
-            let mut slots = Vec::with_capacity(program.slots() as usize);
-            if let Some(w) = &delete.where_clause {
-                vmexec::collect_literals(w, &mut slots);
-            }
-            (program, slots)
-        }),
-        _ => None,
-    };
-    let mut vm = Vm::new();
     let mut victims: Vec<usize> = Vec::new();
-    {
-        let store = db.table(&delete.table)?;
-        for (slot, row) in store.scan() {
-            let crow = CRow {
-                cells: vec![row.clone()],
-            };
-            let ctx = EvalCtx {
-                db,
-                layout: &layout,
-                row: &crow,
-                group: None,
-                outer: None,
-                now,
-            };
-            let hit = if let Some((program, slots)) = &compiled {
-                let mut host = vmexec::ExprHost {
-                    slots,
-                    row: &crow,
-                    now,
-                    fx,
-                };
-                vm.run(program, &mut host)?.is_truthy()
-            } else {
-                match &delete.where_clause {
-                    None => true,
-                    Some(w) => eval(w, &ctx, fx)?.is_truthy(),
-                }
-            };
-            if hit {
-                victims.push(slot);
-                if let Some(l) = &delete.limit {
-                    if victims.len() as u64 >= l.count {
-                        break;
-                    }
-                }
-            }
-        }
-    }
+    for_each_target(
+        db,
+        &delete.table,
+        delete.where_clause.as_ref(),
+        now,
+        cache,
+        fx,
+        |slot, _, _| {
+            victims.push(slot);
+            Ok(under_limit(delete.limit.as_ref(), victims.len()))
+        },
+    )?;
     let affected = victims.len();
     let store = db.table_mut(&delete.table)?;
     for slot in victims {

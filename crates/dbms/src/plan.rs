@@ -5,38 +5,68 @@
 //! [`crate::exec`] interprets against storage:
 //!
 //! ```text
-//! Scan (cartesian FROM)
-//!   -> NestedLoopJoin*          (INNER/LEFT, ON predicate)
-//!   -> Filter                   (WHERE, compiled program or walker)
+//! Source+  one per FROM table (cartesian) and per JOIN (INNER/LEFT, ON
+//!          predicate), each reading its table through an access path:
+//!            FullScan   every live row
+//!            PkPoint    the one row the index holds for `pk = <literal>`
+//!            PkProbe    per row so far, the one row the index holds for
+//!                       the value of `<expr over earlier bindings> = pk`
+//!          the last source also evaluates WHERE (compiled program or
+//!          walker) on the borrowed storage rows; only survivors are kept
 //!   -> Aggregate?               (GROUP BY keys + HAVING over groups)
 //!   -> Project                  (labels resolved here)
 //!   -> Sort? -> Distinct? -> Limit?
 //! ```
 //!
+//! An access path only proposes **candidates**: the complete WHERE / ON
+//! is evaluated on every candidate exactly as it is on a scanned row, so
+//! a key can never admit a row the scan would have refused. A key path is
+//! taken only when it also cannot *lose* a row — the key is a top-level
+//! `AND` conjunct (never under `OR`/`NOT`: `id = 1 OR 1=1` scans), its
+//! value has the key's own type
+//! ([`crate::storage::TableStore::lookup_key`]), and the
+//! predicates whose evaluation it skips for the rows it rules out can
+//! neither fail nor have a side effect ([`is_total`]: no function call —
+//! `SLEEP` — no subquery, no parameter, no unresolved column).
+//!
 //! Splitting the plan from its interpretation keeps the stage decisions
-//! (aggregate-or-not, join binding indexes, output labels) inspectable:
+//! (access path, aggregate-or-not, output labels) inspectable:
 //! [`explain`] renders the pipeline for tests and debugging, and the
 //! conformance lab asserts plan shapes stay stable as the SQL surface
 //! grows.
 
-use septic_sql::ast::{Expr, JoinKind, Limit, OrderBy, Select, SelectItem, Statement, TableRef};
+use septic_sql::ast::{
+    BinaryOp, Expr, JoinKind, Limit, OrderBy, Select, SelectItem, Statement, TableRef,
+};
 
 use crate::error::DbError;
 use crate::exec::Binding;
 use crate::expr::is_aggregate;
-use crate::storage::Database;
+use crate::storage::{Database, PkKey, Row};
+use crate::value::Value;
+use crate::vmexec::{literal_value, resolve_column};
 
-/// One join step of the pipeline: nested-loop join the bound table into
-/// the composite row, keeping rows whose ON predicate holds (LEFT joins
-/// null-pad unmatched probe rows).
-pub(crate) struct JoinStep<'a> {
-    pub(crate) kind: JoinKind,
+/// How a source reads its table (see the module comment).
+#[derive(Debug, PartialEq)]
+pub(crate) enum Access<'a> {
+    FullScan,
+    PkPoint(PkKey),
+    PkProbe(&'a Expr),
+}
+
+/// One source of the pipeline, parallel to `layout`: extends every
+/// composite row built so far by the rows of its table that its access
+/// path proposes and its ON predicate keeps (LEFT joins null-pad rows
+/// with no match). Only `layout[..=i]` is visible to source `i` — later
+/// sources have not produced cells yet.
+pub(crate) struct Source<'a> {
     pub(crate) table: &'a TableRef,
-    pub(crate) on: Option<&'a Expr>,
-    /// Index of the joined table's binding in the plan layout. During the
-    /// join only `layout[..=binding]` is visible — later joins have not
-    /// produced cells yet.
-    pub(crate) binding: usize,
+    /// `None` for a FROM table: cartesian product, nothing to match.
+    pub(crate) join: Option<(JoinKind, Option<&'a Expr>)>,
+    pub(crate) access: Access<'a>,
+    /// The all-NULL row of a LEFT join (empty otherwise). Owned by the
+    /// plan so composite rows can borrow it like a storage row.
+    pub(crate) pad: Row,
 }
 
 /// Grouping stage: partition filtered rows by the GROUP BY key vector
@@ -58,10 +88,8 @@ pub(crate) struct ProjectPlan<'a> {
 pub(crate) struct SelectPlan<'a> {
     /// All visible bindings: FROM tables first, then joined tables in
     /// join order.
-    pub(crate) layout: Vec<Binding>,
-    /// Cartesian-product sources (the FROM list).
-    pub(crate) scan: Vec<&'a TableRef>,
-    pub(crate) joins: Vec<JoinStep<'a>>,
+    pub(crate) layout: Vec<Binding<'a>>,
+    pub(crate) sources: Vec<Source<'a>>,
     pub(crate) filter: Option<&'a Expr>,
     pub(crate) aggregate: Option<AggregatePlan<'a>>,
     pub(crate) project: ProjectPlan<'a>,
@@ -78,28 +106,50 @@ impl<'a> SelectPlan<'a> {
     ///
     /// [`DbError::UnknownTable`] when a FROM/JOIN table or a qualified
     /// wildcard target does not resolve.
-    pub(crate) fn build(db: &Database, select: &'a Select) -> Result<Self, DbError> {
-        let mut layout: Vec<Binding> = Vec::new();
-        for t in &select.from {
-            let store = db.table_or_virtual(&t.name)?;
+    pub(crate) fn build(db: &'a Database, select: &'a Select) -> Result<Self, DbError> {
+        let tables = select.from.iter().map(|t| (t, None));
+        let joined = select
+            .joins
+            .iter()
+            .map(|j| (&j.table, Some((j.kind, j.on.as_ref()))));
+        let mut layout = Vec::with_capacity(select.from.len() + select.joins.len());
+        let mut sources = Vec::with_capacity(layout.capacity());
+        for (table, join) in tables.chain(joined) {
+            let store = db.table_or_virtual(&table.name)?;
+            let pad = match join {
+                Some((JoinKind::Left, _)) => vec![Value::Null; store.schema.columns.len()],
+                _ => Row::new(),
+            };
             layout.push(Binding {
-                name: t.binding_name().to_string(),
-                schema: store.schema.clone(),
+                name: table.binding_name(),
+                store,
+            });
+            sources.push(Source {
+                table,
+                join,
+                access: Access::FullScan,
+                pad,
             });
         }
-        let mut joins = Vec::with_capacity(select.joins.len());
-        for j in &select.joins {
-            let store = db.table_or_virtual(&j.table.name)?;
-            layout.push(Binding {
-                name: j.table.binding_name().to_string(),
-                schema: store.schema.clone(),
-            });
-            joins.push(JoinStep {
-                kind: j.kind,
-                table: &j.table,
-                on: j.on.as_ref(),
-                binding: layout.len() - 1,
-            });
+        // A FROM table is narrowed by WHERE before the joins run, so the
+        // joins' ON predicates too are skipped for the rows it rules out;
+        // a join step is narrowed by its own ON only.
+        let filter = select.where_clause.as_ref();
+        let joins_total = || {
+            select.joins.iter().enumerate().all(|(j, join)| {
+                let i = select.from.len() + j;
+                (join.on.as_ref()).is_none_or(|on| is_total(on, &layout[..=i], i + 1))
+            })
+        };
+        for (i, source) in sources.iter_mut().enumerate() {
+            source.access = match source.join {
+                None => point_key(filter, &layout, i)
+                    .filter(|_| joins_total())
+                    .map(Access::PkPoint),
+                Some((_, Some(on))) => probe_expr(on, &layout[..=i]).map(Access::PkProbe),
+                Some((_, None)) => None,
+            }
+            .unwrap_or(Access::FullScan);
         }
 
         // A bare aggregate (no GROUP BY) still groups: one synthetic
@@ -122,7 +172,7 @@ impl<'a> SelectPlan<'a> {
             match item {
                 SelectItem::Wildcard => {
                     for b in &layout {
-                        for c in &b.schema.columns {
+                        for c in &b.schema().columns {
                             columns.push(c.name.clone());
                         }
                     }
@@ -132,7 +182,7 @@ impl<'a> SelectPlan<'a> {
                         .iter()
                         .find(|b| b.name.eq_ignore_ascii_case(t))
                         .ok_or_else(|| DbError::UnknownTable(t.clone()))?;
-                    for c in &b.schema.columns {
+                    for c in &b.schema().columns {
                         columns.push(c.name.clone());
                     }
                 }
@@ -144,9 +194,8 @@ impl<'a> SelectPlan<'a> {
 
         Ok(SelectPlan {
             layout,
-            scan: select.from.iter().collect(),
-            joins,
-            filter: select.where_clause.as_ref(),
+            sources,
+            filter,
             aggregate,
             project: ProjectPlan {
                 items: &select.items,
@@ -166,22 +215,26 @@ impl<'a> SelectPlan<'a> {
             out.push_str(&line);
             out.push('\n');
         };
-        if self.scan.is_empty() {
+        if self.sources.is_empty() {
             push("Scan <dual>".to_string());
         }
-        for t in &self.scan {
-            push(format!("Scan {}", describe_table(t)));
-        }
-        for j in &self.joins {
-            let on = match j.on {
-                Some(e) => format!(" ON {e}"),
-                None => String::new(),
+        for (source, binding) in self.sources.iter().zip(&self.layout) {
+            let table = describe_table(source.table);
+            let schema = binding.schema();
+            let pk = || &schema.columns[schema.primary_key_index().expect("keyed access")].name;
+            let access = match &source.access {
+                Access::FullScan => "FullScan".to_string(),
+                Access::PkPoint(PkKey::Int(k)) => format!("PkPoint({} = {k})", pk()),
+                Access::PkPoint(PkKey::Str(k)) => format!("PkPoint({} = '{k}')", pk()),
+                Access::PkProbe(e) => format!("PkProbe({} = {e})", pk()),
             };
-            push(format!(
-                "NestedLoopJoin {} {}{on}",
-                j.kind,
-                describe_table(j.table)
-            ));
+            push(match source.join {
+                None => format!("Scan {table} via {access}"),
+                Some((kind, None)) => format!("NestedLoopJoin {kind} {table} via {access}"),
+                Some((kind, Some(on))) => {
+                    format!("NestedLoopJoin {kind} {table} via {access} ON {on}")
+                }
+            });
         }
         if let Some(f) = self.filter {
             push(format!("Filter {f}"));
@@ -217,6 +270,114 @@ fn describe_table(t: &TableRef) -> String {
     match &t.alias {
         Some(a) => format!("{} AS {a}", t.name),
         None => t.name.clone(),
+    }
+}
+
+/// Calls `f` on the top-level `AND` conjuncts of `expr`, left to right,
+/// until it returns something. A conjunct that is not truthy makes the
+/// whole predicate not truthy, which is what lets one conjunct narrow the
+/// candidates; nothing under `OR`, `NOT` or any other operator is offered.
+fn find_conjunct<'e, T>(expr: &'e Expr, f: &mut impl FnMut(&'e Expr) -> Option<T>) -> Option<T> {
+    match expr {
+        Expr::Binary {
+            left,
+            op: BinaryOp::And,
+            right,
+        } => find_conjunct(left, f).or_else(|| find_conjunct(right, f)),
+        other => f(other),
+    }
+}
+
+/// `<a> = <b>` with the primary key of `layout[binding]` on one side,
+/// resolved the way the evaluator resolves it: the other side.
+fn pk_equated<'e>(conjunct: &'e Expr, layout: &[Binding<'_>], binding: usize) -> Option<&'e Expr> {
+    let Expr::Binary {
+        left,
+        op: BinaryOp::Eq,
+        right,
+    } = conjunct
+    else {
+        return None;
+    };
+    let pk = layout[binding].schema().primary_key_index()?;
+    let is_pk = |e: &Expr| match e {
+        Expr::Column { table, name } => {
+            resolve_column(layout, table.as_deref(), name) == Some((binding as u16, pk as u16))
+        }
+        _ => false,
+    };
+    if is_pk(left) {
+        Some(right)
+    } else if is_pk(right) {
+        Some(left)
+    } else {
+        None
+    }
+}
+
+/// The key of [`Access::PkPoint`] for `layout[binding]`: a conjunct of
+/// `filter` equates its primary key with a literal the index can serve,
+/// and skipping `filter` for every other row cannot be observed. Also the
+/// access path of a single-table UPDATE / DELETE.
+pub(crate) fn point_key(
+    filter: Option<&Expr>,
+    layout: &[Binding<'_>],
+    binding: usize,
+) -> Option<PkKey> {
+    // The key first: most predicates name none, and need no second walk.
+    let filter = filter?;
+    let key = find_conjunct(
+        filter,
+        &mut |conjunct| match pk_equated(conjunct, layout, binding)? {
+            Expr::Literal(l) => layout[binding].store.lookup_key(&literal_value(l)),
+            _ => None,
+        },
+    )?;
+    is_total(filter, layout, layout.len()).then_some(key)
+}
+
+/// The probe of [`Access::PkProbe`] for the joined (last) binding of
+/// `layout`: a conjunct of `on` equates its primary key with an
+/// expression over the earlier bindings alone, and skipping `on` for the
+/// rows the probe rules out cannot be observed.
+fn probe_expr<'a>(on: &'a Expr, layout: &[Binding<'_>]) -> Option<&'a Expr> {
+    let joined = layout.len() - 1;
+    let probe = find_conjunct(on, &mut |conjunct| {
+        pk_equated(conjunct, layout, joined).filter(|probe| is_total(probe, layout, joined))
+    })?;
+    is_total(on, layout, layout.len()).then_some(probe)
+}
+
+/// True when evaluating `expr` on a row of `layout` can neither fail nor
+/// have a side effect, and reads only `layout[..bindings]`: literals,
+/// columns that resolve there, and operators over them.
+fn is_total(expr: &Expr, layout: &[Binding<'_>], bindings: usize) -> bool {
+    let total = |e: &Expr| is_total(e, layout, bindings);
+    match expr {
+        Expr::Literal(_) => true,
+        Expr::Column { table, name } => resolve_column(layout, table.as_deref(), name)
+            .is_some_and(|(binding, _)| usize::from(binding) < bindings),
+        Expr::Unary { operand, .. } => total(operand),
+        Expr::Binary { left, right, .. } => total(left) && total(right),
+        Expr::IsNull { expr, .. } => total(expr),
+        Expr::InList { expr, list, .. } => total(expr) && list.iter().all(total),
+        Expr::Between {
+            expr, low, high, ..
+        } => total(expr) && total(low) && total(high),
+        Expr::Case {
+            operand,
+            branches,
+            else_branch,
+        } => {
+            operand.as_deref().is_none_or(total)
+                && branches.iter().all(|(w, t)| total(w) && total(t))
+                && else_branch.as_deref().is_none_or(total)
+        }
+        Expr::Param
+        | Expr::Function { .. }
+        | Expr::InSelect { .. }
+        | Expr::Subquery(_)
+        | Expr::Exists { .. } => false,
     }
 }
 
@@ -307,14 +468,14 @@ mod tests {
              LEFT JOIN readings r ON r.device = d.name WHERE r.watts > 5",
         );
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines[0], "Scan devices AS d");
-        assert!(lines[1].starts_with("NestedLoopJoin LEFT JOIN readings AS r ON"));
+        assert_eq!(lines[0], "Scan devices AS d via FullScan");
+        assert!(lines[1].starts_with("NestedLoopJoin LEFT JOIN readings AS r via FullScan ON"));
         assert!(lines[2].starts_with("Filter"));
         assert!(lines[3].starts_with("Project [d.owner, r.watts]"));
     }
 
     #[test]
-    fn join_binding_indexes_follow_layout() {
+    fn sources_follow_layout() {
         let db = db_with_fleet();
         let parsed = parse(
             "SELECT * FROM devices JOIN readings r ON r.device = devices.name \
@@ -326,9 +487,11 @@ mod tests {
         };
         let plan = SelectPlan::build(&db, s).expect("plan");
         assert_eq!(plan.layout.len(), 3);
-        assert_eq!(plan.joins[0].binding, 1);
-        assert_eq!(plan.joins[1].binding, 2);
+        assert_eq!(plan.sources.len(), 3);
+        assert!(plan.sources[0].join.is_none());
+        assert_eq!(plan.sources[1].table.name, "readings");
         assert_eq!(plan.layout[1].name, "r");
+        assert_eq!(plan.sources[2].table.name, "devices");
         assert_eq!(plan.layout[2].name, "d2");
     }
 
@@ -378,6 +541,160 @@ mod tests {
         assert_eq!(text.lines().filter(|l| l.starts_with("Scan")).count(), 2);
     }
 
+    fn access_of(db: &Database, sql: &str) -> String {
+        let text = plan_of(db, sql);
+        let first = text.lines().next().expect("a source line");
+        first
+            .split(" via ")
+            .nth(1)
+            .expect("an access path")
+            .to_string()
+    }
+
+    #[test]
+    fn pk_conjunct_with_an_integer_literal_is_a_point_lookup() {
+        let db = db_with_fleet();
+        for sql in [
+            "SELECT name FROM devices WHERE id = 7",
+            "SELECT name FROM devices WHERE 7 = id",
+            "SELECT name FROM devices WHERE devices.id = 7",
+            "SELECT name FROM devices d WHERE d.id = 7",
+            "SELECT name FROM devices WHERE owner = 'ann' AND (id = 7 AND name <> 'x')",
+            "SELECT name FROM devices WHERE id = 'seven' AND id = 7",
+        ] {
+            assert_eq!(access_of(&db, sql), "PkPoint(id = 7)", "{sql}");
+        }
+        let lines = plan_of(&db, "SELECT name FROM devices WHERE id = 7 LIMIT 1");
+        assert_eq!(
+            lines.lines().collect::<Vec<_>>(),
+            vec![
+                "Scan devices via PkPoint(id = 7)",
+                "Filter (id = 7)",
+                "Project [name]",
+                "Limit 1 OFFSET 0",
+            ]
+        );
+    }
+
+    #[test]
+    fn a_key_under_or_or_not_is_never_a_path() {
+        let db = db_with_fleet();
+        for sql in [
+            "SELECT name FROM devices WHERE id = 1 OR 1=1",
+            "SELECT name FROM devices WHERE id = '1' OR '1'='1'",
+            "SELECT name FROM devices WHERE id = 1 OR 1=1 -- ",
+            "SELECT name FROM devices WHERE NOT id = 1",
+            "SELECT name FROM devices WHERE NOT (id = 1 AND owner = 'ann')",
+            "SELECT name FROM devices WHERE (id = 1) = 1",
+            "SELECT name FROM devices WHERE id = 1 XOR 0",
+            "SELECT name FROM devices WHERE (id = 1 OR 1=1) AND owner = 'ann'",
+        ] {
+            assert_eq!(access_of(&db, sql), "FullScan", "{sql}");
+        }
+        // A UNION arm is planned on its own: the injected arm scans, the
+        // application's arm keeps its lookup.
+        let text = plan_of(
+            &db,
+            "SELECT name FROM devices WHERE id = 1 UNION SELECT device FROM readings",
+        );
+        let scans: Vec<&str> = text.lines().filter(|l| l.starts_with("Scan")).collect();
+        assert_eq!(
+            scans,
+            vec![
+                "Scan devices via PkPoint(id = 1)",
+                "Scan readings via FullScan"
+            ]
+        );
+    }
+
+    #[test]
+    fn values_the_index_cannot_serve_scan() {
+        let mut db = db_with_fleet();
+        let parsed = parse("CREATE TABLE tokens (token VARCHAR(16) PRIMARY KEY, uid INT)").unwrap();
+        execute(&mut db, &parsed.statements[0], 0).expect("create");
+        for sql in [
+            "SELECT name FROM devices WHERE id = '7'",
+            "SELECT name FROM devices WHERE id = '7abc'",
+            "SELECT name FROM devices WHERE id = 7.0",
+            "SELECT name FROM devices WHERE id = NULL",
+            "SELECT name FROM devices WHERE id = ?",
+            "SELECT name FROM devices WHERE id = 9007199254740992",
+            "SELECT name FROM devices WHERE id = 9007199254740993",
+            "SELECT name FROM devices WHERE id = owner",
+            "SELECT name FROM devices WHERE id <=> 7",
+            "SELECT name FROM devices WHERE id + 0 = 7",
+            "SELECT name FROM devices WHERE name = 7",
+            "SELECT uid FROM tokens WHERE token = 5",
+            "SELECT table_name FROM information_schema.tables WHERE table_rows = 1",
+        ] {
+            assert_eq!(access_of(&db, sql), "FullScan", "{sql}");
+        }
+        assert_eq!(
+            access_of(&db, "SELECT name FROM devices WHERE id = 9007199254740991"),
+            "PkPoint(id = 9007199254740991)"
+        );
+        // The parser folds the sign into the literal.
+        assert_eq!(
+            access_of(&db, "SELECT name FROM devices WHERE id = -0"),
+            "PkPoint(id = 0)"
+        );
+        assert_eq!(
+            access_of(&db, "SELECT uid FROM tokens WHERE token = 'AbC '"),
+            "PkPoint(token = 'abc ')"
+        );
+    }
+
+    #[test]
+    fn a_predicate_that_can_fail_or_sleep_is_not_skipped() {
+        let db = db_with_fleet();
+        for sql in [
+            "SELECT name FROM devices WHERE id = 7 AND SLEEP(1)",
+            "SELECT name FROM devices WHERE id = 7 AND ghost = 1",
+            "SELECT name FROM devices WHERE id = 7 AND name IN (SELECT device FROM readings)",
+            "SELECT name FROM devices WHERE id = 7 AND name = ?",
+            "SELECT d.name FROM devices d JOIN readings r ON r.device = d.name AND SLEEP(1) \
+             WHERE d.id = 7",
+        ] {
+            assert_eq!(access_of(&db, sql), "FullScan", "{sql}");
+        }
+        // The outer scope is not this plan's to narrow.
+        let text = plan_of(
+            &db,
+            "SELECT name FROM devices d WHERE EXISTS (SELECT 1 FROM readings r WHERE d.id = 7)",
+        );
+        assert!(text.starts_with("Scan devices AS d via FullScan"), "{text}");
+    }
+
+    #[test]
+    fn joins_probe_the_joined_tables_key() {
+        let db = db_with_fleet();
+        let join_line = |sql: &str| {
+            let text = plan_of(&db, sql);
+            text.lines().nth(1).expect("a join line").to_string()
+        };
+        assert_eq!(
+            join_line("SELECT 1 FROM readings r JOIN devices d ON r.watts = d.id"),
+            "NestedLoopJoin JOIN devices AS d via PkProbe(id = r.watts) ON (r.watts = d.id)"
+        );
+        assert_eq!(
+            join_line("SELECT 1 FROM readings r LEFT JOIN devices d ON d.id = r.watts + 1 AND d.owner <> ''"),
+            "NestedLoopJoin LEFT JOIN devices AS d via PkProbe(id = (r.watts + 1)) \
+             ON ((d.id = (r.watts + 1)) AND (d.owner <> ''))"
+        );
+        for sql in [
+            // not the joined table's key / key on both sides / under OR
+            "SELECT 1 FROM readings r JOIN devices d ON r.id = d.name",
+            "SELECT 1 FROM readings r JOIN devices d ON d.id = d.id",
+            "SELECT 1 FROM readings r JOIN devices d ON r.watts = d.id OR 1=1",
+            // unqualified `id` is the first binding's column, not the joined one's
+            "SELECT 1 FROM readings r JOIN devices d ON r.watts = id",
+            "SELECT 1 FROM readings r JOIN devices d ON r.watts = d.id AND SLEEP(1)",
+        ] {
+            let line = join_line(sql);
+            assert!(line.contains(" via FullScan"), "{sql}: {line}");
+        }
+    }
+
     #[test]
     fn sort_distinct_limit_render_in_order() {
         let db = db_with_fleet();
@@ -389,7 +706,7 @@ mod tests {
         assert_eq!(
             lines,
             vec![
-                "Scan devices",
+                "Scan devices via FullScan",
                 "Project [owner]",
                 "Sort [owner DESC]",
                 "Distinct",

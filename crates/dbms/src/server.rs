@@ -861,10 +861,13 @@ impl Server {
 
     /// Autocommit execution: each statement commits as it succeeds (MySQL
     /// semantics — in a stacked call, statements before a failing one keep
-    /// their effects). The successful writes are handed to the durability
-    /// backend *before* the call is acknowledged; if logging fails, the
-    /// whole call is rolled back so the server never acknowledges state
-    /// the WAL has not seen.
+    /// their effects) and a statement that fails leaves nothing behind: a
+    /// multi-row write that dies on its second row is undone to the
+    /// statement's own start, or its first row would be live here and,
+    /// never logged, gone after recovery. The successful writes are handed
+    /// to the durability backend *before* the call is acknowledged; if
+    /// logging fails, the whole call is rolled back so the server never
+    /// acknowledges state the WAL has not seen.
     fn execute_autocommit(
         &self,
         statements: &[Statement],
@@ -877,10 +880,14 @@ impl Server {
         let mut outputs = Vec::with_capacity(statements.len());
         let mut redo: Vec<WalStmt> = Vec::new();
         let mut failed: Option<DbError> = None;
-        for stmt in statements {
+        for (i, stmt) in statements.iter().enumerate() {
+            let writes = !is_read_only(stmt);
+            // The statement's own rollback point: `prev` for the first
+            // statement, a snapshot of its own only in a stacked call.
+            let before = (writes && i > 0).then(|| db.snapshot());
             match execute_with(&mut db, stmt, at, cache) {
                 Ok(out) => {
-                    if !is_read_only(stmt) {
+                    if writes {
                         redo.push(WalStmt {
                             now: at,
                             sql: stmt.to_string(),
@@ -889,6 +896,9 @@ impl Server {
                     outputs.push(out);
                 }
                 Err(e) => {
+                    if writes {
+                        *db = before.unwrap_or_else(|| prev.snapshot());
+                    }
                     failed = Some(e);
                     break;
                 }
@@ -1690,6 +1700,63 @@ mod tests {
             out.rows,
             vec![vec![Value::from("kept")], vec![Value::from("committed")]]
         );
+    }
+
+    // Regression: a failed autocommit statement used to keep the rows it
+    // had written before failing — live, but never logged, so a restart
+    // silently dropped them.
+    #[test]
+    fn failed_autocommit_statement_leaves_nothing_live_or_lost() {
+        let io = crate::wal::MemIo::new();
+        let open = || {
+            Server::open_durable(
+                ServerConfig {
+                    allow_multi_statements: true,
+                    ..ServerConfig::default()
+                },
+                io.clone(),
+                crate::wal::WalConfig::default(),
+            )
+            .unwrap()
+            .0
+        };
+        let ids = |server: &Arc<Server>| {
+            let out = server.connect().query("SELECT id, v FROM t ORDER BY id");
+            out.unwrap().rows
+        };
+        let server = open();
+        let conn = server.connect();
+        conn.execute("CREATE TABLE t (id INT PRIMARY KEY, v VARCHAR(64))")
+            .unwrap();
+        conn.execute("INSERT INTO t (id, v) VALUES (1, 'one'), (2, 'two')")
+            .unwrap();
+        let before = ids(&server);
+
+        // Multi-row INSERT: the second row collides.
+        let err = conn
+            .execute("INSERT INTO t (id, v) VALUES (5, 'five'), (1, 'dup')")
+            .unwrap_err();
+        assert!(matches!(err, DbError::DuplicateKey(_)), "{err}");
+        assert_eq!(ids(&server), before, "row 5 of the failed INSERT is live");
+
+        // Multi-row UPDATE: row 1 moves to 11, row 2 would too.
+        let err = conn.execute("UPDATE t SET id = 11").unwrap_err();
+        assert!(matches!(err, DbError::DuplicateKey(_)), "{err}");
+        assert_eq!(ids(&server), before, "the failed UPDATE moved row 1");
+
+        // Stacked call: the statement before the failing one keeps its
+        // effects, the failing one leaves none.
+        let err = conn
+            .execute("INSERT INTO t (id, v) VALUES (3, 'three'); UPDATE t SET id = 12")
+            .unwrap_err();
+        assert!(matches!(err, DbError::DuplicateKey(_)), "{err}");
+        let live = ids(&server);
+        assert_eq!(live.len(), 3);
+        assert_eq!(live[2], vec![Value::Int(3), Value::from("three")]);
+
+        drop(conn);
+        drop(server);
+        assert_eq!(ids(&open()), live, "recovered state differs from live");
     }
 
     #[test]

@@ -36,6 +36,25 @@ pub enum PkKey {
     Str(String),
 }
 
+impl PkKey {
+    /// The key of a string cell. Folds character by character, exactly as
+    /// the string arm of [`Value::sql_cmp`] does, so two strings share a
+    /// key if and only if the executor's `=` calls them equal
+    /// (`str::to_lowercase` would not do: it lowers a word-final `Σ` to
+    /// `ς` where the per-character fold gives `σ`).
+    #[must_use]
+    pub fn text(s: &str) -> Self {
+        PkKey::Str(s.chars().flat_map(char::to_lowercase).collect())
+    }
+}
+
+/// Integers of a magnitude below this compare exactly through the `f64`
+/// that [`Value::sql_cmp`] uses; at 2^53 itself a stored 2^53 + 1 would
+/// round onto the literal. (Today [`crate::catalog::Column::coerce`]
+/// rounds keys through `f64` too and cannot store one; the bound does not
+/// lean on that.)
+const EXACT_F64_INT: u64 = 1 << 53;
+
 /// Storage for one table: rows in slot order, a free-list of reclaimed
 /// tombstone slots, and a typed primary-key index.
 #[derive(Debug, Clone)]
@@ -95,7 +114,7 @@ impl TableStore {
         let col = &self.schema.columns[pk];
         match col.coerce(value.clone()) {
             Value::Int(v) => Ok((PkKey::Int(v), Value::Int(v))),
-            Value::Str(s) => Ok((PkKey::Str(s.to_lowercase()), Value::Str(s))),
+            Value::Str(s) => Ok((PkKey::text(&s), Value::Str(s))),
             Value::Null => Err(DbError::NotNull(col.name.clone())),
             Value::Real(_) => Err(DbError::Semantic(format!(
                 "primary key column '{}' has an un-indexable type (DOUBLE)",
@@ -163,12 +182,58 @@ impl TableStore {
             .filter_map(|(i, r)| r.as_ref().map(|row| (i, row)))
     }
 
+    /// The live row in `slot`, if any.
+    #[must_use]
+    pub fn row(&self, slot: usize) -> Option<&Row> {
+        self.rows.get(slot)?.as_ref()
+    }
+
+    /// The slot of the row indexed under `key`.
+    #[must_use]
+    pub fn slot_of(&self, key: &PkKey) -> Option<usize> {
+        self.pk_index.get(key).copied()
+    }
+
+    /// The index key that finds **every** row whose primary key the
+    /// executor's `=` ([`Value::sql_cmp`]) calls equal to `value`, or
+    /// `None` when the index cannot promise that and the caller must scan:
+    /// no primary key, `NULL`, a value of another type than the key (the
+    /// integer `5` equals the stored strings `'5'`, `'05'` and `'5.0'`),
+    /// or an integer too large to compare exactly.
+    #[must_use]
+    pub fn lookup_key(&self, value: &Value) -> Option<PkKey> {
+        use septic_sql::ast::ColumnType;
+        let pk = &self.schema.columns[self.schema.primary_key_index()?];
+        match (pk.column_type, value) {
+            (ColumnType::Int | ColumnType::BigInt, Value::Int(v))
+                if v.unsigned_abs() < EXACT_F64_INT =>
+            {
+                Some(PkKey::Int(*v))
+            }
+            (ColumnType::Varchar(_) | ColumnType::Text | ColumnType::DateTime, Value::Str(s)) => {
+                Some(PkKey::text(s))
+            }
+            _ => None,
+        }
+    }
+
+    /// The rows a predicate has to look at, with their slots, in slot
+    /// order: the at most one row indexed under `key`, every live row
+    /// without a key. A key only narrows the candidates; whether a
+    /// candidate matches is still the caller's predicate to decide.
+    pub fn candidates(&self, key: Option<&PkKey>) -> impl Iterator<Item = (usize, &Row)> {
+        let point = key.and_then(|k| {
+            let slot = self.slot_of(k)?;
+            Some((slot, self.row(slot)?))
+        });
+        let scan = key.is_none().then(|| self.scan());
+        point.into_iter().chain(scan.into_iter().flatten())
+    }
+
     /// Point lookup through the PK index by integer key.
     #[must_use]
     pub fn get_by_pk(&self, key: i64) -> Option<&Row> {
-        self.pk_index
-            .get(&PkKey::Int(key))
-            .and_then(|&slot| self.rows[slot].as_ref())
+        self.row(self.slot_of(&PkKey::Int(key))?)
     }
 
     /// Point lookup through the PK index by any key value, coerced through
@@ -177,9 +242,7 @@ impl TableStore {
     pub fn get_by_pk_value(&self, value: &Value) -> Option<&Row> {
         let pk = self.schema.primary_key_index()?;
         let (key, _) = self.index_key(pk, value).ok()?;
-        self.pk_index
-            .get(&key)
-            .and_then(|&slot| self.rows[slot].as_ref())
+        self.row(self.slot_of(&key)?)
     }
 
     /// Replaces the row in `slot`.

@@ -225,19 +225,19 @@ fn hash_expr(expr: &Expr, h: &mut ShapeHash) {
 /// The layout fingerprint: column resolution depends on binding names and
 /// schemas, so they are part of the key (a table dropped and re-created
 /// with different columns must not reuse stale programs).
-fn hash_layout(layout: &[Binding], h: &mut ShapeHash) {
+fn hash_layout(layout: &[Binding<'_>], h: &mut ShapeHash) {
     h.num(layout.len() as u64);
     for b in layout {
-        h.str(&b.name);
-        h.str(&b.schema.name);
-        h.num(b.schema.columns.len() as u64);
-        for c in &b.schema.columns {
+        h.str(b.name);
+        h.str(&b.schema().name);
+        h.num(b.schema().columns.len() as u64);
+        for c in &b.schema().columns {
             h.str(&c.name);
         }
     }
 }
 
-fn shape_key(expr: &Expr, layout: &[Binding]) -> (u64, u64) {
+fn shape_key(expr: &Expr, layout: &[Binding<'_>]) -> (u64, u64) {
     let mut h = ShapeHash::new();
     hash_layout(layout, &mut h);
     hash_expr(expr, &mut h);
@@ -250,14 +250,18 @@ fn shape_key(expr: &Expr, layout: &[Binding]) -> (u64, u64) {
 
 /// Mirrors [`crate::exec`]'s column resolution (outer scope excluded —
 /// compiled programs only run for top-level, uncorrelated evaluation).
-fn resolve_column(layout: &[Binding], table: Option<&str>, name: &str) -> Option<(u16, u16)> {
+pub(crate) fn resolve_column(
+    layout: &[Binding<'_>],
+    table: Option<&str>,
+    name: &str,
+) -> Option<(u16, u16)> {
     for (bi, binding) in layout.iter().enumerate() {
         if let Some(t) = table {
             if !binding.name.eq_ignore_ascii_case(t) {
                 continue;
             }
         }
-        if let Ok(ci) = binding.schema.column_index(name) {
+        if let Ok(ci) = binding.schema().column_index(name) {
             return Some((bi as u16, ci as u16));
         }
         if table.is_some() {
@@ -269,7 +273,7 @@ fn resolve_column(layout: &[Binding], table: Option<&str>, name: &str) -> Option
 
 struct Compiler<'a> {
     b: ProgramBuilder,
-    layout: &'a [Binding],
+    layout: &'a [Binding<'a>],
 }
 
 impl Compiler<'_> {
@@ -407,7 +411,7 @@ impl Compiler<'_> {
 /// Compiles an expression against a FROM layout; `None` for expressions
 /// that must stay on the walker.
 #[must_use]
-pub(crate) fn compile_expr(expr: &Expr, layout: &[Binding]) -> Option<Program> {
+pub(crate) fn compile_expr(expr: &Expr, layout: &[Binding<'_>]) -> Option<Program> {
     let mut c = Compiler {
         b: ProgramBuilder::new(),
         layout,
@@ -468,7 +472,7 @@ pub(crate) fn collect_literals(expr: &Expr, out: &mut Vec<Value>) {
     }
 }
 
-fn literal_value(l: &Literal) -> Value {
+pub(crate) fn literal_value(l: &Literal) -> Value {
     match l {
         Literal::Int(v) => Value::Int(*v),
         Literal::Float(v) => Value::Real(*v),
@@ -485,7 +489,7 @@ fn literal_value(l: &Literal) -> Value {
 /// helpers, so VM and walker share one semantics implementation.
 pub(crate) struct ExprHost<'a> {
     pub(crate) slots: &'a [Value],
-    pub(crate) row: &'a CRow,
+    pub(crate) row: &'a CRow<'a>,
     pub(crate) now: i64,
     pub(crate) fx: &'a mut SideEffects,
 }
@@ -622,7 +626,7 @@ impl ProgramCache {
 
     /// The compiled program for `expr` under `layout` — cached per shape;
     /// compiles on first sight. `None` means "use the walker".
-    pub(crate) fn program_for(&self, expr: &Expr, layout: &[Binding]) -> Option<Arc<Program>> {
+    pub(crate) fn program_for(&self, expr: &Expr, layout: &[Binding<'_>]) -> Option<Arc<Program>> {
         let (key, check) = shape_key(expr, layout);
         if let Some(entry) = self.map.read().get(&key) {
             return match entry {

@@ -28,9 +28,9 @@ use std::sync::Arc;
 use septic::{Mode, Septic};
 use septic_bench::{banner, render_table};
 use septic_benchlab::{
-    run_engine_comparison, run_idle_memory, run_join_workload, run_open_loop, run_recovery_bench,
-    run_throughput, run_throughput_tcp, run_throughput_tcp_front_end, EngineRow, IdleConnRow,
-    OpenLoopPlan, OpenLoopRow, RecoveryPlan, RecoveryRow, ThroughputPlan, ThroughputRow,
+    run_idle_memory, run_join_workload, run_open_loop, run_recovery_bench, run_throughput,
+    run_throughput_tcp, run_throughput_tcp_front_end, IdleConnRow, OpenLoopPlan, OpenLoopRow,
+    RecoveryPlan, RecoveryRow, ThroughputPlan, ThroughputRow,
 };
 use septic_dbms::Server;
 use septic_net::FrontEndKind;
@@ -91,38 +91,6 @@ fn throughput_table(rows: &[ThroughputRow]) -> String {
     render_table(
         &[
             "config",
-            "threads",
-            "queries",
-            "elapsed (ms)",
-            "qps",
-            "p50 (us)",
-            "p95 (us)",
-            "p99 (us)",
-        ],
-        &cells,
-    )
-}
-
-/// Renders the AST-vs-VM engine cells as a table.
-fn engine_table(rows: &[EngineRow]) -> String {
-    let cells: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.engine.clone(),
-                r.row.threads.to_string(),
-                r.row.queries.to_string(),
-                format!("{:.1}", r.row.elapsed_us as f64 / 1000.0),
-                format!("{:.0}", r.row.qps),
-                r.row.p50_us.to_string(),
-                r.row.p95_us.to_string(),
-                r.row.p99_us.to_string(),
-            ]
-        })
-        .collect();
-    render_table(
-        &[
-            "engine",
             "threads",
             "queries",
             "elapsed (ms)",
@@ -282,7 +250,6 @@ fn main() {
             report.idle_rows = run_idle_memory(idle_conns).into_iter().collect();
         }
     }
-    report.engine_rows = run_engine_comparison(&plan);
     report.join_rows = run_join_workload(&plan);
     let recovery_rows = if recovery {
         let rplan = if smoke {
@@ -325,8 +292,6 @@ fn main() {
         }
         println!("recovery smoke: every crashed commit came back in every cell OK");
     }
-    println!("AST walker vs bytecode VM (YY, row-heavy table, zero pad):");
-    println!("{}", engine_table(&report.engine_rows));
     println!("JOIN-bearing workload (YY, trained two-table join shapes):");
     println!("{}", throughput_table(&report.join_rows));
 
@@ -459,28 +424,6 @@ fn main() {
                 "JOIN cell at {threads} threads lost queries"
             );
         }
-    }
-
-    // The smoke run must record at least one cell per engine; the full
-    // run additionally reports the single-thread serving-cost ratio.
-    for engine in ["ast", "vm"] {
-        assert!(
-            report.engine_rows.iter().any(|r| r.engine == engine),
-            "missing {engine} engine row"
-        );
-    }
-    let qps_of = |engine: &str| {
-        report
-            .engine_rows
-            .iter()
-            .find(|r| r.engine == engine && r.row.threads == 1)
-            .map(|r| r.row.qps)
-    };
-    if let (Some(ast), Some(vm)) = (qps_of("ast"), qps_of("vm")) {
-        println!(
-            "single-thread serving: ast {ast:.0} qps, vm {vm:.0} qps ({:+.1}%)",
-            (vm / ast - 1.0) * 100.0
-        );
     }
 
     if smoke {

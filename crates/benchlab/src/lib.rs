@@ -25,8 +25,7 @@ pub use openloop::{run_idle_memory, run_open_loop, IdleConnRow, OpenLoopPlan, Op
 pub use recovery::{run_recovery_bench, RecoveryPlan, RecoveryRow};
 pub use stats::LatencyStats;
 pub use throughput::{
-    run_engine_comparison, run_join_workload, run_throughput, run_throughput_tcp,
-    run_throughput_tcp_front_end, EngineRow, StageLatencyRow, ThroughputPlan, ThroughputReport,
-    ThroughputRow,
+    run_join_workload, run_throughput, run_throughput_tcp, run_throughput_tcp_front_end,
+    StageLatencyRow, ThroughputPlan, ThroughputReport, ThroughputRow,
 };
 pub use workload::Workload;

@@ -111,18 +111,6 @@ pub struct ThroughputRow {
     pub p99_us: u64,
 }
 
-/// One engine-comparison cell: a standard throughput measurement with
-/// both bytecode-VM hot loops (detection comparison and row-expression
-/// evaluation) forced to one engine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct EngineRow {
-    /// Evaluation engine: `ast` (interpreted walkers) or `vm` (compiled
-    /// bytecode programs).
-    pub engine: String,
-    /// The measured cell (config is always `YY`).
-    pub row: ThroughputRow,
-}
-
 /// Per-stage latency percentiles for one detector configuration, scraped
 /// from the deployment's SEPTIC metrics registry after all of the
 /// configuration's cells have run.
@@ -167,11 +155,6 @@ pub struct ThroughputReport {
     /// in-process calls, so the report also quantifies the wire tax.
     #[serde(default)]
     pub tcp_rows: Vec<ThroughputRow>,
-    /// AST-walker vs bytecode-VM cells: the full YY stack measured with
-    /// both hot loops forced to each engine, over a row-heavy table with
-    /// a zero client pad (so serving cost, not think time, is compared).
-    #[serde(default)]
-    pub engine_rows: Vec<EngineRow>,
     /// JOIN-bearing workload cells: the full YY stack sweeping a trained
     /// two-table JOIN shape at every thread count, so the report covers a
     /// query family the expression VM deliberately routes through its
@@ -406,7 +389,6 @@ pub fn run_throughput(plan: &ThroughputPlan) -> ThroughputReport {
         rows,
         stages,
         tcp_rows: Vec::new(),
-        engine_rows: Vec::new(),
         join_rows: Vec::new(),
         tcp_event_rows: Vec::new(),
         open_loop_rows: Vec::new(),
@@ -464,79 +446,6 @@ pub fn run_join_workload(plan: &ThroughputPlan) -> Vec<ThroughputRow> {
             )
         })
         .collect()
-}
-
-/// Rows seeded into the engine-comparison table: enough that per-row
-/// WHERE evaluation dominates each query, so the comparison measures the
-/// evaluation engines rather than fixed pipeline overhead (the standard
-/// sweep's one-row table would measure the latter).
-const ENGINE_TABLE_ROWS: usize = 512;
-
-/// Builds the trained YY deployment for one engine: same schema and
-/// training as [`build_deployment`], but with a row-heavy table and both
-/// VM hot loops (detection comparison, row-expression evaluation) forced
-/// to `vm`.
-fn build_engine_deployment(vm: bool, plan: &ThroughputPlan) -> (Arc<Server>, Arc<Septic>) {
-    let server = Server::with_config(ServerConfig {
-        allow_multi_statements: true,
-        general_log_capacity: 0,
-    });
-    server.set_expr_vm(vm);
-    let conn = server.connect();
-    conn.execute("CREATE TABLE tickets (reservID VARCHAR(16), note VARCHAR(64))")
-        .expect("create");
-    // Seeded notes live above the workload's datum range (see
-    // `session_datum`), so every measured query scans all rows and
-    // matches none — a pure per-row evaluation workload.
-    let values: Vec<String> = (0..ENGINE_TABLE_ROWS)
-        .map(|i| format!("('R{i}', 'v{}')", 2_000_003 + i))
-        .collect();
-    conn.execute(&format!(
-        "INSERT INTO tickets (reservID, note) VALUES {}",
-        values.join(", ")
-    ))
-    .expect("insert");
-
-    let septic = Arc::new(Septic::with_config(DetectionConfig::YY));
-    septic.set_use_vm(vm);
-    septic.set_event_logging(plan.event_logging);
-    server.install_guard(septic.clone());
-    septic.set_mode(Mode::Training);
-    for shape in 0..plan.distinct_shapes.max(1) {
-        conn.execute(&shape_query(shape, 0)).expect("train");
-    }
-    septic.set_mode(Mode::PREVENTION);
-    (server, septic)
-}
-
-/// Runs the AST-vs-VM engine comparison: the full YY stack measured with
-/// both hot loops forced to the interpreted walkers (`ast`), then to the
-/// compiled bytecode programs (`vm`), at every thread count of the plan.
-/// Cells run with a **zero client pad** — think time would hide the
-/// engine difference — over the row-heavy engine table.
-#[must_use]
-pub fn run_engine_comparison(plan: &ThroughputPlan) -> Vec<EngineRow> {
-    let unpadded = ThroughputPlan {
-        client_pad: Duration::ZERO,
-        ..plan.clone()
-    };
-    let mut rows = Vec::with_capacity(2 * unpadded.threads.len());
-    for vm in [false, true] {
-        let (server, _septic) = build_engine_deployment(vm, &unpadded);
-        for &threads in &unpadded.threads {
-            rows.push(EngineRow {
-                engine: if vm { "vm" } else { "ast" }.to_string(),
-                row: measure_cell(
-                    &server,
-                    DetectionConfig::YY,
-                    threads,
-                    &unpadded,
-                    shape_query,
-                ),
-            });
-        }
-    }
-    rows
 }
 
 /// Measures one (config, client-count) cell over the wire: `threads`
@@ -776,23 +685,6 @@ mod tests {
                 assert_eq!(row.queries, 8 * threads as u64);
                 assert!(row.qps > 0.0);
                 assert!(row.p50_us <= row.p95_us && row.p95_us <= row.p99_us);
-            }
-        }
-    }
-
-    #[test]
-    fn engine_comparison_measures_both_engines() {
-        let rows = run_engine_comparison(&tiny_plan());
-        assert_eq!(rows.len(), 4); // 2 engines x 2 thread counts
-        for engine in ["ast", "vm"] {
-            for threads in [1usize, 2] {
-                let cell = rows
-                    .iter()
-                    .find(|r| r.engine == engine && r.row.threads == threads)
-                    .unwrap_or_else(|| panic!("missing {engine} cell at {threads} threads"));
-                assert_eq!(cell.row.config, "YY");
-                assert_eq!(cell.row.queries, 8 * threads as u64);
-                assert!(cell.row.qps > 0.0);
             }
         }
     }

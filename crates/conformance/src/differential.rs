@@ -21,7 +21,8 @@ use std::sync::Arc;
 
 use septic::{detect_sqli, Mode, QueryModel, Septic};
 use septic_dbms::{
-    Connection, DbError, MemIo, RecoveryReport, Server, ServerConfig, StorageIo, WalConfig,
+    execute_with, Connection, Database, DbError, MemIo, ProgramCache, RecoveryReport, Server,
+    ServerConfig, StorageIo, WalConfig,
 };
 use septic_http::HttpRequest;
 use septic_telemetry::MetricsSnapshot;
@@ -164,47 +165,37 @@ fn training_payloads(t: &Template) -> [&'static str; 2] {
     }
 }
 
-/// Creates the web apps' schema and seed rows.
-pub(crate) fn create_schema(conn: &Connection) {
-    for sql in [
-        "CREATE TABLE users (id INT, username VARCHAR(32), password VARCHAR(32))",
-        "INSERT INTO users (id, username, password) VALUES (1, 'alice', 'pw1')",
-        "CREATE TABLE tickets (reservID VARCHAR(16), creditCard INT, note VARCHAR(64))",
-        "INSERT INTO tickets (reservID, creditCard, note) VALUES ('ID34FG', 1234, 'ok')",
-        "CREATE TABLE readings (device VARCHAR(16), watts INT, day INT)",
-        "INSERT INTO readings (device, watts, day) VALUES ('dev-1', 50, 1)",
-        "CREATE TABLE devices (name VARCHAR(16), owner VARCHAR(32))",
-        "INSERT INTO devices (name, owner) VALUES ('dev-1', 'ann'), ('dev-2', 'bob')",
-    ] {
+/// The web apps' schema and seed rows.
+const SCHEMA_SQL: [&str; 8] = [
+    "CREATE TABLE users (id INT, username VARCHAR(32), password VARCHAR(32))",
+    "INSERT INTO users (id, username, password) VALUES (1, 'alice', 'pw1')",
+    "CREATE TABLE tickets (reservID VARCHAR(16), creditCard INT, note VARCHAR(64))",
+    "INSERT INTO tickets (reservID, creditCard, note) VALUES ('ID34FG', 1234, 'ok')",
+    "CREATE TABLE readings (device VARCHAR(16), watts INT, day INT)",
+    "INSERT INTO readings (device, watts, day) VALUES ('dev-1', 50, 1)",
+    "CREATE TABLE devices (name VARCHAR(16), owner VARCHAR(32))",
+    "INSERT INTO devices (name, owner) VALUES ('dev-1', 'ann'), ('dev-2', 'bob')",
+];
+
+fn create_schema(conn: &Connection) {
+    for sql in SCHEMA_SQL {
         conn.execute(sql).expect("schema setup");
     }
 }
 
 /// Builds a fresh deployment for one defense: server + schema, and for the
 /// SEPTIC variants a guard trained on every template's benign instances.
-/// `use_vm` forces both bytecode-VM hot loops (detection comparison and
-/// row-expression evaluation) on or off; `None` keeps the environment
-/// default.
-fn deployment(
-    defense: Defense,
-    use_vm: Option<bool>,
-) -> (Arc<Server>, Connection, Option<Arc<Septic>>) {
+fn deployment(defense: Defense) -> (Arc<Server>, Connection, Option<Arc<Septic>>) {
     let server = Server::with_config(ServerConfig {
         allow_multi_statements: true,
         general_log_capacity: 0,
     });
-    if let Some(on) = use_vm {
-        server.set_expr_vm(on);
-    }
     let conn = server.connect();
     create_schema(&conn);
     let septic = match defense {
         Defense::SepticDetection | Defense::SepticPrevention | Defense::SepticStructural => {
             let septic = Arc::new(Septic::new());
             septic.set_event_logging(false);
-            if let Some(on) = use_vm {
-                septic.set_use_vm(on);
-            }
             server.install_guard(septic.clone());
             septic.set_mode(Mode::Training);
             for t in templates() {
@@ -235,7 +226,7 @@ fn deployment(
 /// approximating it.
 #[must_use]
 pub fn prevention_deployment() -> Arc<Server> {
-    let (server, _conn, _septic) = deployment(Defense::SepticPrevention, None);
+    let (server, _conn, _septic) = deployment(Defense::SepticPrevention);
     server
 }
 
@@ -248,9 +239,7 @@ pub fn prevention_deployment() -> Arc<Server> {
 /// `septic-prevention` column must be reproducible on this deployment —
 /// recovery is not allowed to perturb a single verdict.
 #[must_use]
-pub fn recovered_prevention_deployment(
-    use_vm: Option<bool>,
-) -> (Arc<Server>, Connection, Arc<Septic>, RecoveryReport) {
+pub fn recovered_prevention_deployment() -> (Arc<Server>, Connection, Arc<Septic>, RecoveryReport) {
     let config = || ServerConfig {
         allow_multi_statements: true,
         general_log_capacity: 0,
@@ -265,15 +254,9 @@ pub fn recovered_prevention_deployment(
     let second_io: Arc<dyn StorageIo> = io;
     let (server, report) =
         Server::open_durable(config(), second_io, WalConfig::default()).expect("recovery");
-    if let Some(on) = use_vm {
-        server.set_expr_vm(on);
-    }
     let conn = server.connect();
     let septic = Arc::new(Septic::new());
     septic.set_event_logging(false);
-    if let Some(on) = use_vm {
-        septic.set_use_vm(on);
-    }
     server.install_guard(septic.clone());
     septic.set_mode(Mode::Training);
     for t in templates() {
@@ -289,8 +272,8 @@ pub fn recovered_prevention_deployment(
 /// [`recovered_prevention_deployment`]) and returns the verdict — the
 /// value that must equal the golden matrix's `septic-prevention` cell.
 #[must_use]
-pub fn run_case_recovered(case: &Case, use_vm: Option<bool>) -> Verdict {
-    let (_server, conn, septic, _report) = recovered_prevention_deployment(use_vm);
+pub fn run_case_recovered(case: &Case) -> Verdict {
+    let (_server, conn, septic, _report) = recovered_prevention_deployment();
     let before = {
         let c = septic.counters();
         c.sqli_detected + c.stored_detected
@@ -315,14 +298,6 @@ pub fn run_case(case: &Case, defense: Defense) -> Verdict {
     run_case_instrumented(case, defense).0
 }
 
-/// [`run_case`] with the bytecode-VM hot loops forced on (`Some(true)`),
-/// off (`Some(false)`), or left at the environment default (`None`) —
-/// the differential-safety hook: the verdict must not depend on it.
-#[must_use]
-pub fn run_case_vm(case: &Case, defense: Defense, use_vm: Option<bool>) -> Verdict {
-    run_case_instrumented_vm(case, defense, use_vm).0
-}
-
 /// [`run_case`], plus the deployment's SEPTIC metrics snapshot (when the
 /// defense installs a guard). The snapshot is taken from the fresh
 /// per-case deployment after the case ran, so its `septic_attacks_total`
@@ -330,17 +305,6 @@ pub fn run_case_vm(case: &Case, defense: Defense, use_vm: Option<bool>) -> Verdi
 /// telemetry layer agrees with the golden matrix.
 #[must_use]
 pub fn run_case_instrumented(case: &Case, defense: Defense) -> (Verdict, Option<MetricsSnapshot>) {
-    run_case_instrumented_vm(case, defense, None)
-}
-
-/// [`run_case_instrumented`] with an explicit VM override (see
-/// [`run_case_vm`]).
-#[must_use]
-pub fn run_case_instrumented_vm(
-    case: &Case,
-    defense: Defense,
-    use_vm: Option<bool>,
-) -> (Verdict, Option<MetricsSnapshot>) {
     if defense == Defense::Waf {
         // The WAF sees the HTTP request — the raw payload, before the
         // application's escaping.
@@ -350,7 +314,7 @@ pub fn run_case_instrumented_vm(
             return (Verdict::Blocked, None);
         }
     }
-    let (_server, conn, septic) = deployment(defense, use_vm);
+    let (_server, conn, septic) = deployment(defense);
     let detected_before = septic.as_ref().map(|s| {
         let c = s.counters();
         c.sqli_detected + c.stored_detected
@@ -376,30 +340,56 @@ pub fn run_case_instrumented_vm(
     (verdict, septic.map(|s| s.metrics_snapshot()))
 }
 
-/// Canonical rendering of a case's raw execution outcome on a fresh,
-/// unguarded deployment: per-statement column lists and row values on
-/// success, or the error on failure. Timing fields are excluded, so the
-/// rendering is a pure function of the case. The VM differential tests
-/// use it to assert the bytecode VM and the AST walker agree beyond the
-/// verdict level.
+/// Canonical rendering of executing `sql` through the executor alone —
+/// no server, no guard — on a fresh [`Database`] holding the conformance
+/// schema: per statement the columns, rows, affected count, last insert
+/// id and requested `SLEEP` seconds, then the first error if one stopped
+/// the run. `cache` picks the engine for schema setup and `sql` alike:
+/// `None` is the interpreted reference walker, `Some` the compiled path
+/// the server always takes. The VM differential test and fuzz probe
+/// require both renderings to be equal.
 #[must_use]
-pub fn execution_outcome(case: &Case, use_vm: bool) -> String {
-    let server = Server::with_config(ServerConfig {
-        allow_multi_statements: true,
-        general_log_capacity: 0,
-    });
-    server.set_expr_vm(use_vm);
-    let conn = server.connect();
-    create_schema(&conn);
-    match conn.execute(&case.sql) {
-        Ok(result) => result
-            .outputs
-            .iter()
-            .map(|o| format!("columns={:?} rows={:?}", o.columns, o.rows))
-            .collect::<Vec<_>>()
-            .join("; "),
-        Err(e) => format!("error={e:?}"),
+pub fn execution_outcome(sql: &str, cache: Option<&ProgramCache>) -> String {
+    const NOW: i64 = 1_000_000;
+    let mut db = Database::new();
+    for setup in SCHEMA_SQL {
+        let parsed = septic_sql::parse(setup).expect("schema SQL parses");
+        execute_with(&mut db, &parsed.statements[0], NOW, cache).expect("schema setup");
     }
+    let decoded = septic_sql::charset::decode(sql);
+    let parsed = match septic_sql::parse(&decoded.text) {
+        Ok(parsed) => parsed,
+        Err(e) => return format!("error={e:?}"),
+    };
+    let mut rendered = Vec::with_capacity(parsed.statements.len());
+    for stmt in &parsed.statements {
+        match execute_with(&mut db, stmt, NOW, cache) {
+            Ok(o) => rendered.push(format!(
+                "columns={:?} rows={:?} affected={} last_id={:?} sleep={}",
+                o.columns, o.rows, o.affected, o.last_insert_id, o.effects.sleep_seconds
+            )),
+            Err(e) => {
+                rendered.push(format!("error={e:?}"));
+                break;
+            }
+        }
+    }
+    rendered.join("; ")
+}
+
+/// The QM a SEPTIC deployment learns in training mode for the template
+/// `case` was derived from (from its first fixed training payload).
+///
+/// # Panics
+///
+/// Panics when the case names no known template (generated cases always do).
+#[must_use]
+pub fn trained_model(case: &Case) -> QueryModel {
+    let template = templates()
+        .iter()
+        .find(|t| t.name == case.template)
+        .expect("case template exists");
+    QueryModel::from_structure(&qs_of(&template.build(training_payloads(template)[0])))
 }
 
 /// Ground truth for one case: the (sanitized, charset-decoded) query
@@ -411,11 +401,7 @@ pub fn ground_truth_harmful(case: &Case) -> bool {
     if case.variant == "stored-xss" {
         return true;
     }
-    let template = templates()
-        .iter()
-        .find(|t| t.name == case.template)
-        .expect("case template exists");
-    let model = QueryModel::from_structure(&qs_of(&template.build(training_payloads(template)[0])));
+    let model = trained_model(case);
     let decoded = septic_sql::charset::decode(&case.sql);
     match septic_sql::parse(&decoded.text) {
         // A query the DBMS front end refuses never executes: the attempt
@@ -431,18 +417,10 @@ pub fn ground_truth_harmful(case: &Case) -> bool {
 /// Builds the full detection matrix for `seed`.
 #[must_use]
 pub fn build_matrix(seed: u64) -> DetectionMatrix {
-    build_matrix_vm(seed, None)
-}
-
-/// [`build_matrix`] with the bytecode VM forced on or off in every
-/// deployment. The matrix is required to be byte-identical either way —
-/// the VM is an execution strategy, never an observable.
-#[must_use]
-pub fn build_matrix_vm(seed: u64, use_vm: Option<bool>) -> DetectionMatrix {
     let cases = generate_cases(seed);
     let mut results = Vec::with_capacity(cases.len());
     for case in &cases {
-        let verdict = |d: Defense| run_case_vm(case, d, use_vm).label().to_string();
+        let verdict = |d: Defense| run_case(case, d).label().to_string();
         results.push(CaseResult {
             id: case.id.clone(),
             template: case.template.to_string(),
@@ -631,10 +609,10 @@ mod tests {
             .find(|c| run_case(c, Defense::SepticPrevention) == Verdict::Blocked)
             .expect("a blocked attack case");
         assert_eq!(
-            run_case_recovered(benign, None),
+            run_case_recovered(benign),
             run_case(benign, Defense::SepticPrevention)
         );
-        assert_eq!(run_case_recovered(attack, None), Verdict::Blocked);
+        assert_eq!(run_case_recovered(attack), Verdict::Blocked);
     }
 
     #[test]

@@ -13,9 +13,10 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use septic::{detect_sqli, detect_sqli_vm, QueryModel};
-use septic_dbms::{Server, ServerConfig};
+use septic_dbms::ProgramCache;
 use septic_sql::{charset, items, parse};
 
+use crate::differential::execution_outcome;
 use crate::grammar::generate_cases;
 use crate::rng::{splitmix64, ConformanceRng};
 
@@ -206,9 +207,9 @@ pub fn reference_models() -> Vec<QueryModel> {
 /// VM differential probe: beyond [`probe`]'s panic check, every parseable
 /// mutant must (a) compile to a detection program without panicking, with
 /// the VM verdict matching the AST walker against its own model *and*
-/// every [`reference_models`] structure, and (b) execute identically on a
-/// server with the expression VM on and off. Returns a description of the
-/// first divergence (or panic) found.
+/// every [`reference_models`] structure, and (b) execute identically
+/// through the executor with and without a [`ProgramCache`]. Returns a
+/// description of the first divergence (or panic) found.
 #[must_use]
 pub fn probe_vm(bytes: &[u8]) -> Option<String> {
     if let Some(message) = probe(bytes) {
@@ -233,9 +234,9 @@ pub fn probe_vm(bytes: &[u8]) -> Option<String> {
             }
         }
         // (b) execution: same statements against fresh identical
-        // deployments, expression VM on vs off.
-        let ast = exec_outcome(&raw, false);
-        let vm = exec_outcome(&raw, true);
+        // databases, reference walker vs compiled programs.
+        let ast = execution_outcome(&raw, None);
+        let vm = execution_outcome(&raw, Some(&ProgramCache::new()));
         if ast != vm {
             return Some(format!("execution divergence:\n  ast: {ast}\n  vm:  {vm}"));
         }
@@ -250,34 +251,6 @@ pub fn probe_vm(bytes: &[u8]) -> Option<String> {
                 .or_else(|| payload.downcast_ref::<String>().cloned())
                 .unwrap_or_else(|| "non-string panic payload".to_string()),
         ),
-    }
-}
-
-/// Runs `sql` against a fresh conformance-schema server with the
-/// expression VM forced to `vm`, rendered to a comparable string.
-fn exec_outcome(sql: &str, vm: bool) -> String {
-    let server = Server::with_config(ServerConfig {
-        allow_multi_statements: true,
-        general_log_capacity: 0,
-    });
-    server.set_expr_vm(vm);
-    let conn = server.connect();
-    crate::differential::create_schema(&conn);
-    match conn.execute(sql) {
-        Ok(result) => {
-            let outputs: Vec<String> = result
-                .outputs
-                .iter()
-                .map(|o| {
-                    format!(
-                        "cols={:?} rows={:?} affected={} last_id={:?} sleep={}",
-                        o.columns, o.rows, o.affected, o.last_insert_id, o.effects.sleep_seconds
-                    )
-                })
-                .collect();
-            format!("ok: {}", outputs.join(" | "))
-        }
-        Err(e) => format!("err: {e}"),
     }
 }
 

@@ -13,8 +13,8 @@
 //! was an index path, with the guard training and with it detecting
 //! (where attacks execute), and plan as full scans.
 //!
-//! The server under test honours `SEPTIC_VM`, so CI's two test legs run
-//! this file on the compiled predicate and on the walker.
+//! Both servers run the one production engine: predicates compile, and
+//! the shapes the compiler rejects fall to the walker.
 
 use std::sync::Arc;
 

@@ -1,95 +1,75 @@
-//! Differential safety net for the bytecode VM: the golden detection
-//! matrix must be **byte-identical** with the VM hot loops forced on and
-//! forced off — the VM is an execution strategy, never an observable.
-//!
-//! This is the conformance-level guarantee behind flipping the default to
-//! the VM: every case of every class runs through the full stack twice
-//! (compiled programs vs AST walkers) and the verdicts must agree cell by
-//! cell with each other and with the checked-in golden file.
+//! Differential safety net for the compiled engines. Production has one
+//! path per job — `detect_sqli_vm` over the model's compiled program, and
+//! the executor with a `ProgramCache` — so this test calls the readable
+//! reference implementations directly (`detect_sqli`, the cache-less
+//! executor) and requires every golden case to come out the same on both
+//! sides: the full `SqliOutcome` including the mimicry node strings, and
+//! the full executor outcome (columns, rows, affected, last id, sleep
+//! seconds, error).
 
-use septic_conformance::differential::{
-    build_matrix_vm, canonical_json, execution_outcome, run_case_vm, Defense, MATRIX_SEED,
-};
-use septic_conformance::golden::{diff_report, golden_path};
+use septic::{detect_sqli, detect_sqli_vm};
+use septic_conformance::differential::{execution_outcome, trained_model, MATRIX_SEED};
 use septic_conformance::grammar::{generate_cases, templates, Construct};
+use septic_dbms::ProgramCache;
 
 #[test]
-fn matrix_is_byte_identical_with_vm_on_and_off() {
-    let with_vm = canonical_json(&build_matrix_vm(MATRIX_SEED, Some(true)));
-    let without_vm = canonical_json(&build_matrix_vm(MATRIX_SEED, Some(false)));
-    if let Some(diff) = diff_report(&without_vm, &with_vm, 20) {
-        panic!("bytecode VM changed the detection matrix:\n{diff}");
-    }
-}
-
-#[test]
-fn matrix_with_vm_on_matches_golden() {
-    let path = golden_path();
-    let actual = canonical_json(&build_matrix_vm(MATRIX_SEED, Some(true)));
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden file {} ({e}); regenerate with \
-             SEPTIC_CONFORMANCE_REGEN=1 cargo test -p septic-conformance golden",
-            path.display()
-        )
-    });
-    if let Some(diff) = diff_report(&expected, &actual, 20) {
-        panic!("VM-enabled matrix drifted from the golden file:\n{diff}");
-    }
-}
-
-#[test]
-fn every_case_verdict_agrees_between_vm_and_walker() {
-    // Cell-level agreement on the defenses that run the SEPTIC detectors
-    // and the DBMS executor — the two loops the VM replaced.
-    for case in generate_cases(MATRIX_SEED) {
-        for defense in Defense::all() {
-            let walker = run_case_vm(&case, defense, Some(false));
-            let vm = run_case_vm(&case, defense, Some(true));
-            assert_eq!(
-                walker,
-                vm,
-                "case {} under {}: walker={walker:?} vm={vm:?}",
-                case.id,
-                defense.label()
-            );
-        }
-    }
-}
-
-#[test]
-fn every_case_execution_outcome_agrees_between_vm_and_walker() {
-    // Stronger than verdict agreement: the actual result sets (columns,
-    // rows, or the error) must match cell-for-cell with the VM on and
-    // off. The JOIN/GROUP BY/subquery templates route through the VM's
-    // negative cache to the interpreted walker, so this pins the fallback
-    // path to the same semantics.
-    let mut construct_cases = 0;
-    for case in generate_cases(MATRIX_SEED) {
-        let walker = execution_outcome(&case, false);
-        let vm = execution_outcome(&case, true);
+fn every_case_detection_outcome_agrees_between_compiled_and_walker() {
+    let cases = generate_cases(MATRIX_SEED);
+    assert_eq!(cases.len(), 124, "the sweep must cover the golden matrix");
+    let (mut compared, mut attacks) = (0, 0);
+    for case in &cases {
+        let model = trained_model(case);
+        let program = septic_vm::compile_model(model.items());
+        let decoded = septic_sql::charset::decode(&case.sql);
+        // A query the front end refuses never reaches either detector.
+        let Ok(parsed) = septic_sql::parse(&decoded.text) else {
+            continue;
+        };
+        let qs = septic_sql::items::lower_all(&parsed.statements);
+        let walker = detect_sqli(&qs, &model);
+        let compiled = detect_sqli_vm(&program, &qs, &model);
         assert_eq!(
-            walker, vm,
-            "case {}: walker and VM outcomes differ",
+            walker, compiled,
+            "case {}: walker and compiled detection differ",
             case.id
         );
-        if case.construct != Construct::Basic {
-            construct_cases += 1;
-        }
+        compared += 1;
+        attacks += usize::from(walker.is_attack());
+    }
+    // The comparison is only worth something if it sees both verdicts.
+    assert!(compared > 100, "only {compared} cases parsed");
+    assert!(attacks > 0 && attacks < compared, "{attacks}/{compared}");
+}
+
+#[test]
+fn every_case_execution_outcome_agrees_between_compiled_and_walker() {
+    // The JOIN/GROUP BY/subquery templates hold expressions the compiler
+    // rejects, so this also pins the production fallback to the walker.
+    let cases = generate_cases(MATRIX_SEED);
+    assert_eq!(cases.len(), 124, "the sweep must cover the golden matrix");
+    let mut compiled_programs = 0;
+    for case in &cases {
+        let cache = ProgramCache::new();
+        let walker = execution_outcome(&case.sql, None);
+        let compiled = execution_outcome(&case.sql, Some(&cache));
+        assert_eq!(
+            walker, compiled,
+            "case {}: walker and compiled outcomes differ",
+            case.id
+        );
+        compiled_programs += cache.compile_count();
     }
     assert!(
-        construct_cases > 0,
-        "the sweep must cover the JOIN/GROUP BY/subquery templates"
+        compiled_programs > 0,
+        "the compiled side never compiled anything"
     );
-    // And every new-construct template is individually represented.
+    // Every new-construct template is individually represented.
     for t in templates()
         .iter()
         .filter(|t| t.construct != Construct::Basic)
     {
         assert!(
-            generate_cases(MATRIX_SEED)
-                .iter()
-                .any(|c| c.template == t.name),
+            cases.iter().any(|c| c.template == t.name),
             "template {} has no generated cases",
             t.name
         );

@@ -1,11 +1,11 @@
 //! Deterministic fuzz run for the bytecode-VM compilers, wired into
 //! `cargo test`: every parseable mutant must compile to a detection
 //! program without panicking, the VM verdict must match the AST walker
-//! against its own and every reference model, and execution on a server
-//! with the expression VM on must match execution with it off.
+//! against its own and every reference model, and execution with a
+//! `ProgramCache` must match the cache-less reference walker.
 //!
-//! The default budget is 2 000 seeded iterations (each one deploys two
-//! servers); CI scales it with `SEPTIC_FUZZ_ITERS`, and divergences
+//! The default budget is 2 000 seeded iterations (each one fills two
+//! databases); CI scales it with `SEPTIC_FUZZ_ITERS`, and divergences
 //! shrink to a minimal still-divergent input exactly like parser-fuzz
 //! panics do.
 

@@ -80,6 +80,10 @@ impl SqliOutcome {
 
 /// Runs the two-step SQLI detection algorithm.
 ///
+/// This is the readable reference implementation: `Septic` itself always
+/// compares through [`detect_sqli_vm`], and the conformance suite holds
+/// the two to the same [`SqliOutcome`] on every golden case.
+///
 /// # Examples
 ///
 /// ```

@@ -17,7 +17,7 @@ use parking_lot::RwLock;
 use septic_dbms::{FailurePolicy, GuardDecision, QueryContext, QueryGuard};
 use septic_telemetry::{Counter, Histogram, MetricsRegistry, MetricsSnapshot};
 
-use crate::detector::{detect_sqli, SqliOutcome};
+use crate::detector::{detect_sqli_structural_only, detect_sqli_vm, SqliOutcome};
 use crate::id::{IdGenerator, QueryId};
 use crate::logger::{AttackAction, EventKind, Logger, StageSpansUs};
 use crate::mode::{FailurePolicyMatrix, Mode, ModeActions};
@@ -95,22 +95,10 @@ pub struct EngineConfig {
     pub detection: DetectionConfig,
     /// Ablation: restrict the SQLI detector to step 1 (structural only).
     pub structural_only: bool,
-    /// Run model comparison through the compiled bytecode program (the
-    /// default). Off = the interpreted QS/QM walker, kept as the
-    /// differential oracle. Seeded from `SEPTIC_VM` (`0`/`off` disables)
-    /// so CI can run the whole suite down both paths.
-    pub use_vm: bool,
     /// What to do with a query when SEPTIC itself fails, per mode.
     pub failure_policies: FailurePolicyMatrix,
     /// Optional per-query detection time budget.
     pub deadline: Option<Duration>,
-}
-
-/// Whether the bytecode-VM hot paths are enabled by default: on, unless
-/// the `SEPTIC_VM` environment variable says `0` or `off`.
-#[must_use]
-pub fn vm_default() -> bool {
-    std::env::var("SEPTIC_VM").map_or(true, |v| v != "0" && !v.eq_ignore_ascii_case("off"))
 }
 
 impl Default for EngineConfig {
@@ -119,7 +107,6 @@ impl Default for EngineConfig {
             mode: Mode::Training,
             detection: DetectionConfig::YY,
             structural_only: false,
-            use_vm: vm_default(),
             failure_policies: FailurePolicyMatrix::default(),
             deadline: None,
         }
@@ -378,13 +365,6 @@ impl Septic {
     /// verification only) — quantifies what the syntactic step adds.
     pub fn set_structural_only(&self, on: bool) {
         self.engine.write().structural_only = on;
-    }
-
-    /// Switches model comparison between the compiled bytecode program
-    /// (`true`, the default) and the interpreted QS/QM walker kept as
-    /// the differential oracle (`false`).
-    pub fn set_use_vm(&self, on: bool) {
-        self.engine.write().use_vm = on;
     }
 
     /// The per-mode failure policies in effect.
@@ -646,17 +626,14 @@ impl Septic {
         };
 
         // SQLI detection (structural + syntactic; optionally step 1 only
-        // for the detector ablation). The compiled bytecode program is the
-        // default; the interpreted QS/QM walker stays selectable as the
-        // differential oracle.
+        // for the detector ablation), compared through the model's
+        // compiled program.
         if config.sqli && actions.detect_sqli {
             let t = Instant::now();
             let outcome = if engine.structural_only {
-                crate::detector::detect_sqli_structural_only(qs, model)
-            } else if engine.use_vm {
-                crate::detector::detect_sqli_vm(compiled.program(), qs, model)
+                detect_sqli_structural_only(qs, model)
             } else {
-                detect_sqli(qs, model)
+                detect_sqli_vm(compiled.program(), qs, model)
             };
             spans.sqli_us = span_us(t);
             self.stages.sqli_detect.record_us(spans.sqli_us);

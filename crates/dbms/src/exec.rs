@@ -55,6 +55,8 @@ pub fn execute(db: &mut Database, stmt: &Statement, now: i64) -> Result<QueryOut
 /// [`execute`] with an optional compiled-expression program cache: WHERE
 /// clauses and non-aggregate projections then run on the bytecode VM
 /// (compiled once per statement shape) instead of the recursive walker.
+/// The server and WAL redo always pass `Some`; `None` is the readable
+/// reference implementation the differential tests compare against.
 ///
 /// # Errors
 ///
@@ -1014,28 +1016,24 @@ fn emit_stage(
             result = sort_rows(result, order_keys, plan.order_by);
         }
     } else {
-        // ORDER BY over raw rows, then project
-        if !plan.order_by.is_empty() {
-            let mut keyed: Vec<(Vec<Value>, CRow<'_>)> = Vec::with_capacity(rows.len());
-            for row in rows {
-                let ctx = EvalCtx { row: &row, ..scope };
-                let projected = project(&ctx, fx)?;
-                let mut keys = Vec::new();
+        // Project each row exactly once (a projection may have side
+        // effects, e.g. `SLEEP`), then sort the projected rows by key.
+        result = Vec::with_capacity(rows.len());
+        let mut order_keys: Vec<Vec<Value>> = Vec::new();
+        for row in &rows {
+            let ctx = EvalCtx { row, ..scope };
+            let projected = project(&ctx, fx)?;
+            if !plan.order_by.is_empty() {
+                let mut keys = Vec::with_capacity(plan.order_by.len());
                 for o in plan.order_by {
                     keys.push(order_key(&o.expr, &ctx, &projected, fx)?);
                 }
-                keyed.push((keys, row));
+                order_keys.push(keys);
             }
-            keyed.sort_by(|a, b| compare_key_vecs(&a.0, &b.0, plan.order_by));
-            result = Vec::with_capacity(keyed.len());
-            for (_, row) in keyed {
-                result.push(project(&EvalCtx { row: &row, ..scope }, fx)?);
-            }
-        } else {
-            result = Vec::with_capacity(rows.len());
-            for row in &rows {
-                result.push(project(&EvalCtx { row, ..scope }, fx)?);
-            }
+            result.push(projected);
+        }
+        if !plan.order_by.is_empty() {
+            result = sort_rows(result, order_keys, plan.order_by);
         }
         if plan.distinct {
             let mut seen = std::collections::HashSet::new();
@@ -1560,6 +1558,36 @@ mod tests {
         let mut db = Database::new();
         let out = run(&mut db, "SELECT SLEEP(3)");
         assert_eq!(out.effects.sleep_seconds, 3.0);
+    }
+
+    #[test]
+    fn order_by_projects_each_row_once() {
+        // A projected `SLEEP(1)` is the time-based blind channel: the
+        // delay must be one second per scanned row, ORDER BY or not, on
+        // the walker and on compiled programs alike.
+        let db = fixture();
+        let cache = ProgramCache::new();
+        for engine in [None, Some(&cache)] {
+            let select = |sql: &str| {
+                let parsed = parse(sql).expect("parse ok");
+                execute_read_with(&db, &parsed.statements[0], 1000, engine).expect("select")
+            };
+            for tail in ["", " LIMIT 2"] {
+                let plain = select(&format!("SELECT SLEEP(1), id FROM users{tail}"));
+                let sorted = select(&format!(
+                    "SELECT SLEEP(1), id FROM users ORDER BY id DESC{tail}"
+                ));
+                assert_eq!(plain.effects.sleep_seconds, 4.0, "no ORDER BY{tail}");
+                assert_eq!(sorted.effects.sleep_seconds, 4.0, "ORDER BY{tail}");
+                let ids = |out: &QueryOutput| -> Vec<Value> {
+                    out.rows.iter().map(|r| r[1].clone()).collect()
+                };
+                let mut expected = [4, 3, 2, 1].map(Value::Int).to_vec();
+                expected.truncate(sorted.rows.len());
+                assert_eq!(ids(&sorted), expected, "ORDER BY id DESC{tail}");
+                assert_eq!(ids(&plain).len(), expected.len());
+            }
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -37,13 +37,6 @@ use crate::vmexec::ProgramCache;
 use crate::wal::{
     NullBackend, RecoveryReport, StorageBackend, StorageIo, WalConfig, WalStmt, WalStorage,
 };
-
-/// Default for the expression-VM execution path: on, unless `SEPTIC_VM`
-/// is set to `0` or `off` (same switch the detection VM honours).
-#[must_use]
-pub fn expr_vm_default() -> bool {
-    std::env::var("SEPTIC_VM").map_or(true, |v| v != "0" && !v.eq_ignore_ascii_case("off"))
-}
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -300,11 +293,9 @@ pub struct Server {
     /// Session-id allocator for [`Server::connect`].
     next_session: AtomicU64,
     /// Shape-keyed cache of compiled expression programs, shared by every
-    /// session: compile once, execute many.
+    /// session: compile once, execute many. Every statement the server
+    /// executes goes through it; shapes it cannot compile run interpreted.
     program_cache: ProgramCache,
-    /// Whether execution uses the bytecode VM (compiled WHERE/projection
-    /// programs) or the interpreted AST walker.
-    expr_vm: AtomicBool,
     /// Durability backend: every committed write batch is handed to it
     /// *before* the commit is acknowledged. The default [`NullBackend`]
     /// keeps the server purely in-memory (the differential oracle);
@@ -346,7 +337,6 @@ impl Server {
             simulated_total_micros: AtomicI64::new(0),
             next_session: AtomicU64::new(1),
             program_cache,
-            expr_vm: AtomicBool::new(expr_vm_default()),
             storage: RwLock::new(Arc::new(NullBackend)),
             txn_stats,
         }
@@ -410,18 +400,6 @@ impl Server {
             v
         };
         guard.scan_stored(&values)
-    }
-
-    /// Switches row-expression evaluation between the bytecode VM (`true`)
-    /// and the interpreted AST walker (`false`, the differential oracle).
-    pub fn set_expr_vm(&self, on: bool) {
-        self.expr_vm.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether execution currently uses the bytecode VM.
-    #[must_use]
-    pub fn expr_vm(&self) -> bool {
-        self.expr_vm.load(Ordering::Relaxed)
     }
 
     /// The shared compiled-program cache (per-shape expression programs).
@@ -817,14 +795,11 @@ impl Server {
         //    acknowledged); anything touching an open transaction runs
         //    against the session's MVCC snapshot instead.
         let t = Instant::now();
-        let cache = self
-            .expr_vm
-            .load(Ordering::Relaxed)
-            .then_some(&self.program_cache);
+        let cache = Some(&self.program_cache);
         let mut txn = session_state.txn.lock();
         let executed: Result<Vec<QueryOutput>, DbError> =
             if txn.is_some() || parsed.statements.iter().any(Statement::is_txn_control) {
-                self.execute_transactional(&mut txn, &parsed.statements, at, cache)
+                self.execute_transactional(&mut txn, &parsed.statements, at)
             } else if parsed.statements.iter().all(is_read_only) {
                 let db = self.db.read();
                 parsed
@@ -833,7 +808,7 @@ impl Server {
                     .map(|stmt| execute_read_with(&db, stmt, at, cache))
                     .collect()
             } else {
-                self.execute_autocommit(&parsed.statements, at, cache)
+                self.execute_autocommit(&parsed.statements, at)
             };
         drop(txn);
         self.pipeline.execute.record_us(span_us(t));
@@ -872,8 +847,8 @@ impl Server {
         &self,
         statements: &[Statement],
         at: i64,
-        cache: Option<&ProgramCache>,
     ) -> Result<Vec<QueryOutput>, DbError> {
+        let cache = Some(&self.program_cache);
         let storage = self.storage.read().clone();
         let mut db = self.db.write();
         let prev = db.snapshot();
@@ -928,8 +903,8 @@ impl Server {
         txn: &mut Option<Txn>,
         statements: &[Statement],
         at: i64,
-        cache: Option<&ProgramCache>,
     ) -> Result<Vec<QueryOutput>, DbError> {
+        let cache = Some(&self.program_cache);
         let mut outputs = Vec::with_capacity(statements.len());
         for stmt in statements {
             match stmt {
@@ -979,11 +954,7 @@ impl Server {
                     } else {
                         // e.g. `COMMIT; SELECT 1` — past the control
                         // statements the session is back in autocommit.
-                        outputs.extend(self.execute_autocommit(
-                            std::slice::from_ref(other),
-                            at,
-                            cache,
-                        )?);
+                        outputs.extend(self.execute_autocommit(std::slice::from_ref(other), at)?);
                     }
                 }
             }
@@ -1004,10 +975,7 @@ impl Server {
             return Ok(());
         }
         let storage = self.storage.read().clone();
-        let cache = self
-            .expr_vm
-            .load(Ordering::Relaxed)
-            .then_some(&self.program_cache);
+        let cache = Some(&self.program_cache);
         let mut db = self.db.write();
         let mut working = db.snapshot();
         for buffered in &txn.redo {

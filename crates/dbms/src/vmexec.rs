@@ -10,14 +10,18 @@
 //! All value semantics stay shared with the interpreted walker: the
 //! [`ExprHost`] delegates to the very same [`crate::exec::apply_unary`] /
 //! [`crate::exec::apply_binary`] / [`crate::expr::call_scalar`] helpers the
-//! walker calls, so the two paths cannot drift — the walker remains
-//! available (`Server::set_expr_vm(false)`) as the differential oracle.
+//! walker calls, so the two paths cannot drift. The server always passes
+//! its [`ProgramCache`]; the cache-less `execute_with(.., None)` /
+//! `execute_read_with(.., None)` walker is the readable reference the
+//! differential tests compare against.
 //!
-//! Expressions the walker treats non-uniformly fall back to the walker
-//! entirely: aggregates, subqueries (`IN (SELECT …)`, `EXISTS`, scalar
-//! subqueries), unbound parameters, and `IN` lists containing non-literal
-//! members (the walker early-returns on the first hit, so pre-evaluating
-//! the members could diverge on side effects or errors).
+//! The walker runs in production only for expressions `compile_expr`
+//! rejects, a choice read off the statement itself: aggregates,
+//! subqueries (`IN (SELECT …)`, `EXISTS`, scalar subqueries — hence every
+//! correlated subquery), unbound `?` parameters, and `IN` lists
+//! containing non-literal members (the walker early-returns on the first
+//! hit, so pre-evaluating the members could diverge on side effects or
+//! errors). `tests/vm_cache.rs` pins this boundary construct by construct.
 
 use std::cmp::Ordering;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
@@ -82,10 +86,8 @@ fn un_code(op: UnaryOp) -> u16 {
 // shape hashing
 // ---------------------------------------------------------------------------
 
-/// Two independent FNV-1a states: the first is the cache key, the second a
-/// verification checksum stored in the entry, so a 64-bit key collision
-/// degrades to the (always correct) walker instead of running the wrong
-/// program.
+/// Two independent FNV-1a states; together they are the 128-bit cache
+/// key, so running the wrong program takes a collision in both.
 struct ShapeHash {
     key: u64,
     check: u64,
@@ -237,7 +239,10 @@ fn hash_layout(layout: &[Binding<'_>], h: &mut ShapeHash) {
     }
 }
 
-fn shape_key(expr: &Expr, layout: &[Binding<'_>]) -> (u64, u64) {
+/// Both [`ShapeHash`] states: the 128-bit identity of a statement shape.
+type ShapeKey = (u64, u64);
+
+fn shape_key(expr: &Expr, layout: &[Binding<'_>]) -> ShapeKey {
     let mut h = ShapeHash::new();
     hash_layout(layout, &mut h);
     hash_expr(expr, &mut h);
@@ -562,15 +567,6 @@ impl Host for ExprHost<'_> {
 /// compiled-but-uncached (correct, just not shared).
 const CACHE_CAP: usize = 1024;
 
-#[derive(Clone)]
-enum Entry {
-    /// Shape compiles: the shared program.
-    Compiled { check: u64, program: Arc<Program> },
-    /// Shape is walker-only; cached so the compile attempt is not repeated
-    /// on every execution.
-    Fallback { check: u64 },
-}
-
 #[derive(Debug)]
 struct CacheMetrics {
     compiles: Arc<Counter>,
@@ -582,7 +578,10 @@ struct CacheMetrics {
 /// statement shape get the *same* `Arc<Program>` (a refcount bump).
 #[derive(Default)]
 pub struct ProgramCache {
-    map: RwLock<HashMap<u64, Entry>>,
+    /// Keyed by the full 128-bit shape fingerprint. `None` marks a
+    /// walker-only shape, cached so the compile attempt is not repeated
+    /// on every execution.
+    map: RwLock<HashMap<ShapeKey, Option<Arc<Program>>>>,
     compiles: AtomicU64,
     metrics: RwLock<Option<CacheMetrics>>,
 }
@@ -627,36 +626,19 @@ impl ProgramCache {
     /// The compiled program for `expr` under `layout` — cached per shape;
     /// compiles on first sight. `None` means "use the walker".
     pub(crate) fn program_for(&self, expr: &Expr, layout: &[Binding<'_>]) -> Option<Arc<Program>> {
-        let (key, check) = shape_key(expr, layout);
+        let key = shape_key(expr, layout);
         if let Some(entry) = self.map.read().get(&key) {
-            return match entry {
-                Entry::Compiled { check: c, program } if *c == check => Some(Arc::clone(program)),
-                // Known walker-only shape.
-                Entry::Fallback { check: c } if *c == check => None,
-                // Key collision with a different shape: the walker is
-                // always correct, use it.
-                _ => None,
-            };
+            return entry.clone();
         }
         let compiled = compile_expr(expr, layout).map(Arc::new);
         let mut map = self.map.write();
         // Double-checked: a racing session may have inserted meanwhile —
         // return *its* program so the Arc stays shared.
         if let Some(entry) = map.get(&key) {
-            return match entry {
-                Entry::Compiled { check: c, program } if *c == check => Some(Arc::clone(program)),
-                _ => None,
-            };
+            return entry.clone();
         }
         if map.len() < CACHE_CAP {
-            let entry = match &compiled {
-                Some(program) => Entry::Compiled {
-                    check,
-                    program: Arc::clone(program),
-                },
-                None => Entry::Fallback { check },
-            };
-            map.insert(key, entry);
+            map.insert(key, compiled.clone());
         }
         let cached_now = map.len() as u64;
         drop(map);

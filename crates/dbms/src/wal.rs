@@ -3,8 +3,8 @@
 //! The engine is a *logical redo log*: every acknowledged write is
 //! appended to `wal.log` as a CRC32-framed record of rendered SQL
 //! statements (with the logical clock value they executed under), and
-//! recovery re-executes them in order against an empty database — the
-//! same deterministic executor both engines already share.  Periodic
+//! recovery re-executes them in order against an empty database through
+//! the same compiled-expression path the live commit took.  Periodic
 //! checkpoints serialize the whole database to `snapshot.db` (written to
 //! a temp file, read back and verified, then installed with an atomic
 //! rename, the same discipline as `septic-core`'s model store) and
@@ -42,6 +42,7 @@ use crate::catalog::TableSchema;
 use crate::error::DbError;
 use crate::exec;
 use crate::storage::{Database, Row, TableStore};
+use crate::vmexec::ProgramCache;
 
 /// WAL file name (relative to the [`StorageIo`] root).
 pub const WAL_FILE: &str = "wal.log";
@@ -532,6 +533,9 @@ impl WalStorage {
         }
 
         let mut max_seq = base_seq;
+        // Redo runs the executor exactly as the live commit did: through a
+        // program cache (a log replays few shapes many times).
+        let programs = ProgramCache::new();
         if self.io.exists(Path::new(WAL_FILE)) {
             let bytes = self
                 .io
@@ -558,7 +562,7 @@ impl WalStorage {
                 for stmt in record.stmts {
                     clock = clock.max(stmt.now);
                     report.replayed_statements += 1;
-                    if replay_statement(&mut db, &stmt).is_err() {
+                    if replay_statement(&mut db, &stmt, &programs).is_err() {
                         report.replay_errors += 1;
                         self.replay_errors.inc();
                     }
@@ -714,10 +718,14 @@ fn decode_json<T: serde::Deserialize>(payload: &[u8]) -> Result<T, String> {
 /// Re-executes one redo statement without any guard: recovery restores
 /// state, re-detection of stored payloads happens afterwards through
 /// `Server::scan_recovered`.
-fn replay_statement(db: &mut Database, stmt: &WalStmt) -> Result<(), DbError> {
+fn replay_statement(
+    db: &mut Database,
+    stmt: &WalStmt,
+    programs: &ProgramCache,
+) -> Result<(), DbError> {
     let parsed = septic_sql::parse(&stmt.sql)?;
     for s in &parsed.statements {
-        exec::execute(db, s, stmt.now)?;
+        exec::execute_with(db, s, stmt.now, Some(programs))?;
     }
     Ok(())
 }

@@ -1,19 +1,27 @@
 //! Program-cache reuse across sessions: compiling is per statement
 //! *shape*, so two sessions preparing the same shape with different
 //! literal values share one `Arc<Program>` — the second execution is a
-//! refcount bump, never a recompile.
+//! refcount bump, never a recompile. Also pins which constructs compile
+//! and which stay on the walker (the `vmexec` module doc's list).
 
 use std::sync::Arc;
 
-use septic_dbms::{Server, Value};
+use septic_dbms::{
+    execute_read_with, execute_with, Database, ProgramCache, QueryOutput, Server, Value,
+};
+use septic_sql::parse;
 
-fn setup() -> Arc<septic_dbms::Server> {
+const SETUP: [&str; 2] = [
+    "CREATE TABLE t (a VARCHAR(16), b INT)",
+    "INSERT INTO t (a, b) VALUES ('x', 1), ('y', 2), ('z', 3)",
+];
+
+fn setup() -> Arc<Server> {
     let server = Server::new();
     let conn = server.connect();
-    conn.execute("CREATE TABLE t (a VARCHAR(16), b INT)")
-        .expect("create");
-    conn.execute("INSERT INTO t (a, b) VALUES ('x', 1), ('y', 2), ('z', 3)")
-        .expect("insert");
+    for sql in SETUP {
+        conn.execute(sql).expect("setup");
+    }
     server
 }
 
@@ -69,88 +77,188 @@ fn different_shapes_get_different_programs() {
     assert!(!Arc::ptr_eq(&p1, &p2));
 }
 
+/// One row of the engine boundary: a construct `vmexec::compile_expr`
+/// rejects (so it runs on the walker and must never compile anything)
+/// next to the closest shape that does compile.
+struct Boundary {
+    construct: &'static str,
+    walker_only: &'static str,
+    /// First-column values, or a fragment of the error it must raise.
+    walker_result: Result<&'static [&'static str], &'static str>,
+    compilable: &'static str,
+    /// Bound through `query_prepared` when present.
+    param: Option<&'static str>,
+    compiled_rows: &'static [&'static str],
+}
+
+const BOUNDARY: [Boundary; 7] = [
+    Boundary {
+        construct: "aggregate",
+        walker_only: "SELECT a, COUNT(*) FROM t GROUP BY a HAVING COUNT(*) > 0",
+        walker_result: Ok(&["x", "y", "z"]),
+        compilable: "SELECT a, LENGTH(a) FROM t",
+        param: None,
+        compiled_rows: &["x", "y", "z"],
+    },
+    Boundary {
+        construct: "IN (SELECT)",
+        walker_only: "SELECT a FROM t WHERE a IN (SELECT a FROM t WHERE b > 1)",
+        walker_result: Ok(&["y", "z"]),
+        compilable: "SELECT a FROM t WHERE a IN ('y', 'z')",
+        param: None,
+        compiled_rows: &["y", "z"],
+    },
+    Boundary {
+        construct: "EXISTS",
+        walker_only: "SELECT a FROM t WHERE EXISTS (SELECT b FROM t WHERE b = 3)",
+        walker_result: Ok(&["x", "y", "z"]),
+        compilable: "SELECT a FROM t WHERE NOT (b = 3)",
+        param: None,
+        compiled_rows: &["x", "y"],
+    },
+    Boundary {
+        construct: "scalar subquery",
+        walker_only: "SELECT a FROM t WHERE b = (SELECT MAX(b) FROM t)",
+        walker_result: Ok(&["z"]),
+        compilable: "SELECT a FROM t WHERE b = 1 + 2",
+        param: None,
+        compiled_rows: &["z"],
+    },
+    Boundary {
+        construct: "unbound ?",
+        walker_only: "SELECT a FROM t WHERE a = ?",
+        walker_result: Err("unbound parameter"),
+        // `execute_prepared` binds the value as a literal before the
+        // executor sees the statement, so the same text compiles.
+        compilable: "SELECT a FROM t WHERE a = ?",
+        param: Some("x"),
+        compiled_rows: &["x"],
+    },
+    Boundary {
+        construct: "non-literal IN list",
+        walker_only: "SELECT a FROM t WHERE b IN (1, b + 1)",
+        walker_result: Ok(&["x"]),
+        compilable: "SELECT a FROM t WHERE b IN (1, 2)",
+        param: None,
+        compiled_rows: &["x", "y"],
+    },
+    Boundary {
+        construct: "correlated subquery",
+        walker_only: "SELECT a FROM t WHERE b = (SELECT MAX(u.b) FROM t u WHERE u.a = t.a)",
+        walker_result: Ok(&["x", "y", "z"]),
+        compilable: "SELECT a FROM t WHERE b = LENGTH(a)",
+        param: None,
+        compiled_rows: &["x"],
+    },
+];
+
+fn first_column(out: &QueryOutput) -> Vec<Value> {
+    out.rows.iter().map(|r| r[0].clone()).collect()
+}
+
+fn values(texts: &[&str]) -> Vec<Value> {
+    texts.iter().copied().map(Value::from).collect()
+}
+
 #[test]
-fn aggregate_and_subquery_shapes_fall_back_without_evicting_compiled_shapes() {
+fn walker_only_constructs_never_compile_and_their_counterparts_do() {
     let server = setup();
-    server.set_expr_vm(true);
     let conn = server.connect();
+    let cache = server.vm_cache();
 
-    // Compile a simple shape first (WHERE program + `a` projection item).
-    conn.query("SELECT a FROM t WHERE a = 'x'").expect("simple");
+    // Bare `a` / `b` projections compile here, so below only the
+    // construct under test can move the counters.
+    conn.query("SELECT a, b FROM t").expect("warm-up");
     let simple = server
-        .vm_program_for("SELECT a FROM t WHERE a = 'x'")
+        .vm_program_for("SELECT a FROM t WHERE b > 100")
         .expect("simple shape compiles");
-    let compiles = server.vm_cache().compile_count();
-    let entries = server.vm_cache().len();
 
-    // Aggregate and subquery shapes are VM-incompatible by design: they
-    // must land in the negative cache (remembered as fallback entries)
-    // without producing new compiles.
-    conn.query("SELECT a, COUNT(*) FROM t GROUP BY a HAVING COUNT(*) > 0")
-        .expect("aggregate query");
-    conn.query("SELECT a FROM t WHERE a IN (SELECT a FROM t WHERE b > 1)")
-        .expect("subquery query");
-    assert_eq!(
-        server.vm_cache().compile_count(),
-        compiles,
-        "aggregate/subquery shapes must not compile"
-    );
-    let entries_after = server.vm_cache().len();
+    for row in &BOUNDARY {
+        let compiles = cache.compile_count();
+        // Twice: the second run must hit the negative entry, not add one.
+        let mut entries = None;
+        for _ in 0..2 {
+            match (conn.query(row.walker_only), row.walker_result) {
+                (Ok(out), Ok(expected)) => {
+                    assert_eq!(first_column(&out), values(expected), "{}", row.construct);
+                }
+                (Err(e), Err(fragment)) => {
+                    assert!(e.to_string().contains(fragment), "{}: {e}", row.construct);
+                }
+                (got, want) => panic!("{}: got {got:?}, want {want:?}", row.construct),
+            }
+            assert_eq!(
+                cache.compile_count(),
+                compiles,
+                "{} must stay on the walker",
+                row.construct
+            );
+            assert_eq!(
+                cache.len(),
+                *entries.get_or_insert(cache.len()),
+                "{} must be remembered, not re-inserted",
+                row.construct
+            );
+        }
+
+        let out = match row.param {
+            Some(p) => conn.query_prepared(row.compilable, &[Value::from(p)]),
+            None => conn.query(row.compilable),
+        }
+        .unwrap_or_else(|e| panic!("{} counterpart: {e}", row.construct));
+        assert_eq!(
+            first_column(&out),
+            values(row.compiled_rows),
+            "{} counterpart",
+            row.construct
+        );
+        assert!(
+            cache.compile_count() > compiles,
+            "{} counterpart must compile",
+            row.construct
+        );
+    }
+
     assert!(
-        entries_after > entries,
-        "fallback shapes must be remembered in the negative cache"
+        cache.len() as u64 > cache.compile_count(),
+        "walker-only shapes are cached as negative entries"
     );
-
-    // Re-running the fallback shapes is a cache hit, not a re-insert.
-    conn.query("SELECT a, COUNT(*) FROM t GROUP BY a HAVING COUNT(*) > 0")
-        .expect("aggregate again");
-    conn.query("SELECT a FROM t WHERE a IN (SELECT a FROM t WHERE b > 2)")
-        .expect("subquery again");
-    assert_eq!(
-        server.vm_cache().len(),
-        entries_after,
-        "negative entries are cached, not duplicated"
-    );
-    assert_eq!(server.vm_cache().compile_count(), compiles);
 
     // The compiled simple shape survived the fallback traffic.
     let again = server
-        .vm_program_for("SELECT a FROM t WHERE a = 'still-cached'")
+        .vm_program_for("SELECT a FROM t WHERE b > 7")
         .expect("still compiled");
     assert!(
         Arc::ptr_eq(&simple, &again),
-        "negative caching must not evict compiled simple shapes"
+        "negative caching must not evict compiled shapes"
     );
 }
 
 #[test]
 fn vm_and_walker_agree_on_results() {
-    // Same data, same queries, expression VM on vs off: identical rows.
+    // Same database, same queries, reference walker vs compiled programs.
     let queries = [
         "SELECT a, b FROM t WHERE b > 1",
         "SELECT a FROM t WHERE a LIKE 'x%' OR b BETWEEN 2 AND 3",
         "SELECT a, CASE WHEN b = 1 THEN 'one' ELSE 'many' END FROM t",
         "SELECT a FROM t WHERE a IN ('x', 'z') AND b IS NOT NULL",
+        "SELECT a, CASE WHEN NULL THEN 'null' WHEN b > 2 THEN 'big' ELSE 'small' END FROM t",
     ];
-    let vm_server = setup();
-    vm_server.set_expr_vm(true);
-    let walker_server = setup();
-    walker_server.set_expr_vm(false);
-    let vm_conn = vm_server.connect();
-    let walker_conn = walker_server.connect();
+    let mut db = Database::new();
+    for sql in SETUP {
+        let parsed = parse(sql).expect("setup parses");
+        execute_with(&mut db, &parsed.statements[0], 0, None).expect("setup");
+    }
+    let cache = ProgramCache::new();
     for sql in queries {
-        let vm = vm_conn.query(sql).expect("vm query");
-        let walker = walker_conn.query(sql).expect("walker query");
+        let parsed = parse(sql).expect("query parses");
+        let walker = execute_read_with(&db, &parsed.statements[0], 0, None).expect("walker");
+        let vm = execute_read_with(&db, &parsed.statements[0], 0, Some(&cache)).expect("vm");
         assert_eq!(vm.columns, walker.columns, "{sql}");
         assert_eq!(vm.rows, walker.rows, "{sql}");
     }
     assert!(
-        vm_server.vm_cache().compile_count() > 0,
-        "VM server must actually have compiled programs"
-    );
-    assert_eq!(
-        walker_server.vm_cache().compile_count(),
-        0,
-        "walker server must not compile anything"
+        cache.compile_count() >= queries.len() as u64,
+        "every query must actually have run compiled programs"
     );
 }

@@ -119,7 +119,7 @@ fn recovered_database_reproduces_the_golden_prevention_column() {
     let cases = generate_cases(MATRIX_SEED);
     assert_eq!(cases.len(), expected.len(), "case set matches the golden");
     for case in &cases {
-        let verdict = run_case_recovered(case, None);
+        let verdict = run_case_recovered(case);
         let want = expected
             .get(case.id.as_str())
             .unwrap_or_else(|| panic!("case {} missing from the golden matrix", case.id));

@@ -70,6 +70,5 @@ pub use plugins::{Plugin, StoredAttack};
 pub use septic::{CounterSnapshot, DetectionConfig, EngineConfig, Septic};
 pub use septic_dbms::FailurePolicy;
 pub use store::{
-    backup_path, journal_path, quarantine_path, CompiledModel, FsBackend, LoadReport, ModelStore,
-    StoreBackend,
+    backup_path, journal_path, quarantine_path, CompiledModel, LoadReport, ModelStore,
 };

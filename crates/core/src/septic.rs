@@ -9,11 +9,12 @@
 
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::RwLock;
+use septic_dbms::guard::panic_message;
 use septic_dbms::{FailurePolicy, GuardDecision, QueryContext, QueryGuard};
 use septic_telemetry::{Counter, Histogram, MetricsRegistry, MetricsSnapshot};
 
@@ -23,7 +24,7 @@ use crate::logger::{AttackAction, EventKind, Logger, StageSpansUs};
 use crate::mode::{FailurePolicyMatrix, Mode, ModeActions};
 use crate::model::QueryModel;
 use crate::plugins::{default_plugins, scan_inputs, Plugin};
-use crate::store::{CompiledModel, FsBackend, LoadReport, ModelStore};
+use crate::store::{self, CompiledModel, LoadReport, ModelStore};
 
 /// Which detectors are enabled — the four combinations benchmarked in
 /// Figure 5 (`NN`, `YN`, `NY`, `YY`; first letter = SQLI, second = stored
@@ -401,9 +402,16 @@ impl Septic {
 
     /// Starts journaling store mutations next to `path` (see
     /// [`ModelStore::attach_persistence`]): models learned incrementally
-    /// between checkpoints survive a crash.
-    pub fn attach_persistence(&self, path: impl Into<PathBuf>) {
-        self.store.attach_persistence(Arc::new(FsBackend), path);
+    /// between checkpoints survive a crash. Call it after
+    /// [`Septic::load_models`] when state already exists at `path`.
+    ///
+    /// # Errors
+    ///
+    /// When the directory of `path` cannot be created.
+    pub fn attach_persistence(&self, path: impl AsRef<Path>) -> io::Result<()> {
+        let (io, file) = store::open_fs(path.as_ref())?;
+        self.store.attach_persistence(io, file);
+        Ok(())
     }
 
     /// The learned-model store.
@@ -691,16 +699,6 @@ impl Septic {
         }
 
         None
-    }
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 

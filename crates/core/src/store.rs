@@ -12,37 +12,34 @@
 //!
 //! # Crash safety
 //!
-//! Persistence is designed so that no crash or torn write can leave the
-//! store unreadable:
+//! The store persists through the DBMS's own durability code
+//! (`septic_dbms::wal`): the snapshot is one CRC frame installed with
+//! `install_verified`, the journal of mutations since that snapshot is a
+//! `FrameLog`, and both sit on a `StorageIo` medium, so a torn write, a
+//! torn journal tail and a failed append are handled by the code the WAL
+//! uses, under the same fault tests. What is the store's own:
 //!
-//! * snapshots are written to a temp file, **read back and verified**,
-//!   then committed with an atomic rename; the previous snapshot is kept
-//!   as `<path>.bak`;
-//! * every snapshot carries a versioned envelope header
-//!   (`SEPTIC-STORE v3 crc32=… len=…`) so corruption is *detected* at
-//!   load time instead of producing garbage models; v2 files (same
-//!   payload schema, written before models carried compiled programs)
-//!   still load — programs are derived state and are recompiled;
-//! * a corrupt snapshot is quarantined (renamed to `<path>.corrupt`) and
-//!   the loader recovers from the backup instead of erroring;
-//! * when persistence is attached, every mutation is appended to a
-//!   `<path>.journal` of JSON lines and replayed on load, so models
-//!   learned incrementally since the last checkpoint survive a crash. A
-//!   torn trailing journal line (crash mid-append) is tolerated.
-//!
-//! All file operations go through the [`StoreBackend`] seam so the
-//! `septic-faults` crate can inject I/O errors and torn writes
-//! deterministically.
+//! * the snapshot it replaces is kept as `<path>.bak`, and the loader
+//!   falls back to it when the primary is not one valid frame of a
+//!   supported version (that file moves to `<path>.corrupt`);
+//! * journal appends never fail the mutation that caused them — a failure
+//!   is counted in [`ModelStore::journal_errors`];
+//! * every journal record carries a sequence number and every snapshot
+//!   the highest one it covers, so the loader skips records a snapshot
+//!   already holds.
 
 use std::collections::{HashMap, HashSet};
-use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
+use septic_dbms::wal::{
+    decode_json, encode_frame, install_verified, sibling, single_frame, FrameLog,
+};
+use septic_dbms::{FsIo, StorageIo};
 use serde::{Deserialize, Serialize};
 
 use crate::id::QueryId;
@@ -98,8 +95,8 @@ type Shard = RwLock<HashMap<QueryId, CompiledModel, FnvBuild>>;
 /// The program is derived state: it is compiled exactly once — at train
 /// or load time — and cached in the shard next to the model, so the
 /// detection hot path gets both for one shard read lock and two
-/// refcount bumps. It is **never** serialized (see the v3 envelope
-/// note); loading a persisted store recompiles.
+/// refcount bumps. It is **never** serialized; loading a persisted store
+/// recompiles.
 #[derive(Debug, Clone)]
 pub struct CompiledModel {
     model: Arc<QueryModel>,
@@ -126,95 +123,8 @@ impl CompiledModel {
 }
 
 // ---------------------------------------------------------------------------
-// Storage backend seam
+// File layout
 // ---------------------------------------------------------------------------
-
-/// The primitive file operations the store's persistence uses. The
-/// production implementation is [`FsBackend`]; fault-injection backends
-/// wrap another backend and fail scripted operations.
-pub trait StoreBackend: Send + Sync + fmt::Debug {
-    /// Reads the whole file.
-    ///
-    /// # Errors
-    ///
-    /// Underlying I/O errors; `NotFound` when the file does not exist.
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
-
-    /// Creates/truncates the file and writes `data`.
-    ///
-    /// # Errors
-    ///
-    /// Underlying I/O errors.
-    fn write(&self, path: &Path, data: &[u8]) -> io::Result<()>;
-
-    /// Appends one line (a trailing `\n` is added) to the file, creating
-    /// it if needed.
-    ///
-    /// # Errors
-    ///
-    /// Underlying I/O errors.
-    fn append_line(&self, path: &Path, line: &str) -> io::Result<()>;
-
-    /// Renames `from` to `to`, replacing `to` if it exists.
-    ///
-    /// # Errors
-    ///
-    /// Underlying I/O errors.
-    fn rename(&self, from: &Path, to: &Path) -> io::Result<()>;
-
-    /// True when the file exists.
-    fn exists(&self, path: &Path) -> bool;
-
-    /// Removes the file.
-    ///
-    /// # Errors
-    ///
-    /// Underlying I/O errors; `NotFound` when the file does not exist.
-    fn remove(&self, path: &Path) -> io::Result<()>;
-}
-
-/// The real-filesystem backend.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FsBackend;
-
-impl StoreBackend for FsBackend {
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        std::fs::read(path)
-    }
-
-    fn write(&self, path: &Path, data: &[u8]) -> io::Result<()> {
-        std::fs::write(path, data)
-    }
-
-    fn append_line(&self, path: &Path, line: &str) -> io::Result<()> {
-        use std::io::Write;
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)?;
-        file.write_all(line.as_bytes())?;
-        file.write_all(b"\n")
-    }
-
-    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        std::fs::rename(from, to)
-    }
-
-    fn exists(&self, path: &Path) -> bool {
-        path.exists()
-    }
-
-    fn remove(&self, path: &Path) -> io::Result<()> {
-        std::fs::remove_file(path)
-    }
-}
-
-/// `<path><suffix>` as a sibling file.
-fn sibling(path: &Path, suffix: &str) -> PathBuf {
-    let mut name = path.as_os_str().to_os_string();
-    name.push(suffix);
-    PathBuf::from(name)
-}
 
 /// Where the previous snapshot is kept across saves.
 #[must_use]
@@ -234,108 +144,24 @@ pub fn quarantine_path(path: &Path) -> PathBuf {
     sibling(path, ".corrupt")
 }
 
-fn tmp_path(path: &Path) -> PathBuf {
-    sibling(path, ".tmp")
-}
-
-// ---------------------------------------------------------------------------
-// Envelope (versioned header + CRC32 checksum)
-// ---------------------------------------------------------------------------
-
-const ENVELOPE_MAGIC: &str = "SEPTIC-STORE";
-/// v3 (current): same payload schema as v2, bumped to pin down the
-/// contract that compiled-program metadata is *never* part of the
-/// serialized store — programs are derived state, recompiled on load.
-const ENVELOPE_VERSION: &str = "v3";
-/// Versions `unseal` accepts: v2 files (written before the bytecode VM
-/// existed) carry the same payload schema and still load cleanly.
-const ENVELOPE_ACCEPTED: [&str; 2] = ["v2", "v3"];
-
-/// CRC32 (IEEE 802.3 polynomial) over `data`.
-fn crc32(data: &[u8]) -> u32 {
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, entry) in table.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *entry = c;
-        }
-        table
-    });
-    let mut crc = 0xFFFF_FFFF_u32;
-    for &byte in data {
-        crc = table[((crc ^ u32::from(byte)) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    !crc
-}
-
-/// Wraps a JSON payload in the versioned, checksummed envelope.
-fn seal(payload: &str) -> Vec<u8> {
-    format!(
-        "{ENVELOPE_MAGIC} {ENVELOPE_VERSION} crc32={:08x} len={}\n{payload}",
-        crc32(payload.as_bytes()),
-        payload.len()
-    )
-    .into_bytes()
-}
-
-/// Verifies the envelope and returns the payload. Files without the
-/// envelope header (written before v2) are accepted verbatim as legacy
-/// payloads — their integrity is checked only by JSON parsing.
-fn unseal(bytes: &[u8]) -> Result<&str, String> {
-    let text = std::str::from_utf8(bytes).map_err(|e| format!("not valid UTF-8: {e}"))?;
-    if !text.starts_with(ENVELOPE_MAGIC) {
-        return Ok(text);
-    }
-    let (header, payload) = text
-        .split_once('\n')
-        .ok_or_else(|| "envelope header without payload".to_string())?;
-    let fields: Vec<&str> = header.split_whitespace().collect();
-    if fields.len() != 4 || fields[0] != ENVELOPE_MAGIC {
-        return Err(format!("malformed envelope header: {header:?}"));
-    }
-    if !ENVELOPE_ACCEPTED.contains(&fields[1]) {
-        return Err(format!("unsupported store version {:?}", fields[1]));
-    }
-    let crc_field = fields[2]
-        .strip_prefix("crc32=")
-        .and_then(|v| u32::from_str_radix(v, 16).ok())
-        .ok_or_else(|| format!("malformed crc32 field: {:?}", fields[2]))?;
-    let len_field = fields[3]
-        .strip_prefix("len=")
-        .and_then(|v| v.parse::<usize>().ok())
-        .ok_or_else(|| format!("malformed len field: {:?}", fields[3]))?;
-    if payload.len() != len_field {
-        return Err(format!(
-            "length mismatch: envelope says {len_field}, payload has {}",
-            payload.len()
-        ));
-    }
-    let actual = crc32(payload.as_bytes());
-    if actual != crc_field {
-        return Err(format!(
-            "checksum mismatch: envelope says {crc_field:08x}, payload is {actual:08x}"
-        ));
-    }
-    Ok(payload)
-}
-
 // ---------------------------------------------------------------------------
 // Persistence formats
 // ---------------------------------------------------------------------------
 
-/// Serialized form of the store. Models are held behind `Arc` so building
-/// a snapshot from the live shards is a refcount bump per model, not a
-/// deep clone.
+/// The only snapshot version written or accepted.
+const SNAPSHOT_VERSION: u32 = 1;
+
+/// Serialized form of the store: the payload of the snapshot's one frame.
+/// Models are held behind `Arc` so building a snapshot from the live
+/// shards is a refcount bump per model, not a deep clone.
 #[derive(Debug, Default, Serialize, Deserialize)]
 struct PersistedStore {
+    #[serde(default)]
+    version: u32,
+    /// Highest journal sequence this snapshot covers; replay skips records
+    /// at or below it.
+    #[serde(default)]
+    seq: u64,
     models: Vec<(QueryId, Arc<QueryModel>)>,
     #[serde(default)]
     quarantine: Vec<QueryId>,
@@ -343,7 +169,7 @@ struct PersistedStore {
     rejected: Vec<QueryId>,
 }
 
-/// One journaled mutation (a JSON line in `<path>.journal`).
+/// One journaled mutation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 enum JournalOp {
     /// Explicit training learned a model (and lifted any rejection).
@@ -360,12 +186,22 @@ enum JournalOp {
     Clear,
 }
 
-/// An attached persistence target: mutations are journaled through
-/// `backend` next to `path`.
-#[derive(Debug, Clone)]
+/// One frame of `<path>.journal`.
+#[derive(Debug, Serialize, Deserialize)]
+struct JournalRecord {
+    seq: u64,
+    op: JournalOp,
+}
+
+/// Journal sequencing and the attached journal. One mutex holds both, so
+/// a record is numbered and appended either wholly before a save takes its
+/// snapshot or wholly after that save has emptied the journal.
+#[derive(Debug)]
 struct Persistence {
-    backend: Arc<dyn StoreBackend>,
-    path: PathBuf,
+    /// The number the next journal record takes.
+    next_seq: u64,
+    /// `None` until [`ModelStore::attach_persistence`].
+    journal: Option<(Arc<dyn StorageIo>, FrameLog)>,
 }
 
 /// What a [`ModelStore::load_from`]/[`ModelStore::load_with`] call found
@@ -376,9 +212,9 @@ pub struct LoadReport {
     pub models_loaded: usize,
     /// Journal operations replayed on top of the snapshot.
     pub journal_replayed: usize,
-    /// Journal lines skipped because they did not parse (torn trailing
-    /// writes from a crash mid-append).
-    pub torn_journal_lines: usize,
+    /// Torn journal tails cut off and moved to `<path>.journal.corrupt`
+    /// (a crash mid-append leaves one; 0 or 1 per load).
+    pub torn_journal_records: usize,
     /// True when the primary snapshot was corrupt or missing and the
     /// loader fell back to the backup (or to an empty base) instead of
     /// erroring.
@@ -410,8 +246,7 @@ pub struct ModelStore {
     quarantine: RwLock<HashSet<QueryId>>,
     /// Identifiers the administrator rejected as malicious.
     rejected: RwLock<HashSet<QueryId>>,
-    /// Journaling target; `None` until [`ModelStore::attach_persistence`].
-    persist: RwLock<Option<Persistence>>,
+    persist: Mutex<Persistence>,
     /// Journal appends that failed (the query path never fails on them).
     journal_errors: AtomicU64,
     /// Model→program compilations performed (train and load time).
@@ -435,7 +270,10 @@ impl Default for ModelStore {
             shards: std::array::from_fn(|_| Shard::default()),
             quarantine: RwLock::default(),
             rejected: RwLock::default(),
-            persist: RwLock::default(),
+            persist: Mutex::new(Persistence {
+                next_seq: 1,
+                journal: None,
+            }),
             journal_errors: AtomicU64::new(0),
             compiles: AtomicU64::new(0),
             vm_metrics: RwLock::default(),
@@ -457,19 +295,19 @@ impl ModelStore {
     }
 
     /// Attaches a persistence target: from now on every mutation is
-    /// appended to the journal next to `path` so it survives a crash
-    /// between checkpoints. Journal I/O failures never fail the mutation —
-    /// they are counted in [`ModelStore::journal_errors`].
-    pub fn attach_persistence(&self, backend: Arc<dyn StoreBackend>, path: impl Into<PathBuf>) {
-        *self.persist.write() = Some(Persistence {
-            backend,
-            path: path.into(),
-        });
+    /// appended to the journal next to `path` (relative to `io`'s root) so
+    /// it survives a crash between checkpoints. Journal I/O failures never
+    /// fail the mutation — they are counted in
+    /// [`ModelStore::journal_errors`]. When state already exists at `path`,
+    /// load it first: loading cuts a torn journal tail off and continues
+    /// the sequence numbering.
+    pub fn attach_persistence(&self, io: Arc<dyn StorageIo>, path: impl AsRef<Path>) {
+        self.persist.lock().journal = Some((io, FrameLog::new(journal_path(path.as_ref()))));
     }
 
     /// Detaches the persistence target; mutations stop being journaled.
     pub fn detach_persistence(&self) {
-        *self.persist.write() = None;
+        self.persist.lock().journal = None;
     }
 
     /// Journal appends that failed since creation.
@@ -515,18 +353,18 @@ impl ModelStore {
         }
     }
 
-    fn journal(&self, op: &JournalOp) {
-        let persist = self.persist.read();
-        let Some(p) = persist.as_ref() else { return };
-        let Ok(line) = serde_json::to_string(op) else {
-            self.journal_errors.fetch_add(1, Ordering::Relaxed);
-            return;
-        };
-        if p.backend
-            .append_line(&journal_path(&p.path), &line)
-            .is_err()
-        {
-            self.journal_errors.fetch_add(1, Ordering::Relaxed);
+    fn journal(&self, op: JournalOp) {
+        let mut persist = self.persist.lock();
+        let Persistence { next_seq, journal } = &mut *persist;
+        let Some((io, log)) = journal else { return };
+        let appended = serde_json::to_string(&JournalRecord { seq: *next_seq, op })
+            .map_err(io::Error::other)
+            .and_then(|record| log.append(&**io, record.as_bytes()));
+        match appended {
+            Ok(_) => *next_seq += 1,
+            Err(_) => {
+                self.journal_errors.fetch_add(1, Ordering::Relaxed);
+            }
         }
     }
 
@@ -618,7 +456,7 @@ impl ModelStore {
         };
         let lifted = self.rejected.write().remove(&id);
         if is_new || lifted {
-            self.journal(&JournalOp::Learn { id, model });
+            self.journal(JournalOp::Learn { id, model });
         }
         if is_new {
             self.refresh_cached_gauge();
@@ -646,7 +484,7 @@ impl ModelStore {
             }
         };
         if is_new {
-            self.journal(&JournalOp::LearnProvisional { id, model });
+            self.journal(JournalOp::LearnProvisional { id, model });
             self.refresh_cached_gauge();
         }
         is_new
@@ -667,7 +505,7 @@ impl ModelStore {
     pub fn approve(&self, id: &QueryId) -> bool {
         let removed = self.quarantine.write().remove(id);
         if removed {
-            self.journal(&JournalOp::Approve { id: id.clone() });
+            self.journal(JournalOp::Approve { id: id.clone() });
         }
         removed
     }
@@ -681,7 +519,7 @@ impl ModelStore {
         let existed = self.shard(id).write().remove(id).is_some();
         let newly_rejected = self.rejected.write().insert(id.clone());
         if existed || newly_rejected {
-            self.journal(&JournalOp::Reject { id: id.clone() });
+            self.journal(JournalOp::Reject { id: id.clone() });
         }
         if existed {
             self.refresh_cached_gauge();
@@ -700,7 +538,7 @@ impl ModelStore {
     pub fn forget(&self, id: &QueryId) -> bool {
         let removed = self.shard(id).write().remove(id).is_some();
         if removed {
-            self.journal(&JournalOp::Forget { id: id.clone() });
+            self.journal(JournalOp::Forget { id: id.clone() });
             self.refresh_cached_gauge();
         }
         removed
@@ -725,7 +563,7 @@ impl ModelStore {
         }
         self.quarantine.write().clear();
         self.rejected.write().clear();
-        self.journal(&JournalOp::Clear);
+        self.journal(JournalOp::Clear);
         self.refresh_cached_gauge();
     }
 
@@ -738,16 +576,17 @@ impl ModelStore {
             .collect()
     }
 
-    /// Serializes the store to JSON (the envelope payload).
+    /// Serializes the store to JSON (the payload of the snapshot frame).
     ///
     /// # Errors
     ///
     /// Propagates serializer errors.
     pub fn to_json(&self) -> serde_json::Result<String> {
-        serde_json::to_string_pretty(&self.snapshot())
+        let covered = self.persist.lock().next_seq - 1;
+        serde_json::to_string_pretty(&self.snapshot(covered))
     }
 
-    fn snapshot(&self) -> PersistedStore {
+    fn snapshot(&self, seq: u64) -> PersistedStore {
         // Hold every shard read guard for a consistent view, sort the
         // *references* (via `QueryId`'s derived `Ord`), then clone each
         // entry exactly once — the model side is an `Arc` refcount bump.
@@ -770,6 +609,8 @@ impl ModelStore {
         let quarantine = sorted_set(&self.quarantine.read());
         let rejected = sorted_set(&self.rejected.read());
         PersistedStore {
+            version: SNAPSHOT_VERSION,
+            seq,
             models: list,
             quarantine,
             rejected,
@@ -804,64 +645,46 @@ impl ModelStore {
         Ok(n)
     }
 
-    /// Persists the store to a file through the real filesystem. See
+    /// Persists the store to a file through the real filesystem (an
+    /// [`FsIo`] on the file's directory, so every write is synced). See
     /// [`ModelStore::save_with`].
     ///
     /// # Errors
     ///
     /// As [`ModelStore::save_with`].
     pub fn save_to(&self, path: &Path) -> io::Result<()> {
-        self.save_with(&FsBackend, path)
+        let (io, file) = open_fs(path)?;
+        self.save_with(&*io, &file)
     }
 
-    /// Persists the store through `backend`, crash-safely:
-    ///
-    /// 1. the sealed snapshot is written to `<path>.tmp`;
-    /// 2. the temp file is read back and verified byte-for-byte — a torn
-    ///    or partial write is detected *before* commit, leaving the
-    ///    current snapshot untouched;
-    /// 3. the current snapshot (if any) is renamed to `<path>.bak`;
-    /// 4. the temp file is renamed onto `path` (the commit point);
-    /// 5. the journal is deleted — its operations are now folded into the
-    ///    snapshot. A failure to delete is tolerated (replay is
-    ///    idempotent) and counted in [`ModelStore::journal_errors`].
+    /// Persists the store through `io` as one frame, with the WAL's
+    /// checkpoint sequence: write `<path>.tmp`, read it back and compare
+    /// (a torn write is caught *before* commit, leaving the current
+    /// snapshot untouched), keep the current snapshot as `<path>.bak`,
+    /// rename the temp file onto `path` (the commit point), then empty the
+    /// journal the snapshot now covers. A failure to empty it is tolerated
+    /// (the loader skips covered records by sequence number) and counted
+    /// in [`ModelStore::journal_errors`].
     ///
     /// # Errors
     ///
     /// I/O errors; serialization errors and detected torn writes surface
     /// as [`io::ErrorKind::InvalidData`].
-    pub fn save_with(&self, backend: &dyn StoreBackend, path: &Path) -> io::Result<()> {
-        let payload = self
-            .to_json()
+    pub fn save_with(&self, io: &dyn StorageIo, path: &Path) -> io::Result<()> {
+        // Held to the end: a mutation journaled meanwhile waits, then lands
+        // in the emptied journal numbered above this snapshot.
+        let persist = self.persist.lock();
+        let payload = serde_json::to_string_pretty(&self.snapshot(persist.next_seq - 1))
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        let sealed = seal(&payload);
-        let tmp = tmp_path(path);
-        backend.write(&tmp, &sealed)?;
-
-        let written = backend.read(&tmp)?;
-        if written != sealed {
-            let _ = backend.remove(&tmp);
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "torn write detected saving model store: wrote {} bytes, file has {}",
-                    sealed.len(),
-                    written.len()
-                ),
-            ));
-        }
-
-        if backend.exists(path) {
-            backend.rename(path, &backup_path(path))?;
-        }
-        backend.rename(&tmp, path)?;
-
-        match backend.remove(&journal_path(path)) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(_) => {
-                self.journal_errors.fetch_add(1, Ordering::Relaxed);
-            }
+        install_verified(
+            io,
+            path,
+            &encode_frame(payload.as_bytes()),
+            Some(&backup_path(path)),
+        )?;
+        let journal = journal_path(path);
+        if io.exists(&journal) && io.write(&journal, &[]).is_err() {
+            self.journal_errors.fetch_add(1, Ordering::Relaxed);
         }
         Ok(())
     }
@@ -873,46 +696,47 @@ impl ModelStore {
     ///
     /// As [`ModelStore::load_with`].
     pub fn load_from(&self, path: &Path) -> io::Result<LoadReport> {
-        self.load_with(&FsBackend, path)
+        let (io, file) = open_fs(path)?;
+        self.load_with(&*io, &file)
     }
 
-    /// Loads the store through `backend`, recovering instead of erroring:
+    /// Loads the store through `io`, recovering instead of erroring:
     ///
-    /// * a snapshot that fails envelope/checksum/JSON verification is
-    ///   quarantined to `<path>.corrupt` and the loader falls back to
-    ///   `<path>.bak` (or an empty base when no usable backup exists);
-    /// * the journal, if present, is replayed on top; a torn trailing
-    ///   line is skipped and counted.
+    /// * a snapshot that is not exactly one valid frame of a supported
+    ///   version is quarantined to `<path>.corrupt` and the loader falls
+    ///   back to `<path>.bak` (or an empty base when no usable backup
+    ///   exists);
+    /// * the journal's records above the snapshot's sequence number are
+    ///   replayed on top; a torn tail is moved to `<path>.journal.corrupt`
+    ///   and cut off, so the next append is reachable.
     ///
     /// The previous in-memory contents are replaced.
     ///
     /// # Errors
     ///
-    /// Only when nothing exists to load at all — no snapshot, no backup
-    /// and no journal ([`io::ErrorKind::NotFound`]).
-    pub fn load_with(&self, backend: &dyn StoreBackend, path: &Path) -> io::Result<LoadReport> {
+    /// [`io::ErrorKind::NotFound`] when nothing exists to load at all — no
+    /// snapshot, no backup and no journal; otherwise only an I/O failure
+    /// reading or cutting the journal, which leaves the contents as they
+    /// were.
+    pub fn load_with(&self, io: &dyn StorageIo, path: &Path) -> io::Result<LoadReport> {
         let mut report = LoadReport::default();
         let backup = backup_path(path);
         let journal = journal_path(path);
-
-        let decode = |bytes: &[u8]| -> Result<PersistedStore, String> {
-            let payload = unseal(bytes)?;
-            serde_json::from_str::<PersistedStore>(payload).map_err(|e| e.to_string())
-        };
+        let mut persist = self.persist.lock();
 
         let mut persisted: Option<PersistedStore> = None;
-        match backend.read(path) {
-            Ok(bytes) => match decode(&bytes) {
+        match io.read(path) {
+            Ok(bytes) => match decode_snapshot(&bytes) {
                 Ok(p) => persisted = Some(p),
                 Err(reason) => {
                     // Corrupt snapshot: quarantine for post-mortem, recover.
-                    let _ = backend.rename(path, &quarantine_path(path));
+                    let _ = io.rename(path, &quarantine_path(path));
                     report.recovered = true;
                     report.corruption = Some(reason);
                 }
             },
             Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                if !backend.exists(&backup) && !backend.exists(&journal) {
+                if !io.exists(&backup) && !io.exists(&journal) {
                     return Err(e);
                 }
                 report.recovered = true;
@@ -925,40 +749,64 @@ impl ModelStore {
         }
 
         if persisted.is_none() {
-            if let Ok(bytes) = backend.read(&backup) {
-                if let Ok(p) = decode(&bytes) {
-                    persisted = Some(p);
-                }
+            if let Ok(bytes) = io.read(&backup) {
+                persisted = decode_snapshot(&bytes).ok();
             }
         }
-
         let base = persisted.unwrap_or_default();
-        report.models_loaded = base.models.len();
-        self.install(base);
 
-        if let Ok(bytes) = backend.read(&journal) {
-            let text = String::from_utf8_lossy(&bytes);
-            for line in text.lines() {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                match serde_json::from_str::<JournalOp>(line) {
-                    Ok(op) => {
-                        self.apply(op);
-                        report.journal_replayed += 1;
-                    }
-                    Err(_) => report.torn_journal_lines += 1,
-                }
+        let mut ops = Vec::new();
+        let mut last_seq = base.seq;
+        let torn = FrameLog::new(journal).read(io, &mut |payload| {
+            let Ok(record) = decode_json::<JournalRecord>(payload) else {
+                return false;
+            };
+            if record.seq > base.seq {
+                last_seq = last_seq.max(record.seq);
+                ops.push(record.op);
             }
-        }
+            true
+        })?;
 
+        report.models_loaded = base.models.len();
+        report.journal_replayed = ops.len();
+        report.torn_journal_records = usize::from(torn.is_some());
+        self.install(base);
+        for op in ops {
+            self.apply(op);
+        }
+        persist.next_seq = last_seq + 1;
         Ok(report)
+    }
+}
+
+/// Decodes a snapshot file: exactly one valid frame of a supported version.
+fn decode_snapshot(bytes: &[u8]) -> Result<PersistedStore, String> {
+    let persisted: PersistedStore = decode_json(single_frame(bytes)?)?;
+    if persisted.version != SNAPSHOT_VERSION {
+        return Err(format!(
+            "unsupported snapshot version {}",
+            persisted.version
+        ));
+    }
+    Ok(persisted)
+}
+
+/// An [`FsIo`] on the directory of `path`, and the file's name in it.
+pub(crate) fn open_fs(path: &Path) -> io::Result<(Arc<FsIo>, PathBuf)> {
+    match (path.parent(), path.file_name()) {
+        (Some(dir), Some(name)) => Ok((FsIo::open(dir)?, PathBuf::from(name))),
+        _ => Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("{} names no file", path.display()),
+        )),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use septic_dbms::MemIo;
     use septic_sql::{items, parse};
 
     fn model(sql: &str) -> QueryModel {
@@ -985,7 +833,8 @@ mod tests {
             backup_path(path),
             journal_path(path),
             quarantine_path(path),
-            tmp_path(path),
+            sibling(path, ".tmp"),
+            sibling(path, ".journal.corrupt"),
         ] {
             std::fs::remove_file(p).ok();
         }
@@ -1047,9 +896,9 @@ mod tests {
         store.learn(id(42), model("SELECT 1"));
         let path = scratch("file_round_trip");
         store.save_to(&path).expect("save");
-        // The file carries the versioned envelope.
-        let raw = std::fs::read_to_string(&path).unwrap();
-        assert!(raw.starts_with("SEPTIC-STORE v3 crc32="));
+        // The file is one CRC frame around the JSON payload.
+        let raw = std::fs::read(&path).unwrap();
+        assert!(single_frame(&raw).is_ok());
         let restored = ModelStore::new();
         let report = restored.load_from(&path).expect("load");
         assert_eq!(report.models_loaded, 1);
@@ -1059,50 +908,36 @@ mod tests {
     }
 
     #[test]
-    fn v2_envelope_file_and_journal_still_load() {
-        // Write a store file the way the pre-VM code did: a v2 envelope
-        // (same payload schema) plus a journal of later mutations. The
-        // v3 loader must replay it cleanly and recompile programs.
+    fn only_one_frame_of_the_supported_version_loads() {
         let store = ModelStore::new();
-        store.learn(id(1), model("SELECT a FROM t WHERE x = 'v'"));
-        let payload = store.to_json().expect("serialize");
-        let sealed_v2 = format!(
-            "{ENVELOPE_MAGIC} v2 crc32={:08x} len={}\n{payload}",
-            crc32(payload.as_bytes()),
-            payload.len()
-        );
-        let path = scratch("v2_envelope_file_and_journal_still_load");
-        std::fs::write(&path, sealed_v2).unwrap();
-        let journal_line = serde_json::to_string(&JournalOp::Learn {
-            id: id(2),
-            model: Arc::new(model("SELECT b FROM u WHERE y = 9")),
-        })
-        .unwrap();
-        std::fs::write(journal_path(&path), format!("{journal_line}\n")).unwrap();
-
-        let restored = ModelStore::new();
-        let report = restored.load_from(&path).expect("v2 file loads");
-        assert_eq!(report.models_loaded, 1);
-        assert_eq!(report.journal_replayed, 1);
-        assert!(!report.recovered);
-        assert!(restored.contains(&id(1)));
-        assert!(restored.contains(&id(2)));
-        // Both models got fresh programs compiled on load.
-        assert_eq!(restored.compile_count(), 2);
-        assert!(restored.get_compiled(&id(2)).is_some());
-        cleanup(&path);
-    }
-
-    #[test]
-    fn future_envelope_versions_are_rejected() {
-        let payload = "{}";
-        let sealed = format!(
-            "{ENVELOPE_MAGIC} v9 crc32={:08x} len={}\n{payload}",
-            crc32(payload.as_bytes()),
-            payload.len()
-        );
-        let err = unseal(sealed.as_bytes()).expect_err("v9 must not load");
-        assert!(err.contains("unsupported store version"));
+        store.learn(id(1), model("SELECT 1"));
+        let json = store.to_json().unwrap();
+        let future = json.replacen("\"version\": 1", "\"version\": 9", 1);
+        assert_ne!(future, json);
+        for (planted, reason) in [
+            (
+                encode_frame(future.as_bytes()),
+                "unsupported snapshot version 9",
+            ),
+            // Frameless JSON, even a valid payload, is not a snapshot.
+            (json.clone().into_bytes(), "truncated payload"),
+            (
+                [encode_frame(json.as_bytes()), encode_frame(json.as_bytes())].concat(),
+                "expected 1 frame, found 2",
+            ),
+        ] {
+            let io = MemIo::new();
+            let path = Path::new("models.json");
+            io.plant(path, planted);
+            let report = ModelStore::new()
+                .load_with(&*io, path)
+                .expect("recovering load");
+            assert!(report.recovered);
+            assert_eq!(report.models_loaded, 0);
+            let corruption = report.corruption.unwrap();
+            assert!(corruption.contains(reason), "{corruption}");
+            assert!(io.exists(&quarantine_path(path)));
+        }
     }
 
     #[test]
@@ -1214,43 +1049,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_envelope_free_file_still_loads() {
-        // A v1 file is the bare JSON payload, no envelope header.
-        let path = scratch("legacy_envelope_free");
-        let store = ModelStore::new();
-        store.learn(id(5), model("SELECT 5"));
-        std::fs::write(&path, store.to_json().unwrap()).unwrap();
-        let restored = ModelStore::new();
-        let report = restored.load_from(&path).expect("load legacy");
-        assert_eq!(report.models_loaded, 1);
-        assert!(!report.recovered);
-        assert!(restored.contains(&id(5)));
-        cleanup(&path);
-    }
-
-    #[test]
-    fn crc32_known_vector() {
-        // The IEEE check value for "123456789".
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
-    fn seal_unseal_round_trip_and_detects_flips() {
-        let sealed = seal(r#"{"models": []}"#);
-        assert_eq!(unseal(&sealed).unwrap(), r#"{"models": []}"#);
-        let mut flipped = sealed.clone();
-        let last = flipped.len() - 1;
-        flipped[last] ^= 0x01;
-        let err = unseal(&flipped).unwrap_err();
-        assert!(err.contains("checksum mismatch"), "{err}");
-        let mut truncated = sealed;
-        truncated.truncate(truncated.len() - 2);
-        let err = unseal(&truncated).unwrap_err();
-        assert!(err.contains("length mismatch"), "{err}");
-    }
-
-    #[test]
     fn corrupt_snapshot_is_quarantined_and_recovered_from_backup() {
         let path = scratch("corrupt_recovers");
         let store = ModelStore::new();
@@ -1259,8 +1057,7 @@ mod tests {
         store.learn(id(2), model("SELECT 2"));
         store.save_to(&path).unwrap(); // main = {1,2}, bak = {1}
 
-        // Bit-rot the committed snapshot (keeping it valid UTF-8 so the
-        // checksum, not the string decoder, is what catches it).
+        // Bit-rot the committed snapshot.
         let mut bytes = std::fs::read(&path).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0x01;
@@ -1269,7 +1066,7 @@ mod tests {
         let restored = ModelStore::new();
         let report = restored.load_from(&path).expect("recovering load");
         assert!(report.recovered);
-        assert!(report.corruption.unwrap().contains("checksum mismatch"));
+        assert!(report.corruption.unwrap().contains("crc mismatch"));
         // Recovered the previous snapshot rather than erroring or
         // returning garbage.
         assert!(restored.contains(&id(1)));
@@ -1282,18 +1079,18 @@ mod tests {
     #[test]
     fn journal_replays_mutations_since_checkpoint() {
         let path = scratch("journal_replay");
-        let backend: Arc<dyn StoreBackend> = Arc::new(FsBackend);
+        let (io, file) = open_fs(&path).unwrap();
         let store = ModelStore::new();
-        store.attach_persistence(backend, &path);
+        store.attach_persistence(io, file);
         store.learn(id(1), model("SELECT 1"));
-        store.save_to(&path).unwrap(); // checkpoint: journal cleared
-        assert!(!journal_path(&path).exists());
+        store.save_to(&path).unwrap(); // checkpoint: journal emptied
+        assert!(std::fs::read(journal_path(&path)).unwrap().is_empty());
 
         // Mutations after the checkpoint are journaled…
         store.learn_provisional(id(2), model("SELECT 2"));
         store.reject(&id(2));
         store.learn_provisional(id(3), model("SELECT 3"));
-        assert!(journal_path(&path).exists());
+        assert!(!std::fs::read(journal_path(&path)).unwrap().is_empty());
 
         // …and a "crashed" process's replacement store replays them.
         let fresh = ModelStore::new();
@@ -1306,28 +1103,60 @@ mod tests {
         assert!(!fresh.contains(&id(2)));
         assert_eq!(fresh.pending_review(), vec![id(3)]);
         assert_eq!(store.journal_errors(), 0);
+        // Snapshot and journal models alike got programs compiled on load.
+        assert_eq!(fresh.compile_count(), 3);
+        assert!(fresh.get_compiled(&id(3)).is_some());
         cleanup(&path);
     }
 
     #[test]
-    fn torn_trailing_journal_line_is_tolerated() {
-        let path = scratch("torn_journal");
-        let backend: Arc<dyn StoreBackend> = Arc::new(FsBackend);
+    fn records_a_snapshot_covers_are_skipped_on_replay() {
+        // A save that died between installing the snapshot and emptying
+        // the journal leaves covered records behind; replaying the
+        // `Forget` among them would drop a model the snapshot holds.
+        let io = MemIo::new();
+        let path = Path::new("models.json");
         let store = ModelStore::new();
-        store.attach_persistence(backend.clone(), &path);
-        store.save_to(&path).unwrap();
+        store.attach_persistence(io.clone(), path);
         store.learn(id(1), model("SELECT 1"));
-        // Simulate a crash mid-append: a half-written JSON line.
-        backend
-            .append_line(&journal_path(&path), r#"{"Learn": {"id"#)
+        store.forget(&id(1));
+        let covered = io.contents(journal_path(path)).unwrap();
+        store.detach_persistence();
+        store.learn(id(1), model("SELECT 1"));
+        store.save_with(&*io, path).unwrap();
+        io.plant(journal_path(path), covered);
+
+        let fresh = ModelStore::new();
+        let report = fresh.load_with(&*io, path).unwrap();
+        assert_eq!(report.journal_replayed, 0);
+        assert!(fresh.contains(&id(1)));
+    }
+
+    #[test]
+    fn torn_journal_tail_is_cut_off_and_quarantined() {
+        let io = MemIo::new();
+        let path = Path::new("models.json");
+        let store = ModelStore::new();
+        store.attach_persistence(io.clone(), path);
+        store.save_with(&*io, path).unwrap();
+        store.learn(id(1), model("SELECT 1"));
+        // Simulate a crash mid-append: a half-written frame.
+        let intact = io.contents(journal_path(path)).unwrap();
+        io.append(&journal_path(path), &encode_frame(b"{\"seq\": 2")[..11])
             .unwrap();
 
         let fresh = ModelStore::new();
-        let report = fresh.load_from(&path).expect("load");
+        let report = fresh.load_with(&*io, path).expect("load");
         assert_eq!(report.journal_replayed, 1);
-        assert_eq!(report.torn_journal_lines, 1);
+        assert_eq!(report.torn_journal_records, 1);
         assert!(fresh.contains(&id(1)));
-        cleanup(&path);
+        assert_eq!(io.contents(journal_path(path)).unwrap(), intact);
+        assert_eq!(
+            io.contents(sibling(path, ".journal.corrupt"))
+                .unwrap()
+                .len(),
+            11
+        );
     }
 
     #[test]
@@ -1345,7 +1174,7 @@ mod tests {
         let store = ModelStore::new();
         store.learn(id(7), model("SELECT 7"));
         store.save_to(&path).unwrap();
-        assert!(!tmp_path(&path).exists());
+        assert!(!sibling(&path, ".tmp").exists());
         assert!(path.exists());
         cleanup(&path);
     }

@@ -68,6 +68,20 @@ impl fmt::Display for FailurePolicy {
     }
 }
 
+/// Best-effort extraction of a panic payload's message — the text a
+/// contained guard panic is reported with, by the server and by guards
+/// that contain their own plugins' panics.
+#[must_use]
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
 /// Guard verdict.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GuardDecision {

@@ -30,7 +30,7 @@ use crate::error::DbError;
 use crate::exec::{
     execute_read_with, execute_with, is_read_only, validate, where_program, QueryOutput,
 };
-use crate::guard::{FailurePolicy, GuardDecision, QueryContext, SharedGuard};
+use crate::guard::{panic_message, FailurePolicy, GuardDecision, QueryContext, SharedGuard};
 use crate::storage::Database;
 use crate::value::Value;
 use crate::vmexec::ProgramCache;
@@ -1028,17 +1028,6 @@ fn metric_base_name(name: &str) -> String {
             family.trim_end_matches("_duration_microseconds")
         ),
         None => family.to_string(),
-    }
-}
-
-/// Best-effort extraction of a panic payload's message.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 

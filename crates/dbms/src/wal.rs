@@ -7,8 +7,12 @@
 //! the same compiled-expression path the live commit took.  Periodic
 //! checkpoints serialize the whole database to `snapshot.db` (written to
 //! a temp file, read back and verified, then installed with an atomic
-//! rename, the same discipline as `septic-core`'s model store) and
-//! truncate the log.
+//! rename) and truncate the log.
+//!
+//! The frame codec and the three file protocols — [`install_verified`],
+//! [`FrameLog::read`] and [`FrameLog::append`] — are the only crash-safe
+//! persistence code in the workspace: `septic-core`'s model store keeps
+//! its snapshot and journal through the same functions.
 //!
 //! Frame format, little-endian:
 //!
@@ -21,7 +25,10 @@
 //! `wal.log.corrupt`, the log is truncated to the valid prefix via
 //! tmp+rename, the event is counted in telemetry, and the record is
 //! never replayed.  Acknowledged commits live in earlier, CRC-valid
-//! frames and always survive.
+//! frames and always survive.  A *live* process that sees an append fail
+//! runs the same truncate at once, so the next commit it acknowledges is
+//! not stranded behind a partial frame; if that repair fails too, the log
+//! refuses appends until it is read again.
 //!
 //! Everything is threaded through the [`StorageIo`] seam so tests (and
 //! `septic-faults`) can run the engine over in-memory files and script
@@ -48,12 +55,10 @@ use crate::vmexec::ProgramCache;
 pub const WAL_FILE: &str = "wal.log";
 /// Quarantine target for torn WAL tails.
 pub const WAL_CORRUPT_FILE: &str = "wal.log.corrupt";
-const WAL_TMP_FILE: &str = "wal.log.tmp";
 /// Checkpoint snapshot file name.
 pub const SNAPSHOT_FILE: &str = "snapshot.db";
 /// Quarantine target for corrupt snapshots.
 pub const SNAPSHOT_CORRUPT_FILE: &str = "snapshot.db.corrupt";
-const SNAPSHOT_TMP_FILE: &str = "snapshot.db.tmp";
 
 // ---------------------------------------------------------------------------
 // StorageIo seam
@@ -224,9 +229,9 @@ impl StorageIo for FsIo {
 // frames
 // ---------------------------------------------------------------------------
 
-/// CRC32 (IEEE 802.3 polynomial) over `data` — the same checksum the
-/// model store's envelope uses, reimplemented here because `dbms` sits
-/// below `core` in the dependency order.
+/// CRC32 (IEEE 802.3 polynomial) over `data` — the one checksum in the
+/// workspace; it lives here because `dbms` sits below `core` in the
+/// dependency order, so the model store borrows it through the frames.
 #[must_use]
 pub fn crc32(data: &[u8]) -> u32 {
     static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
@@ -314,6 +319,166 @@ pub fn scan_frames(bytes: &[u8]) -> (Vec<&[u8]>, Option<TornTail>) {
         pos += 8 + len;
     }
     (payloads, None)
+}
+
+/// The payload of a file that must be exactly one valid frame (a
+/// snapshot); anything else is corruption.
+///
+/// # Errors
+///
+/// The reason the file is not one valid frame.
+pub fn single_frame(bytes: &[u8]) -> Result<&[u8], String> {
+    match scan_frames(bytes) {
+        (_, Some(tail)) => Err(tail.reason),
+        (payloads, None) => match payloads.as_slice() {
+            [payload] => Ok(payload),
+            _ => Err(format!("expected 1 frame, found {}", payloads.len())),
+        },
+    }
+}
+
+// ---------------------------------------------------------------------------
+// file protocols
+// ---------------------------------------------------------------------------
+
+/// `<path><suffix>` as a sibling file (`.tmp`, `.corrupt`, …).
+#[must_use]
+pub fn sibling(path: &Path, suffix: &str) -> PathBuf {
+    let mut name = path.as_os_str().to_os_string();
+    name.push(suffix);
+    PathBuf::from(name)
+}
+
+/// Verified install of a snapshot: writes `bytes` to `<dest>.tmp`, reads
+/// them back and compares — a torn write, even one the medium reported as
+/// complete, dies here with `dest` untouched — then moves the current
+/// `dest` to `keep_previous` when one is named, and renames the temp file
+/// onto `dest`, the commit point.
+///
+/// # Errors
+///
+/// [`io::Error`] from the medium; a failed read-back comparison is
+/// [`io::ErrorKind::InvalidData`].
+pub fn install_verified(
+    io: &dyn StorageIo,
+    dest: &Path,
+    bytes: &[u8],
+    keep_previous: Option<&Path>,
+) -> io::Result<()> {
+    let tmp = sibling(dest, ".tmp");
+    io.write(&tmp, bytes)?;
+    let written = io.read(&tmp)?;
+    if written != bytes {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "torn write detected: wrote {} bytes to {}, read back {}",
+                bytes.len(),
+                tmp.display(),
+                written.len()
+            ),
+        ));
+    }
+    if let Some(previous) = keep_previous {
+        if io.exists(dest) {
+            io.rename(dest, previous)?;
+        }
+    }
+    io.rename(&tmp, dest)
+}
+
+/// An append-only file of frames.  Its records must be pairwise distinct
+/// (both users number theirs), so a record can be told from every other.
+#[derive(Debug)]
+pub struct FrameLog {
+    path: PathBuf,
+    /// The file may end in a partial frame that could not be cut off;
+    /// anything appended behind it would be unreachable.
+    broken: bool,
+}
+
+impl FrameLog {
+    /// A log at `path` (relative to the medium's root); touches no file.
+    #[must_use]
+    pub fn new(path: impl Into<PathBuf>) -> FrameLog {
+        FrameLog {
+            path: path.into(),
+            broken: false,
+        }
+    }
+
+    /// Hands every readable record to `accept`, in order, and cuts the
+    /// file back to them: from the first torn frame — or the first record
+    /// `accept` refuses — the rest of the file is appended to
+    /// `<path>.corrupt` and the log truncated to the prefix before it via
+    /// tmp+rename.  A missing file is an empty log.  Returns the tail that
+    /// was cut off, if any.
+    ///
+    /// # Errors
+    ///
+    /// [`io::Error`] from the medium; the log then refuses appends until
+    /// a later `read` succeeds.
+    pub fn read(
+        &mut self,
+        io: &dyn StorageIo,
+        accept: &mut dyn FnMut(&[u8]) -> bool,
+    ) -> io::Result<Option<TornTail>> {
+        self.broken = true;
+        let mut torn = None;
+        if io.exists(&self.path) {
+            let bytes = io.read(&self.path)?;
+            let (payloads, scan_torn) = scan_frames(&bytes);
+            torn = scan_torn;
+            let mut valid_end = 0usize;
+            for payload in payloads {
+                if !accept(payload) {
+                    torn = Some(TornTail {
+                        offset: valid_end,
+                        reason: "record refused by its reader".to_string(),
+                    });
+                    break;
+                }
+                valid_end += 8 + payload.len();
+            }
+            if let Some(tail) = &torn {
+                io.append(&sibling(&self.path, ".corrupt"), &bytes[tail.offset..])?;
+                let tmp = sibling(&self.path, ".tmp");
+                io.write(&tmp, &bytes[..tail.offset])?;
+                io.rename(&tmp, &self.path)?;
+            }
+        }
+        self.broken = false;
+        Ok(torn)
+    }
+
+    /// Appends one record and returns the frame's length.  When the
+    /// medium reports failure, whatever part of the frame it kept — all of
+    /// it, possibly — is cut off again with [`FrameLog::read`] before the
+    /// error is returned, so a record the caller was told failed is never
+    /// read back and the next record is not stranded behind it.
+    ///
+    /// # Errors
+    ///
+    /// The medium's [`io::Error`]; or, without touching the file, a
+    /// refusal when an earlier cut itself failed.
+    pub fn append(&mut self, io: &dyn StorageIo, payload: &[u8]) -> io::Result<usize> {
+        if self.broken {
+            return Err(io::Error::other(format!(
+                "{} may end in a partial frame that could not be cut off; \
+                 it takes no records until it is read again",
+                self.path.display()
+            )));
+        }
+        let frame = encode_frame(payload);
+        match io.append(&self.path, &frame) {
+            Ok(()) => Ok(frame.len()),
+            Err(e) => {
+                // A failed cut leaves `broken` set.
+                let _ = self.read(io, &mut |kept| kept != payload);
+                Err(e)
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -432,6 +597,7 @@ pub struct RecoveryReport {
 
 #[derive(Debug)]
 struct WalState {
+    log: FrameLog,
     next_seq: u64,
     commits_since_checkpoint: u64,
 }
@@ -471,6 +637,7 @@ impl WalStorage {
             io,
             cfg,
             state: Mutex::new(WalState {
+                log: FrameLog::new(WAL_FILE),
                 next_seq: 1,
                 commits_since_checkpoint: 0,
             }),
@@ -536,25 +703,16 @@ impl WalStorage {
         // Redo runs the executor exactly as the live commit did: through a
         // program cache (a log replays few shapes many times).
         let programs = ProgramCache::new();
-        if self.io.exists(Path::new(WAL_FILE)) {
-            let bytes = self
-                .io
-                .read(Path::new(WAL_FILE))
-                .map_err(|e| DbError::Storage(format!("read {WAL_FILE}: {e}")))?;
-            let (payloads, mut torn) = scan_frames(&bytes);
-            let mut valid_end = 0usize;
-            for payload in payloads {
+        let mut state = self.state.lock();
+        let torn = state
+            .log
+            .read(&*self.io, &mut |payload| {
                 let Ok(record) = decode_json::<WalRecord>(payload) else {
                     // CRC-valid but undecodable: treat as torn from here.
-                    torn = Some(TornTail {
-                        offset: valid_end,
-                        reason: "undecodable record".to_string(),
-                    });
-                    break;
+                    return false;
                 };
-                valid_end += 8 + payload.len();
                 if record.seq <= base_seq {
-                    continue; // covered by the checkpoint
+                    return true; // covered by the checkpoint
                 }
                 max_seq = max_seq.max(record.seq);
                 report.replayed_records += 1;
@@ -567,23 +725,15 @@ impl WalStorage {
                         self.replay_errors.inc();
                     }
                 }
-            }
-            if let Some(tail) = torn {
-                self.torn_records.inc();
-                report.torn_records += 1;
-                self.io
-                    .append(Path::new(WAL_CORRUPT_FILE), &bytes[tail.offset..])
-                    .map_err(|e| DbError::Storage(format!("quarantine WAL tail: {e}")))?;
-                self.io
-                    .write(Path::new(WAL_TMP_FILE), &bytes[..valid_end])
-                    .map_err(|e| DbError::Storage(format!("truncate {WAL_FILE}: {e}")))?;
-                self.io
-                    .rename(Path::new(WAL_TMP_FILE), Path::new(WAL_FILE))
-                    .map_err(|e| DbError::Storage(format!("truncate {WAL_FILE}: {e}")))?;
-            }
+                true
+            })
+            .map_err(|e| DbError::Storage(format!("recover {WAL_FILE}: {e}")))?;
+        if torn.is_some() {
+            self.torn_records.inc();
+            report.torn_records += 1;
         }
 
-        self.state.lock().next_seq = max_seq + 1;
+        state.next_seq = max_seq + 1;
         report.tables = db.table_names().count();
         report.next_clock = clock + 1;
         Ok((db, report))
@@ -632,22 +782,13 @@ impl WalStorage {
         let payload = serde_json::to_string(&snap)
             .map_err(|e| DbError::Storage(format!("serialize: {e}")))?
             .into_bytes();
-        let frame = encode_frame(&payload);
-        self.io
-            .write(Path::new(SNAPSHOT_TMP_FILE), &frame)
-            .map_err(|e| DbError::Storage(format!("write {SNAPSHOT_TMP_FILE}: {e}")))?;
-        let readback = self
-            .io
-            .read(Path::new(SNAPSHOT_TMP_FILE))
-            .map_err(|e| DbError::Storage(format!("verify {SNAPSHOT_TMP_FILE}: {e}")))?;
-        if readback != frame {
-            return Err(DbError::Storage(
-                "snapshot readback verification failed".to_string(),
-            ));
-        }
-        self.io
-            .rename(Path::new(SNAPSHOT_TMP_FILE), Path::new(SNAPSHOT_FILE))
-            .map_err(|e| DbError::Storage(format!("install {SNAPSHOT_FILE}: {e}")))?;
+        install_verified(
+            &*self.io,
+            Path::new(SNAPSHOT_FILE),
+            &encode_frame(&payload),
+            None,
+        )
+        .map_err(|e| DbError::Storage(format!("install {SNAPSHOT_FILE}: {e}")))?;
         // Everything at or below snap.seq is covered; if this truncate
         // crashes, replay skips those records by sequence anyway.
         self.io
@@ -669,15 +810,14 @@ impl StorageBackend for WalStorage {
         let payload = serde_json::to_string(&record)
             .map_err(|e| DbError::Storage(format!("serialize commit: {e}")))?
             .into_bytes();
-        let frame = encode_frame(&payload);
-        if let Err(e) = self.io.append(Path::new(WAL_FILE), &frame) {
+        let frame_len = state.log.append(&*self.io, &payload).map_err(|e| {
             self.append_failures.inc();
-            return Err(DbError::Storage(format!("append {WAL_FILE}: {e}")));
-        }
+            DbError::Storage(format!("append {WAL_FILE}: {e}"))
+        })?;
         state.next_seq += 1;
         state.commits_since_checkpoint += 1;
         self.appends.inc();
-        self.appended_bytes.add(frame.len() as u64);
+        self.appended_bytes.add(frame_len as u64);
         Ok(())
     }
 
@@ -691,16 +831,7 @@ impl StorageBackend for WalStorage {
 }
 
 fn load_snapshot(bytes: &[u8]) -> Result<DbSnapshot, String> {
-    let (payloads, torn) = scan_frames(bytes);
-    if let Some(tail) = torn {
-        return Err(format!("corrupt snapshot: {}", tail.reason));
-    }
-    let [payload] = payloads.as_slice() else {
-        return Err(format!(
-            "corrupt snapshot: expected 1 frame, found {}",
-            payloads.len()
-        ));
-    };
+    let payload = single_frame(bytes).map_err(|e| format!("corrupt snapshot: {e}"))?;
     let snap: DbSnapshot = decode_json(payload).map_err(|e| format!("corrupt snapshot: {e}"))?;
     if snap.version != 1 {
         return Err(format!("unsupported snapshot version {}", snap.version));
@@ -710,7 +841,11 @@ fn load_snapshot(bytes: &[u8]) -> Result<DbSnapshot, String> {
 
 /// Decodes a JSON payload (the vendored `serde_json` only parses from
 /// `&str`, so non-UTF-8 bytes are a decode failure like any other).
-fn decode_json<T: serde::Deserialize>(payload: &[u8]) -> Result<T, String> {
+///
+/// # Errors
+///
+/// The decoder's message.
+pub fn decode_json<T: serde::Deserialize>(payload: &[u8]) -> Result<T, String> {
     let text = std::str::from_utf8(payload).map_err(|e| e.to_string())?;
     serde_json::from_str(text).map_err(|e| e.to_string())
 }
@@ -747,6 +882,13 @@ mod tests {
             now: 42,
             sql: sql.to_string(),
         }
+    }
+
+    #[test]
+    fn checksum_matches_the_ieee_check_value() {
+        // The IEEE check value for "123456789".
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
     }
 
     #[test]

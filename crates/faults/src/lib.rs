@@ -5,13 +5,12 @@
 //! the design (panic isolation, failure policies, crash-safe persistence)
 //! are demonstrated rather than asserted.
 //!
-//! * [`MemBackend`] — an in-memory [`StoreBackend`] for hermetic
-//!   persistence tests;
-//! * [`FaultyBackend`] — wraps any backend and fails *scripted* operations
-//!   (I/O error, torn write, **silent** torn write) exactly once each;
-//! * [`FaultyIo`] — the same scripted faults against the DBMS's
-//!   [`StorageIo`] (WAL appends, checkpoint writes, recovery reads), for
-//!   crash-safety tests of the durability layer;
+//! * [`FaultyIo`] — wraps any [`StorageIo`] (in tests: the DBMS's
+//!   in-memory `MemIo`) and fails *scripted* operations (I/O error, torn
+//!   write, **silent** torn write) exactly once each. The WAL and the
+//!   model store both persist through `StorageIo`, so this one double
+//!   covers WAL appends, checkpoint and model-snapshot writes, journal
+//!   appends and recovery reads;
 //! * [`PanickingGuard`] — a [`QueryGuard`] that always panics, with a
 //!   chosen failure policy;
 //! * [`PanickingPlugin`] — a stored-injection plugin that panics during
@@ -29,114 +28,17 @@ pub mod socket;
 
 use std::collections::HashMap;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use septic::{Plugin, StoreBackend, StoredAttack};
+use septic::{Plugin, StoredAttack};
 use septic_dbms::{FailurePolicy, GuardDecision, QueryContext, QueryGuard, StorageIo};
-
-// ---------------------------------------------------------------------------
-// In-memory backend
-// ---------------------------------------------------------------------------
-
-/// An in-memory filesystem for the model store: hermetic, inspectable,
-/// and fast enough for property tests.
-#[derive(Debug, Default)]
-pub struct MemBackend {
-    files: Mutex<HashMap<PathBuf, Vec<u8>>>,
-}
-
-impl MemBackend {
-    /// Creates an empty in-memory filesystem.
-    #[must_use]
-    pub fn new() -> Self {
-        MemBackend::default()
-    }
-
-    /// The files currently stored (path → size), for assertions.
-    #[must_use]
-    pub fn listing(&self) -> Vec<(PathBuf, usize)> {
-        let mut list: Vec<(PathBuf, usize)> = self
-            .files
-            .lock()
-            .iter()
-            .map(|(p, d)| (p.clone(), d.len()))
-            .collect();
-        list.sort();
-        list
-    }
-
-    /// Raw contents of a file, if present.
-    #[must_use]
-    pub fn contents(&self, path: &Path) -> Option<Vec<u8>> {
-        self.files.lock().get(path).cloned()
-    }
-
-    /// Overwrites a file directly (e.g. to plant corruption).
-    pub fn plant(&self, path: &Path, data: impl Into<Vec<u8>>) {
-        self.files.lock().insert(path.to_path_buf(), data.into());
-    }
-}
-
-impl StoreBackend for MemBackend {
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        self.files
-            .lock()
-            .get(path)
-            .cloned()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("{}", path.display())))
-    }
-
-    fn write(&self, path: &Path, data: &[u8]) -> io::Result<()> {
-        self.files.lock().insert(path.to_path_buf(), data.to_vec());
-        Ok(())
-    }
-
-    fn append_line(&self, path: &Path, line: &str) -> io::Result<()> {
-        let mut files = self.files.lock();
-        let file = files.entry(path.to_path_buf()).or_default();
-        file.extend_from_slice(line.as_bytes());
-        file.push(b'\n');
-        Ok(())
-    }
-
-    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        let mut files = self.files.lock();
-        let data = files.remove(from).ok_or_else(|| {
-            io::Error::new(io::ErrorKind::NotFound, format!("{}", from.display()))
-        })?;
-        files.insert(to.to_path_buf(), data);
-        Ok(())
-    }
-
-    fn exists(&self, path: &Path) -> bool {
-        self.files.lock().contains_key(path)
-    }
-
-    fn remove(&self, path: &Path) -> io::Result<()> {
-        self.files
-            .lock()
-            .remove(path)
-            .map(|_| ())
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, format!("{}", path.display())))
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Scripted fault injection
 // ---------------------------------------------------------------------------
-
-/// The kind of backend operation a fault is scripted against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum OpKind {
-    Read,
-    Write,
-    AppendLine,
-    Rename,
-    Remove,
-}
 
 /// What an injected fault does to the targeted operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -151,137 +53,6 @@ pub enum Fault {
     SilentTorn { keep: usize },
 }
 
-/// Wraps a backend and injects scripted faults: each `(op, nth)` entry
-/// fires exactly once, on the nth call (0-based) of that operation kind.
-/// Operations without a scripted fault pass through untouched.
-#[derive(Debug)]
-pub struct FaultyBackend {
-    inner: Arc<dyn StoreBackend>,
-    plan: Mutex<HashMap<(OpKind, u64), Fault>>,
-    counts: Mutex<HashMap<OpKind, u64>>,
-    injected: Mutex<Vec<(OpKind, u64, Fault)>>,
-}
-
-impl FaultyBackend {
-    /// Wraps `inner` with an empty fault plan.
-    #[must_use]
-    pub fn new(inner: Arc<dyn StoreBackend>) -> Self {
-        FaultyBackend {
-            inner,
-            plan: Mutex::new(HashMap::new()),
-            counts: Mutex::new(HashMap::new()),
-            injected: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Scripts `fault` to fire on the `nth` (0-based) call of `op`.
-    pub fn inject(&self, op: OpKind, nth: u64, fault: Fault) {
-        self.plan.lock().insert((op, nth), fault);
-    }
-
-    /// Builder form of [`FaultyBackend::inject`].
-    #[must_use]
-    pub fn with_fault(self, op: OpKind, nth: u64, fault: Fault) -> Self {
-        self.inject(op, nth, fault);
-        self
-    }
-
-    /// The faults that actually fired, in order.
-    #[must_use]
-    pub fn fired(&self) -> Vec<(OpKind, u64, Fault)> {
-        self.injected.lock().clone()
-    }
-
-    /// Consumes this operation's slot in the script; returns the fault to
-    /// apply, if one was planned for this call.
-    fn next_fault(&self, op: OpKind) -> Option<Fault> {
-        let nth = {
-            let mut counts = self.counts.lock();
-            let c = counts.entry(op).or_insert(0);
-            let nth = *c;
-            *c += 1;
-            nth
-        };
-        let fault = self.plan.lock().remove(&(op, nth));
-        if let Some(f) = fault {
-            self.injected.lock().push((op, nth, f));
-        }
-        fault
-    }
-
-    fn io_fault(op: OpKind, path: &Path) -> io::Error {
-        io::Error::other(format!("injected {op:?} fault at {}", path.display()))
-    }
-}
-
-impl StoreBackend for FaultyBackend {
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        match self.next_fault(OpKind::Read) {
-            Some(_) => Err(Self::io_fault(OpKind::Read, path)),
-            None => self.inner.read(path),
-        }
-    }
-
-    fn write(&self, path: &Path, data: &[u8]) -> io::Result<()> {
-        match self.next_fault(OpKind::Write) {
-            Some(Fault::Error) => Err(Self::io_fault(OpKind::Write, path)),
-            Some(Fault::Torn { keep }) => {
-                self.inner.write(path, &data[..keep.min(data.len())])?;
-                Err(Self::io_fault(OpKind::Write, path))
-            }
-            Some(Fault::SilentTorn { keep }) => {
-                self.inner.write(path, &data[..keep.min(data.len())])
-            }
-            None => self.inner.write(path, data),
-        }
-    }
-
-    fn append_line(&self, path: &Path, line: &str) -> io::Result<()> {
-        match self.next_fault(OpKind::AppendLine) {
-            Some(Fault::Error) => Err(Self::io_fault(OpKind::AppendLine, path)),
-            Some(Fault::Torn { keep }) => {
-                // A torn append leaves a partial line; the loader must
-                // skip it.
-                let partial = &line[..keep.min(line.len())];
-                for l in partial.split('\n') {
-                    self.inner.append_line(path, l)?;
-                }
-                Err(Self::io_fault(OpKind::AppendLine, path))
-            }
-            Some(Fault::SilentTorn { keep }) => {
-                let partial = &line[..keep.min(line.len())];
-                for l in partial.split('\n') {
-                    self.inner.append_line(path, l)?;
-                }
-                Ok(())
-            }
-            None => self.inner.append_line(path, line),
-        }
-    }
-
-    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        match self.next_fault(OpKind::Rename) {
-            Some(_) => Err(Self::io_fault(OpKind::Rename, from)),
-            None => self.inner.rename(from, to),
-        }
-    }
-
-    fn exists(&self, path: &Path) -> bool {
-        self.inner.exists(path)
-    }
-
-    fn remove(&self, path: &Path) -> io::Result<()> {
-        match self.next_fault(OpKind::Remove) {
-            Some(_) => Err(Self::io_fault(OpKind::Remove, path)),
-            None => self.inner.remove(path),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Scripted faults against the DBMS durability layer
-// ---------------------------------------------------------------------------
-
 /// The kind of [`StorageIo`] operation a fault is scripted against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IoOp {
@@ -292,9 +63,11 @@ pub enum IoOp {
 }
 
 /// Wraps a [`StorageIo`] (the medium under the DBMS's WAL and checkpoint
-/// snapshots) and injects the same scripted faults as [`FaultyBackend`]:
-/// each `(op, nth)` entry fires exactly once, on the nth call (0-based)
-/// of that operation kind. The interesting cases for a write-ahead log:
+/// snapshots, and under the model store's snapshot and journal) and
+/// injects scripted faults: each `(op, nth)` entry fires exactly once, on
+/// the nth call (0-based) of that operation kind; operations without a
+/// scripted fault pass through untouched. The interesting cases for a
+/// write-ahead log:
 ///
 /// * `Append` + [`Fault::Torn`] — the process dies mid-append; the tail
 ///   of the log is a partial frame the next recovery must quarantine;
@@ -476,71 +249,46 @@ impl Plugin for SlowPlugin {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use septic_dbms::MemIo;
+    use std::path::PathBuf;
 
     fn p(name: &str) -> PathBuf {
         PathBuf::from(name)
     }
 
     #[test]
-    fn mem_backend_behaves_like_a_filesystem() {
-        let fs = MemBackend::new();
-        assert!(!fs.exists(&p("a")));
-        assert_eq!(
-            fs.read(&p("a")).unwrap_err().kind(),
-            io::ErrorKind::NotFound
-        );
-        fs.write(&p("a"), b"hello").unwrap();
-        assert_eq!(fs.read(&p("a")).unwrap(), b"hello");
-        fs.append_line(&p("a"), "x").unwrap();
-        assert_eq!(fs.read(&p("a")).unwrap(), b"hellox\n");
-        fs.rename(&p("a"), &p("b")).unwrap();
-        assert!(!fs.exists(&p("a")) && fs.exists(&p("b")));
-        fs.remove(&p("b")).unwrap();
-        assert!(fs.listing().is_empty());
-    }
-
-    #[test]
     fn faults_fire_once_on_the_scripted_call() {
-        let mem = Arc::new(MemBackend::new());
-        let faulty = FaultyBackend::new(mem.clone()).with_fault(OpKind::Write, 1, Fault::Error);
+        let mem = MemIo::new();
+        let faulty = FaultyIo::new(mem.clone());
+        faulty.inject(IoOp::Write, 1, Fault::Error);
         faulty.write(&p("f"), b"first").unwrap(); // call 0: clean
         assert!(faulty.write(&p("f"), b"second").is_err()); // call 1: fault
         faulty.write(&p("f"), b"third").unwrap(); // one-shot: consumed
         assert_eq!(mem.read(&p("f")).unwrap(), b"third");
-        assert_eq!(faulty.fired(), vec![(OpKind::Write, 1, Fault::Error)]);
+        assert_eq!(faulty.fired(), vec![(IoOp::Write, 1, Fault::Error)]);
     }
 
     #[test]
-    fn torn_write_keeps_a_prefix() {
-        let mem = Arc::new(MemBackend::new());
-        let faulty =
-            FaultyBackend::new(mem.clone()).with_fault(OpKind::Write, 0, Fault::Torn { keep: 3 });
+    fn torn_write_keeps_a_prefix_and_a_silent_one_reports_success() {
+        let mem = MemIo::new();
+        let faulty = FaultyIo::new(mem.clone());
+        faulty.inject(IoOp::Write, 0, Fault::Torn { keep: 3 });
+        faulty.inject(IoOp::Write, 1, Fault::SilentTorn { keep: 2 });
         assert!(faulty.write(&p("f"), b"abcdef").is_err());
         assert_eq!(mem.read(&p("f")).unwrap(), b"abc");
-    }
-
-    #[test]
-    fn silent_torn_write_reports_success() {
-        let mem = Arc::new(MemBackend::new());
-        let faulty = FaultyBackend::new(mem.clone()).with_fault(
-            OpKind::Write,
-            0,
-            Fault::SilentTorn { keep: 2 },
-        );
         faulty.write(&p("f"), b"abcdef").unwrap();
         assert_eq!(mem.read(&p("f")).unwrap(), b"ab");
     }
 
     #[test]
     fn faulty_io_tears_appends_and_counts_calls() {
-        use septic_dbms::MemIo;
         let mem = MemIo::new();
         let faulty = FaultyIo::new(mem.clone());
         faulty.inject(IoOp::Append, 1, Fault::Torn { keep: 4 });
         faulty.inject(IoOp::Append, 2, Fault::SilentTorn { keep: 1 });
-        StorageIo::append(&*faulty, &p("wal"), b"first-").unwrap();
-        assert!(StorageIo::append(&*faulty, &p("wal"), b"second-").is_err());
-        StorageIo::append(&*faulty, &p("wal"), b"third-").unwrap();
+        faulty.append(&p("wal"), b"first-").unwrap();
+        assert!(faulty.append(&p("wal"), b"second-").is_err());
+        faulty.append(&p("wal"), b"third-").unwrap();
         assert_eq!(mem.read(&p("wal")).unwrap(), b"first-secot");
         assert_eq!(faulty.calls(IoOp::Append), 3);
         assert_eq!(faulty.fired().len(), 2);

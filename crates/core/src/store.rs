@@ -305,11 +305,6 @@ impl ModelStore {
         self.persist.lock().journal = Some((io, FrameLog::new(journal_path(path.as_ref()))));
     }
 
-    /// Detaches the persistence target; mutations stop being journaled.
-    pub fn detach_persistence(&self) {
-        self.persist.lock().journal = None;
-    }
-
     /// Journal appends that failed since creation.
     #[must_use]
     pub fn journal_errors(&self) -> u64 {
@@ -1121,7 +1116,6 @@ mod tests {
         store.learn(id(1), model("SELECT 1"));
         store.forget(&id(1));
         let covered = io.contents(journal_path(path)).unwrap();
-        store.detach_persistence();
         store.learn(id(1), model("SELECT 1"));
         store.save_with(&*io, path).unwrap();
         io.plant(journal_path(path), covered);

@@ -15,7 +15,7 @@ use crate::catalog::TableSchema;
 use crate::error::DbError;
 use crate::expr::{call_scalar, is_aggregate, SideEffects};
 use crate::plan::{point_key, Access, SelectPlan};
-use crate::storage::{Database, PkKey, Row, TableStore};
+use crate::storage::{Database, PkKey, Row, TableStore, UndoLog};
 use crate::value::Value;
 use crate::vmexec::{self, ProgramCache};
 
@@ -58,6 +58,9 @@ pub fn execute(db: &mut Database, stmt: &Statement, now: i64) -> Result<QueryOut
 /// The server and WAL redo always pass `Some`; `None` is the readable
 /// reference implementation the differential tests compare against.
 ///
+/// The statement is atomic: one that fails (a multi-row write dying on
+/// its k-th row) leaves `db` exactly as it found it.
+///
 /// # Errors
 ///
 /// As [`execute`].
@@ -66,6 +69,31 @@ pub fn execute_with(
     stmt: &Statement,
     now: i64,
     cache: Option<&ProgramCache>,
+) -> Result<QueryOutput, DbError> {
+    let mut undo = UndoLog::new();
+    let result = execute_logged(db, stmt, now, cache, &mut undo);
+    if result.is_err() {
+        db.rollback(&mut undo, 0);
+    }
+    result
+}
+
+/// [`execute_with`] for a caller that keeps one [`UndoLog`] across several
+/// statements (the server: one log per client call or per `COMMIT`).
+/// Everything the statement changes is recorded in `undo`, and rolling
+/// back is the caller's move: on `Err` the effects the statement had
+/// before it failed are still in `db`, recorded past the
+/// [`UndoLog::mark`] the caller took before the call.
+///
+/// # Errors
+///
+/// As [`execute`].
+pub fn execute_logged(
+    db: &mut Database,
+    stmt: &Statement,
+    now: i64,
+    cache: Option<&ProgramCache>,
+    undo: &mut UndoLog,
 ) -> Result<QueryOutput, DbError> {
     let mut effects = SideEffects::default();
     let mut out = match stmt {
@@ -77,19 +105,19 @@ pub fn execute_with(
                 ..QueryOutput::default()
             }
         }
-        Statement::Insert(i) => run_insert(db, i, now, cache, &mut effects)?,
-        Statement::Update(u) => run_update(db, u, now, cache, &mut effects)?,
-        Statement::Delete(d) => run_delete(db, d, now, cache, &mut effects)?,
+        Statement::Insert(i) => run_insert(db, i, now, cache, &mut effects, undo)?,
+        Statement::Update(u) => run_update(db, u, now, cache, &mut effects, undo)?,
+        Statement::Delete(d) => run_delete(db, d, now, cache, &mut effects, undo)?,
         Statement::CreateTable(c) => {
-            let created =
-                db.create_table(TableSchema::new(&c.name, &c.columns), c.if_not_exists)?;
+            let schema = TableSchema::new(&c.name, &c.columns);
+            let created = db.create_table(schema, c.if_not_exists, undo)?;
             QueryOutput {
                 affected: usize::from(created),
                 ..QueryOutput::default()
             }
         }
         Statement::DropTable(d) => {
-            let dropped = db.drop_table(&d.name, d.if_exists)?;
+            let dropped = db.drop_table(&d.name, d.if_exists, undo)?;
             QueryOutput {
                 affected: usize::from(dropped),
                 ..QueryOutput::default()
@@ -1106,6 +1134,7 @@ fn run_insert(
     now: i64,
     cache: Option<&ProgramCache>,
     fx: &mut SideEffects,
+    undo: &mut UndoLog,
 ) -> Result<QueryOutput, DbError> {
     // Resolve target column indexes.
     let schema = &db.table(&insert.table)?.schema;
@@ -1146,23 +1175,25 @@ fn run_insert(
             rows
         }
     };
-    let mut affected = 0usize;
+    let affected = source_rows.len();
     let mut last_id = None;
-    for vals in source_rows {
-        let store = db.table_mut(&insert.table)?;
-        let columns = &store.schema.columns;
-        let mut full: Row = columns
-            .iter()
-            .map(|c| c.default.clone().unwrap_or(Value::Null))
-            .collect();
-        for (v, &ti) in vals.into_iter().zip(&targets) {
-            full[ti] = columns[ti].coerce(v);
+    if affected > 0 {
+        let (store, log) = db.write_table(&insert.table, undo)?;
+        for vals in source_rows {
+            let columns = &store.schema.columns;
+            let mut full: Row = columns
+                .iter()
+                .map(|c| c.default.clone().unwrap_or(Value::Null))
+                .collect();
+            for (v, &ti) in vals.into_iter().zip(&targets) {
+                full[ti] = columns[ti].coerce(v);
+            }
+            let inserted = store.insert(full)?;
+            if let Some(pk) = store.schema.primary_key_index() {
+                last_id = store.row(inserted.slot()).and_then(|row| row[pk].to_int());
+            }
+            log.push(inserted);
         }
-        let slot = store.insert(full)?;
-        if let Some(pk) = store.schema.primary_key_index() {
-            last_id = store.row(slot).and_then(|row| row[pk].to_int());
-        }
-        affected += 1;
     }
     Ok(QueryOutput {
         affected,
@@ -1216,6 +1247,7 @@ fn run_update(
     now: i64,
     cache: Option<&ProgramCache>,
     fx: &mut SideEffects,
+    undo: &mut UndoLog,
 ) -> Result<QueryOutput, DbError> {
     // Plan phase (immutable): decide slot → new row.
     let schema = &db.table(&update.table)?.schema;
@@ -1242,9 +1274,13 @@ fn run_update(
         },
     )?;
     let affected = changes.len();
-    let store = db.table_mut(&update.table)?;
-    for (slot, new_row) in changes {
-        store.update_slot(slot, new_row)?;
+    // A statement that matched nothing must not copy a table it shares
+    // with a snapshot.
+    if affected > 0 {
+        let (store, log) = db.write_table(&update.table, undo)?;
+        for (slot, new_row) in changes {
+            log.push(store.update_slot(slot, new_row)?);
+        }
     }
     Ok(QueryOutput {
         affected,
@@ -1258,6 +1294,7 @@ fn run_delete(
     now: i64,
     cache: Option<&ProgramCache>,
     fx: &mut SideEffects,
+    undo: &mut UndoLog,
 ) -> Result<QueryOutput, DbError> {
     let mut victims: Vec<usize> = Vec::new();
     for_each_target(
@@ -1273,9 +1310,11 @@ fn run_delete(
         },
     )?;
     let affected = victims.len();
-    let store = db.table_mut(&delete.table)?;
-    for slot in victims {
-        store.delete_slot(slot);
+    if affected > 0 {
+        let (store, log) = db.write_table(&delete.table, undo)?;
+        for slot in victims {
+            log.extend(store.delete_slot(slot));
+        }
     }
     Ok(QueryOutput {
         affected,

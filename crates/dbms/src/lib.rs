@@ -37,14 +37,16 @@ pub mod vmexec;
 pub mod wal;
 
 pub use error::DbError;
-pub use exec::{execute_read, execute_read_with, execute_with, is_read_only, QueryOutput};
+pub use exec::{
+    execute_logged, execute_read, execute_read_with, execute_with, is_read_only, QueryOutput,
+};
 pub use guard::{AllowAll, FailurePolicy, GuardDecision, QueryContext, QueryGuard, SharedGuard};
 pub use plan::explain;
 pub use server::{
     Connection, ExecResult, GeneralLogEntry, Server, ServerConfig, ServerStatsSnapshot,
     SessionSnapshot,
 };
-pub use storage::{Database, PkKey, Row, TableStore};
+pub use storage::{Database, PkKey, Row, RowUndo, TableStore, UndoLog};
 pub use value::Value;
 pub use vmexec::ProgramCache;
 pub use wal::{

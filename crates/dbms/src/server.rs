@@ -14,6 +14,17 @@
 //! (pure `SELECT`s) execute under the database's shared read lock, so
 //! parallel sessions overlap; mutating statements serialize on the write
 //! lock as before.
+//!
+//! # Atomicity
+//!
+//! Writes run in place, on the master under the write lock or on a
+//! transaction's private snapshot, and record what they displace in an
+//! [`UndoLog`]. The log is the one rollback mechanism, used at three
+//! points: a statement that fails is undone to its own start, a call or
+//! `COMMIT` the durability backend refuses is undone whole, and so is a
+//! `COMMIT` whose buffered writes no longer apply. The only database
+//! snapshot the server takes is the one `BEGIN` reads from, so a write
+//! costs the rows it touches unless a transaction is open beside it.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -28,10 +39,10 @@ use septic_telemetry::{label_value, Counter, Histogram, MetricsRegistry, Metrics
 
 use crate::error::DbError;
 use crate::exec::{
-    execute_read_with, execute_with, is_read_only, validate, where_program, QueryOutput,
+    execute_logged, execute_read_with, is_read_only, validate, where_program, QueryOutput,
 };
 use crate::guard::{panic_message, FailurePolicy, GuardDecision, QueryContext, SharedGuard};
-use crate::storage::Database;
+use crate::storage::{Database, UndoLog};
 use crate::value::Value;
 use crate::vmexec::ProgramCache;
 use crate::wal::{
@@ -84,12 +95,14 @@ struct BufferedWrite {
 /// An open transaction: a copy-on-write MVCC snapshot the session reads
 /// and writes privately, plus the redo buffer replayed at `COMMIT`.
 ///
-/// The snapshot is taken at `BEGIN`; concurrent committers never touch
-/// it, so in-transaction reads are repeatable. At commit the buffered
-/// writes are re-executed against the *current* master under the write
-/// lock — a write that no longer applies (duplicate key created by a
-/// concurrent commit, table dropped, …) aborts the transaction with
-/// [`DbError::TxnAborted`] (first-committer-wins).
+/// The snapshot is taken at `BEGIN` — the only snapshot the server takes
+/// — and concurrent committers never touch it, so in-transaction reads
+/// are repeatable. Its first write to a table copies that table once. At
+/// commit the buffered writes are re-executed against the *current*
+/// master under the write lock — a write that no longer applies
+/// (duplicate key created by a concurrent commit, table dropped, …)
+/// aborts the transaction with [`DbError::TxnAborted`]
+/// (first-committer-wins).
 #[derive(Debug)]
 struct Txn {
     working: Database,
@@ -193,6 +206,40 @@ impl TxnStats {
             commits: registry.counter("dbms_txn_commits_total"),
             rollbacks: registry.counter("dbms_txn_rollbacks_total"),
             conflicts: registry.counter("dbms_txn_conflicts_total"),
+        }
+    }
+}
+
+/// What the write path did beyond touching rows: tables deep-copied
+/// because a transaction's snapshot still shared them, and undo logs
+/// applied, by cause.
+#[derive(Debug)]
+struct WriteStats {
+    /// `Database::table_mut` calls that copied a table, on the master and
+    /// on transactions' private snapshots alike.
+    cow_table_copies: Arc<Counter>,
+    /// A statement failed part-way and was undone to its own start.
+    statement_rollbacks: Arc<Counter>,
+    /// The durability backend refused the commit; the whole call (or
+    /// `COMMIT`) was undone.
+    log_failure_rollbacks: Arc<Counter>,
+    /// A buffered write no longer applied at `COMMIT`; the ones re-executed
+    /// before it were undone.
+    txn_conflict_rollbacks: Arc<Counter>,
+}
+
+impl WriteStats {
+    fn register(registry: &MetricsRegistry) -> Self {
+        let rollbacks = |reason: &str| {
+            registry.counter(&format!(
+                "dbms_statement_rollbacks_total{{reason=\"{reason}\"}}"
+            ))
+        };
+        WriteStats {
+            cow_table_copies: registry.counter("dbms_cow_table_copies_total"),
+            statement_rollbacks: rollbacks("statement"),
+            log_failure_rollbacks: rollbacks("log_failure"),
+            txn_conflict_rollbacks: rollbacks("txn_conflict"),
         }
     }
 }
@@ -303,6 +350,8 @@ pub struct Server {
     storage: RwLock<Arc<dyn StorageBackend>>,
     /// Transaction outcome counters.
     txn_stats: TxnStats,
+    /// Table copies and rollbacks of the write path.
+    write_stats: WriteStats,
 }
 
 impl Server {
@@ -322,6 +371,7 @@ impl Server {
         let metrics = MetricsRegistry::new();
         let stats = ServerStats::register(&metrics);
         let txn_stats = TxnStats::register(&metrics);
+        let write_stats = WriteStats::register(&metrics);
         let pipeline = PipelineTimers::register(&metrics);
         let program_cache = ProgramCache::new();
         program_cache.attach_metrics(&metrics);
@@ -339,6 +389,7 @@ impl Server {
             program_cache,
             storage: RwLock::new(Arc::new(NullBackend)),
             txn_stats,
+            write_stats,
         }
     }
 
@@ -834,6 +885,42 @@ impl Server {
         })
     }
 
+    /// Executes one statement on `db` — the master under the write lock, or
+    /// a transaction's private snapshot — recording its effects in `undo`
+    /// and counting the tables it had to copy.
+    fn execute_counted(
+        &self,
+        db: &mut Database,
+        undo: &mut UndoLog,
+        stmt: &Statement,
+        at: i64,
+    ) -> Result<QueryOutput, DbError> {
+        let copies = db.cow_table_copies();
+        let result = execute_logged(db, stmt, at, Some(&self.program_cache), undo);
+        self.write_stats
+            .cow_table_copies
+            .add(db.cow_table_copies() - copies);
+        result
+    }
+
+    /// [`Server::execute_counted`], statement-atomic: a statement that
+    /// fails is undone to its own start, and what earlier statements of
+    /// the call recorded in `undo` stays.
+    fn execute_atomic(
+        &self,
+        db: &mut Database,
+        undo: &mut UndoLog,
+        stmt: &Statement,
+        at: i64,
+    ) -> Result<QueryOutput, DbError> {
+        let mark = undo.mark();
+        let result = self.execute_counted(db, undo, stmt, at);
+        if result.is_err() {
+            undo_to(db, undo, mark, &self.write_stats.statement_rollbacks);
+        }
+        result
+    }
+
     /// Autocommit execution: each statement commits as it succeeds (MySQL
     /// semantics — in a stacked call, statements before a failing one keep
     /// their effects) and a statement that fails leaves nothing behind: a
@@ -841,28 +928,25 @@ impl Server {
     /// statement's own start, or its first row would be live here and,
     /// never logged, gone after recovery. The successful writes are handed
     /// to the durability backend *before* the call is acknowledged; if
-    /// logging fails, the whole call is rolled back so the server never
-    /// acknowledges state the WAL has not seen.
+    /// logging fails, the whole call is undone so the server never
+    /// acknowledges state the WAL has not seen. Statements run in place on
+    /// the master under the write lock, with one undo log for the call; no
+    /// table is copied unless an open transaction's snapshot shares it.
     fn execute_autocommit(
         &self,
         statements: &[Statement],
         at: i64,
     ) -> Result<Vec<QueryOutput>, DbError> {
-        let cache = Some(&self.program_cache);
         let storage = self.storage.read().clone();
         let mut db = self.db.write();
-        let prev = db.snapshot();
+        let mut undo = UndoLog::new();
         let mut outputs = Vec::with_capacity(statements.len());
         let mut redo: Vec<WalStmt> = Vec::new();
         let mut failed: Option<DbError> = None;
-        for (i, stmt) in statements.iter().enumerate() {
-            let writes = !is_read_only(stmt);
-            // The statement's own rollback point: `prev` for the first
-            // statement, a snapshot of its own only in a stacked call.
-            let before = (writes && i > 0).then(|| db.snapshot());
-            match execute_with(&mut db, stmt, at, cache) {
+        for stmt in statements {
+            match self.execute_atomic(&mut db, &mut undo, stmt, at) {
                 Ok(out) => {
-                    if writes {
+                    if !is_read_only(stmt) {
                         redo.push(WalStmt {
                             now: at,
                             sql: stmt.to_string(),
@@ -871,9 +955,6 @@ impl Server {
                     outputs.push(out);
                 }
                 Err(e) => {
-                    if writes {
-                        *db = before.unwrap_or_else(|| prev.snapshot());
-                    }
                     failed = Some(e);
                     break;
                 }
@@ -881,7 +962,12 @@ impl Server {
         }
         if !redo.is_empty() {
             if let Err(e) = storage.log_commit(redo) {
-                *db = prev;
+                undo_to(
+                    &mut db,
+                    &mut undo,
+                    0,
+                    &self.write_stats.log_failure_rollbacks,
+                );
                 return Err(e);
             }
             storage.after_commit(&db, at);
@@ -896,8 +982,7 @@ impl Server {
     /// database, in-transaction statements run against the session's
     /// private snapshot (writes buffered for replay), `COMMIT` publishes
     /// and `ROLLBACK` discards. Each in-transaction statement is atomic:
-    /// it runs on a scratch copy of the snapshot that is adopted only on
-    /// success.
+    /// it runs in place on the snapshot and is undone if it fails.
     fn execute_transactional(
         &self,
         txn: &mut Option<Txn>,
@@ -939,9 +1024,12 @@ impl Server {
                         if is_read_only(other) {
                             outputs.push(execute_read_with(&open.working, other, at, cache)?);
                         } else {
-                            let mut scratch = open.working.snapshot();
-                            let out = execute_with(&mut scratch, other, at, cache)?;
-                            open.working = scratch;
+                            // The snapshot is private, so a statement that
+                            // succeeded needs no rollback point: its log
+                            // is dropped with the statement.
+                            let mut undo = UndoLog::new();
+                            let out =
+                                self.execute_atomic(&mut open.working, &mut undo, other, at)?;
                             open.redo.push(BufferedWrite {
                                 stmt: other.clone(),
                                 wal: WalStmt {
@@ -962,24 +1050,37 @@ impl Server {
         Ok(outputs)
     }
 
-    /// Publishes a transaction: re-executes its buffered writes against
-    /// the *current* master database under the write lock (each with the
-    /// `NOW()` it originally observed, so replay is deterministic), hands
-    /// the batch to the durability backend, and only then swaps the new
-    /// state in. A buffered write that no longer applies aborts the
-    /// commit with [`DbError::TxnAborted`] and leaves the master
-    /// untouched (first-committer-wins).
+    /// Publishes a transaction: re-executes its buffered writes in place
+    /// on the *current* master under the write lock (each with the `NOW()`
+    /// it originally observed, so replay is deterministic) and hands the
+    /// batch to the durability backend before releasing the lock. A
+    /// buffered write that no longer applies aborts the commit with
+    /// [`DbError::TxnAborted`] (first-committer-wins); that, or a backend
+    /// that refuses the batch, undoes every write already re-executed, so
+    /// the master is left exactly as it was.
     fn commit_txn(&self, txn: Txn) -> Result<(), DbError> {
-        if txn.redo.is_empty() {
+        // The private snapshot goes first: while it lives, every table it
+        // did not write is shared with the master and would be copied by a
+        // buffered write that touches it only now.
+        let Txn { working, redo } = txn;
+        drop(working);
+        if redo.is_empty() {
             self.txn_stats.commits.inc();
             return Ok(());
         }
         let storage = self.storage.read().clone();
-        let cache = Some(&self.program_cache);
         let mut db = self.db.write();
-        let mut working = db.snapshot();
-        for buffered in &txn.redo {
-            if let Err(e) = execute_with(&mut working, &buffered.stmt, buffered.wal.now, cache) {
+        let mut undo = UndoLog::new();
+        for buffered in &redo {
+            if let Err(e) =
+                self.execute_counted(&mut db, &mut undo, &buffered.stmt, buffered.wal.now)
+            {
+                undo_to(
+                    &mut db,
+                    &mut undo,
+                    0,
+                    &self.write_stats.txn_conflict_rollbacks,
+                );
                 self.txn_stats.conflicts.inc();
                 return Err(DbError::TxnAborted(format!(
                     "`{}` no longer applies: {e}",
@@ -987,11 +1088,26 @@ impl Server {
                 )));
             }
         }
-        storage.log_commit(txn.redo.iter().map(|b| b.wal.clone()).collect())?;
-        *db = working;
+        if let Err(e) = storage.log_commit(redo.iter().map(|b| b.wal.clone()).collect()) {
+            undo_to(
+                &mut db,
+                &mut undo,
+                0,
+                &self.write_stats.log_failure_rollbacks,
+            );
+            return Err(e);
+        }
         storage.after_commit(&db, self.clock.load(Ordering::Relaxed));
         self.txn_stats.commits.inc();
         Ok(())
+    }
+}
+
+/// Undoes what `undo` recorded after `mark` and counts the rollback under
+/// `reason` when there was something to undo.
+fn undo_to(db: &mut Database, undo: &mut UndoLog, mark: usize, reason: &Counter) {
+    if db.rollback(undo, mark) > 0 {
+        reason.inc();
     }
 }
 

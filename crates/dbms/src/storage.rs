@@ -1,4 +1,5 @@
-//! Row storage with primary-key indexes and copy-on-write table epochs.
+//! Row storage with primary-key indexes, copy-on-write table epochs and
+//! the undo log that makes a statement atomic.
 //!
 //! `TableStore` keeps rows in slot order with a tombstone free-list so
 //! DELETE/INSERT churn reuses space instead of growing forever.  The
@@ -9,9 +10,21 @@
 //!
 //! `Database` holds its tables behind `Arc` so a snapshot is a cheap
 //! epoch clone: readers keep the epoch they started with while writers
-//! copy-on-write only the tables they touch (the MVCC substrate for
-//! `BEGIN`/`COMMIT` and for WAL checkpointing in [`crate::wal`]).
+//! copy-on-write only the tables they touch. Snapshots have one job, read
+//! isolation for a transaction opened by `BEGIN`; they are not rollback
+//! points.
+//!
+//! Rollback is by [`UndoLog`]: every mutator hands back what it displaced
+//! (a [`RowUndo`] owns the old row, nothing is cloned), `CREATE`/`DROP
+//! TABLE` record the name / the dropped store, and [`Database::rollback`]
+//! replays the entries in strict reverse order. The restore is **exact**:
+//! slot order, free-list order, `rows.len()`, the index and the
+//! auto-increment cursor come back as they were, not merely an equivalent
+//! set of rows. WAL recovery replays only acknowledged statements, and
+//! slot order decides `LIMIT` and un-ordered `SELECT`s, so "live equals
+//! recovered" needs a failed statement to leave no physical trace.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -54,6 +67,40 @@ impl PkKey {
 /// rounds keys through `f64` too and cannot store one; the bound does not
 /// lean on that.)
 const EXACT_F64_INT: u64 = 1 << 53;
+
+/// What one row mutation displaced: enough for [`TableStore::undo`] to
+/// put the table back exactly as it was.
+#[derive(Debug)]
+#[must_use = "a mutation whose undo record is dropped cannot be rolled back"]
+pub enum RowUndo {
+    /// A row went into `slot`, which came off the free-list (`reused`) or
+    /// was appended.
+    Inserted {
+        slot: usize,
+        reused: bool,
+        prev_auto_increment: i64,
+    },
+    /// The row in `slot` replaced `old`.
+    Updated {
+        slot: usize,
+        old: Row,
+        prev_auto_increment: i64,
+    },
+    /// `old` left `slot`, and the slot went onto the free-list.
+    Deleted { slot: usize, old: Row },
+}
+
+impl RowUndo {
+    /// The slot the mutation touched.
+    #[must_use]
+    pub fn slot(&self) -> usize {
+        match self {
+            RowUndo::Inserted { slot, .. }
+            | RowUndo::Updated { slot, .. }
+            | RowUndo::Deleted { slot, .. } => *slot,
+        }
+    }
+}
 
 /// Storage for one table: rows in slot order, a free-list of reclaimed
 /// tombstone slots, and a typed primary-key index.
@@ -103,6 +150,14 @@ impl TableStore {
         self.rows.len()
     }
 
+    /// The index key of a stored row (`None` without a primary key).
+    /// Stored PK cells went through [`TableStore::index_key`] on their way
+    /// in, so deriving the key again cannot fail.
+    fn stored_key(&self, row: &Row) -> Option<PkKey> {
+        let pk = self.schema.primary_key_index()?;
+        self.index_key(pk, &row[pk]).ok().map(|(key, _)| key)
+    }
+
     /// Derives the typed index key for a PK cell, along with the coerced
     /// cell value that must be stored so the row and the index agree.
     ///
@@ -125,14 +180,15 @@ impl TableStore {
 
     /// Inserts a fully-resolved row (one value per column, already coerced).
     /// Fills `AUTO_INCREMENT` when the PK cell is NULL.  Reuses a tombstone
-    /// slot when one is free.
+    /// slot when one is free. A rejected row changes nothing.
     ///
     /// # Errors
     ///
     /// [`DbError::NotNull`] and [`DbError::DuplicateKey`] on constraint
     /// violations; [`DbError::Semantic`] for un-indexable PK values.
-    pub fn insert(&mut self, mut row: Row) -> Result<usize, DbError> {
+    pub fn insert(&mut self, mut row: Row) -> Result<RowUndo, DbError> {
         debug_assert_eq!(row.len(), self.schema.columns.len());
+        let prev_auto_increment = self.next_auto_increment;
         if let Some(pk) = self.schema.primary_key_index() {
             if row[pk].is_null() && self.schema.columns[pk].auto_increment {
                 row[pk] = Value::Int(self.next_auto_increment);
@@ -157,13 +213,18 @@ impl TableStore {
             row[pk] = cell;
             self.pk_index.insert(key, slot);
         }
-        if let Some(reused) = self.free.pop() {
-            self.rows[reused] = Some(row);
+        let reused = self.free.pop().is_some();
+        if reused {
+            self.rows[slot] = Some(row);
         } else {
             self.rows.push(Some(row));
         }
         self.live += 1;
-        Ok(slot)
+        Ok(RowUndo::Inserted {
+            slot,
+            reused,
+            prev_auto_increment,
+        })
     }
 
     /// Appends a row without constraint checks. Only for synthesized
@@ -245,24 +306,24 @@ impl TableStore {
         self.row(self.slot_of(&key)?)
     }
 
-    /// Replaces the row in `slot`.
+    /// Replaces the row in `slot`. A rejected row changes nothing.
     ///
     /// # Errors
     ///
     /// Constraint errors as in [`TableStore::insert`]; `Runtime` if the slot
     /// is dead.
-    pub fn update_slot(&mut self, slot: usize, mut row: Row) -> Result<(), DbError> {
+    pub fn update_slot(&mut self, slot: usize, mut row: Row) -> Result<RowUndo, DbError> {
         for (i, col) in self.schema.columns.iter().enumerate() {
             if col.not_null && row[i].is_null() {
                 return Err(DbError::NotNull(col.name.clone()));
             }
         }
-        let old_pk_value = match self.rows.get(slot).and_then(Option::as_ref) {
-            Some(old) => self.schema.primary_key_index().map(|pk| old[pk].clone()),
-            None => return Err(DbError::Runtime(format!("update of dead slot {slot}"))),
+        let Some(old) = self.row(slot) else {
+            return Err(DbError::Runtime(format!("update of dead slot {slot}")));
         };
-        if let (Some(pk), Some(old_value)) = (self.schema.primary_key_index(), old_pk_value) {
-            let (old_key, _) = self.index_key(pk, &old_value)?;
+        let prev_auto_increment = self.next_auto_increment;
+        if let Some(pk) = self.schema.primary_key_index() {
+            let (old_key, _) = self.index_key(pk, &old[pk])?;
             let (new_key, cell) = self.index_key(pk, &row[pk])?;
             if old_key != new_key {
                 if self.pk_index.contains_key(&new_key) {
@@ -280,24 +341,81 @@ impl TableStore {
             }
             row[pk] = cell;
         }
-        match self.rows.get_mut(slot).and_then(Option::as_mut) {
-            Some(cell) => *cell = row,
-            None => return Err(DbError::Runtime(format!("update of dead slot {slot}"))),
-        }
-        Ok(())
+        let old = self.rows[slot]
+            .replace(row)
+            .expect("the slot was live a moment ago");
+        Ok(RowUndo::Updated {
+            slot,
+            old,
+            prev_auto_increment,
+        })
     }
 
-    /// Deletes the row in `slot` (no-op when already dead) and reclaims the
-    /// slot for future inserts.
-    pub fn delete_slot(&mut self, slot: usize) {
-        if let Some(row) = self.rows.get_mut(slot).and_then(Option::take) {
-            if let Some(pk) = self.schema.primary_key_index() {
-                if let Ok((key, _)) = self.index_key(pk, &row[pk]) {
+    /// Deletes the row in `slot` and reclaims the slot for future inserts;
+    /// `None` (and no change) when the slot is already dead.
+    #[must_use = "a mutation whose undo record is dropped cannot be rolled back"]
+    pub fn delete_slot(&mut self, slot: usize) -> Option<RowUndo> {
+        let old = self.rows.get_mut(slot)?.take()?;
+        if let Some(key) = self.stored_key(&old) {
+            self.pk_index.remove(&key);
+        }
+        self.live -= 1;
+        self.free.push(slot);
+        Some(RowUndo::Deleted { slot, old })
+    }
+
+    /// Reverses one mutation. Records must come back in the reverse of the
+    /// order the mutators handed them out, with no other mutation in
+    /// between: an append is undone by popping the last slot, a free-list
+    /// pop by pushing the slot back, and both are only the inverse while
+    /// the table is in the state the mutation left it in.
+    pub fn undo(&mut self, op: RowUndo) {
+        match op {
+            RowUndo::Inserted {
+                slot,
+                reused,
+                prev_auto_increment,
+            } => {
+                let row = if reused {
+                    self.free.push(slot);
+                    self.rows[slot].take()
+                } else {
+                    debug_assert_eq!(slot + 1, self.rows.len());
+                    self.rows.pop().flatten()
+                }
+                .expect("an inserted row is undone while it is still there");
+                if let Some(key) = self.stored_key(&row) {
                     self.pk_index.remove(&key);
                 }
+                self.live -= 1;
+                self.next_auto_increment = prev_auto_increment;
             }
-            self.live -= 1;
-            self.free.push(slot);
+            RowUndo::Updated {
+                slot,
+                old,
+                prev_auto_increment,
+            } => {
+                let old_key = self.stored_key(&old);
+                let new = self.rows[slot]
+                    .replace(old)
+                    .expect("an updated row is undone while it is still there");
+                if let (Some(new_key), Some(old_key)) = (self.stored_key(&new), old_key) {
+                    if new_key != old_key {
+                        self.pk_index.remove(&new_key);
+                        self.pk_index.insert(old_key, slot);
+                    }
+                }
+                self.next_auto_increment = prev_auto_increment;
+            }
+            RowUndo::Deleted { slot, old } => {
+                let freed = self.free.pop();
+                debug_assert_eq!(freed, Some(slot));
+                if let Some(key) = self.stored_key(&old) {
+                    self.pk_index.insert(key, slot);
+                }
+                self.rows[slot] = Some(old);
+                self.live += 1;
+            }
         }
     }
 
@@ -327,10 +445,71 @@ impl TableStore {
     ) -> Result<Self, DbError> {
         let mut store = TableStore::new(schema);
         for row in rows {
-            store.insert(row)?;
+            // A store under construction has nothing to roll back to.
+            let _ = store.insert(row)?;
         }
         store.next_auto_increment = store.next_auto_increment.max(next_auto_increment);
         Ok(store)
+    }
+}
+
+/// One reversible step of an [`UndoLog`].
+#[derive(Debug)]
+enum UndoEntry {
+    /// Row mutations of one statement on one table, oldest first.
+    Rows { table: String, ops: Vec<RowUndo> },
+    /// `CREATE TABLE` added the table.
+    Created { table: String },
+    /// `DROP TABLE` removed the table; the log keeps its storage alive.
+    Dropped {
+        table: String,
+        store: Arc<TableStore>,
+    },
+}
+
+/// The effects of the statements executed so far, in execution order, in
+/// the form [`Database::rollback`] reverses them. A position in the log
+/// ([`UndoLog::mark`], taken between statements) is a rollback point;
+/// dropping the log commits.
+#[derive(Debug, Default)]
+pub struct UndoLog {
+    entries: Vec<UndoEntry>,
+}
+
+impl UndoLog {
+    /// An empty log (allocates nothing until a statement writes).
+    #[must_use]
+    pub fn new() -> Self {
+        UndoLog::default()
+    }
+
+    /// The current end of the log: what [`Database::rollback`] takes to
+    /// undo everything recorded from here on.
+    #[must_use]
+    pub fn mark(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Opens the record of one statement's row mutations on `table`.
+    fn rows(&mut self, table: &str) -> &mut Vec<RowUndo> {
+        self.entries.push(UndoEntry::Rows {
+            table: table.to_string(),
+            ops: Vec::new(),
+        });
+        match self.entries.last_mut() {
+            Some(UndoEntry::Rows { ops, .. }) => ops,
+            _ => unreachable!("pushed on the line above"),
+        }
+    }
+}
+
+/// The map key of a table name: the name itself when it is already lower
+/// case (what the parser's callers mostly send), a folded copy otherwise.
+fn table_key(name: &str) -> Cow<'_, str> {
+    if name.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(name.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(name)
     }
 }
 
@@ -344,6 +523,9 @@ impl TableStore {
 #[derive(Debug, Clone, Default)]
 pub struct Database {
     tables: HashMap<String, Arc<TableStore>>,
+    /// [`Database::table_mut`] calls that found the table shared with a
+    /// snapshot and deep-copied it.
+    cow_table_copies: u64,
 }
 
 impl Database {
@@ -355,13 +537,15 @@ impl Database {
 
     /// A copy-on-write snapshot: cheap epoch clone sharing all table
     /// storage with `self`.  Mutating either side copies only the touched
-    /// tables (MVCC snapshot isolation for readers and transactions).
+    /// tables (MVCC snapshot isolation for the reads of a transaction).
+    /// While a snapshot is alive, the first write to each table it shares
+    /// costs O(table); a rollback point is an [`UndoLog::mark`] instead.
     #[must_use]
     pub fn snapshot(&self) -> Database {
         self.clone()
     }
 
-    /// Creates a table.
+    /// Creates a table, recording it in `undo`.
     ///
     /// # Errors
     ///
@@ -370,6 +554,7 @@ impl Database {
         &mut self,
         schema: TableSchema,
         if_not_exists: bool,
+        undo: &mut UndoLog,
     ) -> Result<bool, DbError> {
         let key = schema.name.clone();
         if self.tables.contains_key(&key) {
@@ -378,6 +563,7 @@ impl Database {
             }
             return Err(DbError::TableExists(key));
         }
+        undo.entries.push(UndoEntry::Created { table: key.clone() });
         self.tables.insert(key, Arc::new(TableStore::new(schema)));
         Ok(true)
     }
@@ -388,20 +574,60 @@ impl Database {
             .insert(store.schema.name.clone(), Arc::new(store));
     }
 
-    /// Drops a table.
+    /// Drops a table, handing its storage to `undo`.
     ///
     /// # Errors
     ///
     /// [`DbError::UnknownTable`] unless `if_exists`.
-    pub fn drop_table(&mut self, name: &str, if_exists: bool) -> Result<bool, DbError> {
-        let key = name.to_ascii_lowercase();
-        if self.tables.remove(&key).is_none() {
-            if if_exists {
-                return Ok(false);
+    pub fn drop_table(
+        &mut self,
+        name: &str,
+        if_exists: bool,
+        undo: &mut UndoLog,
+    ) -> Result<bool, DbError> {
+        match self.tables.remove_entry(table_key(name).as_ref()) {
+            Some((table, store)) => {
+                undo.entries.push(UndoEntry::Dropped { table, store });
+                Ok(true)
             }
-            return Err(DbError::UnknownTable(name.to_string()));
+            None if if_exists => Ok(false),
+            None => Err(DbError::UnknownTable(name.to_string())),
         }
-        Ok(true)
+    }
+
+    /// Undoes everything `undo` recorded after `mark`, newest first, and
+    /// returns how many steps (row mutations, creates, drops) that was.
+    /// The database is then physically what it was when the mark was
+    /// taken (see the module docs for why "physically"). Must run before
+    /// anything else writes to the database: the caller holds the same
+    /// exclusive access it executed under.
+    pub fn rollback(&mut self, undo: &mut UndoLog, mark: usize) -> usize {
+        let mut steps = 0;
+        while undo.entries.len() > mark {
+            let Some(entry) = undo.entries.pop() else {
+                break;
+            };
+            match entry {
+                UndoEntry::Rows { table, ops } => {
+                    let store = self
+                        .table_mut(&table)
+                        .expect("every later create or drop of the table is already undone");
+                    steps += ops.len();
+                    for op in ops.into_iter().rev() {
+                        store.undo(op);
+                    }
+                }
+                UndoEntry::Created { table } => {
+                    self.tables.remove(&table);
+                    steps += 1;
+                }
+                UndoEntry::Dropped { table, store } => {
+                    self.tables.insert(table, store);
+                    steps += 1;
+                }
+            }
+        }
+        steps
     }
 
     /// Immutable table lookup.
@@ -411,28 +637,59 @@ impl Database {
     /// [`DbError::UnknownTable`] when absent.
     pub fn table(&self, name: &str) -> Result<&TableStore, DbError> {
         self.tables
-            .get(&name.to_ascii_lowercase())
+            .get(table_key(name).as_ref())
             .map(Arc::as_ref)
             .ok_or_else(|| DbError::UnknownTable(name.to_string()))
     }
 
-    /// Mutable table lookup; copies-on-write when the table's storage is
-    /// shared with a snapshot.
+    /// Mutable table lookup; copies-on-write (and counts the copy) when
+    /// the table's storage is shared with a snapshot.
     ///
     /// # Errors
     ///
     /// [`DbError::UnknownTable`] when absent.
     pub fn table_mut(&mut self, name: &str) -> Result<&mut TableStore, DbError> {
-        self.tables
-            .get_mut(&name.to_ascii_lowercase())
-            .map(Arc::make_mut)
-            .ok_or_else(|| DbError::UnknownTable(name.to_string()))
+        let shared = self
+            .tables
+            .get_mut(table_key(name).as_ref())
+            .ok_or_else(|| DbError::UnknownTable(name.to_string()))?;
+        if Arc::get_mut(shared).is_none() {
+            self.cow_table_copies += 1;
+        }
+        Ok(Arc::make_mut(shared))
+    }
+
+    /// [`Database::table_mut`] for a statement about to change rows: the
+    /// table, and the statement's record in `undo`, onto which the caller
+    /// pushes each [`RowUndo`] as the mutator hands it back — so a
+    /// statement that fails on its k-th row has logged the k-1 before it.
+    ///
+    /// # Errors
+    ///
+    /// [`DbError::UnknownTable`] when absent.
+    pub fn write_table<'a>(
+        &'a mut self,
+        name: &str,
+        undo: &'a mut UndoLog,
+    ) -> Result<(&'a mut TableStore, &'a mut Vec<RowUndo>), DbError> {
+        let store = self.table_mut(name)?;
+        let log = undo.rows(&store.schema.name);
+        Ok((store, log))
+    }
+
+    /// How many [`Database::table_mut`] calls have deep-copied a table
+    /// because a snapshot still shared it. A snapshot starts from its
+    /// source's count, so a caller reports the difference across the
+    /// calls it made.
+    #[must_use]
+    pub fn cow_table_copies(&self) -> u64 {
+        self.cow_table_copies
     }
 
     /// True when the table exists.
     #[must_use]
     pub fn has_table(&self, name: &str) -> bool {
-        self.tables.contains_key(&name.to_ascii_lowercase())
+        self.tables.contains_key(table_key(name).as_ref())
     }
 
     /// Names of all tables (unordered).
@@ -529,15 +786,12 @@ impl Database {
     /// # Errors
     ///
     /// [`DbError::UnknownTable`] when neither exists.
-    pub fn table_or_virtual(
-        &self,
-        name: &str,
-    ) -> Result<std::borrow::Cow<'_, TableStore>, DbError> {
+    pub fn table_or_virtual(&self, name: &str) -> Result<Cow<'_, TableStore>, DbError> {
         if let Ok(store) = self.table(name) {
-            return Ok(std::borrow::Cow::Borrowed(store));
+            return Ok(Cow::Borrowed(store));
         }
         self.virtual_table(name)
-            .map(std::borrow::Cow::Owned)
+            .map(Cow::Owned)
             .ok_or_else(|| DbError::UnknownTable(name.to_string()))
     }
 
@@ -581,6 +835,11 @@ mod tests {
         )
     }
 
+    /// Inserts and returns the slot; these tests never roll back.
+    fn put(t: &mut TableStore, row: Row) -> usize {
+        t.insert(row).unwrap().slot()
+    }
+
     fn tokens_schema() -> TableSchema {
         TableSchema::new(
             "tokens",
@@ -608,8 +867,8 @@ mod tests {
     #[test]
     fn auto_increment_fills_null_pk() {
         let mut t = TableStore::new(users_schema());
-        t.insert(vec![Value::Null, Value::from("a")]).unwrap();
-        t.insert(vec![Value::Null, Value::from("b")]).unwrap();
+        put(&mut t, vec![Value::Null, Value::from("a")]);
+        put(&mut t, vec![Value::Null, Value::from("b")]);
         assert_eq!(t.get_by_pk(1).unwrap()[1], Value::from("a"));
         assert_eq!(t.get_by_pk(2).unwrap()[1], Value::from("b"));
     }
@@ -617,15 +876,15 @@ mod tests {
     #[test]
     fn explicit_pk_advances_auto_increment() {
         let mut t = TableStore::new(users_schema());
-        t.insert(vec![Value::Int(10), Value::from("x")]).unwrap();
-        t.insert(vec![Value::Null, Value::from("y")]).unwrap();
+        put(&mut t, vec![Value::Int(10), Value::from("x")]);
+        put(&mut t, vec![Value::Null, Value::from("y")]);
         assert!(t.get_by_pk(11).is_some());
     }
 
     #[test]
     fn duplicate_pk_rejected() {
         let mut t = TableStore::new(users_schema());
-        t.insert(vec![Value::Int(1), Value::from("x")]).unwrap();
+        put(&mut t, vec![Value::Int(1), Value::from("x")]);
         let err = t.insert(vec![Value::Int(1), Value::from("y")]).unwrap_err();
         assert!(matches!(err, DbError::DuplicateKey(_)));
     }
@@ -640,23 +899,25 @@ mod tests {
     #[test]
     fn delete_and_update() {
         let mut t = TableStore::new(users_schema());
-        let slot = t.insert(vec![Value::Null, Value::from("a")]).unwrap();
-        t.update_slot(slot, vec![Value::Int(1), Value::from("z")])
+        let slot = put(&mut t, vec![Value::Null, Value::from("a")]);
+        let _ = t
+            .update_slot(slot, vec![Value::Int(1), Value::from("z")])
             .unwrap();
         assert_eq!(t.get_by_pk(1).unwrap()[1], Value::from("z"));
-        t.delete_slot(slot);
+        let _ = t.delete_slot(slot);
         assert!(t.is_empty());
         assert!(t.get_by_pk(1).is_none());
         // Deleting again is a no-op.
-        t.delete_slot(slot);
+        let _ = t.delete_slot(slot);
         assert_eq!(t.len(), 0);
     }
 
     #[test]
     fn pk_reindex_on_update() {
         let mut t = TableStore::new(users_schema());
-        let slot = t.insert(vec![Value::Int(5), Value::from("a")]).unwrap();
-        t.update_slot(slot, vec![Value::Int(9), Value::from("a")])
+        let slot = put(&mut t, vec![Value::Int(5), Value::from("a")]);
+        let _ = t
+            .update_slot(slot, vec![Value::Int(9), Value::from("a")])
             .unwrap();
         assert!(t.get_by_pk(5).is_none());
         assert!(t.get_by_pk(9).is_some());
@@ -668,10 +929,10 @@ mod tests {
     #[test]
     fn deleted_slots_are_reclaimed() {
         let mut t = TableStore::new(users_schema());
-        let keep = t.insert(vec![Value::Null, Value::from("keep")]).unwrap();
+        let keep = put(&mut t, vec![Value::Null, Value::from("keep")]);
         for _ in 0..10_000 {
-            let slot = t.insert(vec![Value::Null, Value::from("churn")]).unwrap();
-            t.delete_slot(slot);
+            let slot = put(&mut t, vec![Value::Null, Value::from("churn")]);
+            let _ = t.delete_slot(slot);
         }
         assert_eq!(t.len(), 1);
         assert!(
@@ -682,7 +943,7 @@ mod tests {
         assert!(t.rows[keep].is_some());
         assert_eq!(t.scan().count(), 1);
         // The next insert reuses a reclaimed slot instead of growing.
-        let slot = t.insert(vec![Value::Null, Value::from("after")]).unwrap();
+        let slot = put(&mut t, vec![Value::Null, Value::from("after")]);
         assert!(
             slot <= 2,
             "tombstones never reclaimed: new row landed at slot {slot}"
@@ -695,11 +956,13 @@ mod tests {
     #[test]
     fn update_advances_auto_increment() {
         let mut t = TableStore::new(users_schema());
-        let slot = t.insert(vec![Value::Null, Value::from("a")]).unwrap(); // id=1
-        t.update_slot(slot, vec![Value::Int(10), Value::from("a")])
+        let slot = put(&mut t, vec![Value::Null, Value::from("a")]); // id=1
+        let _ = t
+            .update_slot(slot, vec![Value::Int(10), Value::from("a")])
             .unwrap();
         for i in 0..9 {
-            t.insert(vec![Value::Null, Value::from("b")])
+            let _ = t
+                .insert(vec![Value::Null, Value::from("b")])
                 .unwrap_or_else(|e| panic!("auto-inc insert {i} collided with moved row: {e}"));
         }
         assert!(t.get_by_pk(10).is_some(), "moved row lost");
@@ -712,9 +975,9 @@ mod tests {
     #[test]
     fn distinct_string_pks_do_not_collide() {
         let mut t = TableStore::new(tokens_schema());
-        t.insert(vec![Value::from("alice"), Value::from("a")])
-            .unwrap();
-        t.insert(vec![Value::from("bob"), Value::from("b")])
+        put(&mut t, vec![Value::from("alice"), Value::from("a")]);
+        let _ = t
+            .insert(vec![Value::from("bob"), Value::from("b")])
             .unwrap_or_else(|e| panic!("distinct string PKs collided: {e}"));
         assert_eq!(t.len(), 2);
         let row = t.get_by_pk_value(&Value::from("bob")).unwrap();
@@ -728,8 +991,7 @@ mod tests {
     #[test]
     fn string_pk_not_reachable_via_bogus_integer_key() {
         let mut t = TableStore::new(tokens_schema());
-        t.insert(vec![Value::from("alice"), Value::from("a")])
-            .unwrap();
+        put(&mut t, vec![Value::from("alice"), Value::from("a")]);
         assert!(
             t.get_by_pk(0).is_none(),
             "string PK leaked into the integer keyspace"
@@ -740,8 +1002,7 @@ mod tests {
     #[test]
     fn duplicate_string_pk_rejected_case_insensitively() {
         let mut t = TableStore::new(tokens_schema());
-        t.insert(vec![Value::from("alice"), Value::from("a")])
-            .unwrap();
+        put(&mut t, vec![Value::from("alice"), Value::from("a")]);
         let err = t
             .insert(vec![Value::from("ALICE"), Value::from("b")])
             .unwrap_err();
@@ -772,7 +1033,7 @@ mod tests {
     fn integer_pk_cell_is_coerced_before_indexing() {
         let mut t = TableStore::new(users_schema());
         // A direct insert of a stringly-typed key coerces through INT.
-        t.insert(vec![Value::from("7"), Value::from("x")]).unwrap();
+        put(&mut t, vec![Value::from("7"), Value::from("x")]);
         assert_eq!(t.get_by_pk(7).unwrap()[0], Value::Int(7));
         assert!(t.get_by_pk_value(&Value::from("7")).is_some());
     }
@@ -780,9 +1041,9 @@ mod tests {
     #[test]
     fn snapshot_restore_roundtrip() {
         let mut t = TableStore::new(users_schema());
-        t.insert(vec![Value::Null, Value::from("a")]).unwrap();
-        let slot = t.insert(vec![Value::Null, Value::from("b")]).unwrap();
-        t.delete_slot(slot);
+        put(&mut t, vec![Value::Null, Value::from("a")]);
+        let slot = put(&mut t, vec![Value::Null, Value::from("b")]);
+        let _ = t.delete_slot(slot);
         let restored =
             TableStore::restore(t.schema.clone(), t.rows_snapshot(), t.next_auto_increment())
                 .unwrap();
@@ -795,7 +1056,8 @@ mod tests {
     #[test]
     fn information_schema_views() {
         let mut db = Database::new();
-        db.create_table(users_schema(), false).unwrap();
+        db.create_table(users_schema(), false, &mut UndoLog::new())
+            .unwrap();
         let tables = db.virtual_table("information_schema.tables").unwrap();
         assert_eq!(tables.len(), 1);
         let (_, row) = tables.scan().next().unwrap();
@@ -811,17 +1073,18 @@ mod tests {
     #[test]
     fn database_create_drop() {
         let mut db = Database::new();
-        assert!(db.create_table(users_schema(), false).unwrap());
-        assert!(!db.create_table(users_schema(), true).unwrap());
+        let undo = &mut UndoLog::new();
+        assert!(db.create_table(users_schema(), false, undo).unwrap());
+        assert!(!db.create_table(users_schema(), true, undo).unwrap());
         assert!(matches!(
-            db.create_table(users_schema(), false),
+            db.create_table(users_schema(), false, undo),
             Err(DbError::TableExists(_))
         ));
         assert!(db.has_table("USERS"));
-        assert!(db.drop_table("users", false).unwrap());
-        assert!(!db.drop_table("users", true).unwrap());
+        assert!(db.drop_table("Users", false, undo).unwrap());
+        assert!(!db.drop_table("users", true, undo).unwrap());
         assert!(matches!(
-            db.drop_table("users", false),
+            db.drop_table("users", false, undo),
             Err(DbError::UnknownTable(_))
         ));
     }
@@ -831,19 +1094,125 @@ mod tests {
     #[test]
     fn snapshot_is_isolated_from_later_writes() {
         let mut db = Database::new();
-        db.create_table(users_schema(), false).unwrap();
-        db.table_mut("users")
-            .unwrap()
-            .insert(vec![Value::Null, Value::from("a")])
-            .unwrap();
+        let undo = &mut UndoLog::new();
+        db.create_table(users_schema(), false, undo).unwrap();
+        put(
+            db.table_mut("users").unwrap(),
+            vec![Value::Null, Value::from("a")],
+        );
+        assert_eq!(db.cow_table_copies(), 0, "nothing shares the table yet");
         let snap = db.snapshot();
-        db.table_mut("users")
-            .unwrap()
-            .insert(vec![Value::Null, Value::from("b")])
-            .unwrap();
-        db.create_table(tokens_schema(), false).unwrap();
+        put(
+            db.table_mut("users").unwrap(),
+            vec![Value::Null, Value::from("b")],
+        );
+        put(
+            db.table_mut("USERS").unwrap(),
+            vec![Value::Null, Value::from("c")],
+        );
+        assert_eq!(db.cow_table_copies(), 1, "one copy per snapshot per table");
+        db.create_table(tokens_schema(), false, undo).unwrap();
         assert_eq!(snap.table("users").unwrap().len(), 1);
-        assert_eq!(db.table("users").unwrap().len(), 2);
+        assert_eq!(db.table("users").unwrap().len(), 3);
         assert!(!snap.has_table("tokens"));
+    }
+
+    // The undo tests compare `Debug` text: rows with their tombstones, the
+    // free-list in order, the index and the cursor, not just the live rows.
+    // Each names the hand-mutation of `TableStore::undo` /
+    // `Database::rollback` it exists to fail.
+
+    /// A table with three rows of which the middle one is deleted, so the
+    /// free-list is non-empty and the cursor is ahead of the live keys.
+    fn churned() -> TableStore {
+        let mut t = TableStore::new(users_schema());
+        for name in ["a", "b", "c"] {
+            put(&mut t, vec![Value::Null, Value::from(name)]);
+        }
+        let _ = t.delete_slot(1);
+        t
+    }
+
+    // Fails when undo skips `next_auto_increment = prev_auto_increment`.
+    #[test]
+    fn undo_restores_the_auto_increment_cursor() {
+        let mut t = churned();
+        let before = format!("{t:?}");
+        let inserted = t.insert(vec![Value::Int(40), Value::from("x")]).unwrap();
+        assert_eq!(t.next_auto_increment(), 41);
+        let moved = t
+            .update_slot(0, vec![Value::Int(90), Value::from("a")])
+            .unwrap();
+        assert_eq!(t.next_auto_increment(), 91);
+        t.undo(moved);
+        assert_eq!(t.next_auto_increment(), 41);
+        assert!(t.get_by_pk(90).is_none() && t.get_by_pk(1).is_some());
+        t.undo(inserted);
+        assert_eq!(format!("{t:?}"), before);
+    }
+
+    // Fails when undoing an insert into a reused slot pops `rows` (the
+    // slot is in the middle) or does not push the slot back on the
+    // free-list (the next insert would then append instead of reusing it).
+    #[test]
+    fn undo_of_an_insert_into_a_reused_slot_restores_the_free_list() {
+        let mut t = churned();
+        let before = format!("{t:?}");
+        let reused = t.insert(vec![Value::Null, Value::from("x")]).unwrap();
+        assert_eq!(reused.slot(), 1, "the tombstone is reused");
+        let appended = t.insert(vec![Value::Null, Value::from("y")]).unwrap();
+        assert_eq!(appended.slot(), 3);
+        t.undo(appended);
+        t.undo(reused);
+        assert_eq!(format!("{t:?}"), before);
+        assert_eq!(t.physical_slots(), 3);
+        assert_eq!(put(&mut t, vec![Value::Null, Value::from("z")]), 1);
+    }
+
+    #[test]
+    fn undo_of_a_delete_revives_the_row_in_its_slot() {
+        let mut t = churned();
+        let before = format!("{t:?}");
+        let deleted = t.delete_slot(2).expect("slot 2 is live");
+        assert!(t.delete_slot(2).is_none(), "a dead slot hands nothing back");
+        t.undo(deleted);
+        assert_eq!(format!("{t:?}"), before);
+        assert_eq!(t.get_by_pk(3).unwrap()[1], Value::from("c"));
+    }
+
+    // Fails when `Database::rollback` replays the log oldest-first: the
+    // delete's row must be back in its slot before the insert that put it
+    // there can be undone.
+    #[test]
+    fn rollback_replays_in_reverse_order() {
+        let mut db = Database::new();
+        db.create_table(users_schema(), false, &mut UndoLog::new())
+            .unwrap();
+        put(
+            db.table_mut("users").unwrap(),
+            vec![Value::Null, Value::from("kept")],
+        );
+        let before = format!("{db:?}");
+        let mut undo = UndoLog::new();
+        let first = undo.mark();
+        let t = db.table_mut("users").unwrap();
+        let inserted = t.insert(vec![Value::Null, Value::from("x")]).unwrap();
+        let slot = inserted.slot();
+        undo.rows("users").push(inserted);
+        let second = undo.mark();
+        let log = undo.rows("users");
+        log.extend(t.delete_slot(slot));
+        log.push(t.insert(vec![Value::Int(9), Value::from("y")]).unwrap());
+        db.drop_table("users", false, &mut undo).unwrap();
+        db.create_table(tokens_schema(), false, &mut undo).unwrap();
+        // Back to the second statement's start: the table is back, row x
+        // is live again, row y and `tokens` are gone.
+        assert_eq!(db.rollback(&mut undo, second), 4);
+        assert!(!db.has_table("tokens"));
+        assert_eq!(db.table("users").unwrap().len(), 2);
+        assert!(db.table("users").unwrap().get_by_pk(9).is_none());
+        assert_eq!(db.rollback(&mut undo, first), 1);
+        assert_eq!(format!("{db:?}"), before);
+        assert_eq!(db.rollback(&mut undo, first), 0, "nothing left to undo");
     }
 }

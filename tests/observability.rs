@@ -231,3 +231,39 @@ fn every_attack_surface_agrees_after_mixed_traffic() {
     );
     assert_eq!(conn.session_stats().queries_blocked, total);
 }
+
+#[test]
+fn write_path_counters_appear_on_status_and_the_export() {
+    // One table copy (a write beside an open transaction's snapshot) and
+    // one statement rollback (a multi-row INSERT dying on its second row).
+    let server = Server::new();
+    let conn = server.connect();
+    conn.execute("CREATE TABLE t (id INT PRIMARY KEY)")
+        .expect("create");
+    let reader = server.connect();
+    reader.execute("BEGIN").expect("begin");
+    conn.execute("INSERT INTO t (id) VALUES (1)")
+        .expect("insert");
+    conn.execute("INSERT INTO t (id) VALUES (2), (1)")
+        .expect_err("duplicate key");
+
+    let status = conn.query("SHOW SEPTIC STATUS").expect("status");
+    let series = parse_prometheus(&server.prometheus()).expect("export parses");
+    for (name, expected) in [
+        ("dbms_cow_table_copies_total", 1),
+        ("dbms_statement_rollbacks_total{reason=\"statement\"}", 1),
+        ("dbms_statement_rollbacks_total{reason=\"log_failure\"}", 0),
+        ("dbms_statement_rollbacks_total{reason=\"txn_conflict\"}", 0),
+    ] {
+        assert_eq!(
+            status_value(&status.rows, name),
+            Some(expected.to_string()),
+            "status row {name}"
+        );
+        assert_eq!(
+            series.get(name).copied(),
+            Some(f64::from(expected)),
+            "series {name}"
+        );
+    }
+}

@@ -1,0 +1,492 @@
+//! Statement rollback by undo log (`dbms::storage::UndoLog`): a failed
+//! statement, a refused WAL append and an aborted `COMMIT` must each leave
+//! the database *physically* as it was — slot order, tombstones,
+//! free-list, index, auto-increment cursor — and an autocommit write must
+//! copy no table.
+//!
+//! Hand-mutations this file (with the unit tests in `dbms/src/storage.rs`)
+//! exists to fail; each test names its own below:
+//!
+//! | mutation | fails |
+//! |---|---|
+//! | `Database::rollback` / `TableStore::undo` replay oldest-first | `undo_log_matches_snapshot_restore`, `storage::rollback_replays_in_reverse_order` |
+//! | undo does not restore `next_auto_increment` | `undo_log_matches_snapshot_restore`, `storage::undo_restores_the_auto_increment_cursor` |
+//! | an insert into a reused slot is undone with `rows.pop()`, or without re-pushing the slot on the free-list | `undo_log_matches_snapshot_restore`, `storage::undo_of_an_insert_into_a_reused_slot_restores_the_free_list` |
+//! | `execute_autocommit` / `commit_txn` skip the rollback when `log_commit` fails | `refused_append_undoes_the_whole_call`, `refused_append_undoes_the_commit` |
+//! | the in-transaction error path skips the undo | `failed_statement_in_a_transaction_leaves_its_snapshot_untouched`, `server::failed_statement_inside_txn_is_atomic` |
+
+use std::sync::Arc;
+
+use proptest::prelude::*;
+use septic_faults::{Fault, FaultyIo, IoOp};
+use septic_repro::dbms::{
+    execute_logged, execute_with, Database, DbError, MemIo, QueryOutput, Server, ServerConfig,
+    StorageIo, UndoLog, WalConfig,
+};
+use septic_repro::sql::{parse, Statement};
+
+const NOW: i64 = 1_000;
+
+/// The physical state of a database: every table's rows with their
+/// tombstones, free-list, index and cursor.
+fn physical(db: &Database) -> String {
+    format!("{:?}", db.tables_sorted())
+}
+
+fn statement(sql: &str) -> Statement {
+    let mut parsed = parse(sql).unwrap_or_else(|e| panic!("parse `{sql}`: {e}"));
+    assert_eq!(parsed.statements.len(), 1, "one statement per string");
+    parsed.statements.remove(0)
+}
+
+/// What a client can tell two executions apart by.
+fn visible(result: &Result<QueryOutput, DbError>) -> String {
+    match result {
+        Ok(out) => format!("ok {} {:?}", out.affected, out.last_insert_id),
+        Err(e) => format!("err {e}"),
+    }
+}
+
+// ---------------------------------------------------------------------------
+// (a) the undo log against the algorithm it replaced
+// ---------------------------------------------------------------------------
+
+const SCHEMA: [&str; 2] = [
+    "CREATE TABLE a (id INT PRIMARY KEY AUTO_INCREMENT, v VARCHAR(8) NOT NULL, n INT)",
+    "CREATE TABLE b (k VARCHAR(8) PRIMARY KEY, n INT)",
+];
+
+/// One client call: up to three stacked statements, and whether the WAL
+/// refuses the call's commit.
+#[derive(Debug)]
+struct Call {
+    statements: Vec<String>,
+    log_fails: bool,
+}
+
+/// A random statement over `a` (integer auto-increment key), `b` (string
+/// key) and the come-and-go table `c`, biased towards statements that fail
+/// part-way: duplicate keys and `NULL` into `NOT NULL` in a late row,
+/// re-keying updates that collide on their second row.
+fn random_statement(rng: &mut TestRng) -> String {
+    let small = |rng: &mut TestRng| rng.below(12) + 1;
+    match rng.below(14) {
+        0..=2 => {
+            let rows: Vec<String> = (0..=rng.below(4))
+                .map(|_| {
+                    let id = if rng.below(3) == 0 {
+                        small(rng).to_string()
+                    } else {
+                        "NULL".to_string()
+                    };
+                    let v = if rng.below(8) == 0 { "NULL" } else { "'x'" };
+                    format!("({id}, {v}, {})", rng.below(5))
+                })
+                .collect();
+            format!("INSERT INTO a (id, v, n) VALUES {}", rows.join(", "))
+        }
+        3 | 4 => {
+            let rows: Vec<String> = (0..=rng.below(3))
+                .map(|_| {
+                    let k = *rng.pick(&["'p'", "'q'", "'r'", "'s'", "'P'", "'t'", "NULL"]);
+                    format!("({k}, {})", rng.below(5))
+                })
+                .collect();
+            format!("INSERT INTO b (k, n) VALUES {}", rows.join(", "))
+        }
+        5 => format!("UPDATE a SET id = id + {}", small(rng)),
+        6 => format!("UPDATE a SET id = {} WHERE n < 3", small(rng)),
+        7 => format!(
+            "UPDATE a SET n = n + 1, v = {} WHERE id > {} LIMIT {}",
+            rng.pick(&["'y'", "'z'", "NULL"]),
+            rng.below(6),
+            small(rng)
+        ),
+        8 => format!(
+            "UPDATE b SET k = {} WHERE n >= {}",
+            rng.pick(&["'p'", "'u'"]),
+            rng.below(4)
+        ),
+        9 => format!(
+            "DELETE FROM a WHERE n = {} LIMIT {}",
+            rng.below(5),
+            small(rng)
+        ),
+        10 => (*rng.pick(&[
+            "DELETE FROM b LIMIT 1",
+            "DELETE FROM a WHERE id % 2 = 0",
+            "DELETE FROM a LIMIT 2",
+            "DELETE FROM b WHERE n > 9",
+        ]))
+        .to_string(),
+        11 => (*rng.pick(&[
+            "INSERT INTO a (v, n) SELECT k, n FROM b",
+            "INSERT INTO b (k, n) SELECT v, id FROM a",
+            "INSERT INTO b (k, n) SELECT 'w', id FROM a WHERE id > 3",
+            "INSERT INTO a (id, v, n) SELECT n, k, n FROM b",
+            "INSERT INTO c (id, v) SELECT id, v FROM a",
+        ]))
+        .to_string(),
+        12 => (*rng.pick(&[
+            "CREATE TABLE c (id INT PRIMARY KEY, v VARCHAR(8))",
+            "CREATE TABLE IF NOT EXISTS c (id INT PRIMARY KEY, v VARCHAR(8))",
+            "DROP TABLE c",
+            "DROP TABLE IF EXISTS c",
+        ]))
+        .to_string(),
+        // Re-creation is twice as likely as the drop, so `a` and `b` are
+        // there for most of a script.
+        _ => (*rng.pick(&[
+            "DROP TABLE a",
+            SCHEMA[0],
+            SCHEMA[0],
+            "DROP TABLE b",
+            SCHEMA[1],
+            SCHEMA[1],
+        ]))
+        .to_string(),
+    }
+}
+
+fn random_script() -> impl Strategy<Value = Vec<Call>> {
+    fn_strategy(|rng| {
+        (0..4 + rng.below(10))
+            .map(|_| Call {
+                statements: (0..=rng.below(3)).map(|_| random_statement(rng)).collect(),
+                log_fails: rng.below(6) == 0,
+            })
+            .collect()
+    })
+}
+
+proptest! {
+    /// The undo path — one log per call, a failed statement rolled back to
+    /// its own mark, a refused commit rolled back to mark 0, exactly as
+    /// `dbms/server.rs` drives it — against the algorithm it replaced,
+    /// kept here as the reference: run each statement on a `snapshot()`
+    /// and adopt the copy on success, restore the call's first snapshot
+    /// when the log refuses. After every statement and every call the two
+    /// databases must be physically equal and the client must have seen
+    /// the same outcome.
+    ///
+    /// Hand-mutations that fail here: forward-order replay, cursor not
+    /// restored, a reused slot undone with `rows.pop()` or not re-pushed
+    /// on the free-list (see the table at the top of the file).
+    #[test]
+    fn undo_log_matches_snapshot_restore(script in random_script()) {
+        let mut undone = Database::new();
+        let mut reference = Database::new();
+        for sql in SCHEMA {
+            execute_with(&mut undone, &statement(sql), NOW, None).expect("schema");
+            execute_with(&mut reference, &statement(sql), NOW, None).expect("schema");
+        }
+        for call in &script {
+            let before_call = reference.snapshot();
+            let mut undo = UndoLog::new();
+            for sql in &call.statements {
+                let stmt = statement(sql);
+
+                let mark = undo.mark();
+                let got = execute_logged(&mut undone, &stmt, NOW, None, &mut undo);
+                if got.is_err() {
+                    undone.rollback(&mut undo, mark);
+                }
+
+                let mut scratch = reference.snapshot();
+                let want = execute_with(&mut scratch, &stmt, NOW, None);
+                if want.is_ok() {
+                    reference = scratch;
+                }
+
+                prop_assert!(
+                    visible(&got) == visible(&want),
+                    "`{sql}`: undo path answered {}, reference {}",
+                    visible(&got),
+                    visible(&want)
+                );
+                prop_assert!(
+                    physical(&undone) == physical(&reference),
+                    "after `{sql}`:\n  undo path {}\n  reference {}",
+                    physical(&undone),
+                    physical(&reference)
+                );
+                if got.is_err() {
+                    break; // the server stops a stacked call at its first error
+                }
+            }
+            if call.log_fails {
+                undone.rollback(&mut undo, 0);
+                reference = before_call;
+                prop_assert!(
+                    physical(&undone) == physical(&reference),
+                    "after a refused commit:\n  undo path {}\n  reference {}",
+                    physical(&undone),
+                    physical(&reference)
+                );
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// (b) how many tables the write path copies
+// ---------------------------------------------------------------------------
+
+fn counter(server: &Server, name: &str) -> u64 {
+    server.metrics().counter(name).get()
+}
+
+fn copies(server: &Server) -> u64 {
+    counter(server, "dbms_cow_table_copies_total")
+}
+
+fn rollbacks(server: &Server, reason: &str) -> u64 {
+    counter(
+        server,
+        &format!("dbms_statement_rollbacks_total{{reason=\"{reason}\"}}"),
+    )
+}
+
+/// 1,000 autocommit writes (insert, update, delete in turn) on `t`.
+fn thousand_writes(conn: &septic_repro::dbms::Connection) {
+    for i in 0..334 {
+        conn.execute(&format!("INSERT INTO t (id, v) VALUES ({}, 'w')", 100 + i))
+            .unwrap();
+        conn.execute(&format!("UPDATE t SET v = 'u' WHERE id = {}", 100 + i))
+            .unwrap();
+        if i < 332 {
+            conn.execute(&format!("DELETE FROM t WHERE id = {}", 100 + i))
+                .unwrap();
+        }
+    }
+}
+
+fn server_with_table() -> Arc<Server> {
+    let server = Server::new();
+    let conn = server.connect();
+    conn.execute("CREATE TABLE t (id INT PRIMARY KEY AUTO_INCREMENT, v VARCHAR(8) NOT NULL)")
+        .unwrap();
+    conn.execute("INSERT INTO t (v) VALUES ('a'), ('b'), ('c')")
+        .unwrap();
+    server
+}
+
+#[test]
+fn autocommit_writes_copy_no_table() {
+    let server = server_with_table();
+    thousand_writes(&server.connect());
+    assert_eq!(copies(&server), 0);
+}
+
+#[test]
+fn writes_beside_an_open_transaction_copy_its_table_once() {
+    let server = server_with_table();
+    let reader = server.connect();
+    reader.execute("BEGIN").unwrap();
+    thousand_writes(&server.connect());
+    assert_eq!(copies(&server), 1, "one copy per open snapshot per table");
+    // Writes that match nothing never take the table mutably.
+    let idle = server.connect();
+    idle.execute("BEGIN").unwrap();
+    let writer = server.connect();
+    writer
+        .execute("UPDATE t SET v = 'n' WHERE id = 9999")
+        .unwrap();
+    writer.execute("DELETE FROM t WHERE id = 9999").unwrap();
+    assert_eq!(copies(&server), 1, "a no-op write copied the table");
+    // The transaction still reads the table as it was at BEGIN.
+    let seen = reader.query("SELECT COUNT(*) FROM t").unwrap();
+    assert_eq!(seen.scalar().and_then(|v| v.to_int()), Some(3));
+}
+
+#[test]
+fn a_writing_transaction_copies_its_table_once() {
+    let server = server_with_table();
+    let conn = server.connect();
+    conn.execute("BEGIN").unwrap();
+    conn.execute("UPDATE t SET v = 'z' WHERE id = 1").unwrap();
+    conn.execute("INSERT INTO t (v) VALUES ('d')").unwrap();
+    conn.execute("COMMIT").unwrap();
+    assert_eq!(copies(&server), 1, "first private write, and nothing else");
+    let rows = conn.query("SELECT v FROM t ORDER BY id").unwrap().rows;
+    assert_eq!(rows.len(), 4);
+}
+
+// ---------------------------------------------------------------------------
+// (c) the three rollback points of the server
+// ---------------------------------------------------------------------------
+
+struct Durable {
+    mem: Arc<MemIo>,
+    faulty: Arc<FaultyIo>,
+    server: Arc<Server>,
+}
+
+impl Durable {
+    /// A WAL-backed server over a fault-scripting medium, holding a table
+    /// whose free-list and cursor are not trivial.
+    fn open() -> Durable {
+        let mem = MemIo::new();
+        let faulty = FaultyIo::new(mem.clone() as Arc<dyn StorageIo>);
+        let (server, _) = Server::open_durable(
+            ServerConfig::default(),
+            faulty.clone() as Arc<dyn StorageIo>,
+            WalConfig::default(),
+        )
+        .unwrap();
+        let conn = server.connect();
+        conn.execute("CREATE TABLE t (id INT PRIMARY KEY AUTO_INCREMENT, v VARCHAR(8) NOT NULL)")
+            .unwrap();
+        conn.execute("INSERT INTO t (v) VALUES ('a'), ('b'), ('c'), ('d')")
+            .unwrap();
+        conn.execute("DELETE FROM t WHERE id = 2").unwrap();
+        Durable {
+            mem,
+            faulty,
+            server,
+        }
+    }
+
+    fn physical(&self) -> String {
+        self.server.with_db(physical)
+    }
+
+    /// The next WAL append fails without writing a byte.
+    fn refuse_next_append(&self) {
+        let next = self.faulty.calls(IoOp::Append);
+        self.faulty.inject(IoOp::Append, next, Fault::Error);
+    }
+
+    /// Drops the server and recovers a new one from the medium. No
+    /// checkpoint ran, so recovery replays every acknowledged statement
+    /// from an empty database: the result must equal the live state down
+    /// to the slot a row sits in.
+    fn assert_recovery_agrees(self) {
+        let live = self.physical();
+        drop(self.server);
+        let (revived, report) = Server::open_durable(
+            ServerConfig::default(),
+            self.mem as Arc<dyn StorageIo>,
+            WalConfig::default(),
+        )
+        .expect("recovery succeeds");
+        assert_eq!(report.replay_errors, 0);
+        assert_eq!(revived.with_db(physical), live, "recovered != live");
+    }
+}
+
+#[test]
+fn stacked_call_keeps_the_statements_before_the_failing_one() {
+    let d = Durable::open();
+    let conn = d.server.connect();
+    let err = conn
+        .execute(
+            "INSERT INTO t (v) VALUES ('e'); \
+             UPDATE t SET v = 'A' WHERE id = 1; \
+             INSERT INTO t (id, v) VALUES (20, 'f'), (21, 'g'), (3, 'dup')",
+        )
+        .unwrap_err();
+    assert!(matches!(err, DbError::DuplicateKey(_)), "{err}");
+    let rows = conn.query("SELECT id, v FROM t").unwrap().rows;
+    let shown: Vec<String> = rows
+        .iter()
+        .map(|r| format!("{}{}", r[0].to_display_string(), r[1].to_display_string()))
+        .collect();
+    // Statement 1's row reused the freed slot; nothing of statement 3.
+    assert_eq!(shown, ["1A", "5e", "3c", "4d"]);
+    assert_eq!(rollbacks(&d.server, "statement"), 1);
+    // The cursor is where statement 1 left it, not past the undone 21.
+    conn.execute("INSERT INTO t (v) VALUES ('h')").unwrap();
+    let id = conn.query("SELECT id FROM t WHERE v = 'h'").unwrap();
+    assert_eq!(id.scalar().and_then(|v| v.to_int()), Some(6));
+    assert_eq!(copies(&d.server), 0);
+    d.assert_recovery_agrees();
+}
+
+// Fails when `execute_autocommit` drops the rollback on `log_commit`
+// failure: both statements would stay live, unlogged.
+#[test]
+fn refused_append_undoes_the_whole_call() {
+    let d = Durable::open();
+    let before = d.physical();
+    d.refuse_next_append();
+    let err = d
+        .server
+        .connect()
+        .execute("INSERT INTO t (v) VALUES ('e'), ('f'); DELETE FROM t WHERE id = 1")
+        .unwrap_err();
+    assert!(matches!(err, DbError::Storage(_)), "{err}");
+    assert_eq!(d.physical(), before);
+    assert_eq!(rollbacks(&d.server, "log_failure"), 1);
+    assert_eq!(rollbacks(&d.server, "statement"), 0);
+    d.assert_recovery_agrees();
+}
+
+// Fails when `commit_txn` drops the rollback on `log_commit` failure.
+#[test]
+fn refused_append_undoes_the_commit() {
+    let d = Durable::open();
+    let before = d.physical();
+    let conn = d.server.connect();
+    conn.execute("BEGIN").unwrap();
+    conn.execute("UPDATE t SET id = id + 10").unwrap();
+    conn.execute("INSERT INTO t (v) VALUES ('e')").unwrap();
+    d.refuse_next_append();
+    let err = conn.execute("COMMIT").unwrap_err();
+    assert!(matches!(err, DbError::Storage(_)), "{err}");
+    assert!(!conn.in_transaction());
+    assert_eq!(d.physical(), before);
+    assert_eq!(rollbacks(&d.server, "log_failure"), 1);
+    d.assert_recovery_agrees();
+}
+
+// Fails when the in-transaction error path returns the error without
+// undoing: rows 20 and 21 would stay in the transaction's snapshot and be
+// missing from the redo buffer, so the transaction would read rows that
+// its own COMMIT never publishes.
+#[test]
+fn failed_statement_in_a_transaction_leaves_its_snapshot_untouched() {
+    let d = Durable::open();
+    let conn = d.server.connect();
+    conn.execute("BEGIN").unwrap();
+    conn.execute("INSERT INTO t (v) VALUES ('e')").unwrap();
+    let inside = conn.query("SELECT id, v FROM t").unwrap().rows;
+    let err = conn
+        .execute("INSERT INTO t (id, v) VALUES (20, 'f'), (21, 'g'), (3, 'dup')")
+        .unwrap_err();
+    assert!(matches!(err, DbError::DuplicateKey(_)), "{err}");
+    let err = conn.execute("UPDATE t SET id = 30").unwrap_err();
+    assert!(matches!(err, DbError::DuplicateKey(_)), "{err}");
+    assert_eq!(conn.query("SELECT id, v FROM t").unwrap().rows, inside);
+    assert_eq!(rollbacks(&d.server, "statement"), 2);
+    // What the transaction saw is what it publishes: the next
+    // auto-increment id is 6, not 22 or 31.
+    conn.execute("INSERT INTO t (v) VALUES ('h')").unwrap();
+    conn.execute("COMMIT").unwrap();
+    let published = conn.query("SELECT id, v FROM t").unwrap().rows;
+    let ids: Vec<i64> = published.iter().filter_map(|r| r[0].to_int()).collect();
+    assert_eq!(ids, [1, 5, 3, 4, 6]);
+    d.assert_recovery_agrees();
+}
+
+#[test]
+fn conflicting_commit_leaves_the_master_untouched() {
+    let d = Durable::open();
+    let a = d.server.connect();
+    a.execute("BEGIN").unwrap();
+    a.execute("INSERT INTO t (v) VALUES ('mine')").unwrap(); // id 5, in slot 1
+    a.execute("INSERT INTO t (id, v) VALUES (9, 'nine')")
+        .unwrap();
+    d.server
+        .connect()
+        .execute("INSERT INTO t (id, v) VALUES (9, 'first')")
+        .unwrap();
+    let before = d.physical();
+    // The first buffered write applies on the master, the second collides.
+    let err = a.execute("COMMIT").unwrap_err();
+    assert!(matches!(err, DbError::TxnAborted(_)), "{err}");
+    assert_eq!(d.physical(), before);
+    assert_eq!(rollbacks(&d.server, "txn_conflict"), 1);
+    assert_eq!(counter(&d.server, "dbms_txn_conflicts_total"), 1);
+    d.assert_recovery_agrees();
+}

@@ -1,7 +1,7 @@
 //! # septic-bench
 //!
-//! The benchmark/experiment harness regenerating every table and figure of
-//! the demo paper. Each artefact has a dedicated binary:
+//! The experiment harness regenerating every table and figure of the demo
+//! paper. Each artefact has a dedicated binary:
 //!
 //! | artefact | binary | paper content |
 //! |---|---|---|
@@ -14,7 +14,9 @@
 //! | — | `ablation_ids` | external-identifier ablation |
 //! | — | `sqlmap_scan` | sqlmap-style probing session |
 //!
-//! Criterion micro-benches live in `benches/`.
+//! These binaries reproduce the paper's artefacts. What the system costs
+//! is measured by the repo benchmark (`benchmark/`, `BENCHMARK.json`) and
+//! nowhere else.
 
 use std::fmt::Write as _;
 

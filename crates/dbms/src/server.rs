@@ -626,20 +626,16 @@ impl Server {
     /// pipeline).
     fn admin_statement(&self, session: &SessionState, raw_sql: &str) -> Option<ExecResult> {
         let started = Instant::now();
-        let words: Vec<String> = raw_sql
-            .trim()
-            .trim_end_matches(';')
-            .split_whitespace()
-            .map(str::to_ascii_uppercase)
-            .collect();
-        let output = match words
-            .iter()
-            .map(String::as_str)
-            .collect::<Vec<_>>()
-            .as_slice()
-        {
-            ["SHOW", "SEPTIC", "STATUS"] => self.septic_status_output(session),
-            ["SHOW", "SEPTIC", "METRICS"] => self.septic_metrics_output(),
+        let mut words = raw_sql.trim().trim_end_matches(';').split_whitespace();
+        let mut next_is = |word: &str| words.next().is_some_and(|w| w.eq_ignore_ascii_case(word));
+        if !(next_is("SHOW") && next_is("SEPTIC")) {
+            return None;
+        }
+        let output = match (words.next(), words.next()) {
+            (Some(w), None) if w.eq_ignore_ascii_case("STATUS") => {
+                self.septic_status_output(session)
+            }
+            (Some(w), None) if w.eq_ignore_ascii_case("METRICS") => self.septic_metrics_output(),
             _ => return None,
         };
         Some(ExecResult {

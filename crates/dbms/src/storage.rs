@@ -29,6 +29,8 @@ use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use serde::{Deserialize, Serialize};
+
 use crate::catalog::TableSchema;
 use crate::error::DbError;
 use crate::value::Value;
@@ -419,38 +421,74 @@ impl TableStore {
         }
     }
 
-    /// Live rows in slot order, cloned (checkpoint serialization).
+    /// The table as it physically is, rows cloned (checkpoint
+    /// serialization).
     #[must_use]
-    pub fn rows_snapshot(&self) -> Vec<Row> {
-        self.scan().map(|(_, row)| row.clone()).collect()
+    pub fn image(&self) -> TableImage {
+        TableImage {
+            schema: self.schema.clone(),
+            rows: self.rows.clone(),
+            free: self.free.clone(),
+            next_auto_increment: self.next_auto_increment,
+        }
     }
 
-    /// Auto-increment cursor (persisted by checkpoints: it can run ahead
-    /// of the maximum live key after deletes).
-    #[must_use]
-    pub fn next_auto_increment(&self) -> i64 {
-        self.next_auto_increment
-    }
-
-    /// Rebuilds a store from checkpointed rows, restoring the
-    /// auto-increment cursor (which may exceed what the rows imply).
+    /// Rebuilds the store an image was taken of, slot for slot; the index
+    /// and the live count are derived from the slots.
     ///
     /// # Errors
     ///
-    /// Constraint errors if the snapshot rows are inconsistent.
-    pub fn restore(
-        schema: TableSchema,
-        rows: Vec<Row>,
-        next_auto_increment: i64,
-    ) -> Result<Self, DbError> {
-        let mut store = TableStore::new(schema);
-        for row in rows {
-            // A store under construction has nothing to roll back to.
-            let _ = store.insert(row)?;
+    /// [`DbError::Storage`] for an image no store could have produced: a
+    /// row of the wrong width, a free-list that is not exactly the
+    /// tombstones, an un-indexable or repeated key.
+    pub fn restore(image: TableImage) -> Result<Self, DbError> {
+        let invalid = |what: String| DbError::Storage(format!("table image invalid: {what}"));
+        let mut store = TableStore {
+            schema: image.schema,
+            rows: image.rows,
+            live: 0,
+            free: image.free,
+            pk_index: BTreeMap::new(),
+            next_auto_increment: image.next_auto_increment,
+        };
+        let mut freed = store.free.clone();
+        freed.sort_unstable();
+        let tombstones = store.rows.iter().enumerate().filter(|(_, r)| r.is_none());
+        if !tombstones.map(|(slot, _)| slot).eq(freed) {
+            return Err(invalid("the free-list is not the tombstones".into()));
         }
-        store.next_auto_increment = store.next_auto_increment.max(next_auto_increment);
+        let pk = store.schema.primary_key_index();
+        for (slot, row) in store.rows.iter().enumerate() {
+            let Some(row) = row else { continue };
+            if row.len() != store.schema.columns.len() {
+                return Err(invalid(format!("slot {slot} has {} cells", row.len())));
+            }
+            if let Some(pk) = pk {
+                let (key, _) = store
+                    .index_key(pk, &row[pk])
+                    .map_err(|e| invalid(e.to_string()))?;
+                if store.pk_index.insert(key, slot).is_some() {
+                    return Err(invalid(format!("slot {slot} repeats a key")));
+                }
+            }
+            store.live += 1;
+        }
         Ok(store)
     }
+}
+
+/// A [`TableStore`] in the form a checkpoint stores it: every slot with
+/// its tombstones, the free-list in order and the cursor, because the
+/// statements recovery replays on top of it land by slot. (A file written
+/// before tombstones were kept has every slot live and no `free`: the
+/// same image with nothing deleted.)
+#[derive(Debug, Serialize, Deserialize)]
+pub struct TableImage {
+    schema: TableSchema,
+    rows: Vec<Option<Row>>,
+    #[serde(default)]
+    free: Vec<usize>,
+    next_auto_increment: i64,
 }
 
 /// One reversible step of an [`UndoLog`].
@@ -1038,19 +1076,37 @@ mod tests {
         assert!(t.get_by_pk_value(&Value::from("7")).is_some());
     }
 
+    // Fails when `restore` re-inserts the live rows: 'c' would sit in slot
+    // 1 with an empty free-list, and the next insert would append.
     #[test]
-    fn snapshot_restore_roundtrip() {
+    fn restore_is_slot_for_slot() {
         let mut t = TableStore::new(users_schema());
         put(&mut t, vec![Value::Null, Value::from("a")]);
-        let slot = put(&mut t, vec![Value::Null, Value::from("b")]);
-        let _ = t.delete_slot(slot);
-        let restored =
-            TableStore::restore(t.schema.clone(), t.rows_snapshot(), t.next_auto_increment())
-                .unwrap();
-        assert_eq!(restored.len(), 1);
-        // The cursor survives even though row 2 is gone.
-        assert_eq!(restored.next_auto_increment(), 3);
-        assert_eq!(restored.get_by_pk(1).unwrap()[1], Value::from("a"));
+        let b = put(&mut t, vec![Value::Null, Value::from("b")]);
+        put(&mut t, vec![Value::Null, Value::from("c")]);
+        let _ = t.delete_slot(b);
+        let mut restored = TableStore::restore(t.image()).unwrap();
+        assert_eq!(format!("{restored:?}"), format!("{t:?}"));
+        // The cursor survives even though row 2 is gone, and the next
+        // insert reuses the freed slot, as it would have live.
+        assert_eq!(put(&mut restored, vec![Value::Null, Value::from("d")]), b);
+        assert_eq!(restored.get_by_pk(4).unwrap()[1], Value::from("d"));
+    }
+
+    #[test]
+    fn restore_refuses_an_image_no_store_produced() {
+        let mut t = TableStore::new(users_schema());
+        put(&mut t, vec![Value::Null, Value::from("a")]);
+        put(&mut t, vec![Value::Null, Value::from("b")]);
+        let tampered = |edit: fn(&mut TableImage)| {
+            let mut image = t.image();
+            edit(&mut image);
+            TableStore::restore(image).unwrap_err().to_string()
+        };
+        assert!(tampered(|i| i.free.push(0)).contains("free-list"));
+        assert!(tampered(|i| i.rows[1] = None).contains("free-list"));
+        assert!(tampered(|i| i.rows[1] = i.rows[0].clone()).contains("repeats a key"));
+        assert!(tampered(|i| i.rows[0] = Some(vec![Value::Int(1)])).contains("cells"));
     }
 
     #[test]
@@ -1139,13 +1195,13 @@ mod tests {
         let mut t = churned();
         let before = format!("{t:?}");
         let inserted = t.insert(vec![Value::Int(40), Value::from("x")]).unwrap();
-        assert_eq!(t.next_auto_increment(), 41);
+        assert_eq!(t.next_auto_increment, 41);
         let moved = t
             .update_slot(0, vec![Value::Int(90), Value::from("a")])
             .unwrap();
-        assert_eq!(t.next_auto_increment(), 91);
+        assert_eq!(t.next_auto_increment, 91);
         t.undo(moved);
-        assert_eq!(t.next_auto_increment(), 41);
+        assert_eq!(t.next_auto_increment, 41);
         assert!(t.get_by_pk(90).is_none() && t.get_by_pk(1).is_some());
         t.undo(inserted);
         assert_eq!(format!("{t:?}"), before);

@@ -7,7 +7,10 @@
 //! the same compiled-expression path the live commit took.  Periodic
 //! checkpoints serialize the whole database to `snapshot.db` (written to
 //! a temp file, read back and verified, then installed with an atomic
-//! rename) and truncate the log.
+//! rename) and truncate the log.  A checkpoint stores each table as it
+//! physically is ([`TableImage`]: tombstones, free-list, cursor), not its
+//! live rows: the statements replayed on top of it pick slots and scan
+//! in slot order, so anything less makes recovery diverge.
 //!
 //! The frame codec and the three file protocols — [`install_verified`],
 //! [`FrameLog::read`] and [`FrameLog::append`] — are the only crash-safe
@@ -45,10 +48,9 @@ use parking_lot::Mutex;
 use septic_telemetry::{Counter, MetricsRegistry};
 use serde::{Deserialize, Serialize};
 
-use crate::catalog::TableSchema;
 use crate::error::DbError;
 use crate::exec;
-use crate::storage::{Database, Row, TableStore};
+use crate::storage::{Database, TableImage, TableStore};
 use crate::vmexec::ProgramCache;
 
 /// WAL file name (relative to the [`StorageIo`] root).
@@ -59,6 +61,9 @@ pub const WAL_CORRUPT_FILE: &str = "wal.log.corrupt";
 pub const SNAPSHOT_FILE: &str = "snapshot.db";
 /// Quarantine target for corrupt snapshots.
 pub const SNAPSHOT_CORRUPT_FILE: &str = "snapshot.db.corrupt";
+/// Snapshot format written: 2 stores tables slot for slot. A version 1
+/// file (live rows only) reads as the same image with no tombstones.
+const SNAPSHOT_VERSION: u32 = 2;
 
 // ---------------------------------------------------------------------------
 // StorageIo seam
@@ -541,13 +546,6 @@ struct WalRecord {
 }
 
 #[derive(Debug, Serialize, Deserialize)]
-struct TableSnapshot {
-    schema: TableSchema,
-    rows: Vec<Row>,
-    next_auto_increment: i64,
-}
-
-#[derive(Debug, Serialize, Deserialize)]
 struct DbSnapshot {
     version: u32,
     /// Highest WAL sequence covered by this snapshot; replay skips
@@ -555,7 +553,7 @@ struct DbSnapshot {
     seq: u64,
     /// Logical clock at checkpoint time.
     clock: i64,
-    tables: Vec<TableSnapshot>,
+    tables: Vec<TableImage>,
 }
 
 // ---------------------------------------------------------------------------
@@ -719,11 +717,7 @@ impl WalStorage {
                     clock = snap.clock;
                     report.snapshot_loaded = true;
                     for t in snap.tables {
-                        let store = TableStore::restore(t.schema, t.rows, t.next_auto_increment)
-                            .map_err(|e| {
-                                DbError::Storage(format!("snapshot table invalid: {e}"))
-                            })?;
-                        db.install_table(store);
+                        db.install_table(TableStore::restore(t)?);
                     }
                 }
                 Err(_) => {
@@ -806,17 +800,13 @@ impl WalStorage {
     fn try_checkpoint(&self, db: &Database, clock: i64) -> Result<(), DbError> {
         let mut state = self.state.lock();
         let snap = DbSnapshot {
-            version: 1,
+            version: SNAPSHOT_VERSION,
             seq: state.next_seq - 1,
             clock,
             tables: db
                 .tables_sorted()
                 .into_iter()
-                .map(|t| TableSnapshot {
-                    schema: t.schema.clone(),
-                    rows: t.rows_snapshot(),
-                    next_auto_increment: t.next_auto_increment(),
-                })
+                .map(TableStore::image)
                 .collect(),
         };
         let payload = serde_json::to_string(&snap)
@@ -873,7 +863,7 @@ impl StorageBackend for WalStorage {
 fn load_snapshot(bytes: &[u8]) -> Result<DbSnapshot, String> {
     let payload = single_frame(bytes).map_err(|e| format!("corrupt snapshot: {e}"))?;
     let snap: DbSnapshot = decode_json(payload).map_err(|e| format!("corrupt snapshot: {e}"))?;
-    if snap.version != 1 {
+    if !(1..=SNAPSHOT_VERSION).contains(&snap.version) {
         return Err(format!("unsupported snapshot version {}", snap.version));
     }
     Ok(snap)
@@ -1057,6 +1047,36 @@ mod tests {
         assert_eq!(report.replayed_records, 1);
         assert_eq!(rdb.table("t").unwrap().len(), 2);
         assert!(rdb.table("t").unwrap().get_by_pk(2).is_some());
+    }
+
+    #[test]
+    fn version_1_snapshot_loads_as_an_image_without_tombstones() {
+        let io = MemIo::new();
+        let wal = wal_over(io.clone());
+        let (mut db, _) = wal.recover().unwrap();
+        for sql in [
+            "CREATE TABLE t (id INT PRIMARY KEY AUTO_INCREMENT, v VARCHAR(8))",
+            "INSERT INTO t (v) VALUES ('a'), ('b')",
+        ] {
+            exec::execute(&mut db, &septic_sql::parse(sql).unwrap().statements[0], 42).unwrap();
+        }
+        wal.checkpoint(&db, 42).unwrap();
+        // What the previous format held for the same table: live rows
+        // only, no free-list.
+        let frame = io.contents(SNAPSHOT_FILE).unwrap();
+        let v2 = String::from_utf8(single_frame(&frame).unwrap().to_vec()).unwrap();
+        let v1 = v2
+            .replace("\"version\":2", "\"version\":1")
+            .replace("\"free\":[],", "");
+        assert!(v1.contains("\"version\":1") && !v1.contains("free"), "{v1}");
+        io.plant(SNAPSHOT_FILE, encode_frame(v1.as_bytes()));
+
+        let (rdb, report) = wal_over(io.fork()).recover().unwrap();
+        assert!(report.snapshot_loaded);
+        assert_eq!(
+            format!("{:?}", rdb.tables_sorted()),
+            format!("{:?}", db.tables_sorted())
+        );
     }
 
     #[test]

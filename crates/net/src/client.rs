@@ -1,8 +1,8 @@
 //! Blocking client for the framed TCP front end.
 //!
 //! One [`NetClient`] is one connection — one server-side session, same
-//! as the in-process `Server::connect()`. Benchlab's closed-loop TCP
-//! workers each hold one.
+//! as the in-process `Server::connect()`. Each closed-loop client of the
+//! repo benchmark's `wire_mix` workload holds one.
 
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};

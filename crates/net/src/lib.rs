@@ -29,12 +29,11 @@
 //!   bytes instead of a thread. [`poll`] is the raw-FFI epoll layer
 //!   underneath. Same admission control, same panic containment, same
 //!   metrics.
-//! - [`client`] — the blocking client library benchlab's `--tcp`
-//!   closed-loop drivers use, mapping wire responses back onto the
-//!   executed/blocked/failed verdict surface.
+//! - [`client`] — the blocking client library, mapping wire responses
+//!   back onto the executed/blocked/failed verdict surface.
 //!
 //! [`serve_front_end`] picks a front end by [`FrontEndKind`]; both
-//! return through [`FrontEndHandle`], so harnesses (tests, benches, CI)
+//! return through [`FrontEndHandle`], so harnesses (tests, `benchmark/`, CI)
 //! run the identical workload against each. All wire metrics register
 //! into the dbms server's own `MetricsRegistry`, so
 //! `Server::prometheus()` exports the socket layer alongside the guard
@@ -73,7 +72,7 @@ pub enum FrontEndKind {
 }
 
 impl FrontEndKind {
-    /// Both front ends, for dual-harness tests and benches.
+    /// Both front ends, for dual-harness tests.
     #[must_use]
     pub fn all() -> [FrontEndKind; 2] {
         [FrontEndKind::Blocking, FrontEndKind::EventLoop]

@@ -265,6 +265,22 @@ fn stress_counters_account_for_every_query() {
             .copied(),
         Some(inspect.count as f64)
     );
+    // The inner stages are attributed too: an id per inspection; a store
+    // lookup and a model comparison per inspection outside training; no
+    // stored-injection scan, because nothing wrote.
+    for (stage, count) in [
+        ("id_gen", inspect.count),
+        ("store_get", threads * per_thread),
+        ("sqli_detect", threads * per_thread),
+        ("stored_scan", 0),
+    ] {
+        let name = format!("septic_stage_duration_microseconds{{stage=\"{stage}\"}}");
+        assert_eq!(
+            merged.histogram(&name).map(|h| h.count),
+            Some(count),
+            "{stage}"
+        );
+    }
 }
 
 #[test]

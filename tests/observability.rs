@@ -77,6 +77,8 @@ fn show_septic_status_merges_guard_server_and_session_counters() {
     // and bypasses the guard (it must not be learned or blocked).
     let again = conn.query("show septic status;").expect("lowercase form");
     assert_eq!(again.columns, vec!["Variable_name", "Value"]);
+    // Exactly three words: anything longer is ordinary SQL for the parser.
+    assert!(conn.query("SHOW SEPTIC STATUS now").is_err());
 }
 
 #[test]

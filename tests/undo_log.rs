@@ -2,7 +2,9 @@
 //! statement, a refused WAL append and an aborted `COMMIT` must each leave
 //! the database *physically* as it was — slot order, tombstones,
 //! free-list, index, auto-increment cursor — and an autocommit write must
-//! copy no table.
+//! copy no table. A checkpoint is held to the same rule: what recovery
+//! loads from it must be the table slot for slot, because the statements
+//! replayed on top of it land by slot.
 //!
 //! Hand-mutations this file (with the unit tests in `dbms/src/storage.rs`)
 //! exists to fail; each test names its own below:
@@ -14,6 +16,7 @@
 //! | an insert into a reused slot is undone with `rows.pop()`, or without re-pushing the slot on the free-list | `undo_log_matches_snapshot_restore`, `storage::undo_of_an_insert_into_a_reused_slot_restores_the_free_list` |
 //! | `execute_autocommit` / `commit_txn` skip the rollback when `log_commit` fails | `refused_append_undoes_the_whole_call`, `refused_append_undoes_the_commit` |
 //! | the in-transaction error path skips the undo | `failed_statement_in_a_transaction_leaves_its_snapshot_untouched`, `server::failed_statement_inside_txn_is_atomic` |
+//! | a checkpoint stores live rows only and `TableStore::restore` re-inserts them | `checkpoint_keeps_tombstones_and_the_free_list`, `recovery_equals_the_live_state_across_checkpoints`, `storage::restore_is_slot_for_slot` |
 
 use std::sync::Arc;
 
@@ -319,32 +322,39 @@ fn a_writing_transaction_copies_its_table_once() {
 struct Durable {
     mem: Arc<MemIo>,
     faulty: Arc<FaultyIo>,
+    wal: WalConfig,
     server: Arc<Server>,
 }
 
 impl Durable {
-    /// A WAL-backed server over a fault-scripting medium, holding a table
-    /// whose free-list and cursor are not trivial.
-    fn open() -> Durable {
+    /// An empty WAL-backed server over a fault-scripting medium.
+    fn empty(wal: WalConfig) -> Durable {
         let mem = MemIo::new();
         let faulty = FaultyIo::new(mem.clone() as Arc<dyn StorageIo>);
         let (server, _) = Server::open_durable(
             ServerConfig::default(),
             faulty.clone() as Arc<dyn StorageIo>,
-            WalConfig::default(),
+            wal.clone(),
         )
         .unwrap();
-        let conn = server.connect();
+        Durable {
+            mem,
+            faulty,
+            wal,
+            server,
+        }
+    }
+
+    /// One holding a table whose free-list and cursor are not trivial.
+    fn open() -> Durable {
+        let d = Durable::empty(WalConfig::default());
+        let conn = d.server.connect();
         conn.execute("CREATE TABLE t (id INT PRIMARY KEY AUTO_INCREMENT, v VARCHAR(8) NOT NULL)")
             .unwrap();
         conn.execute("INSERT INTO t (v) VALUES ('a'), ('b'), ('c'), ('d')")
             .unwrap();
         conn.execute("DELETE FROM t WHERE id = 2").unwrap();
-        Durable {
-            mem,
-            faulty,
-            server,
-        }
+        d
     }
 
     fn physical(&self) -> String {
@@ -357,21 +367,25 @@ impl Durable {
         self.faulty.inject(IoOp::Append, next, Fault::Error);
     }
 
-    /// Drops the server and recovers a new one from the medium. No
-    /// checkpoint ran, so recovery replays every acknowledged statement
-    /// from an empty database: the result must equal the live state down
-    /// to the slot a row sits in.
-    fn assert_recovery_agrees(self) {
-        let live = self.physical();
-        drop(self.server);
+    /// A new server recovered from a copy of the medium as it is now:
+    /// what a crash at this instant would leave behind.
+    fn recovered(&self) -> Arc<Server> {
         let (revived, report) = Server::open_durable(
             ServerConfig::default(),
-            self.mem as Arc<dyn StorageIo>,
-            WalConfig::default(),
+            self.mem.fork() as Arc<dyn StorageIo>,
+            self.wal.clone(),
         )
         .expect("recovery succeeds");
         assert_eq!(report.replay_errors, 0);
-        assert_eq!(revived.with_db(physical), live, "recovered != live");
+        revived
+    }
+
+    /// For the servers of [`Durable::open`] no checkpoint ran, so recovery
+    /// replays every acknowledged statement from an empty database: the
+    /// result must equal the live state down to the slot a row sits in.
+    fn assert_recovery_agrees(&self) {
+        let recovered = self.recovered().with_db(physical);
+        assert_eq!(recovered, self.physical(), "recovered != live");
     }
 }
 
@@ -489,4 +503,68 @@ fn conflicting_commit_leaves_the_master_untouched() {
     assert_eq!(rollbacks(&d.server, "txn_conflict"), 1);
     assert_eq!(counter(&d.server, "dbms_txn_conflicts_total"), 1);
     d.assert_recovery_agrees();
+}
+
+// ---------------------------------------------------------------------------
+// (d) recovery across checkpoints
+// ---------------------------------------------------------------------------
+
+// Fails when the checkpoint drops tombstones and the free-list: loaded
+// back, the table is {1,3,4} in slots 0..3, the replayed INSERT appends
+// 5 instead of reusing slot 1, and the replayed DELETE … LIMIT 2 takes
+// {1,3} where the live server took {1,5} — an acknowledged row lost and
+// a deleted one back, with no replay error.
+#[test]
+fn checkpoint_keeps_tombstones_and_the_free_list() {
+    let d = Durable::empty(WalConfig {
+        checkpoint_every: 3,
+    });
+    let conn = d.server.connect();
+    for sql in [
+        "CREATE TABLE t (id INT PRIMARY KEY, v VARCHAR(8))",
+        "INSERT INTO t (id, v) VALUES (1, 'a'), (2, 'b'), (3, 'c'), (4, 'd')",
+        "DELETE FROM t WHERE id = 2", // third commit: the checkpoint runs here
+        "INSERT INTO t (id, v) VALUES (5, 'e')",
+        "DELETE FROM t LIMIT 2",
+    ] {
+        conn.execute(sql).unwrap();
+    }
+    assert_eq!(counter(&d.server, "dbms_checkpoints_total"), 1);
+    let ids = |s: &Arc<Server>| -> Vec<i64> {
+        let rows = s.connect().query("SELECT id FROM t").unwrap().rows;
+        rows.iter().filter_map(|r| r[0].to_int()).collect()
+    };
+    assert_eq!(ids(&d.server), [3, 4]);
+    assert_eq!(ids(&d.recovered()), [3, 4]);
+    d.assert_recovery_agrees();
+}
+
+proptest! {
+    /// The property the engine claims: at every checkpoint cadence, a
+    /// crash after any call recovers the live database slot for slot —
+    /// whether the call was acknowledged, failed part-way or had its
+    /// commit refused by the log.
+    #[test]
+    fn recovery_equals_the_live_state_across_checkpoints(script in random_script()) {
+        for checkpoint_every in [1, 2, 3, 5] {
+            let d = Durable::empty(WalConfig { checkpoint_every });
+            let conn = d.server.connect();
+            for sql in SCHEMA {
+                conn.execute(sql).expect("schema");
+            }
+            for call in &script {
+                if call.log_fails {
+                    d.refuse_next_append();
+                }
+                let sql = call.statements.join("; ");
+                let _ = conn.execute(&sql);
+                let live = d.physical();
+                let recovered = d.recovered().with_db(physical);
+                prop_assert!(
+                    recovered == live,
+                    "checkpoint_every {checkpoint_every}, after `{sql}`:\n  live      {live}\n  recovered {recovered}"
+                );
+            }
+        }
+    }
 }

@@ -134,6 +134,25 @@ fn where_p_agrees_with_the_scan_it_may_replace() {
             select("");
             select(&format!(" LIMIT {}", rng.below(3)));
             select(" ORDER BY x DESC LIMIT 2");
+            // What happens to the survivors — grouping (NULL and repeated
+            // `s`), HAVING, ORDER BY an aggregate, DISTINCT, UNION — sees
+            // the same rows in the same order on either path.
+            let shaped = |head: &str, tail: &str| {
+                agree(
+                    &sides,
+                    &format!("{head} FROM {table} WHERE {p}{tail}"),
+                    &format!("{head} FROM {table} WHERE {scan}{tail}"),
+                    seed,
+                );
+            };
+            shaped("SELECT s, COUNT(*), SUM(x)", " GROUP BY s");
+            shaped(
+                &format!("SELECT x, MAX({}), GROUP_CONCAT(s)", t.key()),
+                " GROUP BY x, s HAVING COUNT(*) > 0 ORDER BY COUNT(*) DESC",
+            );
+            shaped("SELECT COUNT(*), MIN(x)", "");
+            shaped("SELECT DISTINCT s, x", "");
+            shaped("SELECT x", &format!(" UNION SELECT x FROM {table}"));
 
             let plan = plan_of(&sides.0.server, &format!("SELECT * FROM {table} WHERE {p}"));
             paths_taken += usize::from(plan.contains("PkPoint"));
@@ -205,6 +224,16 @@ fn join_probes_agree_with_the_scan_they_may_replace() {
             let query =
                 |on: &str| format!("SELECT * FROM probe p {join} {} ON {on}{tail}", t.table());
             agree(&sides, &query(&on), &query(&scan_only(&on)), seed);
+            // The same join feeding groups: pad rows of a LEFT JOIN
+            // gather under NULL.
+            let grouped = |on: &str| {
+                format!(
+                    "SELECT {0}.x, COUNT(*), COUNT(p.pid), SUM(p.x) FROM probe p {join} {0} \
+                     ON {on} GROUP BY {0}.x",
+                    t.table()
+                )
+            };
+            agree(&sides, &grouped(&on), &grouped(&scan_only(&on)), seed);
 
             let plan = plan_of(&sides.0.server, &query(&on));
             probes_planned += usize::from(plan.contains("PkProbe"));

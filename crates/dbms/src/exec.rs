@@ -5,19 +5,17 @@
 //! coercion, division-by-zero-is-NULL, case-insensitive identifiers.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
-use std::sync::Arc;
 
 use septic_sql::ast::*;
-use septic_vm::{Program, Vm};
 
 use crate::catalog::TableSchema;
 use crate::error::DbError;
 use crate::expr::{call_scalar, is_aggregate, SideEffects};
-use crate::plan::{point_key, Access, SelectPlan};
-use crate::storage::{Database, PkKey, Row, TableStore, UndoLog};
+use crate::plan::point_key;
+use crate::select::{eval_aggregate, run_select, scan_filter, Group};
+use crate::storage::{Database, Row, TableStore, UndoLog};
 use crate::value::Value;
-use crate::vmexec::{self, ProgramCache};
+use crate::vmexec::{Machine, Prepared, ProgramCache};
 
 /// Result of executing one statement.
 #[derive(Debug, Clone, Default)]
@@ -52,9 +50,10 @@ pub fn execute(db: &mut Database, stmt: &Statement, now: i64) -> Result<QueryOut
     execute_with(db, stmt, now, None)
 }
 
-/// [`execute`] with an optional compiled-expression program cache: WHERE
-/// clauses and non-aggregate projections then run on the bytecode VM
-/// (compiled once per statement shape) instead of the recursive walker.
+/// [`execute`] with an optional compiled-expression program cache: WHERE,
+/// ON, GROUP BY keys, aggregate arguments and non-aggregate projections
+/// then run on the bytecode VM (compiled once per statement shape)
+/// instead of the recursive walker.
 /// The server and WAL redo always pass `Some`; `None` is the readable
 /// reference implementation the differential tests compare against.
 ///
@@ -182,24 +181,6 @@ pub fn execute_read_with(
     })
 }
 
-/// Builds the FROM layout of a SELECT (including joined tables) and
-/// returns the cached/compiled WHERE program — the shape a session would
-/// use executing the statement. Test/bench support for observing program
-/// sharing (`Arc::ptr_eq`) across sessions.
-#[doc(hidden)]
-#[must_use]
-pub fn where_program(
-    db: &Database,
-    stmt: &Statement,
-    cache: &ProgramCache,
-) -> Option<Arc<Program>> {
-    let Statement::Select(s) = stmt else {
-        return None;
-    };
-    let plan = SelectPlan::build(db, s).ok()?;
-    cache.program_for(plan.filter?, &plan.layout)
-}
-
 /// Statement-level validation: every referenced table must exist (this is
 /// the "validated by the DBMS" step that runs before the SEPTIC hook).
 ///
@@ -272,39 +253,36 @@ impl Binding<'_> {
 }
 
 /// A composite row: one borrowed storage row per binding (parallel to the
-/// layout). Rows are never copied on their way through the pipeline; the
-/// projection clones the cells it outputs.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct CRow<'r> {
-    pub(crate) cells: Vec<&'r [Value]>,
-}
+/// layout) — a view of the scan's scratch row or of the survivors' arena
+/// ([`crate::select`]). Rows are never copied on their way through the
+/// pipeline; the projection clones the cells it outputs.
+pub(crate) type CRow<'r> = &'r [&'r [Value]];
 
 #[derive(Clone, Copy)]
-struct EvalCtx<'a> {
-    db: &'a Database,
-    layout: &'a [Binding<'a>],
-    row: &'a CRow<'a>,
-    /// All rows of the current group when aggregating.
-    group: Option<&'a [CRow<'a>]>,
+pub(crate) struct EvalCtx<'a> {
+    pub(crate) db: &'a Database,
+    pub(crate) layout: &'a [Binding<'a>],
+    pub(crate) row: CRow<'a>,
+    /// The members of the current group when aggregating.
+    pub(crate) group: Option<Group<'a>>,
     /// Enclosing scope for correlated subqueries.
-    outer: Option<&'a EvalCtx<'a>>,
-    now: i64,
+    pub(crate) outer: Option<&'a EvalCtx<'a>>,
+    pub(crate) now: i64,
 }
 
 impl<'a> EvalCtx<'a> {
     /// The context of a statement before any row is in play: callers
     /// swap `row` (and `group`) in per evaluation with `..scope`.
-    fn scope(
+    pub(crate) fn scope(
         db: &'a Database,
         layout: &'a [Binding<'a>],
         outer: Option<&'a EvalCtx<'a>>,
         now: i64,
     ) -> Self {
-        static NO_ROW: CRow<'static> = CRow { cells: Vec::new() };
         EvalCtx {
             db,
             layout,
-            row: &NO_ROW,
+            row: &[],
             group: None,
             outer,
             now,
@@ -319,7 +297,7 @@ impl<'a> EvalCtx<'a> {
                 }
             }
             if let Ok(ci) = binding.schema().column_index(name) {
-                return Some(self.row.cells[bi][ci].clone());
+                return Some(self.row[bi][ci].clone());
             }
             if table.is_some() {
                 return None;
@@ -329,7 +307,7 @@ impl<'a> EvalCtx<'a> {
     }
 }
 
-fn eval(expr: &Expr, ctx: &EvalCtx<'_>, fx: &mut SideEffects) -> Result<Value, DbError> {
+pub(crate) fn eval(expr: &Expr, ctx: &EvalCtx<'_>, fx: &mut SideEffects) -> Result<Value, DbError> {
     match expr {
         Expr::Literal(Literal::Int(v)) => Ok(Value::Int(*v)),
         Expr::Literal(Literal::Float(v)) => Ok(Value::Real(*v)),
@@ -341,7 +319,7 @@ fn eval(expr: &Expr, ctx: &EvalCtx<'_>, fx: &mut SideEffects) -> Result<Value, D
             .ok_or_else(|| DbError::UnknownColumn(name.clone())),
         Expr::Unary { op, operand } => {
             let v = eval(operand, ctx, fx)?;
-            Ok(apply_unary(*op, v))
+            Ok(apply_unary(*op, &v))
         }
         Expr::Binary { left, op, right } => eval_binary(left, *op, right, ctx, fx),
         Expr::Function { name, args } => {
@@ -476,13 +454,13 @@ fn eval_binary(
 ) -> Result<Value, DbError> {
     let l = eval(left, ctx, fx)?;
     let r = eval(right, ctx, fx)?;
-    Ok(apply_binary(op, l, r))
+    Ok(apply_binary(op, &l, &r))
 }
 
 /// Applies a unary operator to an evaluated operand — shared by the
 /// recursive walker ([`eval`]) and the bytecode VM host
 /// ([`crate::vmexec`]), so the two evaluation paths cannot drift.
-pub(crate) fn apply_unary(op: UnaryOp, v: Value) -> Value {
+pub(crate) fn apply_unary(op: UnaryOp, v: &Value) -> Value {
     match op {
         UnaryOp::Neg => match v {
             Value::Null => Value::Null,
@@ -503,9 +481,10 @@ pub(crate) fn apply_unary(op: UnaryOp, v: Value) -> Value {
 /// Applies a binary operator to evaluated operands — the single
 /// implementation of MySQL's coercion and three-valued logic, shared by
 /// walker and VM (see [`apply_unary`]). `AND`/`OR`/`XOR` evaluate both
-/// sides in MySQL (no short-circuit), so taking operands by value here
-/// matches the walker exactly.
-pub(crate) fn apply_binary(op: BinaryOp, l: Value, r: Value) -> Value {
+/// sides in MySQL (no short-circuit), so taking evaluated operands here
+/// matches the walker exactly. Operands are only read: the VM passes
+/// cells and literals where they lie.
+pub(crate) fn apply_binary(op: BinaryOp, l: &Value, r: &Value) -> Value {
     use BinaryOp::*;
     // Logical operators need MySQL's three-valued logic.
     if matches!(op, And | Or | Xor) {
@@ -537,23 +516,27 @@ pub(crate) fn apply_binary(op: BinaryOp, l: Value, r: Value) -> Value {
             _ => unreachable!(),
         };
     }
-    let cmp = |o: Option<std::cmp::Ordering>, f: fn(std::cmp::Ordering) -> bool| match o {
-        None => Value::Null,
-        Some(ord) => Value::Int(i64::from(f(ord))),
-    };
     match op {
-        Eq => cmp(l.sql_cmp(&r), |o| o == std::cmp::Ordering::Equal),
-        Ne => cmp(l.sql_cmp(&r), |o| o != std::cmp::Ordering::Equal),
-        Lt => cmp(l.sql_cmp(&r), |o| o == std::cmp::Ordering::Less),
-        Le => cmp(l.sql_cmp(&r), |o| o != std::cmp::Ordering::Greater),
-        Gt => cmp(l.sql_cmp(&r), |o| o == std::cmp::Ordering::Greater),
-        Ge => cmp(l.sql_cmp(&r), |o| o != std::cmp::Ordering::Less),
-        NullSafeEq => Value::Int(i64::from(l.null_safe_eq(&r))),
+        Eq | Ne | Lt | Le | Gt | Ge => {
+            use std::cmp::Ordering::{Equal, Greater, Less};
+            let Some(ord) = l.sql_cmp(r) else {
+                return Value::Null;
+            };
+            Value::Int(i64::from(match op {
+                Eq => ord == Equal,
+                Ne => ord != Equal,
+                Lt => ord == Less,
+                Le => ord != Greater,
+                Gt => ord == Greater,
+                _ => ord != Less,
+            }))
+        }
+        NullSafeEq => Value::Int(i64::from(l.null_safe_eq(r))),
         Like => l
-            .sql_like(&r)
+            .sql_like(r)
             .map_or(Value::Null, |b| Value::Int(i64::from(b))),
         NotLike => l
-            .sql_like(&r)
+            .sql_like(r)
             .map_or(Value::Null, |b| Value::Int(i64::from(!b))),
         Add | Sub | Mul | Div | IntDiv | Mod => {
             let (Some(a), Some(b)) = (l.to_real(), r.to_real()) else {
@@ -606,522 +589,6 @@ pub(crate) fn apply_binary(op: BinaryOp, l: Value, r: Value) -> Value {
         }
         And | Or | Xor => unreachable!("handled above"),
     }
-}
-
-fn eval_aggregate(
-    name: &str,
-    args: &[Expr],
-    ctx: &EvalCtx<'_>,
-    fx: &mut SideEffects,
-) -> Result<Value, DbError> {
-    let group = ctx
-        .group
-        .ok_or_else(|| DbError::Semantic(format!("aggregate {name}() outside grouping")))?;
-    let eval_member = |row: &CRow<'_>, e: &Expr, fx: &mut SideEffects| -> Result<Value, DbError> {
-        let member_ctx = EvalCtx {
-            row,
-            group: None,
-            ..*ctx
-        };
-        eval(e, &member_ctx, fx)
-    };
-    match name {
-        "COUNT" => {
-            if args.is_empty() {
-                // COUNT(*)
-                return Ok(Value::Int(group.len() as i64));
-            }
-            let mut n = 0i64;
-            for row in group {
-                if !eval_member(row, &args[0], fx)?.is_null() {
-                    n += 1;
-                }
-            }
-            Ok(Value::Int(n))
-        }
-        "SUM" | "AVG" => {
-            let arg = args
-                .first()
-                .ok_or_else(|| DbError::Semantic(format!("{name}() requires an argument")))?;
-            let mut sum = 0.0;
-            let mut n = 0usize;
-            for row in group {
-                let v = eval_member(row, arg, fx)?;
-                if let Some(f) = v.to_real() {
-                    sum += f;
-                    n += 1;
-                }
-            }
-            if n == 0 {
-                return Ok(Value::Null);
-            }
-            Ok(if name == "SUM" {
-                Value::Real(sum)
-            } else {
-                Value::Real(sum / n as f64)
-            })
-        }
-        "MIN" | "MAX" => {
-            let arg = args
-                .first()
-                .ok_or_else(|| DbError::Semantic(format!("{name}() requires an argument")))?;
-            let mut best: Option<Value> = None;
-            for row in group {
-                let v = eval_member(row, arg, fx)?;
-                if v.is_null() {
-                    continue;
-                }
-                best = Some(match best {
-                    None => v,
-                    Some(b) => {
-                        let take = match v.sql_cmp(&b) {
-                            Some(std::cmp::Ordering::Greater) => name == "MAX",
-                            Some(std::cmp::Ordering::Less) => name == "MIN",
-                            _ => false,
-                        };
-                        if take {
-                            v
-                        } else {
-                            b
-                        }
-                    }
-                });
-            }
-            Ok(best.unwrap_or(Value::Null))
-        }
-        "GROUP_CONCAT" => {
-            let arg = args
-                .first()
-                .ok_or_else(|| DbError::Semantic("GROUP_CONCAT() requires an argument".into()))?;
-            let mut parts = Vec::new();
-            for row in group {
-                let v = eval_member(row, arg, fx)?;
-                if !v.is_null() {
-                    parts.push(v.to_display_string());
-                }
-            }
-            if parts.is_empty() {
-                Ok(Value::Null)
-            } else {
-                Ok(Value::Str(parts.join(",")))
-            }
-        }
-        other => Err(DbError::Runtime(format!("unknown aggregate {other}()"))),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// SELECT
-// ---------------------------------------------------------------------------
-
-fn run_select(
-    db: &Database,
-    select: &Select,
-    now: i64,
-    outer: Option<&EvalCtx<'_>>,
-    cache: Option<&ProgramCache>,
-    fx: &mut SideEffects,
-) -> Result<(Vec<String>, Vec<Row>), DbError> {
-    let (columns, mut rows) = run_select_arm(db, select, now, outer, cache, fx)?;
-    // UNION chain: arms concatenate; `UNION` (without ALL) deduplicates.
-    if let Some((all, next)) = &select.union {
-        let (next_cols, next_rows) = run_select(db, next, now, outer, cache, fx)?;
-        if next_cols.len() != columns.len() {
-            return Err(DbError::Semantic(
-                "the used SELECT statements have a different number of columns".into(),
-            ));
-        }
-        rows.extend(next_rows);
-        if !all {
-            let mut seen = std::collections::HashSet::new();
-            rows.retain(|r| seen.insert(row_key(r)));
-        }
-    }
-    Ok((columns, rows))
-}
-
-fn row_key(row: &Row) -> String {
-    let mut k = String::new();
-    for v in row {
-        k.push_str(&format!("{v:?}"));
-        k.push('\u{1f}');
-    }
-    k
-}
-
-/// Plans one SELECT arm and interprets the resulting stage pipeline.
-/// Each stage maps onto one plan node family (see [`crate::plan`]).
-fn run_select_arm(
-    db: &Database,
-    select: &Select,
-    now: i64,
-    outer: Option<&EvalCtx<'_>>,
-    cache: Option<&ProgramCache>,
-    fx: &mut SideEffects,
-) -> Result<(Vec<String>, Vec<Row>), DbError> {
-    // Compiled programs only serve top-level (uncorrelated) evaluation:
-    // a correlated subquery resolves columns through the outer scope,
-    // which the compiler does not model.
-    let cache = if outer.is_none() { cache } else { None };
-    let plan = SelectPlan::build(db, select)?;
-    let rows = source_stage(db, &plan, outer, cache, now, fx)?;
-    let result = emit_stage(db, &plan, rows, outer, cache, now, fx)?;
-    let result = limit_stage(&plan, result);
-    Ok((plan.project.columns, result))
-}
-
-/// The cached (or just compiled) program for `expr` with its literal
-/// slots filled for this statement; `None` means "use the walker".
-fn compiled(
-    expr: &Expr,
-    layout: &[Binding<'_>],
-    cache: Option<&ProgramCache>,
-) -> Option<(Arc<Program>, Vec<Value>)> {
-    let program = cache?.program_for(expr, layout)?;
-    let mut slots = Vec::with_capacity(program.slots() as usize);
-    vmexec::collect_literals(expr, &mut slots);
-    debug_assert_eq!(slots.len(), program.slots() as usize);
-    Some((program, slots))
-}
-
-/// A WHERE / ON predicate readied for one statement: the compiled program
-/// on a reusable VM stack when the caller's cache has one for the shape,
-/// the recursive walker otherwise (no cache, or a walker-only shape in
-/// the negative cache). No predicate at all holds on every row.
-struct Predicate<'e> {
-    expr: Option<&'e Expr>,
-    compiled: Option<(Arc<Program>, Vec<Value>)>,
-    vm: Vm<Value>,
-}
-
-impl<'e> Predicate<'e> {
-    fn new(expr: Option<&'e Expr>, layout: &[Binding<'_>], cache: Option<&ProgramCache>) -> Self {
-        Predicate {
-            expr,
-            compiled: expr.and_then(|e| compiled(e, layout, cache)),
-            vm: Vm::new(),
-        }
-    }
-
-    fn holds(&mut self, ctx: &EvalCtx<'_>, fx: &mut SideEffects) -> Result<bool, DbError> {
-        let value = match (&self.compiled, self.expr) {
-            (Some((program, slots)), _) => {
-                let mut host = vmexec::ExprHost {
-                    slots,
-                    row: ctx.row,
-                    now: ctx.now,
-                    fx,
-                };
-                self.vm.run(program, &mut host)?
-            }
-            (None, Some(expr)) => eval(expr, ctx, fx)?,
-            (None, None) => return Ok(true),
-        };
-        Ok(value.is_truthy())
-    }
-}
-
-/// The one scan-and-filter loop, shared by SELECT sources, join steps,
-/// UPDATE and DELETE. Appends each candidate of `store` — the row indexed
-/// under `key`, or every live row without one — to the composite `row`,
-/// evaluates `pred` on it **in place** (nothing is copied to be looked
-/// at) and hands the survivors to `keep` with their slot; `keep` returns
-/// `false` to stop early (LIMIT). `scope` supplies everything of the
-/// evaluation context but the row.
-fn scan_filter<'r>(
-    store: &'r TableStore,
-    key: Option<&PkKey>,
-    pred: &mut Predicate<'_>,
-    scope: &EvalCtx<'_>,
-    row: &mut CRow<'r>,
-    fx: &mut SideEffects,
-    mut keep: impl FnMut(usize, &CRow<'r>, &mut SideEffects) -> Result<bool, DbError>,
-) -> Result<(), DbError> {
-    for (slot, candidate) in store.candidates(key) {
-        row.cells.push(candidate);
-        let more = !pred.holds(&EvalCtx { row, ..*scope }, fx)? || keep(slot, row, fx)?;
-        row.cells.pop();
-        if !more {
-            break;
-        }
-    }
-    Ok(())
-}
-
-/// Sources: every FROM table and JOIN extends the composite rows built so
-/// far by the rows of its table that its access path proposes and its ON
-/// predicate keeps; LEFT joins null-pad rows with no match. The last
-/// source evaluates WHERE as well, so a composite row is materialised
-/// only once it is known to survive. With no FROM there is a single
-/// empty composite row (`SELECT 1`).
-fn source_stage<'p>(
-    db: &'p Database,
-    plan: &'p SelectPlan<'_>,
-    outer: Option<&'p EvalCtx<'p>>,
-    cache: Option<&ProgramCache>,
-    now: i64,
-    fx: &mut SideEffects,
-) -> Result<Vec<CRow<'p>>, DbError> {
-    let scope = EvalCtx::scope(db, &plan.layout, outer, now);
-    let mut filter = Predicate::new(plan.filter, &plan.layout, cache);
-    let mut rows = vec![CRow::default()];
-    if plan.sources.is_empty() && !filter.holds(&scope, fx)? {
-        rows.clear();
-    }
-    for (i, source) in plan.sources.iter().enumerate() {
-        let store: &TableStore = &plan.layout[i].store;
-        let last = i + 1 == plan.sources.len();
-        // Only the layout prefix up to this binding is visible to ON —
-        // later sources have not produced cells yet.
-        let scope = EvalCtx {
-            layout: &plan.layout[..=i],
-            ..scope
-        };
-        let (left, on) = match source.join {
-            Some((kind, on)) => (kind == JoinKind::Left, on),
-            None => (false, None),
-        };
-        let mut on = Predicate::new(on, scope.layout, None);
-        let mut next = Vec::new();
-        for mut row in rows {
-            let probed;
-            let key = match &source.access {
-                Access::FullScan => None,
-                Access::PkPoint(key) => Some(key),
-                // Per probe value: one the index cannot serve scans.
-                Access::PkProbe(probe) => {
-                    probed = store.lookup_key(&eval(probe, &EvalCtx { row: &row, ..scope }, fx)?);
-                    probed.as_ref()
-                }
-            };
-            let mut matched = false;
-            scan_filter(store, key, &mut on, &scope, &mut row, fx, |_, row, fx| {
-                matched = true;
-                if !last || filter.holds(&EvalCtx { row, ..scope }, fx)? {
-                    next.push(row.clone());
-                }
-                Ok(true)
-            })?;
-            if !matched && left {
-                row.cells.push(&source.pad);
-                if !last || filter.holds(&EvalCtx { row: &row, ..scope }, fx)? {
-                    next.push(row);
-                }
-            }
-        }
-        rows = next;
-    }
-    Ok(rows)
-}
-
-/// Aggregate + Project + Sort + Distinct: turns filtered composite rows
-/// into output rows. Grouping (when the plan has an aggregate stage)
-/// partitions by the GROUP BY key vector — or one synthetic all-rows
-/// group — applies HAVING per group, then projects one row per group.
-#[allow(clippy::too_many_lines)]
-fn emit_stage(
-    db: &Database,
-    plan: &SelectPlan<'_>,
-    rows: Vec<CRow<'_>>,
-    outer: Option<&EvalCtx<'_>>,
-    cache: Option<&ProgramCache>,
-    now: i64,
-    fx: &mut SideEffects,
-) -> Result<Vec<Row>, DbError> {
-    let layout = &plan.layout;
-    let columns = &plan.project.columns;
-    let scope = EvalCtx::scope(db, layout, outer, now);
-
-    // Compile non-aggregate projection expressions once for the whole
-    // result set; items that stay on the walker keep `None`.
-    let item_programs: Vec<Option<(Arc<Program>, Vec<Value>)>> = plan
-        .project
-        .items
-        .iter()
-        .map(|item| match item {
-            SelectItem::Expr { expr, .. } => compiled(expr, layout, cache),
-            _ => None,
-        })
-        .collect();
-    let project_vm = std::cell::RefCell::new(Vm::new());
-
-    let project = |ctx: &EvalCtx<'_>, fx: &mut SideEffects| -> Result<Row, DbError> {
-        let row = ctx.row;
-        let mut out = Vec::with_capacity(columns.len());
-        for (ii, item) in plan.project.items.iter().enumerate() {
-            match item {
-                SelectItem::Wildcard => {
-                    for cells in &row.cells {
-                        out.extend(cells.iter().cloned());
-                    }
-                }
-                SelectItem::QualifiedWildcard(t) => {
-                    let bi = layout
-                        .iter()
-                        .position(|b| b.name.eq_ignore_ascii_case(t))
-                        .ok_or_else(|| DbError::UnknownTable(t.clone()))?;
-                    out.extend(row.cells[bi].iter().cloned());
-                }
-                SelectItem::Expr { expr, .. } => match &item_programs[ii] {
-                    Some((program, slots)) => {
-                        let mut host = vmexec::ExprHost {
-                            slots,
-                            row,
-                            now,
-                            fx,
-                        };
-                        out.push(project_vm.borrow_mut().run(program, &mut host)?);
-                    }
-                    None => out.push(eval(expr, ctx, fx)?),
-                },
-            }
-        }
-        Ok(out)
-    };
-
-    let mut result: Vec<Row>;
-    if let Some(agg) = &plan.aggregate {
-        // group rows
-        let null_rows: Vec<Row>;
-        let mut groups: Vec<(CRow<'_>, Vec<CRow<'_>>)> = Vec::new();
-        if agg.group_by.is_empty() {
-            // An empty input still yields one group; its representative
-            // row is all NULLs.
-            null_rows = match rows.first() {
-                Some(_) => Vec::new(),
-                None => layout
-                    .iter()
-                    .map(|b| vec![Value::Null; b.schema().columns.len()])
-                    .collect(),
-            };
-            let rep = rows.first().cloned().unwrap_or_else(|| CRow {
-                cells: null_rows.iter().map(Vec::as_slice).collect(),
-            });
-            groups.push((rep, rows));
-        } else {
-            let mut index: HashMap<String, usize> = HashMap::new();
-            for row in rows {
-                let ctx = EvalCtx { row: &row, ..scope };
-                let mut key = String::new();
-                for g in agg.group_by {
-                    key.push_str(&format!("{:?}", eval(g, &ctx, fx)?));
-                    key.push('\u{1f}');
-                }
-                match index.get(&key) {
-                    Some(&gi) => groups[gi].1.push(row),
-                    None => {
-                        index.insert(key, groups.len());
-                        groups.push((row.clone(), vec![row]));
-                    }
-                }
-            }
-            // With GROUP BY and no matching rows there is no output at all.
-        }
-        // HAVING + projection
-        result = Vec::new();
-        let mut order_keys: Vec<Vec<Value>> = Vec::new();
-        for (rep, members) in &groups {
-            let ctx = EvalCtx {
-                row: rep,
-                group: Some(members),
-                ..scope
-            };
-            if let Some(h) = agg.having {
-                if !eval(h, &ctx, fx)?.is_truthy() {
-                    continue;
-                }
-            }
-            result.push(project(&ctx, fx)?);
-            if !plan.order_by.is_empty() {
-                let mut keys = Vec::new();
-                for o in plan.order_by {
-                    keys.push(order_key(&o.expr, &ctx, &result[result.len() - 1], fx)?);
-                }
-                order_keys.push(keys);
-            }
-        }
-        if !plan.order_by.is_empty() {
-            result = sort_rows(result, order_keys, plan.order_by);
-        }
-    } else {
-        // Project each row exactly once (a projection may have side
-        // effects, e.g. `SLEEP`), then sort the projected rows by key.
-        result = Vec::with_capacity(rows.len());
-        let mut order_keys: Vec<Vec<Value>> = Vec::new();
-        for row in &rows {
-            let ctx = EvalCtx { row, ..scope };
-            let projected = project(&ctx, fx)?;
-            if !plan.order_by.is_empty() {
-                let mut keys = Vec::with_capacity(plan.order_by.len());
-                for o in plan.order_by {
-                    keys.push(order_key(&o.expr, &ctx, &projected, fx)?);
-                }
-                order_keys.push(keys);
-            }
-            result.push(projected);
-        }
-        if !plan.order_by.is_empty() {
-            result = sort_rows(result, order_keys, plan.order_by);
-        }
-        if plan.distinct {
-            let mut seen = std::collections::HashSet::new();
-            result.retain(|r| seen.insert(row_key(r)));
-        }
-    }
-    Ok(result)
-}
-
-/// LIMIT/OFFSET over the emitted rows.
-fn limit_stage(plan: &SelectPlan<'_>, result: Vec<Row>) -> Vec<Row> {
-    let Some(limit) = plan.limit else {
-        return result;
-    };
-    let start = (limit.offset as usize).min(result.len());
-    let end = start.saturating_add(limit.count as usize).min(result.len());
-    result[start..end].to_vec()
-}
-
-/// ORDER BY key: positional `ORDER BY 2` picks the projected column (the
-/// form union-based injection probes use); otherwise evaluate the
-/// expression.
-fn order_key(
-    expr: &Expr,
-    ctx: &EvalCtx<'_>,
-    projected: &Row,
-    fx: &mut SideEffects,
-) -> Result<Value, DbError> {
-    if let Expr::Literal(Literal::Int(n)) = expr {
-        let idx = *n as usize;
-        if idx == 0 || idx > projected.len() {
-            return Err(DbError::Semantic(format!(
-                "unknown column '{n}' in order clause"
-            )));
-        }
-        return Ok(projected[idx - 1].clone());
-    }
-    eval(expr, ctx, fx)
-}
-
-fn compare_key_vecs(a: &[Value], b: &[Value], order: &[OrderBy]) -> std::cmp::Ordering {
-    for (i, o) in order.iter().enumerate() {
-        let ord = match (a[i].is_null(), b[i].is_null()) {
-            (true, true) => std::cmp::Ordering::Equal,
-            (true, false) => std::cmp::Ordering::Less, // NULLs sort first in MySQL ASC
-            (false, true) => std::cmp::Ordering::Greater,
-            (false, false) => a[i].sql_cmp(&b[i]).unwrap_or(std::cmp::Ordering::Equal),
-        };
-        let ord = if o.descending { ord.reverse() } else { ord };
-        if ord != std::cmp::Ordering::Equal {
-            return ord;
-        }
-    }
-    std::cmp::Ordering::Equal
-}
-
-fn sort_rows(rows: Vec<Row>, keys: Vec<Vec<Value>>, order: &[OrderBy]) -> Vec<Row> {
-    let mut zipped: Vec<(Vec<Value>, Row)> = keys.into_iter().zip(rows).collect();
-    zipped.sort_by(|a, b| compare_key_vecs(&a.0, &b.0, order));
-    zipped.into_iter().map(|(_, r)| r).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -1222,15 +689,14 @@ fn for_each_target(
         store: Cow::Borrowed(store),
     }];
     let key = point_key(where_clause, &layout, 0);
-    let mut pred = Predicate::new(where_clause, &layout, cache);
+    let pred = where_clause.map(|e| Prepared::new(e, &layout, cache));
     let scope = EvalCtx::scope(db, &layout, None, now);
-    let mut row = CRow::default();
     scan_filter(
-        store,
-        key.as_ref(),
-        &mut pred,
+        store.candidates(key.as_ref()),
+        pred.as_ref(),
+        &mut Machine::default(),
         &scope,
-        &mut row,
+        &mut Vec::with_capacity(1),
         fx,
         |slot, row, fx| visit(slot, &EvalCtx { row, ..scope }, fx),
     )
@@ -1265,7 +731,7 @@ fn run_update(
         cache,
         fx,
         |slot, ctx, fx| {
-            let mut new_row = ctx.row.cells[0].to_vec();
+            let mut new_row = ctx.row[0].to_vec();
             for ((_, e), &ti) in update.assignments.iter().zip(&targets) {
                 new_row[ti] = schema.columns[ti].coerce(eval(e, ctx, fx)?);
             }

@@ -11,6 +11,9 @@ pub struct SideEffects {
     /// Total seconds of `SLEEP()` the query requested. The server adds this
     /// to the reported latency instead of actually blocking the thread.
     pub sleep_seconds: f64,
+    /// Rows the statement's scans looked at — every candidate an access
+    /// path proposed, subqueries included, whether or not it matched.
+    pub rows_examined: u64,
 }
 
 /// Evaluates a scalar builtin over already-evaluated arguments.

@@ -30,6 +30,7 @@ pub mod exec;
 pub mod expr;
 pub mod guard;
 pub mod plan;
+mod select;
 pub mod server;
 pub mod storage;
 pub mod value;

@@ -38,10 +38,9 @@ use septic_sql::{charset, items, parse, Statement};
 use septic_telemetry::{label_value, Counter, Histogram, MetricsRegistry, MetricsSnapshot};
 
 use crate::error::DbError;
-use crate::exec::{
-    execute_logged, execute_read_with, is_read_only, validate, where_program, QueryOutput,
-};
+use crate::exec::{execute_logged, execute_read_with, is_read_only, validate, QueryOutput};
 use crate::guard::{panic_message, FailurePolicy, GuardDecision, QueryContext, SharedGuard};
+use crate::select::where_program;
 use crate::storage::{Database, UndoLog};
 use crate::value::Value;
 use crate::vmexec::ProgramCache;
@@ -352,6 +351,12 @@ pub struct Server {
     txn_stats: TxnStats,
     /// Table copies and rollbacks of the write path.
     write_stats: WriteStats,
+    /// What the statements a client was answered cost and gave back: rows
+    /// the executor's scans looked at against rows returned. An indexed
+    /// lookup examines one row; the tautology an injection turns it into
+    /// examines the table.
+    rows_examined: Arc<Counter>,
+    rows_returned: Arc<Counter>,
 }
 
 impl Server {
@@ -373,6 +378,8 @@ impl Server {
         let txn_stats = TxnStats::register(&metrics);
         let write_stats = WriteStats::register(&metrics);
         let pipeline = PipelineTimers::register(&metrics);
+        let rows_examined = metrics.counter("dbms_rows_examined_total");
+        let rows_returned = metrics.counter("dbms_rows_returned_total");
         let program_cache = ProgramCache::new();
         program_cache.attach_metrics(&metrics);
         Server {
@@ -390,6 +397,8 @@ impl Server {
             storage: RwLock::new(Arc::new(NullBackend)),
             txn_stats,
             write_stats,
+            rows_examined,
+            rows_returned,
         }
     }
 
@@ -867,12 +876,17 @@ impl Server {
             }
         };
         let mut simulated = Duration::ZERO;
+        let (mut examined, mut returned) = (0, 0);
         for out in &outputs {
+            examined += out.effects.rows_examined;
+            returned += out.rows.len() as u64;
             let delay = Duration::from_secs_f64(out.effects.sleep_seconds);
             simulated += delay;
             self.simulated_total_micros
                 .fetch_add(delay.as_micros() as i64, Ordering::Relaxed);
         }
+        self.rows_examined.add(examined);
+        self.rows_returned.add(returned);
         self.log(at, session, raw_sql, || "ok".to_string());
         Ok(ExecResult {
             outputs,

@@ -109,11 +109,20 @@ impl Value {
         if self.is_null() || pattern.is_null() {
             return None;
         }
+        // ASCII text against an ASCII pattern folds byte by byte as it is
+        // matched; nothing is copied per evaluated row.
+        if let (Value::Str(text), Value::Str(pat)) = (self, pattern) {
+            if text.is_ascii() && pat.is_ascii() {
+                let fold = |b: &u8| b.to_ascii_lowercase();
+                return Some(like_match(text.as_bytes(), pat.as_bytes(), fold));
+            }
+        }
         let text = self.to_display_string().to_lowercase();
         let pat = pattern.to_display_string().to_lowercase();
         Some(like_match(
             &text.chars().collect::<Vec<_>>(),
             &pat.chars().collect::<Vec<_>>(),
+            |c| *c,
         ))
     }
 }
@@ -153,9 +162,31 @@ impl From<String> for Value {
     }
 }
 
-/// Case-folded string ordering without allocating lowercase copies (the
-/// executor compares strings per row in WHERE evaluation).
+/// Case-folded string ordering (the executor compares strings per row in
+/// WHERE evaluation): ASCII-folded bytes while both sides are ASCII, and
+/// [`folded_chars_cmp`] over what is left from the first non-ASCII byte
+/// of either side on. An ASCII character lower-cases to one ASCII
+/// character, so up to there the two orderings read the same sequence,
+/// and the split falls on a character boundary of both strings.
 fn case_insensitive_cmp(a: &str, b: &str) -> Ordering {
+    let ascii = a
+        .bytes()
+        .zip(b.bytes())
+        .take_while(|(x, y)| x.is_ascii() && y.is_ascii());
+    let mut same = 0;
+    for (x, y) in ascii {
+        match x.to_ascii_lowercase().cmp(&y.to_ascii_lowercase()) {
+            Ordering::Equal => same += 1,
+            other => return other,
+        }
+    }
+    folded_chars_cmp(&a[same..], &b[same..])
+}
+
+/// Ordering of the two strings' characters, each lower-cased by
+/// [`char::to_lowercase`] (one character may become several), without
+/// allocating lowercase copies.
+fn folded_chars_cmp(a: &str, b: &str) -> Ordering {
     let mut ai = a.chars().flat_map(char::to_lowercase);
     let mut bi = b.chars().flat_map(char::to_lowercase);
     loop {
@@ -226,18 +257,29 @@ pub fn numeric_prefix(s: &str) -> f64 {
     t[..end].parse::<f64>().unwrap_or(0.0)
 }
 
-fn like_match(text: &[char], pat: &[char]) -> bool {
-    match pat.split_first() {
-        None => text.is_empty(),
-        Some(('%', rest)) => (0..=text.len()).any(|i| like_match(&text[i..], rest)),
-        Some(('_', rest)) => !text.is_empty() && like_match(&text[1..], rest),
-        Some((c, rest)) => text.first() == Some(c) && like_match(&text[1..], rest),
+/// `LIKE` over characters or bytes; `fold` is applied to both sides of a
+/// literal comparison (the identity for input that is folded already).
+fn like_match<T: Copy + PartialEq + From<u8>>(
+    text: &[T],
+    pat: &[T],
+    fold: impl Fn(&T) -> T + Copy,
+) -> bool {
+    let Some((p, rest)) = pat.split_first() else {
+        return text.is_empty();
+    };
+    if *p == T::from(b'%') {
+        (0..=text.len()).any(|i| like_match(&text[i..], rest, fold))
+    } else if *p == T::from(b'_') {
+        !text.is_empty() && like_match(&text[1..], rest, fold)
+    } else {
+        text.first().map(fold) == Some(fold(p)) && like_match(&text[1..], rest, fold)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn numeric_prefix_rules() {
@@ -275,6 +317,95 @@ mod tests {
             Value::from("a").sql_cmp(&Value::from("B")),
             Some(Ordering::Less)
         );
+    }
+
+    #[test]
+    fn ascii_collation_cases() {
+        assert_eq!(Value::from("a").sql_eq(&Value::from("A")), Some(true));
+        assert_eq!(
+            Value::from("abc").sql_cmp(&Value::from("ABD")),
+            Some(Ordering::Less)
+        );
+        // A strict prefix sorts first, whichever side folds.
+        assert_eq!(case_insensitive_cmp("AB", "abc"), Ordering::Less);
+        assert_eq!(case_insensitive_cmp("abc", "AB"), Ordering::Greater);
+        assert_eq!(case_insensitive_cmp("", ""), Ordering::Equal);
+    }
+
+    #[test]
+    fn non_ascii_collation_keeps_the_per_character_fold() {
+        // U+212A KELVIN SIGN lower-cases to ASCII `k`.
+        assert_eq!(case_insensitive_cmp("\u{212A}", "k"), Ordering::Equal);
+        assert_eq!(case_insensitive_cmp("ab\u{212A}", "ABK"), Ordering::Equal);
+        // U+0130 expands to `i` + U+0307: longer than a plain `i`.
+        assert_eq!(case_insensitive_cmp("\u{130}", "i"), Ordering::Greater);
+        assert_eq!(
+            case_insensitive_cmp("x\u{130}", "Xi\u{307}"),
+            Ordering::Equal
+        );
+        // `ß` does not fold to `ss`; `ǅ` folds to `ǆ`.
+        assert_eq!(
+            case_insensitive_cmp("stra\u{df}e", "STRASSE"),
+            Ordering::Greater
+        );
+        assert_eq!(case_insensitive_cmp("\u{1C5}", "\u{1C6}"), Ordering::Equal);
+    }
+
+    /// Strings biased toward what the byte path could get wrong: case
+    /// pairs, characters whose lower-case form is ASCII or is several
+    /// characters, combining marks, and ASCII prefixes of any length.
+    fn collation_string() -> impl Strategy<Value = String> {
+        const POOL: [&str; 16] = [
+            "a", "A", "k", "K", "z", "i", "I", "\u{130}", "\u{212A}", "\u{df}", "\u{1C5}",
+            "\u{1C6}", "\u{307}", "e\u{301}", "\u{3a3}", "\u{e9}",
+        ];
+        fn_strategy(|rng| {
+            let mut s: String = (0..rng.below(5)).map(|_| *rng.pick(&POOL)).collect();
+            if rng.bool() {
+                s.insert_str(0, &"[a-cA-C]{0,4}".generate(rng));
+            }
+            s
+        })
+    }
+
+    /// What `sql_like` was before it matched ASCII on bytes.
+    fn sql_like_reference(text: &Value, pattern: &Value) -> Option<bool> {
+        if text.is_null() || pattern.is_null() {
+            return None;
+        }
+        let text: Vec<char> = text.to_display_string().to_lowercase().chars().collect();
+        let pat: Vec<char> = pattern.to_display_string().to_lowercase().chars().collect();
+        Some(like_match(&text, &pat, |c| *c))
+    }
+
+    fn like_operand() -> impl Strategy<Value = Value> {
+        fn_strategy(|rng| match rng.below(8) {
+            0 => Value::Null,
+            1 => Value::Int(rng.below(200) as i64 - 100),
+            2 => Value::Str("[a-bA-B%_\u{e9}\u{c9}\u{3a3}]{0,6}".generate(rng)),
+            _ => Value::Str("[a-bA-B%_]{0,6}".generate(rng)),
+        })
+    }
+
+    proptest! {
+        /// The byte path is the old per-character fold, on every input.
+        #[test]
+        fn collation_matches_the_per_character_fold(
+            a in collation_string(), b in collation_string(), c in "\\PC{0,6}", share in any::<bool>()
+        ) {
+            // Half the pairs share a prefix, so the comparison gets past it.
+            let (a, b) = if share { (format!("{c}{a}"), format!("{}{b}", c.to_uppercase())) } else { (a, b) };
+            prop_assert_eq!(case_insensitive_cmp(&a, &b), folded_chars_cmp(&a, &b));
+            prop_assert_eq!(case_insensitive_cmp(&b, &a), folded_chars_cmp(&b, &a));
+            // A string PK finds a row exactly when `=` calls the keys equal.
+            let same_key = crate::storage::PkKey::text(&a) == crate::storage::PkKey::text(&b);
+            prop_assert_eq!(same_key, case_insensitive_cmp(&a, &b) == Ordering::Equal);
+        }
+
+        #[test]
+        fn like_matches_its_allocating_reference(text in like_operand(), pat in like_operand()) {
+            prop_assert_eq!(text.sql_like(&pat), sql_like_reference(&text, &pat));
+        }
     }
 
     #[test]

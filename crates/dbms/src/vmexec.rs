@@ -1,11 +1,20 @@
 //! Compile-once/execute-many expression programs for the executor.
 //!
-//! WHERE clauses and non-aggregate projection items compile into flat
-//! [`septic_vm::Program`]s keyed by *statement shape*: literals become
-//! runtime constant slots, so `WHERE id = 1` and `WHERE id = 2` share one
-//! cached program, and column references resolve to `(binding, column)`
-//! indices at compile time. Per row, a reusable [`septic_vm::Vm`] runs the
-//! opcode loop instead of recursing over the AST.
+//! Every expression a statement evaluates per row — WHERE, a join's ON and
+//! its key probe, GROUP BY keys, aggregate *arguments*, non-aggregate
+//! projection items — compiles into a flat [`septic_vm::Program`] keyed by
+//! *statement shape*: literals become runtime constant slots, so
+//! `WHERE id = 1` and `WHERE id = 2` share one cached program, and column
+//! references resolve to `(binding, column)` indices at compile time. Per
+//! row, a reusable [`septic_vm::Vm`] runs the opcode loop instead of
+//! recursing over the AST.
+//!
+//! Operands are borrowed. The VM's stack holds [`Operand`]s — *where* a
+//! value is (a cell of the row under the scan, a constant slot) or a
+//! result an operator computed — and operators read them in place, so a
+//! row that is only looked at is never copied: evaluating a predicate over
+//! stored cells and literals allocates nothing. A cell is cloned in one
+//! place, [`Operand::take`], when it becomes part of an output row.
 //!
 //! All value semantics stay shared with the interpreted walker: the
 //! [`ExprHost`] delegates to the very same [`crate::exec::apply_unary`] /
@@ -16,12 +25,14 @@
 //! differential tests compare against.
 //!
 //! The walker runs in production only for expressions `compile_expr`
-//! rejects, a choice read off the statement itself: aggregates,
-//! subqueries (`IN (SELECT …)`, `EXISTS`, scalar subqueries — hence every
-//! correlated subquery), unbound `?` parameters, and `IN` lists
-//! containing non-literal members (the walker early-returns on the first
-//! hit, so pre-evaluating the members could diverge on side effects or
-//! errors). `tests/vm_cache.rs` pins this boundary construct by construct.
+//! rejects, a choice read off the statement itself: aggregate calls (so a
+//! HAVING or projection item that contains one walks down to the call,
+//! whose argument is compiled again), subqueries (`IN (SELECT …)`,
+//! `EXISTS`, scalar subqueries — hence every correlated subquery), unbound
+//! `?` parameters, and `IN` lists containing non-literal members (the
+//! walker early-returns on the first hit, so pre-evaluating the members
+//! could diverge on side effects or errors). `tests/vm_cache.rs` pins this
+//! boundary construct by construct.
 
 use std::cmp::Ordering;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
@@ -30,11 +41,11 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 use septic_sql::ast::{BinaryOp, Expr, Literal, UnaryOp};
 use septic_telemetry::{Counter, MetricsRegistry};
-use septic_vm::{Host, Op, Program, ProgramBuilder};
+use septic_vm::{Host, Op, Program, ProgramBuilder, Vm};
 use std::collections::HashMap;
 
 use crate::error::DbError;
-use crate::exec::{apply_binary, apply_unary, Binding, CRow};
+use crate::exec::{apply_binary, apply_unary, eval, Binding, CRow, EvalCtx};
 use crate::expr::{call_scalar, is_aggregate, SideEffects};
 use crate::value::Value;
 
@@ -490,72 +501,231 @@ pub(crate) fn literal_value(l: &Literal) -> Value {
 // the Host
 // ---------------------------------------------------------------------------
 
+/// What the VM's stack holds: where an operand is, or a computed result.
+/// A cell or a literal that is only compared is never copied.
+#[derive(Debug, Clone)]
+pub(crate) enum Operand {
+    /// A cell of the current row.
+    Column { binding: u16, column: u16 },
+    /// A literal of the current statement, by constant slot.
+    Slot(u32),
+    /// What an operator or function computed.
+    Owned(Value),
+}
+
+impl Operand {
+    /// The value the operand stands for, where it lies.
+    pub(crate) fn get<'v>(&'v self, slots: &'v [Value], row: CRow<'v>) -> &'v Value {
+        match self {
+            Operand::Column { binding, column } => {
+                &row[usize::from(*binding)][usize::from(*column)]
+            }
+            Operand::Slot(idx) => slots.get(*idx as usize).unwrap_or(&Value::Null),
+            Operand::Owned(v) => v,
+        }
+    }
+
+    /// The value as the caller's own: a computed result moves out, and
+    /// this is the one place a cell or a literal is copied.
+    pub(crate) fn take(&mut self, slots: &[Value], row: CRow<'_>) -> Value {
+        match self {
+            Operand::Owned(v) => std::mem::take(v),
+            located => located.get(slots, row).clone(),
+        }
+    }
+}
+
 /// The executor's [`Host`]: row access plus the walker's own coercion
 /// helpers, so VM and walker share one semantics implementation.
-pub(crate) struct ExprHost<'a> {
-    pub(crate) slots: &'a [Value],
-    pub(crate) row: &'a CRow<'a>,
-    pub(crate) now: i64,
-    pub(crate) fx: &'a mut SideEffects,
+struct ExprHost<'a> {
+    slots: &'a [Value],
+    row: CRow<'a>,
+    now: i64,
+    fx: &'a mut SideEffects,
+    /// Scratch for the owned argument list [`call_scalar`] takes.
+    args: &'a mut Vec<Value>,
+}
+
+impl ExprHost<'_> {
+    fn get<'v>(&'v self, operand: &'v Operand) -> &'v Value {
+        operand.get(self.slots, self.row)
+    }
 }
 
 impl Host for ExprHost<'_> {
-    type Value = Value;
+    type Operand = Operand;
     type Error = DbError;
 
-    fn slot(&self, idx: u32) -> Value {
-        self.slots.get(idx as usize).cloned().unwrap_or(Value::Null)
+    fn slot(&self, idx: u32) -> Operand {
+        Operand::Slot(idx)
     }
 
-    fn column(&self, binding: u16, column: u16) -> Value {
-        self.row.cells[usize::from(binding)][usize::from(column)].clone()
+    fn column(&self, binding: u16, column: u16) -> Operand {
+        Operand::Column { binding, column }
     }
 
     fn missing_column(&mut self, name: &str) -> DbError {
         DbError::UnknownColumn(name.to_string())
     }
 
-    fn unary(&mut self, code: u16, v: Value) -> Result<Value, DbError> {
-        Ok(apply_unary(UN_OPS[usize::from(code)], v))
+    fn unary(&mut self, code: u16, v: &Operand) -> Result<Operand, DbError> {
+        let op = UN_OPS[usize::from(code)];
+        Ok(Operand::Owned(apply_unary(op, self.get(v))))
     }
 
-    fn binary(&mut self, code: u16, left: Value, right: Value) -> Result<Value, DbError> {
-        Ok(apply_binary(BIN_OPS[usize::from(code)], left, right))
+    fn binary(&mut self, code: u16, left: &Operand, right: &Operand) -> Result<Operand, DbError> {
+        let op = BIN_OPS[usize::from(code)];
+        Ok(Operand::Owned(apply_binary(
+            op,
+            self.get(left),
+            self.get(right),
+        )))
     }
 
-    fn call(&mut self, name: &str, args: &[Value]) -> Result<Value, DbError> {
-        call_scalar(name, args, self.now, self.fx)
+    fn call(&mut self, name: &str, args: std::vec::Drain<'_, Operand>) -> Result<Operand, DbError> {
+        self.args.clear();
+        for mut operand in args {
+            self.args.push(operand.take(self.slots, self.row));
+        }
+        call_scalar(name, self.args, self.now, self.fx).map(Operand::Owned)
     }
 
-    fn is_truthy(&self, v: &Value) -> bool {
-        v.is_truthy()
+    fn is_truthy(&self, v: &Operand) -> bool {
+        self.get(v).is_truthy()
     }
 
-    fn is_null(&self, v: &Value) -> bool {
-        v.is_null()
+    fn is_null(&self, v: &Operand) -> bool {
+        self.get(v).is_null()
     }
 
-    fn case_eq(&self, operand: &Value, when: &Value) -> bool {
-        operand.sql_eq(when) == Some(true)
+    fn case_eq(&self, operand: &Operand, when: &Operand) -> bool {
+        self.get(operand).sql_eq(self.get(when)) == Some(true)
     }
 
-    fn eq_slot(&self, needle: &Value, slot: u32) -> Option<bool> {
-        match self.slots.get(slot as usize) {
-            Some(v) => needle.sql_eq(v),
-            None => None,
+    fn eq_slot(&self, needle: &Operand, slot: u32) -> Option<bool> {
+        self.get(needle).sql_eq(self.slots.get(slot as usize)?)
+    }
+
+    fn cmp3(&self, a: &Operand, b: &Operand) -> Option<Ordering> {
+        self.get(a).sql_cmp(self.get(b))
+    }
+
+    fn null(&self) -> Operand {
+        Operand::Owned(Value::Null)
+    }
+
+    fn bool_value(&self, b: bool) -> Operand {
+        Operand::Owned(Value::Int(i64::from(b)))
+    }
+}
+
+/// The reusable half of an evaluation: the VM's operand stack and the
+/// argument scratch, allocated on first use and reused row after row.
+#[derive(Default)]
+pub(crate) struct Machine {
+    vm: Vm<Operand>,
+    args: Vec<Value>,
+    /// Where a result of the walker sits while the caller reads it.
+    walked: Option<Operand>,
+}
+
+/// An expression readied for one statement: its cached program with this
+/// statement's literals in the constant slots when the caller's cache has
+/// one for the shape; the recursive walker otherwise (no cache, or a
+/// walker-only shape in the negative cache).
+pub(crate) struct Prepared<'e> {
+    expr: &'e Expr,
+    compiled: Option<Compiled>,
+}
+
+/// A shared program and the literals of one statement of its shape.
+pub(crate) type Compiled = (Arc<Program>, Vec<Value>);
+
+/// The cached (or just compiled) program for `expr` with its literal
+/// slots filled for this statement; `None` means "use the walker".
+pub(crate) fn compiled(
+    expr: &Expr,
+    layout: &[Binding<'_>],
+    cache: Option<&ProgramCache>,
+) -> Option<Compiled> {
+    let program = cache?.program_for(expr, layout)?;
+    let mut slots = Vec::with_capacity(program.slots() as usize);
+    collect_literals(expr, &mut slots);
+    debug_assert_eq!(slots.len(), program.slots() as usize);
+    Some((program, slots))
+}
+
+/// Evaluates `expr` on `row` — by its program on `m` when it has one — and
+/// returns the result where `m` holds it, with the constant slots that
+/// locate it. `scope` supplies everything of the evaluation context but
+/// the row, which the walker alone needs put together.
+pub(crate) fn evaluate<'c>(
+    expr: &Expr,
+    compiled: Option<&'c Compiled>,
+    m: &'c mut Machine,
+    row: CRow<'_>,
+    scope: &EvalCtx<'_>,
+    fx: &mut SideEffects,
+) -> Result<(&'c mut Operand, &'c [Value]), DbError> {
+    let Some((program, slots)) = compiled else {
+        let value = eval(expr, &EvalCtx { row, ..*scope }, fx)?;
+        return Ok((m.walked.insert(Operand::Owned(value)), &[]));
+    };
+    let mut host = ExprHost {
+        slots,
+        row,
+        now: scope.now,
+        fx,
+        args: &mut m.args,
+    };
+    Ok((m.vm.run(program, &mut host)?, slots))
+}
+
+impl<'e> Prepared<'e> {
+    pub(crate) fn new(
+        expr: &'e Expr,
+        layout: &[Binding<'_>],
+        cache: Option<&ProgramCache>,
+    ) -> Self {
+        Prepared {
+            expr,
+            compiled: compiled(expr, layout, cache),
         }
     }
 
-    fn cmp3(&self, a: &Value, b: &Value) -> Option<Ordering> {
-        a.sql_cmp(b)
+    /// [`evaluate`] on `row`.
+    pub(crate) fn operand<'c>(
+        &'c self,
+        m: &'c mut Machine,
+        row: CRow<'_>,
+        scope: &EvalCtx<'_>,
+        fx: &mut SideEffects,
+    ) -> Result<(&'c mut Operand, &'c [Value]), DbError> {
+        evaluate(self.expr, self.compiled.as_ref(), m, row, scope, fx)
     }
 
-    fn null(&self) -> Value {
-        Value::Null
+    /// The value of the expression on `row`, as the caller's own.
+    pub(crate) fn value(
+        &self,
+        m: &mut Machine,
+        row: CRow<'_>,
+        scope: &EvalCtx<'_>,
+        fx: &mut SideEffects,
+    ) -> Result<Value, DbError> {
+        let (operand, slots) = self.operand(m, row, scope, fx)?;
+        Ok(operand.take(slots, row))
     }
 
-    fn bool_value(&self, b: bool) -> Value {
-        Value::Int(i64::from(b))
+    /// Whether the expression is truthy on `row` (WHERE / ON).
+    pub(crate) fn holds(
+        &self,
+        m: &mut Machine,
+        row: CRow<'_>,
+        scope: &EvalCtx<'_>,
+        fx: &mut SideEffects,
+    ) -> Result<bool, DbError> {
+        let (operand, slots) = self.operand(m, row, scope, fx)?;
+        Ok(operand.get(slots, row).is_truthy())
     }
 }
 

@@ -1,0 +1,169 @@
+//! A scanned row costs a compare, not an allocation.
+//!
+//! Every test executes one SELECT over two tables that differ only in
+//! how many rows the statement has to *look at* and demands the same
+//! number of heap allocations for both, to the unit: what a statement
+//! allocates may depend on what it returns (rows, groups), never on what
+//! it scans, rejects, groups together or tries as a join candidate.
+//!
+//! Hand-mutations that must fail this file (each was tried):
+//! `ExprHost::column` cloning the cell it pushes fails
+//! `a_scan_that_keeps_nothing_allocates_the_same_over_10_and_1000_rows`;
+//! a `Vec` per survivor in `Rows::push`, and a `String` (or any owned
+//! key) built per member in `group_rows`, each fail
+//! `grouping_costs_per_group_not_per_member`, where survivors are not
+//! output rows.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use septic_dbms::{execute_read_with, execute_with, Database, ProgramCache};
+use septic_sql::parse;
+
+thread_local! {
+    /// (fresh allocations, regrowths of an existing one) on this thread:
+    /// `cargo test` runs the tests of a file on parallel threads.
+    static COUNTS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+struct Counting;
+
+fn count(fresh: u64, regrown: u64) {
+    // Unreachable only while a thread is torn down; nothing is measured then.
+    let _ = COUNTS.try_with(|c| {
+        let (f, r) = c.get();
+        c.set((f + fresh, r + regrown));
+    });
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, whose
+// contract is the one `GlobalAlloc` states; counting touches no allocation.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(1, 0);
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(1, 0);
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(0, 1);
+        System.realloc(ptr, layout, new_size)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// `tickets` with `rows` rows: `note` is `'keep'` on the first `keep` rows
+/// and `'drop-<id>'` after, `price` cycles through `prices` values, and
+/// `owners` (three rows) names tickets 1 to 3.
+fn database(rows: usize, keep: usize, prices: usize) -> Database {
+    let mut db = Database::new();
+    let mut run = |sql: &str| {
+        let parsed = parse(sql).expect("setup parses");
+        execute_with(&mut db, &parsed.statements[0], 0, None).expect("setup runs");
+    };
+    run("CREATE TABLE tickets (id INT PRIMARY KEY, note VARCHAR(32), price INT, ref INT)");
+    run("CREATE TABLE owners (oid INT PRIMARY KEY, ticket INT)");
+    for id in 1..=rows {
+        let note = if id <= keep {
+            "keep".to_string()
+        } else {
+            format!("drop-{id}")
+        };
+        let price = 10 * (id % prices);
+        run(&format!(
+            "INSERT INTO tickets (id, note, price, ref) VALUES ({id}, '{note}', {price}, {id})"
+        ));
+    }
+    run("INSERT INTO owners (oid, ticket) VALUES (1, 1), (2, 2), (3, 3)");
+    db
+}
+
+/// (fresh allocations, regrowths, rows returned) of one execution of
+/// `sql` with its programs already cached — the state every execution
+/// but a shape's first finds.
+fn cost(db: &Database, sql: &str) -> (u64, u64, usize) {
+    let cache = ProgramCache::new();
+    let parsed = parse(sql).expect("query parses");
+    let stmt = &parsed.statements[0];
+    execute_read_with(db, stmt, 0, Some(&cache)).expect("warm-up");
+    let (fresh, regrown) = COUNTS.get();
+    let out = execute_read_with(db, stmt, 0, Some(&cache)).expect("query");
+    let (fresh_after, regrown_after) = COUNTS.get();
+    assert!(cache.compile_count() > 0, "`{sql}` ran no compiled program");
+    (fresh_after - fresh, regrown_after - regrown, out.rows.len())
+}
+
+#[test]
+fn a_scan_that_keeps_nothing_allocates_the_same_over_10_and_1000_rows() {
+    let (small, large) = (database(10, 0, 7), database(1000, 0, 7));
+    for sql in [
+        // String equality: the literal shares a prefix with every cell.
+        "SELECT id, note FROM tickets WHERE note = 'drop-0' AND price < 1000",
+        "SELECT id, note FROM tickets WHERE note LIKE 'DROP-_x%'",
+        // Integers, arithmetic, IN, BETWEEN, CASE.
+        "SELECT id FROM tickets WHERE price < 0",
+        "SELECT id FROM tickets WHERE price + 1 IN (2, 3) OR id BETWEEN -5 AND -1",
+        "SELECT id FROM tickets WHERE CASE price WHEN -1 THEN 1 ELSE 0 END",
+        "SELECT COUNT(*), SUM(price) FROM tickets WHERE ref < 0",
+    ] {
+        let (few, many) = (cost(&small, sql), cost(&large, sql));
+        assert_eq!(few, many, "(fresh, regrown, rows) of `{sql}`");
+        assert!(few.0 > 0, "the counter counts");
+    }
+}
+
+#[test]
+fn survivors_cost_per_output_row_not_per_scanned_row() {
+    let sql = "SELECT id, note FROM tickets WHERE note = 'KEEP' AND price >= 0";
+    let (few, many) = (database(40, 20, 7), database(1000, 20, 7));
+    assert_eq!(cost(&few, sql), cost(&many, sql), "20 of 40 and 20 of 1000");
+    // And an output row is what does cost.
+    let more = cost(&database(1000, 40, 7), sql);
+    assert_eq!(more.2, 40);
+    assert!(more.0 > cost(&many, sql).0);
+}
+
+#[test]
+fn grouping_costs_per_group_not_per_member() {
+    let sql = "SELECT price, COUNT(*), SUM(ref), MAX(id) FROM tickets \
+               WHERE ref > 0 GROUP BY price";
+    let (few, many) = (
+        cost(&database(10, 0, 5), sql),
+        cost(&database(1000, 0, 5), sql),
+    );
+    assert_eq!((few.0, few.2), (many.0, 5), "fresh allocations, groups");
+    // The survivors' one arena grows by doubling: ten regrowths take it
+    // from 10 rows to 1000, a member takes none of its own.
+    assert!(many.1 <= few.1 + 10, "{} regrowths", many.1);
+    // A group is what does cost.
+    let groups = cost(&database(1000, 0, 50), sql);
+    assert_eq!(groups.2, 50);
+    assert!(groups.0 > many.0);
+}
+
+#[test]
+fn a_join_costs_per_output_row_not_per_candidate() {
+    // `ref` is no key: each of the three owners scans all of `tickets`.
+    let sql = "SELECT o.oid, t.note FROM owners o JOIN tickets t ON t.ref = o.ticket";
+    let (few, many) = (
+        cost(&database(10, 0, 7), sql),
+        cost(&database(1000, 0, 7), sql),
+    );
+    assert_eq!(few, many, "3 x 10 and 3 x 1000 candidates");
+    assert_eq!(few.2, 3);
+    // LEFT JOIN pad rows are output rows like any other.
+    let sql = "SELECT o.oid, t.note FROM owners o LEFT JOIN tickets t ON t.ref = o.ticket + 5000";
+    let (few, many) = (
+        cost(&database(10, 0, 7), sql),
+        cost(&database(1000, 0, 7), sql),
+    );
+    assert_eq!(few, many, "no candidate matches");
+    assert_eq!(few.2, 3);
+}

@@ -92,9 +92,11 @@ struct Boundary {
 }
 
 const BOUNDARY: [Boundary; 7] = [
+    // The aggregate *call* is the boundary: its key `a` and argument `b`
+    // run the programs the warm-up compiled for the bare columns.
     Boundary {
-        construct: "aggregate",
-        walker_only: "SELECT a, COUNT(*) FROM t GROUP BY a HAVING COUNT(*) > 0",
+        construct: "aggregate function",
+        walker_only: "SELECT a, SUM(b) FROM t GROUP BY a HAVING COUNT(*) > 0",
         walker_result: Ok(&["x", "y", "z"]),
         compilable: "SELECT a, LENGTH(a) FROM t",
         param: None,
@@ -235,6 +237,42 @@ fn walker_only_constructs_never_compile_and_their_counterparts_do() {
 }
 
 #[test]
+fn group_keys_aggregate_arguments_and_on_predicates_compile_once() {
+    let server = setup();
+    let conn = server.connect();
+    let cache = server.vm_cache();
+    // (statement, programs its first execution compiles)
+    let cases = [
+        // The key and the projected `LENGTH(a)` are one shape; `b + 1` is
+        // the other program; `SUM(..)` itself is a negative entry.
+        ("SELECT LENGTH(a), SUM(b + 1) FROM t GROUP BY LENGTH(a)", 2),
+        // A second key and two more arguments; `LENGTH(a)` is cached.
+        (
+            "SELECT COUNT(b * 2), MAX(CONCAT(a, '!')) FROM t GROUP BY LENGTH(a), b % 2",
+            3,
+        ),
+        // ON compiles against the bindings so far (`t`, `u`): one program
+        // for it, one for `t.a` under the two-table layout.
+        ("SELECT t.a FROM t JOIN t u ON u.b = t.b + 1", 2),
+        // A third binding: the first ON is cached under its own prefix.
+        (
+            "SELECT t.a FROM t JOIN t u ON u.b = t.b + 1 JOIN t v ON v.b = u.b + 1",
+            2,
+        ),
+    ];
+    for (sql, programs) in cases {
+        let before = cache.compile_count();
+        let first = conn.query(sql).unwrap_or_else(|e| panic!("`{sql}`: {e}"));
+        assert_eq!(cache.compile_count() - before, programs, "`{sql}`");
+        let entries = cache.len();
+        let again = conn.query(sql).expect("second execution");
+        assert_eq!(again.rows, first.rows, "`{sql}`");
+        assert_eq!(cache.compile_count() - before, programs, "`{sql}` again");
+        assert_eq!(cache.len(), entries, "`{sql}` again");
+    }
+}
+
+#[test]
 fn vm_and_walker_agree_on_results() {
     // Same database, same queries, reference walker vs compiled programs.
     let queries = [
@@ -243,6 +281,8 @@ fn vm_and_walker_agree_on_results() {
         "SELECT a, CASE WHEN b = 1 THEN 'one' ELSE 'many' END FROM t",
         "SELECT a FROM t WHERE a IN ('x', 'z') AND b IS NOT NULL",
         "SELECT a, CASE WHEN NULL THEN 'null' WHEN b > 2 THEN 'big' ELSE 'small' END FROM t",
+        "SELECT b % 2, COUNT(*), SUM(b * 10), GROUP_CONCAT(UPPER(a)) FROM t GROUP BY b % 2",
+        "SELECT t.a, u.a FROM t LEFT JOIN t u ON u.b = t.b + 1 AND u.a LIKE '_'",
     ];
     let mut db = Database::new();
     for sql in SETUP {

@@ -15,7 +15,9 @@
 //! vector plus constant pools — so caching it next to a model (or in
 //! the dbms statement-shape cache) costs a refcount bump per lookup.
 //! The [`Vm`] holds one reusable operand stack: after warmup a run
-//! performs no allocation of its own. All SQL value semantics (MySQL
+//! performs no allocation of its own, and what the stack holds is the
+//! host's [`Host::Operand`] — a reference to a value as readily as a
+//! value — which operators read in place. All SQL value semantics (MySQL
 //! coercions, three-valued logic, scalar functions) stay behind the
 //! [`Host`] trait, implemented by the dbms on the same helpers its
 //! interpreted walker uses — the walker remains available as the
@@ -111,7 +113,7 @@ mod tests {
     }
 
     impl Host for IntHost {
-        type Value = Option<i64>;
+        type Operand = Option<i64>;
         type Error = String;
 
         fn slot(&self, idx: u32) -> Option<i64> {
@@ -123,23 +125,28 @@ mod tests {
         fn missing_column(&mut self, name: &str) -> String {
             format!("unknown column {name}")
         }
-        fn unary(&mut self, _code: u16, v: Option<i64>) -> Result<Option<i64>, String> {
+        fn unary(&mut self, _code: u16, v: &Option<i64>) -> Result<Option<i64>, String> {
             Ok(v.map(|x| -x))
         }
         fn binary(
             &mut self,
             _code: u16,
-            l: Option<i64>,
-            r: Option<i64>,
+            l: &Option<i64>,
+            r: &Option<i64>,
         ) -> Result<Option<i64>, String> {
             match (l, r) {
                 (Some(a), Some(b)) => Ok(Some(a + b)),
                 _ => Ok(None),
             }
         }
-        fn call(&mut self, name: &str, args: &[Option<i64>]) -> Result<Option<i64>, String> {
+        fn call(
+            &mut self,
+            name: &str,
+            args: std::vec::Drain<'_, Option<i64>>,
+        ) -> Result<Option<i64>, String> {
+            let args: Vec<Option<i64>> = args.collect();
             match name {
-                "SUM2" => self.binary(0, args[0], args[1]),
+                "SUM2" => self.binary(0, &args[0], &args[1]),
                 other => Err(format!("no function {other}")),
             }
         }
@@ -196,9 +203,9 @@ mod tests {
         let mut host = IntHost {
             slots: vec![Some(1), Some(2)],
         };
-        assert_eq!(vm.run(&add, &mut host), Ok(Some(3)));
+        assert_eq!(vm.run(&add, &mut host), Ok(&mut Some(3)));
         host.slots = vec![Some(3), Some(4)];
-        assert_eq!(vm.run(&call, &mut host), Ok(Some(7)));
+        assert_eq!(vm.run(&call, &mut host), Ok(&mut Some(7)));
     }
 
     #[test]
@@ -223,11 +230,11 @@ mod tests {
         let mut hit = IntHost {
             slots: vec![Some(5), Some(5), Some(10), Some(20)],
         };
-        assert_eq!(vm.run(&program, &mut hit), Ok(Some(10)));
+        assert_eq!(vm.run(&program, &mut hit), Ok(&mut Some(10)));
         let mut miss = IntHost {
             slots: vec![Some(5), Some(6), Some(10), Some(20)],
         };
-        assert_eq!(vm.run(&program, &mut miss), Ok(Some(20)));
+        assert_eq!(vm.run(&program, &mut miss), Ok(&mut Some(20)));
     }
 
     #[test]
@@ -247,7 +254,7 @@ mod tests {
 
         let mut vm = Vm::new();
         let run = |vm: &mut Vm<Option<i64>>, slots: Vec<Option<i64>>| {
-            vm.run(&program, &mut IntHost { slots }).unwrap()
+            *vm.run(&program, &mut IntHost { slots }).unwrap()
         };
         assert_eq!(run(&mut vm, vec![Some(2), Some(1), Some(2)]), Some(1));
         assert_eq!(run(&mut vm, vec![Some(9), Some(1), Some(2)]), Some(0));

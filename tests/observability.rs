@@ -269,3 +269,77 @@ fn write_path_counters_appear_on_status_and_the_export() {
         );
     }
 }
+
+#[test]
+fn rows_examined_tell_a_lookup_from_the_scan_an_injection_makes_of_it() {
+    let server = Server::new();
+    let conn = server.connect();
+    conn.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+        .expect("create");
+    conn.execute(
+        "INSERT INTO t (id, v) VALUES (1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (6, 6), (7, 7), (8, 8)",
+    )
+    .expect("fill");
+    conn.execute("CREATE TABLE probe (pid INT PRIMARY KEY, x INT)")
+        .expect("create");
+    conn.execute("INSERT INTO probe (pid, x) VALUES (1, 2), (2, 9), (3, 4)")
+        .expect("fill");
+
+    // (examined, returned) as SHOW SEPTIC STATUS has them, which must be
+    // what the Prometheus export has.
+    let counters = || {
+        let status = conn.query("SHOW SEPTIC STATUS").expect("status");
+        let series = parse_prometheus(&server.prometheus()).expect("export parses");
+        ["dbms_rows_examined_total", "dbms_rows_returned_total"].map(|name| {
+            let shown: u64 = status_value(&status.rows, name)
+                .unwrap_or_else(|| panic!("status row {name}"))
+                .parse()
+                .expect("a count");
+            assert_eq!(series.get(name).copied(), Some(shown as f64), "{name}");
+            shown
+        })
+    };
+    let cases: [(&str, u64, u64); 5] = [
+        // The index proposes the one row.
+        ("SELECT * FROM t WHERE id = 3", 1, 1),
+        // The tautology examines the table, and returns it.
+        ("SELECT * FROM t WHERE id = 3 OR 1=1", 8, 8),
+        // A scan that keeps nothing still looked at every row.
+        ("SELECT * FROM t WHERE v > 100", 8, 0),
+        // Three probe rows scanned, then one indexed row per probe value
+        // the index holds (9 is not a key: nothing to examine).
+        (
+            "SELECT p.pid, t.v FROM probe p JOIN t ON p.x = t.id",
+            3 + 2,
+            2,
+        ),
+        // The same join with the key under OR scans t once per probe row.
+        (
+            "SELECT p.pid, t.v FROM probe p JOIN t ON (p.x = t.id) OR 0",
+            3 + 3 * 8,
+            2,
+        ),
+    ];
+    for (sql, examined, returned) in cases {
+        let [examined_before, returned_before] = counters();
+        conn.query(sql).expect("query");
+        let [examined_after, returned_after] = counters();
+        assert_eq!(
+            examined_after - examined_before,
+            examined,
+            "examined: {sql}"
+        );
+        assert_eq!(
+            returned_after - returned_before,
+            returned,
+            "returned: {sql}"
+        );
+    }
+    // UPDATE and DELETE share the scan loop, and its count.
+    let [before, _] = counters();
+    conn.execute("UPDATE t SET v = 0 WHERE id = 2 OR 1=1")
+        .expect("update");
+    conn.execute("DELETE FROM t WHERE id = 8").expect("delete");
+    let [after, _] = counters();
+    assert_eq!(after - before, 8 + 1);
+}

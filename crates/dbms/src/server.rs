@@ -34,7 +34,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
 use septic_sql::ast::InsertSource;
-use septic_sql::{charset, items, parse, Statement};
+use septic_sql::{charset, items, parse, ParseError, Statement};
 use septic_telemetry::{label_value, Counter, Histogram, MetricsRegistry, MetricsSnapshot};
 
 use crate::error::DbError;
@@ -357,6 +357,10 @@ pub struct Server {
     /// examines the table.
     rows_examined: Arc<Counter>,
     rows_returned: Arc<Counter>,
+    /// Statements the parser refused for nesting beyond its bound
+    /// (`septic_sql::parser::MAX_EXPR_DEPTH`): a peer spending the
+    /// server's stack, not a typo.
+    expr_depth_refusals: Arc<Counter>,
 }
 
 impl Server {
@@ -380,6 +384,8 @@ impl Server {
         let pipeline = PipelineTimers::register(&metrics);
         let rows_examined = metrics.counter("dbms_rows_examined_total");
         let rows_returned = metrics.counter("dbms_rows_returned_total");
+        let expr_depth_refusals =
+            metrics.counter("dbms_resource_limit_total{limit=\"expr_depth\"}");
         let program_cache = ProgramCache::new();
         program_cache.attach_metrics(&metrics);
         Server {
@@ -399,6 +405,7 @@ impl Server {
             write_stats,
             rows_examined,
             rows_returned,
+            expr_depth_refusals,
         }
     }
 
@@ -738,6 +745,9 @@ impl Server {
         let mut parsed = match parse_result {
             Ok(p) => p,
             Err(e) => {
+                if matches!(e, ParseError::TooDeep { .. }) {
+                    self.expr_depth_refusals.inc();
+                }
                 self.log(at, session, raw_sql, || format!("error: {e}"));
                 return Err(e.into());
             }

@@ -53,7 +53,8 @@ use septic_dbms::Server;
 use septic_telemetry::saturating_micros;
 
 use crate::conn::{Conn, ReadPass};
-use crate::frame::{write_frame, FrameError, QueryRequest, Request, Response, PROTOCOL_VERSION};
+use crate::dispatch::{handle_request, refuse_frame};
+use crate::frame::{write_frame, FrameError, Request, Response};
 use crate::poll::{Poller, Waker, INTEREST_READ, INTEREST_WRITE};
 use crate::server::{NetMetrics, NetServerConfig};
 
@@ -427,15 +428,8 @@ impl Reactor {
                 err @ (FrameError::Oversized { .. } | FrameError::Decode(_)) => {
                     // Same contract as the blocking front end: one
                     // best-effort error frame, then close.
-                    self.shared.metrics.decode_errors.inc();
                     let mut bytes = Vec::new();
-                    let _ = write_frame(
-                        &mut bytes,
-                        &Response::Error {
-                            message: err.to_string(),
-                        },
-                        cfg.max_frame_len,
-                    );
+                    refuse_frame(cfg, &self.shared.metrics, &mut bytes, &err);
                     c.queue_bytes(&bytes);
                     c.close_after_flush = true;
                     c.paused = true;
@@ -502,16 +496,11 @@ impl Reactor {
                     "worker queue full ({} workers saturated)",
                     self.shared.config.workers.max(1)
                 );
+                let busy = Response::ServerBusy { reason };
                 let mut bytes = Vec::new();
-                while let Some(_req) = c.pending.pop_front() {
+                while c.pending.pop_front().is_some() {
                     self.shared.metrics.rejected_busy.inc();
-                    let _ = write_frame(
-                        &mut bytes,
-                        &Response::ServerBusy {
-                            reason: reason.clone(),
-                        },
-                        self.shared.config.max_frame_len,
-                    );
+                    let _ = write_frame(&mut bytes, &busy, self.shared.config.max_frame_len);
                 }
                 c.queue_bytes(&bytes);
                 match c.flush() {
@@ -753,7 +742,9 @@ fn drive_conn(shared: &Arc<EvShared>, job: &Job) {
             }
         };
         let t = Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| handle_request(shared, &dbms, request)));
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            handle_request(&shared.config, &shared.metrics, &dbms, request)
+        }));
         shared
             .metrics
             .handle
@@ -816,52 +807,6 @@ fn drive_conn(shared: &Arc<EvShared>, job: &Job) {
             }
         }
     }
-}
-
-fn handle_request(
-    shared: &EvShared,
-    dbms: &septic_dbms::Connection,
-    request: Request,
-) -> Vec<Response> {
-    match request {
-        Request::Hello { .. } => vec![Response::Hello {
-            version: PROTOCOL_VERSION,
-        }],
-        Request::Ping => vec![Response::Pong],
-        Request::Query(q) => {
-            shared.metrics.requests.inc();
-            vec![run_query(shared, dbms, &q)]
-        }
-        Request::Batch(queries) => {
-            if queries.len() > shared.config.max_pipeline {
-                shared.metrics.pipeline_rejects.inc();
-                vec![Response::ServerBusy {
-                    reason: format!(
-                        "batch of {} exceeds the pipelining limit of {}",
-                        queries.len(),
-                        shared.config.max_pipeline
-                    ),
-                }]
-            } else {
-                shared.metrics.requests.add(queries.len() as u64);
-                queries.iter().map(|q| run_query(shared, dbms, q)).collect()
-            }
-        }
-    }
-}
-
-fn run_query(shared: &EvShared, dbms: &septic_dbms::Connection, q: &QueryRequest) -> Response {
-    if let Some(marker) = &shared.config.panic_marker {
-        assert!(
-            !q.sql.contains(marker.as_str()),
-            "injected net-handler fault: sql contains panic marker {marker:?}"
-        );
-    }
-    let outcome = match &q.params {
-        Some(params) => dbms.execute_prepared(&q.sql, params),
-        None => dbms.execute(&q.sql),
-    };
-    Response::from_outcome(&outcome)
 }
 
 /// A running event-loop front end. Dropping the handle shuts it down

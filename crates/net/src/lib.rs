@@ -45,6 +45,7 @@ use std::sync::Arc;
 
 pub mod client;
 pub mod conn;
+mod dispatch;
 pub mod event_loop;
 pub mod frame;
 pub mod poll;

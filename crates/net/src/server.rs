@@ -38,10 +38,8 @@ use std::time::{Duration, Instant};
 use septic_dbms::Server;
 use septic_telemetry::{saturating_micros, Counter, Histogram};
 
-use crate::frame::{
-    read_frame, write_frame, FrameError, QueryRequest, Request, Response, DEFAULT_MAX_FRAME_LEN,
-    PROTOCOL_VERSION,
-};
+use crate::dispatch::{handle_request, refuse_frame};
+use crate::frame::{read_frame, write_frame, FrameError, Request, Response, DEFAULT_MAX_FRAME_LEN};
 
 /// Configuration of the TCP front end.
 #[derive(Debug, Clone)]
@@ -445,14 +443,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
             }
             Err(FrameError::Closed) => return,
             Err(err @ (FrameError::Oversized { .. } | FrameError::Decode(_))) => {
-                shared.metrics.decode_errors.inc();
-                let _ = write_frame(
-                    &mut stream,
-                    &Response::Error {
-                        message: err.to_string(),
-                    },
-                    cfg.max_frame_len,
-                );
+                refuse_frame(cfg, &shared.metrics, &mut stream, &err);
                 return;
             }
             Err(err) => {
@@ -463,34 +454,7 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
             }
         };
         let t = Instant::now();
-        let responses: Vec<Response> = match request {
-            Request::Hello { .. } => vec![Response::Hello {
-                version: PROTOCOL_VERSION,
-            }],
-            Request::Ping => vec![Response::Pong],
-            Request::Query(q) => {
-                shared.metrics.requests.inc();
-                vec![run_query(shared, &conn, &q)]
-            }
-            Request::Batch(queries) => {
-                if queries.len() > cfg.max_pipeline {
-                    shared.metrics.pipeline_rejects.inc();
-                    vec![Response::ServerBusy {
-                        reason: format!(
-                            "batch of {} exceeds the pipelining limit of {}",
-                            queries.len(),
-                            cfg.max_pipeline
-                        ),
-                    }]
-                } else {
-                    shared.metrics.requests.add(queries.len() as u64);
-                    queries
-                        .iter()
-                        .map(|q| run_query(shared, &conn, q))
-                        .collect()
-                }
-            }
-        };
+        let responses = handle_request(cfg, &shared.metrics, &conn, request);
         shared
             .metrics
             .handle
@@ -506,20 +470,6 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
             .write
             .record_us(saturating_micros(t.elapsed()));
     }
-}
-
-fn run_query(shared: &Shared, conn: &septic_dbms::Connection, q: &QueryRequest) -> Response {
-    if let Some(marker) = &shared.config.panic_marker {
-        assert!(
-            !q.sql.contains(marker.as_str()),
-            "injected net-handler fault: sql contains panic marker {marker:?}"
-        );
-    }
-    let outcome = match &q.params {
-        Some(params) => conn.execute_prepared(&q.sql, params),
-        None => conn.execute(&q.sql),
-    };
-    Response::from_outcome(&outcome)
 }
 
 #[cfg(test)]

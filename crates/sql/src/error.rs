@@ -27,6 +27,12 @@ pub enum ParseError {
     Syntax { message: String, span: Span },
     /// The statement kind is recognised but not supported by this engine.
     Unsupported { message: String },
+    /// The statement nests deeper than the parser allows: `limit` is
+    /// whichever of `parser::MAX_EXPR_DEPTH` (AST levels) and
+    /// `parser::MAX_PAREN_DEPTH` (parenthesis groups) it ran into. A
+    /// variant of its own, not a `Syntax` message: the server counts
+    /// refusals by matching on it, and the text may then change freely.
+    TooDeep { limit: usize, span: Span },
 }
 
 impl ParseError {
@@ -50,6 +56,12 @@ impl fmt::Display for ParseError {
                 write!(f, "syntax error at {span}: {message}")
             }
             ParseError::Unsupported { message } => write!(f, "unsupported SQL: {message}"),
+            ParseError::TooDeep { limit, span } => {
+                write!(
+                    f,
+                    "statement too deep at {span}: nests beyond {limit} levels"
+                )
+            }
         }
     }
 }
@@ -68,5 +80,13 @@ mod tests {
             message: "LOAD DATA".into(),
         };
         assert_eq!(e.to_string(), "unsupported SQL: LOAD DATA");
+        let e = ParseError::TooDeep {
+            limit: 64,
+            span: Span { start: 3, end: 4 },
+        };
+        assert_eq!(
+            e.to_string(),
+            "statement too deep at 3..4: nests beyond 64 levels"
+        );
     }
 }

@@ -1,12 +1,31 @@
-//! Recursive-descent parser for the MySQL dialect subset.
+//! Parser for the MySQL dialect subset: recursive descent over statements,
+//! one precedence-climbing loop over expressions.
 //!
-//! The grammar follows MySQL's operator precedence:
-//! `OR` < `XOR` < `AND` < `NOT` < comparison/`LIKE`/`IN`/`BETWEEN`/`IS`
-//! < `|` < `&` < shift < additive < multiplicative < unary < primary.
+//! [`infix_level`] and the level constants above it are the single
+//! statement of operator precedence. Every [`Expr`] and [`Select`] is
+//! built below [`Parser::expr_bp`] / [`Parser::select`] and counted by
+//! [`Parser::node`], which makes this file the one place
+//! [`MAX_EXPR_DEPTH`] is enforced: no tree deeper than that reaches the
+//! recursive consumers of the AST (`display`, `items`, the binder,
+//! planner, VM compiler and executor, `Drop`).
 
 use crate::ast::*;
 use crate::error::{ParseError, Span};
-use crate::token::{lex, LexOutput, SpannedToken, Token};
+use crate::token::{lex, SpannedToken, Token};
+
+/// Deepest AST `parse` returns, counted in nested nodes: every [`Expr`]
+/// and every [`Select`] (each `UNION` arm sits one below the arm before
+/// it) is one level above its deepest child. Parentheses are not nodes
+/// and do not count, so a statement and its rendering have one depth.
+pub const MAX_EXPR_DEPTH: usize = 64;
+
+/// Deepest nesting of parenthesis groups, the one recursion of the parser
+/// that builds no node. Derived, not chosen: `display` wraps a `NOT` or
+/// sign node in two pairs (`(NOT (x))`), its worst case, so the rendering
+/// of a tree of depth `d` has fewer than `2 * d` groups open at once.
+/// Holding this at that product is what lets WAL redo re-parse every
+/// statement `parse` once accepted.
+pub const MAX_PAREN_DEPTH: usize = 2 * MAX_EXPR_DEPTH;
 
 /// A parsed query: the statement list plus lexer side-channel data.
 #[derive(Debug, Clone)]
@@ -36,8 +55,9 @@ impl Parsed {
 ///
 /// # Errors
 ///
-/// Returns [`ParseError`] on lexical errors, grammar violations, or
-/// recognised-but-unsupported statements.
+/// Returns [`ParseError`] on lexical errors, grammar violations,
+/// recognised-but-unsupported statements, and statements nested deeper
+/// than [`MAX_EXPR_DEPTH`].
 ///
 /// # Examples
 ///
@@ -49,12 +69,11 @@ impl Parsed {
 /// # Ok::<(), septic_sql::ParseError>(())
 /// ```
 pub fn parse(src: &str) -> Result<Parsed, ParseError> {
-    let LexOutput {
-        tokens,
-        comments,
-        trailing_line_comment,
-    } = lex(src)?;
-    let mut parser = Parser { tokens, pos: 0 };
+    let lexed = lex(src)?;
+    let mut parser = Parser {
+        tokens: lexed.tokens,
+        ..Parser::default()
+    };
     let mut statements = Vec::new();
     loop {
         while parser.eat_token(&Token::Semicolon) {}
@@ -71,14 +90,84 @@ pub fn parse(src: &str) -> Result<Parsed, ParseError> {
     }
     Ok(Parsed {
         statements,
-        comments,
-        trailing_line_comment,
+        comments: lexed.comments,
+        trailing_line_comment: lexed.trailing_line_comment,
     })
 }
 
+// MySQL's operator levels, loosest first (the manual's "Operator
+// Precedence" table, read bottom-up). A binary operator at level `n` takes
+// a left operand built at `n` or tighter and a right operand built
+// strictly tighter, which makes every level left-associative; the
+// comparison family is additionally barred from taking its own result as
+// a left operand (`a = b = c` is a syntax error, as it always was here).
+const OR: u8 = 1; // OR, ||
+const XOR: u8 = 2;
+const AND: u8 = 3; // AND, &&
+const NOT: u8 = 4; // prefix NOT, and `!` (MySQL puts `!` with the signs)
+const CMP: u8 = 5; // = <=> <> < <= > >=, IS [NOT] NULL, [NOT] LIKE | IN | BETWEEN
+const BIT_OR: u8 = 6;
+const BIT_AND: u8 = 7;
+const SHIFT: u8 = 8;
+const ADD: u8 = 9;
+const MUL: u8 = 10; // * / % MOD DIV, and `^` (MySQL puts `^` above them)
+
+// Tightest of all, and therefore no level: the signs `-` `+` `~`, which
+// `Parser::signed` applies to the one operand behind them.
+
+/// The level table: which binary operator a token spells, and how tightly
+/// it binds. `IS`, `IN`, `BETWEEN` and the `NOT` forms are not binary
+/// operators; [`Parser::comparison_tail`] parses them, at [`CMP`].
+fn infix_level(token: &Token) -> Option<(BinaryOp, u8)> {
+    Some(match token {
+        Token::OrOr => (BinaryOp::Or, OR),
+        Token::AndAnd => (BinaryOp::And, AND),
+        Token::Eq => (BinaryOp::Eq, CMP),
+        Token::NullSafeEq => (BinaryOp::NullSafeEq, CMP),
+        Token::Ne => (BinaryOp::Ne, CMP),
+        Token::Lt => (BinaryOp::Lt, CMP),
+        Token::Le => (BinaryOp::Le, CMP),
+        Token::Gt => (BinaryOp::Gt, CMP),
+        Token::Ge => (BinaryOp::Ge, CMP),
+        Token::Pipe => (BinaryOp::BitOr, BIT_OR),
+        Token::Ampersand => (BinaryOp::BitAnd, BIT_AND),
+        Token::Shl => (BinaryOp::Shl, SHIFT),
+        Token::Shr => (BinaryOp::Shr, SHIFT),
+        Token::Plus => (BinaryOp::Add, ADD),
+        Token::Minus => (BinaryOp::Sub, ADD),
+        Token::Star => (BinaryOp::Mul, MUL),
+        Token::Slash => (BinaryOp::Div, MUL),
+        Token::Percent => (BinaryOp::Mod, MUL),
+        Token::Caret => (BinaryOp::BitXor, MUL),
+        Token::Ident(word) => {
+            let (_, op, level) = [
+                ("OR", BinaryOp::Or, OR),
+                ("XOR", BinaryOp::Xor, XOR),
+                ("AND", BinaryOp::And, AND),
+                ("LIKE", BinaryOp::Like, CMP),
+                ("MOD", BinaryOp::Mod, MUL),
+                ("DIV", BinaryOp::IntDiv, MUL),
+            ]
+            .into_iter()
+            .find(|(kw, ..)| word.eq_ignore_ascii_case(kw))?;
+            (op, level)
+        }
+        _ => return None,
+    })
+}
+
+#[derive(Default)]
 struct Parser {
     tokens: Vec<SpannedToken>,
     pos: usize,
+    /// `expr_bp` / `select` entries currently on the stack.
+    recursion: usize,
+    /// Those of them that a parenthesis group made, which build no node.
+    parens: usize,
+    /// Height of the tallest subtree finished since the innermost
+    /// `expr_bp` / `select` was entered: the children so far of the node
+    /// that entry is building.
+    height: usize,
 }
 
 impl Parser {
@@ -87,7 +176,11 @@ impl Parser {
     }
 
     fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos).map(|t| &t.token)
+        self.peek_at(0)
+    }
+
+    fn peek_at(&self, ahead: usize) -> Option<&Token> {
+        self.tokens.get(self.pos + ahead).map(|t| &t.token)
     }
 
     fn span(&self) -> Span {
@@ -96,12 +189,12 @@ impl Parser {
             .map_or_else(Span::default, |t| t.span)
     }
 
+    /// Moves the current token out of the stream. The parser never backs
+    /// up over a token it took, so the placeholder left behind is unread.
     fn advance(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).map(|t| t.token.clone());
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
+        let slot = self.tokens.get_mut(self.pos)?;
+        self.pos += 1;
+        Some(std::mem::replace(&mut slot.token, Token::Semicolon))
     }
 
     fn check_token(&self, t: &Token) -> bool {
@@ -109,20 +202,14 @@ impl Parser {
     }
 
     fn eat_token(&mut self, t: &Token) -> bool {
-        if self.check_token(t) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
+        let found = self.check_token(t);
+        self.pos += usize::from(found);
+        found
     }
 
     fn expect_token(&mut self, t: &Token, what: &str) -> Result<(), ParseError> {
-        if self.eat_token(t) {
-            Ok(())
-        } else {
-            Err(self.unexpected(what))
-        }
+        let found = self.eat_token(t);
+        found.then_some(()).ok_or_else(|| self.unexpected(what))
     }
 
     fn check_kw(&self, kw: &str) -> bool {
@@ -130,20 +217,23 @@ impl Parser {
     }
 
     fn eat_kw(&mut self, kw: &str) -> bool {
-        if self.check_kw(kw) {
-            self.pos += 1;
-            true
-        } else {
-            false
+        let found = self.check_kw(kw);
+        self.pos += usize::from(found);
+        found
+    }
+
+    /// One of two optional keywords; true for the first.
+    fn either_kw(&mut self, this: &str, that: &str) -> bool {
+        let first = self.eat_kw(this);
+        if !first {
+            self.eat_kw(that);
         }
+        first
     }
 
     fn expect_kw(&mut self, kw: &str) -> Result<(), ParseError> {
-        if self.eat_kw(kw) {
-            Ok(())
-        } else {
-            Err(self.unexpected(kw))
-        }
+        let found = self.eat_kw(kw);
+        found.then_some(()).ok_or_else(|| self.unexpected(kw))
     }
 
     fn unexpected(&self, what: &str) -> ParseError {
@@ -155,23 +245,97 @@ impl Parser {
 
     fn identifier(&mut self, what: &str) -> Result<String, ParseError> {
         match self.peek() {
-            Some(Token::Ident(_)) => match self.advance() {
-                Some(Token::Ident(s)) => Ok(s),
-                _ => unreachable!("peeked ident"),
-            },
-            Some(Token::QuotedIdent(_)) => match self.advance() {
-                Some(Token::QuotedIdent(s)) => Ok(s),
-                _ => unreachable!("peeked quoted ident"),
+            Some(Token::Ident(_) | Token::QuotedIdent(_)) => match self.advance() {
+                Some(Token::Ident(s) | Token::QuotedIdent(s)) => Ok(s),
+                _ => unreachable!("peeked identifier"),
             },
             _ => Err(self.unexpected(what)),
         }
+    }
+
+    /// `item (, item)*`
+    fn comma_list<T>(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<Vec<T>, ParseError> {
+        let mut list = Vec::new();
+        loop {
+            list.push(item(self)?);
+            if !self.eat_token(&Token::Comma) {
+                return Ok(list);
+            }
+        }
+    }
+
+    /// `[kw item]`
+    fn optional<T>(
+        &mut self,
+        kw: &str,
+        item: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<Option<T>, ParseError> {
+        if self.eat_kw(kw) {
+            item(self).map(Some)
+        } else {
+            Ok(None)
+        }
+    }
+
+    /// `[[AS] alias]`: a bare word is an alias unless it `ends` the item.
+    fn alias(&mut self, ends: fn(&str) -> bool) -> Result<Option<String>, ParseError> {
+        if self.eat_kw("AS") || matches!(self.peek(), Some(Token::Ident(s)) if !ends(s)) {
+            self.identifier("alias").map(Some)
+        } else {
+            Ok(None)
+        }
+    }
+
+    // ---- the depth bound ------------------------------------------------
+
+    fn within(&self, nesting: usize, limit: usize) -> Result<(), ParseError> {
+        if nesting <= limit {
+            return Ok(());
+        }
+        Err(ParseError::TooDeep {
+            limit,
+            span: self.span(),
+        })
+    }
+
+    /// Entry of `expr_bp` / `select`: starts a fresh height count for the
+    /// node about to be built and hands back the enclosing one for
+    /// [`Parser::ascend`]. Every entry but a parenthesis group's returns a
+    /// node strictly below the one its caller is building, so more than
+    /// `MAX_EXPR_DEPTH` of them open means a tree that [`Parser::node`]
+    /// would refuse on the way back up; refusing on the way down is what
+    /// keeps `f(f(f(…` off the stack. (An error abandons the whole parse,
+    /// so only success pairs the two.)
+    fn descend(&mut self) -> Result<usize, ParseError> {
+        self.recursion += 1;
+        self.within(self.recursion - self.parens, MAX_EXPR_DEPTH)?;
+        Ok(std::mem::replace(&mut self.height, 0))
+    }
+
+    /// Exit of `expr_bp` / `select`: what was built becomes one more
+    /// finished child of the enclosing node.
+    fn ascend(&mut self, siblings: usize) {
+        self.recursion -= 1;
+        self.height = self.height.max(siblings);
+    }
+
+    /// Called as each `Expr` / `Select` is built, its children parsed: the
+    /// node stands one level above the tallest of them.
+    fn node(&mut self) -> Result<(), ParseError> {
+        self.height += 1;
+        self.within(self.height, MAX_EXPR_DEPTH)
     }
 
     // ---- statements -----------------------------------------------------
 
     fn statement(&mut self) -> Result<Statement, ParseError> {
         if self.check_kw("SELECT") {
-            Ok(Statement::Select(self.select()?))
+            let mut select = Select::new();
+            self.select(&mut select)?;
+            Ok(Statement::Select(select))
         } else if self.check_kw("INSERT") {
             self.insert()
         } else if self.check_kw("UPDATE") {
@@ -200,91 +364,58 @@ impl Parser {
         }
     }
 
-    fn select(&mut self) -> Result<Select, ParseError> {
+    /// A `SELECT` wherever the AST boxes one (everywhere but a statement
+    /// of its own).
+    fn boxed_select(&mut self) -> Result<Box<Select>, ParseError> {
+        let mut select = Box::new(Select::new());
+        self.select(&mut select)?;
+        Ok(select)
+    }
+
+    fn select(&mut self, select: &mut Select) -> Result<(), ParseError> {
+        let siblings = self.descend()?;
         self.expect_kw("SELECT")?;
-        let mut select = Select::new();
-        select.distinct = self.eat_kw("DISTINCT");
-        if !select.distinct {
-            self.eat_kw("ALL");
-        }
-        loop {
-            select.items.push(self.select_item()?);
-            if !self.eat_token(&Token::Comma) {
-                break;
-            }
-        }
+        select.distinct = self.either_kw("DISTINCT", "ALL");
+        select.items = self.comma_list(Self::select_item)?;
         if self.eat_kw("FROM") {
+            select.from = self.comma_list(Self::table_ref)?;
             loop {
-                select.from.push(self.table_ref()?);
-                if !self.eat_token(&Token::Comma) {
-                    break;
-                }
-            }
-            loop {
-                let kind = if self.check_kw("JOIN") || self.check_kw("INNER") {
-                    self.eat_kw("INNER");
-                    self.expect_kw("JOIN")?;
-                    JoinKind::Inner
-                } else if self.check_kw("LEFT") {
-                    self.pos += 1;
+                let kind = if self.eat_kw("LEFT") {
                     self.eat_kw("OUTER");
-                    self.expect_kw("JOIN")?;
                     JoinKind::Left
+                } else if self.eat_kw("INNER") || self.check_kw("JOIN") {
+                    JoinKind::Inner
                 } else {
                     break;
                 };
+                self.expect_kw("JOIN")?;
                 let table = self.table_ref()?;
-                let on = if self.eat_kw("ON") {
-                    Some(self.expr()?)
-                } else {
-                    None
-                };
+                let on = self.optional("ON", Self::expr)?;
                 select.joins.push(Join { kind, table, on });
             }
         }
-        if self.eat_kw("WHERE") {
-            select.where_clause = Some(self.expr()?);
-        }
+        select.where_clause = self.optional("WHERE", Self::expr)?;
         if self.eat_kw("GROUP") {
             self.expect_kw("BY")?;
-            loop {
-                select.group_by.push(self.expr()?);
-                if !self.eat_token(&Token::Comma) {
-                    break;
-                }
-            }
+            select.group_by = self.comma_list(Self::expr)?;
         }
-        if self.eat_kw("HAVING") {
-            select.having = Some(self.expr()?);
-        }
+        select.having = self.optional("HAVING", Self::expr)?;
         if self.eat_kw("ORDER") {
             self.expect_kw("BY")?;
-            loop {
-                let expr = self.expr()?;
-                let descending = if self.eat_kw("DESC") {
-                    true
-                } else {
-                    self.eat_kw("ASC");
-                    false
-                };
-                select.order_by.push(OrderBy { expr, descending });
-                if !self.eat_token(&Token::Comma) {
-                    break;
-                }
-            }
+            select.order_by = self.comma_list(|p| {
+                let expr = p.expr()?;
+                let descending = p.either_kw("DESC", "ASC");
+                Ok(OrderBy { expr, descending })
+            })?;
         }
-        if self.eat_kw("LIMIT") {
-            select.limit = Some(self.limit()?);
-        }
+        select.limit = self.optional("LIMIT", Self::limit)?;
         if self.eat_kw("UNION") {
-            let all = self.eat_kw("ALL");
-            if !all {
-                self.eat_kw("DISTINCT");
-            }
-            let next = self.select()?;
-            select.union = Some((all, Box::new(next)));
+            let all = self.either_kw("ALL", "DISTINCT");
+            select.union = Some((all, self.boxed_select()?));
         }
-        Ok(select)
+        self.node()?;
+        self.ascend(siblings);
+        Ok(())
     }
 
     fn select_item(&mut self) -> Result<SelectItem, ParseError> {
@@ -292,25 +423,16 @@ impl Parser {
             return Ok(SelectItem::Wildcard);
         }
         // `t.*`
-        if let (Some(Token::Ident(name)), Some(t1), Some(t2)) = (
-            self.peek(),
-            self.tokens.get(self.pos + 1).map(|t| &t.token),
-            self.tokens.get(self.pos + 2).map(|t| &t.token),
-        ) {
-            if *t1 == Token::Dot && *t2 == Token::Star {
-                let table = name.clone();
-                self.pos += 3;
-                return Ok(SelectItem::QualifiedWildcard(table));
-            }
+        if matches!(self.peek(), Some(Token::Ident(_)))
+            && self.peek_at(1) == Some(&Token::Dot)
+            && self.peek_at(2) == Some(&Token::Star)
+        {
+            let table = self.identifier("table name")?;
+            self.pos += 2;
+            return Ok(SelectItem::QualifiedWildcard(table));
         }
         let expr = self.expr()?;
-        let has_alias = self.eat_kw("AS")
-            || matches!(self.peek(), Some(Token::Ident(s)) if !is_clause_keyword(s));
-        let alias = if has_alias {
-            Some(self.identifier("alias")?)
-        } else {
-            None
-        };
+        let alias = self.alias(is_clause_keyword)?;
         Ok(SelectItem::Expr { expr, alias })
     }
 
@@ -322,46 +444,32 @@ impl Parser {
             let table = self.identifier("table name")?;
             name = format!("{name}.{table}");
         }
-        let has_alias = self.eat_kw("AS")
-            || matches!(self.peek(), Some(Token::Ident(s)) if !is_clause_keyword(s) && !is_join_keyword(s));
-        let alias = if has_alias {
-            Some(self.identifier("alias")?)
-        } else {
-            None
-        };
+        let alias = self.alias(|s| is_clause_keyword(s) || is_join_keyword(s))?;
         Ok(TableRef { name, alias })
     }
 
     fn limit(&mut self) -> Result<Limit, ParseError> {
         let first = self.limit_number()?;
-        if self.eat_token(&Token::Comma) {
-            let count = self.limit_number()?;
-            Ok(Limit {
-                offset: first,
-                count,
-            })
-        } else if self.eat_kw("OFFSET") {
-            let offset = self.limit_number()?;
-            Ok(Limit {
-                count: first,
-                offset,
-            })
+        let (count, offset) = if self.eat_token(&Token::Comma) {
+            (self.limit_number()?, first)
         } else {
-            Ok(Limit {
-                count: first,
-                offset: 0,
-            })
-        }
+            (
+                first,
+                self.optional("OFFSET", Self::limit_number)?.unwrap_or(0),
+            )
+        };
+        Ok(Limit { count, offset })
     }
 
     fn limit_number(&mut self) -> Result<u64, ParseError> {
-        match self.advance() {
-            Some(Token::Int(v)) if v >= 0 => Ok(v as u64),
-            _ => {
-                self.pos = self.pos.saturating_sub(1);
-                Err(self.unexpected("a non-negative integer"))
-            }
+        if let Some(Token::Int(v @ 0..)) = self.peek() {
+            let v = *v as u64;
+            self.pos += 1;
+            return Ok(v);
         }
+        // At the end of the query the error names the last token.
+        self.pos -= usize::from(self.at_end());
+        Err(self.unexpected("a non-negative integer"))
     }
 
     fn insert(&mut self) -> Result<Statement, ParseError> {
@@ -371,36 +479,22 @@ impl Parser {
         let table = self.identifier("table name")?;
         let mut columns = Vec::new();
         if self.eat_token(&Token::LParen) {
-            loop {
-                columns.push(self.identifier("column name")?);
-                if !self.eat_token(&Token::Comma) {
-                    break;
-                }
-            }
+            columns = self.comma_list(|p| p.identifier("column name"))?;
             self.expect_token(&Token::RParen, "`)`")?;
         }
         let source = if self.eat_kw("VALUES") || self.eat_kw("VALUE") {
-            let mut rows = Vec::new();
-            loop {
-                self.expect_token(&Token::LParen, "`(`")?;
-                let mut row = Vec::new();
-                if !self.check_token(&Token::RParen) {
-                    loop {
-                        row.push(self.expr()?);
-                        if !self.eat_token(&Token::Comma) {
-                            break;
-                        }
-                    }
-                }
-                self.expect_token(&Token::RParen, "`)`")?;
-                rows.push(row);
-                if !self.eat_token(&Token::Comma) {
-                    break;
-                }
-            }
-            InsertSource::Values(rows)
+            InsertSource::Values(self.comma_list(|p| {
+                p.expect_token(&Token::LParen, "`(`")?;
+                let row = if p.check_token(&Token::RParen) {
+                    Vec::new()
+                } else {
+                    p.comma_list(Self::expr)?
+                };
+                p.expect_token(&Token::RParen, "`)`")?;
+                Ok(row)
+            })?)
         } else if self.check_kw("SELECT") {
-            InsertSource::Select(Box::new(self.select()?))
+            InsertSource::Select(self.boxed_select()?)
         } else {
             return Err(self.unexpected("VALUES or SELECT"));
         };
@@ -415,93 +509,62 @@ impl Parser {
         self.expect_kw("UPDATE")?;
         let table = self.identifier("table name")?;
         self.expect_kw("SET")?;
-        let mut assignments = Vec::new();
-        loop {
-            let col = self.identifier("column name")?;
-            self.expect_token(&Token::Eq, "`=`")?;
-            let value = self.expr()?;
-            assignments.push((col, value));
-            if !self.eat_token(&Token::Comma) {
-                break;
-            }
-        }
-        let where_clause = if self.eat_kw("WHERE") {
-            Some(self.expr()?)
-        } else {
-            None
-        };
-        let limit = if self.eat_kw("LIMIT") {
-            Some(self.limit()?)
-        } else {
-            None
-        };
+        let assignments = self.comma_list(|p| {
+            let col = p.identifier("column name")?;
+            p.expect_token(&Token::Eq, "`=`")?;
+            Ok((col, p.expr()?))
+        })?;
         Ok(Statement::Update(Update {
             table,
             assignments,
-            where_clause,
-            limit,
+            where_clause: self.optional("WHERE", Self::expr)?,
+            limit: self.optional("LIMIT", Self::limit)?,
         }))
     }
 
     fn delete(&mut self) -> Result<Statement, ParseError> {
         self.expect_kw("DELETE")?;
         self.expect_kw("FROM")?;
-        let table = self.identifier("table name")?;
-        let where_clause = if self.eat_kw("WHERE") {
-            Some(self.expr()?)
-        } else {
-            None
-        };
-        let limit = if self.eat_kw("LIMIT") {
-            Some(self.limit()?)
-        } else {
-            None
-        };
         Ok(Statement::Delete(Delete {
-            table,
-            where_clause,
-            limit,
+            table: self.identifier("table name")?,
+            where_clause: self.optional("WHERE", Self::expr)?,
+            limit: self.optional("LIMIT", Self::limit)?,
         }))
     }
 
     fn create_table(&mut self) -> Result<Statement, ParseError> {
         self.expect_kw("CREATE")?;
         self.expect_kw("TABLE")?;
-        let if_not_exists = if self.eat_kw("IF") {
+        let if_not_exists = self.eat_kw("IF");
+        if if_not_exists {
             self.expect_kw("NOT")?;
             self.expect_kw("EXISTS")?;
-            true
-        } else {
-            false
-        };
+        }
         let name = self.identifier("table name")?;
         self.expect_token(&Token::LParen, "`(`")?;
         let mut columns: Vec<ColumnDef> = Vec::new();
-        loop {
-            if self.eat_kw("PRIMARY") {
-                // Table-level `PRIMARY KEY (col)` constraint.
-                self.expect_kw("KEY")?;
-                self.expect_token(&Token::LParen, "`(`")?;
-                let col = self.identifier("column name")?;
-                self.expect_token(&Token::RParen, "`)`")?;
-                if let Some(def) = columns
-                    .iter_mut()
-                    .find(|c| c.name.eq_ignore_ascii_case(&col))
-                {
-                    def.primary_key = true;
-                } else {
-                    return Err(ParseError::syntax(
-                        format!("PRIMARY KEY references unknown column `{col}`"),
-                        self.span(),
-                    ));
-                }
-            } else {
-                columns.push(self.column_def()?);
+        self.comma_list(|p| {
+            if !p.eat_kw("PRIMARY") {
+                columns.push(p.column_def()?);
+                return Ok(());
             }
-            if !self.eat_token(&Token::Comma) {
-                break;
-            }
-        }
+            // Table-level `PRIMARY KEY (col)` constraint.
+            p.expect_kw("KEY")?;
+            p.expect_token(&Token::LParen, "`(`")?;
+            let col = p.identifier("column name")?;
+            p.expect_token(&Token::RParen, "`)`")?;
+            let Some(def) = columns
+                .iter_mut()
+                .find(|c| c.name.eq_ignore_ascii_case(&col))
+            else {
+                return Err(ParseError::syntax(
+                    format!("PRIMARY KEY references unknown column `{col}`"),
+                    p.span(),
+                ));
+            };
+            def.primary_key = true;
+            Ok(())
+        })?;
         self.expect_token(&Token::RParen, "`)`")?;
         Ok(Statement::CreateTable(CreateTable {
             name,
@@ -578,12 +641,10 @@ impl Parser {
     fn drop_table(&mut self) -> Result<Statement, ParseError> {
         self.expect_kw("DROP")?;
         self.expect_kw("TABLE")?;
-        let if_exists = if self.eat_kw("IF") {
+        let if_exists = self.eat_kw("IF");
+        if if_exists {
             self.expect_kw("EXISTS")?;
-            true
-        } else {
-            false
-        };
+        }
         let name = self.identifier("table name")?;
         Ok(Statement::DropTable(DropTable { name, if_exists }))
     }
@@ -591,342 +652,289 @@ impl Parser {
     // ---- expressions ----------------------------------------------------
 
     fn expr(&mut self) -> Result<Expr, ParseError> {
-        self.or_expr()
+        self.expr_bp(OR)
     }
 
-    fn or_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut left = self.xor_expr()?;
-        loop {
-            if self.eat_kw("OR") || self.eat_token(&Token::OrOr) {
-                let right = self.xor_expr()?;
-                left = Expr::binary(left, BinaryOp::Or, right);
+    /// Precedence climbing: an operand, then every operator that binds at
+    /// `min` or tighter.
+    fn expr_bp(&mut self, min: u8) -> Result<Expr, ParseError> {
+        let siblings = self.descend()?;
+        // `NOT` / `!` open an operand only where a comparison may stand
+        // (`a = NOT b` and `1 + NOT b` are syntax errors), and what they
+        // build is no comparison's operand.
+        let (first, ceiling) = if min <= NOT && self.at_not() {
+            (self.negation()?, NOT - 1)
+        } else {
+            (self.operand()?, u8::MAX)
+        };
+        let expr = self.climb(first, min, ceiling)?;
+        self.ascend(siblings);
+        Ok(expr)
+    }
+
+    /// The loop of [`Parser::expr_bp`]. `ceiling` is the tightest level
+    /// that may still take `left` as its left operand; it only ever falls.
+    /// (A function of its own so that its frame is not on the stack while
+    /// the first operand, `MAX_PAREN_DEPTH` groups of it, is parsed.)
+    fn climb(&mut self, mut left: Expr, min: u8, mut ceiling: u8) -> Result<Expr, ParseError> {
+        while let Some(token) = self.peek() {
+            let admits = |level: u8| min <= level && level <= ceiling;
+            if let Some((op, level)) = infix_level(token) {
+                if !admits(level) {
+                    break;
+                }
+                self.pos += 1;
+                let right = self.expr_bp(level + 1)?;
+                left = Expr::binary(left, op, right);
+                // The comparison family does not chain.
+                ceiling = if level == CMP { CMP - 1 } else { level };
+            } else if admits(CMP) && opens_comparison_tail(token) {
+                left = self.comparison_tail(left)?;
+                ceiling = CMP - 1;
             } else {
-                return Ok(left);
+                break;
             }
-        }
-    }
-
-    fn xor_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut left = self.and_expr()?;
-        while self.eat_kw("XOR") {
-            let right = self.and_expr()?;
-            left = Expr::binary(left, BinaryOp::Xor, right);
+            // The left spine grew by a node, and no recursion saw it.
+            self.node()?;
         }
         Ok(left)
     }
 
-    fn and_expr(&mut self) -> Result<Expr, ParseError> {
-        let mut left = self.not_expr()?;
-        loop {
-            if self.eat_kw("AND") || self.eat_token(&Token::AndAnd) {
-                let right = self.not_expr()?;
-                left = Expr::binary(left, BinaryOp::And, right);
-            } else {
-                return Ok(left);
-            }
-        }
+    fn at_not(&self) -> bool {
+        self.check_kw("NOT") || self.check_token(&Token::Bang)
     }
 
-    fn not_expr(&mut self) -> Result<Expr, ParseError> {
-        if self.eat_kw("NOT") || self.eat_token(&Token::Bang) {
-            let operand = self.not_expr()?;
-            return Ok(Expr::Unary {
+    /// `NOT NOT … x`: the chain is counted, not recursed into.
+    fn negation(&mut self) -> Result<Expr, ParseError> {
+        let first = self.pos;
+        while self.at_not() {
+            self.pos += 1;
+        }
+        let nots = self.pos - first;
+        let mut expr = self.expr_bp(NOT)?;
+        for _ in 0..nots {
+            self.node()?;
+            expr = Expr::Unary {
                 op: UnaryOp::Not,
-                operand: Box::new(operand),
-            });
+                operand: Box::new(expr),
+            };
         }
-        self.comparison()
+        Ok(expr)
     }
 
-    fn comparison(&mut self) -> Result<Expr, ParseError> {
-        let left = self.bit_or()?;
-        // IS [NOT] NULL
-        if self.eat_kw("IS") {
-            let negated = self.eat_kw("NOT");
+    fn operand(&mut self) -> Result<Expr, ParseError> {
+        match self.peek() {
+            Some(Token::Minus | Token::Plus | Token::Tilde) => self.signed(),
+            _ => self.primary(),
+        }
+    }
+
+    /// `- + ~ … x`: the signs are skipped, the operand parsed, and the
+    /// signs applied innermost first from the token stream, so that a
+    /// chain of them costs no recursion either.
+    fn signed(&mut self) -> Result<Expr, ParseError> {
+        let first = self.pos;
+        while matches!(self.peek(), Some(Token::Minus | Token::Plus | Token::Tilde)) {
+            self.pos += 1;
+        }
+        let last = self.pos;
+        let mut expr = self.primary()?;
+        for sign in (first..last).rev() {
+            let op = match self.tokens[sign].token {
+                Token::Plus => continue,
+                Token::Minus => UnaryOp::Neg,
+                _ => UnaryOp::BitNot,
+            };
+            expr = match (op, expr) {
+                // Fold the sign into numeric literals (as MySQL's parser
+                // does): `-5` is one data item, not an operator applied to
+                // data.
+                (UnaryOp::Neg, Expr::Literal(Literal::Int(v))) => Expr::Literal(Literal::Int(-v)),
+                (UnaryOp::Neg, Expr::Literal(Literal::Float(v))) => {
+                    Expr::Literal(Literal::Float(-v))
+                }
+                (op, operand) => {
+                    self.node()?;
+                    Expr::Unary {
+                        op,
+                        operand: Box::new(operand),
+                    }
+                }
+            };
+        }
+        Ok(expr)
+    }
+
+    /// `IS [NOT] NULL` and `[NOT] LIKE | IN | BETWEEN` after their left
+    /// operand (plain `LIKE` is in the level table); the pattern and range
+    /// operands bind like a comparison's right operand.
+    fn comparison_tail(&mut self, left: Expr) -> Result<Expr, ParseError> {
+        let is = self.eat_kw("IS");
+        let negated = self.eat_kw("NOT");
+        if is {
             self.expect_kw("NULL")?;
             return Ok(Expr::IsNull {
                 expr: Box::new(left),
                 negated,
             });
         }
-        let negated = self.eat_kw("NOT");
-        if self.eat_kw("LIKE") {
-            let right = self.bit_or()?;
-            let op = if negated {
-                BinaryOp::NotLike
-            } else {
-                BinaryOp::Like
-            };
-            return Ok(Expr::binary(left, op, right));
+        if negated && self.eat_kw("LIKE") {
+            let pattern = self.expr_bp(CMP + 1)?;
+            return Ok(Expr::binary(left, BinaryOp::NotLike, pattern));
         }
+        let expr = Box::new(left);
         if self.eat_kw("IN") {
             self.expect_token(&Token::LParen, "`(`")?;
             if self.check_kw("SELECT") {
-                let select = self.select()?;
-                self.expect_token(&Token::RParen, "`)`")?;
                 return Ok(Expr::InSelect {
-                    expr: Box::new(left),
-                    select: Box::new(select),
+                    expr,
+                    select: self.subquery()?,
                     negated,
                 });
             }
-            let mut list = Vec::new();
-            loop {
-                list.push(self.expr()?);
-                if !self.eat_token(&Token::Comma) {
-                    break;
-                }
-            }
+            let list = self.comma_list(Self::expr)?;
             self.expect_token(&Token::RParen, "`)`")?;
             return Ok(Expr::InList {
-                expr: Box::new(left),
+                expr,
                 list,
                 negated,
             });
         }
         if self.eat_kw("BETWEEN") {
-            let low = self.bit_or()?;
+            let low = Box::new(self.expr_bp(CMP + 1)?);
             self.expect_kw("AND")?;
-            let high = self.bit_or()?;
+            let high = Box::new(self.expr_bp(CMP + 1)?);
             return Ok(Expr::Between {
-                expr: Box::new(left),
-                low: Box::new(low),
-                high: Box::new(high),
+                expr,
+                low,
+                high,
                 negated,
             });
         }
-        if negated {
-            return Err(self.unexpected("LIKE, IN or BETWEEN after NOT"));
-        }
-        let op = match self.peek() {
-            Some(Token::Eq) => Some(BinaryOp::Eq),
-            Some(Token::NullSafeEq) => Some(BinaryOp::NullSafeEq),
-            Some(Token::Ne) => Some(BinaryOp::Ne),
-            Some(Token::Lt) => Some(BinaryOp::Lt),
-            Some(Token::Le) => Some(BinaryOp::Le),
-            Some(Token::Gt) => Some(BinaryOp::Gt),
-            Some(Token::Ge) => Some(BinaryOp::Ge),
-            _ => None,
-        };
-        if let Some(op) = op {
-            self.pos += 1;
-            let right = self.bit_or()?;
-            return Ok(Expr::binary(left, op, right));
-        }
-        Ok(left)
+        Err(self.unexpected("LIKE, IN or BETWEEN after NOT"))
     }
 
-    fn bit_or(&mut self) -> Result<Expr, ParseError> {
-        let mut left = self.bit_and()?;
-        while self.eat_token(&Token::Pipe) {
-            let right = self.bit_and()?;
-            left = Expr::binary(left, BinaryOp::BitOr, right);
-        }
-        Ok(left)
+    /// `SELECT … )`, the opening parenthesis already taken.
+    fn subquery(&mut self) -> Result<Box<Select>, ParseError> {
+        let select = self.boxed_select()?;
+        self.expect_token(&Token::RParen, "`)`")?;
+        Ok(select)
     }
 
-    fn bit_and(&mut self) -> Result<Expr, ParseError> {
-        let mut left = self.shift()?;
-        while self.eat_token(&Token::Ampersand) {
-            let right = self.shift()?;
-            left = Expr::binary(left, BinaryOp::BitAnd, right);
-        }
-        Ok(left)
-    }
-
-    fn shift(&mut self) -> Result<Expr, ParseError> {
-        let mut left = self.additive()?;
-        loop {
-            let op = if self.eat_token(&Token::Shl) {
-                BinaryOp::Shl
-            } else if self.eat_token(&Token::Shr) {
-                BinaryOp::Shr
-            } else {
-                return Ok(left);
-            };
-            let right = self.additive()?;
-            left = Expr::binary(left, op, right);
-        }
-    }
-
-    fn additive(&mut self) -> Result<Expr, ParseError> {
-        let mut left = self.multiplicative()?;
-        loop {
-            let op = if self.eat_token(&Token::Plus) {
-                BinaryOp::Add
-            } else if self.eat_token(&Token::Minus) {
-                BinaryOp::Sub
-            } else {
-                return Ok(left);
-            };
-            let right = self.multiplicative()?;
-            left = Expr::binary(left, op, right);
-        }
-    }
-
-    fn multiplicative(&mut self) -> Result<Expr, ParseError> {
-        let mut left = self.unary()?;
-        loop {
-            let op = if self.eat_token(&Token::Star) {
-                BinaryOp::Mul
-            } else if self.eat_token(&Token::Slash) {
-                BinaryOp::Div
-            } else if self.eat_token(&Token::Percent) || self.check_kw("MOD") {
-                self.eat_kw("MOD");
-                BinaryOp::Mod
-            } else if self.eat_kw("DIV") {
-                BinaryOp::IntDiv
-            } else if self.eat_token(&Token::Caret) {
-                BinaryOp::BitXor
-            } else {
-                return Ok(left);
-            };
-            let right = self.unary()?;
-            left = Expr::binary(left, op, right);
-        }
-    }
-
-    fn unary(&mut self) -> Result<Expr, ParseError> {
-        if self.eat_token(&Token::Minus) {
-            let operand = self.unary()?;
-            // Fold the sign into numeric literals (as MySQL's parser does):
-            // `-5` is one data item, not an operator applied to data.
-            return Ok(match operand {
-                Expr::Literal(Literal::Int(v)) => Expr::Literal(Literal::Int(-v)),
-                Expr::Literal(Literal::Float(v)) => Expr::Literal(Literal::Float(-v)),
-                other => Expr::Unary {
-                    op: UnaryOp::Neg,
-                    operand: Box::new(other),
-                },
-            });
-        }
-        if self.eat_token(&Token::Plus) {
-            return self.unary();
-        }
-        if self.eat_token(&Token::Tilde) {
-            let operand = self.unary()?;
-            return Ok(Expr::Unary {
-                op: UnaryOp::BitNot,
-                operand: Box::new(operand),
-            });
-        }
-        self.primary()
-    }
-
+    /// Dispatch only: each operand form builds (and counts) its own node.
     fn primary(&mut self) -> Result<Expr, ParseError> {
-        match self.peek().cloned() {
-            Some(Token::Int(v)) => {
-                self.pos += 1;
-                Ok(Expr::Literal(Literal::Int(v)))
-            }
-            Some(Token::Float(v)) => {
-                self.pos += 1;
-                Ok(Expr::Literal(Literal::Float(v)))
-            }
-            Some(Token::Str(s)) => {
-                self.pos += 1;
-                Ok(Expr::Literal(Literal::Str(s)))
-            }
-            Some(Token::Param) => {
-                self.pos += 1;
-                Ok(Expr::Param)
-            }
-            Some(Token::LParen) => {
-                self.pos += 1;
-                if self.check_kw("SELECT") {
-                    let select = self.select()?;
-                    self.expect_token(&Token::RParen, "`)`")?;
-                    return Ok(Expr::Subquery(Box::new(select)));
-                }
-                let e = self.expr()?;
-                self.expect_token(&Token::RParen, "`)`")?;
-                Ok(e)
-            }
-            Some(Token::Ident(name)) => {
-                if is_clause_keyword(&name)
-                    && !name.eq_ignore_ascii_case("IN")
-                    && !name.eq_ignore_ascii_case("LIKE")
-                {
-                    return Err(self.unexpected("an expression"));
-                }
-                if name.eq_ignore_ascii_case("NULL") {
-                    self.pos += 1;
-                    return Ok(Expr::Literal(Literal::Null));
-                }
-                if name.eq_ignore_ascii_case("TRUE") {
-                    self.pos += 1;
-                    return Ok(Expr::Literal(Literal::Int(1)));
-                }
-                if name.eq_ignore_ascii_case("FALSE") {
-                    self.pos += 1;
-                    return Ok(Expr::Literal(Literal::Int(0)));
-                }
-                if name.eq_ignore_ascii_case("EXISTS") {
-                    self.pos += 1;
-                    self.expect_token(&Token::LParen, "`(`")?;
-                    let select = self.select()?;
-                    self.expect_token(&Token::RParen, "`)`")?;
-                    return Ok(Expr::Exists {
-                        select: Box::new(select),
-                        negated: false,
-                    });
-                }
-                if name.eq_ignore_ascii_case("CASE") {
-                    return self.case_expr();
-                }
-                self.pos += 1;
-                // Function call?
-                if self.check_token(&Token::LParen) {
-                    self.pos += 1;
-                    let mut args = Vec::new();
-                    // COUNT(*) special form.
-                    if name.eq_ignore_ascii_case("COUNT") && self.eat_token(&Token::Star) {
-                        self.expect_token(&Token::RParen, "`)`")?;
-                        return Ok(Expr::Function {
-                            name: "COUNT".into(),
-                            args: vec![],
-                        });
-                    }
-                    if name.eq_ignore_ascii_case("COUNT") && self.eat_kw("DISTINCT") {
-                        // COUNT(DISTINCT x) — treated as COUNT(x).
-                    }
-                    if !self.check_token(&Token::RParen) {
-                        loop {
-                            args.push(self.expr()?);
-                            if !self.eat_token(&Token::Comma) {
-                                break;
-                            }
-                        }
-                    }
-                    self.expect_token(&Token::RParen, "`)`")?;
-                    return Ok(Expr::Function {
-                        name: name.to_uppercase(),
-                        args,
-                    });
-                }
-                // Qualified column?
-                if self.eat_token(&Token::Dot) {
-                    let col = self.identifier("column name")?;
-                    return Ok(Expr::Column {
-                        table: Some(name),
-                        name: col,
-                    });
-                }
-                Ok(Expr::Column { table: None, name })
-            }
-            Some(Token::QuotedIdent(name)) => {
-                self.pos += 1;
-                if self.eat_token(&Token::Dot) {
-                    let col = self.identifier("column name")?;
-                    return Ok(Expr::Column {
-                        table: Some(name),
-                        name: col,
-                    });
-                }
-                Ok(Expr::Column { table: None, name })
-            }
+        match self.peek() {
+            Some(Token::Int(_) | Token::Float(_) | Token::Str(_) | Token::Param) => self.literal(),
+            Some(Token::LParen) => self.group(),
+            Some(Token::Ident(_)) => self.word(),
+            Some(Token::QuotedIdent(_)) => self.column(),
             _ => Err(self.unexpected("an expression")),
         }
+    }
+
+    fn literal(&mut self) -> Result<Expr, ParseError> {
+        self.node()?;
+        Ok(match self.advance() {
+            Some(Token::Int(v)) => Expr::Literal(Literal::Int(v)),
+            Some(Token::Float(v)) => Expr::Literal(Literal::Float(v)),
+            Some(Token::Str(s)) => Expr::Literal(Literal::Str(s)),
+            _ => Expr::Param,
+        })
+    }
+
+    /// `( expr )`, which builds no node, or a scalar subquery.
+    fn group(&mut self) -> Result<Expr, ParseError> {
+        self.pos += 1;
+        if self.check_kw("SELECT") {
+            return self.scalar_subquery();
+        }
+        self.parens += 1;
+        self.within(self.parens, MAX_PAREN_DEPTH)?;
+        let inner = self.expr()?;
+        self.parens -= 1;
+        self.expect_token(&Token::RParen, "`)`")?;
+        Ok(inner)
+    }
+
+    fn scalar_subquery(&mut self) -> Result<Expr, ParseError> {
+        let select = self.subquery()?;
+        self.node()?;
+        Ok(Expr::Subquery(select))
+    }
+
+    /// An operand that starts with a bare word: keyword literal, `EXISTS`,
+    /// `CASE`, function call or column.
+    fn word(&mut self) -> Result<Expr, ParseError> {
+        let Some(Token::Ident(word)) = self.peek() else {
+            unreachable!("peeked a word")
+        };
+        let is = |kw: &str| word.eq_ignore_ascii_case(kw);
+        if is_clause_keyword(word) && !is("IN") && !is("LIKE") {
+            return Err(self.unexpected("an expression"));
+        }
+        let literals = [
+            ("NULL", Literal::Null),
+            ("TRUE", Literal::Int(1)),
+            ("FALSE", Literal::Int(0)),
+        ];
+        if let Some((_, literal)) = literals.into_iter().find(|(kw, _)| is(kw)) {
+            self.pos += 1;
+            self.node()?;
+            return Ok(Expr::Literal(literal));
+        }
+        if is("EXISTS") {
+            self.pos += 1;
+            self.expect_token(&Token::LParen, "`(`")?;
+            let select = self.subquery()?;
+            self.node()?;
+            return Ok(Expr::Exists {
+                select,
+                negated: false,
+            });
+        }
+        if is("CASE") {
+            return self.case_expr();
+        }
+        if self.peek_at(1) == Some(&Token::LParen) {
+            return self.call();
+        }
+        self.column()
+    }
+
+    /// `name` or `name.column`.
+    fn column(&mut self) -> Result<Expr, ParseError> {
+        let name = self.identifier("an expression")?;
+        let (table, name) = if self.eat_token(&Token::Dot) {
+            (Some(name), self.identifier("column name")?)
+        } else {
+            (None, name)
+        };
+        self.node()?;
+        Ok(Expr::Column { table, name })
+    }
+
+    /// `name(args)`.
+    fn call(&mut self) -> Result<Expr, ParseError> {
+        let name = self.identifier("a function name")?;
+        self.pos += 1;
+        let count = name.eq_ignore_ascii_case("COUNT");
+        // COUNT(*) special form.
+        let star = count && self.eat_token(&Token::Star);
+        if count && !star {
+            // COUNT(DISTINCT x) — treated as COUNT(x).
+            self.eat_kw("DISTINCT");
+        }
+        let args = if star || self.check_token(&Token::RParen) {
+            Vec::new()
+        } else {
+            self.comma_list(Self::expr)?
+        };
+        self.expect_token(&Token::RParen, "`)`")?;
+        self.node()?;
+        Ok(Expr::Function {
+            name: name.to_uppercase(),
+            args,
+        })
     }
 
     fn case_expr(&mut self) -> Result<Expr, ParseError> {
@@ -946,18 +954,21 @@ impl Parser {
         if branches.is_empty() {
             return Err(self.unexpected("WHEN"));
         }
-        let else_branch = if self.eat_kw("ELSE") {
-            Some(Box::new(self.expr()?))
-        } else {
-            None
-        };
+        let else_branch = self.optional("ELSE", Self::expr)?.map(Box::new);
         self.expect_kw("END")?;
+        self.node()?;
         Ok(Expr::Case {
             operand,
             branches,
             else_branch,
         })
     }
+}
+
+fn opens_comparison_tail(token: &Token) -> bool {
+    ["IS", "NOT", "IN", "BETWEEN"]
+        .iter()
+        .any(|kw| token.is_kw(kw))
 }
 
 fn is_clause_keyword(s: &str) -> bool {
@@ -1215,6 +1226,164 @@ mod tests {
         assert!(parse("INSERT INTO").is_err());
         assert!(parse("").is_err());
         assert!(parse("SELECT * FROM t WHERE").is_err());
+    }
+
+    /// What the twelve-function cascade this parser replaced answered,
+    /// recorded from it at commit `9a63e5e`: the rendering is fully
+    /// parenthesised, so it shows the tree. Each quirk kept has a row —
+    /// the comparison family does not chain, `NOT` opens no comparison's
+    /// right operand, `^` sits with `*`, `!` with `NOT`, signs fold into
+    /// numeric literals.
+    #[test]
+    fn precedence_and_errors_match_the_cascade() {
+        let cases: [(&str, Result<&str, &str>); 29] = [
+            ("a OR b XOR c AND d", Ok("(a OR (b XOR (c AND d)))")),
+            ("a || b && c", Ok("(a OR (b AND c))")),
+            ("NOT a = b AND c", Ok("((NOT ((a = b))) AND c)")),
+            ("NOT NOT a", Ok("(NOT ((NOT (a))))")),
+            ("! a = b", Ok("(NOT ((a = b)))")),
+            (
+                "a = b = c",
+                Err("syntax error at 13..14: expected `;` or end of query, found `=`"),
+            ),
+            (
+                "a = NOT b",
+                Err("syntax error at 11..14: expected an expression, found `NOT`"),
+            ),
+            (
+                "1 + NOT b",
+                Err("syntax error at 11..14: expected an expression, found `NOT`"),
+            ),
+            (
+                "x AND a = b = c",
+                Err("syntax error at 19..20: expected `;` or end of query, found `=`"),
+            ),
+            (
+                "a = b IS NULL",
+                Err("syntax error at 13..15: expected `;` or end of query, found `IS`"),
+            ),
+            (
+                "a IS NULL IS NULL",
+                Err("syntax error at 17..19: expected `;` or end of query, found `IS`"),
+            ),
+            ("NOT a IS NOT NULL", Ok("(NOT ((a IS NOT NULL)))")),
+            (
+                "a BETWEEN 1 | 2 AND 3 & 4 AND b",
+                Ok("((a BETWEEN (1 | 2) AND (3 & 4)) AND b)"),
+            ),
+            (
+                "a NOT BETWEEN b + 1 AND c * 2 OR d",
+                Ok("((a NOT BETWEEN (b + 1) AND (c * 2)) OR d)"),
+            ),
+            ("a NOT LIKE b | c", Ok("(a NOT LIKE (b | c))")),
+            (
+                "a LIKE b LIKE c",
+                Err("syntax error at 16..20: expected `;` or end of query, found `LIKE`"),
+            ),
+            (
+                "a IN (1, 2) = b",
+                Err("syntax error at 19..20: expected `;` or end of query, found `=`"),
+            ),
+            (
+                "a NOT 5",
+                Err("syntax error at 13..14: expected LIKE, IN or BETWEEN after NOT, found `5`"),
+            ),
+            (
+                "a | b & c << d + e * f",
+                Ok("(a | (b & (c << (d + (e * f)))))"),
+            ),
+            ("a * b ^ c", Ok("((a * b) ^ c)")),
+            (
+                "a ^ b * c % d DIV e MOD f",
+                Ok("(((((a ^ b) * c) % d) DIV e) % f)"),
+            ),
+            ("a - b - c", Ok("((a - b) - c)")),
+            ("- - 5", Ok("5")),
+            ("- - a", Ok("(-((-(a))))")),
+            ("~ - + a", Ok("(~((-(a))))")),
+            ("-a * -b", Ok("((-(a)) * (-(b)))")),
+            (
+                "a MOD",
+                Err("syntax error at 9..12: expected an expression, found end of query"),
+            ),
+            ("a = (NOT b)", Ok("(a = (NOT (b)))")),
+            (
+                "a AND NOT b OR NOT c XOR d",
+                Ok("((a AND (NOT (b))) OR ((NOT (c)) XOR d))"),
+            ),
+        ];
+        for (source, expected) in cases {
+            let got = parse(&format!("SELECT {source}"))
+                .map(|p| p.statements[0].to_string())
+                .map_err(|e| e.to_string());
+            let expected = expected
+                .map(|tree| format!("SELECT {tree}"))
+                .map_err(str::to_string);
+            assert_eq!(got, expected, "{source}");
+        }
+    }
+
+    fn too_deep(src: &str) -> Option<usize> {
+        match parse(src) {
+            Err(ParseError::TooDeep { limit, .. }) => Some(limit),
+            Ok(_) => None,
+            Err(other) => panic!("{other}"),
+        }
+    }
+
+    /// The bound is on nodes: a root expression of `MAX_EXPR_DEPTH` levels
+    /// parses, one more level is refused, whichever construct adds it — and
+    /// the left spine of a flat chain is such a construct, though no
+    /// recursion builds it.
+    #[test]
+    fn depth_is_bounded_at_every_construct() {
+        let d = MAX_EXPR_DEPTH;
+        let nest = |open: &str, close: &str, n: usize| {
+            format!("UPDATE t SET a = {}1{}", open.repeat(n), close.repeat(n))
+        };
+        let forms: [(&str, &str); 8] = [
+            ("NOT ", ""),
+            ("! ", ""),
+            ("~ ", ""),
+            ("b * (", ")"),
+            ("ABS(", ")"),
+            ("CASE WHEN ", " THEN 1 END"),
+            ("1 IN (", ")"),
+            ("1 BETWEEN 0 AND (", ")"),
+        ];
+        for (open, close) in forms {
+            assert_eq!(too_deep(&nest(open, close, d - 1)), None, "{open}");
+            assert_eq!(too_deep(&nest(open, close, d)), Some(d), "{open}");
+            assert_eq!(too_deep(&nest(open, close, 100 * d)), Some(d), "{open}");
+        }
+        let chain = |n: usize| format!("UPDATE t SET a = 1{}", " + 1".repeat(n));
+        assert_eq!(too_deep(&chain(d - 1)), None);
+        assert_eq!(too_deep(&chain(d)), Some(d));
+        let conjuncts = |n: usize| format!("DELETE FROM t WHERE a{}", " AND a".repeat(n));
+        assert_eq!(too_deep(&conjuncts(d - 1)), None);
+        assert_eq!(too_deep(&conjuncts(d)), Some(d));
+        // A `SELECT` is a level, and so is each `UNION` arm after it.
+        let arms = |n: usize| format!("SELECT 1{}", " UNION SELECT 1".repeat(n));
+        assert_eq!(too_deep(&arms(d - 2)), None);
+        assert_eq!(too_deep(&arms(d - 1)), Some(d));
+        let subqueries = |n: usize| format!("SELECT {}1{}", "(SELECT ".repeat(n), ")".repeat(n));
+        assert_eq!(too_deep(&subqueries(d / 2 - 1)), None);
+        assert_eq!(too_deep(&subqueries(d / 2)), Some(d));
+    }
+
+    /// Parentheses and signs on a literal build nothing: they cost no
+    /// depth, and parentheses have their own, derived, bound.
+    #[test]
+    fn parentheses_are_not_nodes() {
+        let parens = |n: usize| format!("UPDATE t SET a = {}1{}", "(".repeat(n), ")".repeat(n));
+        assert_eq!(one(&parens(MAX_PAREN_DEPTH)), one("UPDATE t SET a = 1"));
+        assert_eq!(
+            too_deep(&parens(MAX_PAREN_DEPTH + 1)),
+            Some(MAX_PAREN_DEPTH)
+        );
+        assert_eq!(too_deep(&parens(100_000)), Some(MAX_PAREN_DEPTH));
+        let signs = format!("UPDATE t SET a = {}1", "- + ".repeat(50_000));
+        assert_eq!(one(&signs), one("UPDATE t SET a = 1"));
     }
 
     #[test]

@@ -147,16 +147,17 @@ struct Lexer {
 /// Returns [`ParseError::Lex`] on unterminated strings/comments, invalid
 /// hex literals or unexpected characters.
 pub fn lex(src: &str) -> Result<LexOutput, ParseError> {
+    let mut out = LexOutput::default();
     let mut lexer = Lexer {
         chars: src.chars().collect(),
         pos: 0,
     };
-    lexer.run()
+    lexer.run(&mut out)?;
+    Ok(out)
 }
 
 impl Lexer {
-    fn run(&mut self) -> Result<LexOutput, ParseError> {
-        let mut out = LexOutput::default();
+    fn run(&mut self, out: &mut LexOutput) -> Result<(), ParseError> {
         loop {
             self.skip_whitespace();
             let start = self.pos;
@@ -205,11 +206,19 @@ impl Lexer {
                                 }
                             }
                         }
-                        let body: String = self.chars[body_start..self.pos].iter().collect();
+                        // The body is lexed as a query of its own (its
+                        // spans count from its own start) straight into
+                        // `out`: a frame-sized body is not worth two
+                        // copies. Whether a line comment ends the *query*
+                        // is for the text after the body to say.
+                        let mut body = Lexer {
+                            chars: self.chars[body_start..self.pos].to_vec(),
+                            pos: 0,
+                        };
                         self.pos += 2; // consume `*/`
-                        let inner = lex(&body)?;
-                        out.tokens.extend(inner.tokens);
-                        out.comments.extend(inner.comments);
+                        let trailing = out.trailing_line_comment;
+                        body.run(out)?;
+                        out.trailing_line_comment = trailing;
                     } else {
                         let body = self.skip_block_comment(start)?;
                         out.comments.push(body);
@@ -263,7 +272,7 @@ impl Lexer {
                 }
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     fn peek(&self) -> Option<char> {

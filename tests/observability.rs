@@ -271,6 +271,50 @@ fn write_path_counters_appear_on_status_and_the_export() {
 }
 
 #[test]
+fn a_statement_nested_past_the_depth_bound_is_refused_in_plain_sight() {
+    let (server, septic, conn) = deployment_with_one_attack();
+    let limit_row = "dbms_resource_limit_total{limit=\"expr_depth\"}";
+    let refusals = |conn: &septic_repro::dbms::Connection| {
+        let status = conn.query("SHOW SEPTIC STATUS").expect("status");
+        let series = parse_prometheus(&server.prometheus()).expect("export parses");
+        let shown: u64 = status_value(&status.rows, limit_row)
+            .expect("status row")
+            .parse()
+            .expect("a count");
+        assert_eq!(series.get(limit_row).copied(), Some(shown as f64));
+        shown
+    };
+    assert_eq!(refusals(&conn), 0);
+    let failed_before = conn.session_stats().queries_failed;
+    let seen_before = septic.counters().queries_seen;
+
+    // 10,000 levels in 20 KB: one frame that used to end the process.
+    let hostile = format!(
+        "SELECT * FROM tickets WHERE creditCard = {}1{}",
+        "(".repeat(10_000),
+        ")".repeat(10_000)
+    );
+    let err = conn.execute(&hostile).expect_err("refused, not executed");
+    assert!(
+        err.to_string().contains("too deep"),
+        "a parse error that says what it is: {err}"
+    );
+
+    assert_eq!(refusals(&conn), 1);
+    assert_eq!(conn.session_stats().queries_failed, failed_before + 1);
+    // The guard is never consulted about a statement that did not parse.
+    assert_eq!(septic.counters().queries_seen, seen_before);
+    // The general log reads like every other parse failure.
+    let log = server.general_log();
+    let entry = log.iter().find(|e| e.sql == hostile).expect("logged");
+    assert!(entry.outcome.starts_with("error: "), "{}", entry.outcome);
+    assert!(entry.outcome.contains("too deep"), "{}", entry.outcome);
+    // An ordinary syntax error is not a resource limit.
+    conn.execute("SELECT FROM").expect_err("syntax error");
+    assert_eq!(refusals(&conn), 1);
+}
+
+#[test]
 fn rows_examined_tell_a_lookup_from_the_scan_an_injection_makes_of_it() {
     let server = Server::new();
     let conn = server.connect();

@@ -539,6 +539,38 @@ fn checkpoint_keeps_tombstones_and_the_free_list() {
     d.assert_recovery_agrees();
 }
 
+// Fails when the parser holds parentheses to the bound it holds the tree
+// to: redo re-parses `Statement::to_string()`, which wraps each of the 63
+// sign nodes below in two pairs, so the acknowledged write would not
+// re-parse and recovery would drop it with a replay error.
+#[test]
+fn a_write_at_the_depth_bound_survives_recovery() {
+    use septic_repro::sql::parser::MAX_EXPR_DEPTH;
+    let d = Durable::empty(WalConfig::default());
+    let conn = d.server.connect();
+    conn.execute("CREATE TABLE t (id INT PRIMARY KEY, n INT)")
+        .unwrap();
+    conn.execute("INSERT INTO t (id, n) VALUES (1, 5)").unwrap();
+    let negated = |times: usize| format!("UPDATE t SET n = {}n WHERE id = 1", "- ".repeat(times));
+    // One sign too many is refused before anything is written or logged.
+    let err = conn.execute(&negated(MAX_EXPR_DEPTH)).expect_err("refused");
+    assert!(err.to_string().contains("too deep"), "{err}");
+    // 63 signs over a column: a SET expression of exactly the bound.
+    conn.execute(&negated(MAX_EXPR_DEPTH - 1))
+        .expect("acknowledged");
+    let cell = |s: &Arc<Server>| {
+        let rows = s.connect().query("SELECT n FROM t").unwrap().rows;
+        rows[0][0].to_int()
+    };
+    assert_eq!(cell(&d.server), Some(-5));
+    assert_eq!(
+        cell(&d.recovered()),
+        Some(-5),
+        "replay_errors is 0 and the cell is there"
+    );
+    d.assert_recovery_agrees();
+}
+
 proptest! {
     /// The property the engine claims: at every checkpoint cadence, a
     /// crash after any call recovers the live database slot for slot —

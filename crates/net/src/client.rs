@@ -11,7 +11,7 @@ use std::time::Duration;
 use septic_dbms::Value;
 
 use crate::frame::{
-    read_frame, write_frame, FrameError, QueryRequest, Request, Response, SessionOpts, WireResult,
+    read_frame, write_frame, FrameError, QueryRequest, Request, Response, WireResult,
     DEFAULT_MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 
@@ -30,8 +30,8 @@ pub enum ClientError {
     GuardFailure { reason: String },
     /// The DBMS rejected the query (parse error, unknown table, ...).
     Server { message: String },
-    /// Admission control refused us: accept queue full or pipelining
-    /// limit exceeded. Back off and retry.
+    /// Admission control refused us: connection limit reached or
+    /// pipelining limit exceeded. Back off and retry.
     Busy { reason: String },
     /// The server answered with a frame that makes no sense for the
     /// request (protocol bug or version skew).
@@ -100,18 +100,16 @@ impl NetClient {
     ///
     /// Connect/handshake failures as [`ClientError`].
     pub fn connect(addr: impl ToSocketAddrs) -> Result<NetClient, ClientError> {
-        Self::connect_with(addr, SessionOpts::default(), DEFAULT_MAX_FRAME_LEN)
+        Self::connect_with(addr, DEFAULT_MAX_FRAME_LEN)
     }
 
-    /// [`NetClient::connect`] with explicit session options and frame
-    /// size limit.
+    /// [`NetClient::connect`] with an explicit frame size limit.
     ///
     /// # Errors
     ///
     /// Connect/handshake failures as [`ClientError`].
     pub fn connect_with(
         addr: impl ToSocketAddrs,
-        opts: SessionOpts,
         max_frame_len: u32,
     ) -> Result<NetClient, ClientError> {
         let stream = TcpStream::connect(addr)?;
@@ -127,7 +125,6 @@ impl NetClient {
         let send_err = client
             .send(&Request::Hello {
                 version: PROTOCOL_VERSION,
-                opts,
             })
             .err();
         match (client.recv(), send_err) {

@@ -1,6 +1,5 @@
-//! What a decoded request does, whichever front end decoded it: the
-//! blocking workers (`server`) and the event loop's workers both answer
-//! through [`handle_request`].
+//! What a decoded request does: every worker answers through
+//! [`handle_request`], whichever [`crate::FrontEndKind`] it serves.
 
 use std::io::Write;
 

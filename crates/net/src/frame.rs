@@ -34,22 +34,13 @@ pub struct QueryRequest {
     pub params: Option<Vec<Value>>,
 }
 
-/// Per-session options, sent with `Request::Hello` as the first frame.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct SessionOpts {
-    /// Free-form label surfaced in errors/logs (e.g. the app name).
-    pub label: Option<String>,
-}
-
 /// A client→server frame.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Request {
-    /// Optional first frame: protocol version + session options.
+    /// Optional first frame: the protocol version.
     Hello {
         /// Client's [`PROTOCOL_VERSION`].
         version: u32,
-        /// Session options.
-        opts: SessionOpts,
     },
     /// Execute one query.
     Query(QueryRequest),
@@ -160,8 +151,8 @@ pub enum Response {
         message: String,
     },
     /// Admission-control reject: the server refuses the work *now*
-    /// rather than queueing it unboundedly. Sent when the accept queue
-    /// is full or a batch exceeds the pipelining limit.
+    /// rather than queueing it unboundedly. Sent when the connection
+    /// limit is reached or a batch exceeds the pipelining limit.
     ServerBusy {
         /// Why the request was refused.
         reason: String,
@@ -341,7 +332,6 @@ mod tests {
             &mut buf,
             &Request::Hello {
                 version: PROTOCOL_VERSION,
-                opts: SessionOpts::default(),
             },
             DEFAULT_MAX_FRAME_LEN,
         )
@@ -350,7 +340,38 @@ mod tests {
         let a: Request = read_frame(&mut cur, DEFAULT_MAX_FRAME_LEN).unwrap();
         let b: Request = read_frame(&mut cur, DEFAULT_MAX_FRAME_LEN).unwrap();
         assert_eq!(a, Request::Ping);
-        assert!(matches!(b, Request::Hello { version: 1, .. }));
+        assert_eq!(b, Request::Hello { version: 1 });
+    }
+
+    /// Hands out one byte per `read`, the worst a socket can do.
+    struct Trickle<'a>(&'a [u8]);
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let Some((first, rest)) = self.0.split_first() else {
+                return Ok(0);
+            };
+            buf[0] = *first;
+            self.0 = rest;
+            Ok(1)
+        }
+    }
+
+    #[test]
+    fn frames_assemble_across_partial_reads() {
+        let mut buf = Vec::new();
+        let req = Request::Query(QueryRequest {
+            sql: "SELECT 1".into(),
+            params: None,
+        });
+        write_frame(&mut buf, &req, DEFAULT_MAX_FRAME_LEN).unwrap();
+        write_frame(&mut buf, &Request::Ping, DEFAULT_MAX_FRAME_LEN).unwrap();
+        let mut trickle = Trickle(&buf);
+        let a: Request = read_frame(&mut trickle, DEFAULT_MAX_FRAME_LEN).unwrap();
+        let b: Request = read_frame(&mut trickle, DEFAULT_MAX_FRAME_LEN).unwrap();
+        assert_eq!((a, b), (req, Request::Ping));
+        let end = read_frame::<_, Request>(&mut trickle, DEFAULT_MAX_FRAME_LEN).unwrap_err();
+        assert!(matches!(end, FrameError::Closed));
     }
 
     #[test]

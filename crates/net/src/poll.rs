@@ -1,54 +1,26 @@
-//! A minimal epoll poller — the readiness layer under the event loop.
+//! A minimal epoll poller: where the event loop parks idle sockets.
 //!
 //! Raw `epoll` via FFI, deliberately not a dependency: the workspace is
-//! self-contained (no crates.io access), and the event loop needs only
-//! four syscalls — `epoll_create1`, `epoll_ctl`, `epoll_wait` and
-//! `eventfd` for cross-thread wakeups. Everything above this module is
-//! ordinary safe Rust over nonblocking `std::net` sockets.
+//! self-contained (no crates.io access), and parking needs only
+//! `epoll_create1`, `epoll_ctl`, `epoll_wait` and `close`.
 //!
-//! On non-Linux targets the constructors return
-//! [`std::io::ErrorKind::Unsupported`]; callers fall back to the
-//! blocking front end.
+//! Every registration is `EPOLLIN | EPOLLRDHUP | EPOLLONESHOT`: a socket
+//! fires once — readable, or its peer hung up — and then stays silent
+//! until whoever served it re-arms it. `epoll_ctl` is thread-safe, so
+//! the accept thread, the parking thread and the workers share one
+//! poller. A closed socket leaves the interest set by itself, so there
+//! is no deregistration.
+//!
+//! On non-Linux targets [`Poller::new`] returns
+//! [`std::io::ErrorKind::Unsupported`]; use the blocking front end
+//! there.
 
 use std::io;
-#[cfg(target_os = "linux")]
-use std::os::fd::{AsRawFd, RawFd};
-#[cfg(not(target_os = "linux"))]
-type RawFd = i32;
+use std::net::TcpStream;
 
-/// Readable readiness.
-pub const INTEREST_READ: u32 = sys::EPOLLIN | sys::EPOLLRDHUP;
-/// Writable readiness.
-pub const INTEREST_WRITE: u32 = sys::EPOLLOUT;
-
-/// One readiness event: the registered token plus what fired.
-#[derive(Debug, Clone, Copy)]
-pub struct Event {
-    /// The token supplied at registration.
-    pub token: u64,
-    /// Raw readiness bits.
-    readiness: u32,
-}
-
-impl Event {
-    /// The source has bytes to read (or a peer hang-up to observe, which
-    /// a read will surface as EOF/error).
-    #[must_use]
-    pub fn is_readable(&self) -> bool {
-        self.readiness & (sys::EPOLLIN | sys::EPOLLRDHUP | sys::EPOLLHUP | sys::EPOLLERR) != 0
-    }
-
-    /// The source can accept more bytes.
-    #[must_use]
-    pub fn is_writable(&self) -> bool {
-        self.readiness & (sys::EPOLLOUT | sys::EPOLLHUP | sys::EPOLLERR) != 0
-    }
-}
-
-/// Level-triggered epoll instance.
-#[derive(Debug)]
-pub struct Poller {
-    epfd: RawFd,
+/// One epoll instance.
+pub(crate) struct Poller {
+    epfd: i32,
 }
 
 impl Poller {
@@ -57,115 +29,35 @@ impl Poller {
     /// # Errors
     ///
     /// `Unsupported` off Linux; otherwise the raw syscall failure.
-    pub fn new() -> io::Result<Poller> {
-        let epfd = sys::epoll_create()?;
-        Ok(Poller { epfd })
+    pub(crate) fn new() -> io::Result<Poller> {
+        Ok(Poller {
+            epfd: sys::epoll_create()?,
+        })
     }
 
-    /// Registers `fd` for `interest`, tagging events with `token`.
-    /// `exclusive` requests `EPOLLEXCLUSIVE` — used for a listener shared
-    /// by several reactor shards, so one accept-ready wake goes to one
-    /// shard instead of thundering the herd.
+    /// Arms `stream` to fire once, tagged `token`, when it turns
+    /// readable or its peer hangs up. `first` adds a new socket to the
+    /// interest set; otherwise a socket that already fired is re-armed.
     ///
     /// # Errors
     ///
     /// The raw `epoll_ctl` failure.
-    #[cfg(target_os = "linux")]
-    pub fn register(
-        &self,
-        fd: &impl AsRawFd,
-        token: u64,
-        interest: u32,
-        exclusive: bool,
-    ) -> io::Result<()> {
-        let mut flags = interest;
-        if exclusive {
-            // The kernel rejects EPOLLEXCLUSIVE combined with EPOLLRDHUP
-            // (EINVAL) — and a listener has no read-half to hang up.
-            flags = (flags & !sys::EPOLLRDHUP) | sys::EPOLLEXCLUSIVE;
-        }
-        sys::epoll_ctl(self.epfd, sys::EPOLL_CTL_ADD, fd.as_raw_fd(), flags, token)
+    pub(crate) fn arm(&self, stream: &TcpStream, token: u64, first: bool) -> io::Result<()> {
+        let op = if first {
+            sys::EPOLL_CTL_ADD
+        } else {
+            sys::EPOLL_CTL_MOD
+        };
+        sys::epoll_ctl(self.epfd, op, sys::fd(stream), token)
     }
 
-    /// Changes the interest set of an already-registered `fd`.
-    ///
-    /// # Errors
-    ///
-    /// The raw `epoll_ctl` failure.
-    #[cfg(target_os = "linux")]
-    pub fn reregister(&self, fd: &impl AsRawFd, token: u64, interest: u32) -> io::Result<()> {
-        sys::epoll_ctl(
-            self.epfd,
-            sys::EPOLL_CTL_MOD,
-            fd.as_raw_fd(),
-            interest,
-            token,
-        )
-    }
-
-    /// Removes `fd` from the interest set.
-    ///
-    /// # Errors
-    ///
-    /// The raw `epoll_ctl` failure.
-    #[cfg(target_os = "linux")]
-    pub fn deregister(&self, fd: &impl AsRawFd) -> io::Result<()> {
-        sys::epoll_ctl(self.epfd, sys::EPOLL_CTL_DEL, fd.as_raw_fd(), 0, 0)
-    }
-
-    /// Non-Linux stub: unreachable in practice ([`Poller::new`] already
-    /// failed), present so callers compile unconditionally.
-    ///
-    /// # Errors
-    ///
-    /// Always `Unsupported`.
-    #[cfg(not(target_os = "linux"))]
-    pub fn register<T>(
-        &self,
-        _fd: &T,
-        _token: u64,
-        _interest: u32,
-        _exclusive: bool,
-    ) -> io::Result<()> {
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "epoll requires Linux",
-        ))
-    }
-
-    /// Non-Linux stub of [`Poller::reregister`].
-    ///
-    /// # Errors
-    ///
-    /// Always `Unsupported`.
-    #[cfg(not(target_os = "linux"))]
-    pub fn reregister<T>(&self, _fd: &T, _token: u64, _interest: u32) -> io::Result<()> {
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "epoll requires Linux",
-        ))
-    }
-
-    /// Non-Linux stub of [`Poller::deregister`].
-    ///
-    /// # Errors
-    ///
-    /// Always `Unsupported`.
-    #[cfg(not(target_os = "linux"))]
-    pub fn deregister<T>(&self, _fd: &T) -> io::Result<()> {
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "epoll requires Linux",
-        ))
-    }
-
-    /// Blocks until readiness or `timeout_ms` (`-1` = forever), appending
-    /// fired events to `out`.
+    /// Blocks until a socket fires or `timeout_ms` passes, appending the
+    /// tokens that fired to `out`.
     ///
     /// # Errors
     ///
     /// The raw `epoll_wait` failure (`EINTR` is retried internally).
-    pub fn wait(&self, out: &mut Vec<Event>, timeout_ms: i32) -> io::Result<()> {
+    pub(crate) fn wait(&self, out: &mut Vec<u64>, timeout_ms: i32) -> io::Result<()> {
         sys::epoll_wait(self.epfd, out, timeout_ms)
     }
 }
@@ -176,69 +68,19 @@ impl Drop for Poller {
     }
 }
 
-// The poller is only ever driven by its owning reactor thread, but the
-// handle moves into that thread at spawn.
-unsafe impl Send for Poller {}
-
-/// Cross-thread wakeup for a reactor parked in [`Poller::wait`]: an
-/// `eventfd` registered in the poller like any other source.
-#[derive(Debug)]
-pub struct Waker {
-    efd: RawFd,
-}
-
-impl Waker {
-    /// Creates the eventfd and registers it with `poller` under `token`.
-    ///
-    /// # Errors
-    ///
-    /// `Unsupported` off Linux; otherwise the raw syscall failure.
-    pub fn new(poller: &Poller, token: u64) -> io::Result<Waker> {
-        let efd = sys::eventfd_create()?;
-        sys::epoll_ctl(poller.epfd, sys::EPOLL_CTL_ADD, efd, sys::EPOLLIN, token)?;
-        Ok(Waker { efd })
-    }
-
-    /// Wakes the reactor. Safe from any thread; coalesces with pending
-    /// wakes.
-    pub fn wake(&self) {
-        sys::eventfd_write(self.efd);
-    }
-
-    /// Drains pending wakes (reactor side, after the token fires).
-    pub fn drain(&self) {
-        sys::eventfd_read(self.efd);
-    }
-}
-
-impl Drop for Waker {
-    fn drop(&mut self) {
-        sys::close_fd(self.efd);
-    }
-}
-
-unsafe impl Send for Waker {}
-unsafe impl Sync for Waker {}
-
 #[cfg(target_os = "linux")]
 mod sys {
-    use super::Event;
     use std::io;
-    use std::os::fd::RawFd;
+    use std::net::TcpStream;
+    use std::os::fd::AsRawFd;
     use std::os::raw::c_int;
 
-    pub const EPOLLIN: u32 = 0x001;
-    pub const EPOLLOUT: u32 = 0x004;
-    pub const EPOLLERR: u32 = 0x008;
-    pub const EPOLLHUP: u32 = 0x010;
-    pub const EPOLLRDHUP: u32 = 0x2000;
-    pub const EPOLLEXCLUSIVE: u32 = 1 << 28;
+    const EPOLLIN: u32 = 0x001;
+    const EPOLLRDHUP: u32 = 0x2000;
+    const EPOLLONESHOT: u32 = 1 << 30;
     pub const EPOLL_CTL_ADD: c_int = 1;
-    pub const EPOLL_CTL_DEL: c_int = 2;
     pub const EPOLL_CTL_MOD: c_int = 3;
     const EPOLL_CLOEXEC: c_int = 0o2000000;
-    const EFD_CLOEXEC: c_int = 0o2000000;
-    const EFD_NONBLOCK: c_int = 0o4000;
 
     /// Kernel `struct epoll_event`; packed on x86 per the ABI.
     #[repr(C)]
@@ -251,7 +93,7 @@ mod sys {
 
     mod ffi {
         use super::EpollEvent;
-        use std::os::raw::{c_int, c_uint, c_void};
+        use std::os::raw::c_int;
         extern "C" {
             pub fn epoll_create1(flags: c_int) -> c_int;
             pub fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
@@ -261,14 +103,15 @@ mod sys {
                 maxevents: c_int,
                 timeout: c_int,
             ) -> c_int;
-            pub fn eventfd(initval: c_uint, flags: c_int) -> c_int;
-            pub fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
-            pub fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
             pub fn close(fd: c_int) -> c_int;
         }
     }
 
-    pub fn epoll_create() -> io::Result<RawFd> {
+    pub fn fd(stream: &TcpStream) -> c_int {
+        stream.as_raw_fd()
+    }
+
+    pub fn epoll_create() -> io::Result<c_int> {
         // SAFETY: plain syscall, no pointers involved.
         let fd = unsafe { ffi::epoll_create1(EPOLL_CLOEXEC) };
         if fd < 0 {
@@ -277,9 +120,9 @@ mod sys {
         Ok(fd)
     }
 
-    pub fn epoll_ctl(epfd: RawFd, op: c_int, fd: RawFd, events: u32, token: u64) -> io::Result<()> {
+    pub fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, token: u64) -> io::Result<()> {
         let mut ev = EpollEvent {
-            events,
+            events: EPOLLIN | EPOLLRDHUP | EPOLLONESHOT,
             data: token,
         };
         // SAFETY: `ev` outlives the call; the kernel copies it.
@@ -290,7 +133,7 @@ mod sys {
         Ok(())
     }
 
-    pub fn epoll_wait(epfd: RawFd, out: &mut Vec<Event>, timeout_ms: i32) -> io::Result<()> {
+    pub fn epoll_wait(epfd: c_int, out: &mut Vec<u64>, timeout_ms: i32) -> io::Result<()> {
         const MAX_EVENTS: usize = 256;
         let mut buf = [EpollEvent { events: 0, data: 0 }; MAX_EVENTS];
         let n = loop {
@@ -305,37 +148,12 @@ mod sys {
                 return Err(err);
             }
         };
-        for ev in &buf[..n] {
-            // Copy out of the (possibly packed) struct before use.
-            let readiness = ev.events;
-            let token = ev.data;
-            out.push(Event { token, readiness });
-        }
+        // Copy the token out of the (possibly packed) struct before use.
+        out.extend(buf[..n].iter().map(|ev| ev.data));
         Ok(())
     }
 
-    pub fn eventfd_create() -> io::Result<RawFd> {
-        // SAFETY: plain syscall, no pointers involved.
-        let fd = unsafe { ffi::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) };
-        if fd < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(fd)
-    }
-
-    pub fn eventfd_write(fd: RawFd) {
-        let one: u64 = 1;
-        // SAFETY: writes 8 bytes from a live stack value.
-        let _ = unsafe { ffi::write(fd, (&raw const one).cast(), 8) };
-    }
-
-    pub fn eventfd_read(fd: RawFd) {
-        let mut val: u64 = 0;
-        // SAFETY: reads 8 bytes into a live stack value.
-        let _ = unsafe { ffi::read(fd, (&raw mut val).cast(), 8) };
-    }
-
-    pub fn close_fd(fd: RawFd) {
+    pub fn close_fd(fd: c_int) {
         // SAFETY: fd is owned by the caller and closed exactly once.
         let _ = unsafe { ffi::close(fd) };
     }
@@ -343,112 +161,81 @@ mod sys {
 
 #[cfg(not(target_os = "linux"))]
 mod sys {
-    //! Non-Linux stubs: constructors fail with `Unsupported`, so
-    //! `serve_event_loop` reports the platform gap instead of compiling
-    //! the workspace out.
-    use super::{Event, RawFd};
+    //! Non-Linux stubs: the constructor fails with `Unsupported`, so the
+    //! event loop reports the platform gap instead of compiling the
+    //! workspace out.
     use std::io;
+    use std::net::TcpStream;
 
-    pub const EPOLLIN: u32 = 0x001;
-    pub const EPOLLOUT: u32 = 0x004;
-    pub const EPOLLERR: u32 = 0x008;
-    pub const EPOLLHUP: u32 = 0x010;
-    pub const EPOLLRDHUP: u32 = 0x2000;
     pub const EPOLL_CTL_ADD: i32 = 1;
+    pub const EPOLL_CTL_MOD: i32 = 3;
 
     fn unsupported() -> io::Error {
         io::Error::new(io::ErrorKind::Unsupported, "epoll requires Linux")
     }
 
-    pub fn epoll_create() -> io::Result<RawFd> {
+    pub fn fd(_: &TcpStream) -> i32 {
+        -1
+    }
+
+    pub fn epoll_create() -> io::Result<i32> {
         Err(unsupported())
     }
 
-    pub fn epoll_ctl(_: RawFd, _: i32, _: RawFd, _: u32, _: u64) -> io::Result<()> {
+    pub fn epoll_ctl(_: i32, _: i32, _: i32, _: u64) -> io::Result<()> {
         Err(unsupported())
     }
 
-    pub fn epoll_wait(_: RawFd, _: &mut Vec<Event>, _: i32) -> io::Result<()> {
+    pub fn epoll_wait(_: i32, _: &mut Vec<u64>, _: i32) -> io::Result<()> {
         Err(unsupported())
     }
 
-    pub fn eventfd_create() -> io::Result<RawFd> {
-        Err(unsupported())
-    }
-
-    pub fn eventfd_write(_: RawFd) {}
-
-    pub fn eventfd_read(_: RawFd) {}
-
-    pub fn close_fd(_: RawFd) {}
+    pub fn close_fd(_: i32) {}
 }
 
 #[cfg(all(test, target_os = "linux"))]
 mod tests {
     use super::*;
-    use std::io::Write;
-    use std::net::{TcpListener, TcpStream};
+    use std::io::{Read, Write};
+    use std::net::TcpListener;
 
-    #[test]
-    fn poller_sees_readable_sockets() {
-        let poller = Poller::new().expect("epoll");
+    fn pair() -> (TcpStream, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let mut client = TcpStream::connect(listener.local_addr().unwrap()).expect("connect");
+        let client = TcpStream::connect(listener.local_addr().unwrap()).expect("connect");
         let (server_side, _) = listener.accept().expect("accept");
-        server_side.set_nonblocking(true).expect("nonblocking");
-        poller
-            .register(&server_side, 7, INTEREST_READ, false)
-            .expect("register");
-
-        // Nothing sent yet: a short wait returns no events.
-        let mut events = Vec::new();
-        poller.wait(&mut events, 0).expect("wait");
-        assert!(events.iter().all(|e| e.token != 7 || !e.is_readable()));
-
-        client.write_all(b"x").expect("write");
-        client.flush().expect("flush");
-        let mut events = Vec::new();
-        poller.wait(&mut events, 1000).expect("wait");
-        assert!(
-            events.iter().any(|e| e.token == 7 && e.is_readable()),
-            "readable event must fire"
-        );
+        (client, server_side)
     }
 
     #[test]
-    fn waker_unparks_a_wait() {
+    fn a_readable_socket_fires_once_until_rearmed() {
         let poller = Poller::new().expect("epoll");
-        let waker = Waker::new(&poller, 1).expect("eventfd");
-        waker.wake();
-        let mut events = Vec::new();
-        poller.wait(&mut events, 1000).expect("wait");
-        assert!(events.iter().any(|e| e.token == 1 && e.is_readable()));
-        waker.drain();
-        // Drained: the next zero-timeout wait is quiet.
-        let mut events = Vec::new();
-        poller.wait(&mut events, 0).expect("wait");
-        assert!(events.iter().all(|e| e.token != 1));
-    }
+        let (mut client, mut server_side) = pair();
+        poller.arm(&server_side, 7, true).expect("add");
 
-    #[test]
-    fn interest_can_be_switched_to_write() {
-        let poller = Poller::new().expect("epoll");
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let _client = TcpStream::connect(listener.local_addr().unwrap()).expect("connect");
-        let (server_side, _) = listener.accept().expect("accept");
-        server_side.set_nonblocking(true).expect("nonblocking");
-        poller
-            .register(&server_side, 3, INTEREST_READ, false)
-            .expect("register");
-        poller
-            .reregister(&server_side, 3, INTEREST_READ | INTEREST_WRITE)
-            .expect("reregister");
-        let mut events = Vec::new();
-        poller.wait(&mut events, 1000).expect("wait");
-        assert!(
-            events.iter().any(|e| e.token == 3 && e.is_writable()),
-            "an idle socket is immediately writable"
-        );
-        poller.deregister(&server_side).expect("deregister");
+        // Nothing sent yet: a zero wait returns nothing.
+        let mut fired = Vec::new();
+        poller.wait(&mut fired, 0).expect("wait");
+        assert!(fired.is_empty());
+
+        client.write_all(b"xy").expect("write");
+        poller.wait(&mut fired, 1000).expect("wait");
+        assert_eq!(fired, vec![7], "readable event must fire");
+
+        // One-shot: still readable, but silent until re-armed.
+        fired.clear();
+        poller.wait(&mut fired, 50).expect("wait");
+        assert!(fired.is_empty(), "a fired socket stays disarmed");
+        poller.arm(&server_side, 7, false).expect("re-arm");
+        poller.wait(&mut fired, 1000).expect("wait");
+        assert_eq!(fired, vec![7], "re-armed and still readable");
+
+        // A peer hang-up fires too, once the bytes are read.
+        let mut buf = [0u8; 2];
+        server_side.read_exact(&mut buf).expect("read");
+        drop(client);
+        fired.clear();
+        poller.arm(&server_side, 7, false).expect("re-arm");
+        poller.wait(&mut fired, 1000).expect("wait");
+        assert_eq!(fired, vec![7], "hang-up must fire");
     }
 }

@@ -1,62 +1,85 @@
-//! The blocking TCP front end: accept loop + bounded worker pool.
+//! The TCP front end: one accept loop, one FIFO hand-off queue and one
+//! bounded worker pool, whichever [`FrontEndKind`] is serving.
+//!
+//! # Where a connection waits
+//!
+//! A worker serves a connection one frame at a time: a blocking
+//! `read_frame`, `handle_request`, `write_frame`. Between frames a
+//! [`FrontEndKind::Blocking`] connection keeps its worker and waits in
+//! that blocking read. A [`FrontEndKind::EventLoop`] connection gives its
+//! worker back and waits parked in epoll (`crate::park`); one parking
+//! thread puts it back on the hand-off queue when its socket turns
+//! readable, so an idle connection costs no thread.
 //!
 //! # Admission control
 //!
-//! The server never queues work unboundedly. Accepted sockets go into a
-//! bounded hand-off queue; when the queue is full (every worker busy and
-//! the backlog at capacity) the connection is *rejected immediately*
-//! with a [`Response::ServerBusy`] frame and closed — load sheds at the
-//! edge instead of building an invisible latency mountain. Per
-//! connection, a `Batch` frame longer than the pipelining limit is
-//! likewise refused with `ServerBusy` rather than executed.
+//! The server never queues work unboundedly. One rule serves both kinds:
+//! past a fixed number of admitted connections, the accept loop sheds
+//! the next with one [`Response::ServerBusy`] frame — a single
+//! nonblocking write on the accept thread, then close. The bound is
+//! `workers + accept_queue` on the blocking kind and `max_connections`
+//! on the event loop. A `Batch` frame longer than the pipelining limit
+//! is likewise refused with `ServerBusy` rather than executed.
 //!
 //! # Failure containment
 //!
 //! Each connection is served under `catch_unwind`: a panicking handler
 //! (or a bug in response encoding) kills *that connection only* — the
 //! worker survives, the listener keeps accepting, and the
-//! active-connection gauge is restored by a drop guard no matter how the
-//! handler exits. This extends the PR-1 failure policy to the wire: the
-//! dbms `Server` already contains guard panics; the net layer contains
-//! its own.
+//! active-connection gauge is released on every exit path. This extends
+//! the dbms failure policy to the wire: the dbms `Server` already
+//! contains guard panics; the net layer contains its own.
 //!
 //! # Slow peers
 //!
-//! Reads carry a timeout. A peer that sends half a frame header and
-//! stalls (slowloris) holds a worker for at most `read_timeout`, then
-//! the read errors, the connection is closed and the worker moves on.
+//! A frame read has one deadline, `read_timeout` after it starts. A peer
+//! that sends half a frame and stalls (slowloris), or trickles it a byte
+//! at a time, holds a worker until then (plus at most one [`TICK`]);
+//! the read errors, the connection is closed and the worker moves on. A
+//! parked connection quiet for `read_timeout` is closed by the parking
+//! thread.
 
 use std::collections::VecDeque;
-use std::io;
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use septic_dbms::Server;
+use septic_dbms::{Connection, Server};
 use septic_telemetry::{saturating_micros, Counter, Histogram};
 
 use crate::dispatch::{handle_request, refuse_frame};
 use crate::frame::{read_frame, write_frame, FrameError, Request, Response, DEFAULT_MAX_FRAME_LEN};
+use crate::park::Parking;
+use crate::FrontEndKind;
+
+/// The parking thread's poll timeout — the granularity of its idle sweep
+/// and of noticing shutdown — and how far past its deadline a frame read
+/// may run.
+pub(crate) const TICK: Duration = Duration::from_millis(25);
 
 /// Configuration of the TCP front end.
 #[derive(Debug, Clone)]
 pub struct NetServerConfig {
-    /// Worker threads serving connections (each worker serves one
-    /// connection at a time, session-per-thread like the in-process
-    /// front end).
+    /// Worker threads serving frames (each worker serves one connection
+    /// at a time, session-per-thread like the in-process front end).
     pub workers: usize,
-    /// Accepted connections allowed to wait for a free worker. Beyond
-    /// this the accept loop sheds load with a `ServerBusy` frame.
+    /// Blocking front end only: connections admitted beyond `workers`,
+    /// to wait for a free worker. Beyond `workers + accept_queue` the
+    /// accept loop sheds load with a `ServerBusy` frame. A connection
+    /// waiting here waits for a whole connection to end, not a request,
+    /// so this stays short.
     pub accept_queue: usize,
     /// Maximum payload bytes of a single frame, both directions.
     pub max_frame_len: u32,
     /// Maximum queries in one `Batch` frame (per-connection pipelining
     /// limit).
     pub max_pipeline: usize,
-    /// Read timeout per frame: the slowloris defense and the idle
+    /// Deadline of one frame read, from its start, and how long a
+    /// connection may stay parked: the slowloris defense and the idle
     /// connection reaper in one knob.
     pub read_timeout: Duration,
     /// Fault-injection hook (used by `septic-faults` and the wire
@@ -64,14 +87,10 @@ pub struct NetServerConfig {
     /// connection handler panic *outside* the dbms pipeline, exercising
     /// the net layer's own containment. `None` in production.
     pub panic_marker: Option<String>,
-    /// Event-loop front end only: reactor shards polling readiness.
-    /// `0` means one per available core. The blocking front end ignores
-    /// this.
-    pub reactors: usize,
-    /// Event-loop front end only: concurrent connections admitted
-    /// before new arrivals are shed with `ServerBusy`. The blocking
-    /// front end bounds concurrency by `workers + accept_queue`
-    /// instead.
+    /// Event-loop front end only: connections admitted — parked, queued
+    /// or being served — before new arrivals are shed with `ServerBusy`.
+    /// A parked connection costs no thread, so this is a descriptor
+    /// budget rather than a queue.
     pub max_connections: usize,
 }
 
@@ -84,7 +103,6 @@ impl Default for NetServerConfig {
             max_pipeline: 32,
             read_timeout: Duration::from_secs(10),
             panic_marker: None,
-            reactors: 0,
             max_connections: 2048,
         }
     }
@@ -92,10 +110,9 @@ impl Default for NetServerConfig {
 
 /// Wire-layer metrics, registered in the dbms server's own
 /// [`septic_telemetry::MetricsRegistry`] so they ride the existing
-/// Prometheus export and `SHOW SEPTIC METRICS`. Shared by both front
-/// ends — the registry get-or-creates by name, so a blocking and an
-/// event-loop front end on the same dbms server count into the same
-/// series.
+/// Prometheus export and `SHOW SEPTIC METRICS`. The registry
+/// get-or-creates by name, so two front ends on the same dbms server
+/// count into the same series.
 #[derive(Debug)]
 pub(crate) struct NetMetrics {
     pub(crate) accepted: Arc<Counter>,
@@ -145,91 +162,122 @@ impl NetMetrics {
     }
 }
 
-/// State shared between the accept loop, the workers and the handle.
+/// One admitted connection: its socket and the dbms session it runs
+/// under, which lives exactly as long as the socket — parked or not, so
+/// a transaction survives the wait between requests.
+pub(crate) struct Session {
+    /// Never reused; names the connection in the parking map and epoll.
+    pub(crate) key: u64,
+    pub(crate) stream: TcpStream,
+    db: Connection,
+}
+
+/// State shared between the accept loop, the workers, the parking
+/// thread and the handle.
 struct Shared {
     server: Arc<Server>,
     config: NetServerConfig,
-    /// FIFO hand-off: workers take from the front, the accept loop
-    /// pushes to the back, so under saturation the oldest queued
-    /// connection is served first instead of starving behind every
-    /// newer arrival.
-    queue: Mutex<VecDeque<TcpStream>>,
+    listener: TcpListener,
+    /// FIFO hand-off: workers take from the front, the accept loop and
+    /// the parking thread push to the back, so under saturation the
+    /// oldest waiting connection is served first instead of starving
+    /// behind every newer arrival.
+    queue: Mutex<VecDeque<Session>>,
     queue_cv: Condvar,
+    /// Where connections wait between requests on the event loop;
+    /// `None` on the blocking front end.
+    parking: Option<Parking>,
     shutting_down: AtomicBool,
-    /// Connections queued or being served right now.
+    /// Connections admitted and not yet closed.
     active: AtomicU64,
+    /// Admission bound on `active`, fixed at serve time.
+    limit: u64,
     metrics: NetMetrics,
 }
 
 impl Shared {
     /// Locks the hand-off queue, shrugging off poisoning: queue state is
     /// a plain `VecDeque` that stays consistent across any panic point.
-    fn lock_queue(&self) -> MutexGuard<'_, VecDeque<TcpStream>> {
-        self.queue
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    fn lock_queue(&self) -> MutexGuard<'_, VecDeque<Session>> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn set_active(&self, delta: i64) {
-        let now = if delta >= 0 {
-            self.active.fetch_add(delta as u64, Ordering::SeqCst) + delta as u64
-        } else {
-            self.active.fetch_sub((-delta) as u64, Ordering::SeqCst) - (-delta) as u64
-        };
+    /// Counts a connection in. It runs before the connection is
+    /// published to a worker or the parking map, so its [`release`]
+    /// can never come first and underflow the unsigned gauge.
+    ///
+    /// [`release`]: Shared::release
+    fn admit(&self) {
+        let now = self.active.fetch_add(1, Ordering::SeqCst) + 1;
         self.metrics.active_gauge.set(now);
     }
 
-    /// Publishes an accepted stream to the worker hand-off queue. The
-    /// active gauge is incremented while the queue lock is still held:
-    /// publishing the stream first and incrementing after the unlock
-    /// would let a fast worker serve the connection and decrement the
-    /// gauge before this increment lands, underflowing `0 - 1`.
-    fn enqueue(&self, stream: TcpStream) {
-        let mut queue = self.lock_queue();
-        queue.push_back(stream);
-        self.set_active(1);
-        drop(queue);
+    /// Counts a connection out, however it ended.
+    fn release(&self) {
+        let now = self.active.fetch_sub(1, Ordering::SeqCst) - 1;
+        self.metrics.active_gauge.set(now);
+        self.metrics.closed.inc();
+    }
+
+    /// Hands a connection with a request to read to the workers.
+    fn enqueue(&self, session: Session) {
+        self.lock_queue().push_back(session);
         self.queue_cv.notify_one();
     }
-}
 
-/// Decrements the active-connection gauge on drop — panic-proof
-/// accounting: however a handler exits, the connection is released.
-struct ActiveGuard<'a>(&'a Shared);
+    /// The next connection to serve, oldest first; `None` once shutting
+    /// down with nothing queued.
+    fn next_session(&self) -> Option<Session> {
+        let mut queue = self.lock_queue();
+        loop {
+            if let Some(session) = queue.pop_front() {
+                return Some(session);
+            }
+            if self.shutting_down.load(Ordering::SeqCst) {
+                return None;
+            }
+            queue = self
+                .queue_cv
+                .wait(queue)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
 
-impl Drop for ActiveGuard<'_> {
-    fn drop(&mut self) {
-        self.0.set_active(-1);
-        self.0.metrics.closed.inc();
+    /// Whether a newly accepted connection must be shed. Only the accept
+    /// thread admits, so `active` can only fall between this check and
+    /// [`admit`](Shared::admit).
+    fn full(&self) -> bool {
+        self.active.load(Ordering::SeqCst) >= self.limit
     }
 }
 
-/// A running TCP front end. Dropping the handle shuts the server down
-/// and joins every thread.
-pub struct NetServerHandle {
+/// A running front end of either kind. Dropping the handle shuts the
+/// server down and joins every thread.
+pub struct FrontEndHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    accept_thread: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    threads: Vec<JoinHandle<()>>,
 }
 
-impl std::fmt::Debug for NetServerHandle {
+impl std::fmt::Debug for FrontEndHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NetServerHandle")
+        f.debug_struct("FrontEndHandle")
             .field("addr", &self.addr)
             .field("active", &self.active_connections())
+            .field("threads", &self.threads.len())
             .finish_non_exhaustive()
     }
 }
 
-impl NetServerHandle {
+impl FrontEndHandle {
     /// The bound address (useful with port 0).
     #[must_use]
     pub fn addr(&self) -> SocketAddr {
         self.addr
     }
 
-    /// Connections currently queued or being served.
+    /// Connections admitted and not yet closed: parked, queued or being
+    /// served.
     #[must_use]
     pub fn active_connections(&self) -> u64 {
         self.shared.active.load(Ordering::SeqCst)
@@ -241,103 +289,116 @@ impl NetServerHandle {
         &self.shared.server
     }
 
-    /// Threads this front end runs (accept loop + workers). Each worker
-    /// serves one connection at a time, so this is also the concurrency
-    /// ceiling.
+    /// Threads this front end runs: accept loop, parking thread (event
+    /// loop only) and workers. Fixed at serve time — connection count
+    /// does not change it.
     #[must_use]
     pub fn thread_count(&self) -> usize {
-        self.workers.len() + usize::from(self.accept_thread.is_some())
+        self.threads.len()
     }
 
-    /// Stops accepting, closes queued connections, and joins every
-    /// thread. In-flight requests finish; idle kept-alive connections
-    /// are closed the next time they hit the read timeout.
+    /// Stops accepting, joins every thread and closes the connections
+    /// still queued or parked. In-flight requests finish; a blocking
+    /// worker's kept-alive connection is closed the next time it hits
+    /// the read timeout.
     pub fn shutdown(mut self) {
         self.shutdown_inner();
     }
 
+    /// Starts one of the front end's threads — the only place it spawns.
+    fn spawn(&mut self, name: String, body: fn(&Shared)) -> io::Result<()> {
+        let shared = Arc::clone(&self.shared);
+        let thread = thread::Builder::new()
+            .name(name)
+            .spawn(move || body(&shared))?;
+        self.threads.push(thread);
+        Ok(())
+    }
+
     fn shutdown_inner(&mut self) {
-        if self.shared.shutting_down.swap(true, Ordering::SeqCst) {
+        let shared = &self.shared;
+        if shared.shutting_down.swap(true, Ordering::SeqCst) {
             return;
         }
+        // A worker between its flag check and its wait holds the queue
+        // lock: taking it here means every worker either sees the flag
+        // or is waiting when the notification lands.
+        drop(shared.lock_queue());
+        shared.queue_cv.notify_all();
         // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
-        self.shared.queue_cv.notify_all();
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
+        for thread in self.threads.drain(..) {
+            let _ = thread.join();
         }
-        self.shared.queue_cv.notify_all();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
+        let mut closed = std::mem::take(&mut *shared.lock_queue()).len();
+        if let Some(parking) = &shared.parking {
+            closed += parking.drain();
         }
-        // Connections still queued were never served: release them.
-        let mut queue = self.shared.lock_queue();
-        for stream in queue.drain(..) {
-            drop(stream);
-            self.shared.set_active(-1);
-            self.shared.metrics.closed.inc();
+        for _ in 0..closed {
+            shared.release();
         }
     }
 }
 
-impl Drop for NetServerHandle {
+impl Drop for FrontEndHandle {
     fn drop(&mut self) {
         self.shutdown_inner();
     }
 }
 
-/// Binds the framed TCP front end for `server` on `addr` and starts the
-/// accept loop plus the worker pool.
+/// Serves `server` on `addr` with the chosen front end.
 ///
 /// # Errors
 ///
-/// Propagates the bind failure.
-pub fn serve(
+/// Bind and thread-spawn failures; `Unsupported` for
+/// [`FrontEndKind::EventLoop`] off Linux.
+pub fn serve_front_end(
+    kind: FrontEndKind,
     server: Arc<Server>,
     addr: impl ToSocketAddrs,
     config: NetServerConfig,
-) -> io::Result<NetServerHandle> {
+) -> io::Result<FrontEndHandle> {
+    // One admission rule, `active < limit`. A blocking connection holds a
+    // worker or waits for one to come free, so its bound is the pool
+    // plus a short queue; a parked one costs no thread.
+    let (parking, limit) = match kind {
+        FrontEndKind::Blocking => (None, config.workers.max(1) + config.accept_queue),
+        FrontEndKind::EventLoop => (Some(Parking::new()?), config.max_connections),
+    };
     let listener = TcpListener::bind(addr)?;
-    let addr = listener.local_addr()?;
-    let metrics = NetMetrics::register(&server);
-    let shared = Arc::new(Shared {
-        server,
-        config,
-        queue: Mutex::new(VecDeque::new()),
-        queue_cv: Condvar::new(),
-        shutting_down: AtomicBool::new(false),
-        active: AtomicU64::new(0),
-        metrics,
-    });
-
-    let workers = (0..shared.config.workers.max(1))
-        .map(|i| {
-            let shared = Arc::clone(&shared);
-            thread::Builder::new()
-                .name(format!("septic-net-worker-{i}"))
-                .spawn(move || worker_loop(&shared))
-                .expect("spawn worker")
-        })
-        .collect();
-
-    let accept_shared = Arc::clone(&shared);
-    let accept_thread = thread::Builder::new()
-        .name("septic-net-accept".into())
-        .spawn(move || accept_loop(&listener, &accept_shared))
-        .expect("spawn accept loop");
-
-    Ok(NetServerHandle {
-        addr,
-        shared,
-        accept_thread: Some(accept_thread),
-        workers,
-    })
+    let mut handle = FrontEndHandle {
+        addr: listener.local_addr()?,
+        shared: Arc::new(Shared {
+            metrics: NetMetrics::register(&server),
+            server,
+            listener,
+            queue: Mutex::new(VecDeque::new()),
+            queue_cv: Condvar::new(),
+            parking,
+            shutting_down: AtomicBool::new(false),
+            active: AtomicU64::new(0),
+            limit: limit as u64,
+            config,
+        }),
+        threads: Vec::new(),
+    };
+    // On a spawn failure the handle drops here and joins what started.
+    for i in 0..handle.shared.config.workers.max(1) {
+        handle.spawn(format!("septic-net-worker-{i}"), worker_loop)?;
+    }
+    if handle.shared.parking.is_some() {
+        handle.spawn("septic-net-parker".into(), park_loop)?;
+    }
+    handle.spawn("septic-net-accept".into(), accept_loop)?;
+    Ok(handle)
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Shared) {
+fn accept_loop(shared: &Shared) {
+    let cfg = &shared.config;
     let mut errors_in_row: u32 = 0;
+    let mut next_key: u64 = 0;
     loop {
-        let stream = match listener.accept() {
+        let stream = match shared.listener.accept() {
             Ok((stream, _)) => {
                 errors_in_row = 0;
                 stream
@@ -360,116 +421,177 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
             return;
         }
         shared.metrics.accepted.inc();
-        // The length can only shrink between this check and the
-        // publication below (workers pop, and only this thread pushes),
-        // so the bound holds without carrying the lock across.
-        if shared.lock_queue().len() >= shared.config.accept_queue {
+        if shared.full() {
             // Load shed: a bounded queue plus an explicit reject beats
             // unbounded queueing every time the pool is saturated.
             shared.metrics.rejected_busy.inc();
-            reject_busy(stream, shared);
+            let reason = format!("connection limit reached ({} active)", shared.limit);
+            shed(stream, reason, cfg.max_frame_len);
             continue;
         }
-        shared.enqueue(stream);
+        // Once per connection: between frames the socket's timeout is
+        // always `read_timeout` (`read_request` cuts it only mid-frame).
+        let _ = stream.set_read_timeout(Some(cfg.read_timeout));
+        let _ = stream.set_nodelay(true);
+        next_key += 1;
+        let session = Session {
+            key: next_key,
+            stream,
+            db: shared.server.connect(),
+        };
+        shared.admit();
+        match &shared.parking {
+            None => shared.enqueue(session),
+            Some(parking) => {
+                if parking.park(session, true).is_err() {
+                    shared.release();
+                }
+            }
+        }
     }
 }
 
-/// Best-effort `ServerBusy` frame on a connection we refuse to serve.
-/// Runs on a throwaway thread: a peer that stalls the write must not
-/// stall the accept loop with it (the write timeout bounds the thread's
-/// life, not the listener's).
-fn reject_busy(mut stream: TcpStream, shared: &Shared) {
-    let busy = Response::ServerBusy {
-        reason: format!(
-            "accept queue full ({} waiting, {} workers busy)",
-            shared.config.accept_queue, shared.config.workers
-        ),
-    };
-    let max_frame_len = shared.config.max_frame_len;
-    let spawned = thread::Builder::new()
-        .name("septic-net-reject".into())
-        .spawn(move || {
-            let _ = stream.set_write_timeout(Some(Duration::from_millis(200)));
-            let _ = write_frame(&mut stream, &busy, max_frame_len);
-        });
-    // Out of threads: drop the connection unrejected rather than risk
-    // the accept loop.
-    drop(spawned);
+/// Best-effort `ServerBusy` on a connection refused at accept: one
+/// nonblocking write on the accepting thread, then close. A peer that
+/// cannot take the frame at once just sees the close, and no peer can
+/// make shedding cost a thread or stall the accept loop.
+fn shed(mut stream: TcpStream, reason: String, max_frame_len: u32) {
+    let mut bytes = Vec::new();
+    if write_frame(&mut bytes, &Response::ServerBusy { reason }, max_frame_len).is_ok()
+        && stream.set_nonblocking(true).is_ok()
+    {
+        let _ = stream.write(&bytes);
+    }
 }
 
 fn worker_loop(shared: &Shared) {
-    loop {
-        let stream = {
-            let mut queue = shared.lock_queue();
-            loop {
-                if let Some(stream) = queue.pop_front() {
-                    break stream;
-                }
-                if shared.shutting_down.load(Ordering::SeqCst) {
-                    return;
-                }
-                queue = shared
-                    .queue_cv
-                    .wait(queue)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+    while let Some(session) = shared.next_session() {
+        match catch_unwind(AssertUnwindSafe(|| serve(shared, session))) {
+            Ok(true) => {}
+            Ok(false) => shared.release(),
+            Err(_) => {
+                shared.metrics.handler_panics.inc();
+                shared.release();
             }
-        };
-        // Gauge accounting survives handler panics: the guard decrements
-        // whether `serve_connection` returns or unwinds.
-        let guard = ActiveGuard(shared);
-        let outcome = catch_unwind(AssertUnwindSafe(|| serve_connection(stream, shared)));
-        if outcome.is_err() {
-            shared.metrics.handler_panics.inc();
         }
-        drop(guard);
     }
 }
 
-fn serve_connection(mut stream: TcpStream, shared: &Shared) {
+/// Serves `session` until it closes (`false`) — or, on the event loop,
+/// until one frame is answered and the connection is parked again
+/// (`true`).
+fn serve(shared: &Shared, mut session: Session) -> bool {
+    while serve_frame(shared, &mut session) {
+        if let Some(parking) = &shared.parking {
+            return parking.park(session, false).is_ok();
+        }
+    }
+    false
+}
+
+/// Reads one request frame, answers it and writes the replies. `false`
+/// when the connection is over.
+fn serve_frame(shared: &Shared, session: &mut Session) -> bool {
     let cfg = &shared.config;
-    let _ = stream.set_read_timeout(Some(cfg.read_timeout));
-    let _ = stream.set_nodelay(true);
-    let conn = shared.server.connect();
-    loop {
-        let t = Instant::now();
-        let request: Request = match read_frame(&mut stream, cfg.max_frame_len) {
-            Ok(req) => {
-                shared
-                    .metrics
-                    .read_wait
-                    .record_us(saturating_micros(t.elapsed()));
-                shared.metrics.frames_read.inc();
-                req
+    let metrics = &shared.metrics;
+    let t = Instant::now();
+    let request = match read_request(&session.stream, cfg.read_timeout, cfg.max_frame_len) {
+        Ok(req) => {
+            metrics.read_wait.record_us(saturating_micros(t.elapsed()));
+            metrics.frames_read.inc();
+            req
+        }
+        Err(FrameError::Closed) => return false,
+        Err(err @ (FrameError::Oversized { .. } | FrameError::Decode(_))) => {
+            refuse_frame(cfg, metrics, &mut session.stream, &err);
+            return false;
+        }
+        Err(err) => {
+            if err.is_timeout() {
+                metrics.read_timeouts.inc();
             }
-            Err(FrameError::Closed) => return,
-            Err(err @ (FrameError::Oversized { .. } | FrameError::Decode(_))) => {
-                refuse_frame(cfg, &shared.metrics, &mut stream, &err);
-                return;
+            return false;
+        }
+    };
+    let t = Instant::now();
+    let responses = handle_request(cfg, metrics, &session.db, request);
+    metrics.handle.record_us(saturating_micros(t.elapsed()));
+    let t = Instant::now();
+    for response in &responses {
+        if write_frame(&mut session.stream, response, cfg.max_frame_len).is_err() {
+            return false;
+        }
+    }
+    metrics.write.record_us(saturating_micros(t.elapsed()));
+    true
+}
+
+/// Reads one request within one deadline, `timeout` after the read
+/// starts. The socket's own timeout bounds each `recv` alone, so a peer
+/// trickling a byte just inside it would hold the worker for one timeout
+/// per byte; [`Deadline`] cuts it to what is left of the deadline.
+fn read_request(
+    stream: &TcpStream,
+    timeout: Duration,
+    max_len: u32,
+) -> Result<Request, FrameError> {
+    let mut reader = Deadline {
+        stream,
+        deadline: Instant::now().checked_add(timeout),
+        armed: timeout,
+    };
+    let request = read_frame(&mut reader, max_len)?;
+    if reader.armed != timeout {
+        stream.set_read_timeout(Some(timeout))?;
+    }
+    Ok(request)
+}
+
+/// A socket reader that times out at a fixed instant. Before a read that
+/// could end more than a [`TICK`] past the deadline it cuts the socket's
+/// timeout to what is left, so a frame that arrives within a tick of the
+/// read starting costs no extra syscall.
+struct Deadline<'a> {
+    stream: &'a TcpStream,
+    /// `None` if the timeout is too long to add to an `Instant`.
+    deadline: Option<Instant>,
+    /// The read timeout set on the socket now.
+    armed: Duration,
+}
+
+impl Read for Deadline<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if let Some(deadline) = self.deadline {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(io::ErrorKind::TimedOut.into());
             }
-            Err(err) => {
-                if err.is_timeout() {
-                    shared.metrics.read_timeouts.inc();
-                }
-                return;
-            }
-        };
-        let t = Instant::now();
-        let responses = handle_request(cfg, &shared.metrics, &conn, request);
-        shared
-            .metrics
-            .handle
-            .record_us(saturating_micros(t.elapsed()));
-        let t = Instant::now();
-        for response in &responses {
-            if write_frame(&mut stream, response, cfg.max_frame_len).is_err() {
-                return;
+            if self.armed > left.saturating_add(TICK) {
+                self.stream.set_read_timeout(Some(left))?;
+                self.armed = left;
             }
         }
-        shared
-            .metrics
-            .write
-            .record_us(saturating_micros(t.elapsed()));
+        self.stream.read(buf)
     }
+}
+
+/// The parking thread: readable connections go to the workers, and
+/// connections parked for `read_timeout` are closed and counted as read
+/// timeouts.
+fn park_loop(shared: &Shared) {
+    let Some(parking) = &shared.parking else {
+        return;
+    };
+    parking.run(
+        shared.config.read_timeout,
+        &shared.shutting_down,
+        |session| shared.enqueue(session),
+        |session| {
+            drop(session);
+            shared.metrics.read_timeouts.inc();
+            shared.release();
+        },
+    );
 }
 
 #[cfg(test)]
@@ -477,56 +599,60 @@ mod tests {
     use super::*;
     use std::sync::mpsc;
 
-    /// A `Shared` with no threads attached, for driving the hand-off
-    /// queue directly.
+    /// A blocking-kind `Shared` with no threads attached, for driving
+    /// the hand-off queue directly.
     fn bare_shared() -> Arc<Shared> {
         let server = Server::new();
-        let metrics = NetMetrics::register(&server);
         Arc::new(Shared {
+            metrics: NetMetrics::register(&server),
             server,
             config: NetServerConfig::default(),
+            listener: TcpListener::bind("127.0.0.1:0").expect("bind"),
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
+            parking: None,
             shutting_down: AtomicBool::new(false),
             active: AtomicU64::new(0),
-            metrics,
+            limit: u64::MAX,
         })
     }
 
-    /// A small pool of real connected streams to circulate through the
+    /// A small pool of real connected sessions to circulate through the
     /// queue.
-    fn stream_pool(n: usize) -> Vec<TcpStream> {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
+    fn session_pool(shared: &Shared, n: usize) -> Vec<Session> {
+        let addr = shared.listener.local_addr().expect("addr");
         (0..n)
-            .map(|_| {
-                let c = TcpStream::connect(addr).expect("connect");
-                let _ = listener.accept().expect("accept");
-                c
+            .map(|i| {
+                let _client = TcpStream::connect(addr).expect("connect");
+                let (stream, _) = shared.listener.accept().expect("accept");
+                Session {
+                    key: i as u64,
+                    stream,
+                    db: shared.server.connect(),
+                }
             })
             .collect()
     }
 
     #[test]
-    fn enqueue_publishes_stream_and_gauge_atomically() {
+    fn admission_is_counted_before_the_connection_is_published() {
         // Regression: the accept path used to push the stream, release
         // the queue lock, and only then increment the active gauge. A
         // worker popping in that window served and decremented first,
         // underflowing the unsigned gauge to ~u64::MAX (a worker-killing
-        // panic in debug builds). This drives the real publication path
-        // at memory speed against a worker-shaped consumer — pop,
-        // decrement, recycle — so any decrement-before-increment
-        // interleaving underflows within the cycle budget; with the
-        // increment under the lock it cannot, on any schedule. (On a
-        // single-core host the old bug needs an involuntary preemption
-        // inside a nanosecond window to fire, so this test is strongest
-        // on multi-core runners; the TCP-level storm in
-        // tests/net_wire.rs covers the end-to-end settle-to-zero
-        // property either way.)
+        // panic in debug builds). This drives the real admit-then-publish
+        // path at memory speed against a worker-shaped consumer — pop,
+        // release, recycle — so any release-before-admit interleaving
+        // underflows within the cycle budget; with the increment ahead of
+        // publication it cannot, on any schedule. (On a single-core host
+        // the old bug needs an involuntary preemption inside a nanosecond
+        // window to fire, so this test is strongest on multi-core
+        // runners; the TCP-level storm in tests/net_wire.rs covers the
+        // end-to-end settle-to-zero property either way.)
         const CYCLES: u64 = 100_000;
         let shared = bare_shared();
-        let streams = stream_pool(4);
-        let (back_tx, back_rx) = mpsc::channel::<TcpStream>();
+        let sessions = session_pool(&shared, 4);
+        let (back_tx, back_rx) = mpsc::channel::<Session>();
 
         let consumer = {
             let shared = Arc::clone(&shared);
@@ -535,11 +661,11 @@ mod tests {
                 let mut served = 0u64;
                 while served < CYCLES {
                     let popped = shared.lock_queue().pop_front();
-                    if let Some(stream) = popped {
+                    if let Some(session) = popped {
                         // What a worker does once its connection ends.
-                        shared.set_active(-1);
+                        shared.release();
                         served += 1;
-                        if back_tx.send(stream).is_err() {
+                        if back_tx.send(session).is_err() {
                             return;
                         }
                     } else {
@@ -549,18 +675,19 @@ mod tests {
             })
         };
 
-        for stream in streams {
-            back_tx.send(stream).expect("prime pool");
+        for session in sessions {
+            back_tx.send(session).expect("prime pool");
         }
         let mut published = 0u64;
         while published < CYCLES {
-            let stream = back_rx.recv().expect("recycle");
-            shared.enqueue(stream);
+            let session = back_rx.recv().expect("recycle");
+            shared.admit();
+            shared.enqueue(session);
             published += 1;
             let active = shared.active.load(Ordering::SeqCst);
             assert!(
                 active <= 4,
-                "active gauge corrupt with 4 circulating streams: {active}"
+                "active gauge corrupt with 4 circulating sessions: {active}"
             );
         }
         consumer

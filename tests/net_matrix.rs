@@ -22,10 +22,10 @@ use septic_conformance::grammar::generate_cases;
 use septic_dbms::DbError;
 use septic_net::{
     read_frame, serve_front_end, write_frame, FrontEndKind, NetServerConfig, QueryRequest, Request,
-    Response, SessionOpts, DEFAULT_MAX_FRAME_LEN, PROTOCOL_VERSION,
+    Response, DEFAULT_MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 
-/// The front end under test: the epoll reactor where it exists, the
+/// The front end under test: the event loop where it exists, the
 /// blocking pool elsewhere, so the matrix rides the wire on every
 /// platform.
 fn wire_kind() -> FrontEndKind {
@@ -37,12 +37,11 @@ fn wire_kind() -> FrontEndKind {
 }
 
 /// Small per-case footprint: one connection at a time needs one worker
-/// and one reactor.
+/// and one parking thread.
 fn config() -> NetServerConfig {
     NetServerConfig {
         workers: 1,
         accept_queue: 4,
-        reactors: 1,
         ..NetServerConfig::default()
     }
 }
@@ -133,7 +132,6 @@ fn golden_matrix_verdicts_survive_the_wire() {
             &mut stream,
             &Request::Hello {
                 version: PROTOCOL_VERSION,
-                opts: SessionOpts::default(),
             },
         ) {
             Response::Hello { version } => assert_eq!(version, PROTOCOL_VERSION),

@@ -4,13 +4,14 @@
 //! slowloris, oversized frames, garbage, handler panics — may take down
 //! the listener or leak a worker.
 //!
-//! The protocol suite runs against **both** front ends (the blocking
-//! worker pool and the epoll event loop) through one shared harness:
+//! The protocol suite runs against **both** front ends (connections
+//! waiting in a blocking read, or parked in epoll) through one shared harness:
 //! every behavioral assertion here is a contract of the wire protocol,
 //! not of a concurrency model, so each front end must pass it verbatim.
 //! Front-end-specific tests (accept-order fairness, gauge accounting,
 //! idle-connection capacity) sit at the bottom.
 
+use std::io::Write;
 use std::net::TcpStream;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -18,8 +19,8 @@ use std::time::{Duration, Instant};
 use septic_faults::socket::{self, SocketFaultOutcome};
 use septic_repro::dbms::{Server, Value};
 use septic_repro::net::{
-    serve_front_end, ClientError, FrontEndHandle, FrontEndKind, NetClient, NetServerConfig,
-    QueryRequest,
+    read_frame, serve_front_end, write_frame, ClientError, FrontEndHandle, FrontEndKind, NetClient,
+    NetServerConfig, QueryRequest, Request, Response, DEFAULT_MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 use septic_repro::septic::{Mode, Septic};
 use septic_repro::telemetry::parse_prometheus;
@@ -53,7 +54,7 @@ fn supported_kinds() -> Vec<FrontEndKind> {
 
 /// Polls until `cond` holds, failing the test after `patience`. Socket
 /// teardown is asynchronous (the server notices the close on its next
-/// read or reactor pass), so gauge assertions need a grace window.
+/// read or parking-thread pass), so gauge assertions need a grace window.
 fn wait_until_for(what: &str, patience: Duration, mut cond: impl FnMut() -> bool) {
     let deadline = Instant::now() + patience;
     while !cond() {
@@ -177,7 +178,7 @@ fn socket_faults_never_kill_the_listener_or_leak_a_worker() {
             NetServerConfig {
                 workers: 2,
                 // Short read timeout so the slowloris script resolves
-                // quickly on both the blocking pool and the timer wheel.
+                // quickly on both kinds.
                 read_timeout: Duration::from_millis(200),
                 ..NetServerConfig::default()
             },
@@ -238,6 +239,79 @@ fn socket_faults_never_kill_the_listener_or_leak_a_worker() {
         assert_eq!(snap.counter("net_handler_panics_total"), Some(0), "{kind}");
         drop(client);
         wait_until("final teardown", || handle.active_connections() == 0);
+        handle.shutdown();
+    }
+}
+
+#[test]
+fn a_trickling_peer_holds_a_worker_for_at_most_the_read_timeout() {
+    // A peer that sends one byte every half read timeout never lets a
+    // single `recv` time out. The frame read still ends `read_timeout`
+    // after it started: the only worker is freed, the client queued
+    // behind it is served, and the trickler is hung up on.
+    let read_timeout = Duration::from_millis(300);
+    for kind in supported_kinds() {
+        let handle = wire_deployment(
+            kind,
+            NetServerConfig {
+                workers: 1,
+                read_timeout,
+                ..NetServerConfig::default()
+            },
+        );
+        let addr = handle.addr();
+        let frame = DEFAULT_MAX_FRAME_LEN;
+        let started = Instant::now();
+        let trickle = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            // A header declaring 64 payload bytes, then the payload: at
+            // this pace, 34 read timeouts' worth of frame.
+            let mut bytes = 64u32.to_be_bytes().to_vec();
+            bytes.extend_from_slice(&[b' '; 64]);
+            for byte in bytes {
+                if stream.write_all(&[byte]).is_err() {
+                    return true;
+                }
+                std::thread::sleep(read_timeout / 2);
+            }
+            false
+        });
+        wait_until("trickling peer admitted", || {
+            handle.active_connections() == 1
+        });
+        // Let its first byte reach the worker before the client queues.
+        std::thread::sleep(Duration::from_millis(50));
+
+        let mut client = TcpStream::connect(addr).expect("connect");
+        write_frame(&mut client, &Request::Ping, frame).expect("ping");
+        let reply: Response = read_frame(&mut client, frame).expect("pong");
+        let waited = started.elapsed();
+        assert_eq!(reply, Response::Pong, "{kind}");
+        assert!(
+            waited >= read_timeout,
+            "{kind}: served after {waited:?}, while the trickler held the only worker"
+        );
+        assert!(
+            waited < read_timeout * 2,
+            "{kind}: the trickler held the only worker for {waited:?}"
+        );
+        assert!(
+            trickle.join().expect("trickle thread"),
+            "{kind}: the server never hung up on the trickler"
+        );
+
+        let snap = handle.server().metrics_snapshot();
+        assert!(
+            snap.counter("net_read_timeouts_total").unwrap_or(0) >= 1,
+            "{kind}"
+        );
+        assert_eq!(
+            snap.counter("net_connections_rejected_total"),
+            Some(0),
+            "{kind}"
+        );
+        drop(client);
+        wait_until("teardown", || handle.active_connections() == 0);
         handle.shutdown();
     }
 }
@@ -400,7 +474,7 @@ fn accept_queue_overflow_is_shed_with_server_busy() {
 #[cfg(target_os = "linux")]
 #[test]
 fn connection_cap_overflow_is_shed_with_server_busy() {
-    // Event-loop admission control: past `max_connections`, the reactor
+    // Event-loop admission control: past `max_connections`, the accept loop
     // sheds the accepted socket with an explicit ServerBusy frame
     // instead of registering it.
     let handle = wire_deployment(
@@ -561,14 +635,13 @@ fn teardown_storm_never_underflows_the_active_gauge() {
 #[cfg(target_os = "linux")]
 #[test]
 fn a_thousand_idle_connections_cost_no_threads() {
-    // The event loop's reason to exist: a parked connection is a slab
+    // The event loop's reason to exist: a parked connection is a map
     // entry and an epoll registration, not a thread. Park 1000 idle
     // sockets and verify the thread count never moves and a real client
     // still gets served.
     let handle = wire_deployment(
         FrontEndKind::EventLoop,
         NetServerConfig {
-            reactors: 2,
             workers: 2,
             max_connections: 1100,
             // Idle is the test: nothing may reap the parked sockets.
@@ -577,7 +650,11 @@ fn a_thousand_idle_connections_cost_no_threads() {
         },
     );
     let addr = handle.addr();
-    assert_eq!(handle.thread_count(), 4, "2 reactors + 2 workers, fixed");
+    assert_eq!(
+        handle.thread_count(),
+        4,
+        "accept + parker + 2 workers, fixed"
+    );
 
     let swarm = socket::idle_swarm(addr, 1000).expect("idle swarm");
     wait_until_for("swarm registered", Duration::from_secs(10), || {
@@ -601,5 +678,165 @@ fn a_thousand_idle_connections_cost_no_threads() {
     wait_until_for("swarm teardown", Duration::from_secs(10), || {
         handle.active_connections() == 0
     });
+    handle.shutdown();
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn event_loop_saturation_is_fifo_and_the_stall_is_bounded() {
+    // One worker, taken by a peer stalled mid-frame. Three parked
+    // clients then each send one query: they wait on the hand-off queue,
+    // nothing is shed, and once the read timeout frees the worker they
+    // are served in the order they were sent.
+    let read_timeout = Duration::from_millis(300);
+    let handle = wire_deployment(
+        FrontEndKind::EventLoop,
+        NetServerConfig {
+            workers: 1,
+            read_timeout,
+            ..NetServerConfig::default()
+        },
+    );
+    let addr = handle.addr();
+    let frame = DEFAULT_MAX_FRAME_LEN;
+
+    // Handshake while the worker is free; the clients then sit parked.
+    let mut clients: Vec<TcpStream> = (0..3)
+        .map(|_| {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            write_frame(
+                &mut stream,
+                &Request::Hello {
+                    version: PROTOCOL_VERSION,
+                },
+                frame,
+            )
+            .expect("hello");
+            let hello: Response = read_frame(&mut stream, frame).expect("hello reply");
+            assert!(matches!(hello, Response::Hello { .. }), "{hello:?}");
+            stream
+        })
+        .collect();
+
+    let stalled_at = Instant::now();
+    let stall = std::thread::spawn(move || socket::slowloris_header(addr, Duration::from_secs(3)));
+    wait_until("stalled peer admitted", || handle.active_connections() == 4);
+    // No counter marks its half header reaching the worker; the queries
+    // must queue behind it, so give it a moment well inside the timeout.
+    std::thread::sleep(Duration::from_millis(100));
+    for (i, client) in clients.iter_mut().enumerate() {
+        let insert = QueryRequest {
+            sql: format!("INSERT INTO tickets (reservID, creditCard) VALUES ('Q{i}', {i})"),
+            params: None,
+        };
+        write_frame(client, &Request::Query(insert), frame).expect("send");
+    }
+    for client in &mut clients {
+        let reply: Response = read_frame(client, frame).expect("reply");
+        assert!(matches!(reply, Response::Result(_)), "{reply:?}");
+        assert!(
+            stalled_at.elapsed() >= read_timeout,
+            "served while the only worker was stalled"
+        );
+    }
+    let stalled = stall.join().expect("stall thread").expect("script");
+    assert_eq!(stalled, SocketFaultOutcome::ServerClosed);
+
+    // Service order is the order the rows went in.
+    let rows = handle
+        .server()
+        .connect()
+        .execute("SELECT reservID FROM tickets")
+        .expect("read back")
+        .outputs
+        .pop()
+        .expect("output")
+        .rows;
+    let order: Vec<Value> = rows.into_iter().map(|mut row| row.remove(0)).collect();
+    assert_eq!(
+        order,
+        ["ID34FG", "Q0", "Q1", "Q2"].map(Value::from).to_vec(),
+        "queued connections must be served in send order"
+    );
+    let snap = handle.server().metrics_snapshot();
+    assert!(snap.counter("net_read_timeouts_total").unwrap_or(0) >= 1);
+    assert_eq!(snap.counter("net_connections_rejected_total"), Some(0));
+    drop(clients);
+    wait_until("teardown", || handle.active_connections() == 0);
+    handle.shutdown();
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_parked_connection_keeps_its_transaction() {
+    // Every request on the event loop ends with the connection parked;
+    // its dbms session parks with it, open transaction included.
+    let handle = wire_deployment(
+        FrontEndKind::EventLoop,
+        NetServerConfig {
+            read_timeout: Duration::from_secs(2),
+            ..NetServerConfig::default()
+        },
+    );
+    let mut writer = NetClient::connect(handle.addr()).expect("connect");
+    let mut reader = NetClient::connect(handle.addr()).expect("connect");
+    let visible = |client: &mut NetClient| {
+        client
+            .query("SELECT * FROM tickets WHERE reservID = 'TX' AND creditCard = 7")
+            .expect("select")
+            .last()
+            .expect("output")
+            .rows
+            .len()
+    };
+
+    writer.query("BEGIN").expect("begin");
+    writer
+        .query("INSERT INTO tickets (reservID, creditCard) VALUES ('TX', 7)")
+        .expect("insert");
+    // Several parking-thread ticks, well inside the read timeout.
+    std::thread::sleep(Duration::from_millis(150));
+    assert_eq!(visible(&mut writer), 1, "the transaction sees its own row");
+    assert_eq!(visible(&mut reader), 0, "uncommitted rows stay private");
+    writer.query("COMMIT").expect("commit");
+    assert_eq!(visible(&mut reader), 1, "committed rows are visible");
+
+    drop((writer, reader));
+    wait_until("teardown", || handle.active_connections() == 0);
+    handle.shutdown();
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_quiet_parked_connection_is_swept_after_the_read_timeout() {
+    // The parking thread closes a connection parked for the read
+    // timeout itself: no worker reads it, no thread is added.
+    let handle = wire_deployment(
+        FrontEndKind::EventLoop,
+        NetServerConfig {
+            workers: 1,
+            read_timeout: Duration::from_millis(300),
+            ..NetServerConfig::default()
+        },
+    );
+    let threads = handle.thread_count();
+    let timeouts = || {
+        handle
+            .server()
+            .metrics_snapshot()
+            .counter("net_read_timeouts_total")
+            .unwrap_or(0)
+    };
+    let mut client = NetClient::connect(handle.addr()).expect("connect");
+    client.ping().expect("ping");
+    let before = timeouts();
+    assert_eq!(handle.active_connections(), 1);
+
+    wait_until("the quiet connection is swept", || {
+        handle.active_connections() == 0
+    });
+    assert_eq!(timeouts(), before + 1, "the sweep counts a read timeout");
+    assert_eq!(handle.thread_count(), threads);
+    assert!(client.ping().is_err(), "the server hung up");
     handle.shutdown();
 }

@@ -90,12 +90,18 @@ fn parse_fingerprint(run_seeds: &[u64], mutants: u64, max_len: usize) -> ParseFi
 /// of `parse` — AST or error, spans included — must still fold to them.
 /// No 256-byte input nests deep enough to meet the depth bound, so none
 /// may answer with it.
+///
+/// `hash` was re-taken once, when the lexer stopped collecting block
+/// comments that follow the first token (so an injected comment cannot
+/// name a program point): it was `0xb484_a3bc_149c_4c3c` before. With
+/// `Parsed::comments` cleared, both commits fold these inputs to
+/// `0x181f_f9f7_ad86_5736`: the statements, errors and spans are the same.
 #[test]
 fn parser_reproduces_the_cascade_fingerprint() {
     assert_eq!(
         parse_fingerprint(&[FUZZ_SEED, 9173], 100_000, FuzzConfig::default().max_len),
         ParseFingerprint {
-            hash: 0xb484_a3bc_149c_4c3c,
+            hash: 0x4d82_b972_baf3_95c5,
             parsed: 37_741,
             too_deep: 0,
         }

@@ -6,7 +6,8 @@
 //! parser's bounds are tested from both sides at every construct and far
 //! past them. A [`Form`] is an expression generator, a [`Context`] puts
 //! the expression into a statement, [`probes`] crosses the two and adds
-//! the statement-level `UNION` chain.
+//! the statement-level `UNION` chain. [`value_probes`] adds hostile
+//! values: statements that parse at once and put the cost in the data.
 //!
 //! The second half runs every probe through `Connection::execute` on a
 //! thread with a 1 MiB stack — half of what a `septic-net` worker gets, so
@@ -343,6 +344,33 @@ fn run(probes: Vec<Probe>) -> Vec<String> {
 fn every_hostile_shape_returns_on_a_small_stack() {
     let probes = probes(MAX_SQL_LEN);
     assert!(probes.len() > 300, "{} probes", probes.len());
+    let wrong = on_a_small_stack(move || run(probes));
+    assert!(wrong.is_empty(), "{}", wrong.join("\n"));
+}
+
+/// Hostile *values*: statements that parse at once and then ask the
+/// executor for the work. A pattern is data, so a guard trained on a
+/// benign `LIKE` search passes any of these unchanged. `k` times `%a`
+/// and a `b` against 200 `a`s never matches; a matcher that lets every
+/// `%` try every suffix pays about 44 times more for each added `%a`.
+fn value_probes(max_len: usize) -> Vec<Probe> {
+    let text = "a".repeat(200);
+    let like = |k: usize| format!("SELECT '{text}' LIKE '{}b' FROM t", "%a".repeat(k));
+    let mut ks = vec![1, 2, 3, 4, 5, 6, 8, 16, 64, 1_000];
+    ks.push(largest_fitting(like, max_len));
+    ks.into_iter()
+        .map(|k| Probe {
+            name: format!("like/percent-a/{k}"),
+            sql: like(k),
+            within: true,
+        })
+        .collect()
+}
+
+#[test]
+fn every_hostile_value_returns_within_the_budget() {
+    let probes = value_probes(MAX_SQL_LEN);
+    assert!(probes.last().unwrap().sql.len() > MAX_SQL_LEN - 64);
     let wrong = on_a_small_stack(move || run(probes));
     assert!(wrong.is_empty(), "{}", wrong.join("\n"));
 }

@@ -12,6 +12,13 @@
 //! The external identifier disambiguates structurally identical queries
 //! issued from different program points, which matters when the
 //! administrator wants per-call-site models.
+//!
+//! Only a comment **before the query's first token** may name a program
+//! point: the lexer collects no other (`LexOutput::comments`). User data
+//! never comes before `SELECT`/`INSERT`/…, so a comment an attacker
+//! injects into a literal cannot mint a new identifier. Without that rule
+//! `' /* x */ OR 1=1 -- ` would get the id `x`, be learned incrementally
+//! as an unknown query and execute.
 
 use std::collections::HashSet;
 use std::fmt;
@@ -23,8 +30,9 @@ use septic_sql::ItemStack;
 use serde::{Deserialize, Serialize};
 
 /// Prefix that marks a block comment as an external query identifier.
-/// A prefixed comment is honoured in *any* position; without the prefix,
-/// the first comment is accepted as a bare identifier (legacy form).
+/// A prefixed comment is honoured in any position before the first
+/// token; without the prefix, the first comment is accepted as a bare
+/// identifier (legacy form).
 pub const EXTERNAL_ID_PREFIX: &str = "qid:";
 
 /// A composed query identifier.
@@ -112,16 +120,18 @@ pub fn structural_hash(stack: &ItemStack) -> u64 {
     fnv1a(&bytes)
 }
 
-/// Extracts the external identifier from the query's comments. Borrows
-/// from the comment — the caller decides whether to intern or copy it.
+/// Extracts the external identifier from the query's comments — the
+/// ones before its first token, the only ones the parser hands over (see
+/// the module docs). Borrows from the comment — the caller decides
+/// whether to intern or copy it.
 ///
-/// An explicit `qid:`-prefixed comment wins regardless of position:
-/// SSLEs may emit the identifier after a license/hint comment, and an
-/// attack payload can smuggle extra comments into the query, so relying
-/// on comment *order* would make the training-time and prevention-time
-/// identifiers diverge (the model lookup would miss and the attack would
-/// be learned as a new benign query). Whitespace inside the comment body
-/// (`/*  qid: login-1  */`) is normalized away for the same reason.
+/// An explicit `qid:`-prefixed comment wins regardless of its position
+/// among them: SSLEs may emit the identifier after a license/hint
+/// comment, so relying on comment *order* would make the training-time
+/// and prevention-time identifiers diverge (the model lookup would miss
+/// and the attack would be learned as a new benign query). Whitespace
+/// inside the comment body (`/*  qid: login-1  */`) is normalized away
+/// for the same reason.
 ///
 /// When no comment carries the prefix, the legacy convention applies:
 /// the first non-empty comment, trimmed, is the identifier.

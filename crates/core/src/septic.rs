@@ -820,7 +820,7 @@ impl Septic {
         }
 
         // Normal mode: the model (with its compiled comparison program)
-        // was fetched above (a shard read lock + `Arc` refcount bumps,
+        // was fetched above (one read lock + `Arc` refcount bumps,
         // never a deep clone); a miss is learned incrementally (into
         // quarantine, pending administrator review — Section II-E).
         let Some(compiled) = compiled else {

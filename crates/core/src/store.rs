@@ -10,6 +10,16 @@
 //! Rejected identifiers are remembered: the same query arriving again is
 //! refused instead of being re-learned.
 //!
+//! # One state, one lock
+//!
+//! Models, quarantine and rejections are one `State` behind one `RwLock`.
+//! Every mutator builds the `JournalOp` it will log and hands it to
+//! `State::apply`, the same function journal replay runs, so what a reload
+//! rebuilds is what the live store held. A mutation compiles its model,
+//! applies the op under a brief write lock and appends the op to the
+//! journal, all inside one `persist` critical section: journal order is
+//! apply order, and journal I/O never runs under the state lock.
+//!
 //! # Crash safety
 //!
 //! The store persists through the DBMS's own durability code
@@ -49,7 +59,7 @@ use crate::model::QueryModel;
 // Hot-path hashing
 // ---------------------------------------------------------------------------
 
-/// FNV-1a [`Hasher`] for the shard maps. `QueryId::internal` is already a
+/// FNV-1a [`Hasher`] for the model map. `QueryId::internal` is already a
 /// 64-bit structural hash, so the default SipHash would be pure overhead on
 /// the per-query lookup; FNV folds the (short) external id and the internal
 /// hash in a few cycles. Keys are not attacker-controlled allocation sinks:
@@ -83,20 +93,12 @@ impl Hasher for FnvHasher {
 
 type FnvBuild = BuildHasherDefault<FnvHasher>;
 
-/// Number of shards in the model map. A small power of two: enough that
-/// eight session threads rarely collide on a shard lock, small enough that
-/// full-store iteration (persistence, status) stays trivial.
-const SHARD_COUNT: usize = 16;
-
-type Shard = RwLock<HashMap<QueryId, CompiledModel, FnvBuild>>;
-
 /// A learned model together with its compiled comparison program.
 ///
 /// The program is derived state: it is compiled exactly once — at train
-/// or load time — and cached in the shard next to the model, so the
-/// detection hot path gets both for one shard read lock and two
-/// refcount bumps. It is **never** serialized; loading a persisted store
-/// recompiles.
+/// or load time — and cached in the model map next to the model, so the
+/// detection hot path gets both for one read lock and two refcount bumps.
+/// It is **never** serialized; loading a persisted store recompiles.
 #[derive(Debug, Clone)]
 pub struct CompiledModel {
     model: Arc<QueryModel>,
@@ -152,8 +154,8 @@ pub fn quarantine_path(path: &Path) -> PathBuf {
 const SNAPSHOT_VERSION: u32 = 1;
 
 /// Serialized form of the store: the payload of the snapshot's one frame.
-/// Models are held behind `Arc` so building a snapshot from the live
-/// shards is a refcount bump per model, not a deep clone.
+/// Models are held behind `Arc` so building a snapshot from the live map
+/// is a refcount bump per model, not a deep clone.
 #[derive(Debug, Default, Serialize, Deserialize)]
 struct PersistedStore {
     #[serde(default)]
@@ -169,7 +171,7 @@ struct PersistedStore {
     rejected: Vec<QueryId>,
 }
 
-/// One journaled mutation.
+/// One mutation: what a mutator applies and what the journal records.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 enum JournalOp {
     /// Explicit training learned a model (and lifted any rejection).
@@ -186,6 +188,20 @@ enum JournalOp {
     Clear,
 }
 
+impl JournalOp {
+    /// The model this op adds, when `state` holds none for its id yet.
+    fn new_model(&self, state: &State) -> Option<Arc<QueryModel>> {
+        match self {
+            JournalOp::Learn { id, model } | JournalOp::LearnProvisional { id, model }
+                if !state.models.contains_key(id) =>
+            {
+                Some(Arc::clone(model))
+            }
+            _ => None,
+        }
+    }
+}
+
 /// One frame of `<path>.journal`.
 #[derive(Debug, Serialize, Deserialize)]
 struct JournalRecord {
@@ -193,9 +209,10 @@ struct JournalRecord {
     op: JournalOp,
 }
 
-/// Journal sequencing and the attached journal. One mutex holds both, so
-/// a record is numbered and appended either wholly before a save takes its
-/// snapshot or wholly after that save has emptied the journal.
+/// Journal sequencing and the attached journal. One mutex holds both, and
+/// every mutation, save and load runs inside it, so a record is numbered
+/// and appended either wholly before a save takes its snapshot or wholly
+/// after that save has emptied the journal.
 #[derive(Debug)]
 struct Persistence {
     /// The number the next journal record takes.
@@ -224,6 +241,64 @@ pub struct LoadReport {
 }
 
 // ---------------------------------------------------------------------------
+// The state
+// ---------------------------------------------------------------------------
+
+/// Everything the store holds. [`State::apply`] is the only code that
+/// changes one; a load builds a new one and swaps it in whole.
+#[derive(Debug, Default)]
+struct State {
+    models: HashMap<QueryId, CompiledModel, FnvBuild>,
+    /// Incrementally-learned models awaiting administrator review.
+    quarantine: HashSet<QueryId>,
+    /// Identifiers the administrator rejected as malicious.
+    rejected: HashSet<QueryId>,
+}
+
+impl State {
+    /// Applies one mutation, live or replayed. `compiled` is the model
+    /// [`JournalOp::new_model`] named, compiled. Returns whether anything
+    /// changed.
+    fn apply(&mut self, op: &JournalOp, compiled: Option<CompiledModel>) -> bool {
+        let insert = |id: &QueryId| match compiled {
+            Some(compiled) if !self.models.contains_key(id) => {
+                self.models.insert(id.clone(), compiled);
+                true
+            }
+            _ => false,
+        };
+        match op {
+            JournalOp::Learn { id, .. } => insert(id) | self.rejected.remove(id),
+            JournalOp::LearnProvisional { id, .. } => {
+                let new = insert(id);
+                if new {
+                    self.quarantine.insert(id.clone());
+                }
+                new
+            }
+            JournalOp::Approve { id } => self.quarantine.remove(id),
+            JournalOp::Reject { id } => {
+                self.quarantine.remove(id)
+                    | self.models.remove(id).is_some()
+                    | self.rejected.insert(id.clone())
+            }
+            JournalOp::Forget { id } => self.models.remove(id).is_some(),
+            JournalOp::Clear => {
+                *self = State::default();
+                true
+            }
+        }
+    }
+}
+
+/// The identifiers of `set`, sorted.
+fn sorted(set: &HashSet<QueryId>) -> Vec<QueryId> {
+    let mut ids: Vec<QueryId> = set.iter().cloned().collect();
+    ids.sort_unstable();
+    ids
+}
+
+// ---------------------------------------------------------------------------
 // The store
 // ---------------------------------------------------------------------------
 
@@ -232,20 +307,15 @@ pub struct LoadReport {
 ///
 /// # Hot-path design
 ///
-/// Models live behind `Arc` in a **sharded** map: [`ModelStore::get`] takes
-/// one shard read lock (selected by the id's structural hash, so parallel
-/// sessions rarely touch the same lock) and returns a refcount bump — the
-/// `QueryModel` itself is never cloned on the query path, however large the
-/// learned structure is. Mutations (training, review verdicts) take only
-/// the affected shard's write lock; cross-shard snapshots are cold-path
-/// (persistence, status display).
+/// Models live behind `Arc` in one map under one `RwLock`:
+/// [`ModelStore::get`] takes the read lock and returns a refcount bump —
+/// the `QueryModel` itself is never cloned on the query path, however
+/// large the learned structure is. The write lock is taken only to apply
+/// a mutation (training, review verdicts), never across compilation or
+/// journal I/O, so readers wait at most for one hash-map insert or remove.
 #[derive(Debug)]
 pub struct ModelStore {
-    shards: [Shard; SHARD_COUNT],
-    /// Incrementally-learned models awaiting administrator review.
-    quarantine: RwLock<HashSet<QueryId>>,
-    /// Identifiers the administrator rejected as malicious.
-    rejected: RwLock<HashSet<QueryId>>,
+    state: RwLock<State>,
     persist: Mutex<Persistence>,
     /// Journal appends that failed (the query path never fails on them).
     journal_errors: AtomicU64,
@@ -264,12 +334,18 @@ struct VmMetrics {
     cached: Arc<septic_telemetry::Counter>,
 }
 
+/// What [`ModelStore::mutate`] did.
+struct Mutation {
+    /// Anything changed, so the op was journaled.
+    changed: bool,
+    /// The set of models changed.
+    models: bool,
+}
+
 impl Default for ModelStore {
     fn default() -> Self {
         ModelStore {
-            shards: std::array::from_fn(|_| Shard::default()),
-            quarantine: RwLock::default(),
-            rejected: RwLock::default(),
+            state: RwLock::default(),
             persist: Mutex::new(Persistence {
                 next_seq: 1,
                 journal: None,
@@ -286,12 +362,6 @@ impl ModelStore {
     #[must_use]
     pub fn new() -> Self {
         ModelStore::default()
-    }
-
-    /// The shard responsible for an identifier. `internal` is already a
-    /// quality 64-bit hash, so its low bits pick the shard directly.
-    fn shard(&self, id: &QueryId) -> &Shard {
-        &self.shards[(id.internal as usize) & (SHARD_COUNT - 1)]
     }
 
     /// Attaches a persistence target: from now on every mutation is
@@ -348,9 +418,30 @@ impl ModelStore {
         }
     }
 
-    fn journal(&self, op: JournalOp) {
+    /// Runs one mutation inside one `persist` critical section: compiles
+    /// the model `op` adds (outside the state lock), applies `op` under
+    /// the write lock, then journals it, so journal order is apply order.
+    fn mutate(&self, op: JournalOp) -> Mutation {
         let mut persist = self.persist.lock();
-        let Persistence { next_seq, journal } = &mut *persist;
+        let model = op.new_model(&self.state.read());
+        let compiled = model.map(|m| self.compiled(m));
+        let mut state = self.state.write();
+        let before = state.models.len();
+        let changed = state.apply(&op, compiled);
+        let models = state.models.len() != before;
+        drop(state);
+        if changed {
+            self.journal(&mut persist, op);
+        }
+        if models {
+            self.refresh_cached_gauge();
+        }
+        Mutation { changed, models }
+    }
+
+    /// Appends `op` to the attached journal, if any, counting a failure.
+    fn journal(&self, persist: &mut Persistence, op: JournalOp) {
+        let Persistence { next_seq, journal } = persist;
         let Some((io, log)) = journal else { return };
         let appended = serde_json::to_string(&JournalRecord { seq: *next_seq, op })
             .map_err(io::Error::other)
@@ -363,71 +454,25 @@ impl ModelStore {
         }
     }
 
-    /// Applies a journaled mutation without re-journaling it.
-    fn apply(&self, op: JournalOp) {
-        match op {
-            JournalOp::Learn { id, model } => {
-                self.rejected.write().remove(&id);
-                if !self.shard(&id).read().contains_key(&id) {
-                    let compiled = self.compiled(model);
-                    self.shard(&id).write().entry(id).or_insert(compiled);
-                }
-            }
-            JournalOp::LearnProvisional { id, model } => {
-                if !self.shard(&id).read().contains_key(&id) {
-                    let compiled = self.compiled(model);
-                    let mut models = self.shard(&id).write();
-                    if !models.contains_key(&id) {
-                        models.insert(id.clone(), compiled);
-                        drop(models);
-                        self.quarantine.write().insert(id);
-                    }
-                }
-            }
-            JournalOp::Approve { id } => {
-                self.quarantine.write().remove(&id);
-            }
-            JournalOp::Reject { id } => {
-                self.quarantine.write().remove(&id);
-                self.shard(&id).write().remove(&id);
-                self.rejected.write().insert(id);
-            }
-            JournalOp::Forget { id } => {
-                self.shard(&id).write().remove(&id);
-            }
-            JournalOp::Clear => {
-                for shard in &self.shards {
-                    shard.write().clear();
-                }
-                self.quarantine.write().clear();
-                self.rejected.write().clear();
-            }
-        }
-        self.refresh_cached_gauge();
-    }
-
-    /// Looks up the model for an identifier: one shard read lock and a
-    /// refcount bump — the model is shared, never deep-cloned.
+    /// Looks up the model for an identifier: one read lock and a refcount
+    /// bump — the model is shared, never deep-cloned.
     #[must_use]
     pub fn get(&self, id: &QueryId) -> Option<Arc<QueryModel>> {
-        self.shard(id)
-            .read()
-            .get(id)
-            .map(|cm| Arc::clone(&cm.model))
+        self.get_compiled(id).map(|cm| cm.model)
     }
 
     /// Looks up the model *and* its compiled comparison program: still
-    /// one shard read lock, now two refcount bumps — the program was
-    /// compiled at train/load time, never on the query path.
+    /// one read lock, now two refcount bumps — the program was compiled
+    /// at train/load time, never on the query path.
     #[must_use]
     pub fn get_compiled(&self, id: &QueryId) -> Option<CompiledModel> {
-        self.shard(id).read().get(id).cloned()
+        self.state.read().models.get(id).cloned()
     }
 
     /// True when a model exists for the identifier.
     #[must_use]
     pub fn contains(&self, id: &QueryId) -> bool {
-        self.shard(id).read().contains_key(id)
+        self.state.read().models.contains_key(id)
     }
 
     /// Stores a model from an explicit training run. Returns `true` when
@@ -436,27 +481,13 @@ impl ModelStore {
     /// once). Training expresses the administrator's intent that the query
     /// is benign, so a previous rejection of the identifier is lifted.
     pub fn learn(&self, id: QueryId, model: QueryModel) -> bool {
-        let model = Arc::new(model);
-        let is_new = if self.shard(&id).read().contains_key(&id) {
-            false
-        } else {
-            let compiled = self.compiled(model.clone());
-            let mut models = self.shard(&id).write();
-            if models.contains_key(&id) {
-                false
-            } else {
-                models.insert(id.clone(), compiled);
-                true
-            }
+        // Known and not rejected: nothing to change, and a read says so.
+        let known = {
+            let state = self.state.read();
+            state.models.contains_key(&id) && !state.rejected.contains(&id)
         };
-        let lifted = self.rejected.write().remove(&id);
-        if is_new || lifted {
-            self.journal(JournalOp::Learn { id, model });
-        }
-        if is_new {
-            self.refresh_cached_gauge();
-        }
-        is_new
+        let model = Arc::new(model);
+        !known && self.mutate(JournalOp::Learn { id, model }).models
     }
 
     /// Stores a model learned *incrementally* (normal mode, unknown
@@ -464,45 +495,21 @@ impl ModelStore {
     /// administrator review. Returns `true` when the model is new.
     pub fn learn_provisional(&self, id: QueryId, model: QueryModel) -> bool {
         let model = Arc::new(model);
-        let is_new = if self.shard(&id).read().contains_key(&id) {
-            false
-        } else {
-            let compiled = self.compiled(model.clone());
-            let mut models = self.shard(&id).write();
-            if models.contains_key(&id) {
-                false
-            } else {
-                models.insert(id.clone(), compiled);
-                drop(models);
-                self.quarantine.write().insert(id.clone());
-                true
-            }
-        };
-        if is_new {
-            self.journal(JournalOp::LearnProvisional { id, model });
-            self.refresh_cached_gauge();
-        }
-        is_new
+        self.mutate(JournalOp::LearnProvisional { id, model })
+            .changed
     }
 
     /// Identifiers awaiting administrator review.
     #[must_use]
     pub fn pending_review(&self) -> Vec<QueryId> {
-        let quarantine = self.quarantine.read();
-        let mut refs: Vec<&QueryId> = quarantine.iter().collect();
-        refs.sort_unstable();
-        refs.into_iter().cloned().collect()
+        sorted(&self.state.read().quarantine)
     }
 
     /// Administrator verdict: the incrementally-learned query was benign.
     /// The model leaves quarantine and becomes permanent. Returns `false`
     /// when the id was not pending.
     pub fn approve(&self, id: &QueryId) -> bool {
-        let removed = self.quarantine.write().remove(id);
-        if removed {
-            self.journal(JournalOp::Approve { id: id.clone() });
-        }
-        removed
+        self.mutate(JournalOp::Approve { id: id.clone() }).changed
     }
 
     /// Administrator verdict: the incrementally-learned query was
@@ -510,65 +517,42 @@ impl ModelStore {
     /// the same query is refused instead of re-learned. Returns `false`
     /// when the id was unknown.
     pub fn reject(&self, id: &QueryId) -> bool {
-        self.quarantine.write().remove(id);
-        let existed = self.shard(id).write().remove(id).is_some();
-        let newly_rejected = self.rejected.write().insert(id.clone());
-        if existed || newly_rejected {
-            self.journal(JournalOp::Reject { id: id.clone() });
-        }
-        if existed {
-            self.refresh_cached_gauge();
-        }
-        existed
+        self.mutate(JournalOp::Reject { id: id.clone() }).models
     }
 
     /// True when the administrator has rejected this identifier.
     #[must_use]
     pub fn is_rejected(&self, id: &QueryId) -> bool {
-        self.rejected.read().contains(id)
+        self.state.read().rejected.contains(id)
     }
 
     /// Removes a model (the administrator decided a learned query was
     /// malicious — Section II-E).
     pub fn forget(&self, id: &QueryId) -> bool {
-        let removed = self.shard(id).write().remove(id).is_some();
-        if removed {
-            self.journal(JournalOp::Forget { id: id.clone() });
-            self.refresh_cached_gauge();
-        }
-        removed
+        self.mutate(JournalOp::Forget { id: id.clone() }).changed
     }
 
     /// Number of learned models.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.state.read().models.len()
     }
 
     /// True when nothing has been learned.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.read().is_empty())
+        self.state.read().models.is_empty()
     }
 
     /// Drops every learned model and all review state.
     pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.write().clear();
-        }
-        self.quarantine.write().clear();
-        self.rejected.write().clear();
-        self.journal(JournalOp::Clear);
-        self.refresh_cached_gauge();
+        self.mutate(JournalOp::Clear);
     }
 
     /// Snapshot of all identifiers.
     #[must_use]
     pub fn ids(&self) -> Vec<QueryId> {
-        self.shards
-            .iter()
-            .flat_map(|s| s.read().keys().cloned().collect::<Vec<_>>())
-            .collect()
+        self.state.read().models.keys().cloned().collect()
     }
 
     /// Serializes the store to JSON (the payload of the snapshot frame).
@@ -577,52 +561,47 @@ impl ModelStore {
     ///
     /// Propagates serializer errors.
     pub fn to_json(&self) -> serde_json::Result<String> {
-        let covered = self.persist.lock().next_seq - 1;
-        serde_json::to_string_pretty(&self.snapshot(covered))
+        let persist = self.persist.lock();
+        serde_json::to_string_pretty(&self.snapshot(persist.next_seq - 1))
     }
 
+    /// The persisted form of the state, covering journal records up to
+    /// `seq`. Only models are persisted: programs are derived state,
+    /// rebuilt when the snapshot is loaded.
     fn snapshot(&self, seq: u64) -> PersistedStore {
-        // Hold every shard read guard for a consistent view, sort the
-        // *references* (via `QueryId`'s derived `Ord`), then clone each
-        // entry exactly once — the model side is an `Arc` refcount bump.
-        let guards: Vec<_> = self.shards.iter().map(|s| s.read()).collect();
-        let mut refs: Vec<(&QueryId, &CompiledModel)> =
-            guards.iter().flat_map(|g| g.iter()).collect();
-        refs.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        // Only the model is persisted: the compiled program is derived
-        // state and is rebuilt when the snapshot is loaded.
-        let list: Vec<(QueryId, Arc<QueryModel>)> = refs
-            .into_iter()
-            .map(|(k, v)| (k.clone(), Arc::clone(&v.model)))
+        let state = self.state.read();
+        let mut models: Vec<(QueryId, Arc<QueryModel>)> = state
+            .models
+            .iter()
+            .map(|(id, cm)| (id.clone(), Arc::clone(&cm.model)))
             .collect();
-        drop(guards);
-        let sorted_set = |set: &HashSet<QueryId>| -> Vec<QueryId> {
-            let mut refs: Vec<&QueryId> = set.iter().collect();
-            refs.sort_unstable();
-            refs.into_iter().cloned().collect()
-        };
-        let quarantine = sorted_set(&self.quarantine.read());
-        let rejected = sorted_set(&self.rejected.read());
+        models.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         PersistedStore {
             version: SNAPSHOT_VERSION,
             seq,
-            models: list,
-            quarantine,
-            rejected,
+            models,
+            quarantine: sorted(&state.quarantine),
+            rejected: sorted(&state.rejected),
         }
     }
 
-    fn install(&self, persisted: PersistedStore) {
-        for shard in &self.shards {
-            shard.write().clear();
+    /// The state a snapshot holds, every model recompiled: programs are
+    /// never serialized.
+    fn restore(&self, persisted: PersistedStore) -> State {
+        State {
+            models: persisted
+                .models
+                .into_iter()
+                .map(|(id, model)| (id, self.compiled(model)))
+                .collect(),
+            quarantine: persisted.quarantine.into_iter().collect(),
+            rejected: persisted.rejected.into_iter().collect(),
         }
-        for (id, model) in persisted.models {
-            // Recompile on load: programs are never serialized.
-            let compiled = self.compiled(model);
-            self.shard(&id).write().insert(id, compiled);
-        }
-        *self.quarantine.write() = persisted.quarantine.into_iter().collect();
-        *self.rejected.write() = persisted.rejected.into_iter().collect();
+    }
+
+    /// Swaps `state` in for the current one.
+    fn install(&self, state: State) {
+        *self.state.write() = state;
         self.refresh_cached_gauge();
     }
 
@@ -636,7 +615,8 @@ impl ModelStore {
     pub fn load_json(&self, json: &str) -> serde_json::Result<usize> {
         let persisted: PersistedStore = serde_json::from_str(json)?;
         let n = persisted.models.len();
-        self.install(persisted);
+        let _persist = self.persist.lock();
+        self.install(self.restore(persisted));
         Ok(n)
     }
 
@@ -666,7 +646,7 @@ impl ModelStore {
     /// I/O errors; serialization errors and detected torn writes surface
     /// as [`io::ErrorKind::InvalidData`].
     pub fn save_with(&self, io: &dyn StorageIo, path: &Path) -> io::Result<()> {
-        // Held to the end: a mutation journaled meanwhile waits, then lands
+        // Held to the end: a mutation arriving meanwhile waits, then lands
         // in the emptied journal numbered above this snapshot.
         let persist = self.persist.lock();
         let payload = serde_json::to_string_pretty(&self.snapshot(persist.next_seq - 1))
@@ -702,8 +682,9 @@ impl ModelStore {
     ///   back to `<path>.bak` (or an empty base when no usable backup
     ///   exists);
     /// * the journal's records above the snapshot's sequence number are
-    ///   replayed on top; a torn tail is moved to `<path>.journal.corrupt`
-    ///   and cut off, so the next append is reachable.
+    ///   replayed on top through `State::apply`, as the live store applied
+    ///   them; a torn tail is moved to `<path>.journal.corrupt` and cut
+    ///   off, so the next append is reachable.
     ///
     /// The previous in-memory contents are replaced.
     ///
@@ -766,10 +747,12 @@ impl ModelStore {
         report.models_loaded = base.models.len();
         report.journal_replayed = ops.len();
         report.torn_journal_records = usize::from(torn.is_some());
-        self.install(base);
-        for op in ops {
-            self.apply(op);
+        let mut state = self.restore(base);
+        for op in &ops {
+            let compiled = op.new_model(&state).map(|m| self.compiled(m));
+            state.apply(op, compiled);
         }
+        self.install(state);
         persist.next_seq = last_seq + 1;
         Ok(report)
     }

@@ -259,21 +259,41 @@ pub fn numeric_prefix(s: &str) -> f64 {
 
 /// `LIKE` over characters or bytes; `fold` is applied to both sides of a
 /// literal comparison (the identity for input that is folded already).
+///
+/// Two pointers, no recursion: when a literal stops matching, only the
+/// last `%` seen takes one more character and the match resumes after it.
+/// An earlier `%` never needs to: whatever it would swallow, the last one
+/// can. So a pattern costs at most `text.len() * pat.len()` steps, however
+/// many `%`s it holds.
 fn like_match<T: Copy + PartialEq + From<u8>>(
     text: &[T],
     pat: &[T],
-    fold: impl Fn(&T) -> T + Copy,
+    fold: impl Fn(&T) -> T,
 ) -> bool {
-    let Some((p, rest)) = pat.split_first() else {
-        return text.is_empty();
-    };
-    if *p == T::from(b'%') {
-        (0..=text.len()).any(|i| like_match(&text[i..], rest, fold))
-    } else if *p == T::from(b'_') {
-        !text.is_empty() && like_match(&text[1..], rest, fold)
-    } else {
-        text.first().map(fold) == Some(fold(p)) && like_match(&text[1..], rest, fold)
+    let (percent, any) = (T::from(b'%'), T::from(b'_'));
+    let (mut t, mut p) = (0, 0);
+    // The pattern index just past the last `%`, and the text index its
+    // swallowing currently ends at.
+    let mut resume: Option<(usize, usize)> = None;
+    while t < text.len() {
+        if pat.get(p) == Some(&percent) {
+            p += 1;
+            resume = Some((p, t));
+        } else if pat
+            .get(p)
+            .is_some_and(|c| *c == any || fold(c) == fold(&text[t]))
+        {
+            p += 1;
+            t += 1;
+        } else if let Some((after, swallowed)) = resume {
+            resume = Some((after, swallowed + 1));
+            p = after;
+            t = swallowed + 1;
+        } else {
+            return false;
+        }
     }
+    pat[p..].iter().all(|c| *c == percent)
 }
 
 #[cfg(test)]
@@ -368,22 +388,36 @@ mod tests {
         })
     }
 
-    /// What `sql_like` was before it matched ASCII on bytes.
+    /// The recursive matcher `like_match` replaced: a `%` tries every
+    /// suffix of the text, so its cost is exponential in the `%`s.
+    fn like_match_reference(text: &[char], pat: &[char]) -> bool {
+        let Some((p, rest)) = pat.split_first() else {
+            return text.is_empty();
+        };
+        match p {
+            '%' => (0..=text.len()).any(|i| like_match_reference(&text[i..], rest)),
+            '_' => !text.is_empty() && like_match_reference(&text[1..], rest),
+            _ => text.first() == Some(p) && like_match_reference(&text[1..], rest),
+        }
+    }
+
+    /// What `sql_like` was before it matched ASCII on bytes and without
+    /// recursion: the per-character fold and the recursive matcher.
     fn sql_like_reference(text: &Value, pattern: &Value) -> Option<bool> {
         if text.is_null() || pattern.is_null() {
             return None;
         }
         let text: Vec<char> = text.to_display_string().to_lowercase().chars().collect();
         let pat: Vec<char> = pattern.to_display_string().to_lowercase().chars().collect();
-        Some(like_match(&text, &pat, |c| *c))
+        Some(like_match_reference(&text, &pat))
     }
 
     fn like_operand() -> impl Strategy<Value = Value> {
         fn_strategy(|rng| match rng.below(8) {
             0 => Value::Null,
             1 => Value::Int(rng.below(200) as i64 - 100),
-            2 => Value::Str("[a-bA-B%_\u{e9}\u{c9}\u{3a3}]{0,6}".generate(rng)),
-            _ => Value::Str("[a-bA-B%_]{0,6}".generate(rng)),
+            2 => Value::Str("[a-bA-B%_\u{e9}\u{c9}\u{3a3}]{0,12}".generate(rng)),
+            _ => Value::Str("[a-bA-B%_]{0,12}".generate(rng)),
         })
     }
 
@@ -426,6 +460,18 @@ mod tests {
         assert_eq!(v.sql_like(&Value::from("nope")), Some(false));
         assert_eq!(v.sql_like(&Value::Null), None);
         assert_eq!(Value::from("").sql_like(&Value::from("%")), Some(true));
+    }
+
+    #[test]
+    fn like_cost_does_not_multiply_with_each_percent() {
+        // The recursive matcher took seconds here at five `%a`s.
+        let text = Value::from("a".repeat(200));
+        for k in [1, 5, 200, 201] {
+            let unmatched = Value::from(format!("{}b", "%a".repeat(k)));
+            assert_eq!(text.sql_like(&unmatched), Some(false));
+            let matched = Value::from("%a".repeat(k));
+            assert_eq!(text.sql_like(&matched), Some(k <= 200));
+        }
     }
 
     #[test]

@@ -33,7 +33,9 @@ pub struct Parsed {
     /// The statements (`;`-separated). Injection-crafted piggyback queries
     /// arrive as multiple statements.
     pub statements: Vec<Statement>,
-    /// Block-comment bodies (SEPTIC external identifiers live here).
+    /// Bodies of the block comments before the query's first token
+    /// (SEPTIC external identifiers live here). A comment after it is
+    /// dropped: it may be user data, and must not name a program point.
     pub comments: Vec<String>,
     /// Whether a line comment swallowed the tail of the query.
     pub trailing_line_comment: bool,

@@ -4,8 +4,9 @@
 //!
 //! * `-- ` line comments require a following whitespace character (MySQL
 //!   rule), `#` comments do not;
-//! * `/* ... */` block comments are skipped but *collected* (SEPTIC reads
-//!   the optional external query identifier from the first one);
+//! * `/* ... */` block comments are skipped; those before the first token
+//!   are *collected* (SEPTIC reads the optional external query identifier
+//!   from them);
 //! * `/*!12345 ... */` version comments have their body **executed** — a
 //!   classic WAF-evasion channel that the lexer must honour;
 //! * string literals accept both backslash escapes and doubled quotes;
@@ -127,8 +128,11 @@ pub struct SpannedToken {
 #[derive(Debug, Clone, Default)]
 pub struct LexOutput {
     pub tokens: Vec<SpannedToken>,
-    /// Bodies of ordinary `/* ... */` block comments, in source order.
-    /// SEPTIC's ID generator reads the external identifier from the first.
+    /// Bodies of the ordinary `/* ... */` block comments that come before
+    /// the first token, in source order. SEPTIC's ID generator reads the
+    /// external identifier from them. Only a leading comment may name a
+    /// program point: user data never comes before the statement keyword,
+    /// so a comment an injection smuggles in cannot mint a new query id.
     pub comments: Vec<String>,
     /// True when a `-- `/`#` comment swallowed the remainder of the query —
     /// the footprint of comment-based injection payloads.
@@ -221,7 +225,9 @@ impl Lexer {
                         out.trailing_line_comment = trailing;
                     } else {
                         let body = self.skip_block_comment(start)?;
-                        out.comments.push(body);
+                        if out.tokens.is_empty() {
+                            out.comments.push(body);
+                        }
                     }
                 }
                 '\'' | '"' => {
@@ -605,6 +611,12 @@ mod tests {
         let out = lex("/* qid:login-1 */ SELECT 1").unwrap();
         assert_eq!(out.comments, vec!["qid:login-1".to_string()]);
         assert_eq!(out.tokens.len(), 2);
+    }
+
+    #[test]
+    fn only_comments_before_the_first_token_are_collected() {
+        let out = lex("/* a */ /* b */ SELECT /* c */ 1 /* qid:d */").unwrap();
+        assert_eq!(out.comments, vec!["a".to_string(), "b".to_string()]);
     }
 
     #[test]

@@ -4,6 +4,7 @@
 use std::sync::Arc;
 
 use septic_repro::attacks::{corpus, run_corpus, summarize, train, ProtectionConfig};
+use septic_repro::dbms::{DbError, Server};
 use septic_repro::http::HttpRequest;
 use septic_repro::septic::{DetectionConfig, Mode, Septic};
 use septic_repro::waf::ModSecurity;
@@ -160,4 +161,35 @@ fn guard_swap_at_runtime() {
         "with SEPTIC installed the same attack must fail"
     );
     assert!(resp.response.body.contains("blocked"));
+}
+
+/// An application that ships no `qid:` comment: a comment injected into
+/// its string literal must not name a program point. If it did, the
+/// attacked query would get an identifier of its own, be learned as a new
+/// query, and execute.
+#[test]
+fn an_injected_comment_does_not_mint_a_query_id() {
+    let server = Server::new();
+    let conn = server.connect();
+    conn.execute("CREATE TABLE t (a VARCHAR(16))").unwrap();
+    conn.execute("INSERT INTO t (a) VALUES ('benign'), ('other')")
+        .unwrap();
+    let septic = Arc::new(Septic::new());
+    server.install_guard(septic.clone());
+    let query = |input: &str| conn.execute(&format!("SELECT * FROM t WHERE a = '{input}'"));
+    septic.set_mode(Mode::Training);
+    query("benign").unwrap();
+    septic.set_mode(Mode::PREVENTION);
+    for payload in [
+        "' OR 1=1 -- ",
+        "' /* x */ OR 1=1 -- ",
+        "' /* qid:x */ OR 1=1 -- ",
+    ] {
+        let outcome = query(payload);
+        assert!(
+            matches!(outcome, Err(DbError::Blocked(_))),
+            "{payload}: {outcome:?}"
+        );
+    }
+    assert!(septic.pending_review().is_empty());
 }

@@ -6,7 +6,7 @@
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Barrier, Mutex};
 use std::time::Duration;
 
 use proptest::prelude::*;
@@ -505,6 +505,68 @@ fn model_learned_while_a_save_installs_its_snapshot_is_not_lost() {
         "the model is in neither the snapshot nor the journal"
     );
     assert_eq!(fresh.pending_review(), vec![qid(2)]);
+}
+
+/// Three threads race `learn_provisional`, `reject` and `learn` over the
+/// same ids, round after round. After each round a store loaded from the
+/// journal must hold exactly what the live store holds: journal order has
+/// to be the order in which the mutations were applied.
+#[test]
+fn live_store_equals_its_reload_under_concurrent_mutation() {
+    const ROUNDS: usize = 200;
+    const IDS: u64 = 64;
+    let path = Path::new("models.json");
+    let shapes: Vec<QueryModel> = (0..IDS).map(shape).collect();
+    let rejected = |store: &ModelStore| -> Vec<u64> {
+        (0..IDS).filter(|&n| store.is_rejected(&qid(n))).collect()
+    };
+    let sorted_ids = |store: &ModelStore| {
+        let mut ids = store.ids();
+        ids.sort();
+        ids
+    };
+    let mut diverged = Vec::new();
+    for round in 0..ROUNDS {
+        let mem = MemIo::new();
+        let store = ModelStore::new();
+        store.attach_persistence(mem.clone(), path);
+        let start = Barrier::new(3);
+        std::thread::scope(|scope| {
+            let (store, start, shapes) = (&store, &start, &shapes);
+            scope.spawn(move || {
+                start.wait();
+                for n in 0..IDS {
+                    store.learn_provisional(qid(n), shapes[n as usize].clone());
+                }
+            });
+            scope.spawn(move || {
+                start.wait();
+                for n in 0..IDS {
+                    store.reject(&qid(n));
+                }
+            });
+            scope.spawn(move || {
+                start.wait();
+                for n in 0..IDS {
+                    store.learn(qid(n), shapes[n as usize].clone());
+                }
+            });
+        });
+        assert_eq!(store.journal_errors(), 0);
+        let fresh = ModelStore::new();
+        fresh.load_with(&*mem.fork(), path).unwrap();
+        if sorted_ids(&fresh) != sorted_ids(&store)
+            || fresh.pending_review() != store.pending_review()
+            || rejected(&fresh) != rejected(&store)
+        {
+            diverged.push(round);
+        }
+    }
+    assert!(
+        diverged.is_empty(),
+        "{} of {ROUNDS} reloads differ from the live store (rounds {diverged:?})",
+        diverged.len()
+    );
 }
 
 // ---------------------------------------------------------------------------

@@ -39,6 +39,10 @@ pub enum DbError {
     /// A transaction could not commit (re-execution of its buffered writes
     /// conflicted with a concurrent commit) and was rolled back.
     TxnAborted(String),
+    /// The statement examined more rows than its ceiling, the carried
+    /// [`crate::expr::MAX_ROWS_EXAMINED`], and was stopped there; like any
+    /// failed statement, it left nothing behind.
+    RowsExamined(u64),
 }
 
 impl fmt::Display for DbError {
@@ -58,6 +62,7 @@ impl fmt::Display for DbError {
             DbError::Runtime(m) => write!(f, "runtime error: {m}"),
             DbError::Storage(m) => write!(f, "storage error: {m}"),
             DbError::TxnAborted(m) => write!(f, "transaction aborted: {m}"),
+            DbError::RowsExamined(max) => write!(f, "too many rows examined (limit {max})"),
         }
     }
 }

@@ -18,7 +18,7 @@ use septic_vm::Program;
 
 use crate::error::DbError;
 use crate::exec::{eval, Binding, CRow, EvalCtx};
-use crate::expr::SideEffects;
+use crate::expr::{SideEffects, MAX_ROWS_EXAMINED};
 use crate::plan::{Access, AggregatePlan, SelectPlan};
 use crate::storage::{Database, Row, TableStore};
 use crate::value::Value;
@@ -181,7 +181,8 @@ impl<'p> Rows<'p> {
 /// place** (nothing is copied to be looked at) and hands the survivors to
 /// `keep` with their slot; `keep` returns `false` to stop early (LIMIT).
 /// `scope` supplies everything of the evaluation context but the row.
-/// Every candidate counts as a row examined, whatever becomes of it.
+/// Every candidate counts as a row examined, whatever becomes of it, and
+/// the statement stops at [`MAX_ROWS_EXAMINED`].
 pub(crate) fn scan_filter<'r>(
     candidates: impl Iterator<Item = (usize, &'r Row)>,
     pred: Option<&Prepared<'_>>,
@@ -191,9 +192,11 @@ pub(crate) fn scan_filter<'r>(
     fx: &mut SideEffects,
     mut keep: impl FnMut(usize, &[&'r [Value]], &mut SideEffects) -> Result<bool, DbError>,
 ) -> Result<(), DbError> {
-    let mut examined = 0;
     for (slot, candidate) in candidates {
-        examined += 1;
+        fx.rows_examined += 1;
+        if fx.rows_examined > MAX_ROWS_EXAMINED {
+            return Err(DbError::RowsExamined(MAX_ROWS_EXAMINED));
+        }
         row.push(candidate);
         let more = match pred {
             Some(pred) if !pred.holds(m, row, scope, fx)? => true,
@@ -204,7 +207,6 @@ pub(crate) fn scan_filter<'r>(
             break;
         }
     }
-    fx.rows_examined += examined;
     Ok(())
 }
 

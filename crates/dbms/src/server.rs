@@ -1,10 +1,19 @@
-//! The server front end: receive → decode → parse → validate → lower →
-//! **guard** → execute.
+//! The server front end: one call runs through five stages over one
+//! `Request` — decode and parse → bind → validate → **guard** →
+//! execute — and ends in one place.
 //!
 //! This is the MySQL stand-in of the reproduction. A [`Server`] owns the
-//! database, an optional [`crate::guard::QueryGuard`] (SEPTIC), a general log and a
-//! logical clock; [`Connection`]s are cheap handles that run queries
-//! through the full pipeline.
+//! database, an optional [`crate::guard::QueryGuard`] (SEPTIC), a general
+//! log, a logical clock and the durability backend it was built with;
+//! [`Connection`]s are cheap handles that run queries through the stages.
+//!
+//! # One outcome per call
+//!
+//! Every stage returns `Result` and the pipeline propagates a refusal with
+//! `?`. `Server::run` alone turns the outcome into the call's
+//! general-log line, its session counter and the server's outcome metrics.
+//! The one other log write is the line a guard failure passed fail-open
+//! leaves before the call goes on.
 //!
 //! # Concurrency
 //!
@@ -13,7 +22,7 @@
 //! while all sessions share the one database and guard. Read-only calls
 //! (pure `SELECT`s) execute under the database's shared read lock, so
 //! parallel sessions overlap; mutating statements serialize on the write
-//! lock as before.
+//! lock.
 //!
 //! # Atomicity
 //!
@@ -21,10 +30,14 @@
 //! transaction's private snapshot, and record what they displace in an
 //! [`UndoLog`]. The log is the one rollback mechanism, used at three
 //! points: a statement that fails is undone to its own start, a call or
-//! `COMMIT` the durability backend refuses is undone whole, and so is a
-//! `COMMIT` whose buffered writes no longer apply. The only database
-//! snapshot the server takes is the one `BEGIN` reads from, so a write
-//! costs the rows it touches unless a transaction is open beside it.
+//! `COMMIT` the durability backend refuses is undone whole (in
+//! `Server::commit`, the one commit path), and so is a `COMMIT` whose
+//! buffered writes no longer apply. The only database snapshot the server
+//! takes is the one `BEGIN` reads from, so a write costs the rows it
+//! touches unless a transaction is open beside it.
+
+mod admin;
+mod session;
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -34,9 +47,11 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
 use septic_sql::ast::InsertSource;
+use septic_sql::parser::Parsed;
 use septic_sql::{charset, items, parse, ParseError, Statement};
-use septic_telemetry::{label_value, Counter, Histogram, MetricsRegistry, MetricsSnapshot};
+use septic_telemetry::{saturating_micros, Counter, Histogram, MetricsRegistry, MetricsSnapshot};
 
+use crate::bind::bind_params;
 use crate::error::DbError;
 use crate::exec::{execute_logged, execute_read_with, is_read_only, validate, QueryOutput};
 use crate::guard::{panic_message, FailurePolicy, GuardDecision, QueryContext, SharedGuard};
@@ -47,6 +62,12 @@ use crate::vmexec::ProgramCache;
 use crate::wal::{
     NullBackend, RecoveryReport, StorageBackend, StorageIo, WalConfig, WalStmt, WalStorage,
 };
+
+use session::SessionState;
+pub use session::{Connection, SessionSnapshot};
+
+/// The logical clock of a fresh server.
+const FIRST_CLOCK: i64 = 1_000_000;
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -77,95 +98,17 @@ pub struct GeneralLogEntry {
     pub session: u64,
     /// The raw query as received.
     pub sql: String,
-    /// Outcome summary: `ok`, `blocked: …` or `error: …`.
+    /// Outcome summary: `ok`, `blocked: …`, `guard failure (…): …` or
+    /// `error: …`.
     pub outcome: String,
 }
 
-/// One write buffered inside an open transaction: the parsed statement
-/// (re-executed against the master database at commit) together with the
-/// WAL form (`NOW()` timestamp + rendered SQL) that makes the commit
-/// replayable after a crash.
-#[derive(Debug, Clone)]
-struct BufferedWrite {
-    stmt: Statement,
-    wal: WalStmt,
-}
-
-/// An open transaction: a copy-on-write MVCC snapshot the session reads
-/// and writes privately, plus the redo buffer replayed at `COMMIT`.
-///
-/// The snapshot is taken at `BEGIN` — the only snapshot the server takes
-/// — and concurrent committers never touch it, so in-transaction reads
-/// are repeatable. Its first write to a table copies that table once. At
-/// commit the buffered writes are re-executed against the *current*
-/// master under the write lock — a write that no longer applies
-/// (duplicate key created by a concurrent commit, table dropped, …)
-/// aborts the transaction with [`DbError::TxnAborted`]
-/// (first-committer-wins).
+/// Every counter and histogram the server records, registered in its
+/// registry once, at construction, so recording is lock-free on the query
+/// path. The WAL's counters share the registry; the guard keeps its own.
 #[derive(Debug)]
-struct Txn {
-    working: Database,
-    redo: Vec<BufferedWrite>,
-}
-
-/// Per-session (per-[`Connection`]) state: an id for the general log plus
-/// outcome counters, all atomics so a session can be observed from other
-/// threads while it runs.
-#[derive(Debug)]
-struct SessionState {
-    id: u64,
-    queries_ok: AtomicU64,
-    queries_blocked: AtomicU64,
-    queries_failed: AtomicU64,
-    /// Wall-clock pipeline time of this session's successful queries,
-    /// microseconds.
-    busy_micros: AtomicU64,
-    /// Client-observed time (wall + simulated `SLEEP`/`BENCHMARK` delay)
-    /// of this session's successful queries, microseconds.
-    observed_micros: AtomicU64,
-    /// The open transaction, if any (`BEGIN` … `COMMIT`/`ROLLBACK`).
-    txn: Mutex<Option<Txn>>,
-}
-
-impl SessionState {
-    fn new(id: u64) -> Self {
-        SessionState {
-            id,
-            queries_ok: AtomicU64::new(0),
-            queries_blocked: AtomicU64::new(0),
-            queries_failed: AtomicU64::new(0),
-            busy_micros: AtomicU64::new(0),
-            observed_micros: AtomicU64::new(0),
-            txn: Mutex::new(None),
-        }
-    }
-}
-
-/// Point-in-time snapshot of one session's counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SessionSnapshot {
-    /// The session id (also stamped on its general-log entries).
-    pub id: u64,
-    /// Queries that completed successfully.
-    pub queries_ok: u64,
-    /// Queries dropped by the guard ([`DbError::Blocked`]).
-    pub queries_blocked: u64,
-    /// Queries that failed for any other reason (parse, validation,
-    /// runtime, guard failure).
-    pub queries_failed: u64,
-    /// Wall-clock pipeline time of the successful queries, microseconds.
-    pub busy_us: u64,
-    /// Client-observed time (wall + simulated delay) of the successful
-    /// queries, microseconds. `>= busy_us`; the gap is the time-based
-    /// blind-injection channel (`SLEEP`/`BENCHMARK`).
-    pub observed_us: u64,
-}
-
-/// Degradation counters for the fail-safe machinery. All monotone,
-/// backed by the server's [`MetricsRegistry`] (so they appear in the
-/// Prometheus export as `dbms_*_total`); read them via [`Server::stats`].
-#[derive(Debug)]
-struct ServerStats {
+struct Metrics {
+    registry: MetricsRegistry,
     /// Guard `inspect` calls that panicked (contained by the server).
     guard_panics: Arc<Counter>,
     /// Queries that executed *despite* a guard failure because the
@@ -174,111 +117,99 @@ struct ServerStats {
     /// General-log entries evicted (or refused) because the ring buffer
     /// was full.
     log_drops: Arc<Counter>,
-}
-
-impl ServerStats {
-    fn register(registry: &MetricsRegistry) -> Self {
-        ServerStats {
-            guard_panics: registry.counter("dbms_guard_panics_total"),
-            fail_open_passes: registry.counter("dbms_fail_open_passes_total"),
-            log_drops: registry.counter("dbms_log_drops_total"),
-        }
-    }
-}
-
-/// Transaction outcome counters (`dbms_txn_*_total` in the Prometheus
-/// export).
-#[derive(Debug)]
-struct TxnStats {
-    begins: Arc<Counter>,
-    commits: Arc<Counter>,
-    rollbacks: Arc<Counter>,
+    txn_begins: Arc<Counter>,
+    txn_commits: Arc<Counter>,
+    txn_rollbacks: Arc<Counter>,
     /// Commits aborted because a buffered write no longer applied against
     /// the master database (first-committer-wins conflicts).
-    conflicts: Arc<Counter>,
-}
-
-impl TxnStats {
-    fn register(registry: &MetricsRegistry) -> Self {
-        TxnStats {
-            begins: registry.counter("dbms_txn_begins_total"),
-            commits: registry.counter("dbms_txn_commits_total"),
-            rollbacks: registry.counter("dbms_txn_rollbacks_total"),
-            conflicts: registry.counter("dbms_txn_conflicts_total"),
-        }
-    }
-}
-
-/// What the write path did beyond touching rows: tables deep-copied
-/// because a transaction's snapshot still shared them, and undo logs
-/// applied, by cause.
-#[derive(Debug)]
-struct WriteStats {
+    txn_conflicts: Arc<Counter>,
     /// `Database::table_mut` calls that copied a table, on the master and
     /// on transactions' private snapshots alike.
     cow_table_copies: Arc<Counter>,
-    /// A statement failed part-way and was undone to its own start.
+    /// Undo logs applied, by cause: a statement failed part-way; the
+    /// durability backend refused a commit; a buffered write no longer
+    /// applied at `COMMIT`.
     statement_rollbacks: Arc<Counter>,
-    /// The durability backend refused the commit; the whole call (or
-    /// `COMMIT`) was undone.
     log_failure_rollbacks: Arc<Counter>,
-    /// A buffered write no longer applied at `COMMIT`; the ones re-executed
-    /// before it were undone.
     txn_conflict_rollbacks: Arc<Counter>,
+    /// Per-stage latency (`dbms_stage_duration_microseconds{stage=…}`).
+    parse_us: Arc<Histogram>,
+    qs_build_us: Arc<Histogram>,
+    guard_us: Arc<Histogram>,
+    execute_us: Arc<Histogram>,
+    /// What the statements a client was answered cost and gave back: rows
+    /// the executor's scans looked at against rows returned. An indexed
+    /// lookup examines one row; the tautology an injection turns it into
+    /// examines the table.
+    rows_examined: Arc<Counter>,
+    rows_returned: Arc<Counter>,
+    /// Statements refused at a resource bound
+    /// (`dbms_resource_limit_total{limit=…}`): nesting beyond the parser's
+    /// `MAX_EXPR_DEPTH`, and rows examined beyond
+    /// [`crate::expr::MAX_ROWS_EXAMINED`].
+    expr_depth_refusals: Arc<Counter>,
+    rows_examined_refusals: Arc<Counter>,
+    /// Simulated delay (`SLEEP`/`BENCHMARK`) answered so far, microseconds
+    /// — the observable for time-based blind injection. Not exported.
+    simulated_us: Counter,
 }
 
-impl WriteStats {
-    fn register(registry: &MetricsRegistry) -> Self {
-        let rollbacks = |reason: &str| {
-            registry.counter(&format!(
-                "dbms_statement_rollbacks_total{{reason=\"{reason}\"}}"
-            ))
+impl Metrics {
+    fn register(registry: MetricsRegistry) -> Metrics {
+        let r = &registry;
+        let labeled = |family: &str, label: &str, value: &str| {
+            r.counter(&format!("{family}{{{label}=\"{value}\"}}"))
         };
-        WriteStats {
-            cow_table_copies: registry.counter("dbms_cow_table_copies_total"),
-            statement_rollbacks: rollbacks("statement"),
-            log_failure_rollbacks: rollbacks("log_failure"),
-            txn_conflict_rollbacks: rollbacks("txn_conflict"),
-        }
-    }
-}
-
-/// Per-stage latency histograms of the server pipeline
-/// (`dbms_stage_duration_microseconds{stage="..."}`), resolved once at
-/// construction so recording is lock-free on the query path.
-#[derive(Debug)]
-struct PipelineTimers {
-    parse: Arc<Histogram>,
-    qs_build: Arc<Histogram>,
-    guard: Arc<Histogram>,
-    execute: Arc<Histogram>,
-}
-
-impl PipelineTimers {
-    fn register(registry: &MetricsRegistry) -> Self {
         let stage = |name: &str| {
-            registry.histogram(&format!(
+            r.histogram(&format!(
                 "dbms_stage_duration_microseconds{{stage=\"{name}\"}}"
             ))
         };
-        PipelineTimers {
-            parse: stage("parse"),
-            qs_build: stage("qs_build"),
-            guard: stage("guard"),
-            execute: stage("execute"),
+        let rollbacks = |reason| labeled("dbms_statement_rollbacks_total", "reason", reason);
+        let limit = |name| labeled("dbms_resource_limit_total", "limit", name);
+        Metrics {
+            guard_panics: r.counter("dbms_guard_panics_total"),
+            fail_open_passes: r.counter("dbms_fail_open_passes_total"),
+            log_drops: r.counter("dbms_log_drops_total"),
+            txn_begins: r.counter("dbms_txn_begins_total"),
+            txn_commits: r.counter("dbms_txn_commits_total"),
+            txn_rollbacks: r.counter("dbms_txn_rollbacks_total"),
+            txn_conflicts: r.counter("dbms_txn_conflicts_total"),
+            cow_table_copies: r.counter("dbms_cow_table_copies_total"),
+            statement_rollbacks: rollbacks("statement"),
+            log_failure_rollbacks: rollbacks("log_failure"),
+            txn_conflict_rollbacks: rollbacks("txn_conflict"),
+            parse_us: stage("parse"),
+            qs_build_us: stage("qs_build"),
+            guard_us: stage("guard"),
+            execute_us: stage("execute"),
+            rows_examined: r.counter("dbms_rows_examined_total"),
+            rows_returned: r.counter("dbms_rows_returned_total"),
+            expr_depth_refusals: limit("expr_depth"),
+            rows_examined_refusals: limit("rows_examined"),
+            simulated_us: Counter::new(),
+            registry,
         }
     }
-}
 
-/// Microseconds elapsed since `t`, saturating (see
-/// [`septic_telemetry::saturating_micros`]).
-fn span_us(t: Instant) -> u64 {
-    as_us(t.elapsed())
-}
-
-/// A duration as saturating microseconds.
-fn as_us(d: Duration) -> u64 {
-    septic_telemetry::saturating_micros(d)
+    /// Accounts a call that went through the stages: what an answered one
+    /// examined, returned and slept; which resource bound a refused one
+    /// hit.
+    fn record(&self, outcome: &Result<ExecResult, DbError>) {
+        match outcome {
+            Ok(res) => {
+                for out in &res.outputs {
+                    self.rows_examined.add(out.effects.rows_examined);
+                    self.rows_returned.add(out.rows.len() as u64);
+                }
+                self.simulated_us
+                    .add(saturating_micros(res.simulated_delay));
+            }
+            Err(DbError::Parse(ParseError::TooDeep { .. })) => self.expr_depth_refusals.inc(),
+            Err(DbError::RowsExamined(_)) => self.rows_examined_refusals.inc(),
+            Err(_) => {}
+        }
+    }
 }
 
 /// Point-in-time snapshot of the server's degradation counters.
@@ -318,6 +249,15 @@ impl ExecResult {
     }
 }
 
+/// One call on its way through the stages: its logical timestamp (the
+/// `NOW()` every statement of the call sees), the session it arrived on
+/// and its text as received.
+struct Request<'a> {
+    at: i64,
+    session: &'a SessionState,
+    raw_sql: &'a str,
+}
+
 /// The DBMS server.
 pub struct Server {
     db: RwLock<Database>,
@@ -325,42 +265,20 @@ pub struct Server {
     config: ServerConfig,
     clock: AtomicI64,
     /// Ring buffer bounded by `config.general_log_capacity`: the oldest
-    /// entry is evicted (and counted in `stats.log_drops`) when full.
+    /// entry is evicted (and counted in `log_drops`) when full.
     general_log: Mutex<VecDeque<GeneralLogEntry>>,
-    stats: ServerStats,
-    /// Registry behind `stats` and `pipeline`; merged with the guard's
-    /// own metrics in [`Server::metrics_snapshot`].
-    metrics: MetricsRegistry,
-    /// Per-stage pipeline latency histograms.
-    pipeline: PipelineTimers,
-    /// Total simulated delay (`SLEEP`/`BENCHMARK`) accumulated across all
-    /// queries — the observable for time-based blind injection.
-    simulated_total_micros: AtomicI64,
+    metrics: Metrics,
     /// Session-id allocator for [`Server::connect`].
     next_session: AtomicU64,
     /// Shape-keyed cache of compiled expression programs, shared by every
     /// session: compile once, execute many. Every statement the server
     /// executes goes through it; shapes it cannot compile run interpreted.
     program_cache: ProgramCache,
-    /// Durability backend: every committed write batch is handed to it
-    /// *before* the commit is acknowledged. The default [`NullBackend`]
-    /// keeps the server purely in-memory (the differential oracle);
-    /// [`Server::open_durable`] swaps in a [`WalStorage`].
-    storage: RwLock<Arc<dyn StorageBackend>>,
-    /// Transaction outcome counters.
-    txn_stats: TxnStats,
-    /// Table copies and rollbacks of the write path.
-    write_stats: WriteStats,
-    /// What the statements a client was answered cost and gave back: rows
-    /// the executor's scans looked at against rows returned. An indexed
-    /// lookup examines one row; the tautology an injection turns it into
-    /// examines the table.
-    rows_examined: Arc<Counter>,
-    rows_returned: Arc<Counter>,
-    /// Statements the parser refused for nesting beyond its bound
-    /// (`septic_sql::parser::MAX_EXPR_DEPTH`): a peer spending the
-    /// server's stack, not a typo.
-    expr_depth_refusals: Arc<Counter>,
+    /// Durability backend, fixed at construction: every committed write
+    /// batch is handed to it *before* the commit is acknowledged. An
+    /// in-memory server has a [`NullBackend`] (the differential oracle);
+    /// [`Server::open_durable`] builds one over a [`WalStorage`].
+    storage: Box<dyn StorageBackend>,
 }
 
 impl Server {
@@ -373,46 +291,39 @@ impl Server {
     /// Creates a server with an explicit configuration.
     #[must_use]
     pub fn with_config(config: ServerConfig) -> Arc<Self> {
-        Arc::new(Self::build(config))
+        let (registry, storage) = (MetricsRegistry::new(), Box::new(NullBackend));
+        Self::build(config, registry, storage, Database::new(), FIRST_CLOCK)
     }
 
-    fn build(config: ServerConfig) -> Server {
-        let metrics = MetricsRegistry::new();
-        let stats = ServerStats::register(&metrics);
-        let txn_stats = TxnStats::register(&metrics);
-        let write_stats = WriteStats::register(&metrics);
-        let pipeline = PipelineTimers::register(&metrics);
-        let rows_examined = metrics.counter("dbms_rows_examined_total");
-        let rows_returned = metrics.counter("dbms_rows_returned_total");
-        let expr_depth_refusals =
-            metrics.counter("dbms_resource_limit_total{limit=\"expr_depth\"}");
+    /// The one constructor: the storage backend, the database it holds and
+    /// the clock are fixed here and never swapped.
+    fn build(
+        config: ServerConfig,
+        registry: MetricsRegistry,
+        storage: Box<dyn StorageBackend>,
+        db: Database,
+        clock: i64,
+    ) -> Arc<Server> {
         let program_cache = ProgramCache::new();
-        program_cache.attach_metrics(&metrics);
-        Server {
-            db: RwLock::new(Database::new()),
+        program_cache.attach_metrics(&registry);
+        Arc::new(Server {
+            db: RwLock::new(db),
             guard: RwLock::new(None),
             config,
-            clock: AtomicI64::new(1_000_000),
+            clock: AtomicI64::new(clock),
             general_log: Mutex::new(VecDeque::new()),
-            stats,
-            metrics,
-            pipeline,
-            simulated_total_micros: AtomicI64::new(0),
+            metrics: Metrics::register(registry),
             next_session: AtomicU64::new(1),
             program_cache,
-            storage: RwLock::new(Arc::new(NullBackend)),
-            txn_stats,
-            write_stats,
-            rows_examined,
-            rows_returned,
-            expr_depth_refusals,
-        }
+            storage,
+        })
     }
 
     /// Opens a *durable* server on the given storage medium: loads the
     /// latest checkpoint snapshot (if any), replays the write-ahead log
-    /// over it, and installs the recovered database plus the WAL backend
-    /// so every later commit is logged before it is acknowledged.
+    /// over it, and builds the server around the recovered database and
+    /// the WAL backend, so every later commit is logged before it is
+    /// acknowledged.
     ///
     /// Returns the server together with the [`RecoveryReport`] describing
     /// what recovery found (records replayed, torn tails quarantined, …).
@@ -427,18 +338,16 @@ impl Server {
         io: Arc<dyn StorageIo>,
         wal_config: WalConfig,
     ) -> Result<(Arc<Self>, RecoveryReport), DbError> {
-        let server = Self::with_config(config);
-        let wal = WalStorage::new(io, wal_config, &server.metrics);
+        let registry = MetricsRegistry::new();
+        let wal = WalStorage::new(io, wal_config, &registry);
         let (db, report) = wal.recover()?;
-        *server.db.write() = db;
         // Resume the logical clock past every replayed NOW(): recovered
         // timestamps must stay in the past.
-        let floor = server.clock.load(Ordering::Relaxed);
-        server
-            .clock
-            .store(floor.max(report.next_clock), Ordering::Relaxed);
-        *server.storage.write() = Arc::new(wal);
-        Ok((server, report))
+        let clock = FIRST_CLOCK.max(report.next_clock);
+        Ok((
+            Self::build(config, registry, Box::new(wal), db, clock),
+            report,
+        ))
     }
 
     /// Feeds every string cell of the current database to the installed
@@ -452,20 +361,16 @@ impl Server {
         let Some(guard) = self.guard.read().clone() else {
             return 0;
         };
-        let values: Vec<String> = {
-            let db = self.db.read();
-            let mut v = Vec::new();
-            for table in db.tables_sorted() {
-                for (_, row) in table.scan() {
-                    for cell in row {
-                        if let Value::Str(s) = cell {
-                            v.push(s.clone());
-                        }
+        let mut values = Vec::new();
+        for table in self.db.read().tables_sorted() {
+            for (_, row) in table.scan() {
+                for cell in row {
+                    if let Value::Str(s) = cell {
+                        values.push(s.clone());
                     }
                 }
             }
-            v
-        };
+        }
         guard.scan_stored(&values)
     }
 
@@ -512,10 +417,7 @@ impl Server {
     #[must_use]
     pub fn connect(self: &Arc<Self>) -> Connection {
         let id = self.next_session.fetch_add(1, Ordering::Relaxed);
-        Connection {
-            server: Arc::clone(self),
-            session: Arc::new(SessionState::new(id)),
-        }
+        Connection::new(Arc::clone(self), id)
     }
 
     /// Snapshot of the general log.
@@ -529,9 +431,9 @@ impl Server {
     #[must_use]
     pub fn stats(&self) -> ServerStatsSnapshot {
         ServerStatsSnapshot {
-            guard_panics: self.stats.guard_panics.get(),
-            fail_open_passes: self.stats.fail_open_passes.get(),
-            log_drops: self.stats.log_drops.get(),
+            guard_panics: self.metrics.guard_panics.get(),
+            fail_open_passes: self.metrics.fail_open_passes.get(),
+            log_drops: self.metrics.log_drops.get(),
         }
     }
 
@@ -539,7 +441,7 @@ impl Server {
     /// `dbms_*` degradation counters).
     #[must_use]
     pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
+        &self.metrics.registry
     }
 
     /// Merged metrics snapshot: the server's pipeline metrics plus
@@ -548,7 +450,7 @@ impl Server {
     /// `septic_*` counters and stage histograms).
     #[must_use]
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let mut snap = self.metrics.snapshot();
+        let mut snap = self.metrics.registry.snapshot();
         let guard = self.guard.read().clone();
         if let Some(guard_snap) = guard.and_then(|g| g.metrics()) {
             snap.extend(guard_snap);
@@ -577,332 +479,209 @@ impl Server {
     /// this value — the deterministic stand-in for wall-clock stalls.
     #[must_use]
     pub fn simulated_delay_total(&self) -> Duration {
-        Duration::from_micros(self.simulated_total_micros.load(Ordering::Relaxed).max(0) as u64)
+        Duration::from_micros(self.metrics.simulated_us.get())
     }
 
     /// Appends a general-log entry. The outcome is a closure so a dropped
     /// entry (capacity 0) costs a counter bump, not a `format!`.
-    fn log(&self, at: i64, session: u64, sql: &str, outcome: impl FnOnce() -> String) {
+    fn log(&self, req: &Request<'_>, outcome: impl FnOnce() -> String) {
         if self.config.general_log_capacity == 0 {
-            self.stats.log_drops.inc();
+            self.metrics.log_drops.inc();
             return;
         }
         let entry = GeneralLogEntry {
-            at,
-            session,
-            sql: sql.to_string(),
+            at: req.at,
+            session: req.session.id,
+            sql: req.raw_sql.to_string(),
             outcome: outcome(),
         };
         let mut log = self.general_log.lock();
         while log.len() >= self.config.general_log_capacity {
             log.pop_front();
-            self.stats.log_drops.inc();
+            self.metrics.log_drops.inc();
         }
         log.push_back(entry);
     }
 
+    /// Runs one call and ends it: the one place its outcome is logged and
+    /// counted. Admin statements (`SHOW SEPTIC STATUS` / `SHOW SEPTIC
+    /// METRICS`) are answered from telemetry without entering the stages,
+    /// so they work even while the guard is blocking everything else;
+    /// they count for the session but leave no log line.
     fn run(
         &self,
         session: &SessionState,
         raw_sql: &str,
         params: Option<&[Value]>,
     ) -> Result<ExecResult, DbError> {
-        // Admin statements (`SHOW SEPTIC STATUS` / `SHOW SEPTIC METRICS`)
-        // are answered from telemetry without entering the pipeline, so
-        // they work even while the guard is blocking everything else.
-        if params.is_none() {
-            if let Some(result) = self.admin_statement(session, raw_sql) {
-                session.queries_ok.fetch_add(1, Ordering::Relaxed);
-                return Ok(result);
+        let admin = match params {
+            None => self.admin_statement(session, raw_sql),
+            Some(_) => None,
+        };
+        let outcome = match admin {
+            Some(answer) => Ok(answer),
+            None => {
+                let req = Request {
+                    at: self.clock.fetch_add(1, Ordering::Relaxed),
+                    session,
+                    raw_sql,
+                };
+                let outcome = self.run_pipeline(&req, params);
+                self.metrics.record(&outcome);
+                self.log(&req, || match &outcome {
+                    Ok(_) => "ok".to_string(),
+                    Err(DbError::Blocked(reason)) => format!("blocked: {reason}"),
+                    Err(DbError::GuardFailure(what)) => {
+                        format!("guard failure (fail-closed): {what}")
+                    }
+                    Err(e) => format!("error: {e}"),
+                });
+                outcome
             }
-        }
-        let outcome = self.run_pipeline(session, raw_sql, params);
-        match &outcome {
-            Ok(res) => {
-                session.queries_ok.fetch_add(1, Ordering::Relaxed);
-                session
-                    .busy_micros
-                    .fetch_add(as_us(res.elapsed), Ordering::Relaxed);
-                session
-                    .observed_micros
-                    .fetch_add(as_us(res.observed_latency()), Ordering::Relaxed);
-            }
-            Err(DbError::Blocked(_)) => {
-                session.queries_blocked.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => {
-                session.queries_failed.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        };
+        session.record(&outcome);
         outcome
     }
 
-    /// Recognizes and answers the telemetry admin statements. Returns
-    /// `None` for anything else (the statement then takes the normal
-    /// pipeline).
-    fn admin_statement(&self, session: &SessionState, raw_sql: &str) -> Option<ExecResult> {
-        let started = Instant::now();
-        let mut words = raw_sql.trim().trim_end_matches(';').split_whitespace();
-        let mut next_is = |word: &str| words.next().is_some_and(|w| w.eq_ignore_ascii_case(word));
-        if !(next_is("SHOW") && next_is("SEPTIC")) {
-            return None;
-        }
-        let output = match (words.next(), words.next()) {
-            (Some(w), None) if w.eq_ignore_ascii_case("STATUS") => {
-                self.septic_status_output(session)
-            }
-            (Some(w), None) if w.eq_ignore_ascii_case("METRICS") => self.septic_metrics_output(),
-            _ => return None,
-        };
-        Some(ExecResult {
-            outputs: vec![output],
-            elapsed: started.elapsed(),
-            simulated_delay: Duration::ZERO,
-        })
-    }
-
-    /// `SHOW SEPTIC STATUS`: two-column (`Variable_name`, `Value`) rows
-    /// merging the guard's metrics, the server's pipeline metrics and
-    /// the calling session's counters.
-    fn septic_status_output(&self, session: &SessionState) -> QueryOutput {
-        let mut rows: Vec<(String, String)> = Vec::new();
-        let guard = self.guard.read().clone();
-        rows.push((
-            "guard_installed".into(),
-            if guard.is_some() { "yes" } else { "no" }.into(),
-        ));
-        if let Some(guard) = &guard {
-            rows.push(("guard_name".into(), guard.name().to_string()));
-            if let Some(snap) = guard.metrics() {
-                push_metric_rows(&mut rows, &snap);
-            }
-        }
-        push_metric_rows(&mut rows, &self.metrics.snapshot());
-        rows.push(("session_id".into(), session.id.to_string()));
-        rows.push((
-            "session_queries_ok".into(),
-            session.queries_ok.load(Ordering::Relaxed).to_string(),
-        ));
-        rows.push((
-            "session_queries_blocked".into(),
-            session.queries_blocked.load(Ordering::Relaxed).to_string(),
-        ));
-        rows.push((
-            "session_queries_failed".into(),
-            session.queries_failed.load(Ordering::Relaxed).to_string(),
-        ));
-        rows.push((
-            "session_busy_us".into(),
-            session.busy_micros.load(Ordering::Relaxed).to_string(),
-        ));
-        rows.push((
-            "session_observed_us".into(),
-            session.observed_micros.load(Ordering::Relaxed).to_string(),
-        ));
-        QueryOutput {
-            columns: vec!["Variable_name".into(), "Value".into()],
-            rows: rows
-                .into_iter()
-                .map(|(k, v)| vec![Value::from(k.as_str()), Value::from(v.as_str())])
-                .collect(),
-            ..QueryOutput::default()
-        }
-    }
-
-    /// `SHOW SEPTIC METRICS`: the merged Prometheus export, one text
-    /// line per row — a scrape endpoint reachable through SQL.
-    fn septic_metrics_output(&self) -> QueryOutput {
-        QueryOutput {
-            columns: vec!["metric".into()],
-            rows: self
-                .prometheus()
-                .lines()
-                .map(|line| vec![Value::from(line)])
-                .collect(),
-            ..QueryOutput::default()
-        }
-    }
-
+    /// The stages, in order; the first refusal ends the call.
     fn run_pipeline(
         &self,
-        session_state: &SessionState,
-        raw_sql: &str,
+        req: &Request<'_>,
         params: Option<&[Value]>,
     ) -> Result<ExecResult, DbError> {
         let started = Instant::now();
-        let session = session_state.id;
-        let at = self.clock.fetch_add(1, Ordering::Relaxed);
-
-        // 1. connection-charset decoding (the semantic-mismatch step).
-        //    Prepared-statement *templates* are programmer text and decode
-        //    harmlessly; bound values never pass through here.
-        let decoded = charset::decode(raw_sql);
-
-        // 2. parse
-        let t = Instant::now();
-        let parse_result = parse(&decoded.text);
-        self.pipeline.parse.record_us(span_us(t));
-        let mut parsed = match parse_result {
-            Ok(p) => p,
-            Err(e) => {
-                if matches!(e, ParseError::TooDeep { .. }) {
-                    self.expr_depth_refusals.inc();
-                }
-                self.log(at, session, raw_sql, || format!("error: {e}"));
-                return Err(e.into());
-            }
-        };
-        if parsed.statements.len() > 1 && (!self.config.allow_multi_statements || params.is_some())
-        {
-            let err = DbError::Semantic("multi-statement queries are disabled".into());
-            self.log(at, session, raw_sql, || format!("error: {err}"));
-            return Err(err);
-        }
-
-        // 2b. server-side parameter binding (prepared statements)
-        if let Some(values) = params {
-            for stmt in &mut parsed.statements {
-                match crate::bind::bind_params(stmt, values) {
-                    Ok(bound) => *stmt = bound,
-                    Err(e) => {
-                        self.log(at, session, raw_sql, || format!("error: {e}"));
-                        return Err(e);
-                    }
-                }
-            }
-        }
-
-        // 3. validate (DBMS-side name checks — runs before the guard, as in
-        //    the paper's "Q received, parsed & validated by the DBMS").
-        //    Inside an open transaction names resolve against its working
-        //    snapshot: a table created in the transaction is visible to it.
-        {
-            let txn = session_state.txn.lock();
-            let master;
-            let view: &Database = match txn.as_ref() {
-                Some(t) => &t.working,
-                None => {
-                    master = self.db.read();
-                    &master
-                }
-            };
-            for stmt in &parsed.statements {
-                if let Err(e) = validate(view, stmt) {
-                    self.log(at, session, raw_sql, || format!("error: {e}"));
-                    return Err(e);
-                }
-            }
-        }
-
-        // 4. lower to the item stack (the QS build)
-        let t = Instant::now();
-        let stack = items::lower_all(&parsed.statements);
-        self.pipeline.qs_build.record_us(span_us(t));
-
-        // 5+6. guard (SEPTIC hook): user data of INSERT/UPDATE statements
-        //       is gathered only when a guard is installed.
-        let guard = self.guard.read().clone();
-        if let Some(guard) = guard {
-            let guard_started = Instant::now();
-            let mut write_data: Vec<String> = Vec::new();
-            for stmt in &parsed.statements {
-                collect_write_data(stmt, &mut write_data);
-            }
-            let ctx = QueryContext {
-                raw_sql,
-                decoded_sql: &decoded.text,
-                statements: &parsed.statements,
-                stack: &stack,
-                comments: &parsed.comments,
-                trailing_line_comment: parsed.trailing_line_comment,
-                write_data: &write_data,
-            };
-            // The guard runs inside `catch_unwind`: a buggy detector must
-            // degrade per its failure policy, never crash the engine.
-            let inspected = catch_unwind(AssertUnwindSafe(|| guard.inspect(&ctx)));
-            self.pipeline.guard.record_us(span_us(guard_started));
-            match inspected {
-                Ok(GuardDecision::Proceed) => {}
-                Ok(GuardDecision::Block(reason)) => {
-                    self.log(at, session, raw_sql, || format!("blocked: {reason}"));
-                    return Err(DbError::Blocked(reason));
-                }
-                Err(payload) => {
-                    self.stats.guard_panics.inc();
-                    let what = panic_message(payload.as_ref());
-                    // The policy query runs isolated too — the guard that
-                    // just panicked may panic again; then the safe default
-                    // (fail-closed) applies.
-                    let policy = catch_unwind(AssertUnwindSafe(|| guard.failure_policy()))
-                        .unwrap_or(FailurePolicy::FailClosed);
-                    match policy {
-                        FailurePolicy::FailClosed => {
-                            let reason = format!("guard '{}' panicked: {what}", guard.name());
-                            self.log(at, session, raw_sql, || {
-                                format!("guard failure (fail-closed): {what}")
-                            });
-                            return Err(DbError::GuardFailure(reason));
-                        }
-                        FailurePolicy::FailOpen => {
-                            self.stats.fail_open_passes.inc();
-                            self.log(at, session, raw_sql, || {
-                                format!("guard failure (fail-open): {what}")
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        drop(stack);
-
-        // 7. execute — pure-SELECT calls run under the shared read lock so
-        //    parallel sessions overlap; autocommit writes serialize on the
-        //    write lock (and reach the durability backend before being
-        //    acknowledged); anything touching an open transaction runs
-        //    against the session's MVCC snapshot instead.
-        let t = Instant::now();
-        let cache = Some(&self.program_cache);
-        let mut txn = session_state.txn.lock();
-        let executed: Result<Vec<QueryOutput>, DbError> =
-            if txn.is_some() || parsed.statements.iter().any(Statement::is_txn_control) {
-                self.execute_transactional(&mut txn, &parsed.statements, at)
-            } else if parsed.statements.iter().all(is_read_only) {
-                let db = self.db.read();
-                parsed
-                    .statements
-                    .iter()
-                    .map(|stmt| execute_read_with(&db, stmt, at, cache))
-                    .collect()
-            } else {
-                self.execute_autocommit(&parsed.statements, at)
-            };
-        drop(txn);
-        self.pipeline.execute.record_us(span_us(t));
-        let outputs = match executed {
-            Ok(outputs) => outputs,
-            Err(e) => {
-                self.log(at, session, raw_sql, || format!("error: {e}"));
-                return Err(e);
-            }
-        };
-        let mut simulated = Duration::ZERO;
-        let (mut examined, mut returned) = (0, 0);
-        for out in &outputs {
-            examined += out.effects.rows_examined;
-            returned += out.rows.len() as u64;
-            let delay = Duration::from_secs_f64(out.effects.sleep_seconds);
-            simulated += delay;
-            self.simulated_total_micros
-                .fetch_add(delay.as_micros() as i64, Ordering::Relaxed);
-        }
-        self.rows_examined.add(examined);
-        self.rows_returned.add(returned);
-        self.log(at, session, raw_sql, || "ok".to_string());
+        let (decoded, parsed) = self.parse_stage(req, params)?;
+        let parsed = bind_stage(parsed, params)?;
+        self.validate_stage(req, &parsed.statements)?;
+        self.guard_stage(req, &decoded, &parsed)?;
+        let outputs = self.execute_stage(req, &parsed.statements)?;
+        let simulated_delay = outputs
+            .iter()
+            .map(|out| Duration::from_secs_f64(out.effects.sleep_seconds))
+            .sum();
         Ok(ExecResult {
             outputs,
             elapsed: started.elapsed(),
-            simulated_delay: simulated,
+            simulated_delay,
         })
+    }
+
+    /// Connection-charset decoding (the semantic-mismatch step), then the
+    /// parse. Prepared-statement *templates* are programmer text and
+    /// decode harmlessly; bound values never pass through here. Returns
+    /// the decoded text with the statements.
+    fn parse_stage(
+        &self,
+        req: &Request<'_>,
+        params: Option<&[Value]>,
+    ) -> Result<(String, Parsed), DbError> {
+        let decoded = charset::decode(req.raw_sql).text;
+        let t = Instant::now();
+        let parsed = parse(&decoded);
+        self.metrics.parse_us.record(t.elapsed());
+        let parsed = parsed?;
+        let stacked = parsed.statements.len() > 1;
+        if stacked && (!self.config.allow_multi_statements || params.is_some()) {
+            return Err(DbError::Semantic(
+                "multi-statement queries are disabled".into(),
+            ));
+        }
+        Ok((decoded, parsed))
+    }
+
+    /// DBMS-side name checks — before the guard, as in the paper's "Q
+    /// received, parsed & validated by the DBMS". Inside an open
+    /// transaction names resolve against its working snapshot: a table
+    /// created in the transaction is visible to it.
+    fn validate_stage(&self, req: &Request<'_>, statements: &[Statement]) -> Result<(), DbError> {
+        let txn = req.session.txn.lock();
+        let master;
+        let view: &Database = match txn.as_ref() {
+            Some(t) => &t.working,
+            None => {
+                master = self.db.read();
+                &master
+            }
+        };
+        statements.iter().try_for_each(|stmt| validate(view, stmt))
+    }
+
+    /// The SEPTIC hook: lowers the statements to the item stack (the QS
+    /// build) and hands the installed guard everything it may inspect,
+    /// user data of INSERT/UPDATE included. The guard runs inside
+    /// `catch_unwind`: a buggy detector degrades per its failure policy,
+    /// never crashes the engine.
+    fn guard_stage(
+        &self,
+        req: &Request<'_>,
+        decoded: &str,
+        parsed: &Parsed,
+    ) -> Result<(), DbError> {
+        let t = Instant::now();
+        let stack = items::lower_all(&parsed.statements);
+        self.metrics.qs_build_us.record(t.elapsed());
+        let Some(guard) = self.guard.read().clone() else {
+            return Ok(());
+        };
+        let t = Instant::now();
+        let write_data = write_data(&parsed.statements);
+        let ctx = QueryContext {
+            raw_sql: req.raw_sql,
+            decoded_sql: decoded,
+            statements: &parsed.statements,
+            stack: &stack,
+            comments: &parsed.comments,
+            trailing_line_comment: parsed.trailing_line_comment,
+            write_data: &write_data,
+        };
+        let inspected = catch_unwind(AssertUnwindSafe(|| guard.inspect(&ctx)));
+        self.metrics.guard_us.record(t.elapsed());
+        let what = match inspected {
+            Ok(GuardDecision::Proceed) => return Ok(()),
+            Ok(GuardDecision::Block(reason)) => return Err(DbError::Blocked(reason)),
+            Err(payload) => panic_message(payload.as_ref()),
+        };
+        self.metrics.guard_panics.inc();
+        // The policy query runs isolated too — the guard that just panicked
+        // may panic again; then the safe default (fail-closed) applies.
+        let policy = catch_unwind(AssertUnwindSafe(|| guard.failure_policy()))
+            .unwrap_or(FailurePolicy::FailClosed);
+        if policy == FailurePolicy::FailClosed {
+            let reason = format!("guard '{}' panicked: {what}", guard.name());
+            return Err(DbError::GuardFailure(reason));
+        }
+        self.metrics.fail_open_passes.inc();
+        self.log(req, || format!("guard failure (fail-open): {what}"));
+        Ok(())
+    }
+
+    /// Pure-SELECT calls run under the shared read lock so parallel
+    /// sessions overlap; autocommit writes serialize on the write lock and
+    /// reach the durability backend before being acknowledged; anything
+    /// touching an open transaction runs against the session's MVCC
+    /// snapshot instead.
+    fn execute_stage(
+        &self,
+        req: &Request<'_>,
+        statements: &[Statement],
+    ) -> Result<Vec<QueryOutput>, DbError> {
+        let t = Instant::now();
+        let mut txn = req.session.txn.lock();
+        let executed = if txn.is_some() || statements.iter().any(Statement::is_txn_control) {
+            self.execute_transactional(&mut txn, statements, req.at)
+        } else if statements.iter().all(is_read_only) {
+            let db = self.db.read();
+            let cache = Some(&self.program_cache);
+            statements
+                .iter()
+                .map(|stmt| execute_read_with(&db, stmt, req.at, cache))
+                .collect()
+        } else {
+            self.execute_autocommit(statements, req.at)
+        };
+        drop(txn);
+        self.metrics.execute_us.record(t.elapsed());
+        executed
     }
 
     /// Executes one statement on `db` — the master under the write lock, or
@@ -917,9 +696,8 @@ impl Server {
     ) -> Result<QueryOutput, DbError> {
         let copies = db.cow_table_copies();
         let result = execute_logged(db, stmt, at, Some(&self.program_cache), undo);
-        self.write_stats
-            .cow_table_copies
-            .add(db.cow_table_copies() - copies);
+        let copied = db.cow_table_copies() - copies;
+        self.metrics.cow_table_copies.add(copied);
         result
     }
 
@@ -936,7 +714,7 @@ impl Server {
         let mark = undo.mark();
         let result = self.execute_counted(db, undo, stmt, at);
         if result.is_err() {
-            undo_to(db, undo, mark, &self.write_stats.statement_rollbacks);
+            undo_to(db, undo, mark, &self.metrics.statement_rollbacks);
         }
         result
     }
@@ -946,181 +724,78 @@ impl Server {
     /// their effects) and a statement that fails leaves nothing behind: a
     /// multi-row write that dies on its second row is undone to the
     /// statement's own start, or its first row would be live here and,
-    /// never logged, gone after recovery. The successful writes are handed
-    /// to the durability backend *before* the call is acknowledged; if
-    /// logging fails, the whole call is undone so the server never
-    /// acknowledges state the WAL has not seen. Statements run in place on
-    /// the master under the write lock, with one undo log for the call; no
-    /// table is copied unless an open transaction's snapshot shares it.
+    /// never logged, gone after recovery. The successful writes then go
+    /// through [`Server::commit`] before the call is acknowledged.
+    /// Statements run in place on the master under the write lock, with
+    /// one undo log for the call; no table is copied unless an open
+    /// transaction's snapshot shares it.
     fn execute_autocommit(
         &self,
         statements: &[Statement],
         at: i64,
     ) -> Result<Vec<QueryOutput>, DbError> {
-        let storage = self.storage.read().clone();
         let mut db = self.db.write();
         let mut undo = UndoLog::new();
         let mut outputs = Vec::with_capacity(statements.len());
-        let mut redo: Vec<WalStmt> = Vec::new();
-        let mut failed: Option<DbError> = None;
+        let mut failed = None;
         for stmt in statements {
             match self.execute_atomic(&mut db, &mut undo, stmt, at) {
-                Ok(out) => {
-                    if !is_read_only(stmt) {
-                        redo.push(WalStmt {
-                            now: at,
-                            sql: stmt.to_string(),
-                        });
-                    }
-                    outputs.push(out);
-                }
+                Ok(out) => outputs.push(out),
                 Err(e) => {
                     failed = Some(e);
                     break;
                 }
             }
         }
-        if !redo.is_empty() {
-            if let Err(e) = storage.log_commit(redo) {
-                undo_to(
-                    &mut db,
-                    &mut undo,
-                    0,
-                    &self.write_stats.log_failure_rollbacks,
-                );
-                return Err(e);
-            }
-            storage.after_commit(&db, at);
-        }
-        match failed {
-            Some(e) => Err(e),
-            None => Ok(outputs),
-        }
+        let done = statements[..outputs.len()].iter();
+        let writes = done
+            .filter(|stmt| !is_read_only(stmt))
+            .map(|stmt| (stmt, at));
+        self.commit(&mut db, &mut undo, writes, at)?;
+        failed.map_or(Ok(outputs), Err)
     }
 
-    /// Execution with transaction control in play: `BEGIN` snapshots the
-    /// database, in-transaction statements run against the session's
-    /// private snapshot (writes buffered for replay), `COMMIT` publishes
-    /// and `ROLLBACK` discards. Each in-transaction statement is atomic:
-    /// it runs in place on the snapshot and is undone if it fails.
-    fn execute_transactional(
+    /// The one commit path, for autocommit calls and `COMMIT` alike:
+    /// hands the writes applied to the master (each with the `NOW()` it
+    /// executed under, so redo is deterministic) to the durability
+    /// backend, still under the write lock, so log order is apply order.
+    /// If the backend refuses them, everything `undo` recorded is undone
+    /// and the server never acknowledges state the WAL has not seen.
+    fn commit<'s>(
         &self,
-        txn: &mut Option<Txn>,
-        statements: &[Statement],
+        db: &mut Database,
+        undo: &mut UndoLog,
+        writes: impl Iterator<Item = (&'s Statement, i64)>,
         at: i64,
-    ) -> Result<Vec<QueryOutput>, DbError> {
-        let cache = Some(&self.program_cache);
-        let mut outputs = Vec::with_capacity(statements.len());
-        for stmt in statements {
-            match stmt {
-                Statement::Begin => {
-                    // MySQL: starting a transaction implicitly commits
-                    // the one already open.
-                    if let Some(open) = txn.take() {
-                        self.commit_txn(open)?;
-                    }
-                    *txn = Some(Txn {
-                        working: self.db.read().snapshot(),
-                        redo: Vec::new(),
-                    });
-                    self.txn_stats.begins.inc();
-                    outputs.push(QueryOutput::default());
-                }
-                Statement::Commit => {
-                    // COMMIT with no open transaction is a no-op (MySQL).
-                    if let Some(open) = txn.take() {
-                        self.commit_txn(open)?;
-                    }
-                    outputs.push(QueryOutput::default());
-                }
-                Statement::Rollback => {
-                    if txn.take().is_some() {
-                        self.txn_stats.rollbacks.inc();
-                    }
-                    outputs.push(QueryOutput::default());
-                }
-                other => {
-                    if let Some(open) = txn.as_mut() {
-                        if is_read_only(other) {
-                            outputs.push(execute_read_with(&open.working, other, at, cache)?);
-                        } else {
-                            // The snapshot is private, so a statement that
-                            // succeeded needs no rollback point: its log
-                            // is dropped with the statement.
-                            let mut undo = UndoLog::new();
-                            let out =
-                                self.execute_atomic(&mut open.working, &mut undo, other, at)?;
-                            open.redo.push(BufferedWrite {
-                                stmt: other.clone(),
-                                wal: WalStmt {
-                                    now: at,
-                                    sql: other.to_string(),
-                                },
-                            });
-                            outputs.push(out);
-                        }
-                    } else {
-                        // e.g. `COMMIT; SELECT 1` — past the control
-                        // statements the session is back in autocommit.
-                        outputs.extend(self.execute_autocommit(std::slice::from_ref(other), at)?);
-                    }
-                }
-            }
-        }
-        Ok(outputs)
-    }
-
-    /// Publishes a transaction: re-executes its buffered writes in place
-    /// on the *current* master under the write lock (each with the `NOW()`
-    /// it originally observed, so replay is deterministic) and hands the
-    /// batch to the durability backend before releasing the lock. A
-    /// buffered write that no longer applies aborts the commit with
-    /// [`DbError::TxnAborted`] (first-committer-wins); that, or a backend
-    /// that refuses the batch, undoes every write already re-executed, so
-    /// the master is left exactly as it was.
-    fn commit_txn(&self, txn: Txn) -> Result<(), DbError> {
-        // The private snapshot goes first: while it lives, every table it
-        // did not write is shared with the master and would be copied by a
-        // buffered write that touches it only now.
-        let Txn { working, redo } = txn;
-        drop(working);
+    ) -> Result<(), DbError> {
+        let redo: Vec<WalStmt> = writes
+            .map(|(stmt, now)| WalStmt {
+                now,
+                sql: stmt.to_string(),
+            })
+            .collect();
         if redo.is_empty() {
-            self.txn_stats.commits.inc();
             return Ok(());
         }
-        let storage = self.storage.read().clone();
-        let mut db = self.db.write();
-        let mut undo = UndoLog::new();
-        for buffered in &redo {
-            if let Err(e) =
-                self.execute_counted(&mut db, &mut undo, &buffered.stmt, buffered.wal.now)
-            {
-                undo_to(
-                    &mut db,
-                    &mut undo,
-                    0,
-                    &self.write_stats.txn_conflict_rollbacks,
-                );
-                self.txn_stats.conflicts.inc();
-                return Err(DbError::TxnAborted(format!(
-                    "`{}` no longer applies: {e}",
-                    buffered.wal.sql
-                )));
-            }
-        }
-        if let Err(e) = storage.log_commit(redo.iter().map(|b| b.wal.clone()).collect()) {
-            undo_to(
-                &mut db,
-                &mut undo,
-                0,
-                &self.write_stats.log_failure_rollbacks,
-            );
+        if let Err(e) = self.storage.log_commit(redo) {
+            undo_to(db, undo, 0, &self.metrics.log_failure_rollbacks);
             return Err(e);
         }
-        storage.after_commit(&db, self.clock.load(Ordering::Relaxed));
-        self.txn_stats.commits.inc();
+        self.storage.after_commit(db, at);
         Ok(())
     }
+}
+
+/// Binds a prepared call's `?` placeholders server-side: the values never
+/// enter query text. (A prepared call is one statement: the parse stage
+/// refuses stacked ones.)
+fn bind_stage(mut parsed: Parsed, params: Option<&[Value]>) -> Result<Parsed, DbError> {
+    if let Some(values) = params {
+        for stmt in &mut parsed.statements {
+            *stmt = bind_params(stmt, values)?;
+        }
+    }
+    Ok(parsed)
 }
 
 /// Undoes what `undo` recorded after `mark` and counts the rollback under
@@ -1128,42 +803,6 @@ impl Server {
 fn undo_to(db: &mut Database, undo: &mut UndoLog, mark: usize, reason: &Counter) {
     if db.rollback(undo, mark) > 0 {
         reason.inc();
-    }
-}
-
-impl Default for Server {
-    fn default() -> Self {
-        Self::build(ServerConfig::default())
-    }
-}
-
-/// Formats a metrics snapshot as (`Variable_name`, `Value`) rows:
-/// counters verbatim, histograms as `<base>_count` / `_p50_us` /
-/// `_p95_us` / `_p99_us` with any `{stage="…"}` label folded into the
-/// variable name.
-fn push_metric_rows(rows: &mut Vec<(String, String)>, snap: &MetricsSnapshot) {
-    for c in &snap.counters {
-        rows.push((c.name.clone(), c.value.to_string()));
-    }
-    for h in &snap.histograms {
-        let base = metric_base_name(&h.name);
-        rows.push((format!("{base}_count"), h.count.to_string()));
-        rows.push((format!("{base}_p50_us"), h.percentile_us(50.0).to_string()));
-        rows.push((format!("{base}_p95_us"), h.percentile_us(95.0).to_string()));
-        rows.push((format!("{base}_p99_us"), h.percentile_us(99.0).to_string()));
-    }
-}
-
-/// `septic_stage_duration_microseconds{stage="inspect"}` →
-/// `septic_stage_inspect`; label-less names pass through unchanged.
-fn metric_base_name(name: &str) -> String {
-    let family = name.split('{').next().unwrap_or(name);
-    match label_value(name, "stage") {
-        Some(stage) => format!(
-            "{}_{stage}",
-            family.trim_end_matches("_duration_microseconds")
-        ),
-        None => family.to_string(),
     }
 }
 
@@ -1176,121 +815,28 @@ impl std::fmt::Debug for Server {
     }
 }
 
-/// Extracts string literals from `INSERT`/`UPDATE` statements (the user
-/// inputs stored-injection plugins scan).
-fn collect_write_data(stmt: &Statement, out: &mut Vec<String>) {
-    match stmt {
-        Statement::Insert(i) => {
-            if let InsertSource::Values(rows) = &i.source {
-                for row in rows {
-                    for e in row {
-                        let mut lits = Vec::new();
+/// The string literals of `INSERT` values and `UPDATE` assignments: the
+/// user inputs stored-injection plugins scan.
+fn write_data(statements: &[Statement]) -> Vec<String> {
+    let mut lits = Vec::new();
+    for stmt in statements {
+        match stmt {
+            Statement::Insert(i) => {
+                if let InsertSource::Values(rows) = &i.source {
+                    for e in rows.iter().flatten() {
                         e.collect_string_literals(&mut lits);
-                        out.extend(lits.into_iter().map(String::from));
                     }
                 }
             }
-        }
-        Statement::Update(u) => {
-            for (_, e) in &u.assignments {
-                let mut lits = Vec::new();
-                e.collect_string_literals(&mut lits);
-                out.extend(lits.into_iter().map(String::from));
+            Statement::Update(u) => {
+                for (_, e) in &u.assignments {
+                    e.collect_string_literals(&mut lits);
+                }
             }
-        }
-        _ => {}
-    }
-}
-
-/// A client connection to a [`Server`] — one *session*. Cloning shares the
-/// session (id and counters); call [`Server::connect`] again for a fresh
-/// session. Sessions are `Send`: move each to its own thread for a
-/// session-per-thread front end over the shared database and guard.
-#[derive(Clone)]
-pub struct Connection {
-    server: Arc<Server>,
-    session: Arc<SessionState>,
-}
-
-impl Connection {
-    /// Runs a query through the full pipeline.
-    ///
-    /// # Errors
-    ///
-    /// Parse, validation, constraint, runtime errors — or
-    /// [`DbError::Blocked`] when the guard drops the query.
-    pub fn execute(&self, sql: &str) -> Result<ExecResult, DbError> {
-        self.server.run(&self.session, sql, None)
-    }
-
-    /// Runs a prepared statement: `?` placeholders in the template are
-    /// bound server-side to `params` — the values never enter query text,
-    /// so neither charset decoding nor quote processing applies to them.
-    ///
-    /// # Errors
-    ///
-    /// As [`Connection::execute`], plus parameter-count mismatches.
-    pub fn execute_prepared(&self, sql: &str, params: &[Value]) -> Result<ExecResult, DbError> {
-        self.server.run(&self.session, sql, Some(params))
-    }
-
-    /// Convenience: prepared execution returning the last output.
-    ///
-    /// # Errors
-    ///
-    /// As [`Connection::execute_prepared`].
-    pub fn query_prepared(&self, sql: &str, params: &[Value]) -> Result<QueryOutput, DbError> {
-        let mut result = self.server.run(&self.session, sql, Some(params))?;
-        Ok(result.outputs.pop().unwrap_or_default())
-    }
-
-    /// Convenience: run and return the last statement's output.
-    ///
-    /// # Errors
-    ///
-    /// As [`Connection::execute`].
-    pub fn query(&self, sql: &str) -> Result<QueryOutput, DbError> {
-        let mut result = self.server.run(&self.session, sql, None)?;
-        Ok(result.outputs.pop().unwrap_or_default())
-    }
-
-    /// This session's id (stamped on its general-log entries).
-    #[must_use]
-    pub fn session_id(&self) -> u64 {
-        self.session.id
-    }
-
-    /// True while this session has an open transaction (`BEGIN` seen,
-    /// no `COMMIT`/`ROLLBACK` yet).
-    #[must_use]
-    pub fn in_transaction(&self) -> bool {
-        self.session.txn.lock().is_some()
-    }
-
-    /// Snapshot of this session's outcome counters.
-    #[must_use]
-    pub fn session_stats(&self) -> SessionSnapshot {
-        SessionSnapshot {
-            id: self.session.id,
-            queries_ok: self.session.queries_ok.load(Ordering::Relaxed),
-            queries_blocked: self.session.queries_blocked.load(Ordering::Relaxed),
-            queries_failed: self.session.queries_failed.load(Ordering::Relaxed),
-            busy_us: self.session.busy_micros.load(Ordering::Relaxed),
-            observed_us: self.session.observed_micros.load(Ordering::Relaxed),
+            _ => {}
         }
     }
-
-    /// The server this connection talks to.
-    #[must_use]
-    pub fn server(&self) -> &Arc<Server> {
-        &self.server
-    }
-}
-
-impl std::fmt::Debug for Connection {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Connection").finish_non_exhaustive()
-    }
+    lits.into_iter().map(String::from).collect()
 }
 
 #[cfg(test)]

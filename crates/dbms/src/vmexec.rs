@@ -24,15 +24,29 @@
 //! `execute_read_with(.., None)` walker is the readable reference the
 //! differential tests compare against.
 //!
-//! The walker runs in production only for expressions `compile_expr`
-//! rejects, a choice read off the statement itself: aggregate calls (so a
-//! HAVING or projection item that contains one walks down to the call,
-//! whose argument is compiled again), subqueries (`IN (SELECT …)`,
-//! `EXISTS`, scalar subqueries — hence every correlated subquery), unbound
-//! `?` parameters, and `IN` lists containing non-literal members (the
-//! walker early-returns on the first hit, so pre-evaluating the members
-//! could diverge on side effects or errors). `tests/vm_cache.rs` pins this
-//! boundary construct by construct.
+//! The walker runs in production in two kinds of place, both read off the
+//! statement itself. The first is every expression `compile_expr`
+//! rejects: aggregate calls (so a projection item that contains one walks
+//! down to the call, whose argument is compiled again), subqueries
+//! (`IN (SELECT …)`, `EXISTS`, scalar subqueries — hence every correlated
+//! subquery), unbound `?` parameters, and `IN` lists containing
+//! non-literal members (the walker early-returns on the first hit, so
+//! pre-evaluating the members could diverge on side effects or errors).
+//! `tests/vm_cache.rs` pins this boundary construct by construct.
+//!
+//! The second is four sites that call [`crate::exec::eval`] directly and
+//! never offer their expression to the compiler. None runs per row
+//! scanned:
+//!
+//! * HAVING (`select.rs`, `emit_stage`): once per group, and a HAVING
+//!   condition almost always holds an aggregate, which would fall back
+//!   anyway;
+//! * ORDER BY keys (`select.rs`, `order_key`): once per output row, after
+//!   the projection (a positional key evaluates nothing);
+//! * INSERT … VALUES (`exec.rs`, `run_insert`): once per value, mostly
+//!   literals, with no per-row loop for a program to amortise;
+//! * UPDATE … SET (`exec.rs`, `run_update`): once per matched row, after
+//!   the compiled WHERE has chosen it.
 
 use std::cmp::Ordering;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};

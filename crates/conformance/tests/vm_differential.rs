@@ -285,6 +285,29 @@ fn errors_and_sleep_keep_their_stage_order_on_both_engines() {
             "SELECT k, SUM(SLEEP(1)) FROM g WHERE SLEEP(1) = 0 GROUP BY k HAVING SUM(SLEEP(1)) = 0",
             "sleep=21",
         ),
+        // A decided AND / OR still evaluates a right side that can sleep
+        // or fail: only a total one may be skipped.
+        (
+            "SELECT id FROM g WHERE id < 0 AND SLEEP(1) = 0",
+            "rows=[] affected=0 last_id=None sleep=7",
+        ),
+        ("SELECT id FROM g WHERE id > 0 OR SLEEP(1) = 0", "sleep=7"),
+        (
+            "SELECT id FROM g WHERE id < 0 AND ghost5 = 1",
+            "UnknownColumn(\"ghost5\")",
+        ),
+        // A skipped side leaves the host's false / true, never the left
+        // operand; a NULL left decides nothing.
+        (
+            "SELECT 0.0 AND 1, 'abc' AND 1, NULL AND 1, NULL AND 0, 2 OR n, NULL OR 0 FROM g",
+            "rows=[[Int(0), Int(0), Null, Int(0), Int(1), Null], \
+             [Int(0), Int(0), Null, Int(0), Int(1), Null], \
+             [Int(0), Int(0), Null, Int(0), Int(1), Null], \
+             [Int(0), Int(0), Null, Int(0), Int(1), Null], \
+             [Int(0), Int(0), Null, Int(0), Int(1), Null], \
+             [Int(0), Int(0), Null, Int(0), Int(1), Null], \
+             [Int(0), Int(0), Null, Int(0), Int(1), Null]] affected=",
+        ),
     ];
     for (select, fragment) in cases {
         let got = grouping_outcome(select);

@@ -480,10 +480,12 @@ pub(crate) fn apply_unary(op: UnaryOp, v: &Value) -> Value {
 
 /// Applies a binary operator to evaluated operands — the single
 /// implementation of MySQL's coercion and three-valued logic, shared by
-/// walker and VM (see [`apply_unary`]). `AND`/`OR`/`XOR` evaluate both
-/// sides in MySQL (no short-circuit), so taking evaluated operands here
-/// matches the walker exactly. Operands are only read: the VM passes
-/// cells and literals where they lie.
+/// walker and VM (see [`apply_unary`]). The walker evaluates both sides
+/// of `AND`/`OR`/`XOR` and passes them here; a compiled program skips the
+/// right side only where it is total and the left one decides, pushing
+/// what this function returns for that left value whatever the right is
+/// (`Int(0)` / `Int(1)`), which no result can tell apart. Operands are
+/// only read: the VM passes cells and literals where they lie.
 pub(crate) fn apply_binary(op: BinaryOp, l: &Value, r: &Value) -> Value {
     use BinaryOp::*;
     // Logical operators need MySQL's three-valued logic.

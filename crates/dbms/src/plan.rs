@@ -44,7 +44,7 @@ use crate::exec::Binding;
 use crate::expr::is_aggregate;
 use crate::storage::{Database, PkKey, Row};
 use crate::value::Value;
-use crate::vmexec::{literal_value, resolve_column};
+use crate::vmexec::{is_total, literal_value, resolve_column};
 
 /// How a source reads its table (see the module comment).
 #[derive(Debug, PartialEq)]
@@ -346,39 +346,6 @@ fn probe_expr<'a>(on: &'a Expr, layout: &[Binding<'_>]) -> Option<&'a Expr> {
         pk_equated(conjunct, layout, joined).filter(|probe| is_total(probe, layout, joined))
     })?;
     is_total(on, layout, layout.len()).then_some(probe)
-}
-
-/// True when evaluating `expr` on a row of `layout` can neither fail nor
-/// have a side effect, and reads only `layout[..bindings]`: literals,
-/// columns that resolve there, and operators over them.
-fn is_total(expr: &Expr, layout: &[Binding<'_>], bindings: usize) -> bool {
-    let total = |e: &Expr| is_total(e, layout, bindings);
-    match expr {
-        Expr::Literal(_) => true,
-        Expr::Column { table, name } => resolve_column(layout, table.as_deref(), name)
-            .is_some_and(|(binding, _)| usize::from(binding) < bindings),
-        Expr::Unary { operand, .. } => total(operand),
-        Expr::Binary { left, right, .. } => total(left) && total(right),
-        Expr::IsNull { expr, .. } => total(expr),
-        Expr::InList { expr, list, .. } => total(expr) && list.iter().all(total),
-        Expr::Between {
-            expr, low, high, ..
-        } => total(expr) && total(low) && total(high),
-        Expr::Case {
-            operand,
-            branches,
-            else_branch,
-        } => {
-            operand.as_deref().is_none_or(total)
-                && branches.iter().all(|(w, t)| total(w) && total(t))
-                && else_branch.as_deref().is_none_or(total)
-        }
-        Expr::Param
-        | Expr::Function { .. }
-        | Expr::InSelect { .. }
-        | Expr::Subquery(_)
-        | Expr::Exists { .. } => false,
-    }
 }
 
 /// Renders the full plan of a statement's SELECT arms (UNION arms are

@@ -657,14 +657,15 @@ fn emit_groups(
     Ok(())
 }
 
-/// LIMIT/OFFSET over the emitted rows.
-fn limit_stage(plan: &SelectPlan<'_>, result: Vec<Row>) -> Vec<Row> {
+/// LIMIT/OFFSET over the emitted rows, which move: none is copied.
+fn limit_stage(plan: &SelectPlan<'_>, mut result: Vec<Row>) -> Vec<Row> {
     let Some(limit) = plan.limit else {
         return result;
     };
     let start = (limit.offset as usize).min(result.len());
-    let end = start.saturating_add(limit.count as usize).min(result.len());
-    result[start..end].to_vec()
+    result.truncate(start.saturating_add(limit.count as usize));
+    result.drain(..start);
+    result
 }
 
 /// ORDER BY key: positional `ORDER BY 2` picks the projected column (the

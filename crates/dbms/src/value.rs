@@ -167,20 +167,20 @@ impl From<String> for Value {
 /// [`folded_chars_cmp`] over what is left from the first non-ASCII byte
 /// of either side on. An ASCII character lower-cases to one ASCII
 /// character, so up to there the two orderings read the same sequence,
-/// and the split falls on a character boundary of both strings.
+/// and the split falls on a character boundary of both strings. A side
+/// that ends first is a prefix of the other, and every character folds
+/// to at least one: the shorter string sorts first.
 fn case_insensitive_cmp(a: &str, b: &str) -> Ordering {
-    let ascii = a
-        .bytes()
-        .zip(b.bytes())
-        .take_while(|(x, y)| x.is_ascii() && y.is_ascii());
-    let mut same = 0;
-    for (x, y) in ascii {
+    for (i, (x, y)) in a.bytes().zip(b.bytes()).enumerate() {
+        if !(x.is_ascii() && y.is_ascii()) {
+            return folded_chars_cmp(&a[i..], &b[i..]);
+        }
         match x.to_ascii_lowercase().cmp(&y.to_ascii_lowercase()) {
-            Ordering::Equal => same += 1,
+            Ordering::Equal => {}
             other => return other,
         }
     }
-    folded_chars_cmp(&a[same..], &b[same..])
+    a.len().cmp(&b.len())
 }
 
 /// Ordering of the two strings' characters, each lower-cased by

@@ -9,6 +9,17 @@
 //! row, a reusable [`septic_vm::Vm`] runs the opcode loop instead of
 //! recursing over the AST.
 //!
+//! A program does less per row than the walker in three places, none of
+//! which a result can show. `<column> <op> <literal>` is one op
+//! (`BinaryColumnSlot`) instead of three. An AND whose left side is false,
+//! or an OR whose left side is true, skips its right side (`ShortCircuit`)
+//! when that side is total ([`is_total`], the rule the planner skips
+//! predicates by): a `SLEEP`, any other call, a `?`, a subquery or an
+//! unknown column is still evaluated on every row, as the walker
+//! evaluates both sides. And a program that is one `Column` op — a bare
+//! GROUP BY key, aggregate argument or projected column — is not run at
+//! all: [`evaluate`] hands back the cell's location.
+//!
 //! Operands are borrowed. The VM's stack holds [`Operand`]s — *where* a
 //! value is (a cell of the row under the scan, a constant slot) or a
 //! result an operator computed — and operators read them in place, so a
@@ -301,6 +312,42 @@ pub(crate) fn resolve_column(
     None
 }
 
+/// True when evaluating `expr` on a row of `layout` can neither fail nor
+/// have a side effect, and reads only `layout[..bindings]`: literals,
+/// columns that resolve there, and operators over them. Not evaluating
+/// such an expression cannot be observed — the one rule behind both an
+/// access path that rules rows out ([`crate::plan`]) and a compiled
+/// AND / OR that skips its right side.
+pub(crate) fn is_total(expr: &Expr, layout: &[Binding<'_>], bindings: usize) -> bool {
+    let total = |e: &Expr| is_total(e, layout, bindings);
+    match expr {
+        Expr::Literal(_) => true,
+        Expr::Column { table, name } => resolve_column(layout, table.as_deref(), name)
+            .is_some_and(|(binding, _)| usize::from(binding) < bindings),
+        Expr::Unary { operand, .. } => total(operand),
+        Expr::Binary { left, right, .. } => total(left) && total(right),
+        Expr::IsNull { expr, .. } => total(expr),
+        Expr::InList { expr, list, .. } => total(expr) && list.iter().all(total),
+        Expr::Between {
+            expr, low, high, ..
+        } => total(expr) && total(low) && total(high),
+        Expr::Case {
+            operand,
+            branches,
+            else_branch,
+        } => {
+            operand.as_deref().is_none_or(total)
+                && branches.iter().all(|(w, t)| total(w) && total(t))
+                && else_branch.as_deref().is_none_or(total)
+        }
+        Expr::Param
+        | Expr::Function { .. }
+        | Expr::InSelect { .. }
+        | Expr::Subquery(_)
+        | Expr::Exists { .. } => false,
+    }
+}
+
 struct Compiler<'a> {
     b: ProgramBuilder,
     layout: &'a [Binding<'a>],
@@ -334,12 +381,40 @@ impl Compiler<'_> {
                 self.emit(operand)?;
                 self.b.emit(Op::Unary(un_code(*op)));
             }
-            // AND/OR/XOR need no jumps: the walker evaluates both sides
-            // too (MySQL three-valued logic, no short-circuit here).
             Expr::Binary { left, op, right } => {
+                let code = bin_code(*op);
+                if let (Expr::Column { table, name }, Expr::Literal(_)) = (&**left, &**right) {
+                    if let Some((binding, column)) =
+                        resolve_column(self.layout, table.as_deref(), name)
+                    {
+                        let slot = self.b.slot();
+                        self.b.emit(Op::BinaryColumnSlot {
+                            code,
+                            binding,
+                            column,
+                            slot,
+                        });
+                        return Some(());
+                    }
+                }
                 self.emit(left)?;
+                // The walker evaluates both sides of AND / OR / XOR. A
+                // left side that decides AND / OR skips the right one
+                // only when evaluating it is unobservable: never past a
+                // `SLEEP`, a `?`, a subquery or an unknown column.
+                let decided_by = match op {
+                    BinaryOp::And => Some(false),
+                    BinaryOp::Or => Some(true),
+                    _ => None,
+                };
+                let skip = decided_by
+                    .filter(|_| is_total(right, self.layout, self.layout.len()))
+                    .map(|when| self.b.emit(Op::ShortCircuit { when, to: 0 }));
                 self.emit(right)?;
-                self.b.emit(Op::Binary(bin_code(*op)));
+                self.b.emit(Op::Binary(code));
+                if let Some(at) = skip {
+                    self.b.patch_jump(at);
+                }
             }
             Expr::Function { name, args } => {
                 if is_aggregate(name) || args.len() > usize::from(u16::MAX) {
@@ -639,8 +714,9 @@ impl Host for ExprHost<'_> {
 pub(crate) struct Machine {
     vm: Vm<Operand>,
     args: Vec<Value>,
-    /// Where a result of the walker sits while the caller reads it.
-    walked: Option<Operand>,
+    /// Where a result that is not on the VM's stack sits while the
+    /// caller reads it: the walker's value, or a bare column's location.
+    aside: Option<Operand>,
 }
 
 /// An expression readied for one statement: its cached program with this
@@ -672,7 +748,10 @@ pub(crate) fn compiled(
 /// Evaluates `expr` on `row` — by its program on `m` when it has one — and
 /// returns the result where `m` holds it, with the constant slots that
 /// locate it. `scope` supplies everything of the evaluation context but
-/// the row, which the walker alone needs put together.
+/// the row, which the walker alone needs put together. Inlined into the
+/// per-row loops that call it: out of line, the call cost about what the
+/// bare-column shortcut saves.
+#[inline]
 pub(crate) fn evaluate<'c>(
     expr: &Expr,
     compiled: Option<&'c Compiled>,
@@ -683,8 +762,17 @@ pub(crate) fn evaluate<'c>(
 ) -> Result<(&'c mut Operand, &'c [Value]), DbError> {
     let Some((program, slots)) = compiled else {
         let value = eval(expr, &EvalCtx { row, ..*scope }, fx)?;
-        return Ok((m.walked.insert(Operand::Owned(value)), &[]));
+        return Ok((m.aside.insert(Operand::Owned(value)), &[]));
     };
+    // A GROUP BY key, an aggregate argument or a projected column: the
+    // result is where the cell lies, and there is nothing to run.
+    if let [Op::Column { binding, column }] = program.ops() {
+        let cell = Operand::Column {
+            binding: *binding,
+            column: *column,
+        };
+        return Ok((m.aside.insert(cell), slots));
+    }
     let mut host = ExprHost {
         slots,
         row,
@@ -747,8 +835,8 @@ impl<'e> Prepared<'e> {
 // the program cache
 // ---------------------------------------------------------------------------
 
-/// Entries the cache refuses to grow past; shapes beyond this execute
-/// compiled-but-uncached (correct, just not shared).
+/// Entries the cache holds at most: the shape that would exceed it
+/// flushes every entry and starts the cache afresh.
 const CACHE_CAP: usize = 1024;
 
 #[derive(Debug)]
@@ -821,9 +909,10 @@ impl ProgramCache {
         if let Some(entry) = map.get(&key) {
             return entry.clone();
         }
-        if map.len() < CACHE_CAP {
-            map.insert(key, compiled.clone());
+        if map.len() >= CACHE_CAP {
+            map.clear();
         }
+        map.insert(key, compiled.clone());
         let cached_now = map.len() as u64;
         drop(map);
         if compiled.is_some() {

@@ -1,8 +1,10 @@
 //! Program-cache reuse across sessions: compiling is per statement
 //! *shape*, so two sessions preparing the same shape with different
 //! literal values share one `Arc<Program>` — the second execution is a
-//! refcount bump, never a recompile. Also pins which constructs compile
-//! and which stay on the walker (the `vmexec` module doc's list).
+//! refcount bump, never a recompile, and a cache at its cap flushes
+//! rather than stop caching. Also pins which constructs compile and which
+//! stay on the walker (the `vmexec` module doc's list), and the ops a
+//! two-conjunct filter compiles to.
 
 use std::sync::Arc;
 
@@ -10,6 +12,7 @@ use septic_dbms::{
     execute_read_with, execute_with, Database, ProgramCache, QueryOutput, Server, Value,
 };
 use septic_sql::parse;
+use septic_vm::Op;
 
 const SETUP: [&str; 2] = [
     "CREATE TABLE t (a VARCHAR(16), b INT)",
@@ -63,6 +66,69 @@ fn two_sessions_share_one_compiled_program() {
         .vm_program_for("SELECT a FROM t WHERE a = 'completely-different'")
         .expect("compiled program");
     assert!(Arc::ptr_eq(&p1, &p2), "same shape must share one program");
+}
+
+#[test]
+fn a_full_cache_flushes_and_caches_the_next_shape() {
+    let server = setup();
+    let cache = server.vm_cache();
+    // 1,100 distinct shapes: an IN list's length is part of its shape.
+    let mut list = String::from("0");
+    for n in 1..=1100 {
+        let sql = format!("SELECT a FROM t WHERE b IN ({list})");
+        server.vm_program_for(&sql).expect("an IN list compiles");
+        list.push_str(&format!(", {n}"));
+    }
+    assert!(cache.len() <= 1024, "{} entries", cache.len());
+
+    let compiles = cache.compile_count();
+    let hot = server
+        .vm_program_for("SELECT a FROM t WHERE b - 1 = 0")
+        .expect("compiles");
+    assert_eq!(cache.compile_count(), compiles + 1);
+    for _ in 0..2 {
+        let again = server
+            .vm_program_for("SELECT a FROM t WHERE b - 1 = 0")
+            .expect("cached");
+        assert!(Arc::ptr_eq(&hot, &again), "a shape past the cap is cached");
+        assert_eq!(cache.compile_count(), compiles + 1, "and not recompiled");
+    }
+}
+
+#[test]
+fn a_filter_compiles_to_fused_compares_and_one_skip() {
+    let server = Server::new();
+    let conn = server.connect();
+    conn.execute("CREATE TABLE tickets (id INT PRIMARY KEY, note VARCHAR(32), price INT)")
+        .expect("create");
+    let program = server
+        .vm_program_for("SELECT id FROM tickets WHERE note = 'x' AND price < 120")
+        .expect("compiles");
+    assert!(
+        matches!(
+            program.ops(),
+            [
+                Op::BinaryColumnSlot { slot: 0, .. },
+                Op::ShortCircuit { when: false, to: 4 },
+                Op::BinaryColumnSlot { slot: 1, .. },
+                Op::Binary(_),
+            ]
+        ),
+        "{:?}",
+        program.ops()
+    );
+    // A right side that sleeps is evaluated on every row.
+    let program = server
+        .vm_program_for("SELECT id FROM tickets WHERE id = 1 AND SLEEP(1) = 0")
+        .expect("compiles");
+    assert!(
+        !program
+            .ops()
+            .iter()
+            .any(|op| matches!(op, Op::ShortCircuit { .. })),
+        "{:?}",
+        program.ops()
+    );
 }
 
 #[test]

@@ -264,6 +264,30 @@ mod tests {
     }
 
     #[test]
+    fn short_circuit_replaces_a_deciding_left_side_and_jumps() {
+        // slot0 <skip when false> slot1 <binary>
+        let mut b = ProgramBuilder::new();
+        let (left, right) = (b.slot(), b.slot());
+        b.emit(Op::Slot(left));
+        let skip = b.emit(Op::ShortCircuit { when: false, to: 0 });
+        b.emit(Op::Slot(right));
+        b.emit(Op::Binary(0));
+        b.patch_jump(skip);
+        let program = b.finish();
+        assert_eq!(program.ops()[1], Op::ShortCircuit { when: false, to: 4 });
+
+        let mut vm = Vm::new();
+        let run = |vm: &mut Vm<Option<i64>>, slots: Vec<Option<i64>>| {
+            *vm.run(&program, &mut IntHost { slots }).unwrap()
+        };
+        // A false left side decides: the host's false, no sum (0 + 7).
+        assert_eq!(run(&mut vm, vec![Some(0), Some(7)]), Some(0));
+        // A true or NULL left side decides nothing: the binary op runs.
+        assert_eq!(run(&mut vm, vec![Some(5), Some(7)]), Some(12));
+        assert_eq!(run(&mut vm, vec![None, Some(7)]), None);
+    }
+
+    #[test]
     fn missing_column_raises_the_host_error() {
         let mut b = ProgramBuilder::new();
         let n = b.name("ghost");

@@ -28,9 +28,25 @@ pub enum Op {
     /// Pop one value, apply the host-defined unary op `code`, push.
     Unary(u16),
     /// Pop right then left, apply the host-defined binary op `code`,
-    /// push. MySQL's AND/OR/XOR evaluate both sides (no short-circuit),
-    /// so logical connectives compile to plain binary ops too.
+    /// push. Logical connectives are binary ops too: the walker evaluates
+    /// both sides of AND/OR/XOR, and a program skips a side only through
+    /// [`Op::ShortCircuit`].
     Binary(u16),
+    /// Push `binary(code, <cell at (binding, column)>, <slot>)`: the
+    /// `<column> <op> <literal>` comparison in one dispatch.
+    BinaryColumnSlot {
+        code: u16,
+        binding: u16,
+        column: u16,
+        slot: u32,
+    },
+    /// When the top of stack is non-NULL and its truthiness is `when`,
+    /// replace it with the host boolean `when` and jump: the left side
+    /// of an AND (`when` false) or OR (`when` true) has decided the
+    /// result, whatever the right side is. The compiler emits it only
+    /// before a right side whose evaluation cannot fail or have an
+    /// effect, so skipping it is unobservable.
+    ShortCircuit { when: bool, to: u32 },
     /// Pop one value, push `v IS [NOT] NULL` as a host boolean.
     IsNull { negated: bool },
     /// Pop high, low, then the needle; push the three-valued result of

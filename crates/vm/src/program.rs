@@ -108,7 +108,12 @@ impl ProgramBuilder {
     pub fn patch_jump(&mut self, at: usize) {
         let here = self.here();
         match self.ops.get_mut(at) {
-            Some(Op::Jump(t) | Op::JumpIfNotTruthy(t) | Op::JumpIfCaseNe(t)) => *t = here,
+            Some(
+                Op::Jump(t)
+                | Op::JumpIfNotTruthy(t)
+                | Op::JumpIfCaseNe(t)
+                | Op::ShortCircuit { to: t, .. },
+            ) => *t = here,
             other => debug_assert!(false, "patch_jump on non-jump op {other:?}"),
         }
     }

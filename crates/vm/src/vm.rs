@@ -128,6 +128,23 @@ impl<V: Clone> Vm<V> {
                     operands!(self.stack, [.., left, right]);
                     (2, host.binary(*code, left, right)?)
                 }
+                Op::BinaryColumnSlot {
+                    code,
+                    binding,
+                    column,
+                    slot,
+                } => {
+                    let (left, right) = (host.column(*binding, *column), host.slot(*slot));
+                    (0, host.binary(*code, &left, &right)?)
+                }
+                Op::ShortCircuit { when, to } => {
+                    operands!(self.stack, [.., v]);
+                    if host.is_null(v) || host.is_truthy(v) != *when {
+                        continue;
+                    }
+                    pc = *to as usize;
+                    (1, host.bool_value(*when))
+                }
                 Op::IsNull { negated } => {
                     operands!(self.stack, [.., v]);
                     (1, host.bool_value(host.is_null(v) != *negated))

@@ -184,7 +184,7 @@ impl<'p> Rows<'p> {
 /// Every candidate counts as a row examined, whatever becomes of it, and
 /// the statement stops at [`MAX_ROWS_EXAMINED`].
 pub(crate) fn scan_filter<'r>(
-    candidates: impl Iterator<Item = (usize, &'r Row)>,
+    candidates: impl Iterator<Item = (usize, &'r [Value])>,
     pred: Option<&Prepared<'_>>,
     m: &mut Machine,
     scope: &EvalCtx<'_>,

@@ -21,7 +21,8 @@ use crate::value::Value;
 ///
 /// The snapshot is taken at `BEGIN` — the only snapshot the server takes
 /// — and concurrent committers never touch it, so in-transaction reads
-/// are repeatable. Its first write to a table copies that table once. At
+/// are repeatable. Its first write to a table copies that table's slot
+/// pointers and index once; the rows stay shared until replaced. At
 /// commit the buffered writes are re-executed against the *current*
 /// master under the write lock — a write that no longer applies
 /// (duplicate key created by a concurrent commit, table dropped, …)

@@ -10,14 +10,17 @@
 //!
 //! `Database` holds its tables behind `Arc` so a snapshot is a cheap
 //! epoch clone: readers keep the epoch they started with while writers
-//! copy-on-write only the tables they touch. Snapshots have one job, read
+//! copy-on-write only the tables they touch. A table holds its rows behind
+//! `Arc` too, and a stored row is never edited, only replaced: the copy a
+//! write makes is of the slot vector's pointers and the index, and the
+//! rows stay shared until each is replaced. Snapshots have one job, read
 //! isolation for a transaction opened by `BEGIN`; they are not rollback
 //! points.
 //!
 //! Rollback is by [`UndoLog`]: every mutator hands back what it displaced
-//! (a [`RowUndo`] owns the old row, nothing is cloned), `CREATE`/`DROP
-//! TABLE` record the name / the dropped store, and [`Database::rollback`]
-//! replays the entries in strict reverse order. The restore is **exact**:
+//! (a [`RowUndo`] owns the old row's `Arc`, nothing is cloned),
+//! `CREATE`/`DROP TABLE` record the name / the dropped store, and
+//! [`Database::rollback`] replays the entries in strict reverse order. The restore is **exact**:
 //! slot order, free-list order, `rows.len()`, the index and the
 //! auto-increment cursor come back as they were, not merely an equivalent
 //! set of rows. WAL recovery replays only acknowledged statements, and
@@ -35,7 +38,8 @@ use crate::catalog::TableSchema;
 use crate::error::DbError;
 use crate::value::Value;
 
-/// A stored row.
+/// A row as it is built. [`TableStore`] stores it as an immutable
+/// `Arc<[Value]>`, which a copy of the table shares.
 pub type Row = Vec<Value>;
 
 /// A typed primary-key index key.
@@ -85,11 +89,11 @@ pub enum RowUndo {
     /// The row in `slot` replaced `old`.
     Updated {
         slot: usize,
-        old: Row,
+        old: Arc<[Value]>,
         prev_auto_increment: i64,
     },
     /// `old` left `slot`, and the slot went onto the free-list.
-    Deleted { slot: usize, old: Row },
+    Deleted { slot: usize, old: Arc<[Value]> },
 }
 
 impl RowUndo {
@@ -105,11 +109,12 @@ impl RowUndo {
 }
 
 /// Storage for one table: rows in slot order, a free-list of reclaimed
-/// tombstone slots, and a typed primary-key index.
+/// tombstone slots, and a typed primary-key index. A clone shares every
+/// row with its source.
 #[derive(Debug, Clone)]
 pub struct TableStore {
     pub schema: TableSchema,
-    rows: Vec<Option<Row>>,
+    rows: Vec<Option<Arc<[Value]>>>,
     /// live row count (rows minus tombstones)
     live: usize,
     /// Slots of deleted rows, reused by the next inserts.
@@ -155,7 +160,7 @@ impl TableStore {
     /// The index key of a stored row (`None` without a primary key).
     /// Stored PK cells went through [`TableStore::index_key`] on their way
     /// in, so deriving the key again cannot fail.
-    fn stored_key(&self, row: &Row) -> Option<PkKey> {
+    fn stored_key(&self, row: &[Value]) -> Option<PkKey> {
         let pk = self.schema.primary_key_index()?;
         self.index_key(pk, &row[pk]).ok().map(|(key, _)| key)
     }
@@ -216,10 +221,11 @@ impl TableStore {
             self.pk_index.insert(key, slot);
         }
         let reused = self.free.pop().is_some();
+        let row = Some(Arc::from(row));
         if reused {
-            self.rows[slot] = Some(row);
+            self.rows[slot] = row;
         } else {
-            self.rows.push(Some(row));
+            self.rows.push(row);
         }
         self.live += 1;
         Ok(RowUndo::Inserted {
@@ -233,22 +239,22 @@ impl TableStore {
     /// catalog views, whose rows are well-formed by construction and whose
     /// schemas declare no primary key.
     fn push_unchecked(&mut self, row: Row) {
-        self.rows.push(Some(row));
+        self.rows.push(Some(Arc::from(row)));
         self.live += 1;
     }
 
     /// Iterates over live rows with their slot numbers.
-    pub fn scan(&self) -> impl Iterator<Item = (usize, &Row)> {
+    pub fn scan(&self) -> impl Iterator<Item = (usize, &[Value])> {
         self.rows
             .iter()
             .enumerate()
-            .filter_map(|(i, r)| r.as_ref().map(|row| (i, row)))
+            .filter_map(|(i, r)| r.as_deref().map(|row| (i, row)))
     }
 
     /// The live row in `slot`, if any.
     #[must_use]
-    pub fn row(&self, slot: usize) -> Option<&Row> {
-        self.rows.get(slot)?.as_ref()
+    pub fn row(&self, slot: usize) -> Option<&[Value]> {
+        self.rows.get(slot)?.as_deref()
     }
 
     /// The slot of the row indexed under `key`.
@@ -284,7 +290,7 @@ impl TableStore {
     /// order: the at most one row indexed under `key`, every live row
     /// without a key. A key only narrows the candidates; whether a
     /// candidate matches is still the caller's predicate to decide.
-    pub fn candidates(&self, key: Option<&PkKey>) -> impl Iterator<Item = (usize, &Row)> {
+    pub fn candidates(&self, key: Option<&PkKey>) -> impl Iterator<Item = (usize, &[Value])> {
         let point = key.and_then(|k| {
             let slot = self.slot_of(k)?;
             Some((slot, self.row(slot)?))
@@ -295,20 +301,21 @@ impl TableStore {
 
     /// Point lookup through the PK index by integer key.
     #[must_use]
-    pub fn get_by_pk(&self, key: i64) -> Option<&Row> {
+    pub fn get_by_pk(&self, key: i64) -> Option<&[Value]> {
         self.row(self.slot_of(&PkKey::Int(key))?)
     }
 
     /// Point lookup through the PK index by any key value, coerced through
     /// the PK column type (string keys match case-insensitively).
     #[must_use]
-    pub fn get_by_pk_value(&self, value: &Value) -> Option<&Row> {
+    pub fn get_by_pk_value(&self, value: &Value) -> Option<&[Value]> {
         let pk = self.schema.primary_key_index()?;
         let (key, _) = self.index_key(pk, value).ok()?;
         self.row(self.slot_of(&key)?)
     }
 
-    /// Replaces the row in `slot`. A rejected row changes nothing.
+    /// Replaces the row in `slot` (the old row is handed back in the undo
+    /// record, not edited). A rejected row changes nothing.
     ///
     /// # Errors
     ///
@@ -344,7 +351,7 @@ impl TableStore {
             row[pk] = cell;
         }
         let old = self.rows[slot]
-            .replace(row)
+            .replace(Arc::from(row))
             .expect("the slot was live a moment ago");
         Ok(RowUndo::Updated {
             slot,
@@ -427,7 +434,11 @@ impl TableStore {
     pub fn image(&self) -> TableImage {
         TableImage {
             schema: self.schema.clone(),
-            rows: self.rows.clone(),
+            rows: self
+                .rows
+                .iter()
+                .map(|r| r.as_deref().map(<[Value]>::to_vec))
+                .collect(),
             free: self.free.clone(),
             next_auto_increment: self.next_auto_increment,
         }
@@ -445,7 +456,7 @@ impl TableStore {
         let invalid = |what: String| DbError::Storage(format!("table image invalid: {what}"));
         let mut store = TableStore {
             schema: image.schema,
-            rows: image.rows,
+            rows: image.rows.into_iter().map(|r| r.map(Arc::from)).collect(),
             live: 0,
             free: image.free,
             pk_index: BTreeMap::new(),
@@ -556,13 +567,14 @@ fn table_key(name: &str) -> Cow<'_, str> {
 /// enumerate schemas through).
 ///
 /// Tables live behind `Arc`, so cloning a `Database` clones the *map*,
-/// not the rows: [`Database::snapshot`] is O(tables) and two snapshots
-/// share table storage until a writer copies-on-write its table.
+/// not the tables: [`Database::snapshot`] is O(tables) and two snapshots
+/// share table storage until a writer copies-on-write its table — and
+/// that copy shares the rows.
 #[derive(Debug, Clone, Default)]
 pub struct Database {
     tables: HashMap<String, Arc<TableStore>>,
     /// [`Database::table_mut`] calls that found the table shared with a
-    /// snapshot and deep-copied it.
+    /// snapshot and copied it.
     cow_table_copies: u64,
 }
 
@@ -577,7 +589,8 @@ impl Database {
     /// storage with `self`.  Mutating either side copies only the touched
     /// tables (MVCC snapshot isolation for the reads of a transaction).
     /// While a snapshot is alive, the first write to each table it shares
-    /// costs O(table); a rollback point is an [`UndoLog::mark`] instead.
+    /// copies the table's slot pointers and index, O(slots), never a row;
+    /// a rollback point is an [`UndoLog::mark`] instead.
     #[must_use]
     pub fn snapshot(&self) -> Database {
         self.clone()
@@ -681,7 +694,8 @@ impl Database {
     }
 
     /// Mutable table lookup; copies-on-write (and counts the copy) when
-    /// the table's storage is shared with a snapshot.
+    /// the table's storage is shared with a snapshot. The copy shares every
+    /// row with the snapshot: a row is replaced, never written through.
     ///
     /// # Errors
     ///
@@ -715,10 +729,10 @@ impl Database {
         Ok((store, log))
     }
 
-    /// How many [`Database::table_mut`] calls have deep-copied a table
-    /// because a snapshot still shared it. A snapshot starts from its
-    /// source's count, so a caller reports the difference across the
-    /// calls it made.
+    /// How many [`Database::table_mut`] calls have copied a table (its
+    /// slot pointers and index, not its rows) because a snapshot still
+    /// shared it. A snapshot starts from its source's count, so a caller
+    /// reports the difference across the calls it made.
     #[must_use]
     pub fn cow_table_copies(&self) -> u64 {
         self.cow_table_copies
@@ -1171,6 +1185,95 @@ mod tests {
         assert_eq!(snap.table("users").unwrap().len(), 1);
         assert_eq!(db.table("users").unwrap().len(), 3);
         assert!(!snap.has_table("tokens"));
+    }
+
+    // Row sharing: the copy a snapshot's first write makes shares every row
+    // the write does not replace, and undo puts back the very row it
+    // displaced. Each test fails when `table_mut` deep-copies the rows; the
+    // update and delete tests also when undo of `Updated` / `Deleted`
+    // restores a clone of the displaced row.
+
+    /// 500 rows, ids 1 to 500 in slots 0 to 499, with slot 250 deleted.
+    fn five_hundred() -> Database {
+        let mut db = Database::new();
+        db.create_table(users_schema(), false, &mut UndoLog::new())
+            .unwrap();
+        let t = db.table_mut("users").unwrap();
+        for i in 1..=500 {
+            put(t, vec![Value::Null, Value::from(format!("row-{i}"))]);
+        }
+        let _ = t.delete_slot(250);
+        db
+    }
+
+    /// The slots whose row is one and the same allocation in both.
+    fn shared_rows(a: &Database, b: &Database) -> Vec<usize> {
+        let (a, b) = (
+            &a.table("users").unwrap().rows,
+            &b.table("users").unwrap().rows,
+        );
+        a.iter()
+            .zip(b)
+            .enumerate()
+            .filter(|(_, pair)| matches!(pair, (Some(x), Some(y)) if Arc::ptr_eq(x, y)))
+            .map(|(slot, _)| slot)
+            .collect()
+    }
+
+    /// Runs `write` on a snapshotted [`five_hundred`] through
+    /// [`Database::write_table`]: afterwards the snapshot reads as before
+    /// and shares every live row but the one in `touched`; after the
+    /// rollback the table is back exactly, sharing every row again.
+    fn write_under_a_snapshot(touched: usize, write: impl FnOnce(&mut TableStore) -> RowUndo) {
+        let mut db = five_hundred();
+        let snap = db.snapshot();
+        let before = format!("{:?}", snap.tables_sorted());
+        let live: Vec<usize> = snap
+            .table("users")
+            .unwrap()
+            .scan()
+            .map(|(s, _)| s)
+            .collect();
+        let mut undo = UndoLog::new();
+        let (t, log) = db.write_table("users", &mut undo).unwrap();
+        log.push(write(t));
+        assert_eq!(db.cow_table_copies(), 1);
+        let others: Vec<usize> = live.iter().copied().filter(|&s| s != touched).collect();
+        assert_eq!(
+            shared_rows(&db, &snap),
+            others,
+            "rows shared after the write"
+        );
+        assert_eq!(format!("{:?}", snap.tables_sorted()), before);
+        assert_eq!(db.rollback(&mut undo, 0), 1);
+        assert_eq!(
+            shared_rows(&db, &snap),
+            live,
+            "rows shared after the rollback"
+        );
+        assert_eq!(format!("{:?}", db.tables_sorted()), before);
+    }
+
+    #[test]
+    fn an_update_under_a_snapshot_shares_every_other_row() {
+        write_under_a_snapshot(7, |t| {
+            t.update_slot(7, vec![Value::Int(8), Value::from("new")])
+                .unwrap()
+        });
+    }
+
+    #[test]
+    fn a_delete_under_a_snapshot_shares_every_other_row() {
+        write_under_a_snapshot(7, |t| t.delete_slot(7).expect("slot 7 is live"));
+    }
+
+    #[test]
+    fn an_insert_into_a_reused_slot_under_a_snapshot_shares_every_row() {
+        write_under_a_snapshot(250, |t| {
+            let undo = t.insert(vec![Value::Null, Value::from("new")]).unwrap();
+            assert_eq!(undo.slot(), 250, "the tombstone is reused");
+            undo
+        });
     }
 
     // The undo tests compare `Debug` text: rows with their tombstones, the

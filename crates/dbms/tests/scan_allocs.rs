@@ -13,6 +13,11 @@
 //! key) built per member in `group_rows`, each fail
 //! `grouping_costs_per_group_not_per_member`, where survivors are not
 //! output rows.
+//!
+//! The same counter prices the one write that copies a table: the first
+//! write under a snapshot. A `table_mut` that deep-copies the rows (a row
+//! `Vec` and a string cell each) fails
+//! `a_snapshots_first_write_copies_pointers_not_rows`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -166,4 +171,29 @@ fn a_join_costs_per_output_row_not_per_candidate() {
     );
     assert_eq!(few, many, "no candidate matches");
     assert_eq!(few.2, 3);
+}
+
+/// Fresh allocations of the first write to `tickets` on a snapshot of
+/// `db`, the write that copies the table.
+fn first_write_cost(db: &Database) -> u64 {
+    let parsed = parse("UPDATE tickets SET note = 'x' WHERE id = 5").expect("update parses");
+    let mut snapshot = db.snapshot();
+    let (fresh, _) = COUNTS.get();
+    execute_with(&mut snapshot, &parsed.statements[0], 0, None).expect("update");
+    let (fresh_after, _) = COUNTS.get();
+    assert_eq!(snapshot.cow_table_copies() - db.cow_table_copies(), 1);
+    fresh_after - fresh
+}
+
+#[test]
+fn a_snapshots_first_write_copies_pointers_not_rows() {
+    let few = first_write_cost(&database(10, 0, 7));
+    let many = first_write_cost(&database(1000, 0, 7));
+    // 990 more rows to copy: a deep copy spends at least two allocations
+    // on each; a copy of the row pointers spends none, and what is left is
+    // the index's B-tree nodes, a few rows to a node.
+    assert!(
+        many - few < 990 / 4,
+        "{few} allocations over 10 rows, {many} over 1000"
+    );
 }

@@ -315,6 +315,100 @@ fn a_writing_transaction_copies_its_table_once() {
     assert_eq!(rows.len(), 4);
 }
 
+// Isolation in both directions on a table of many rows, where the copy a
+// transaction writes to shares every row it does not replace with the
+// master another session writes to.
+
+/// `t` with 50 rows, `v` = `'v<id>'`.
+fn server_with_fifty_rows() -> Arc<Server> {
+    let server = Server::new();
+    let conn = server.connect();
+    conn.execute("CREATE TABLE t (id INT PRIMARY KEY, v VARCHAR(8) NOT NULL)")
+        .unwrap();
+    let values: Vec<String> = (1..=50).map(|id| format!("({id}, 'v{id}')")).collect();
+    conn.execute(&format!(
+        "INSERT INTO t (id, v) VALUES {}",
+        values.join(", ")
+    ))
+    .unwrap();
+    server
+}
+
+/// `t` as `conn` reads it, `id=v` per row in key order.
+fn table_as_seen(conn: &septic_repro::dbms::Connection) -> Vec<String> {
+    let rows = conn.query("SELECT id, v FROM t ORDER BY id").unwrap().rows;
+    rows.iter()
+        .map(|r| format!("{}={}", r[0].to_display_string(), r[1].to_display_string()))
+        .collect()
+}
+
+/// `t` of [`server_with_fifty_rows`] with `edits` applied: `(id, Some(v))`
+/// sets a row's `v`, `(id, None)` deletes it.
+fn fifty_with(edits: &[(i64, Option<&str>)]) -> Vec<String> {
+    (1..=50)
+        .filter_map(|id| match edits.iter().find(|(e, _)| *e == id) {
+            Some((_, Some(v))) => Some(format!("{id}={v}")),
+            Some((_, None)) => None,
+            None => Some(format!("{id}=v{id}")),
+        })
+        .collect()
+}
+
+/// Session A opens a transaction and updates row 1; session B then
+/// autocommits an update of row 2 and a delete of row 3. Each sees its own
+/// writes and none of the other's.
+fn a_writes_one_while_b_writes_two_and_three(
+    server: &Arc<Server>,
+) -> [septic_repro::dbms::Connection; 2] {
+    let (a, b) = (server.connect(), server.connect());
+    a.execute("BEGIN").unwrap();
+    a.execute("UPDATE t SET v = 'a1' WHERE id = 1").unwrap();
+    b.execute("UPDATE t SET v = 'b2' WHERE id = 2").unwrap();
+    b.execute("DELETE FROM t WHERE id = 3").unwrap();
+    assert_eq!(table_as_seen(&a), fifty_with(&[(1, Some("a1"))]));
+    assert_eq!(table_as_seen(&b), fifty_with(&[(2, Some("b2")), (3, None)]));
+    [a, b]
+}
+
+#[test]
+fn two_sessions_see_each_others_writes_only_after_commit() {
+    let server = server_with_fifty_rows();
+    let [a, b] = a_writes_one_while_b_writes_two_and_three(&server);
+    a.execute("COMMIT").unwrap();
+    let all = fifty_with(&[(1, Some("a1")), (2, Some("b2")), (3, None)]);
+    assert_eq!(table_as_seen(&a), all);
+    assert_eq!(table_as_seen(&b), all);
+    assert_eq!(
+        copies(&server),
+        1,
+        "A's first private write, and nothing else"
+    );
+}
+
+#[test]
+fn a_rolled_back_transaction_leaves_the_master_row_untouched() {
+    let server = server_with_fifty_rows();
+    let [a, b] = a_writes_one_while_b_writes_two_and_three(&server);
+    a.execute("ROLLBACK").unwrap();
+    let only_b = fifty_with(&[(2, Some("b2")), (3, None)]);
+    assert_eq!(table_as_seen(&a), only_b);
+    assert_eq!(table_as_seen(&b), only_b);
+}
+
+#[test]
+fn a_transaction_that_lost_a_key_to_another_session_aborts() {
+    let server = server_with_fifty_rows();
+    let [a, b] = a_writes_one_while_b_writes_two_and_three(&server);
+    a.execute("UPDATE t SET id = 60 WHERE id = 4").unwrap();
+    b.execute("UPDATE t SET id = 60 WHERE id = 5").unwrap();
+    let before = table_as_seen(&b);
+    let err = a.execute("COMMIT").unwrap_err();
+    assert!(matches!(err, DbError::TxnAborted(_)), "{err}");
+    assert_eq!(table_as_seen(&a), before);
+    assert_eq!(table_as_seen(&b), before);
+    assert_eq!(counter(&server, "dbms_txn_conflicts_total"), 1);
+}
+
 // ---------------------------------------------------------------------------
 // (c) the three rollback points of the server
 // ---------------------------------------------------------------------------

@@ -78,7 +78,15 @@ fn observe(mode: Mode) -> Observed {
     let counters = septic.counters();
     observed.sqli_detected = counters.sqli_detected > 0;
     observed.stored_detected = counters.stored_detected > 0;
-    observed.attack_logged = septic.logger().attack_count() > 0;
+    observed.attack_logged = !septic
+        .logger()
+        .events_where(|k| {
+            matches!(
+                k,
+                EventKind::SqliDetected { .. } | EventKind::StoredDetected { .. }
+            )
+        })
+        .is_empty();
     observed.query_dropped = sqli.is_err() || stored.is_err();
     observed.query_executed = sqli.is_ok() && stored.is_ok();
     observed

@@ -195,7 +195,6 @@ fn deployment(defense: Defense) -> (Arc<Server>, Connection, Option<Arc<Septic>>
     let septic = match defense {
         Defense::SepticDetection | Defense::SepticPrevention | Defense::SepticStructural => {
             let septic = Arc::new(Septic::new());
-            septic.set_event_logging(false);
             server.install_guard(septic.clone());
             septic.set_mode(Mode::Training);
             for t in templates() {
@@ -256,7 +255,6 @@ pub fn recovered_prevention_deployment() -> (Arc<Server>, Connection, Arc<Septic
         Server::open_durable(config(), second_io, WalConfig::default()).expect("recovery");
     let conn = server.connect();
     let septic = Arc::new(Septic::new());
-    septic.set_event_logging(false);
     server.install_guard(septic.clone());
     septic.set_mode(Mode::Training);
     for t in templates() {

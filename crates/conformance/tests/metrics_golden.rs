@@ -6,8 +6,8 @@
 //! `septic_attacks_total` is therefore that case's own detection count.
 //! Summed over all cases it must equal the number of `blocked` cells in
 //! the golden matrix's `septic_prevention` column — if the registry ever
-//! under- or over-counts (the bug class `Logger::attack_count()` had),
-//! this test catches it against reviewed ground truth.
+//! under- or over-counts, this test catches it against reviewed ground
+//! truth.
 
 use septic_conformance::differential::{
     run_case_instrumented, Defense, DetectionMatrix, Verdict, MATRIX_SEED,

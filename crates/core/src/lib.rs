@@ -63,7 +63,7 @@ pub mod store;
 
 pub use detector::{detect_sqli, detect_sqli_vm, SqliKind, SqliOutcome};
 pub use id::{IdGenerator, Interner, QueryId};
-pub use logger::{AttackAction, Event, EventKind, EventKindCounts, Logger, StageSpansUs};
+pub use logger::{AttackAction, Event, EventKind, Logger, StageSpansUs};
 pub use mode::{FailurePolicyMatrix, Mode, ModeActions, NormalMode};
 pub use model::QueryModel;
 pub use plugins::{Plugin, StoredAttack};

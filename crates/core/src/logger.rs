@@ -1,12 +1,14 @@
-//! The **logger** module: SEPTIC's register of events.
+//! The **logger** module: SEPTIC's register of incidents.
 //!
-//! Records everything the demo's "SEPTIC events" display shows: query
-//! structure construction, identifier generation, model discovery/creation,
-//! attack detection (with the algorithm step), and mode changes.
+//! Records what the demo's "SEPTIC events" display shows: models created,
+//! attacks detected (with the algorithm step), refused queries, mode
+//! changes, model loads, deadline misses and recovered payloads. A query
+//! that is merely seen leaves no event. Totals are not kept here: they are
+//! the metrics registry's counters.
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -82,12 +84,8 @@ impl fmt::Display for StageSpansUs {
 /// One event in SEPTIC's register.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum EventKind {
-    /// A query passed through SEPTIC.
-    QueryProcessed { id: QueryId, command: String },
     /// A model was created and stored (training or incremental learning).
     ModelCreated { id: QueryId, incremental: bool },
-    /// An already-known query arrived; no model was created.
-    ModelFound { id: QueryId },
     /// A SQLI attack was flagged.
     SqliDetected {
         id: QueryId,
@@ -109,19 +107,12 @@ pub enum EventKind {
     ModeChanged { from: Mode, to: Mode },
     /// Persistent models were loaded at startup.
     StoreLoaded { count: usize },
-    /// A detector or plugin failed (panicked) while inspecting a query;
-    /// the configured failure policy decided the query's fate.
-    DetectorFailed {
-        id: QueryId,
-        what: String,
-        fail_open: bool,
-    },
-    /// Detection ran past the configured deadline budget.
+    /// Detection ran past the configured deadline budget; the server's
+    /// failure policy decided the query's fate.
     DeadlineExceeded {
         id: QueryId,
         elapsed_us: u64,
         budget_us: u64,
-        fail_open: bool,
         /// Where the time went, so the blown budget is attributable.
         stages: StageSpansUs,
     },
@@ -129,46 +120,6 @@ pub enum EventKind {
     /// stored-injection plugin during the post-restart re-scan: the
     /// payload predates the current deployment.
     RecoveredDataFlagged { attack: StoredAttack, value: String },
-}
-
-/// Number of [`EventKind`] variants (the width of the per-kind counter
-/// array in [`Logger`]).
-const KIND_SLOTS: usize = 11;
-
-impl EventKind {
-    /// Dense per-variant index used for the monotonic counters.
-    fn slot(&self) -> usize {
-        match self {
-            EventKind::QueryProcessed { .. } => 0,
-            EventKind::ModelCreated { .. } => 1,
-            EventKind::ModelFound { .. } => 2,
-            EventKind::SqliDetected { .. } => 3,
-            EventKind::StoredDetected { .. } => 4,
-            EventKind::RejectedQueryRefused { .. } => 5,
-            EventKind::ModeChanged { .. } => 6,
-            EventKind::StoreLoaded { .. } => 7,
-            EventKind::DetectorFailed { .. } => 8,
-            EventKind::DeadlineExceeded { .. } => 9,
-            EventKind::RecoveredDataFlagged { .. } => 10,
-        }
-    }
-}
-
-/// Exact monotonic per-kind totals, counted at [`Logger::record`] time —
-/// unaffected by ring-buffer eviction.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EventKindCounts {
-    pub query_processed: u64,
-    pub model_created: u64,
-    pub model_found: u64,
-    pub sqli_detected: u64,
-    pub stored_detected: u64,
-    pub rejected_refused: u64,
-    pub mode_changed: u64,
-    pub store_loaded: u64,
-    pub detector_failed: u64,
-    pub deadline_exceeded: u64,
-    pub recovered_flagged: u64,
 }
 
 /// A sequenced event.
@@ -183,15 +134,11 @@ impl fmt::Display for Event {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[{:06}] ", self.seq)?;
         match &self.kind {
-            EventKind::QueryProcessed { id, command } => {
-                write!(f, "query processed id={id} cmd={command}")
-            }
             EventKind::ModelCreated { id, incremental } => write!(
                 f,
                 "query model created id={id}{}",
                 if *incremental { " (incremental)" } else { "" }
             ),
-            EventKind::ModelFound { id } => write!(f, "query model found id={id}"),
             EventKind::SqliDetected {
                 id,
                 kind,
@@ -222,35 +169,16 @@ impl fmt::Display for Event {
             }
             EventKind::ModeChanged { from, to } => write!(f, "mode changed {from} -> {to}"),
             EventKind::StoreLoaded { count } => write!(f, "loaded {count} persisted models"),
-            EventKind::DetectorFailed {
-                id,
-                what,
-                fail_open,
-            } => write!(
-                f,
-                "detector failure id={id} ({what}) policy={}",
-                if *fail_open {
-                    "fail-open"
-                } else {
-                    "fail-closed"
-                }
-            ),
             EventKind::DeadlineExceeded {
                 id,
                 elapsed_us,
                 budget_us,
-                fail_open,
                 stages,
             } => {
                 write!(
                     f,
                     "detection deadline exceeded id={id} ({elapsed_us}us > {budget_us}us) \
-                     policy={} slowest={} [{stages}]",
-                    if *fail_open {
-                        "fail-open"
-                    } else {
-                        "fail-closed"
-                    },
+                     slowest={} [{stages}]",
                     stages.slowest()
                 )
             }
@@ -265,9 +193,9 @@ impl fmt::Display for Event {
 /// event when full, counting what it dropped so degradation is visible
 /// instead of silent.
 ///
-/// The ring holds event *details* only. Totals that operators rely on
-/// (attack counts, per-kind tallies) are kept in monotonic counters
-/// bumped at [`Logger::record`] time, so they stay exact no matter how
+/// The ring holds incident *details* only. Totals that operators rely on
+/// (attacks, drops, deadline misses) are SEPTIC's registry counters,
+/// bumped where the incident happens, so they stay exact no matter how
 /// many events the ring has evicted.
 #[derive(Debug)]
 pub struct Logger {
@@ -275,17 +203,15 @@ pub struct Logger {
     seq: AtomicU64,
     dropped: AtomicU64,
     capacity: usize,
-    /// Monotonic per-[`EventKind`] totals, indexed by `EventKind::slot`.
-    recorded: [AtomicU64; KIND_SLOTS],
-    /// When false, [`Logger::record`] is a no-op. Callers on the query
-    /// hot path should check [`Logger::is_enabled`] *before* building an
-    /// event so the payload allocations are skipped entirely.
-    enabled: AtomicBool,
 }
 
+/// The default ring holds 4,096 incidents, the general log's default
+/// bound. Under attack traffic nearly every entry is an attack carrying
+/// its query text (about 300 bytes each, so ≈1.2 MB full); at a 10%
+/// attack mix the ring covers the last ~40k queries.
 impl Default for Logger {
     fn default() -> Self {
-        Logger::new(16_384)
+        Logger::new(4_096)
     }
 }
 
@@ -298,36 +224,15 @@ impl Logger {
             seq: AtomicU64::new(1),
             dropped: AtomicU64::new(0),
             capacity: capacity.max(16),
-            recorded: std::array::from_fn(|_| AtomicU64::new(0)),
-            enabled: AtomicBool::new(true),
         }
     }
 
-    /// True when events are being recorded.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Turns event recording on or off. While off, [`Logger::record`]
-    /// returns 0 without touching the register or the sequence counter.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Appends an event and returns its sequence number (0 when the
-    /// logger is disabled).
+    /// Appends an event and returns its sequence number.
     pub fn record(&self, kind: EventKind) -> u64 {
-        if !self.is_enabled() {
-            return 0;
-        }
         let mut events = self.events.lock();
-        // Sequence and per-kind totals advance under the ring lock so
-        // `clear` can't interleave with them. The per-kind totals are
-        // bumped before the ring may evict the event: totals derived
-        // from `recorded` are exact even after the ring wraps.
+        // The sequence advances under the ring lock so `clear` can't
+        // interleave with it.
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        self.recorded[kind.slot()].fetch_add(1, Ordering::Relaxed);
         while events.len() >= self.capacity {
             events.pop_front();
             self.dropped.fetch_add(1, Ordering::Relaxed);
@@ -359,49 +264,9 @@ impl Logger {
             .collect()
     }
 
-    /// Exact count of attack events (SQLI + stored) ever recorded.
-    ///
-    /// Counted monotonically at [`Logger::record`] time, **not** by
-    /// scanning the bounded ring — the total stays correct after the
-    /// ring wraps and starts evicting old attack events.
-    #[must_use]
-    pub fn attack_count(&self) -> usize {
-        let counts = self.kind_counts();
-        (counts.sqli_detected + counts.stored_detected) as usize
-    }
-
-    /// Exact per-kind totals ever recorded (eviction-proof).
-    #[must_use]
-    pub fn kind_counts(&self) -> EventKindCounts {
-        let load = |slot: usize| self.recorded[slot].load(Ordering::Relaxed);
-        EventKindCounts {
-            query_processed: load(0),
-            model_created: load(1),
-            model_found: load(2),
-            sqli_detected: load(3),
-            stored_detected: load(4),
-            rejected_refused: load(5),
-            mode_changed: load(6),
-            store_loaded: load(7),
-            detector_failed: load(8),
-            deadline_exceeded: load(9),
-            recovered_flagged: load(10),
-        }
-    }
-
-    /// Total events ever recorded (eviction-proof).
-    #[must_use]
-    pub fn total_recorded(&self) -> u64 {
-        self.recorded
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .sum()
-    }
-
     /// Resets the register to its freshly-constructed state: empties
-    /// the ring **and** zeroes the drop counter, the per-kind totals
-    /// and the sequence counter. A post-clear snapshot therefore never
-    /// reports phantom drops or stale attack totals.
+    /// the ring **and** zeroes the drop counter and the sequence counter.
+    /// A post-clear snapshot therefore never reports phantom drops.
     pub fn clear(&self) {
         let mut events = self.events.lock();
         events.clear();
@@ -409,9 +274,6 @@ impl Logger {
         // interleave between the ring clear and the counter resets.
         self.dropped.store(0, Ordering::Relaxed);
         self.seq.store(1, Ordering::Relaxed);
-        for c in &self.recorded {
-            c.store(0, Ordering::Relaxed);
-        }
     }
 }
 
@@ -429,32 +291,13 @@ mod tests {
     #[test]
     fn records_in_sequence() {
         let log = Logger::default();
-        let a = log.record(EventKind::ModelFound { id: qid() });
+        let a = log.record(EventKind::ModelCreated {
+            id: qid(),
+            incremental: false,
+        });
         let b = log.record(EventKind::StoreLoaded { count: 3 });
         assert!(b > a);
         assert_eq!(log.events().len(), 2);
-    }
-
-    #[test]
-    fn attack_count_counts_both_kinds() {
-        let log = Logger::default();
-        log.record(EventKind::SqliDetected {
-            id: qid(),
-            kind: SqliKind::Structural {
-                expected: 9,
-                observed: 5,
-            },
-            action: AttackAction::Dropped,
-            query: "q".into(),
-        });
-        log.record(EventKind::ModelFound { id: qid() });
-        log.record(EventKind::StoredDetected {
-            id: qid(),
-            attack: StoredAttack::new("stored XSS", "script tag"),
-            action: AttackAction::LoggedOnly,
-            query: "q".into(),
-        });
-        assert_eq!(log.attack_count(), 2);
     }
 
     #[test]
@@ -473,33 +316,7 @@ mod tests {
     }
 
     #[test]
-    fn attack_count_is_exact_after_ring_wrap() {
-        // Regression: attack_count used to scan the bounded ring, so
-        // once `capacity + k` attacks had been recorded the oldest k
-        // were evicted and the total silently undercounted.
-        let capacity = 16;
-        let k = 23;
-        let log = Logger::new(capacity);
-        for _ in 0..capacity + k {
-            log.record(EventKind::SqliDetected {
-                id: qid(),
-                kind: SqliKind::Structural {
-                    expected: 9,
-                    observed: 5,
-                },
-                action: AttackAction::Dropped,
-                query: "q".into(),
-            });
-        }
-        assert_eq!(log.events().len(), capacity, "ring stays bounded");
-        assert_eq!(log.dropped(), k as u64, "evictions counted");
-        assert_eq!(log.attack_count(), capacity + k, "total stays exact");
-        assert_eq!(log.kind_counts().sqli_detected, (capacity + k) as u64);
-        assert_eq!(log.total_recorded(), (capacity + k) as u64);
-    }
-
-    #[test]
-    fn clear_resets_drops_seq_and_totals() {
+    fn clear_resets_drops_and_seq() {
         // Regression: clear() emptied the ring but left `dropped` and
         // the sequence counter stale, so post-clear snapshots reported
         // phantom drops from the previous epoch.
@@ -511,9 +328,6 @@ mod tests {
         log.clear();
         assert!(log.events().is_empty());
         assert_eq!(log.dropped(), 0, "no phantom drops after clear");
-        assert_eq!(log.attack_count(), 0);
-        assert_eq!(log.total_recorded(), 0);
-        assert_eq!(log.kind_counts(), EventKindCounts::default());
         // Sequencing restarts from a fresh epoch.
         assert_eq!(log.record(EventKind::StoreLoaded { count: 1 }), 1);
     }
@@ -533,7 +347,6 @@ mod tests {
                 id: qid(),
                 elapsed_us: 950,
                 budget_us: 100,
-                fail_open: true,
                 stages: spans,
             },
         };
@@ -566,7 +379,6 @@ mod tests {
                     id: qid(),
                     elapsed_us: 10,
                     budget_us: 1,
-                    fail_open: false,
                     stages: spans,
                 },
             };
@@ -615,22 +427,14 @@ mod tests {
     }
 
     #[test]
-    fn disabled_logger_records_nothing() {
-        let log = Logger::default();
-        log.set_enabled(false);
-        assert!(!log.is_enabled());
-        assert_eq!(log.record(EventKind::StoreLoaded { count: 1 }), 0);
-        assert!(log.events().is_empty());
-        log.set_enabled(true);
-        assert_eq!(log.record(EventKind::StoreLoaded { count: 1 }), 1);
-    }
-
-    #[test]
     fn filter_helper() {
         let log = Logger::default();
         log.record(EventKind::StoreLoaded { count: 1 });
-        log.record(EventKind::ModelFound { id: qid() });
-        let found = log.events_where(|k| matches!(k, EventKind::ModelFound { .. }));
+        log.record(EventKind::ModeChanged {
+            from: Mode::Training,
+            to: Mode::PREVENTION,
+        });
+        let found = log.events_where(|k| matches!(k, EventKind::ModeChanged { .. }));
         assert_eq!(found.len(), 1);
     }
 }

@@ -8,13 +8,11 @@
 //! injection) → log → proceed or drop.
 
 use std::io;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::RwLock;
-use septic_dbms::guard::panic_message;
 use septic_dbms::{FailurePolicy, GuardDecision, QueryContext, QueryGuard};
 use septic_telemetry::{Counter, Histogram, MetricsRegistry, MetricsSnapshot};
 
@@ -133,13 +131,8 @@ pub struct Counters {
     /// (`septic_attacks_total`).
     pub attacks_detected: Arc<Counter>,
     pub queries_dropped: Arc<Counter>,
-    /// Detector/plugin panics contained by the fail-safe layer.
-    pub guard_panics: Arc<Counter>,
     /// Detections that ran past the configured deadline budget.
     pub deadline_exceeded: Arc<Counter>,
-    /// Queries that executed *despite* a SEPTIC failure because the mode's
-    /// policy is fail-open.
-    pub fail_open_passes: Arc<Counter>,
     /// Store loads that had to recover from a corrupt or missing snapshot.
     pub store_recoveries: Arc<Counter>,
     /// Events evicted from the bounded logger (mirror of
@@ -171,9 +164,7 @@ impl Counters {
             stored_detected: registry.counter("septic_stored_detected_total"),
             attacks_detected: registry.counter("septic_attacks_total"),
             queries_dropped: registry.counter("septic_queries_dropped_total"),
-            guard_panics: registry.counter("septic_guard_panics_total"),
             deadline_exceeded: registry.counter("septic_deadline_exceeded_total"),
-            fail_open_passes: registry.counter("septic_fail_open_passes_total"),
             store_recoveries: registry.counter("septic_store_recoveries_total"),
             log_drops: registry.counter("septic_log_drops_total"),
             join_attacks: registry.counter("septic_join_attacks_total"),
@@ -231,9 +222,7 @@ pub struct CounterSnapshot {
     pub stored_detected: u64,
     pub attacks_detected: u64,
     pub queries_dropped: u64,
-    pub guard_panics: u64,
     pub deadline_exceeded: u64,
-    pub fail_open_passes: u64,
     pub store_recoveries: u64,
     pub log_drops: u64,
     pub join_attacks: u64,
@@ -381,18 +370,14 @@ impl Septic {
     }
 
     /// Sets (or with `None`, clears) the per-query detection deadline
-    /// budget. When detection takes longer, the degradation is counted and
-    /// the mode's failure policy decides whether an *uncleared* query may
-    /// still execute. A flagged attack is blocked regardless — slowness
-    /// never downgrades a positive detection.
+    /// budget. When detection takes longer, the miss is counted and logged
+    /// and [`Septic::inspect`](QueryGuard::inspect) reports
+    /// [`GuardDecision::Fail`]: the server's failure policy then decides
+    /// whether the *uncleared* query may still execute. A flagged attack
+    /// is blocked regardless — slowness never downgrades a positive
+    /// detection.
     pub fn set_detection_deadline(&self, budget: Option<Duration>) {
         self.engine.write().deadline = budget;
-    }
-
-    /// Turns SEPTIC event recording on or off (see [`Logger::set_enabled`]).
-    /// While off, the query path also skips *building* event payloads.
-    pub fn set_event_logging(&self, on: bool) {
-        self.logger.set_enabled(on);
     }
 
     /// Adds a stored-injection plugin to the scan chain.
@@ -437,9 +422,7 @@ impl Septic {
             stored_detected: self.counters.stored_detected.get(),
             attacks_detected: self.counters.attacks_detected.get(),
             queries_dropped: self.counters.queries_dropped.get(),
-            guard_panics: self.counters.guard_panics.get(),
             deadline_exceeded: self.counters.deadline_exceeded.get(),
-            fail_open_passes: self.counters.fail_open_passes.get(),
             store_recoveries: self.counters.store_recoveries.get(),
             log_drops: self.counters.log_drops.get(),
             join_attacks: self.counters.join_attacks.get(),
@@ -565,10 +548,6 @@ impl Septic {
             self.failure_policies().for_mode(self.mode())
         ));
         out.push_str(&format!(
-            "  guard panics    : {} (fail-open passes: {})\n",
-            counters.guard_panics, counters.fail_open_passes
-        ));
-        out.push_str(&format!(
             "  deadline misses : {}\n",
             counters.deadline_exceeded
         ));
@@ -588,33 +567,17 @@ impl Septic {
         counter.inc();
     }
 
-    /// Records an event, mirroring the logger's eviction count into the
+    /// Records an incident, mirroring the logger's eviction count into the
     /// `log_drops` counter so degradation shows up in snapshots.
     fn log_event(&self, kind: EventKind) {
-        if !self.logger.is_enabled() {
-            return;
-        }
         self.logger.record(kind);
         self.counters.log_drops.set(self.logger.dropped());
     }
 
-    /// Hot-path variant of [`Septic::log_event`]: the event (and its
-    /// `String`/`QueryId` payload allocations) is only built when the
-    /// logger will actually keep it.
-    fn log_event_with(&self, kind: impl FnOnce() -> EventKind) {
-        if !self.logger.is_enabled() {
-            return;
-        }
-        self.logger.record(kind());
-        self.counters.log_drops.set(self.logger.dropped());
-    }
-
     /// The detection half of [`Septic::inspect`]: SQLI + stored-injection
-    /// scans over a known model. Runs under `catch_unwind` so a panicking
-    /// detector or plugin degrades per the failure policy instead of
-    /// taking the whole guard down. Returns the block decision, if any;
-    /// stage timings are written into `spans` as each stage completes,
-    /// so a later panic or deadline report still sees the partial spans.
+    /// scans over a known model. Returns the block decision, if any; stage
+    /// timings are written into `spans` as each stage completes, so a
+    /// deadline report sees where the time went.
     fn run_detectors(
         &self,
         ctx: &QueryContext<'_>,
@@ -661,7 +624,7 @@ impl Septic {
                 if profile.subquery {
                     Self::bump(&self.counters.subquery_attacks);
                 }
-                self.log_event_with(|| EventKind::SqliDetected {
+                self.log_event(EventKind::SqliDetected {
                     id: id.clone(),
                     kind: kind.clone(),
                     action,
@@ -683,7 +646,7 @@ impl Septic {
             if let Some(found) = found {
                 Self::bump(&self.counters.stored_detected);
                 Self::bump(&self.counters.attacks_detected);
-                self.log_event_with(|| EventKind::StoredDetected {
+                self.log_event(EventKind::StoredDetected {
                     id: id.clone(),
                     attack: found.clone(),
                     action,
@@ -731,7 +694,8 @@ impl QueryGuard for Septic {
     ///
     /// Honours the stored-injection ablation switch: with
     /// `detection.stored` off (NN/YN) the scan is a no-op, keeping the
-    /// Figure 5 defense configurations coherent across restarts.
+    /// Figure 5 defense configurations coherent across restarts. A
+    /// panicking plugin is contained by the server, one value at a time.
     fn scan_stored(&self, values: &[String]) -> usize {
         if !self.engine.read().detection.stored {
             return 0;
@@ -739,24 +703,13 @@ impl QueryGuard for Septic {
         let mut flagged = 0;
         for value in values {
             self.counters.recovered_values.inc();
-            let found = catch_unwind(AssertUnwindSafe(|| {
-                scan_inputs(&self.plugins, std::slice::from_ref(value))
-            }));
-            match found {
-                Ok(Some(attack)) => {
-                    flagged += 1;
-                    Self::bump(&self.counters.recovered_flagged);
-                    self.log_event_with(|| EventKind::RecoveredDataFlagged {
-                        attack: attack.clone(),
-                        value: value.clone(),
-                    });
-                }
-                Ok(None) => {}
-                Err(_) => {
-                    // A panicking plugin is contained per value: counted,
-                    // and the sweep keeps going over the rest of the data.
-                    Self::bump(&self.counters.guard_panics);
-                }
+            if let Some(attack) = scan_inputs(&self.plugins, std::slice::from_ref(value)) {
+                flagged += 1;
+                Self::bump(&self.counters.recovered_flagged);
+                self.log_event(EventKind::RecoveredDataFlagged {
+                    attack,
+                    value: value.clone(),
+                });
             }
         }
         flagged
@@ -781,18 +734,14 @@ impl Septic {
         let id = self.id_generator.generate(qs, ctx.comments);
         spans.id_gen_us = span_us(t);
         self.stages.id_gen.record_us(spans.id_gen_us);
-        self.log_event_with(|| EventKind::QueryProcessed {
-            id: id.clone(),
-            command: ctx.command().to_string(),
-        });
 
         if actions.qm_training {
             // Training mode: learn; the query executes normally.
             let model = QueryModel::from_structure(qs);
             if self.store.learn(id.clone(), model) {
                 Self::bump(&self.counters.models_created);
-                self.log_event_with(|| EventKind::ModelCreated {
-                    id: id.clone(),
+                self.log_event(EventKind::ModelCreated {
+                    id,
                     incremental: false,
                 });
             }
@@ -812,11 +761,12 @@ impl Septic {
         self.stages.store_get.record_us(spans.store_get_us);
         if rejected {
             Self::bump(&self.counters.queries_dropped);
-            self.log_event_with(|| EventKind::RejectedQueryRefused {
-                id: id.clone(),
+            let reason = format!("query id {id} rejected by administrator");
+            self.log_event(EventKind::RejectedQueryRefused {
+                id,
                 query: ctx.decoded_sql.to_string(),
             });
-            return GuardDecision::Block(format!("query id {id} rejected by administrator"));
+            return GuardDecision::Block(reason);
         }
 
         // Normal mode: the model (with its compiled comparison program)
@@ -827,8 +777,8 @@ impl Septic {
             let model = QueryModel::from_structure(qs);
             self.store.learn_provisional(id.clone(), model);
             Self::bump(&self.counters.models_created);
-            self.log_event_with(|| EventKind::ModelCreated {
-                id: id.clone(),
+            self.log_event(EventKind::ModelCreated {
+                id,
                 incremental: true,
             });
             // The administrator later decides whether the new model came
@@ -836,67 +786,33 @@ impl Septic {
             return GuardDecision::Proceed;
         };
         Self::bump(&self.counters.models_found);
-        self.log_event_with(|| EventKind::ModelFound { id: id.clone() });
 
-        // Run the detectors with panic isolation and a time budget: SEPTIC
-        // failing must never take the server down, and what happens to the
-        // query is the mode's failure policy, not an accident.
-        let policy = engine.failure_policies.for_mode(engine.mode);
-        let fail_open = policy == FailurePolicy::FailOpen;
+        // Run the detectors against the time budget. A detector or plugin
+        // that panics is not caught here: the server contains it and its
+        // failure policy decides the query, as for any guard failure.
         let started = Instant::now();
-        let detection = catch_unwind(AssertUnwindSafe(|| {
-            self.run_detectors(ctx, &compiled, &id, &engine, actions, &mut spans)
-        }));
-        let elapsed = started.elapsed();
-
-        match detection {
-            // A positive detection blocks regardless of deadline: slowness
-            // never downgrades a flagged attack.
-            Ok(Some(block)) => return block,
-            Ok(None) => {}
-            Err(payload) => {
-                Self::bump(&self.counters.guard_panics);
-                let what = panic_message(payload.as_ref());
-                self.log_event_with(|| EventKind::DetectorFailed {
-                    id: id.clone(),
-                    what: what.clone(),
-                    fail_open,
-                });
-                if fail_open {
-                    Self::bump(&self.counters.fail_open_passes);
-                    return GuardDecision::Proceed;
-                }
-                Self::bump(&self.counters.queries_dropped);
-                return GuardDecision::Block(format!(
-                    "detector failure ({what}) id={id}, fail-closed"
-                ));
-            }
+        // A positive detection blocks regardless of deadline: slowness
+        // never downgrades a flagged attack.
+        if let Some(block) = self.run_detectors(ctx, &compiled, &id, &engine, actions, &mut spans) {
+            return block;
         }
-
-        if let Some(budget) = engine.deadline {
-            if elapsed > budget {
+        let elapsed = started.elapsed();
+        match engine.deadline {
+            Some(budget) if elapsed > budget => {
                 Self::bump(&self.counters.deadline_exceeded);
-                self.log_event_with(|| EventKind::DeadlineExceeded {
-                    id: id.clone(),
+                let reason = format!("detection deadline exceeded id={id}");
+                self.log_event(EventKind::DeadlineExceeded {
+                    id,
                     elapsed_us: septic_telemetry::saturating_micros(elapsed),
                     budget_us: septic_telemetry::saturating_micros(budget),
-                    fail_open,
                     // Where the time went (per-stage spans for this very
                     // query), so the blown budget is attributable.
                     stages: spans,
                 });
-                if fail_open {
-                    Self::bump(&self.counters.fail_open_passes);
-                } else {
-                    Self::bump(&self.counters.queries_dropped);
-                    return GuardDecision::Block(format!(
-                        "detection deadline exceeded id={id}, fail-closed"
-                    ));
-                }
+                GuardDecision::Fail(reason)
             }
+            _ => GuardDecision::Proceed,
         }
-
-        GuardDecision::Proceed
     }
 }
 

@@ -25,8 +25,9 @@ pub enum DbError {
     /// The query was dropped by an installed guard (SEPTIC in prevention
     /// mode). Carries the guard's reason string.
     Blocked(String),
-    /// The guard itself failed (panicked) while inspecting the query and
-    /// its failure policy is fail-closed, so the query was not executed.
+    /// The guard itself failed (panicked, or reported
+    /// [`crate::GuardDecision::Fail`]) while inspecting the query and its
+    /// failure policy is fail-closed, so the query was not executed.
     /// Distinct from [`DbError::Blocked`]: this is a defense *outage*, not
     /// a detection.
     GuardFailure(String),

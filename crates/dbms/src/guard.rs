@@ -44,11 +44,14 @@ impl QueryContext<'_> {
     }
 }
 
-/// What the server does when the guard itself *fails* — panics, or (for
-/// guards with internal budgets) reports that it could not finish in time.
+/// What the server does when the guard itself *fails* — panics, or reports
+/// [`GuardDecision::Fail`] because it could not clear the query (a blown
+/// detection budget).
 ///
 /// The guard sits in the query path: its failure must degrade predictably
 /// instead of taking the engine down or silently disabling protection.
+/// The server is the one place that decides: it reads the guard's
+/// [`QueryGuard::failure_policy`] when the failure happens.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FailurePolicy {
     /// Availability over protection: a failing guard lets the query
@@ -69,10 +72,9 @@ impl fmt::Display for FailurePolicy {
 }
 
 /// Best-effort extraction of a panic payload's message — the text a
-/// contained guard panic is reported with, by the server and by guards
-/// that contain their own plugins' panics.
+/// contained guard panic is reported with.
 #[must_use]
-pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -90,6 +92,10 @@ pub enum GuardDecision {
     /// Drop the query; the client receives [`crate::DbError::Blocked`] with
     /// the given reason.
     Block(String),
+    /// The guard could not clear the query (it ran out of time, say). Not a
+    /// detection: the server treats it exactly like a panic in
+    /// [`QueryGuard::inspect`] and applies the guard's failure policy.
+    Fail(String),
 }
 
 impl fmt::Display for GuardDecision {
@@ -97,6 +103,7 @@ impl fmt::Display for GuardDecision {
         match self {
             GuardDecision::Proceed => f.write_str("proceed"),
             GuardDecision::Block(r) => write!(f, "block: {r}"),
+            GuardDecision::Fail(r) => write!(f, "fail: {r}"),
         }
     }
 }
@@ -111,7 +118,10 @@ pub trait QueryGuard: Send + Sync {
         "guard"
     }
 
-    /// Policy the server applies when [`QueryGuard::inspect`] panics.
+    /// Policy the server applies when [`QueryGuard::inspect`] panics or
+    /// returns [`GuardDecision::Fail`]. Called after the failure, so a
+    /// guard whose policy depends on its mode answers for the mode in
+    /// effect then.
     ///
     /// The default is [`FailurePolicy::FailClosed`]: an unknown guard
     /// failure blocks the query rather than silently disabling
@@ -134,8 +144,10 @@ pub trait QueryGuard: Send + Sync {
     /// A freshly deployed guard has never seen payloads that were
     /// *stored* before it was installed (or before a restart); the
     /// server feeds it every recovered string cell after WAL replay so
-    /// stored-injection payloads are re-detected from disk. Guards
-    /// without stored-data plugins keep the `0` default.
+    /// stored-injection payloads are re-detected from disk. The server
+    /// passes one value per call and contains a panic per value: it is
+    /// counted and the sweep goes on with the next. Guards without
+    /// stored-data plugins keep the `0` default.
     fn scan_stored(&self, values: &[String]) -> usize {
         let _ = values;
         0
@@ -183,6 +195,7 @@ mod tests {
     fn decision_display() {
         assert_eq!(GuardDecision::Proceed.to_string(), "proceed");
         assert_eq!(GuardDecision::Block("x".into()).to_string(), "block: x");
+        assert_eq!(GuardDecision::Fail("y".into()).to_string(), "fail: y");
     }
 
     #[test]

@@ -15,6 +15,14 @@
 //! The one other log write is the line a guard failure passed fail-open
 //! leaves before the call goes on.
 //!
+//! # One fail-safe
+//!
+//! The server is the only code that contains a guard: `guard_stage` runs
+//! `inspect` under `catch_unwind`, treats a [`GuardDecision::Fail`] like
+//! the panic it stands for, reads the guard's failure policy when the
+//! failure happens and counts the result; `scan_recovered` contains
+//! `scan_stored` one value at a time.
+//!
 //! # Concurrency
 //!
 //! The server is a session-per-thread front end: every [`Connection`] is a
@@ -109,7 +117,8 @@ pub struct GeneralLogEntry {
 #[derive(Debug)]
 struct Metrics {
     registry: MetricsRegistry,
-    /// Guard `inspect` calls that panicked (contained by the server).
+    /// Guard failures contained by the server: `inspect` panics and
+    /// [`GuardDecision::Fail`] reports, and `scan_stored` panics.
     guard_panics: Arc<Counter>,
     /// Queries that executed *despite* a guard failure because the
     /// guard's policy was [`FailurePolicy::FailOpen`].
@@ -215,7 +224,8 @@ impl Metrics {
 /// Point-in-time snapshot of the server's degradation counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServerStatsSnapshot {
-    /// Guard `inspect` calls that panicked (contained by the server).
+    /// Guard failures contained by the server: `inspect` panics and
+    /// [`GuardDecision::Fail`] reports, and `scan_stored` panics.
     pub guard_panics: u64,
     /// Queries executed despite a guard failure (fail-open policy).
     pub fail_open_passes: u64,
@@ -351,10 +361,12 @@ impl Server {
     }
 
     /// Feeds every string cell of the current database to the installed
-    /// guard's [`crate::guard::QueryGuard::scan_stored`] and returns how
-    /// many it flagged. This is the post-recovery re-detection pass: a
-    /// freshly deployed guard inspects data that was *stored* before it
-    /// was installed (second-order payloads surviving a restart).
+    /// guard's [`crate::guard::QueryGuard::scan_stored`], one value at a
+    /// time, and returns how many it flagged. This is the post-recovery
+    /// re-detection pass: a freshly deployed guard inspects data that was
+    /// *stored* before it was installed (second-order payloads surviving a
+    /// restart). A value whose scan panics is counted in
+    /// `dbms_guard_panics_total` and the sweep goes on with the next.
     /// Returns 0 when no guard is installed.
     #[must_use]
     pub fn scan_recovered(&self) -> usize {
@@ -371,7 +383,15 @@ impl Server {
                 }
             }
         }
-        guard.scan_stored(&values)
+        let mut flagged = 0;
+        for value in &values {
+            let one = std::slice::from_ref(value);
+            match catch_unwind(AssertUnwindSafe(|| guard.scan_stored(one))) {
+                Ok(n) => flagged += n,
+                Err(_) => self.metrics.guard_panics.inc(),
+            }
+        }
+        flagged
     }
 
     /// The shared compiled-program cache (per-shape expression programs).
@@ -426,7 +446,7 @@ impl Server {
         self.general_log.lock().iter().cloned().collect()
     }
 
-    /// Snapshot of the degradation counters (guard panics, fail-open
+    /// Snapshot of the degradation counters (guard failures, fail-open
     /// passes, general-log drops).
     #[must_use]
     pub fn stats(&self) -> ServerStatsSnapshot {
@@ -609,8 +629,10 @@ impl Server {
     /// The SEPTIC hook: lowers the statements to the item stack (the QS
     /// build) and hands the installed guard everything it may inspect,
     /// user data of INSERT/UPDATE included. The guard runs inside
-    /// `catch_unwind`: a buggy detector degrades per its failure policy,
-    /// never crashes the engine.
+    /// `catch_unwind`; a panic and a [`GuardDecision::Fail`] are one
+    /// failure, counted here and decided by the guard's failure policy as
+    /// it reads when the failure happens. A buggy or overrun detector
+    /// degrades per that policy, never crashes the engine.
     fn guard_stage(
         &self,
         req: &Request<'_>,
@@ -639,7 +661,11 @@ impl Server {
         let what = match inspected {
             Ok(GuardDecision::Proceed) => return Ok(()),
             Ok(GuardDecision::Block(reason)) => return Err(DbError::Blocked(reason)),
-            Err(payload) => panic_message(payload.as_ref()),
+            Ok(GuardDecision::Fail(reason)) => format!("guard '{}' failed: {reason}", guard.name()),
+            Err(payload) => {
+                let message = panic_message(payload.as_ref());
+                format!("guard '{}' panicked: {message}", guard.name())
+            }
         };
         self.metrics.guard_panics.inc();
         // The policy query runs isolated too — the guard that just panicked
@@ -647,8 +673,7 @@ impl Server {
         let policy = catch_unwind(AssertUnwindSafe(|| guard.failure_policy()))
             .unwrap_or(FailurePolicy::FailClosed);
         if policy == FailurePolicy::FailClosed {
-            let reason = format!("guard '{}' panicked: {what}", guard.name());
-            return Err(DbError::GuardFailure(reason));
+            return Err(DbError::GuardFailure(what));
         }
         self.metrics.fail_open_passes.inc();
         self.log(req, || format!("guard failure (fail-open): {what}"));
@@ -1425,6 +1450,38 @@ mod tests {
         server.install_guard(scanner.clone());
         assert_eq!(server.scan_recovered(), 1);
         assert!(scanner.0.lock().iter().any(|v| v == "x' OR 1=1-- "));
+    }
+
+    #[test]
+    fn scan_recovered_contains_a_panic_per_value() {
+        struct Brittle;
+        impl QueryGuard for Brittle {
+            fn inspect(&self, _: &QueryContext<'_>) -> GuardDecision {
+                GuardDecision::Proceed
+            }
+            fn scan_stored(&self, values: &[String]) -> usize {
+                if values.iter().any(|v| v == "boom") {
+                    panic!("injected scan bug");
+                }
+                values.iter().filter(|v| v.contains("OR 1=1")).count()
+            }
+        }
+        let server = Server::new();
+        let conn = server.connect();
+        conn.execute("CREATE TABLE t (id INT PRIMARY KEY, v VARCHAR(64))")
+            .unwrap();
+        conn.execute("INSERT INTO t (id, v) VALUES (1, 'boom'), (2, 'benign')")
+            .unwrap();
+        conn.execute_prepared(
+            "INSERT INTO t (id, v) VALUES (3, ?)",
+            &[Value::from("x' OR 1=1-- ")],
+        )
+        .unwrap();
+        server.install_guard(Arc::new(Brittle));
+        // The value that panics is counted; the one after it is still
+        // scanned and flagged.
+        assert_eq!(server.scan_recovered(), 1);
+        assert_eq!(server.stats().guard_panics, 1);
     }
 
     #[test]

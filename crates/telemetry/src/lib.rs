@@ -1,11 +1,11 @@
 //! # septic-telemetry — lock-free metrics for the SEPTIC query path
 //!
-//! The event logger in `septic` keeps a *bounded* ring of event details:
-//! under sustained traffic it wraps, and anything derived by scanning it
-//! (such as the old `attack_count()`) silently undercounts. This crate is
-//! the fix-by-design: **monotonic counters** and **fixed-bucket latency
-//! histograms** that are updated lock-free on the hot path and are exact
-//! regardless of how many events the detail ring has evicted.
+//! The event logger in `septic` keeps a *bounded* ring of incident
+//! details: under sustained traffic it wraps, and any total derived from
+//! it silently undercounts. So the logger keeps no totals; every total is
+//! one of this crate's **monotonic counters** (with **fixed-bucket latency
+//! histograms** beside them), updated lock-free where the fact happens and
+//! exact regardless of how many events the ring has evicted.
 //!
 //! Three export surfaces sit on top of the same primitives:
 //!

@@ -229,7 +229,7 @@ fn stress_counters_account_for_every_query() {
 
     // The three observability surfaces must agree with each other and
     // with the per-session counters: the merged MetricsSnapshot, the
-    // Prometheus text export, and the logger's monotonic kind counters.
+    // Prometheus text export, and the counter snapshot.
     let attacks = threads * attacks_per_thread;
     let merged = server.metrics_snapshot();
     assert_eq!(merged.counter("septic_attacks_total"), Some(attacks));
@@ -252,7 +252,7 @@ fn stress_counters_account_for_every_query() {
     );
     let session_blocked: u64 = sessions.iter().map(|s| s.queries_blocked).sum();
     assert_eq!(session_blocked, attacks);
-    assert_eq!(septic.logger().attack_count() as u64, attacks);
+    assert_eq!(septic.counters().attacks_detected, attacks);
     // Stage histograms were exercised and export self-consistently: the
     // rendered `_count` series equals the snapshot count.
     let inspect = merged

@@ -1,6 +1,7 @@
 //! Fault-injection suite: drives the fail-safe layer end to end with the
 //! `septic-faults` test doubles — panicking guards and plugins at the
-//! server hook, slow detectors against the deadline budget, and scripted
+//! server hook, slow detectors against the deadline budget (SEPTIC's own
+//! failures end exactly like any other guard's), and scripted
 //! I/O faults against the one medium (`MemIo` under `FaultyIo`) that both
 //! the model store and the WAL persist through.
 
@@ -110,18 +111,22 @@ fn deployed_with_plugin(
 
 #[test]
 fn plugin_panic_in_prevention_mode_fails_closed() {
-    let (_server, conn, septic) = deployed_with_plugin(Box::new(PanickingPlugin));
+    let (server, conn, septic) = deployed_with_plugin(Box::new(PanickingPlugin));
     septic.set_mode(Mode::PREVENTION);
 
     let err = conn
         .execute("INSERT INTO t (a) VALUES ('anything')")
         .unwrap_err();
-    assert!(matches!(err, DbError::Blocked(_)), "got {err:?}");
-    assert!(err.to_string().contains("detector failure"));
+    assert!(matches!(err, DbError::GuardFailure(_)), "got {err:?}");
+    assert!(err.to_string().contains("injected plugin panic"), "{err}");
     assert!(err.to_string().contains("fail-closed"));
+    let stats = server.stats();
+    assert_eq!(stats.guard_panics, 1);
+    assert_eq!(stats.fail_open_passes, 0);
+    // An outage is not a detection.
     let counters = septic.counters();
-    assert_eq!(counters.guard_panics, 1);
-    assert_eq!(counters.fail_open_passes, 0);
+    assert_eq!(counters.attacks_detected, 0);
+    assert_eq!(counters.queries_dropped, 0);
 
     // SEPTIC (and the server) survived: queries without write data skip
     // the broken plugin and flow normally.
@@ -130,22 +135,22 @@ fn plugin_panic_in_prevention_mode_fails_closed() {
 
 #[test]
 fn plugin_panic_in_detection_mode_fails_open() {
-    let (_server, conn, septic) = deployed_with_plugin(Box::new(PanickingPlugin));
+    let (server, conn, septic) = deployed_with_plugin(Box::new(PanickingPlugin));
     septic.set_mode(Mode::DETECTION);
 
     // Detection mode never drops queries, so its default policy is
     // fail-open: the query executes despite the broken detector.
     conn.execute("INSERT INTO t (a) VALUES ('anything')")
         .unwrap();
-    let counters = septic.counters();
-    assert_eq!(counters.guard_panics, 1);
-    assert_eq!(counters.fail_open_passes, 1);
+    let stats = server.stats();
+    assert_eq!(stats.guard_panics, 1);
+    assert_eq!(stats.fail_open_passes, 1);
     assert_eq!(conn.query("SELECT * FROM t").unwrap().rows.len(), 2);
 }
 
 #[test]
 fn operator_can_override_the_failure_policy_matrix() {
-    let (_server, conn, septic) = deployed_with_plugin(Box::new(PanickingPlugin));
+    let (server, conn, septic) = deployed_with_plugin(Box::new(PanickingPlugin));
     septic.set_mode(Mode::PREVENTION);
     septic.set_failure_policies(FailurePolicyMatrix {
         prevention: FailurePolicy::FailOpen,
@@ -156,7 +161,7 @@ fn operator_can_override_the_failure_policy_matrix() {
     // protection — the operator's call).
     conn.execute("INSERT INTO t (a) VALUES ('anything')")
         .unwrap();
-    assert_eq!(septic.counters().fail_open_passes, 1);
+    assert_eq!(server.stats().fail_open_passes, 1);
     let report = septic.status_report();
     assert!(report.contains("fail-open"), "{report}");
 }
@@ -167,7 +172,7 @@ fn operator_can_override_the_failure_policy_matrix() {
 
 #[test]
 fn blown_deadline_fails_closed_in_prevention_mode() {
-    let (_server, conn, septic) = deployed_with_plugin(Box::new(SlowPlugin {
+    let (server, conn, septic) = deployed_with_plugin(Box::new(SlowPlugin {
         delay: Duration::from_millis(25),
     }));
     septic.set_detection_deadline(Some(Duration::from_millis(1)));
@@ -176,13 +181,18 @@ fn blown_deadline_fails_closed_in_prevention_mode() {
     let err = conn
         .execute("INSERT INTO t (a) VALUES ('anything')")
         .unwrap_err();
+    assert!(matches!(err, DbError::GuardFailure(_)), "got {err:?}");
     assert!(err.to_string().contains("deadline exceeded"), "got {err}");
     assert_eq!(septic.counters().deadline_exceeded, 1);
+    assert_eq!(septic.counters().queries_dropped, 0);
+    let stats = server.stats();
+    assert_eq!(stats.guard_panics, 1);
+    assert_eq!(stats.fail_open_passes, 0);
 }
 
 #[test]
 fn blown_deadline_fails_open_in_detection_mode() {
-    let (_server, conn, septic) = deployed_with_plugin(Box::new(SlowPlugin {
+    let (server, conn, septic) = deployed_with_plugin(Box::new(SlowPlugin {
         delay: Duration::from_millis(25),
     }));
     septic.set_detection_deadline(Some(Duration::from_millis(1)));
@@ -190,9 +200,8 @@ fn blown_deadline_fails_open_in_detection_mode() {
 
     conn.execute("INSERT INTO t (a) VALUES ('anything')")
         .unwrap();
-    let counters = septic.counters();
-    assert_eq!(counters.deadline_exceeded, 1);
-    assert_eq!(counters.fail_open_passes, 1);
+    assert_eq!(septic.counters().deadline_exceeded, 1);
+    assert_eq!(server.stats().fail_open_passes, 1);
 }
 
 // ---------------------------------------------------------------------------

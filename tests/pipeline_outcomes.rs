@@ -2,16 +2,19 @@
 //! end writes one general-log entry whose outcome names how it ended — two
 //! entries when a guard failure is passed fail-open, the failure and then
 //! the call's own outcome — and moves exactly one of the session's three
-//! outcome counters.
+//! outcome counters. SEPTIC's own failures (a panicking plugin, a blown
+//! detection deadline) end exactly like any other guard's.
 
 use std::sync::Arc;
+use std::time::Duration;
 
+use septic::{Mode, Plugin, Septic};
 use septic_dbms::expr::MAX_ROWS_EXAMINED;
 use septic_dbms::{
     Connection, DbError, ExecResult, FailurePolicy, GuardDecision, MemIo, QueryContext, QueryGuard,
     Server, ServerConfig, StorageIo, Value, WalConfig,
 };
-use septic_faults::{Fault, FaultyIo, IoOp, PanickingGuard};
+use septic_faults::{Fault, FaultyIo, IoOp, PanickingGuard, PanickingPlugin, SlowPlugin};
 use septic_sql::ParseError;
 
 /// A WAL-backed server over a fault-scripting medium, stacked statements
@@ -77,6 +80,25 @@ struct Case {
 }
 
 fn nothing(_: &Fixture) {}
+
+/// Installs a SEPTIC with `plugin` appended to its scan chain, trains it on
+/// one INSERT shape, then sets the detection deadline and switches to
+/// `mode`. The stored-injection scan runs on a known INSERT shape, so the
+/// call's INSERT reaches the plugin.
+fn septic_with(f: &Fixture, plugin: Box<dyn Plugin>, deadline: Option<Duration>, mode: Mode) {
+    let mut septic = Septic::new();
+    septic.add_plugin(plugin);
+    let septic = Arc::new(septic);
+    f.server.install_guard(septic.clone());
+    septic.set_mode(Mode::Training);
+    f.conn
+        .execute("INSERT INTO t (id, v) VALUES (7, 'seed')")
+        .unwrap();
+    septic.set_detection_deadline(deadline);
+    septic.set_mode(mode);
+}
+
+const SEPTIC_INSERT: &str = "INSERT INTO t (id, v) VALUES (8, 'x')";
 
 fn cases() -> Vec<Case> {
     vec![
@@ -174,6 +196,39 @@ fn cases() -> Vec<Case> {
             prefix: "guard failure (fail-open): ",
             entries: 2,
             moved: Moved::Ok,
+        },
+        Case {
+            name: "SEPTIC plugin panic, prevention",
+            ends: |r| matches!(r, Err(DbError::GuardFailure(_))),
+            arrange: |f| septic_with(f, Box::new(PanickingPlugin), None, Mode::PREVENTION),
+            call: |c| c.execute(SEPTIC_INSERT),
+            prefix: "guard failure (fail-closed): ",
+            entries: 1,
+            moved: Moved::Failed,
+        },
+        Case {
+            name: "SEPTIC plugin panic, detection",
+            ends: |r| r.is_ok(),
+            arrange: |f| septic_with(f, Box::new(PanickingPlugin), None, Mode::DETECTION),
+            call: |c| c.execute(SEPTIC_INSERT),
+            prefix: "guard failure (fail-open): ",
+            entries: 2,
+            moved: Moved::Ok,
+        },
+        Case {
+            name: "SEPTIC deadline exceeded, prevention",
+            ends: |r| matches!(r, Err(DbError::GuardFailure(what)) if what.contains("deadline exceeded")),
+            arrange: |f| {
+                let slow = SlowPlugin {
+                    delay: Duration::from_millis(25),
+                };
+                let budget = Some(Duration::from_millis(1));
+                septic_with(f, Box::new(slow), budget, Mode::PREVENTION);
+            },
+            call: |c| c.execute(SEPTIC_INSERT),
+            prefix: "guard failure (fail-closed): ",
+            entries: 1,
+            moved: Moved::Failed,
         },
         Case {
             name: "runtime error",

@@ -117,15 +117,16 @@ pub fn idle_swarm(addr: SocketAddr, count: usize) -> std::io::Result<Vec<TcpStre
     Ok(swarm)
 }
 
-/// Garbage payload: a well-framed frame whose payload is not JSON. The
-/// server must count a decode error and close this connection only.
+/// Garbage payload: a well-framed frame whose payload decodes as no
+/// request (its first byte is no request tag). The server must count a
+/// decode error and close this connection only.
 ///
 /// # Errors
 ///
 /// Connect/write failures reaching the server at all.
 pub fn garbage_payload(addr: SocketAddr, wait: Duration) -> std::io::Result<SocketFaultOutcome> {
     let mut stream = TcpStream::connect(addr)?;
-    let payload = b"\x00\xffnot json at all";
+    let payload = b"\xffnot a request at all";
     stream.write_all(&(payload.len() as u32).to_be_bytes())?;
     stream.write_all(payload)?;
     stream.flush()?;

@@ -4,7 +4,7 @@
 //! as the in-process `Server::connect()`. Each closed-loop client of the
 //! repo benchmark's `wire_mix` workload holds one.
 
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -87,7 +87,9 @@ impl ClientError {
 /// A connected client session.
 #[derive(Debug)]
 pub struct NetClient {
-    stream: TcpStream,
+    /// Reads are buffered, so a reply's frames come in one `recv` rather
+    /// than two per frame; requests are written to the socket directly.
+    stream: BufReader<TcpStream>,
     max_frame_len: u32,
 }
 
@@ -115,7 +117,7 @@ impl NetClient {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
         let mut client = NetClient {
-            stream,
+            stream: BufReader::new(stream),
             max_frame_len,
         };
         // When admission control sheds the connection, the server writes
@@ -144,7 +146,7 @@ impl NetClient {
     ///
     /// Propagates the socket option failure.
     pub fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        self.stream.set_read_timeout(timeout)
+        self.stream.get_ref().set_read_timeout(timeout)
     }
 
     /// Executes one SQL text and returns the wire-level result.
@@ -220,7 +222,7 @@ impl NetClient {
     }
 
     fn send(&mut self, request: &Request) -> Result<(), ClientError> {
-        write_frame(&mut self.stream, request, self.max_frame_len)?;
+        write_frame(self.stream.get_mut(), request, self.max_frame_len)?;
         Ok(())
     }
 

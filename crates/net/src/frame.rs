@@ -1,20 +1,49 @@
-//! The wire format: length-prefixed JSON frames.
+//! The wire format: length-prefixed binary frames.
 //!
 //! A frame is a 4-byte big-endian payload length followed by that many
-//! bytes of JSON. The length prefix is the *entire* framing — no magic,
-//! no checksum — so a malformed or hostile peer can at worst make one
-//! connection's decode fail; the decode error is counted, reported and
-//! the connection closed. The declared length is checked against the
-//! configured maximum *before* any payload byte is read, so an oversized
-//! frame never causes an allocation proportional to attacker input.
+//! bytes: one [`Request`] or [`Response`] in the encoding below. The
+//! length prefix is the *entire* framing — no magic, no checksum — so a
+//! malformed or hostile peer can at worst make one connection's decode
+//! fail; the decode error is counted, reported and the connection closed.
+//! The declared length is checked against the configured maximum *before*
+//! any payload byte is read, so an oversized frame never causes an
+//! allocation proportional to attacker input.
+//!
+//! # Payload encoding
+//!
+//! | item | bytes |
+//! |---|---|
+//! | `u32` (a count, a length, a version) | 4, little-endian |
+//! | `u64`, `i64` | 8, little-endian |
+//! | `f64` | its bits (`to_bits`) as a `u64`: NaN, ±inf and -0.0 survive |
+//! | string | `u32` byte length, then that many bytes of UTF-8 |
+//! | `Option<T>` | `0`, or `1` then `T` |
+//! | `Vec<T>` | `u32` count, then each `T` |
+//! | `Value` | tag `0` Null · `1` Int `i64` · `2` Real `f64` · `3` Str string |
+//! | `QueryRequest` | `sql` string, `params` `Option<Vec<Value>>` |
+//! | `Request` | tag `0` Hello `u32` · `1` Query `QueryRequest` · `2` Batch `Vec<QueryRequest>` · `3` Ping |
+//! | `WireOutput` | `columns` `Vec<string>`, `rows` `Vec<Vec<Value>>`, `affected` `u64`, `last_insert_id` `Option<i64>` |
+//! | `WireResult` | `outputs` `Vec<WireOutput>`, `elapsed_us` `u64`, `simulated_us` `u64` |
+//! | `Response` | tag `0` Hello `u32` · `1` Result `WireResult` · `2` Blocked · `3` GuardFailure · `4` Error · `5` ServerBusy, each a string · `6` Pong |
+//!
+//! The encoding is canonical: a payload decodes only if encoding what it
+//! decodes to gives back exactly its bytes. An unknown tag, an `Option`
+//! byte other than 0 or 1, a string that is not UTF-8, a count larger
+//! than the bytes left can hold and trailing bytes are all
+//! [`FrameError::Decode`]. A count is checked against the bytes left
+//! divided by its item's smallest encoding before anything is allocated
+//! for it, so no count can make the decoder allocate past the payload it
+//! already holds.
 
 use std::io::{self, Read, Write};
 
 use septic_dbms::{DbError, ExecResult, QueryOutput, Value};
-use serde::{Deserialize, Serialize};
 
-/// Protocol version carried in `Request::Hello`.
-pub const PROTOCOL_VERSION: u32 = 1;
+use self::codec::Codec;
+
+/// Protocol version carried in `Request::Hello`. Version 2 is the binary
+/// encoding; version 1 framed JSON and the two do not interoperate.
+pub const PROTOCOL_VERSION: u32 = 2;
 
 /// Bytes of the frame header (big-endian payload length).
 pub const FRAME_HEADER_LEN: usize = 4;
@@ -24,7 +53,7 @@ pub const DEFAULT_MAX_FRAME_LEN: u32 = 256 * 1024;
 
 /// One query to execute: SQL text plus optional server-side-bound
 /// parameters (`?` placeholders).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryRequest {
     /// The SQL text.
     pub sql: String,
@@ -35,7 +64,7 @@ pub struct QueryRequest {
 }
 
 /// A client→server frame.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Request {
     /// Optional first frame: the protocol version.
     Hello {
@@ -53,7 +82,7 @@ pub enum Request {
 
 /// One statement's result set, the wire mirror of
 /// [`septic_dbms::QueryOutput`].
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WireOutput {
     /// Column labels (SELECT only).
     pub columns: Vec<String>,
@@ -86,7 +115,7 @@ impl WireOutput {
 
 /// A successful execution: outputs per statement plus timing, the wire
 /// mirror of [`septic_dbms::ExecResult`].
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WireResult {
     /// Output per executed statement, in order.
     pub outputs: Vec<WireOutput>,
@@ -122,7 +151,7 @@ impl WireResult {
 }
 
 /// A server→client frame.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Response {
     /// Answer to `Request::Hello`.
     Hello {
@@ -196,8 +225,8 @@ pub enum FrameError {
         /// Configured maximum.
         max: u32,
     },
-    /// The payload was read in full but is not valid JSON for the
-    /// expected type. Framing is intact, so the connection *could*
+    /// The payload was read in full but is not the canonical encoding of
+    /// the expected type. Framing is intact, so the connection *could*
     /// continue; the server still closes it (a peer this confused is
     /// not worth resynchronizing with).
     Decode(String),
@@ -237,28 +266,61 @@ impl FrameError {
     }
 }
 
-/// Serializes `msg` as one frame onto `w`.
+/// A type that travels as one frame's payload: [`Request`] or
+/// [`Response`], in the encoding of the module docs. Sealed.
+pub trait Message: Codec {}
+
+impl Message for Request {}
+impl Message for Response {}
+
+/// Writes `msg` as one frame onto `w`, header and payload in one
+/// `write_all`.
 ///
 /// # Errors
 ///
 /// I/O errors from the writer; an encoding larger than `max_len` is
 /// reported as `InvalidData` (the caller's payload is at fault, not the
 /// peer).
-pub fn write_frame<W: Write, T: Serialize>(w: &mut W, msg: &T, max_len: u32) -> io::Result<()> {
-    let payload = serde_json::to_string(msg)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?
-        .into_bytes();
-    let len = u32::try_from(payload.len())
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame too large for u32"))?;
-    if len > max_len {
-        return Err(io::Error::new(
+pub fn write_frame<W: Write, T: Message>(w: &mut W, msg: &T, max_len: u32) -> io::Result<()> {
+    let mut frame = Vec::new();
+    encode_frame(&mut frame, msg, max_len)?;
+    w.write_all(&frame)?;
+    w.flush()
+}
+
+/// Encodes `replies` as consecutive frames in one buffer, so that a reply
+/// of any number of frames leaves in one write. Each frame is held to
+/// `max_len` on its own.
+///
+/// # Errors
+///
+/// `InvalidData` for a frame whose encoding is larger than `max_len`.
+pub(crate) fn encode_replies(replies: &[Response], max_len: u32) -> io::Result<Vec<u8>> {
+    let mut out = Vec::new();
+    for reply in replies {
+        encode_frame(&mut out, reply, max_len)?;
+    }
+    Ok(out)
+}
+
+/// Appends `msg` as one frame to `out`: a header placeholder, the payload
+/// encoded straight behind it, then the placeholder patched with the
+/// payload's length.
+fn encode_frame<T: Message>(out: &mut Vec<u8>, msg: &T, max_len: u32) -> io::Result<()> {
+    let start = out.len();
+    out.extend_from_slice(&[0; FRAME_HEADER_LEN]);
+    msg.encode(out);
+    let len = out.len() - start - FRAME_HEADER_LEN;
+    match u32::try_from(len) {
+        Ok(len) if len <= max_len => {
+            out[start..start + FRAME_HEADER_LEN].copy_from_slice(&len.to_be_bytes());
+            Ok(())
+        }
+        _ => Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!("frame of {len} bytes exceeds max {max_len}"),
-        ));
+        )),
     }
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(&payload)?;
-    w.flush()
 }
 
 /// Reads one frame from `r` and decodes it as `T`.
@@ -270,7 +332,7 @@ pub fn write_frame<W: Write, T: Serialize>(w: &mut W, msg: &T, max_len: u32) -> 
 /// # Errors
 ///
 /// See [`FrameError`].
-pub fn read_frame<R: Read, T: Deserialize>(r: &mut R, max_len: u32) -> Result<T, FrameError> {
+pub fn read_frame<R: Read, T: Message>(r: &mut R, max_len: u32) -> Result<T, FrameError> {
     let mut header = [0u8; FRAME_HEADER_LEN];
     let mut got = 0;
     while got < FRAME_HEADER_LEN {
@@ -302,15 +364,253 @@ pub fn read_frame<R: Read, T: Deserialize>(r: &mut R, max_len: u32) -> Result<T,
             FrameError::Io(e)
         }
     })?;
-    let text = std::str::from_utf8(&payload)
-        .map_err(|e| FrameError::Decode(format!("payload is not UTF-8: {e}")))?;
-    serde_json::from_str(text).map_err(|e| FrameError::Decode(e.to_string()))
+    let mut input = payload.as_slice();
+    let msg = T::decode(&mut input).map_err(FrameError::Decode)?;
+    match input.len() {
+        0 => Ok(msg),
+        n => Err(FrameError::Decode(format!("{n} trailing bytes"))),
+    }
+}
+
+/// The encoding of the module docs, one [`Codec`](codec::Codec) per item.
+/// Private, so that [`Message`] stays sealed.
+mod codec {
+    use super::{QueryRequest, Request, Response, Value, WireOutput, WireResult};
+
+    pub trait Codec: Sized {
+        /// Bytes of the smallest encoding: what a count is checked
+        /// against before anything is allocated for it.
+        const MIN_LEN: usize;
+
+        /// Appends the encoding of `self` to `out`.
+        fn encode(&self, out: &mut Vec<u8>);
+
+        /// Decodes one item from the front of `input` and advances it.
+        fn decode(input: &mut &[u8]) -> Result<Self, String>;
+    }
+
+    fn take<'a>(input: &mut &'a [u8], n: usize) -> Result<&'a [u8], String> {
+        let have = input.len();
+        let short = || format!("payload ends {} bytes short", n - have);
+        input.split_off(..n).ok_or_else(short)
+    }
+
+    /// A variant: its tag, then its content.
+    fn tagged(out: &mut Vec<u8>, tag: u8, content: &impl Codec) {
+        out.push(tag);
+        content.encode(out);
+    }
+
+    /// A count or length, saturated: a count past `u32::MAX` means a
+    /// payload past it too, which the frame's length check refuses.
+    fn encode_count(n: usize, out: &mut Vec<u8>) {
+        u32::try_from(n).unwrap_or(u32::MAX).encode(out);
+    }
+
+    /// A count of items of at least `min_len` bytes each, refused when the
+    /// bytes left cannot hold that many.
+    fn decode_count(input: &mut &[u8], min_len: usize) -> Result<usize, String> {
+        let n = u32::decode(input)? as usize;
+        if n > input.len() / min_len {
+            return Err(format!("count {n} exceeds the {} bytes left", input.len()));
+        }
+        Ok(n)
+    }
+
+    macro_rules! le_bytes {
+        ($($ty:ty),*) => {$(
+            impl Codec for $ty {
+                const MIN_LEN: usize = std::mem::size_of::<$ty>();
+
+                fn encode(&self, out: &mut Vec<u8>) {
+                    out.extend_from_slice(&self.to_le_bytes());
+                }
+
+                fn decode(input: &mut &[u8]) -> Result<Self, String> {
+                    let bytes = take(input, Self::MIN_LEN)?;
+                    Ok(<$ty>::from_le_bytes(bytes.try_into().expect("took MIN_LEN bytes")))
+                }
+            }
+        )*};
+    }
+    // A tag is a `u8`; an `f64`'s little-endian bytes are its bits'.
+    le_bytes!(u8, u32, u64, i64, f64);
+
+    impl Codec for String {
+        const MIN_LEN: usize = u32::MIN_LEN;
+
+        fn encode(&self, out: &mut Vec<u8>) {
+            encode_count(self.len(), out);
+            out.extend_from_slice(self.as_bytes());
+        }
+
+        fn decode(input: &mut &[u8]) -> Result<Self, String> {
+            let len = decode_count(input, 1)?;
+            std::str::from_utf8(take(input, len)?)
+                .map(str::to_owned)
+                .map_err(|e| format!("string is not UTF-8: {e}"))
+        }
+    }
+
+    impl<T: Codec> Codec for Vec<T> {
+        const MIN_LEN: usize = u32::MIN_LEN;
+
+        fn encode(&self, out: &mut Vec<u8>) {
+            encode_count(self.len(), out);
+            for item in self {
+                item.encode(out);
+            }
+        }
+
+        fn decode(input: &mut &[u8]) -> Result<Self, String> {
+            let n = decode_count(input, T::MIN_LEN)?;
+            let mut items = Vec::with_capacity(n);
+            for _ in 0..n {
+                items.push(T::decode(input)?);
+            }
+            Ok(items)
+        }
+    }
+
+    impl<T: Codec> Codec for Option<T> {
+        const MIN_LEN: usize = 1;
+
+        fn encode(&self, out: &mut Vec<u8>) {
+            match self {
+                None => out.push(0),
+                Some(v) => tagged(out, 1, v),
+            }
+        }
+
+        fn decode(input: &mut &[u8]) -> Result<Self, String> {
+            match u8::decode(input)? {
+                0 => Ok(None),
+                1 => T::decode(input).map(Some),
+                t => Err(format!("unknown option tag {t}")),
+            }
+        }
+    }
+
+    impl Codec for Value {
+        const MIN_LEN: usize = 1;
+
+        fn encode(&self, out: &mut Vec<u8>) {
+            match self {
+                Value::Null => out.push(0),
+                Value::Int(v) => tagged(out, 1, v),
+                Value::Real(v) => tagged(out, 2, v),
+                Value::Str(s) => tagged(out, 3, s),
+            }
+        }
+
+        fn decode(input: &mut &[u8]) -> Result<Self, String> {
+            match u8::decode(input)? {
+                0 => Ok(Value::Null),
+                1 => i64::decode(input).map(Value::Int),
+                2 => f64::decode(input).map(Value::Real),
+                3 => String::decode(input).map(Value::Str),
+                t => Err(format!("unknown value tag {t}")),
+            }
+        }
+    }
+
+    /// A struct: its fields, in the order listed.
+    macro_rules! fields {
+        ($ty:ident { $($field:ident: $fty:ty),* }) => {
+            impl Codec for $ty {
+                const MIN_LEN: usize = 0 $(+ <$fty>::MIN_LEN)*;
+
+                fn encode(&self, out: &mut Vec<u8>) {
+                    $(self.$field.encode(out);)*
+                }
+
+                fn decode(input: &mut &[u8]) -> Result<Self, String> {
+                    Ok($ty { $($field: <$fty>::decode(input)?),* })
+                }
+            }
+        };
+    }
+    fields!(QueryRequest { sql: String, params: Option<Vec<Value>> });
+    fields!(WireOutput {
+        columns: Vec<String>,
+        rows: Vec<Vec<Value>>,
+        affected: u64,
+        last_insert_id: Option<i64>
+    });
+    fields!(WireResult { outputs: Vec<WireOutput>, elapsed_us: u64, simulated_us: u64 });
+
+    impl Codec for Request {
+        const MIN_LEN: usize = 1;
+
+        fn encode(&self, out: &mut Vec<u8>) {
+            match self {
+                Request::Hello { version } => tagged(out, 0, version),
+                Request::Query(q) => tagged(out, 1, q),
+                Request::Batch(queries) => tagged(out, 2, queries),
+                Request::Ping => out.push(3),
+            }
+        }
+
+        fn decode(input: &mut &[u8]) -> Result<Self, String> {
+            match u8::decode(input)? {
+                0 => u32::decode(input).map(|version| Request::Hello { version }),
+                1 => QueryRequest::decode(input).map(Request::Query),
+                2 => Vec::decode(input).map(Request::Batch),
+                3 => Ok(Request::Ping),
+                t => Err(format!("unknown request tag {t}")),
+            }
+        }
+    }
+
+    impl Codec for Response {
+        const MIN_LEN: usize = 1;
+
+        fn encode(&self, out: &mut Vec<u8>) {
+            match self {
+                Response::Hello { version } => tagged(out, 0, version),
+                Response::Result(result) => tagged(out, 1, result),
+                Response::Blocked { reason } => tagged(out, 2, reason),
+                Response::GuardFailure { reason } => tagged(out, 3, reason),
+                Response::Error { message } => tagged(out, 4, message),
+                Response::ServerBusy { reason } => tagged(out, 5, reason),
+                Response::Pong => out.push(6),
+            }
+        }
+
+        fn decode(input: &mut &[u8]) -> Result<Self, String> {
+            match u8::decode(input)? {
+                0 => u32::decode(input).map(|version| Response::Hello { version }),
+                1 => WireResult::decode(input).map(Response::Result),
+                2 => String::decode(input).map(|reason| Response::Blocked { reason }),
+                3 => String::decode(input).map(|reason| Response::GuardFailure { reason }),
+                4 => String::decode(input).map(|message| Response::Error { message }),
+                5 => String::decode(input).map(|reason| Response::ServerBusy { reason }),
+                6 => Ok(Response::Pong),
+                t => Err(format!("unknown response tag {t}")),
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::io::Cursor;
+
+    /// `payload` behind its frame header.
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut buf = (payload.len() as u32).to_be_bytes().to_vec();
+        buf.extend_from_slice(payload);
+        buf
+    }
+
+    /// The payload `write_frame` encodes `msg` to.
+    fn payload_of<T: Message>(msg: &T) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, msg, u32::MAX).unwrap();
+        buf.split_off(FRAME_HEADER_LEN)
+    }
 
     #[test]
     fn frames_round_trip() {
@@ -340,7 +640,12 @@ mod tests {
         let a: Request = read_frame(&mut cur, DEFAULT_MAX_FRAME_LEN).unwrap();
         let b: Request = read_frame(&mut cur, DEFAULT_MAX_FRAME_LEN).unwrap();
         assert_eq!(a, Request::Ping);
-        assert_eq!(b, Request::Hello { version: 1 });
+        assert_eq!(
+            b,
+            Request::Hello {
+                version: PROTOCOL_VERSION
+            }
+        );
     }
 
     /// Hands out one byte per `read`, the worst a socket can do.
@@ -414,12 +719,109 @@ mod tests {
 
     #[test]
     fn decode_errors_are_distinguished() {
-        let mut buf = Vec::new();
-        let payload = b"not json";
-        buf.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-        buf.extend_from_slice(payload);
-        let err = read_frame::<_, Request>(&mut Cursor::new(&buf), 1024).unwrap_err();
-        assert!(matches!(err, FrameError::Decode(_)));
+        let payloads: [&[u8]; 6] = [
+            b"not a request",          // `n` is no request tag
+            &[],                       // no tag at all
+            &[3, 0],                   // `Ping`, then a trailing byte
+            &[1, 0, 0, 0, 0, 2],       // `Query` whose params byte is 2
+            &[1, 2, 0, 0, 0, 0xff, 0], // `Query` whose SQL is not UTF-8
+            &[1, 9, 0, 0, 0, b'x', 0], // `Query` whose SQL is cut short
+        ];
+        for payload in payloads {
+            let err =
+                read_frame::<_, Request>(&mut Cursor::new(framed(payload)), 1024).unwrap_err();
+            assert!(matches!(err, FrameError::Decode(_)), "{payload:?}: {err}");
+        }
+    }
+
+    /// A `len`-byte payload: `prefix`, a count of `u32::MAX`, zero padding.
+    fn declares_u32_max(prefix: &[u8], len: usize) -> Vec<u8> {
+        let mut payload = prefix.to_vec();
+        payload.extend_from_slice(&u32::MAX.to_le_bytes());
+        payload.resize(len, 0);
+        payload
+    }
+
+    #[test]
+    fn a_count_past_the_payload_is_refused_before_allocation() {
+        // 20 bytes each; a count inside a result's one output needs 40,
+        // since 20 cannot hold the output that declares it.
+        let requests = [
+            ("batch queries", declares_u32_max(&[2], 20)),
+            ("params", declares_u32_max(&[1, 0, 0, 0, 0, 1], 20)),
+        ];
+        let responses = [
+            ("outputs", declares_u32_max(&[1], 20)),
+            ("columns", declares_u32_max(&[1, 1, 0, 0, 0], 40)),
+            ("rows", declares_u32_max(&[1, 1, 0, 0, 0, 0, 0, 0, 0], 40)),
+            (
+                "values",
+                declares_u32_max(&[1, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0], 40),
+            ),
+        ];
+        let refused = |what: &str, err: FrameError| {
+            assert!(
+                matches!(&err, FrameError::Decode(m) if m.starts_with("count 4294967295 exceeds the")),
+                "{what}: {err}"
+            );
+        };
+        for (what, payload) in requests {
+            refused(
+                what,
+                read_frame::<_, Request>(&mut Cursor::new(framed(&payload)), 64).unwrap_err(),
+            );
+        }
+        for (what, payload) in responses {
+            refused(
+                what,
+                read_frame::<_, Response>(&mut Cursor::new(framed(&payload)), 64).unwrap_err(),
+            );
+        }
+    }
+
+    #[test]
+    fn a_batch_reply_is_one_buffer_of_frames_in_order() {
+        let replies: Vec<Response> = (0..8)
+            .map(|i| match i % 3 {
+                0 => Response::Result(WireResult {
+                    outputs: vec![WireOutput {
+                        columns: vec!["n".into()],
+                        rows: vec![vec![Value::Int(i)]],
+                        ..WireOutput::default()
+                    }],
+                    ..WireResult::default()
+                }),
+                1 => Response::Blocked {
+                    reason: format!("SQLI #{i}"),
+                },
+                _ => Response::Error {
+                    message: format!("error #{i}"),
+                },
+            })
+            .collect();
+        let buf = encode_replies(&replies, DEFAULT_MAX_FRAME_LEN).unwrap();
+        let mut cur = Cursor::new(&buf);
+        for reply in &replies {
+            let back: Response = read_frame(&mut cur, DEFAULT_MAX_FRAME_LEN).unwrap();
+            assert_eq!(&back, reply);
+        }
+        let end = read_frame::<_, Response>(&mut cur, DEFAULT_MAX_FRAME_LEN).unwrap_err();
+        assert!(matches!(end, FrameError::Closed));
+
+        // Each frame is held to the cap on its own; one past it fails the
+        // whole reply with the writer's error.
+        let small = Response::Pong;
+        let big = Response::Error {
+            message: "x".repeat(64),
+        };
+        assert_eq!(
+            encode_replies(&[small.clone(), small.clone()], 1)
+                .unwrap()
+                .len(),
+            10
+        );
+        let err = encode_replies(&[small, big], 32).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]
@@ -439,5 +841,173 @@ mod tests {
             Response::from_outcome(&parse),
             Response::Error { .. }
         ));
+    }
+
+    fn gen_vec<T>(rng: &mut TestRng, max: u64, item: impl Fn(&mut TestRng) -> T) -> Vec<T> {
+        let n = rng.below(max + 1);
+        (0..n).map(|_| item(rng)).collect()
+    }
+
+    fn gen_string(rng: &mut TestRng) -> String {
+        "\\PC{0,12}".generate(rng)
+    }
+
+    fn gen_value(rng: &mut TestRng) -> Value {
+        match rng.below(5) {
+            0 => Value::Null,
+            1 => Value::Int(i64::arbitrary(rng)),
+            2 => Value::Real(f64::arbitrary(rng)),
+            3 => Value::Real(match rng.below(2) {
+                0 => f64::from_bits(rng.next_u64()),
+                _ => *rng.pick(&[f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -0.0]),
+            }),
+            _ => Value::Str(gen_string(rng)),
+        }
+    }
+
+    fn gen_query(rng: &mut TestRng) -> QueryRequest {
+        QueryRequest {
+            sql: gen_string(rng),
+            params: match rng.below(3) {
+                0 => None,
+                1 => Some(Vec::new()),
+                _ => Some(gen_vec(rng, 4, gen_value)),
+            },
+        }
+    }
+
+    fn gen_request(rng: &mut TestRng) -> Request {
+        match rng.below(4) {
+            0 => Request::Hello {
+                version: u32::arbitrary(rng),
+            },
+            1 => Request::Query(gen_query(rng)),
+            2 => Request::Batch(gen_vec(rng, 4, gen_query)),
+            _ => Request::Ping,
+        }
+    }
+
+    fn gen_output(rng: &mut TestRng) -> WireOutput {
+        WireOutput {
+            columns: gen_vec(rng, 3, gen_string),
+            rows: gen_vec(rng, 3, |rng| gen_vec(rng, 3, gen_value)),
+            affected: u64::arbitrary(rng),
+            last_insert_id: if rng.bool() {
+                Some(i64::arbitrary(rng))
+            } else {
+                None
+            },
+        }
+    }
+
+    fn gen_response(rng: &mut TestRng) -> Response {
+        match rng.below(7) {
+            0 => Response::Hello {
+                version: u32::arbitrary(rng),
+            },
+            1 => Response::Result(WireResult {
+                outputs: gen_vec(rng, 3, gen_output),
+                elapsed_us: u64::arbitrary(rng),
+                simulated_us: u64::arbitrary(rng),
+            }),
+            2 => Response::Blocked {
+                reason: gen_string(rng),
+            },
+            3 => Response::GuardFailure {
+                reason: gen_string(rng),
+            },
+            4 => Response::Error {
+                message: gen_string(rng),
+            },
+            5 => Response::ServerBusy {
+                reason: gen_string(rng),
+            },
+            _ => Response::Pong,
+        }
+    }
+
+    /// What a hostile peer might send: noise, or a valid payload with one
+    /// byte changed, cut short or one byte longer.
+    fn hostile(rng: &mut TestRng, valid: fn(&mut TestRng) -> Vec<u8>) -> Vec<u8> {
+        let mut bytes = match rng.below(4) {
+            0 => gen_vec(rng, 24, |rng| rng.next_u64() as u8),
+            _ => valid(rng),
+        };
+        let len = bytes.len() as u64;
+        match rng.below(4) {
+            0 if len > 0 => bytes[rng.below(len) as usize] = rng.next_u64() as u8,
+            1 => bytes.truncate(rng.below(len + 1) as usize),
+            2 => bytes.push(rng.next_u64() as u8),
+            _ => {}
+        }
+        bytes
+    }
+
+    /// Replaces a `Real` by a string of its bits, so that `==` compares
+    /// reals bit for bit: NaN equals itself and -0.0 differs from 0.0.
+    fn real_by_bits(v: &mut Value) {
+        if let Value::Real(f) = v {
+            *v = Value::Str(format!("real bits {:#018x}", f.to_bits()));
+        }
+    }
+
+    fn request_by_bits(mut request: Request) -> Request {
+        let queries = match &mut request {
+            Request::Query(q) => std::slice::from_mut(q),
+            Request::Batch(queries) => queries.as_mut_slice(),
+            _ => &mut [],
+        };
+        queries
+            .iter_mut()
+            .flat_map(|q| q.params.iter_mut().flatten())
+            .for_each(real_by_bits);
+        request
+    }
+
+    fn response_by_bits(mut response: Response) -> Response {
+        if let Response::Result(result) = &mut response {
+            result
+                .outputs
+                .iter_mut()
+                .flat_map(|o| o.rows.iter_mut().flatten())
+                .for_each(real_by_bits);
+        }
+        response
+    }
+
+    proptest! {
+        #[test]
+        fn hostile_request_payloads_never_panic_and_decode_only_canonically(
+            payload in fn_strategy(|rng: &mut TestRng| hostile(rng, |rng| payload_of(&gen_request(rng))))
+        ) {
+            let mut frame = Cursor::new(framed(&payload));
+            if let Ok(request) = read_frame::<_, Request>(&mut frame, u32::MAX) {
+                prop_assert_eq!(payload_of(&request), payload);
+            }
+        }
+
+        #[test]
+        fn hostile_response_payloads_never_panic_and_decode_only_canonically(
+            payload in fn_strategy(|rng: &mut TestRng| hostile(rng, |rng| payload_of(&gen_response(rng))))
+        ) {
+            let mut frame = Cursor::new(framed(&payload));
+            if let Ok(response) = read_frame::<_, Response>(&mut frame, u32::MAX) {
+                prop_assert_eq!(payload_of(&response), payload);
+            }
+        }
+
+        #[test]
+        fn every_request_round_trips(request in fn_strategy(gen_request)) {
+            let frame = framed(&payload_of(&request));
+            let back: Request = read_frame(&mut Cursor::new(frame), u32::MAX).unwrap();
+            prop_assert_eq!(request_by_bits(back), request_by_bits(request));
+        }
+
+        #[test]
+        fn every_response_round_trips(response in fn_strategy(gen_response)) {
+            let frame = framed(&payload_of(&response));
+            let back: Response = read_frame(&mut Cursor::new(frame), u32::MAX).unwrap();
+            prop_assert_eq!(response_by_bits(back), response_by_bits(response));
+        }
     }
 }

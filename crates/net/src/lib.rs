@@ -11,9 +11,23 @@
 //! protocol:
 //!
 //! - [`frame`] — a length-prefixed framed protocol. Each frame is a
-//!   4-byte big-endian payload length followed by a JSON document; the
-//!   length is validated against a cap *before* any allocation, so an
-//!   adversarial header cannot balloon memory.
+//!   4-byte big-endian payload length followed by one message in a small
+//!   binary encoding; the length is validated against a cap *before* any
+//!   allocation, so an adversarial header cannot balloon memory, and
+//!   every count inside is checked against the bytes left. The layout:
+//!
+//!   | item | bytes |
+//!   |---|---|
+//!   | `u32`, `u64`, `i64` | 4, 8, 8, little-endian |
+//!   | `f64` | its bits as a `u64` |
+//!   | string | `u32` byte length, then UTF-8 |
+//!   | `Option<T>` | `0`, or `1` then `T` |
+//!   | `Vec<T>` | `u32` count, then each `T` |
+//!   | `Value` | tag `0` Null · `1` Int · `2` Real · `3` Str |
+//!   | `Request` | tag `0` Hello · `1` Query · `2` Batch · `3` Ping |
+//!   | `Response` | tag `0` Hello · `1` Result · `2` Blocked · `3` GuardFailure · `4` Error · `5` ServerBusy · `6` Pong |
+//!
+//!   The whole table, with the fields of each variant, is in [`frame`].
 //! - [`server`] — an accept loop feeding a **bounded** worker pool
 //!   through one FIFO queue. Admission control is explicit: a full
 //!   server sheds the connection with a [`Response::ServerBusy`] frame

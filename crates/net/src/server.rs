@@ -4,12 +4,12 @@
 //! # Where a connection waits
 //!
 //! A worker serves a connection one frame at a time: a blocking
-//! `read_frame`, `handle_request`, `write_frame`. Between frames a
-//! [`FrontEndKind::Blocking`] connection keeps its worker and waits in
-//! that blocking read. A [`FrontEndKind::EventLoop`] connection gives its
-//! worker back and waits parked in epoll (`crate::park`); one parking
-//! thread puts it back on the hand-off queue when its socket turns
-//! readable, so an idle connection costs no thread.
+//! `read_frame`, `handle_request`, then every reply frame in one write.
+//! Between frames a [`FrontEndKind::Blocking`] connection keeps its
+//! worker and waits in that blocking read. A [`FrontEndKind::EventLoop`]
+//! connection gives its worker back and waits parked in epoll
+//! (`crate::park`); one parking thread puts it back on the hand-off queue
+//! when its socket turns readable, so an idle connection costs no thread.
 //!
 //! # Admission control
 //!
@@ -52,7 +52,9 @@ use septic_dbms::{Connection, Server};
 use septic_telemetry::{saturating_micros, Counter, Histogram};
 
 use crate::dispatch::{handle_request, refuse_frame};
-use crate::frame::{read_frame, write_frame, FrameError, Request, Response, DEFAULT_MAX_FRAME_LEN};
+use crate::frame::{
+    encode_replies, read_frame, write_frame, FrameError, Request, Response, DEFAULT_MAX_FRAME_LEN,
+};
 use crate::park::Parking;
 use crate::FrontEndKind;
 
@@ -489,8 +491,8 @@ fn serve(shared: &Shared, mut session: Session) -> bool {
     false
 }
 
-/// Reads one request frame, answers it and writes the replies. `false`
-/// when the connection is over.
+/// Reads one request frame, answers it and writes the replies, all of
+/// them in one write. `false` when the connection is over.
 fn serve_frame(shared: &Shared, session: &mut Session) -> bool {
     let cfg = &shared.config;
     let metrics = &shared.metrics;
@@ -517,13 +519,10 @@ fn serve_frame(shared: &Shared, session: &mut Session) -> bool {
     let responses = handle_request(cfg, metrics, &session.db, request);
     metrics.handle.record_us(saturating_micros(t.elapsed()));
     let t = Instant::now();
-    for response in &responses {
-        if write_frame(&mut session.stream, response, cfg.max_frame_len).is_err() {
-            return false;
-        }
-    }
+    let sent = encode_replies(&responses, cfg.max_frame_len)
+        .and_then(|reply| session.stream.write_all(&reply));
     metrics.write.record_us(saturating_micros(t.elapsed()));
-    true
+    sent.is_ok()
 }
 
 /// Reads one request within one deadline, `timeout` after the read

@@ -8,12 +8,12 @@
 //! that comes back must match, field for field (minus timing), the
 //! `Response` an identical in-process run maps to. The derived verdict
 //! is then checked against the golden `septic_prevention` column, so a
-//! regression in the socket layer, the codec, or the verdict mapping
-//! cannot hide behind a passing in-process matrix.
+//! regression in the socket layer, the binary frame codec, or the
+//! verdict mapping cannot hide behind a passing in-process matrix.
 //!
 //! Cases are regenerated from the golden seed rather than read from the
-//! JSON because the golden file deliberately records payloads and
-//! verdicts, not raw SQL.
+//! golden file, because it deliberately records payloads and verdicts,
+//! not raw SQL.
 
 use std::net::TcpStream;
 

@@ -170,6 +170,66 @@ fn batches_pipeline_but_respect_the_cap() {
     }
 }
 
+/// Every cell as text, a `Real` by its bits: NaN equals itself and -0.0
+/// differs from 0.0.
+fn cells_by_bits(rows: &[Vec<Value>]) -> Vec<Vec<String>> {
+    rows.iter()
+        .map(|row| {
+            row.iter()
+                .map(|v| match v {
+                    Value::Real(f) => format!("Real({:#018x})", f.to_bits()),
+                    other => format!("{other:?}"),
+                })
+                .collect()
+        })
+        .collect()
+}
+
+#[test]
+fn result_cells_cross_the_wire_bit_for_bit() {
+    // Regression: a JSON encoding writes a non-finite float as `null`, so
+    // an infinite result arrived as NaN.
+    let queries = [
+        "SELECT 1e308 * 10",
+        "SELECT -1e308 * 10",
+        "SELECT 1e308 * 10 - 1e308 * 10",
+        "SELECT 0.1 + 0.2",
+        "SELECT -0.0",
+        "SELECT 'grüße, 世界 😀'",
+        "SELECT ''",
+    ];
+    for kind in supported_kinds() {
+        let handle = serve_front_end(
+            kind,
+            Server::new(),
+            ("127.0.0.1", 0),
+            NetServerConfig::default(),
+        )
+        .expect("bind");
+        let local = handle.server().connect();
+        let mut client = NetClient::connect(handle.addr()).expect("connect");
+        for sql in queries {
+            let in_process = local.execute(sql).expect(sql);
+            let in_process = &in_process.outputs.last().expect("output").rows;
+            let wire = client.query(sql).expect(sql);
+            let wire = &wire.last().expect("output").rows;
+            assert_eq!(
+                cells_by_bits(wire),
+                cells_by_bits(in_process),
+                "{kind}: {sql}"
+            );
+        }
+        let inf = local.execute(queries[0]).expect("inf");
+        assert_eq!(
+            inf.outputs[0].rows,
+            vec![vec![Value::Real(f64::INFINITY)]],
+            "the in-process result the wire must match"
+        );
+        drop(client);
+        handle.shutdown();
+    }
+}
+
 #[test]
 fn socket_faults_never_kill_the_listener_or_leak_a_worker() {
     for kind in supported_kinds() {

@@ -15,8 +15,8 @@
 //! that holds every value on which an index lookup and MySQL's
 //! comparison are known to part ways — `'5abc'` and `5.0` equal the key
 //! `5`, the integer `5` equals the stored strings `'5'`, `'05'` and
-//! `'5.0'`, `9007199254740993` equals `9007199254740992` once both are
-//! `f64`, `'ABC'` equals `'abc'` but `'abc '` does not.
+//! `'5.0'`, `9007199254740993` and `9007199254740992` are two integers
+//! but one double, `'ABC'` equals `'abc'` but `'abc '` does not.
 
 use crate::rng::ConformanceRng;
 

@@ -272,6 +272,13 @@ pub fn recovered_prevention_deployment() -> (Arc<Server>, Connection, Arc<Septic
 #[must_use]
 pub fn run_case_recovered(case: &Case) -> Verdict {
     let (_server, conn, septic, _report) = recovered_prevention_deployment();
+    prevention_verdict(&conn, &septic, case)
+}
+
+/// The verdict on `case` of a prevention deployment whose guard is
+/// `septic`, reached through `conn`.
+#[must_use]
+pub fn prevention_verdict(conn: &Connection, septic: &Septic, case: &Case) -> Verdict {
     let before = {
         let c = septic.counters();
         c.sqli_detected + c.stored_detected

@@ -22,12 +22,16 @@
 //!   equivalence oracle: an index lookup may only ever propose candidates,
 //!   so `WHERE P` must agree with the scan that `WHERE (P) OR 0` forces.
 //!
+//! - [`charlex`] — the character-at-a-time reference lexer the byte
+//!   lexer of `septic-sql` is compared against, token for token.
+//!
 //! [`astgen`] and [`rng`] are shared infrastructure: an every-node-kind
 //! SQL statement generator for roundtrip properties, and the xorshift RNG
 //! everything derives its randomness from.
 
 pub mod access;
 pub mod astgen;
+pub mod charlex;
 pub mod differential;
 pub mod fuzz;
 pub mod golden;

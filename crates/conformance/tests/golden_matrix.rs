@@ -143,3 +143,80 @@ fn matrix_summarizes_every_class_in_generation_order() {
     let total: u32 = matrix.summary.iter().map(|r| r.cases).sum();
     assert_eq!(total as usize, matrix.cases.len());
 }
+
+/// A stored model is keyed by its query's internal id, so the id of every
+/// golden case is pinned: a change to the lexer, the lowering or
+/// `Item::canonical_bytes` that moved one would orphan trained models.
+/// The FNV-1a fold of `(case index, internal id)` over the cases that
+/// parse, and how many do.
+#[test]
+fn internal_ids_of_the_golden_cases_are_pinned() {
+    use septic::id::internal_id;
+    use septic_conformance::grammar::generate_cases;
+    use septic_sql::{charset, items, parse};
+
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut parsed = 0;
+    let cases = generate_cases(MATRIX_SEED);
+    for (index, case) in cases.iter().enumerate() {
+        let Ok(p) = parse(&charset::decode(&case.sql).text) else {
+            continue;
+        };
+        parsed += 1;
+        let id = internal_id(&items::lower_all(&p.statements));
+        for byte in (index as u64)
+            .to_le_bytes()
+            .into_iter()
+            .chain(id.to_le_bytes())
+        {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+    println!("{} cases, {parsed} parsed, fold {hash:#x}", cases.len());
+    assert_eq!(
+        (cases.len(), parsed, hash),
+        (124, 115, 0xcd97_8fd3_a0f7_9e55)
+    );
+}
+
+/// A model store written by an earlier build (`tests/golden/model_store.json`:
+/// the store `recovered_prevention_deployment` trains, as `ModelStore::to_json`
+/// wrote it before element payloads became `Cow<'static, str>`) still loads:
+/// it holds the models and ids this build trains, and with it in place a
+/// deployment decides every golden case as a freshly trained one does.
+#[test]
+fn a_model_store_from_an_earlier_build_keeps_its_ids_and_verdicts() {
+    use septic::Septic;
+    use septic_conformance::differential::{
+        prevention_verdict, recovered_prevention_deployment, run_case_recovered,
+    };
+    use septic_conformance::grammar::generate_cases;
+
+    let fixture = std::fs::read_to_string(golden_path().with_file_name("model_store.json"))
+        .expect("model store fixture");
+    let (_server, _conn, trained, _report) = recovered_prevention_deployment();
+    let loaded = Septic::new();
+    assert_eq!(
+        loaded.store().load_json(&fixture).expect("fixture loads"),
+        11
+    );
+    let mut ids = loaded.store().ids();
+    ids.sort();
+    let mut trained_ids = trained.store().ids();
+    trained_ids.sort();
+    assert_eq!(ids, trained_ids);
+    for id in &ids {
+        assert_eq!(loaded.store().get(id), trained.store().get(id), "{id}");
+    }
+    for case in generate_cases(MATRIX_SEED) {
+        let (_server, conn, septic, _report) = recovered_prevention_deployment();
+        septic.store().load_json(&fixture).expect("fixture loads");
+        assert_eq!(
+            prevention_verdict(&conn, &septic, &case),
+            run_case_recovered(&case),
+            "{}",
+            case.id
+        );
+    }
+}

@@ -30,7 +30,7 @@ use septic_conformance::fuzz::{iteration_seed, mutant_for, probe, seed_corpus, F
 use septic_dbms::{DbError, Server};
 use septic_net::DEFAULT_MAX_FRAME_LEN;
 use septic_sql::parser::{MAX_EXPR_DEPTH, MAX_PAREN_DEPTH};
-use septic_sql::ParseError;
+use septic_sql::{charset, parse, ParseError};
 
 // ---- the shapes ------------------------------------------------------------
 
@@ -372,6 +372,68 @@ fn every_hostile_value_returns_within_the_budget() {
     let probes = value_probes(MAX_SQL_LEN);
     assert!(probes.last().unwrap().sql.len() > MAX_SQL_LEN - 64);
     let wrong = on_a_small_stack(move || run(probes));
+    assert!(wrong.is_empty(), "{}", wrong.join("\n"));
+}
+
+/// Multibyte text wherever the lexer keeps or skips it — string literals,
+/// comments, words, a `/*!` body, and all four at once — repeated up to
+/// the frame cap. Each item is a few tokens, so the lexer converts tens
+/// of thousands of byte offsets to character spans: a conversion that
+/// counted from the start of the query each time would be quadratic, and
+/// far past the budget here.
+fn multibyte_probes(max_len: usize) -> Vec<Probe> {
+    fn select(item: &str, n: usize) -> String {
+        format!("SELECT {} FROM t", vec![item; n].join(", "))
+    }
+    let probe = |name: &str, build: &dyn Fn(usize) -> String| Probe {
+        name: format!("multibyte/{name}"),
+        sql: build(largest_fitting(build, max_len)),
+        within: true,
+    };
+    vec![
+        probe("strings", &|n| select("'é中😀'", n)),
+        probe("comments", &|n| select("1 /* ö中 */", n)),
+        probe("words", &|n| select("a AS é中ö", n)),
+        probe("version-body", &|n| {
+            format!("/*!40101 {} */", select("'ß' ä", n))
+        }),
+        probe("mixed", &|n| {
+            format!("/* ü */ {}", select("/*!1 'é中' */ ö /* ü */\u{3000}", n))
+        }),
+    ]
+}
+
+/// Only the front end is timed: a statement of 30,000 select items costs
+/// the executor more than it costs the lexer and parser, and that is not
+/// what these frames probe.
+#[test]
+fn multibyte_frames_lex_and_parse_within_the_budget() {
+    let probes = multibyte_probes(MAX_SQL_LEN);
+    let wrong = on_a_small_stack(move || {
+        let mut wrong = Vec::new();
+        for p in probes {
+            assert!(p.sql.len() > MAX_SQL_LEN - 64, "{} fills the cap", p.name);
+            assert!(
+                p.sql.chars().count() < p.sql.len(),
+                "{} is multibyte",
+                p.name
+            );
+            let mut fastest = Duration::MAX;
+            for _ in 0..3 {
+                let started = Instant::now();
+                let parsed = parse(&charset::decode(&p.sql).text);
+                fastest = fastest.min(started.elapsed());
+                if let Err(e) = parsed {
+                    wrong.push(format!("{}: {e}", p.name));
+                }
+            }
+            println!("{}: {fastest:?} for {} bytes", p.name, p.sql.len());
+            if fastest > BUDGET {
+                wrong.push(format!("{}: {fastest:?} (budget {BUDGET:?})", p.name));
+            }
+        }
+        wrong
+    });
     assert!(wrong.is_empty(), "{}", wrong.join("\n"));
 }
 

@@ -336,7 +336,7 @@ mod tests {
                 },
                 Item {
                     tag: ItemTag::StringItem,
-                    data: ItemData::Text(s.to_string()),
+                    data: ItemData::Text(s.to_string().into()),
                 },
             ])
         };
@@ -345,11 +345,11 @@ mod tests {
         let flipped = ItemStack::from_iter([
             Item {
                 tag: ItemTag::StringItem,
-                data: ItemData::Text("1".to_string()),
+                data: ItemData::Text("1".into()),
             },
             Item {
                 tag: ItemTag::StringItem,
-                data: ItemData::Text("a".to_string()),
+                data: ItemData::Text("a".into()),
             },
         ]);
         assert!(matches!(

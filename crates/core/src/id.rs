@@ -80,32 +80,28 @@ impl fmt::Display for QueryId {
 #[must_use]
 pub fn internal_id(stack: &ItemStack) -> u64 {
     use septic_sql::ItemTag;
-    let head: Vec<&septic_sql::Item> = stack
-        .items()
-        .iter()
-        .take_while(|i| {
-            matches!(
-                i.tag,
-                ItemTag::FromTable
-                    | ItemTag::JoinItem
-                    | ItemTag::SelectField
-                    | ItemTag::InsertTable
-                    | ItemTag::InsertField
-                    | ItemTag::UpdateTable
-                    | ItemTag::UpdateField
-                    | ItemTag::DeleteTable
-                    | ItemTag::DdlItem
-            )
-        })
-        .collect();
-    let mut bytes = Vec::with_capacity(head.len().max(stack.len()) * 16);
-    if head.is_empty() {
+    let in_head = |i: &&septic_sql::Item| {
+        matches!(
+            i.tag,
+            ItemTag::FromTable
+                | ItemTag::JoinItem
+                | ItemTag::SelectField
+                | ItemTag::InsertTable
+                | ItemTag::InsertField
+                | ItemTag::UpdateTable
+                | ItemTag::UpdateField
+                | ItemTag::DeleteTable
+                | ItemTag::DdlItem
+        )
+    };
+    if stack.items().first().filter(in_head).is_none() {
         return structural_hash(stack);
     }
-    for item in head {
-        item.canonical_bytes(&mut bytes);
+    let mut hash = Fnv1a::new();
+    for item in stack.items().iter().take_while(in_head) {
+        item.canonical_bytes(&mut hash);
     }
-    fnv1a(&bytes)
+    hash.0
 }
 
 /// Hash of the *entire* canonical stack (data payloads contribute only
@@ -113,11 +109,11 @@ pub fn internal_id(stack: &ItemStack) -> u64 {
 /// identifier ablation harness.
 #[must_use]
 pub fn structural_hash(stack: &ItemStack) -> u64 {
-    let mut bytes = Vec::with_capacity(stack.len() * 16);
+    let mut hash = Fnv1a::new();
     for item in stack.items() {
-        item.canonical_bytes(&mut bytes);
+        item.canonical_bytes(&mut hash);
     }
-    fnv1a(&bytes)
+    hash.0
 }
 
 /// Extracts the external identifier from the query's comments — the
@@ -263,13 +259,22 @@ impl IdGenerator {
     }
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+/// A 64-bit FNV-1a state the canonical bytes stream into: no buffer.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn new() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    hash
+}
+
+impl Extend<u8> for Fnv1a {
+    fn extend<I: IntoIterator<Item = u8>>(&mut self, bytes: I) {
+        for b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
 }
 
 #[cfg(test)]

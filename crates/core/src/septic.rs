@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::RwLock;
 use septic_dbms::{FailurePolicy, GuardDecision, QueryContext, QueryGuard};
-use septic_telemetry::{Counter, Histogram, MetricsRegistry, MetricsSnapshot};
+use septic_telemetry::{Counter, Histogram, Laps, MetricsRegistry, MetricsSnapshot};
 
 use crate::detector::{detect_sqli_structural_only, detect_sqli_vm, SqliOutcome};
 use crate::id::{IdGenerator, QueryId};
@@ -206,10 +206,18 @@ impl StageTimers {
     }
 }
 
-/// Microseconds elapsed since `t`, saturating (see
-/// [`septic_telemetry::saturating_micros`]).
-fn span_us(t: Instant) -> u64 {
-    septic_telemetry::saturating_micros(t.elapsed())
+/// One query's stage clock and the spans it has measured so far.
+struct StageClock {
+    laps: Laps,
+    spans: StageSpansUs,
+}
+
+impl StageClock {
+    /// The stage that ends now, in microseconds, saturating (see
+    /// [`septic_telemetry::saturating_micros`]): one clock read.
+    fn lap_us(&mut self) -> u64 {
+        septic_telemetry::saturating_micros(self.laps.lap())
+    }
 }
 
 /// A point-in-time snapshot of [`Counters`].
@@ -463,7 +471,7 @@ impl Septic {
     pub fn save_models(&self, path: &Path) -> io::Result<()> {
         let t = Instant::now();
         let res = self.store.save_to(path);
-        self.stages.store_save.record_us(span_us(t));
+        self.stages.store_save.record(t.elapsed());
         res
     }
 
@@ -576,7 +584,7 @@ impl Septic {
 
     /// The detection half of [`Septic::inspect`]: SQLI + stored-injection
     /// scans over a known model. Returns the block decision, if any; stage
-    /// timings are written into `spans` as each stage completes, so a
+    /// timings are written into `clock` as each stage completes, so a
     /// deadline report sees where the time went.
     fn run_detectors(
         &self,
@@ -585,7 +593,7 @@ impl Septic {
         id: &QueryId,
         engine: &EngineConfig,
         actions: ModeActions,
-        spans: &mut StageSpansUs,
+        clock: &mut StageClock,
     ) -> Option<GuardDecision> {
         let qs = ctx.stack;
         let model: &QueryModel = compiled.model();
@@ -600,14 +608,13 @@ impl Septic {
         // for the detector ablation), compared through the model's
         // compiled program.
         if config.sqli && actions.detect_sqli {
-            let t = Instant::now();
             let outcome = if engine.structural_only {
                 detect_sqli_structural_only(qs, model)
             } else {
                 detect_sqli_vm(compiled.program(), qs, model)
             };
-            spans.sqli_us = span_us(t);
-            self.stages.sqli_detect.record_us(spans.sqli_us);
+            clock.spans.sqli_us = clock.lap_us();
+            self.stages.sqli_detect.record_us(clock.spans.sqli_us);
             if let SqliOutcome::Attack(kind) = outcome {
                 Self::bump(&self.counters.sqli_detected);
                 Self::bump(&self.counters.attacks_detected);
@@ -639,10 +646,9 @@ impl Septic {
 
         // Stored-injection detection over INSERT/UPDATE user data.
         if config.stored && actions.detect_stored && !ctx.write_data.is_empty() {
-            let t = Instant::now();
             let found = scan_inputs(&self.plugins, ctx.write_data);
-            spans.stored_us = span_us(t);
-            self.stages.stored_scan.record_us(spans.stored_us);
+            clock.spans.stored_us = clock.lap_us();
+            self.stages.stored_scan.record_us(clock.spans.stored_us);
             if let Some(found) = found {
                 Self::bump(&self.counters.stored_detected);
                 Self::bump(&self.counters.attacks_detected);
@@ -667,9 +673,13 @@ impl Septic {
 
 impl QueryGuard for Septic {
     fn inspect(&self, ctx: &QueryContext<'_>) -> GuardDecision {
-        let whole = Instant::now();
-        let decision = self.inspect_timed(ctx);
-        self.stages.inspect.record_us(span_us(whole));
+        let mut clock = StageClock {
+            laps: Laps::start(),
+            spans: StageSpansUs::default(),
+        };
+        let decision = self.inspect_timed(ctx, &mut clock);
+        clock.laps.lap();
+        self.stages.inspect.record(clock.laps.total());
         decision
     }
 
@@ -718,10 +728,11 @@ impl QueryGuard for Septic {
 
 impl Septic {
     /// The body of [`Septic::inspect`], with per-stage span timing
-    /// threaded through so slow queries are attributable to a stage.
-    fn inspect_timed(&self, ctx: &QueryContext<'_>) -> GuardDecision {
+    /// threaded through so slow queries are attributable to a stage. Each
+    /// stage ends at one clock read, which starts the next; the detection
+    /// deadline is measured on the same laps.
+    fn inspect_timed(&self, ctx: &QueryContext<'_>, clock: &mut StageClock) -> GuardDecision {
         Self::bump(&self.counters.queries_seen);
-        let mut spans = StageSpansUs::default();
         // One lock acquisition for every per-query tunable.
         let engine = *self.engine.read();
         let actions = ModeActions::for_mode(engine.mode);
@@ -730,10 +741,9 @@ impl Septic {
         // generator for the query identifier (no lock: the generator is
         // interior-mutable, external ids are interned `Arc<str>`s).
         let qs = ctx.stack;
-        let t = Instant::now();
         let id = self.id_generator.generate(qs, ctx.comments);
-        spans.id_gen_us = span_us(t);
-        self.stages.id_gen.record_us(spans.id_gen_us);
+        clock.spans.id_gen_us = clock.lap_us();
+        self.stages.id_gen.record_us(clock.spans.id_gen_us);
 
         if actions.qm_training {
             // Training mode: learn; the query executes normally.
@@ -750,15 +760,14 @@ impl Septic {
 
         // Identifiers the administrator rejected are refused outright
         // instead of being re-learned.
-        let t = Instant::now();
         let rejected = self.store.is_rejected(&id);
         let compiled = if rejected {
             None
         } else {
             self.store.get_compiled(&id)
         };
-        spans.store_get_us = span_us(t);
-        self.stages.store_get.record_us(spans.store_get_us);
+        clock.spans.store_get_us = clock.lap_us();
+        self.stages.store_get.record_us(clock.spans.store_get_us);
         if rejected {
             Self::bump(&self.counters.queries_dropped);
             let reason = format!("query id {id} rejected by administrator");
@@ -790,13 +799,13 @@ impl Septic {
         // Run the detectors against the time budget. A detector or plugin
         // that panics is not caught here: the server contains it and its
         // failure policy decides the query, as for any guard failure.
-        let started = Instant::now();
+        let started = clock.laps.last();
         // A positive detection blocks regardless of deadline: slowness
         // never downgrades a flagged attack.
-        if let Some(block) = self.run_detectors(ctx, &compiled, &id, &engine, actions, &mut spans) {
+        if let Some(block) = self.run_detectors(ctx, &compiled, &id, &engine, actions, clock) {
             return block;
         }
-        let elapsed = started.elapsed();
+        let elapsed = clock.laps.last() - started;
         match engine.deadline {
             Some(budget) if elapsed > budget => {
                 Self::bump(&self.counters.deadline_exceeded);
@@ -807,7 +816,7 @@ impl Septic {
                     budget_us: septic_telemetry::saturating_micros(budget),
                     // Where the time went (per-stage spans for this very
                     // query), so the blown budget is attributable.
-                    stages: spans,
+                    stages: clock.spans,
                 });
                 GuardDecision::Fail(reason)
             }

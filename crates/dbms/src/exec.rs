@@ -5,6 +5,7 @@
 //! coercion, division-by-zero-is-NULL, case-insensitive identifiers.
 
 use std::borrow::Cow;
+use std::cell::OnceCell;
 
 use septic_sql::ast::*;
 
@@ -15,7 +16,7 @@ use crate::plan::point_key;
 use crate::select::{eval_aggregate, run_select, scan_filter, Group};
 use crate::storage::{Database, Row, TableStore, UndoLog};
 use crate::value::Value;
-use crate::vmexec::{Machine, Prepared, ProgramCache};
+use crate::vmexec::{binding_key, Machine, Prepared, ProgramCache, ShapeKey};
 
 /// Result of executing one statement.
 #[derive(Debug, Clone, Default)]
@@ -244,11 +245,27 @@ fn validate_select(db: &Database, select: &Select) -> Result<(), DbError> {
 pub(crate) struct Binding<'a> {
     pub(crate) name: &'a str,
     pub(crate) store: Cow<'a, TableStore>,
+    /// The binding's part of a program-cache key, hashed on first use:
+    /// once per statement, however many of its expressions look one up.
+    key: OnceCell<ShapeKey>,
 }
 
-impl Binding<'_> {
+impl<'a> Binding<'a> {
+    pub(crate) fn new(name: &'a str, store: Cow<'a, TableStore>) -> Self {
+        Binding {
+            name,
+            store,
+            key: OnceCell::new(),
+        }
+    }
+
     pub(crate) fn schema(&self) -> &TableSchema {
         &self.store.schema
+    }
+
+    /// See [`crate::vmexec::binding_key`].
+    pub(crate) fn key(&self) -> ShapeKey {
+        *self.key.get_or_init(|| binding_key(self))
     }
 }
 
@@ -541,14 +558,18 @@ pub(crate) fn apply_binary(op: BinaryOp, l: &Value, r: &Value) -> Value {
             .sql_like(r)
             .map_or(Value::Null, |b| Value::Int(i64::from(!b))),
         Add | Sub | Mul | Div | IntDiv | Mod => {
+            // Two integers add, subtract and multiply as integers, exactly.
+            if let (Value::Int(x), Value::Int(y), Add | Sub | Mul) = (l, r, op) {
+                return Value::Int(match op {
+                    Add => x.wrapping_add(*y),
+                    Sub => x.wrapping_sub(*y),
+                    _ => x.wrapping_mul(*y),
+                });
+            }
             let (Some(a), Some(b)) = (l.to_real(), r.to_real()) else {
                 return Value::Null;
             };
-            let both_int = matches!(l, Value::Int(_)) && matches!(r, Value::Int(_));
             match op {
-                Add if both_int => Value::Int(a as i64 + b as i64),
-                Sub if both_int => Value::Int(a as i64 - b as i64),
-                Mul if both_int => Value::Int((a as i64).wrapping_mul(b as i64)),
                 Add => Value::Real(a + b),
                 Sub => Value::Real(a - b),
                 Mul => Value::Real(a * b),
@@ -686,10 +707,7 @@ fn for_each_target(
     mut visit: impl FnMut(usize, &EvalCtx<'_>, &mut SideEffects) -> Result<bool, DbError>,
 ) -> Result<(), DbError> {
     let store = db.table(table)?;
-    let layout = [Binding {
-        name: &store.schema.name,
-        store: Cow::Borrowed(store),
-    }];
+    let layout = [Binding::new(&store.schema.name, Cow::Borrowed(store))];
     let key = point_key(where_clause, &layout, 0);
     let pred = where_clause.map(|e| Prepared::new(e, &layout, cache));
     let scope = EvalCtx::scope(db, &layout, None, now);

@@ -51,6 +51,5 @@ pub use storage::{Database, PkKey, Row, RowUndo, TableStore, UndoLog};
 pub use value::Value;
 pub use vmexec::ProgramCache;
 pub use wal::{
-    FsIo, MemIo, NullBackend, RecoveryReport, StorageBackend, StorageIo, WalConfig, WalStmt,
-    WalStorage,
+    FsIo, MemIo, RecoveryReport, StorageBackend, StorageIo, WalConfig, WalStmt, WalStorage,
 };

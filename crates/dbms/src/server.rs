@@ -47,17 +47,20 @@
 mod admin;
 mod session;
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::{Mutex, RwLock};
 use septic_sql::ast::InsertSource;
 use septic_sql::parser::Parsed;
 use septic_sql::{charset, items, parse, ParseError, Statement};
-use septic_telemetry::{saturating_micros, Counter, Histogram, MetricsRegistry, MetricsSnapshot};
+use septic_telemetry::{
+    saturating_micros, Counter, Histogram, Laps, MetricsRegistry, MetricsSnapshot,
+};
 
 use crate::bind::bind_params;
 use crate::error::DbError;
@@ -67,9 +70,7 @@ use crate::select::where_program;
 use crate::storage::{Database, UndoLog};
 use crate::value::Value;
 use crate::vmexec::ProgramCache;
-use crate::wal::{
-    NullBackend, RecoveryReport, StorageBackend, StorageIo, WalConfig, WalStmt, WalStorage,
-};
+use crate::wal::{RecoveryReport, StorageBackend, StorageIo, WalConfig, WalStmt, WalStorage};
 
 use session::SessionState;
 pub use session::{Connection, SessionSnapshot};
@@ -107,8 +108,9 @@ pub struct GeneralLogEntry {
     /// The raw query as received.
     pub sql: String,
     /// Outcome summary: `ok`, `blocked: …`, `guard failure (…): …` or
-    /// `error: …`.
-    pub outcome: String,
+    /// `error: …`. A plain `ok` is static text: logging a success copies
+    /// only the query.
+    pub outcome: Cow<'static, str>,
 }
 
 /// Every counter and histogram the server records, registered in its
@@ -285,10 +287,11 @@ pub struct Server {
     /// executes goes through it; shapes it cannot compile run interpreted.
     program_cache: ProgramCache,
     /// Durability backend, fixed at construction: every committed write
-    /// batch is handed to it *before* the commit is acknowledged. An
-    /// in-memory server has a [`NullBackend`] (the differential oracle);
-    /// [`Server::open_durable`] builds one over a [`WalStorage`].
-    storage: Box<dyn StorageBackend>,
+    /// batch is handed to it *before* the commit is acknowledged.
+    /// [`Server::open_durable`] builds one over a [`WalStorage`]; an
+    /// in-memory server (the differential oracle) has none, and renders
+    /// no redo text.
+    storage: Option<Box<dyn StorageBackend>>,
 }
 
 impl Server {
@@ -301,8 +304,8 @@ impl Server {
     /// Creates a server with an explicit configuration.
     #[must_use]
     pub fn with_config(config: ServerConfig) -> Arc<Self> {
-        let (registry, storage) = (MetricsRegistry::new(), Box::new(NullBackend));
-        Self::build(config, registry, storage, Database::new(), FIRST_CLOCK)
+        let registry = MetricsRegistry::new();
+        Self::build(config, registry, None, Database::new(), FIRST_CLOCK)
     }
 
     /// The one constructor: the storage backend, the database it holds and
@@ -310,7 +313,7 @@ impl Server {
     fn build(
         config: ServerConfig,
         registry: MetricsRegistry,
-        storage: Box<dyn StorageBackend>,
+        storage: Option<Box<dyn StorageBackend>>,
         db: Database,
         clock: i64,
     ) -> Arc<Server> {
@@ -355,7 +358,7 @@ impl Server {
         // timestamps must stay in the past.
         let clock = FIRST_CLOCK.max(report.next_clock);
         Ok((
-            Self::build(config, registry, Box::new(wal), db, clock),
+            Self::build(config, registry, Some(Box::new(wal)), db, clock),
             report,
         ))
     }
@@ -504,7 +507,7 @@ impl Server {
 
     /// Appends a general-log entry. The outcome is a closure so a dropped
     /// entry (capacity 0) costs a counter bump, not a `format!`.
-    fn log(&self, req: &Request<'_>, outcome: impl FnOnce() -> String) {
+    fn log(&self, req: &Request<'_>, outcome: impl FnOnce() -> Cow<'static, str>) {
         if self.config.general_log_capacity == 0 {
             self.metrics.log_drops.inc();
             return;
@@ -549,12 +552,12 @@ impl Server {
                 let outcome = self.run_pipeline(&req, params);
                 self.metrics.record(&outcome);
                 self.log(&req, || match &outcome {
-                    Ok(_) => "ok".to_string(),
-                    Err(DbError::Blocked(reason)) => format!("blocked: {reason}"),
+                    Ok(_) => "ok".into(),
+                    Err(DbError::Blocked(reason)) => format!("blocked: {reason}").into(),
                     Err(DbError::GuardFailure(what)) => {
-                        format!("guard failure (fail-closed): {what}")
+                        format!("guard failure (fail-closed): {what}").into()
                     }
-                    Err(e) => format!("error: {e}"),
+                    Err(e) => format!("error: {e}").into(),
                 });
                 outcome
             }
@@ -569,36 +572,40 @@ impl Server {
         req: &Request<'_>,
         params: Option<&[Value]>,
     ) -> Result<ExecResult, DbError> {
-        let started = Instant::now();
-        let (decoded, parsed) = self.parse_stage(req, params)?;
+        // One clock read per stage boundary: each stage's end is the
+        // next one's start.
+        let mut laps = Laps::start();
+        let (decoded, parsed) = self.parse_stage(req, params, &mut laps)?;
         let parsed = bind_stage(parsed, params)?;
         self.validate_stage(req, &parsed.statements)?;
-        self.guard_stage(req, &decoded, &parsed)?;
-        let outputs = self.execute_stage(req, &parsed.statements)?;
+        laps.lap();
+        self.guard_stage(req, &decoded, &parsed, &mut laps)?;
+        let outputs = self.execute_stage(req, &parsed.statements, &mut laps)?;
         let simulated_delay = outputs
             .iter()
             .map(|out| Duration::from_secs_f64(out.effects.sleep_seconds))
             .sum();
         Ok(ExecResult {
             outputs,
-            elapsed: started.elapsed(),
+            elapsed: laps.total(),
             simulated_delay,
         })
     }
 
     /// Connection-charset decoding (the semantic-mismatch step), then the
-    /// parse. Prepared-statement *templates* are programmer text and
-    /// decode harmlessly; bound values never pass through here. Returns
-    /// the decoded text with the statements.
+    /// parse; the `parse` histogram times both. Prepared-statement
+    /// *templates* are programmer text and decode harmlessly; bound values
+    /// never pass through here. Returns the decoded text with the
+    /// statements.
     fn parse_stage(
         &self,
         req: &Request<'_>,
         params: Option<&[Value]>,
+        laps: &mut Laps,
     ) -> Result<(String, Parsed), DbError> {
         let decoded = charset::decode(req.raw_sql).text;
-        let t = Instant::now();
         let parsed = parse(&decoded);
-        self.metrics.parse_us.record(t.elapsed());
+        self.metrics.parse_us.record(laps.lap());
         let parsed = parsed?;
         let stacked = parsed.statements.len() > 1;
         if stacked && (!self.config.allow_multi_statements || params.is_some()) {
@@ -638,14 +645,13 @@ impl Server {
         req: &Request<'_>,
         decoded: &str,
         parsed: &Parsed,
+        laps: &mut Laps,
     ) -> Result<(), DbError> {
-        let t = Instant::now();
         let stack = items::lower_all(&parsed.statements);
-        self.metrics.qs_build_us.record(t.elapsed());
+        self.metrics.qs_build_us.record(laps.lap());
         let Some(guard) = self.guard.read().clone() else {
             return Ok(());
         };
-        let t = Instant::now();
         let write_data = write_data(&parsed.statements);
         let ctx = QueryContext {
             raw_sql: req.raw_sql,
@@ -657,7 +663,7 @@ impl Server {
             write_data: &write_data,
         };
         let inspected = catch_unwind(AssertUnwindSafe(|| guard.inspect(&ctx)));
-        self.metrics.guard_us.record(t.elapsed());
+        self.metrics.guard_us.record(laps.lap());
         let what = match inspected {
             Ok(GuardDecision::Proceed) => return Ok(()),
             Ok(GuardDecision::Block(reason)) => return Err(DbError::Blocked(reason)),
@@ -676,7 +682,7 @@ impl Server {
             return Err(DbError::GuardFailure(what));
         }
         self.metrics.fail_open_passes.inc();
-        self.log(req, || format!("guard failure (fail-open): {what}"));
+        self.log(req, || format!("guard failure (fail-open): {what}").into());
         Ok(())
     }
 
@@ -689,8 +695,8 @@ impl Server {
         &self,
         req: &Request<'_>,
         statements: &[Statement],
+        laps: &mut Laps,
     ) -> Result<Vec<QueryOutput>, DbError> {
-        let t = Instant::now();
         let mut txn = req.session.txn.lock();
         let executed = if txn.is_some() || statements.iter().any(Statement::is_txn_control) {
             self.execute_transactional(&mut txn, statements, req.at)
@@ -705,7 +711,7 @@ impl Server {
             self.execute_autocommit(statements, req.at)
         };
         drop(txn);
-        self.metrics.execute_us.record(t.elapsed());
+        self.metrics.execute_us.record(laps.lap());
         executed
     }
 
@@ -785,7 +791,8 @@ impl Server {
     /// executed under, so redo is deterministic) to the durability
     /// backend, still under the write lock, so log order is apply order.
     /// If the backend refuses them, everything `undo` recorded is undone
-    /// and the server never acknowledges state the WAL has not seen.
+    /// and the server never acknowledges state the WAL has not seen. An
+    /// in-memory server has no backend, and renders no redo text.
     fn commit<'s>(
         &self,
         db: &mut Database,
@@ -793,6 +800,9 @@ impl Server {
         writes: impl Iterator<Item = (&'s Statement, i64)>,
         at: i64,
     ) -> Result<(), DbError> {
+        let Some(storage) = &self.storage else {
+            return Ok(());
+        };
         let redo: Vec<WalStmt> = writes
             .map(|(stmt, now)| WalStmt {
                 now,
@@ -802,11 +812,11 @@ impl Server {
         if redo.is_empty() {
             return Ok(());
         }
-        if let Err(e) = self.storage.log_commit(redo) {
+        if let Err(e) = storage.log_commit(redo) {
             undo_to(db, undo, 0, &self.metrics.log_failure_rollbacks);
             return Err(e);
         }
-        self.storage.after_commit(db, at);
+        storage.after_commit(db, at);
         Ok(())
     }
 }

@@ -20,12 +20,13 @@ impl Server {
         session: &SessionState,
         raw_sql: &str,
     ) -> Option<ExecResult> {
-        let started = Instant::now();
         let mut words = raw_sql.trim().trim_end_matches(';').split_whitespace();
         let mut next_is = |word: &str| words.next().is_some_and(|w| w.eq_ignore_ascii_case(word));
         if !(next_is("SHOW") && next_is("SEPTIC")) {
             return None;
         }
+        // Timed only once it is one: any other call reads no clock here.
+        let started = Instant::now();
         let output = match (words.next(), words.next()) {
             (Some(w), None) if w.eq_ignore_ascii_case("STATUS") => {
                 self.septic_status_output(session)

@@ -67,13 +67,6 @@ impl PkKey {
     }
 }
 
-/// Integers of a magnitude below this compare exactly through the `f64`
-/// that [`Value::sql_cmp`] uses; at 2^53 itself a stored 2^53 + 1 would
-/// round onto the literal. (Today [`crate::catalog::Column::coerce`]
-/// rounds keys through `f64` too and cannot store one; the bound does not
-/// lean on that.)
-const EXACT_F64_INT: u64 = 1 << 53;
-
 /// What one row mutation displaced: enough for [`TableStore::undo`] to
 /// put the table back exactly as it was.
 #[derive(Debug)]
@@ -214,7 +207,7 @@ impl TableStore {
             }
             if let PkKey::Int(v) = key {
                 if v >= self.next_auto_increment {
-                    self.next_auto_increment = v + 1;
+                    self.next_auto_increment = v.saturating_add(1);
                 }
             }
             row[pk] = cell;
@@ -266,19 +259,15 @@ impl TableStore {
     /// The index key that finds **every** row whose primary key the
     /// executor's `=` ([`Value::sql_cmp`]) calls equal to `value`, or
     /// `None` when the index cannot promise that and the caller must scan:
-    /// no primary key, `NULL`, a value of another type than the key (the
-    /// integer `5` equals the stored strings `'5'`, `'05'` and `'5.0'`),
-    /// or an integer too large to compare exactly.
+    /// no primary key, `NULL`, or a value of another type than the key
+    /// (the integer `5` equals the stored strings `'5'`, `'05'` and
+    /// `'5.0'`). Integers compare exactly, so any integer finds its row.
     #[must_use]
     pub fn lookup_key(&self, value: &Value) -> Option<PkKey> {
         use septic_sql::ast::ColumnType;
         let pk = &self.schema.columns[self.schema.primary_key_index()?];
         match (pk.column_type, value) {
-            (ColumnType::Int | ColumnType::BigInt, Value::Int(v))
-                if v.unsigned_abs() < EXACT_F64_INT =>
-            {
-                Some(PkKey::Int(*v))
-            }
+            (ColumnType::Int | ColumnType::BigInt, Value::Int(v)) => Some(PkKey::Int(*v)),
             (ColumnType::Varchar(_) | ColumnType::Text | ColumnType::DateTime, Value::Str(s)) => {
                 Some(PkKey::text(s))
             }
@@ -345,7 +334,7 @@ impl TableStore {
             // next auto-filled insert collides with the moved row.
             if let PkKey::Int(v) = new_key {
                 if v >= self.next_auto_increment {
-                    self.next_auto_increment = v + 1;
+                    self.next_auto_increment = v.saturating_add(1);
                 }
             }
             row[pk] = cell;

@@ -40,11 +40,15 @@ impl Value {
         }
     }
 
-    /// Integer view (real values truncate toward zero, MySQL-style rounding
-    /// differences are irrelevant for the reproduced workloads).
+    /// Integer view: an integer is itself, exactly; real values truncate
+    /// toward zero (MySQL-style rounding differences are irrelevant for
+    /// the reproduced workloads).
     #[must_use]
     pub fn to_int(&self) -> Option<i64> {
-        self.to_real().map(|f| f as i64)
+        match self {
+            Value::Int(v) => Some(*v),
+            other => other.to_real().map(|f| f as i64),
+        }
     }
 
     /// MySQL truthiness: non-zero numeric value. `'abc'` coerces to 0 and
@@ -78,11 +82,15 @@ impl Value {
     /// * string vs string → binary (case-sensitive) string comparison is
     ///   what `utf8_bin` would do, but MySQL's default collations are
     ///   case-insensitive — we follow the default (`a = 'A'` is true);
-    /// * any numeric operand → both sides coerce to numbers.
+    /// * integer vs integer → exact integer comparison (no `f64` in
+    ///   between, so integers past 2^53 stay distinct);
+    /// * any other numeric operand → both sides coerce to doubles, MySQL's
+    ///   rule for an integer against a real.
     #[must_use]
     pub fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
         match (self, other) {
             (Value::Null, _) | (_, Value::Null) => None,
+            (Value::Int(a), Value::Int(b)) => Some(a.cmp(b)),
             (Value::Str(a), Value::Str(b)) => Some(case_insensitive_cmp(a, b)),
             _ => {
                 let a = self.to_real()?;

@@ -122,8 +122,9 @@ fn un_code(op: UnaryOp) -> u16 {
 // shape hashing
 // ---------------------------------------------------------------------------
 
-/// Two independent FNV-1a states; together they are the 128-bit cache
-/// key, so running the wrong program takes a collision in both.
+/// Two independent hash states, each taking a word per step; together
+/// they are the 128-bit cache key, so running the wrong program takes a
+/// collision in both.
 struct ShapeHash {
     key: u64,
     check: u64,
@@ -137,26 +138,29 @@ impl ShapeHash {
         }
     }
 
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.key ^= u64::from(b);
-            self.key = self.key.wrapping_mul(0x0000_0100_0000_01b3);
-            self.check = self.check.rotate_left(7) ^ u64::from(b);
-            self.check = self.check.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+    fn num(&mut self, n: u64) {
+        self.key = (self.key.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+        self.check = (self.check.rotate_left(23) ^ n).wrapping_mul(0x2545_f491_4f6c_dd1d);
     }
 
     fn tag(&mut self, t: u8) {
-        self.bytes(&[t]);
+        self.num(u64::from(t));
     }
 
-    fn num(&mut self, n: u64) {
-        self.bytes(&n.to_le_bytes());
-    }
-
+    /// The length, then the bytes eight at a time, the last word
+    /// zero-padded.
     fn str(&mut self, s: &str) {
         self.num(s.len() as u64);
-        self.bytes(s.as_bytes());
+        let mut words = s.as_bytes().chunks_exact(8);
+        for word in &mut words {
+            self.num(u64::from_le_bytes(word.try_into().expect("eight bytes")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut last = [0u8; 8];
+            last[..rest.len()].copy_from_slice(rest);
+            self.num(u64::from_le_bytes(last));
+        }
     }
 }
 
@@ -260,27 +264,35 @@ fn hash_expr(expr: &Expr, h: &mut ShapeHash) {
     }
 }
 
-/// The layout fingerprint: column resolution depends on binding names and
-/// schemas, so they are part of the key (a table dropped and re-created
-/// with different columns must not reuse stale programs).
-fn hash_layout(layout: &[Binding<'_>], h: &mut ShapeHash) {
-    h.num(layout.len() as u64);
-    for b in layout {
-        h.str(b.name);
-        h.str(&b.schema().name);
-        h.num(b.schema().columns.len() as u64);
-        for c in &b.schema().columns {
-            h.str(&c.name);
-        }
+/// A binding's fingerprint: its alias, its table's name and the names of
+/// its columns, in order. Column resolution depends on all of them, so a
+/// table dropped and re-created with other columns, or the same columns
+/// in another order, gets another key and never a stale program.
+/// [`Binding::key`] hashes it once per statement.
+pub(crate) fn binding_key(binding: &Binding<'_>) -> ShapeKey {
+    let mut h = ShapeHash::new();
+    h.str(binding.name);
+    h.str(&binding.schema().name);
+    h.num(binding.schema().columns.len() as u64);
+    for c in &binding.schema().columns {
+        h.str(&c.name);
     }
+    (h.key, h.check)
 }
 
 /// Both [`ShapeHash`] states: the 128-bit identity of a statement shape.
-type ShapeKey = (u64, u64);
+pub(crate) type ShapeKey = (u64, u64);
 
+/// The key of `expr` under `layout`: the layout's binding keys, then the
+/// expression's shape.
 fn shape_key(expr: &Expr, layout: &[Binding<'_>]) -> ShapeKey {
     let mut h = ShapeHash::new();
-    hash_layout(layout, &mut h);
+    h.num(layout.len() as u64);
+    for binding in layout {
+        let (key, check) = binding.key();
+        h.num(key);
+        h.num(check);
+    }
     hash_expr(expr, &mut h);
     (h.key, h.check)
 }

@@ -560,9 +560,9 @@ struct DbSnapshot {
 // the storage backend seam
 // ---------------------------------------------------------------------------
 
-/// The durability seam the server writes through.  The in-memory oracle
-/// uses [`NullBackend`] (acknowledge immediately, persist nothing); the
-/// durable engine uses [`WalStorage`].
+/// The durability seam the server writes through: the durable engine's
+/// [`WalStorage`]. The in-memory oracle has no backend at all (it
+/// acknowledges at once and persists nothing).
 pub trait StorageBackend: Send + Sync + fmt::Debug {
     /// Persists an acknowledged commit (autocommit statement batch or
     /// explicit transaction).  Called under the server's write lock, so
@@ -578,18 +578,6 @@ pub trait StorageBackend: Send + Sync + fmt::Debug {
     /// Called after a durable commit with the post-commit database and
     /// clock; the WAL backend checkpoints here when the log is due.
     fn after_commit(&self, db: &Database, clock: i64);
-}
-
-/// No-op backend: the in-memory differential oracle.
-#[derive(Debug, Default)]
-pub struct NullBackend;
-
-impl StorageBackend for NullBackend {
-    fn log_commit(&self, _stmts: Vec<WalStmt>) -> Result<(), DbError> {
-        Ok(())
-    }
-
-    fn after_commit(&self, _db: &Database, _clock: i64) {}
 }
 
 // ---------------------------------------------------------------------------

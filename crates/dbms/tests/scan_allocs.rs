@@ -197,3 +197,46 @@ fn a_snapshots_first_write_copies_pointers_not_rows() {
         "{few} allocations over 10 rows, {many} over 1000"
     );
 }
+
+/// Fresh allocations of each of `calls` runs of `sql` on `conn`, after
+/// two warm-up runs (the program cache, the general log's first lines).
+fn call_costs(conn: &septic_dbms::Connection, sql: &str, calls: usize) -> Vec<u64> {
+    for _ in 0..2 {
+        conn.execute(sql).expect("warm-up");
+    }
+    (0..calls)
+        .map(|_| {
+            let (fresh, _) = COUNTS.get();
+            conn.execute(sql).expect("write");
+            COUNTS.get().0 - fresh
+        })
+        .collect()
+}
+
+/// An in-memory server has no durability backend, so an autocommit write
+/// renders no redo text: no `Statement::to_string`, no `Vec<WalStmt>`. Its
+/// whole call is pinned here, to the allocation: what it costs beyond
+/// its parse (which `septic-sql`'s own allocation test pins). The QS build
+/// allocates the stack once and no text for its `=` and `+` nodes, and a
+/// general-log `ok` is static text.
+const CALL_BEYOND_PARSE: u64 = 19;
+
+#[test]
+fn an_in_memory_autocommit_update_renders_no_redo_text() {
+    let server = septic_dbms::Server::new();
+    let conn = server.connect();
+    conn.execute("CREATE TABLE tickets (id INT PRIMARY KEY, note VARCHAR(32), price INT)")
+        .expect("schema");
+    for id in 1..=10 {
+        conn.execute(&format!("INSERT INTO tickets VALUES ({id}, 'n{id}', {id})"))
+            .expect("row");
+    }
+    let sql = "UPDATE tickets SET price = price + 1 WHERE id = 5";
+    let (fresh, _) = COUNTS.get();
+    drop(parse(sql).expect("update parses"));
+    let parse_cost = COUNTS.get().0 - fresh;
+    let costs = call_costs(&conn, sql, 5);
+    println!("parse {parse_cost}, calls {costs:?}");
+    // Rendering the redo record would add its `String` and the `Vec`.
+    assert_eq!(costs, [parse_cost + CALL_BEYOND_PARSE; 5]);
+}

@@ -368,3 +368,31 @@ fn vm_and_walker_agree_on_results() {
         "every query must actually have run compiled programs"
     );
 }
+
+/// A table dropped and re-created with its columns in another order is a
+/// new layout: the same statement text must compile again and read the
+/// new `a`, not the column the old program's offsets point at. Leaving
+/// the layout out of the cache key fails this test: the second `SELECT`
+/// would run the first table's program and compare `b`'s cell with 1.
+#[test]
+fn a_recreated_table_never_reuses_a_stale_program() {
+    let server = Server::new();
+    let conn = server.connect();
+    let sql = "SELECT a FROM t WHERE a = 1";
+    conn.execute("CREATE TABLE t (a INT, b INT)")
+        .expect("create");
+    conn.execute("INSERT INTO t (a, b) VALUES (1, 2), (2, 1)")
+        .expect("rows");
+    let before = conn.query(sql).expect("select");
+    assert_eq!(first_column(&before), [Value::Int(1)]);
+    let compiles = server.vm_cache().compile_count();
+
+    conn.execute("DROP TABLE t").expect("drop");
+    conn.execute("CREATE TABLE t (b VARCHAR(8), a INT)")
+        .expect("re-create");
+    conn.execute("INSERT INTO t (b, a) VALUES ('1', 2), ('2', 1)")
+        .expect("rows");
+    let after = conn.query(sql).expect("select");
+    assert_eq!(first_column(&after), [Value::Int(1)]);
+    assert!(server.vm_cache().compile_count() > compiles);
+}

@@ -49,7 +49,7 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use septic_dbms::{Connection, Server};
-use septic_telemetry::{saturating_micros, Counter, Histogram};
+use septic_telemetry::{Counter, Histogram, Laps};
 
 use crate::dispatch::{handle_request, refuse_frame};
 use crate::frame::{
@@ -496,10 +496,11 @@ fn serve(shared: &Shared, mut session: Session) -> bool {
 fn serve_frame(shared: &Shared, session: &mut Session) -> bool {
     let cfg = &shared.config;
     let metrics = &shared.metrics;
-    let t = Instant::now();
-    let request = match read_request(&session.stream, cfg.read_timeout, cfg.max_frame_len) {
+    // One clock read per stage boundary: read, handle, write.
+    let mut laps = Laps::start();
+    let request = match read_request(&session.stream, cfg, laps.last()) {
         Ok(req) => {
-            metrics.read_wait.record_us(saturating_micros(t.elapsed()));
+            metrics.read_wait.record(laps.lap());
             metrics.frames_read.inc();
             req
         }
@@ -515,31 +516,32 @@ fn serve_frame(shared: &Shared, session: &mut Session) -> bool {
             return false;
         }
     };
-    let t = Instant::now();
     let responses = handle_request(cfg, metrics, &session.db, request);
-    metrics.handle.record_us(saturating_micros(t.elapsed()));
-    let t = Instant::now();
+    metrics.handle.record(laps.lap());
     let sent = encode_replies(&responses, cfg.max_frame_len)
         .and_then(|reply| session.stream.write_all(&reply));
-    metrics.write.record_us(saturating_micros(t.elapsed()));
+    metrics.write.record(laps.lap());
     sent.is_ok()
 }
 
-/// Reads one request within one deadline, `timeout` after the read
-/// starts. The socket's own timeout bounds each `recv` alone, so a peer
-/// trickling a byte just inside it would hold the worker for one timeout
-/// per byte; [`Deadline`] cuts it to what is left of the deadline.
+/// Reads one request within one deadline, the read timeout after the
+/// read starts (`started`). The socket's own timeout bounds each `recv`
+/// alone, so a peer trickling a byte just inside it would hold the worker
+/// for one timeout per byte; [`Deadline`] cuts it to what is left of the
+/// deadline.
 fn read_request(
     stream: &TcpStream,
-    timeout: Duration,
-    max_len: u32,
+    cfg: &NetServerConfig,
+    started: Instant,
 ) -> Result<Request, FrameError> {
+    let timeout = cfg.read_timeout;
     let mut reader = Deadline {
         stream,
-        deadline: Instant::now().checked_add(timeout),
+        deadline: started.checked_add(timeout),
         armed: timeout,
+        first: true,
     };
-    let request = read_frame(&mut reader, max_len)?;
+    let request = read_frame(&mut reader, cfg.max_frame_len)?;
     if reader.armed != timeout {
         stream.set_read_timeout(Some(timeout))?;
     }
@@ -556,10 +558,16 @@ struct Deadline<'a> {
     deadline: Option<Instant>,
     /// The read timeout set on the socket now.
     armed: Duration,
+    /// No read yet: the first starts as the deadline does, with the whole
+    /// timeout left, and reads no clock.
+    first: bool,
 }
 
 impl Read for Deadline<'_> {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if std::mem::take(&mut self.first) {
+            return self.stream.read(buf);
+        }
         if let Some(deadline) = self.deadline {
             let left = deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {

@@ -99,13 +99,9 @@ impl Select {
 
     /// Iterates over this select and every `UNION` arm after it.
     pub fn arms(&self) -> impl Iterator<Item = &Select> {
-        let mut arms = vec![self];
-        let mut cur = self;
-        while let Some((_, next)) = &cur.union {
-            arms.push(next);
-            cur = next;
-        }
-        arms.into_iter()
+        std::iter::successors(Some(self), |arm| {
+            arm.union.as_ref().map(|(_, next)| &**next)
+        })
     }
 }
 

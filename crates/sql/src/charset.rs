@@ -82,21 +82,30 @@ pub fn fold_char(c: char) -> Option<char> {
 /// ```
 #[must_use]
 pub fn decode(raw: &str) -> DecodedQuery {
+    // Every character the table folds is non-ASCII: an ASCII query is
+    // copied whole.
+    if raw.is_ascii() {
+        return DecodedQuery {
+            text: raw.to_owned(),
+            substitutions: Vec::new(),
+        };
+    }
     let mut text = String::with_capacity(raw.len());
     let mut substitutions = Vec::new();
+    // The text between two folded characters is copied as one run.
+    let mut copied = 0;
     for (offset, c) in raw.char_indices() {
-        match fold_char(c) {
-            Some(folded) => {
-                substitutions.push(CharsetSubstitution {
-                    offset,
-                    from: c,
-                    to: folded,
-                });
-                text.push(folded);
-            }
-            None => text.push(c),
-        }
+        let Some(folded) = fold_char(c) else { continue };
+        text.push_str(&raw[copied..offset]);
+        text.push(folded);
+        copied = offset + c.len_utf8();
+        substitutions.push(CharsetSubstitution {
+            offset,
+            from: c,
+            to: folded,
+        });
     }
+    text.push_str(&raw[copied..]);
     DecodedQuery {
         text,
         substitutions,
@@ -106,6 +115,23 @@ pub fn decode(raw: &str) -> DecodedQuery {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Run copying and the ASCII shortcut change no output: the text is
+        /// the per-character fold, the substitutions each folded character.
+        #[test]
+        fn decode_is_the_per_character_fold(raw in "\\PC{0,40}") {
+            let d = decode(&raw);
+            let folded: String = raw.chars().map(|c| fold_char(c).unwrap_or(c)).collect();
+            prop_assert_eq!(&d.text, &folded);
+            let expected: Vec<CharsetSubstitution> = raw
+                .char_indices()
+                .filter_map(|(offset, c)| fold_char(c).map(|to| CharsetSubstitution { offset, from: c, to }))
+                .collect();
+            prop_assert_eq!(d.substitutions, expected);
+        }
+    }
 
     #[test]
     fn ascii_passes_through_untouched() {

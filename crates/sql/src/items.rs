@@ -25,6 +25,7 @@
 //! FROM_TABLE   tickets
 //! ```
 
+use std::borrow::Cow;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -125,7 +126,10 @@ impl fmt::Display for ItemTag {
 /// Payload of a stack node.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ItemData {
-    Text(String),
+    /// Element text or a string literal. Fixed text (an operator, a
+    /// keyword, `*`, `;`, the empty payload) is `&'static`; only an
+    /// identifier or a literal owns its text. Serialized as a plain string.
+    Text(Cow<'static, str>),
     Int(i64),
     Real(f64),
     Null,
@@ -154,7 +158,7 @@ pub struct Item {
 
 impl Item {
     #[must_use]
-    pub fn elem(tag: ItemTag, data: impl Into<String>) -> Self {
+    pub fn elem(tag: ItemTag, data: impl Into<Cow<'static, str>>) -> Self {
         debug_assert!(!tag.is_data(), "element constructor used with data tag");
         Item {
             tag,
@@ -162,19 +166,20 @@ impl Item {
         }
     }
 
-    /// Canonical bytes used for hashing into the internal query identifier.
+    /// Canonical bytes used for hashing into the internal query identifier,
+    /// streamed into `out` (a buffer, or a hash state that takes bytes).
     /// Data payloads contribute only their tag, so queries differing only in
     /// literals hash identically.
-    pub fn canonical_bytes(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(self.tag.name().as_bytes());
-        out.push(0x1f);
+    pub fn canonical_bytes(&self, out: &mut impl Extend<u8>) {
+        out.extend(self.tag.name().bytes());
+        out.extend([0x1f]);
         if !self.tag.is_data() {
             if let ItemData::Text(s) = &self.data {
                 // Identifiers are case-insensitive in MySQL.
-                out.extend_from_slice(s.to_ascii_lowercase().as_bytes());
+                out.extend(s.bytes().map(|b| b.to_ascii_lowercase()));
             }
         }
-        out.push(0x1e);
+        out.extend([0x1e]);
     }
 }
 
@@ -227,7 +232,7 @@ impl ItemStack {
     /// stored-injection plugins).
     pub fn string_data(&self) -> impl Iterator<Item = &str> {
         self.items.iter().filter_map(|i| match (&i.tag, &i.data) {
-            (ItemTag::StringItem, ItemData::Text(s)) => Some(s.as_str()),
+            (ItemTag::StringItem, ItemData::Text(s)) => Some(s.as_ref()),
             _ => None,
         })
     }
@@ -285,49 +290,79 @@ impl FromIterator<Item> for ItemStack {
 /// Lowers a validated statement to its item stack.
 #[must_use]
 pub fn lower(statement: &Statement) -> ItemStack {
-    let mut stack = ItemStack::new();
-    lower_into(statement, &mut stack);
-    stack
+    lower_all(std::slice::from_ref(statement))
 }
 
 /// Lowers a whole (possibly piggybacked) statement list, separating the
 /// statements with `DDL_ITEM ;` markers so a piggyback attack always changes
-/// the structure.
+/// the structure. A first pass counts the nodes, so the stack is allocated
+/// once, at its final size.
 #[must_use]
 pub fn lower_all(statements: &[Statement]) -> ItemStack {
-    let mut stack = ItemStack::new();
-    for (i, s) in statements.iter().enumerate() {
-        if i > 0 {
-            stack.push(Item::elem(ItemTag::DdlItem, ";"));
-        }
-        lower_into(s, &mut stack);
-    }
-    stack
+    let mut count = Count(0);
+    lower_statements(statements, &mut count);
+    let mut items = Vec::with_capacity(count.0);
+    lower_statements(statements, &mut items);
+    debug_assert_eq!(items.len(), count.0);
+    ItemStack { items }
 }
 
-fn lower_into(statement: &Statement, stack: &mut ItemStack) {
+/// Where lowering puts nodes: the stack, or a count that sizes it. The
+/// payload is a closure, so counting builds no text.
+trait Sink {
+    fn node(&mut self, tag: ItemTag, data: impl FnOnce() -> ItemData);
+
+    /// An element node with fixed text: a keyword or operator.
+    fn fixed(&mut self, tag: ItemTag, text: &'static str) {
+        self.node(tag, || ItemData::Text(Cow::Borrowed(text)));
+    }
+
+    /// An element node that owns its text: an identifier.
+    fn named(&mut self, tag: ItemTag, text: impl FnOnce() -> String) {
+        self.node(tag, || ItemData::Text(Cow::Owned(text())));
+    }
+}
+
+struct Count(usize);
+
+impl Sink for Count {
+    fn node(&mut self, _: ItemTag, _: impl FnOnce() -> ItemData) {
+        self.0 += 1;
+    }
+}
+
+impl Sink for Vec<Item> {
+    fn node(&mut self, tag: ItemTag, data: impl FnOnce() -> ItemData) {
+        self.push(Item { tag, data: data() });
+    }
+}
+
+fn lower_statements(statements: &[Statement], out: &mut impl Sink) {
+    for (i, s) in statements.iter().enumerate() {
+        if i > 0 {
+            out.fixed(ItemTag::DdlItem, ";");
+        }
+        lower_statement(s, out);
+    }
+}
+
+fn lower_statement(statement: &Statement, out: &mut impl Sink) {
     match statement {
-        Statement::Select(s) => lower_select(s, stack),
-        Statement::Insert(i) => lower_insert(i, stack),
-        Statement::Update(u) => lower_update(u, stack),
-        Statement::Delete(d) => lower_delete(d, stack),
+        Statement::Select(s) => lower_select(s, out),
+        Statement::Insert(i) => lower_insert(i, out),
+        Statement::Update(u) => lower_update(u, out),
+        Statement::Delete(d) => lower_delete(d, out),
         Statement::CreateTable(c) => {
-            stack.push(Item::elem(
-                ItemTag::DdlItem,
-                format!("CREATE TABLE {}", lc(&c.name)),
-            ));
+            out.named(ItemTag::DdlItem, || format!("CREATE TABLE {}", lc(&c.name)));
         }
         Statement::DropTable(d) => {
-            stack.push(Item::elem(
-                ItemTag::DdlItem,
-                format!("DROP TABLE {}", lc(&d.name)),
-            ));
+            out.named(ItemTag::DdlItem, || format!("DROP TABLE {}", lc(&d.name)));
         }
         // Transaction control lowers like DDL: a bare keyword item, so a
         // piggybacked `; COMMIT` still changes the query structure.
-        Statement::Begin => stack.push(Item::elem(ItemTag::DdlItem, "BEGIN")),
-        Statement::Commit => stack.push(Item::elem(ItemTag::DdlItem, "COMMIT")),
-        Statement::Rollback => stack.push(Item::elem(ItemTag::DdlItem, "ROLLBACK")),
+        Statement::Begin => out.fixed(ItemTag::DdlItem, "BEGIN"),
+        Statement::Commit => out.fixed(ItemTag::DdlItem, "COMMIT"),
+        Statement::Rollback => out.fixed(ItemTag::DdlItem, "ROLLBACK"),
     }
 }
 
@@ -335,220 +370,193 @@ fn lc(s: &str) -> String {
     s.to_ascii_lowercase()
 }
 
-fn lower_select(select: &Select, stack: &mut ItemStack) {
+/// A column label, `table.name` or `name`, lowercased into one `String`.
+fn column_label(table: Option<&str>, name: &str) -> String {
+    let mut label = String::with_capacity(table.map_or(0, |t| t.len() + 1) + name.len());
+    if let Some(t) = table {
+        label.push_str(t);
+        label.push('.');
+    }
+    label.push_str(name);
+    label.make_ascii_lowercase();
+    label
+}
+
+/// A data node.
+fn data(out: &mut impl Sink, tag: ItemTag, data: ItemData) {
+    out.node(tag, || data);
+}
+
+fn lower_select(select: &Select, out: &mut impl Sink) {
     for table in &select.from {
-        stack.push(Item::elem(ItemTag::FromTable, lc(&table.name)));
+        out.named(ItemTag::FromTable, || lc(&table.name));
     }
     for join in &select.joins {
-        stack.push(Item::elem(
-            ItemTag::JoinItem,
-            format!("{} {}", join.kind, lc(&join.table.name)),
-        ));
+        out.named(ItemTag::JoinItem, || {
+            format!("{} {}", join.kind, lc(&join.table.name))
+        });
         if let Some(on) = &join.on {
-            lower_expr(on, stack);
+            lower_expr(on, out);
         }
     }
     for item in &select.items {
         match item {
-            SelectItem::Wildcard => stack.push(Item::elem(ItemTag::SelectField, "*")),
+            SelectItem::Wildcard => out.fixed(ItemTag::SelectField, "*"),
             SelectItem::QualifiedWildcard(t) => {
-                stack.push(Item::elem(ItemTag::SelectField, format!("{}.*", lc(t))));
+                out.named(ItemTag::SelectField, || format!("{}.*", lc(t)));
             }
             SelectItem::Expr { expr, .. } => {
-                stack.push(Item::elem(ItemTag::SelectField, expr_label(expr)));
+                out.node(ItemTag::SelectField, || ItemData::Text(expr_label(expr)));
                 // Non-trivial projected expressions contribute their own
                 // structure (a projected subquery or function can smuggle
                 // data out).
                 if !matches!(expr, Expr::Column { .. }) {
-                    lower_expr(expr, stack);
+                    lower_expr(expr, out);
                 }
             }
         }
     }
     if let Some(where_clause) = &select.where_clause {
-        lower_expr(where_clause, stack);
+        lower_expr(where_clause, out);
     }
     for g in &select.group_by {
-        lower_expr(g, stack);
-        stack.push(Item::elem(ItemTag::GroupField, ""));
+        lower_expr(g, out);
+        out.fixed(ItemTag::GroupField, "");
     }
     if let Some(h) = &select.having {
-        lower_expr(h, stack);
-        stack.push(Item::elem(ItemTag::HavingItem, ""));
+        lower_expr(h, out);
+        out.fixed(ItemTag::HavingItem, "");
     }
     for o in &select.order_by {
-        lower_expr(&o.expr, stack);
-        stack.push(Item::elem(
+        lower_expr(&o.expr, out);
+        out.fixed(
             ItemTag::OrderField,
             if o.descending { "DESC" } else { "ASC" },
-        ));
+        );
     }
     if let Some(limit) = &select.limit {
-        stack.push(Item {
-            tag: ItemTag::IntItem,
-            data: ItemData::Int(limit.count as i64),
-        });
-        stack.push(Item {
-            tag: ItemTag::IntItem,
-            data: ItemData::Int(limit.offset as i64),
-        });
-        stack.push(Item::elem(ItemTag::LimitItem, ""));
+        data(out, ItemTag::IntItem, ItemData::Int(limit.count as i64));
+        data(out, ItemTag::IntItem, ItemData::Int(limit.offset as i64));
+        out.fixed(ItemTag::LimitItem, "");
     }
     if let Some((all, next)) = &select.union {
-        stack.push(Item::elem(
-            ItemTag::UnionItem,
-            if *all { "UNION ALL" } else { "UNION" },
-        ));
-        lower_select(next, stack);
+        out.fixed(ItemTag::UnionItem, if *all { "UNION ALL" } else { "UNION" });
+        lower_select(next, out);
     }
 }
 
-fn lower_insert(insert: &Insert, stack: &mut ItemStack) {
-    stack.push(Item::elem(ItemTag::InsertTable, lc(&insert.table)));
+/// `SUBSELECT_BEGIN`, the subquery, `SUBSELECT_END`.
+fn lower_subselect(select: &Select, out: &mut impl Sink) {
+    out.fixed(ItemTag::SubselectBegin, "");
+    lower_select(select, out);
+    out.fixed(ItemTag::SubselectEnd, "");
+}
+
+fn lower_insert(insert: &Insert, out: &mut impl Sink) {
+    out.named(ItemTag::InsertTable, || lc(&insert.table));
     for col in &insert.columns {
-        stack.push(Item::elem(ItemTag::InsertField, lc(col)));
+        out.named(ItemTag::InsertField, || lc(col));
     }
     match &insert.source {
         InsertSource::Values(rows) => {
             for row in rows {
                 for value in row {
-                    lower_expr(value, stack);
+                    lower_expr(value, out);
                 }
-                stack.push(Item::elem(ItemTag::RowItem, ""));
+                out.fixed(ItemTag::RowItem, "");
             }
         }
-        InsertSource::Select(select) => {
-            stack.push(Item::elem(ItemTag::SubselectBegin, ""));
-            lower_select(select, stack);
-            stack.push(Item::elem(ItemTag::SubselectEnd, ""));
-        }
+        InsertSource::Select(select) => lower_subselect(select, out),
     }
 }
 
-fn lower_update(update: &Update, stack: &mut ItemStack) {
-    stack.push(Item::elem(ItemTag::UpdateTable, lc(&update.table)));
+fn lower_update(update: &Update, out: &mut impl Sink) {
+    out.named(ItemTag::UpdateTable, || lc(&update.table));
     for (col, value) in &update.assignments {
-        stack.push(Item::elem(ItemTag::UpdateField, lc(col)));
-        lower_expr(value, stack);
+        out.named(ItemTag::UpdateField, || lc(col));
+        lower_expr(value, out);
     }
     if let Some(where_clause) = &update.where_clause {
-        lower_expr(where_clause, stack);
+        lower_expr(where_clause, out);
     }
     if let Some(limit) = &update.limit {
-        stack.push(Item {
-            tag: ItemTag::IntItem,
-            data: ItemData::Int(limit.count as i64),
-        });
-        stack.push(Item::elem(ItemTag::LimitItem, ""));
+        data(out, ItemTag::IntItem, ItemData::Int(limit.count as i64));
+        out.fixed(ItemTag::LimitItem, "");
     }
 }
 
-fn lower_delete(delete: &Delete, stack: &mut ItemStack) {
-    stack.push(Item::elem(ItemTag::DeleteTable, lc(&delete.table)));
+fn lower_delete(delete: &Delete, out: &mut impl Sink) {
+    out.named(ItemTag::DeleteTable, || lc(&delete.table));
     if let Some(where_clause) = &delete.where_clause {
-        lower_expr(where_clause, stack);
+        lower_expr(where_clause, out);
     }
     if let Some(limit) = &delete.limit {
-        stack.push(Item {
-            tag: ItemTag::IntItem,
-            data: ItemData::Int(limit.count as i64),
-        });
-        stack.push(Item::elem(ItemTag::LimitItem, ""));
+        data(out, ItemTag::IntItem, ItemData::Int(limit.count as i64));
+        out.fixed(ItemTag::LimitItem, "");
     }
 }
 
 /// Postfix lowering of an expression: operands first, operator on top.
-fn lower_expr(expr: &Expr, stack: &mut ItemStack) {
+fn lower_expr(expr: &Expr, out: &mut impl Sink) {
     match expr {
-        Expr::Literal(Literal::Int(v)) => {
-            stack.push(Item {
-                tag: ItemTag::IntItem,
-                data: ItemData::Int(*v),
-            });
-        }
-        Expr::Literal(Literal::Float(v)) => {
-            stack.push(Item {
-                tag: ItemTag::RealItem,
-                data: ItemData::Real(*v),
-            });
-        }
+        Expr::Literal(Literal::Int(v)) => data(out, ItemTag::IntItem, ItemData::Int(*v)),
+        Expr::Literal(Literal::Float(v)) => data(out, ItemTag::RealItem, ItemData::Real(*v)),
         Expr::Literal(Literal::Str(s)) => {
-            stack.push(Item {
-                tag: ItemTag::StringItem,
-                data: ItemData::Text(s.clone()),
+            out.node(ItemTag::StringItem, || {
+                ItemData::Text(Cow::Owned(s.clone()))
             });
         }
-        Expr::Literal(Literal::Null) => {
-            stack.push(Item {
-                tag: ItemTag::NullItem,
-                data: ItemData::Null,
-            });
-        }
-        Expr::Param => stack.push(Item {
-            tag: ItemTag::ParamItem,
-            data: ItemData::Bot,
-        }),
+        Expr::Literal(Literal::Null) => data(out, ItemTag::NullItem, ItemData::Null),
+        Expr::Param => data(out, ItemTag::ParamItem, ItemData::Bot),
         Expr::Column { table, name } => {
-            let label = match table {
-                Some(t) => format!("{}.{}", lc(t), lc(name)),
-                None => lc(name),
-            };
-            stack.push(Item::elem(ItemTag::FieldItem, label));
+            out.named(ItemTag::FieldItem, || column_label(table.as_deref(), name));
         }
         Expr::Unary { op, operand } => {
-            lower_expr(operand, stack);
-            stack.push(Item::elem(ItemTag::FuncItem, op.symbol()));
+            lower_expr(operand, out);
+            out.fixed(ItemTag::FuncItem, op.symbol());
         }
         Expr::Binary { left, op, right } => {
-            lower_expr(left, stack);
-            lower_expr(right, stack);
+            lower_expr(left, out);
+            lower_expr(right, out);
             let tag = if op.is_condition() {
                 ItemTag::CondItem
             } else {
                 ItemTag::FuncItem
             };
-            stack.push(Item::elem(tag, op.symbol()));
+            out.fixed(tag, op.symbol());
         }
         Expr::Function { name, args } => {
             for a in args {
-                lower_expr(a, stack);
+                lower_expr(a, out);
             }
-            stack.push(Item::elem(ItemTag::FuncItem, name.clone()));
+            out.named(ItemTag::FuncItem, || name.clone());
         }
         Expr::IsNull { expr, negated } => {
-            lower_expr(expr, stack);
-            stack.push(Item::elem(
+            lower_expr(expr, out);
+            out.fixed(
                 ItemTag::FuncItem,
                 if *negated { "IS NOT NULL" } else { "IS NULL" },
-            ));
+            );
         }
         Expr::InList {
             expr,
             list,
             negated,
         } => {
-            lower_expr(expr, stack);
+            lower_expr(expr, out);
             for e in list {
-                lower_expr(e, stack);
+                lower_expr(e, out);
             }
-            stack.push(Item::elem(
-                ItemTag::FuncItem,
-                if *negated { "NOT IN" } else { "IN" },
-            ));
+            out.fixed(ItemTag::FuncItem, if *negated { "NOT IN" } else { "IN" });
         }
         Expr::InSelect {
             expr,
             select,
             negated,
         } => {
-            lower_expr(expr, stack);
-            stack.push(Item::elem(ItemTag::SubselectBegin, ""));
-            lower_select(select, stack);
-            stack.push(Item::elem(ItemTag::SubselectEnd, ""));
-            stack.push(Item::elem(
-                ItemTag::FuncItem,
-                if *negated { "NOT IN" } else { "IN" },
-            ));
+            lower_expr(expr, out);
+            lower_subselect(select, out);
+            out.fixed(ItemTag::FuncItem, if *negated { "NOT IN" } else { "IN" });
         }
         Expr::Between {
             expr,
@@ -556,27 +564,21 @@ fn lower_expr(expr: &Expr, stack: &mut ItemStack) {
             high,
             negated,
         } => {
-            lower_expr(expr, stack);
-            lower_expr(low, stack);
-            lower_expr(high, stack);
-            stack.push(Item::elem(
+            lower_expr(expr, out);
+            lower_expr(low, out);
+            lower_expr(high, out);
+            out.fixed(
                 ItemTag::FuncItem,
                 if *negated { "NOT BETWEEN" } else { "BETWEEN" },
-            ));
+            );
         }
-        Expr::Subquery(select) => {
-            stack.push(Item::elem(ItemTag::SubselectBegin, ""));
-            lower_select(select, stack);
-            stack.push(Item::elem(ItemTag::SubselectEnd, ""));
-        }
+        Expr::Subquery(select) => lower_subselect(select, out),
         Expr::Exists { select, negated } => {
-            stack.push(Item::elem(ItemTag::SubselectBegin, ""));
-            lower_select(select, stack);
-            stack.push(Item::elem(ItemTag::SubselectEnd, ""));
-            stack.push(Item::elem(
+            lower_subselect(select, out);
+            out.fixed(
                 ItemTag::FuncItem,
                 if *negated { "NOT EXISTS" } else { "EXISTS" },
-            ));
+            );
         }
         Expr::Case {
             operand,
@@ -584,32 +586,28 @@ fn lower_expr(expr: &Expr, stack: &mut ItemStack) {
             else_branch,
         } => {
             if let Some(op) = operand {
-                lower_expr(op, stack);
+                lower_expr(op, out);
             }
             for (when, then) in branches {
-                lower_expr(when, stack);
-                lower_expr(then, stack);
+                lower_expr(when, out);
+                lower_expr(then, out);
             }
             if let Some(e) = else_branch {
-                lower_expr(e, stack);
+                lower_expr(e, out);
             }
-            stack.push(Item::elem(ItemTag::FuncItem, "CASE"));
+            out.fixed(ItemTag::FuncItem, "CASE");
         }
     }
 }
 
 /// Short label for a projected expression (shown in `SELECT_FIELD` nodes).
-fn expr_label(expr: &Expr) -> String {
+fn expr_label(expr: &Expr) -> Cow<'static, str> {
     match expr {
-        Expr::Column {
-            table: Some(t),
-            name,
-        } => format!("{}.{}", lc(t), lc(name)),
-        Expr::Column { table: None, name } => lc(name),
-        Expr::Function { name, .. } => format!("{name}()"),
-        Expr::Literal(l) => l.to_string(),
-        Expr::Subquery(_) => "(subquery)".to_string(),
-        _ => "(expr)".to_string(),
+        Expr::Column { table, name } => column_label(table.as_deref(), name).into(),
+        Expr::Function { name, .. } => format!("{name}()").into(),
+        Expr::Literal(l) => l.to_string().into(),
+        Expr::Subquery(_) => "(subquery)".into(),
+        _ => "(expr)".into(),
     }
 }
 

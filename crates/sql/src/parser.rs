@@ -11,7 +11,7 @@
 
 use crate::ast::*;
 use crate::error::{ParseError, Span};
-use crate::token::{lex, SpannedToken, Token};
+use crate::token::{lex, Kw, SpannedToken, Token};
 
 /// Deepest AST `parse` returns, counted in nested nodes: every [`Expr`]
 /// and every [`Select`] (each `UNION` arm sits one below the arm before
@@ -141,26 +141,19 @@ fn infix_level(token: &Token) -> Option<(BinaryOp, u8)> {
         Token::Slash => (BinaryOp::Div, MUL),
         Token::Percent => (BinaryOp::Mod, MUL),
         Token::Caret => (BinaryOp::BitXor, MUL),
-        Token::Ident(word) => {
-            let (_, op, level) = [
-                ("OR", BinaryOp::Or, OR),
-                ("XOR", BinaryOp::Xor, XOR),
-                ("AND", BinaryOp::And, AND),
-                ("LIKE", BinaryOp::Like, CMP),
-                ("MOD", BinaryOp::Mod, MUL),
-                ("DIV", BinaryOp::IntDiv, MUL),
-            ]
-            .into_iter()
-            .find(|(kw, ..)| word.eq_ignore_ascii_case(kw))?;
-            (op, level)
-        }
+        Token::Ident(_, Kw::Or) => (BinaryOp::Or, OR),
+        Token::Ident(_, Kw::Xor) => (BinaryOp::Xor, XOR),
+        Token::Ident(_, Kw::And) => (BinaryOp::And, AND),
+        Token::Ident(_, Kw::Like) => (BinaryOp::Like, CMP),
+        Token::Ident(_, Kw::Mod) => (BinaryOp::Mod, MUL),
+        Token::Ident(_, Kw::Div) => (BinaryOp::IntDiv, MUL),
         _ => return None,
     })
 }
 
 #[derive(Default)]
-struct Parser {
-    tokens: Vec<SpannedToken>,
+struct Parser<'a> {
+    tokens: Vec<SpannedToken<'a>>,
     pos: usize,
     /// `expr_bp` / `select` entries currently on the stack.
     recursion: usize,
@@ -172,16 +165,16 @@ struct Parser {
     height: usize,
 }
 
-impl Parser {
+impl<'a> Parser<'a> {
     fn at_end(&self) -> bool {
         self.pos >= self.tokens.len()
     }
 
-    fn peek(&self) -> Option<&Token> {
+    fn peek(&self) -> Option<&Token<'a>> {
         self.peek_at(0)
     }
 
-    fn peek_at(&self, ahead: usize) -> Option<&Token> {
+    fn peek_at(&self, ahead: usize) -> Option<&Token<'a>> {
         self.tokens.get(self.pos + ahead).map(|t| &t.token)
     }
 
@@ -193,7 +186,7 @@ impl Parser {
 
     /// Moves the current token out of the stream. The parser never backs
     /// up over a token it took, so the placeholder left behind is unread.
-    fn advance(&mut self) -> Option<Token> {
+    fn advance(&mut self) -> Option<Token<'a>> {
         let slot = self.tokens.get_mut(self.pos)?;
         self.pos += 1;
         Some(std::mem::replace(&mut slot.token, Token::Semicolon))
@@ -214,18 +207,18 @@ impl Parser {
         found.then_some(()).ok_or_else(|| self.unexpected(what))
     }
 
-    fn check_kw(&self, kw: &str) -> bool {
-        self.peek().is_some_and(|t| t.is_kw(kw))
+    fn check_kw(&self, kw: Kw) -> bool {
+        self.peek().is_some_and(|t| t.kw() == kw)
     }
 
-    fn eat_kw(&mut self, kw: &str) -> bool {
+    fn eat_kw(&mut self, kw: Kw) -> bool {
         let found = self.check_kw(kw);
         self.pos += usize::from(found);
         found
     }
 
     /// One of two optional keywords; true for the first.
-    fn either_kw(&mut self, this: &str, that: &str) -> bool {
+    fn either_kw(&mut self, this: Kw, that: Kw) -> bool {
         let first = self.eat_kw(this);
         if !first {
             self.eat_kw(that);
@@ -233,9 +226,11 @@ impl Parser {
         first
     }
 
-    fn expect_kw(&mut self, kw: &str) -> Result<(), ParseError> {
+    fn expect_kw(&mut self, kw: Kw) -> Result<(), ParseError> {
         let found = self.eat_kw(kw);
-        found.then_some(()).ok_or_else(|| self.unexpected(kw))
+        found
+            .then_some(())
+            .ok_or_else(|| self.unexpected(kw.text()))
     }
 
     fn unexpected(&self, what: &str) -> ParseError {
@@ -245,10 +240,13 @@ impl Parser {
         ParseError::syntax(format!("expected {what}, found {found}"), self.span())
     }
 
+    /// A bare word, keyword or not, or a quoted identifier: the one
+    /// `String` the tree keeps.
     fn identifier(&mut self, what: &str) -> Result<String, ParseError> {
         match self.peek() {
-            Some(Token::Ident(_) | Token::QuotedIdent(_)) => match self.advance() {
-                Some(Token::Ident(s) | Token::QuotedIdent(s)) => Ok(s),
+            Some(Token::Ident(..) | Token::QuotedIdent(_)) => match self.advance() {
+                Some(Token::Ident(s, _)) => Ok(s.to_string()),
+                Some(Token::QuotedIdent(s)) => Ok(s.into_owned()),
                 _ => unreachable!("peeked identifier"),
             },
             _ => Err(self.unexpected(what)),
@@ -272,7 +270,7 @@ impl Parser {
     /// `[kw item]`
     fn optional<T>(
         &mut self,
-        kw: &str,
+        kw: Kw,
         item: impl FnOnce(&mut Self) -> Result<T, ParseError>,
     ) -> Result<Option<T>, ParseError> {
         if self.eat_kw(kw) {
@@ -283,8 +281,8 @@ impl Parser {
     }
 
     /// `[[AS] alias]`: a bare word is an alias unless it `ends` the item.
-    fn alias(&mut self, ends: fn(&str) -> bool) -> Result<Option<String>, ParseError> {
-        if self.eat_kw("AS") || matches!(self.peek(), Some(Token::Ident(s)) if !ends(s)) {
+    fn alias(&mut self, ends: fn(Kw) -> bool) -> Result<Option<String>, ParseError> {
+        if self.eat_kw(Kw::As) || matches!(self.peek(), Some(Token::Ident(_, kw)) if !ends(*kw)) {
             self.identifier("alias").map(Some)
         } else {
             Ok(None)
@@ -334,36 +332,38 @@ impl Parser {
     // ---- statements -----------------------------------------------------
 
     fn statement(&mut self) -> Result<Statement, ParseError> {
-        if self.check_kw("SELECT") {
-            let mut select = Select::new();
-            self.select(&mut select)?;
-            Ok(Statement::Select(select))
-        } else if self.check_kw("INSERT") {
-            self.insert()
-        } else if self.check_kw("UPDATE") {
-            self.update()
-        } else if self.check_kw("DELETE") {
-            self.delete()
-        } else if self.check_kw("CREATE") {
-            self.create_table()
-        } else if self.check_kw("DROP") {
-            self.drop_table()
-        } else if self.eat_kw("BEGIN") {
-            Ok(Statement::Begin)
-        } else if self.eat_kw("START") {
-            self.expect_kw("TRANSACTION")?;
-            Ok(Statement::Begin)
-        } else if self.eat_kw("COMMIT") {
-            Ok(Statement::Commit)
-        } else if self.eat_kw("ROLLBACK") {
-            Ok(Statement::Rollback)
-        } else if let Some(Token::Ident(kw)) = self.peek() {
-            Err(ParseError::Unsupported {
-                message: format!("statement `{}`", kw.to_uppercase()),
-            })
-        } else {
-            Err(self.unexpected("a statement"))
+        let Some(&Token::Ident(word, kw)) = self.peek() else {
+            return Err(self.unexpected("a statement"));
+        };
+        match kw {
+            Kw::Select => {
+                let mut select = Select::new();
+                self.select(&mut select)?;
+                Ok(Statement::Select(select))
+            }
+            Kw::Insert => self.insert(),
+            Kw::Update => self.update(),
+            Kw::Delete => self.delete(),
+            Kw::Create => self.create_table(),
+            Kw::Drop => self.drop_table(),
+            Kw::Begin => self.control(Statement::Begin),
+            Kw::Start => {
+                self.pos += 1;
+                self.expect_kw(Kw::Transaction)?;
+                Ok(Statement::Begin)
+            }
+            Kw::Commit => self.control(Statement::Commit),
+            Kw::Rollback => self.control(Statement::Rollback),
+            _ => Err(ParseError::Unsupported {
+                message: format!("statement `{}`", word.to_uppercase()),
+            }),
         }
+    }
+
+    /// A one-word transaction-control statement.
+    fn control(&mut self, statement: Statement) -> Result<Statement, ParseError> {
+        self.pos += 1;
+        Ok(statement)
     }
 
     /// A `SELECT` wherever the AST boxes one (everywhere but a statement
@@ -376,43 +376,43 @@ impl Parser {
 
     fn select(&mut self, select: &mut Select) -> Result<(), ParseError> {
         let siblings = self.descend()?;
-        self.expect_kw("SELECT")?;
-        select.distinct = self.either_kw("DISTINCT", "ALL");
+        self.expect_kw(Kw::Select)?;
+        select.distinct = self.either_kw(Kw::Distinct, Kw::All);
         select.items = self.comma_list(Self::select_item)?;
-        if self.eat_kw("FROM") {
+        if self.eat_kw(Kw::From) {
             select.from = self.comma_list(Self::table_ref)?;
             loop {
-                let kind = if self.eat_kw("LEFT") {
-                    self.eat_kw("OUTER");
+                let kind = if self.eat_kw(Kw::Left) {
+                    self.eat_kw(Kw::Outer);
                     JoinKind::Left
-                } else if self.eat_kw("INNER") || self.check_kw("JOIN") {
+                } else if self.eat_kw(Kw::Inner) || self.check_kw(Kw::Join) {
                     JoinKind::Inner
                 } else {
                     break;
                 };
-                self.expect_kw("JOIN")?;
+                self.expect_kw(Kw::Join)?;
                 let table = self.table_ref()?;
-                let on = self.optional("ON", Self::expr)?;
+                let on = self.optional(Kw::On, Self::expr)?;
                 select.joins.push(Join { kind, table, on });
             }
         }
-        select.where_clause = self.optional("WHERE", Self::expr)?;
-        if self.eat_kw("GROUP") {
-            self.expect_kw("BY")?;
+        select.where_clause = self.optional(Kw::Where, Self::expr)?;
+        if self.eat_kw(Kw::Group) {
+            self.expect_kw(Kw::By)?;
             select.group_by = self.comma_list(Self::expr)?;
         }
-        select.having = self.optional("HAVING", Self::expr)?;
-        if self.eat_kw("ORDER") {
-            self.expect_kw("BY")?;
+        select.having = self.optional(Kw::Having, Self::expr)?;
+        if self.eat_kw(Kw::Order) {
+            self.expect_kw(Kw::By)?;
             select.order_by = self.comma_list(|p| {
                 let expr = p.expr()?;
-                let descending = p.either_kw("DESC", "ASC");
+                let descending = p.either_kw(Kw::Desc, Kw::Asc);
                 Ok(OrderBy { expr, descending })
             })?;
         }
-        select.limit = self.optional("LIMIT", Self::limit)?;
-        if self.eat_kw("UNION") {
-            let all = self.either_kw("ALL", "DISTINCT");
+        select.limit = self.optional(Kw::Limit, Self::limit)?;
+        if self.eat_kw(Kw::Union) {
+            let all = self.either_kw(Kw::All, Kw::Distinct);
             select.union = Some((all, self.boxed_select()?));
         }
         self.node()?;
@@ -425,7 +425,7 @@ impl Parser {
             return Ok(SelectItem::Wildcard);
         }
         // `t.*`
-        if matches!(self.peek(), Some(Token::Ident(_)))
+        if matches!(self.peek(), Some(Token::Ident(..)))
             && self.peek_at(1) == Some(&Token::Dot)
             && self.peek_at(2) == Some(&Token::Star)
         {
@@ -457,7 +457,7 @@ impl Parser {
         } else {
             (
                 first,
-                self.optional("OFFSET", Self::limit_number)?.unwrap_or(0),
+                self.optional(Kw::Offset, Self::limit_number)?.unwrap_or(0),
             )
         };
         Ok(Limit { count, offset })
@@ -475,16 +475,16 @@ impl Parser {
     }
 
     fn insert(&mut self) -> Result<Statement, ParseError> {
-        self.expect_kw("INSERT")?;
-        self.eat_kw("IGNORE");
-        self.expect_kw("INTO")?;
+        self.expect_kw(Kw::Insert)?;
+        self.eat_kw(Kw::Ignore);
+        self.expect_kw(Kw::Into)?;
         let table = self.identifier("table name")?;
         let mut columns = Vec::new();
         if self.eat_token(&Token::LParen) {
             columns = self.comma_list(|p| p.identifier("column name"))?;
             self.expect_token(&Token::RParen, "`)`")?;
         }
-        let source = if self.eat_kw("VALUES") || self.eat_kw("VALUE") {
+        let source = if self.eat_kw(Kw::Values) || self.eat_kw(Kw::Value) {
             InsertSource::Values(self.comma_list(|p| {
                 p.expect_token(&Token::LParen, "`(`")?;
                 let row = if p.check_token(&Token::RParen) {
@@ -495,7 +495,7 @@ impl Parser {
                 p.expect_token(&Token::RParen, "`)`")?;
                 Ok(row)
             })?)
-        } else if self.check_kw("SELECT") {
+        } else if self.check_kw(Kw::Select) {
             InsertSource::Select(self.boxed_select()?)
         } else {
             return Err(self.unexpected("VALUES or SELECT"));
@@ -508,9 +508,9 @@ impl Parser {
     }
 
     fn update(&mut self) -> Result<Statement, ParseError> {
-        self.expect_kw("UPDATE")?;
+        self.expect_kw(Kw::Update)?;
         let table = self.identifier("table name")?;
-        self.expect_kw("SET")?;
+        self.expect_kw(Kw::Set)?;
         let assignments = self.comma_list(|p| {
             let col = p.identifier("column name")?;
             p.expect_token(&Token::Eq, "`=`")?;
@@ -519,39 +519,39 @@ impl Parser {
         Ok(Statement::Update(Update {
             table,
             assignments,
-            where_clause: self.optional("WHERE", Self::expr)?,
-            limit: self.optional("LIMIT", Self::limit)?,
+            where_clause: self.optional(Kw::Where, Self::expr)?,
+            limit: self.optional(Kw::Limit, Self::limit)?,
         }))
     }
 
     fn delete(&mut self) -> Result<Statement, ParseError> {
-        self.expect_kw("DELETE")?;
-        self.expect_kw("FROM")?;
+        self.expect_kw(Kw::Delete)?;
+        self.expect_kw(Kw::From)?;
         Ok(Statement::Delete(Delete {
             table: self.identifier("table name")?,
-            where_clause: self.optional("WHERE", Self::expr)?,
-            limit: self.optional("LIMIT", Self::limit)?,
+            where_clause: self.optional(Kw::Where, Self::expr)?,
+            limit: self.optional(Kw::Limit, Self::limit)?,
         }))
     }
 
     fn create_table(&mut self) -> Result<Statement, ParseError> {
-        self.expect_kw("CREATE")?;
-        self.expect_kw("TABLE")?;
-        let if_not_exists = self.eat_kw("IF");
+        self.expect_kw(Kw::Create)?;
+        self.expect_kw(Kw::Table)?;
+        let if_not_exists = self.eat_kw(Kw::If);
         if if_not_exists {
-            self.expect_kw("NOT")?;
-            self.expect_kw("EXISTS")?;
+            self.expect_kw(Kw::Not)?;
+            self.expect_kw(Kw::Exists)?;
         }
         let name = self.identifier("table name")?;
         self.expect_token(&Token::LParen, "`(`")?;
         let mut columns: Vec<ColumnDef> = Vec::new();
         self.comma_list(|p| {
-            if !p.eat_kw("PRIMARY") {
+            if !p.eat_kw(Kw::Primary) {
                 columns.push(p.column_def()?);
                 return Ok(());
             }
             // Table-level `PRIMARY KEY (col)` constraint.
-            p.expect_kw("KEY")?;
+            p.expect_kw(Kw::Key)?;
             p.expect_token(&Token::LParen, "`(`")?;
             let col = p.identifier("column name")?;
             p.expect_token(&Token::RParen, "`)`")?;
@@ -610,28 +610,28 @@ impl Parser {
             default: None,
         };
         loop {
-            if self.eat_kw("NOT") {
-                self.expect_kw("NULL")?;
+            if self.eat_kw(Kw::Not) {
+                self.expect_kw(Kw::Null)?;
                 def.not_null = true;
-            } else if self.eat_kw("NULL") {
+            } else if self.eat_kw(Kw::Null) {
                 def.not_null = false;
-            } else if self.eat_kw("PRIMARY") {
-                self.expect_kw("KEY")?;
+            } else if self.eat_kw(Kw::Primary) {
+                self.expect_kw(Kw::Key)?;
                 def.primary_key = true;
-            } else if self.eat_kw("AUTO_INCREMENT") {
+            } else if self.eat_kw(Kw::AutoIncrement) {
                 def.auto_increment = true;
-            } else if self.eat_kw("DEFAULT") {
+            } else if self.eat_kw(Kw::Default) {
                 def.default = Some(match self.advance() {
                     Some(Token::Int(v)) => Literal::Int(v),
                     Some(Token::Float(v)) => Literal::Float(v),
-                    Some(Token::Str(s)) => Literal::Str(s),
-                    Some(Token::Ident(s)) if s.eq_ignore_ascii_case("NULL") => Literal::Null,
-                    Some(Token::Ident(s)) if s.eq_ignore_ascii_case("CURRENT_TIMESTAMP") => {
+                    Some(Token::Str(s)) => Literal::Str(s.into_owned()),
+                    Some(Token::Ident(_, Kw::Null)) => Literal::Null,
+                    Some(Token::Ident(_, Kw::CurrentTimestamp)) => {
                         Literal::Str("CURRENT_TIMESTAMP".into())
                     }
                     _ => return Err(self.unexpected("a literal default")),
                 });
-            } else if self.eat_kw("UNIQUE") {
+            } else if self.eat_kw(Kw::Unique) {
                 // accepted, not enforced
             } else {
                 break;
@@ -641,11 +641,11 @@ impl Parser {
     }
 
     fn drop_table(&mut self) -> Result<Statement, ParseError> {
-        self.expect_kw("DROP")?;
-        self.expect_kw("TABLE")?;
-        let if_exists = self.eat_kw("IF");
+        self.expect_kw(Kw::Drop)?;
+        self.expect_kw(Kw::Table)?;
+        let if_exists = self.eat_kw(Kw::If);
         if if_exists {
-            self.expect_kw("EXISTS")?;
+            self.expect_kw(Kw::Exists)?;
         }
         let name = self.identifier("table name")?;
         Ok(Statement::DropTable(DropTable { name, if_exists }))
@@ -703,7 +703,7 @@ impl Parser {
     }
 
     fn at_not(&self) -> bool {
-        self.check_kw("NOT") || self.check_token(&Token::Bang)
+        self.check_kw(Kw::Not) || self.check_token(&Token::Bang)
     }
 
     /// `NOT NOT … x`: the chain is counted, not recursed into.
@@ -771,23 +771,23 @@ impl Parser {
     /// operand (plain `LIKE` is in the level table); the pattern and range
     /// operands bind like a comparison's right operand.
     fn comparison_tail(&mut self, left: Expr) -> Result<Expr, ParseError> {
-        let is = self.eat_kw("IS");
-        let negated = self.eat_kw("NOT");
+        let is = self.eat_kw(Kw::Is);
+        let negated = self.eat_kw(Kw::Not);
         if is {
-            self.expect_kw("NULL")?;
+            self.expect_kw(Kw::Null)?;
             return Ok(Expr::IsNull {
                 expr: Box::new(left),
                 negated,
             });
         }
-        if negated && self.eat_kw("LIKE") {
+        if negated && self.eat_kw(Kw::Like) {
             let pattern = self.expr_bp(CMP + 1)?;
             return Ok(Expr::binary(left, BinaryOp::NotLike, pattern));
         }
         let expr = Box::new(left);
-        if self.eat_kw("IN") {
+        if self.eat_kw(Kw::In) {
             self.expect_token(&Token::LParen, "`(`")?;
-            if self.check_kw("SELECT") {
+            if self.check_kw(Kw::Select) {
                 return Ok(Expr::InSelect {
                     expr,
                     select: self.subquery()?,
@@ -802,9 +802,9 @@ impl Parser {
                 negated,
             });
         }
-        if self.eat_kw("BETWEEN") {
+        if self.eat_kw(Kw::Between) {
             let low = Box::new(self.expr_bp(CMP + 1)?);
-            self.expect_kw("AND")?;
+            self.expect_kw(Kw::And)?;
             let high = Box::new(self.expr_bp(CMP + 1)?);
             return Ok(Expr::Between {
                 expr,
@@ -828,7 +828,7 @@ impl Parser {
         match self.peek() {
             Some(Token::Int(_) | Token::Float(_) | Token::Str(_) | Token::Param) => self.literal(),
             Some(Token::LParen) => self.group(),
-            Some(Token::Ident(_)) => self.word(),
+            Some(Token::Ident(..)) => self.word(),
             Some(Token::QuotedIdent(_)) => self.column(),
             _ => Err(self.unexpected("an expression")),
         }
@@ -839,7 +839,7 @@ impl Parser {
         Ok(match self.advance() {
             Some(Token::Int(v)) => Expr::Literal(Literal::Int(v)),
             Some(Token::Float(v)) => Expr::Literal(Literal::Float(v)),
-            Some(Token::Str(s)) => Expr::Literal(Literal::Str(s)),
+            Some(Token::Str(s)) => Expr::Literal(Literal::Str(s.into_owned())),
             _ => Expr::Param,
         })
     }
@@ -847,7 +847,7 @@ impl Parser {
     /// `( expr )`, which builds no node, or a scalar subquery.
     fn group(&mut self) -> Result<Expr, ParseError> {
         self.pos += 1;
-        if self.check_kw("SELECT") {
+        if self.check_kw(Kw::Select) {
             return self.scalar_subquery();
         }
         self.parens += 1;
@@ -867,40 +867,33 @@ impl Parser {
     /// An operand that starts with a bare word: keyword literal, `EXISTS`,
     /// `CASE`, function call or column.
     fn word(&mut self) -> Result<Expr, ParseError> {
-        let Some(Token::Ident(word)) = self.peek() else {
+        let Some(&Token::Ident(_, kw)) = self.peek() else {
             unreachable!("peeked a word")
         };
-        let is = |kw: &str| word.eq_ignore_ascii_case(kw);
-        if is_clause_keyword(word) && !is("IN") && !is("LIKE") {
+        if is_clause_keyword(kw) && !matches!(kw, Kw::In | Kw::Like) {
             return Err(self.unexpected("an expression"));
         }
-        let literals = [
-            ("NULL", Literal::Null),
-            ("TRUE", Literal::Int(1)),
-            ("FALSE", Literal::Int(0)),
-        ];
-        if let Some((_, literal)) = literals.into_iter().find(|(kw, _)| is(kw)) {
-            self.pos += 1;
-            self.node()?;
-            return Ok(Expr::Literal(literal));
-        }
-        if is("EXISTS") {
-            self.pos += 1;
-            self.expect_token(&Token::LParen, "`(`")?;
-            let select = self.subquery()?;
-            self.node()?;
-            return Ok(Expr::Exists {
-                select,
-                negated: false,
-            });
-        }
-        if is("CASE") {
-            return self.case_expr();
-        }
-        if self.peek_at(1) == Some(&Token::LParen) {
-            return self.call();
-        }
-        self.column()
+        let literal = match kw {
+            Kw::Null => Literal::Null,
+            Kw::True => Literal::Int(1),
+            Kw::False => Literal::Int(0),
+            Kw::Exists => {
+                self.pos += 1;
+                self.expect_token(&Token::LParen, "`(`")?;
+                let select = self.subquery()?;
+                self.node()?;
+                return Ok(Expr::Exists {
+                    select,
+                    negated: false,
+                });
+            }
+            Kw::Case => return self.case_expr(),
+            _ if self.peek_at(1) == Some(&Token::LParen) => return self.call(),
+            _ => return self.column(),
+        };
+        self.pos += 1;
+        self.node()?;
+        Ok(Expr::Literal(literal))
     }
 
     /// `name` or `name.column`.
@@ -915,16 +908,19 @@ impl Parser {
         Ok(Expr::Column { table, name })
     }
 
-    /// `name(args)`.
+    /// `name(args)`, the name a bare word.
     fn call(&mut self) -> Result<Expr, ParseError> {
-        let name = self.identifier("a function name")?;
+        let Some(Token::Ident(word, kw)) = self.advance() else {
+            unreachable!("peeked a word")
+        };
+        let name = word.to_uppercase();
         self.pos += 1;
-        let count = name.eq_ignore_ascii_case("COUNT");
+        let count = kw == Kw::Count;
         // COUNT(*) special form.
         let star = count && self.eat_token(&Token::Star);
         if count && !star {
             // COUNT(DISTINCT x) — treated as COUNT(x).
-            self.eat_kw("DISTINCT");
+            self.eat_kw(Kw::Distinct);
         }
         let args = if star || self.check_token(&Token::RParen) {
             Vec::new()
@@ -933,31 +929,28 @@ impl Parser {
         };
         self.expect_token(&Token::RParen, "`)`")?;
         self.node()?;
-        Ok(Expr::Function {
-            name: name.to_uppercase(),
-            args,
-        })
+        Ok(Expr::Function { name, args })
     }
 
     fn case_expr(&mut self) -> Result<Expr, ParseError> {
-        self.expect_kw("CASE")?;
-        let operand = if self.check_kw("WHEN") {
+        self.expect_kw(Kw::Case)?;
+        let operand = if self.check_kw(Kw::When) {
             None
         } else {
             Some(Box::new(self.expr()?))
         };
         let mut branches = Vec::new();
-        while self.eat_kw("WHEN") {
+        while self.eat_kw(Kw::When) {
             let when = self.expr()?;
-            self.expect_kw("THEN")?;
+            self.expect_kw(Kw::Then)?;
             let then = self.expr()?;
             branches.push((when, then));
         }
         if branches.is_empty() {
             return Err(self.unexpected("WHEN"));
         }
-        let else_branch = self.optional("ELSE", Self::expr)?.map(Box::new);
-        self.expect_kw("END")?;
+        let else_branch = self.optional(Kw::Else, Self::expr)?.map(Box::new);
+        self.expect_kw(Kw::End)?;
         self.node()?;
         Ok(Expr::Case {
             operand,
@@ -968,23 +961,47 @@ impl Parser {
 }
 
 fn opens_comparison_tail(token: &Token) -> bool {
-    ["IS", "NOT", "IN", "BETWEEN"]
-        .iter()
-        .any(|kw| token.is_kw(kw))
+    matches!(token.kw(), Kw::Is | Kw::Not | Kw::In | Kw::Between)
 }
 
-fn is_clause_keyword(s: &str) -> bool {
-    const CLAUSES: &[&str] = &[
-        "FROM", "WHERE", "GROUP", "HAVING", "ORDER", "LIMIT", "UNION", "ON", "SET", "VALUES",
-        "AND", "OR", "XOR", "NOT", "AS", "JOIN", "INNER", "LEFT", "ASC", "DESC", "LIKE", "IN",
-        "BETWEEN", "IS", "OFFSET", "INTO", "DIV", "MOD",
-    ];
-    CLAUSES.iter().any(|k| s.eq_ignore_ascii_case(k))
+/// Words that end a select item or table reference rather than name its
+/// alias, and that open no operand.
+fn is_clause_keyword(kw: Kw) -> bool {
+    use Kw::*;
+    matches!(
+        kw,
+        From | Where
+            | Group
+            | Having
+            | Order
+            | Limit
+            | Union
+            | On
+            | Set
+            | Values
+            | And
+            | Or
+            | Xor
+            | Not
+            | As
+            | Join
+            | Inner
+            | Left
+            | Asc
+            | Desc
+            | Like
+            | In
+            | Between
+            | Is
+            | Offset
+            | Into
+            | Div
+            | Mod
+    )
 }
 
-fn is_join_keyword(s: &str) -> bool {
-    const KWS: &[&str] = &["JOIN", "INNER", "LEFT", "OUTER"];
-    KWS.iter().any(|k| s.eq_ignore_ascii_case(k))
+fn is_join_keyword(kw: Kw) -> bool {
+    matches!(kw, Kw::Join | Kw::Inner | Kw::Left | Kw::Outer)
 }
 
 #[cfg(test)]
@@ -1386,6 +1403,24 @@ mod tests {
         assert_eq!(too_deep(&parens(100_000)), Some(MAX_PAREN_DEPTH));
         let signs = format!("UPDATE t SET a = {}1", "- + ".repeat(50_000));
         assert_eq!(one(&signs), one("UPDATE t SET a = 1"));
+    }
+
+    /// A keyword class says what a word may mean: wherever a keyword was
+    /// an identifier, it still is.
+    #[test]
+    fn keywords_stay_identifiers_where_they_were() {
+        for sql in [
+            "SELECT value, key, count FROM status AS end WHERE start = 1",
+            "SELECT a key FROM t transaction",
+            "INSERT INTO t (value, ignore) VALUES (1, 2)",
+            "UPDATE t SET end = 1, `select` = 2",
+        ] {
+            assert!(parse(sql).is_ok(), "{sql}");
+        }
+        // And where a clause keyword ended an item, it still does.
+        let s = one("SELECT a FROM t WHERE b = 1");
+        let Statement::Select(sel) = s else { panic!() };
+        assert_eq!(sel.from[0].alias, None);
     }
 
     #[test]

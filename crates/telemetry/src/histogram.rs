@@ -73,7 +73,11 @@ impl Histogram {
     pub fn record_us(&self, us: u64) {
         self.buckets[bucket_index(us)].fetch_add(1, Ordering::Relaxed);
         self.sum_us.fetch_add(us, Ordering::Relaxed);
-        self.max_us.fetch_max(us, Ordering::Relaxed);
+        // A read-modify-write only for a new maximum: the max only grows,
+        // so a value at or under a loaded one cannot become it.
+        if us > self.max_us.load(Ordering::Relaxed) {
+            self.max_us.fetch_max(us, Ordering::Relaxed);
+        }
         // Publish last: a reader that observes this increment also
         // observes the bucket/sum/max writes above (release/acquire).
         self.count.fetch_add(1, Ordering::Release);

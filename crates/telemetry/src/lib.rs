@@ -38,7 +38,7 @@ pub use prometheus::{
 pub use registry::{CounterSample, MetricsRegistry, MetricsSnapshot};
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A `Duration` as whole microseconds, saturating at `u64::MAX` instead
 /// of panicking or wrapping. Span accounting across the query pipeline
@@ -49,6 +49,47 @@ use std::time::Duration;
 #[must_use]
 pub fn saturating_micros(d: Duration) -> u64 {
     u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
+}
+
+/// Stage timing with one clock read per stage boundary: the end of one
+/// stage is the start of the next, so a pipeline of `n` stages reads the
+/// clock `n + 1` times, not `2n`.
+#[derive(Debug, Clone, Copy)]
+pub struct Laps {
+    start: Instant,
+    last: Instant,
+}
+
+impl Laps {
+    /// Reads the clock: the first stage starts now.
+    #[must_use]
+    pub fn start() -> Self {
+        let now = Instant::now();
+        Laps {
+            start: now,
+            last: now,
+        }
+    }
+
+    /// Reads the clock: the stage that ends now, since the last boundary.
+    pub fn lap(&mut self) -> Duration {
+        let now = Instant::now();
+        let stage = now - self.last;
+        self.last = now;
+        stage
+    }
+
+    /// The last boundary, without reading the clock.
+    #[must_use]
+    pub fn last(&self) -> Instant {
+        self.last
+    }
+
+    /// From the start to the last boundary, without reading the clock.
+    #[must_use]
+    pub fn total(&self) -> Duration {
+        self.last - self.start
+    }
 }
 
 /// A monotonic event counter. Cheap to clone behind an `Arc`; all

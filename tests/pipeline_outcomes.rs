@@ -76,8 +76,21 @@ struct Case {
     prefix: &'static str,
     /// New general-log entries: 1, or 2 for a fail-open pass.
     entries: usize,
+    /// The stages the call reaches: one observation in each of their
+    /// `dbms_stage_duration_microseconds` histograms, none in the others.
+    stages: &'static [&'static str],
     moved: Moved,
 }
+
+const STAGES: [&str; 4] = ["parse", "qs_build", "guard", "execute"];
+/// Refused in the parse stage or before the QS build: the parse stage
+/// times the charset decode and the parse, and ends there.
+const PARSE: &[&str] = &["parse"];
+/// No guard installed: there is no guard stage to reach.
+const UNGUARDED: &[&str] = &["parse", "qs_build", "execute"];
+/// Refused by the guard, or by the server for a guard failure.
+const GUARDED: &[&str] = &["parse", "qs_build", "guard"];
+const ALL: &[&str] = &STAGES;
 
 fn nothing(_: &Fixture) {}
 
@@ -109,6 +122,7 @@ fn cases() -> Vec<Case> {
             call: |c| c.execute("SELECT v FROM t WHERE id = 1"),
             prefix: "ok",
             entries: 1,
+            stages: UNGUARDED,
             moved: Moved::Ok,
         },
         Case {
@@ -118,6 +132,7 @@ fn cases() -> Vec<Case> {
             call: |c| c.execute("SELECT FROM WHERE"),
             prefix: "error: ",
             entries: 1,
+            stages: PARSE,
             moved: Moved::Failed,
         },
         Case {
@@ -133,6 +148,7 @@ fn cases() -> Vec<Case> {
             },
             prefix: "error: ",
             entries: 1,
+            stages: PARSE,
             moved: Moved::Failed,
         },
         Case {
@@ -142,6 +158,7 @@ fn cases() -> Vec<Case> {
             call: |c| c.execute("SELECT 1; SELECT 2"),
             prefix: "error: ",
             entries: 1,
+            stages: PARSE,
             moved: Moved::Failed,
         },
         Case {
@@ -153,6 +170,7 @@ fn cases() -> Vec<Case> {
             },
             prefix: "error: ",
             entries: 1,
+            stages: PARSE,
             moved: Moved::Failed,
         },
         Case {
@@ -162,6 +180,7 @@ fn cases() -> Vec<Case> {
             call: |c| c.execute("SELECT * FROM missing"),
             prefix: "error: ",
             entries: 1,
+            stages: PARSE,
             moved: Moved::Failed,
         },
         Case {
@@ -171,6 +190,7 @@ fn cases() -> Vec<Case> {
             call: |c| c.execute("SELECT v FROM t WHERE id = 1"),
             prefix: "blocked: ",
             entries: 1,
+            stages: GUARDED,
             moved: Moved::Blocked,
         },
         Case {
@@ -183,6 +203,7 @@ fn cases() -> Vec<Case> {
             call: |c| c.execute("SELECT v FROM t WHERE id = 1"),
             prefix: "guard failure (fail-closed): ",
             entries: 1,
+            stages: GUARDED,
             moved: Moved::Failed,
         },
         Case {
@@ -195,6 +216,7 @@ fn cases() -> Vec<Case> {
             call: |c| c.execute("SELECT v FROM t WHERE id = 1"),
             prefix: "guard failure (fail-open): ",
             entries: 2,
+            stages: ALL,
             moved: Moved::Ok,
         },
         Case {
@@ -204,6 +226,7 @@ fn cases() -> Vec<Case> {
             call: |c| c.execute(SEPTIC_INSERT),
             prefix: "guard failure (fail-closed): ",
             entries: 1,
+            stages: GUARDED,
             moved: Moved::Failed,
         },
         Case {
@@ -213,6 +236,7 @@ fn cases() -> Vec<Case> {
             call: |c| c.execute(SEPTIC_INSERT),
             prefix: "guard failure (fail-open): ",
             entries: 2,
+            stages: ALL,
             moved: Moved::Ok,
         },
         Case {
@@ -228,6 +252,7 @@ fn cases() -> Vec<Case> {
             call: |c| c.execute(SEPTIC_INSERT),
             prefix: "guard failure (fail-closed): ",
             entries: 1,
+            stages: GUARDED,
             moved: Moved::Failed,
         },
         Case {
@@ -237,6 +262,7 @@ fn cases() -> Vec<Case> {
             call: |c| c.execute("SELECT NO_SUCH_FUNCTION(v) FROM t"),
             prefix: "error: ",
             entries: 1,
+            stages: UNGUARDED,
             moved: Moved::Failed,
         },
         Case {
@@ -246,6 +272,7 @@ fn cases() -> Vec<Case> {
             call: |c| c.execute("INSERT INTO t (id, v) VALUES (4, 'd'), (1, 'dup')"),
             prefix: "error: ",
             entries: 1,
+            stages: UNGUARDED,
             moved: Moved::Failed,
         },
         Case {
@@ -264,6 +291,7 @@ fn cases() -> Vec<Case> {
             call: |c| c.execute("COMMIT"),
             prefix: "error: ",
             entries: 1,
+            stages: UNGUARDED,
             moved: Moved::Failed,
         },
         Case {
@@ -276,6 +304,7 @@ fn cases() -> Vec<Case> {
             call: |c| c.execute("INSERT INTO t (id, v) VALUES (4, 'd')"),
             prefix: "error: ",
             entries: 1,
+            stages: UNGUARDED,
             moved: Moved::Failed,
         },
         Case {
@@ -285,6 +314,7 @@ fn cases() -> Vec<Case> {
             call: |c| c.execute(CROSS_JOIN),
             prefix: "error: ",
             entries: 1,
+            stages: UNGUARDED,
             moved: Moved::Failed,
         },
     ]
@@ -387,4 +417,31 @@ fn a_cross_join_past_the_row_ceiling_is_refused() {
     assert_eq!(limit_refusals(&f.server), 2);
     let left = f.conn.query("SELECT COUNT(*) FROM w").unwrap();
     assert_eq!(left.scalar(), Some(&Value::Int(200)));
+}
+
+fn stage_counts(server: &Server) -> [u64; 4] {
+    let snapshot = server.metrics_snapshot();
+    STAGES.map(|stage| {
+        let name = format!("dbms_stage_duration_microseconds{{stage=\"{stage}\"}}");
+        snapshot.histogram(&name).map_or(0, |h| h.count)
+    })
+}
+
+/// Each call records exactly one observation in each stage histogram whose
+/// stage it reaches, and none in the others: a stage's end is the next
+/// one's start, and no stage is timed twice or left untimed.
+#[test]
+fn every_call_times_each_stage_it_reaches_once() {
+    for case in cases() {
+        let f = Fixture::new();
+        (case.arrange)(&f);
+        let before = stage_counts(&f.server);
+        let outcome = (case.call)(&f.conn);
+        assert!((case.ends)(&outcome), "{}: {outcome:?}", case.name);
+        let after = stage_counts(&f.server);
+        for (i, stage) in STAGES.iter().enumerate() {
+            let want = u64::from(case.stages.contains(stage));
+            assert_eq!(after[i] - before[i], want, "{}: stage {stage}", case.name);
+        }
+    }
 }

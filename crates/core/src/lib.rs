@@ -63,11 +63,11 @@ pub mod store;
 
 pub use detector::{detect_sqli, detect_sqli_vm, SqliKind, SqliOutcome};
 pub use id::{IdGenerator, Interner, QueryId};
-pub use logger::{AttackAction, Event, EventKind, Logger, StageSpansUs};
-pub use mode::{FailurePolicyMatrix, Mode, ModeActions, NormalMode};
+pub use logger::{AttackAction, Event, EventKind, Logger};
+pub use mode::{Mode, ModeActions, NormalMode};
 pub use model::QueryModel;
 pub use plugins::{Plugin, StoredAttack};
-pub use septic::{CounterSnapshot, DetectionConfig, EngineConfig, Septic};
+pub use septic::{CounterSnapshot, DetectionConfig, Septic};
 pub use septic_dbms::FailurePolicy;
 pub use store::{
     backup_path, journal_path, quarantine_path, CompiledModel, LoadReport, ModelStore,

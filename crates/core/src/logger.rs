@@ -2,9 +2,9 @@
 //!
 //! Records what the demo's "SEPTIC events" display shows: models created,
 //! attacks detected (with the algorithm step), refused queries, mode
-//! changes, model loads, deadline misses and recovered payloads. A query
-//! that is merely seen leaves no event. Totals are not kept here: they are
-//! the metrics registry's counters.
+//! changes, model loads and recovered payloads. A query that is merely
+//! seen leaves no event. Totals are not kept here: they are the metrics
+//! registry's counters.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -36,51 +36,6 @@ impl fmt::Display for AttackAction {
     }
 }
 
-/// Per-stage time spent inside [`Septic::inspect`] for one query, in
-/// microseconds. Attached to [`EventKind::DeadlineExceeded`] so a blown
-/// detection budget is attributable to the stage that consumed it.
-///
-/// [`Septic::inspect`]: crate::Septic::inspect
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct StageSpansUs {
-    /// Query identifier generation.
-    pub id_gen_us: u64,
-    /// Model store lookup (including the rejected-id check).
-    pub store_get_us: u64,
-    /// Structural + syntactic SQLI comparison.
-    pub sqli_us: u64,
-    /// Stored-injection plugin scan.
-    pub stored_us: u64,
-}
-
-impl StageSpansUs {
-    /// Name of the stage that consumed the most time.
-    #[must_use]
-    pub fn slowest(&self) -> &'static str {
-        let stages = [
-            ("id_gen", self.id_gen_us),
-            ("store_get", self.store_get_us),
-            ("sqli_detect", self.sqli_us),
-            ("stored_scan", self.stored_us),
-        ];
-        stages
-            .iter()
-            .max_by_key(|(_, us)| *us)
-            .map(|(name, _)| *name)
-            .unwrap_or("id_gen")
-    }
-}
-
-impl fmt::Display for StageSpansUs {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "id_gen={}us store_get={}us sqli={}us stored={}us",
-            self.id_gen_us, self.store_get_us, self.sqli_us, self.stored_us
-        )
-    }
-}
-
 /// One event in SEPTIC's register.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum EventKind {
@@ -107,15 +62,6 @@ pub enum EventKind {
     ModeChanged { from: Mode, to: Mode },
     /// Persistent models were loaded at startup.
     StoreLoaded { count: usize },
-    /// Detection ran past the configured deadline budget; the server's
-    /// failure policy decided the query's fate.
-    DeadlineExceeded {
-        id: QueryId,
-        elapsed_us: u64,
-        budget_us: u64,
-        /// Where the time went, so the blown budget is attributable.
-        stages: StageSpansUs,
-    },
     /// A value recovered from durable storage was flagged by a
     /// stored-injection plugin during the post-restart re-scan: the
     /// payload predates the current deployment.
@@ -169,19 +115,6 @@ impl fmt::Display for Event {
             }
             EventKind::ModeChanged { from, to } => write!(f, "mode changed {from} -> {to}"),
             EventKind::StoreLoaded { count } => write!(f, "loaded {count} persisted models"),
-            EventKind::DeadlineExceeded {
-                id,
-                elapsed_us,
-                budget_us,
-                stages,
-            } => {
-                write!(
-                    f,
-                    "detection deadline exceeded id={id} ({elapsed_us}us > {budget_us}us) \
-                     slowest={} [{stages}]",
-                    stages.slowest()
-                )
-            }
             EventKind::RecoveredDataFlagged { attack, value } => {
                 write!(f, "recovered data flagged {attack} value={value}")
             }
@@ -194,9 +127,9 @@ impl fmt::Display for Event {
 /// instead of silent.
 ///
 /// The ring holds incident *details* only. Totals that operators rely on
-/// (attacks, drops, deadline misses) are SEPTIC's registry counters,
-/// bumped where the incident happens, so they stay exact no matter how
-/// many events the ring has evicted.
+/// (attacks, drops) are SEPTIC's registry counters, bumped where the
+/// incident happens, so they stay exact no matter how many events the
+/// ring has evicted.
 #[derive(Debug)]
 pub struct Logger {
     events: Mutex<VecDeque<Event>>,
@@ -330,82 +263,6 @@ mod tests {
         assert_eq!(log.dropped(), 0, "no phantom drops after clear");
         // Sequencing restarts from a fresh epoch.
         assert_eq!(log.record(EventKind::StoreLoaded { count: 1 }), 1);
-    }
-
-    #[test]
-    fn deadline_event_carries_stage_spans() {
-        let spans = StageSpansUs {
-            id_gen_us: 1,
-            store_get_us: 2,
-            sqli_us: 3,
-            stored_us: 900,
-        };
-        assert_eq!(spans.slowest(), "stored_scan");
-        let e = Event {
-            seq: 1,
-            kind: EventKind::DeadlineExceeded {
-                id: qid(),
-                elapsed_us: 950,
-                budget_us: 100,
-                stages: spans,
-            },
-        };
-        let s = e.to_string();
-        assert!(s.contains("slowest=stored_scan"), "got: {s}");
-        assert!(s.contains("stored=900us"), "got: {s}");
-    }
-
-    #[test]
-    fn slowest_stage_is_named_even_when_all_spans_are_equal() {
-        const STAGES: [&str; 4] = ["id_gen", "store_get", "sqli_detect", "stored_scan"];
-        // All-equal spans (including the all-zero case of a query faster
-        // than the clock resolution) must still attribute the deadline to
-        // *some* stage — the event line never reads `slowest=`.
-        for us in [0u64, 7] {
-            let spans = StageSpansUs {
-                id_gen_us: us,
-                store_get_us: us,
-                sqli_us: us,
-                stored_us: us,
-            };
-            assert!(
-                STAGES.contains(&spans.slowest()),
-                "slowest() returned {:?} for equal spans of {us}us",
-                spans.slowest()
-            );
-            let e = Event {
-                seq: 1,
-                kind: EventKind::DeadlineExceeded {
-                    id: qid(),
-                    elapsed_us: 10,
-                    budget_us: 1,
-                    stages: spans,
-                },
-            };
-            let line = e.to_string();
-            assert!(
-                STAGES
-                    .iter()
-                    .any(|st| line.contains(&format!("slowest={st}"))),
-                "got: {line}"
-            );
-        }
-    }
-
-    #[test]
-    fn saturated_spans_display_without_wrapping() {
-        // A span that saturated at u64::MAX (clock edge case) renders as
-        // the saturated value; nothing panics or wraps to a small number.
-        let spans = StageSpansUs {
-            id_gen_us: u64::MAX,
-            store_get_us: 0,
-            sqli_us: 0,
-            stored_us: 0,
-        };
-        assert_eq!(spans.slowest(), "id_gen");
-        assert!(spans
-            .to_string()
-            .contains(&format!("id_gen={}us", u64::MAX)));
     }
 
     #[test]

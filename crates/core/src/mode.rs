@@ -57,7 +57,7 @@ impl fmt::Display for Mode {
 
 /// The action matrix of Table I, derivable from a mode. Used by the
 /// `table1_modes` harness to print the table from behaviour rather than
-/// hard-coding it.
+/// hard-coding it, and by SEPTIC for its failure policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ModeActions {
     /// Models are learned during an explicit training phase.
@@ -105,44 +105,19 @@ impl ModeActions {
             },
         }
     }
-}
 
-/// Per-mode failure policy: what happens to a query when SEPTIC *itself*
-/// fails (a detector panics, or detection blows its deadline budget).
-///
-/// The defaults follow each mode's contract. Training and detection never
-/// drop queries even for real attacks, so a SEPTIC outage must not either
-/// (fail-open). Prevention promises that flagged queries do not reach
-/// execution; a query whose inspection failed was never cleared, so it is
-/// dropped (fail-closed).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct FailurePolicyMatrix {
-    /// Policy while training.
-    pub training: FailurePolicy,
-    /// Policy in detection mode.
-    pub detection: FailurePolicy,
-    /// Policy in prevention mode.
-    pub prevention: FailurePolicy,
-}
-
-impl Default for FailurePolicyMatrix {
-    fn default() -> Self {
-        FailurePolicyMatrix {
-            training: FailurePolicy::FailOpen,
-            detection: FailurePolicy::FailOpen,
-            prevention: FailurePolicy::FailClosed,
-        }
-    }
-}
-
-impl FailurePolicyMatrix {
-    /// The policy in effect for a mode.
+    /// What the server does with a query when SEPTIC *itself* fails (a
+    /// detector or plugin panics): Table I's drop column. A mode that
+    /// drops flagged queries promises that nothing uncleared executes, so
+    /// a query whose inspection failed is dropped (fail-closed); training
+    /// and detection never drop even a real attack, so an outage must not
+    /// either (fail-open).
     #[must_use]
-    pub fn for_mode(&self, mode: Mode) -> FailurePolicy {
-        match mode {
-            Mode::Training => self.training,
-            Mode::Normal(NormalMode::Detection) => self.detection,
-            Mode::Normal(NormalMode::Prevention) => self.prevention,
+    pub fn failure_policy(&self) -> FailurePolicy {
+        if self.drop_on_attack {
+            FailurePolicy::FailClosed
+        } else {
+            FailurePolicy::FailOpen
         }
     }
 }
@@ -175,10 +150,25 @@ mod tests {
 
     #[test]
     fn default_failure_policies_match_mode_contracts() {
-        let m = FailurePolicyMatrix::default();
-        assert_eq!(m.for_mode(Mode::Training), FailurePolicy::FailOpen);
-        assert_eq!(m.for_mode(Mode::DETECTION), FailurePolicy::FailOpen);
-        assert_eq!(m.for_mode(Mode::PREVENTION), FailurePolicy::FailClosed);
+        use septic_dbms::QueryGuard;
+
+        let septic = crate::Septic::new();
+        for (mode, policy) in [
+            (Mode::Training, FailurePolicy::FailOpen),
+            (Mode::DETECTION, FailurePolicy::FailOpen),
+            (Mode::PREVENTION, FailurePolicy::FailClosed),
+        ] {
+            let actions = ModeActions::for_mode(mode);
+            assert_eq!(actions.failure_policy(), policy, "{mode}");
+            // Fail-closed exactly when the mode drops attacks.
+            assert_eq!(
+                actions.failure_policy() == FailurePolicy::FailClosed,
+                actions.drop_on_attack,
+                "{mode}"
+            );
+            septic.set_mode(mode);
+            assert_eq!(septic.failure_policy(), policy, "{mode}");
+        }
     }
 
     #[test]

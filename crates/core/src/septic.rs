@@ -10,7 +10,7 @@
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use parking_lot::RwLock;
 use septic_dbms::{FailurePolicy, GuardDecision, QueryContext, QueryGuard};
@@ -18,8 +18,8 @@ use septic_telemetry::{Counter, Histogram, Laps, MetricsRegistry, MetricsSnapsho
 
 use crate::detector::{detect_sqli_structural_only, detect_sqli_vm, SqliOutcome};
 use crate::id::{IdGenerator, QueryId};
-use crate::logger::{AttackAction, EventKind, Logger, StageSpansUs};
-use crate::mode::{FailurePolicyMatrix, Mode, ModeActions};
+use crate::logger::{AttackAction, EventKind, Logger};
+use crate::mode::{Mode, ModeActions};
 use crate::model::QueryModel;
 use crate::plugins::{default_plugins, scan_inputs, Plugin};
 use crate::store::{self, CompiledModel, LoadReport, ModelStore};
@@ -82,34 +82,18 @@ impl Default for DetectionConfig {
 }
 
 /// Every per-query tunable in one `Copy` snapshot: operation mode,
-/// detector switches, ablation flags, failure policies and the detection
-/// deadline. [`Septic::inspect`] reads it with **one** lock acquisition
-/// per query instead of taking four separate `RwLock`s; setters swap the
-/// relevant field under the single write lock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EngineConfig {
+/// detector switches and the detector ablation flag. [`Septic::inspect`]
+/// reads it with **one** lock acquisition per query; setters swap the
+/// relevant field under the single write lock. The failure policy is not
+/// a setting: it is the mode's (see [`ModeActions::failure_policy`]).
+#[derive(Debug, Clone, Copy)]
+struct EngineConfig {
     /// Operation mode (training / prevention / detection).
-    pub mode: Mode,
+    mode: Mode,
     /// Which detectors are enabled (the Figure 5 ablation switch).
-    pub detection: DetectionConfig,
+    detection: DetectionConfig,
     /// Ablation: restrict the SQLI detector to step 1 (structural only).
-    pub structural_only: bool,
-    /// What to do with a query when SEPTIC itself fails, per mode.
-    pub failure_policies: FailurePolicyMatrix,
-    /// Optional per-query detection time budget.
-    pub deadline: Option<Duration>,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            mode: Mode::Training,
-            detection: DetectionConfig::YY,
-            structural_only: false,
-            failure_policies: FailurePolicyMatrix::default(),
-            deadline: None,
-        }
-    }
+    structural_only: bool,
 }
 
 /// Monotone counters exposed for the benchmarks and the status display.
@@ -131,8 +115,6 @@ pub struct Counters {
     /// (`septic_attacks_total`).
     pub attacks_detected: Arc<Counter>,
     pub queries_dropped: Arc<Counter>,
-    /// Detections that ran past the configured deadline budget.
-    pub deadline_exceeded: Arc<Counter>,
     /// Store loads that had to recover from a corrupt or missing snapshot.
     pub store_recoveries: Arc<Counter>,
     /// Events evicted from the bounded logger (mirror of
@@ -164,7 +146,6 @@ impl Counters {
             stored_detected: registry.counter("septic_stored_detected_total"),
             attacks_detected: registry.counter("septic_attacks_total"),
             queries_dropped: registry.counter("septic_queries_dropped_total"),
-            deadline_exceeded: registry.counter("septic_deadline_exceeded_total"),
             store_recoveries: registry.counter("septic_store_recoveries_total"),
             log_drops: registry.counter("septic_log_drops_total"),
             join_attacks: registry.counter("septic_join_attacks_total"),
@@ -206,20 +187,6 @@ impl StageTimers {
     }
 }
 
-/// One query's stage clock and the spans it has measured so far.
-struct StageClock {
-    laps: Laps,
-    spans: StageSpansUs,
-}
-
-impl StageClock {
-    /// The stage that ends now, in microseconds, saturating (see
-    /// [`septic_telemetry::saturating_micros`]): one clock read.
-    fn lap_us(&mut self) -> u64 {
-        septic_telemetry::saturating_micros(self.laps.lap())
-    }
-}
-
 /// A point-in-time snapshot of [`Counters`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CounterSnapshot {
@@ -230,7 +197,6 @@ pub struct CounterSnapshot {
     pub stored_detected: u64,
     pub attacks_detected: u64,
     pub queries_dropped: u64,
-    pub deadline_exceeded: u64,
     pub store_recoveries: u64,
     pub log_drops: u64,
     pub join_attacks: u64,
@@ -299,7 +265,11 @@ impl Septic {
         let store = ModelStore::new();
         store.attach_vm_metrics(&metrics);
         Septic {
-            engine: RwLock::new(EngineConfig::default()),
+            engine: RwLock::new(EngineConfig {
+                mode: Mode::Training,
+                detection: DetectionConfig::YY,
+                structural_only: false,
+            }),
             id_generator: IdGenerator::new(),
             store,
             plugins: default_plugins(),
@@ -316,12 +286,6 @@ impl Septic {
         let s = Self::new();
         s.engine.write().detection = config;
         s
-    }
-
-    /// The engine snapshot currently in effect (what the next query sees).
-    #[must_use]
-    pub fn engine_config(&self) -> EngineConfig {
-        *self.engine.read()
     }
 
     /// Current operation mode.
@@ -363,29 +327,6 @@ impl Septic {
     /// verification only) — quantifies what the syntactic step adds.
     pub fn set_structural_only(&self, on: bool) {
         self.engine.write().structural_only = on;
-    }
-
-    /// The per-mode failure policies in effect.
-    #[must_use]
-    pub fn failure_policies(&self) -> FailurePolicyMatrix {
-        self.engine.read().failure_policies
-    }
-
-    /// Replaces the per-mode failure policies (operator override; the
-    /// defaults follow each mode's contract).
-    pub fn set_failure_policies(&self, matrix: FailurePolicyMatrix) {
-        self.engine.write().failure_policies = matrix;
-    }
-
-    /// Sets (or with `None`, clears) the per-query detection deadline
-    /// budget. When detection takes longer, the miss is counted and logged
-    /// and [`Septic::inspect`](QueryGuard::inspect) reports
-    /// [`GuardDecision::Fail`]: the server's failure policy then decides
-    /// whether the *uncleared* query may still execute. A flagged attack
-    /// is blocked regardless — slowness never downgrades a positive
-    /// detection.
-    pub fn set_detection_deadline(&self, budget: Option<Duration>) {
-        self.engine.write().deadline = budget;
     }
 
     /// Adds a stored-injection plugin to the scan chain.
@@ -430,7 +371,6 @@ impl Septic {
             stored_detected: self.counters.stored_detected.get(),
             attacks_detected: self.counters.attacks_detected.get(),
             queries_dropped: self.counters.queries_dropped.get(),
-            deadline_exceeded: self.counters.deadline_exceeded.get(),
             store_recoveries: self.counters.store_recoveries.get(),
             log_drops: self.counters.log_drops.get(),
             join_attacks: self.counters.join_attacks.get(),
@@ -551,14 +491,7 @@ impl Septic {
             "  queries dropped : {}\n",
             counters.queries_dropped
         ));
-        out.push_str(&format!(
-            "  failure policy  : {}\n",
-            self.failure_policies().for_mode(self.mode())
-        ));
-        out.push_str(&format!(
-            "  deadline misses : {}\n",
-            counters.deadline_exceeded
-        ));
+        out.push_str(&format!("  failure policy  : {}\n", self.failure_policy()));
         out.push_str(&format!(
             "  store recoveries: {}\n",
             counters.store_recoveries
@@ -583,9 +516,8 @@ impl Septic {
     }
 
     /// The detection half of [`Septic::inspect`]: SQLI + stored-injection
-    /// scans over a known model. Returns the block decision, if any; stage
-    /// timings are written into `clock` as each stage completes, so a
-    /// deadline report sees where the time went.
+    /// scans over a known model. Returns the block decision, if any; each
+    /// stage that runs is timed on `laps`.
     fn run_detectors(
         &self,
         ctx: &QueryContext<'_>,
@@ -593,7 +525,7 @@ impl Septic {
         id: &QueryId,
         engine: &EngineConfig,
         actions: ModeActions,
-        clock: &mut StageClock,
+        laps: &mut Laps,
     ) -> Option<GuardDecision> {
         let qs = ctx.stack;
         let model: &QueryModel = compiled.model();
@@ -613,8 +545,7 @@ impl Septic {
             } else {
                 detect_sqli_vm(compiled.program(), qs, model)
             };
-            clock.spans.sqli_us = clock.lap_us();
-            self.stages.sqli_detect.record_us(clock.spans.sqli_us);
+            self.stages.sqli_detect.record(laps.lap());
             if let SqliOutcome::Attack(kind) = outcome {
                 Self::bump(&self.counters.sqli_detected);
                 Self::bump(&self.counters.attacks_detected);
@@ -647,8 +578,7 @@ impl Septic {
         // Stored-injection detection over INSERT/UPDATE user data.
         if config.stored && actions.detect_stored && !ctx.write_data.is_empty() {
             let found = scan_inputs(&self.plugins, ctx.write_data);
-            clock.spans.stored_us = clock.lap_us();
-            self.stages.stored_scan.record_us(clock.spans.stored_us);
+            self.stages.stored_scan.record(laps.lap());
             if let Some(found) = found {
                 Self::bump(&self.counters.stored_detected);
                 Self::bump(&self.counters.attacks_detected);
@@ -673,13 +603,10 @@ impl Septic {
 
 impl QueryGuard for Septic {
     fn inspect(&self, ctx: &QueryContext<'_>) -> GuardDecision {
-        let mut clock = StageClock {
-            laps: Laps::start(),
-            spans: StageSpansUs::default(),
-        };
-        let decision = self.inspect_timed(ctx, &mut clock);
-        clock.laps.lap();
-        self.stages.inspect.record(clock.laps.total());
+        let mut laps = Laps::start();
+        let decision = self.inspect_timed(ctx, &mut laps);
+        laps.lap();
+        self.stages.inspect.record(laps.total());
         decision
     }
 
@@ -687,9 +614,9 @@ impl QueryGuard for Septic {
         "septic"
     }
 
+    /// The mode's: fail-closed exactly when the mode drops attacks.
     fn failure_policy(&self) -> FailurePolicy {
-        let engine = self.engine.read();
-        engine.failure_policies.for_mode(engine.mode)
+        ModeActions::for_mode(self.mode()).failure_policy()
     }
 
     fn metrics(&self) -> Option<MetricsSnapshot> {
@@ -727,11 +654,11 @@ impl QueryGuard for Septic {
 }
 
 impl Septic {
-    /// The body of [`Septic::inspect`], with per-stage span timing
-    /// threaded through so slow queries are attributable to a stage. Each
-    /// stage ends at one clock read, which starts the next; the detection
-    /// deadline is measured on the same laps.
-    fn inspect_timed(&self, ctx: &QueryContext<'_>, clock: &mut StageClock) -> GuardDecision {
+    /// The body of [`Septic::inspect`], with per-stage timing threaded
+    /// through: each stage ends at one clock read, which starts the next.
+    /// The verdict depends on the mode, the detectors, the models and the
+    /// query alone, never on how long a stage took.
+    fn inspect_timed(&self, ctx: &QueryContext<'_>, laps: &mut Laps) -> GuardDecision {
         Self::bump(&self.counters.queries_seen);
         // One lock acquisition for every per-query tunable.
         let engine = *self.engine.read();
@@ -742,8 +669,7 @@ impl Septic {
         // interior-mutable, external ids are interned `Arc<str>`s).
         let qs = ctx.stack;
         let id = self.id_generator.generate(qs, ctx.comments);
-        clock.spans.id_gen_us = clock.lap_us();
-        self.stages.id_gen.record_us(clock.spans.id_gen_us);
+        self.stages.id_gen.record(laps.lap());
 
         if actions.qm_training {
             // Training mode: learn; the query executes normally.
@@ -766,8 +692,7 @@ impl Septic {
         } else {
             self.store.get_compiled(&id)
         };
-        clock.spans.store_get_us = clock.lap_us();
-        self.stages.store_get.record_us(clock.spans.store_get_us);
+        self.stages.store_get.record(laps.lap());
         if rejected {
             Self::bump(&self.counters.queries_dropped);
             let reason = format!("query id {id} rejected by administrator");
@@ -796,32 +721,11 @@ impl Septic {
         };
         Self::bump(&self.counters.models_found);
 
-        // Run the detectors against the time budget. A detector or plugin
-        // that panics is not caught here: the server contains it and its
-        // failure policy decides the query, as for any guard failure.
-        let started = clock.laps.last();
-        // A positive detection blocks regardless of deadline: slowness
-        // never downgrades a flagged attack.
-        if let Some(block) = self.run_detectors(ctx, &compiled, &id, &engine, actions, clock) {
-            return block;
-        }
-        let elapsed = clock.laps.last() - started;
-        match engine.deadline {
-            Some(budget) if elapsed > budget => {
-                Self::bump(&self.counters.deadline_exceeded);
-                let reason = format!("detection deadline exceeded id={id}");
-                self.log_event(EventKind::DeadlineExceeded {
-                    id,
-                    elapsed_us: septic_telemetry::saturating_micros(elapsed),
-                    budget_us: septic_telemetry::saturating_micros(budget),
-                    // Where the time went (per-stage spans for this very
-                    // query), so the blown budget is attributable.
-                    stages: clock.spans,
-                });
-                GuardDecision::Fail(reason)
-            }
-            _ => GuardDecision::Proceed,
-        }
+        // A detector or plugin that panics is not caught here: the server
+        // contains it and the mode's failure policy decides the query, as
+        // for any guard failure.
+        self.run_detectors(ctx, &compiled, &id, &engine, actions, laps)
+            .unwrap_or(GuardDecision::Proceed)
     }
 }
 

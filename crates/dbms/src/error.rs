@@ -25,9 +25,8 @@ pub enum DbError {
     /// The query was dropped by an installed guard (SEPTIC in prevention
     /// mode). Carries the guard's reason string.
     Blocked(String),
-    /// The guard itself failed (panicked, or reported
-    /// [`crate::GuardDecision::Fail`]) while inspecting the query and its
-    /// failure policy is fail-closed, so the query was not executed.
+    /// The guard itself failed (panicked) while inspecting the query and
+    /// its failure policy is fail-closed, so the query was not executed.
     /// Distinct from [`DbError::Blocked`]: this is a defense *outage*, not
     /// a detection.
     GuardFailure(String),
@@ -44,6 +43,10 @@ pub enum DbError {
     /// [`crate::expr::MAX_ROWS_EXAMINED`], and was stopped there; like any
     /// failed statement, it left nothing behind.
     RowsExamined(u64),
+    /// A string function would have built a value longer than the carried
+    /// [`crate::expr::MAX_VALUE_BYTES`] and refused before allocating it;
+    /// like any failed statement, it left nothing behind.
+    ValueBytes(usize),
 }
 
 impl fmt::Display for DbError {
@@ -64,6 +67,7 @@ impl fmt::Display for DbError {
             DbError::Storage(m) => write!(f, "storage error: {m}"),
             DbError::TxnAborted(m) => write!(f, "transaction aborted: {m}"),
             DbError::RowsExamined(max) => write!(f, "too many rows examined (limit {max})"),
+            DbError::ValueBytes(max) => write!(f, "value too long (limit {max} bytes)"),
         }
     }
 }

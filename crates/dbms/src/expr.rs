@@ -1,5 +1,7 @@
 //! Scalar SQL function implementations (the non-aggregate builtins).
 
+use std::borrow::Cow;
+
 use crate::error::DbError;
 use crate::value::Value;
 
@@ -25,11 +27,35 @@ pub struct SideEffects {
 /// Past it a statement fails with [`DbError::RowsExamined`].
 pub const MAX_ROWS_EXAMINED: u64 = 1 << 20;
 
+/// The most bytes one value a string function builds may hold, MySQL's
+/// `max_allowed_packet` in spirit. Nesting multiplies what a function
+/// builds (`REPEAT(REPEAT('a', 2^20), 2^20)` is 2^40 bytes from 52 bytes
+/// of SQL), and an allocation that fails aborts the process, which no
+/// `catch_unwind` sees; so each builder computes its result's length with
+/// checked arithmetic and refuses past this bound before it allocates.
+/// Past it a statement fails with [`DbError::ValueBytes`].
+pub const MAX_VALUE_BYTES: usize = 1 << 20;
+
+/// The length a value is about to be built at, if it fits in
+/// [`MAX_VALUE_BYTES`]; `None` stands for a length whose arithmetic
+/// overflowed.
+pub(crate) fn value_bytes(len: Option<usize>) -> Result<usize, DbError> {
+    len.filter(|&n| n <= MAX_VALUE_BYTES)
+        .ok_or(DbError::ValueBytes(MAX_VALUE_BYTES))
+}
+
+/// A SQL count as a `usize`: negative counts are 0, and a count past
+/// `usize` saturates (the length it gives is then refused).
+fn count(v: &Value) -> usize {
+    usize::try_from(v.to_int().unwrap_or(0).max(0)).unwrap_or(usize::MAX)
+}
+
 /// Evaluates a scalar builtin over already-evaluated arguments.
 ///
 /// # Errors
 ///
-/// [`DbError::Runtime`] for unknown functions or arity violations.
+/// [`DbError::Runtime`] for unknown functions or arity violations, and
+/// [`DbError::ValueBytes`] for a string past [`MAX_VALUE_BYTES`].
 pub fn call_scalar(
     name: &str,
     args: &[Value],
@@ -51,9 +77,13 @@ pub fn call_scalar(
             if args.iter().any(Value::is_null) {
                 return Ok(Value::Null);
             }
-            Ok(Value::Str(
-                args.iter().map(Value::to_display_string).collect(),
-            ))
+            let parts: Vec<Cow<'_, str>> = args.iter().map(text).collect();
+            value_bytes(
+                parts
+                    .iter()
+                    .try_fold(0, |n: usize, p| n.checked_add(p.len())),
+            )?;
+            Ok(Value::Str(parts.concat()))
         }
         "CONCAT_WS" => {
             if args.is_empty() {
@@ -62,19 +92,23 @@ pub fn call_scalar(
             if args[0].is_null() {
                 return Ok(Value::Null);
             }
-            let sep = args[0].to_display_string();
-            let parts: Vec<String> = args[1..]
+            let sep = text(&args[0]);
+            let parts: Vec<Cow<'_, str>> = args[1..]
                 .iter()
                 .filter(|v| !v.is_null())
-                .map(Value::to_display_string)
+                .map(text)
                 .collect();
-            Ok(Value::Str(parts.join(&sep)))
+            let seps = sep.len().checked_mul(parts.len().saturating_sub(1));
+            value_bytes(
+                seps.and_then(|n| parts.iter().try_fold(n, |n, p| n.checked_add(p.len()))),
+            )?;
+            Ok(Value::Str(parts.join(&*sep)))
         }
         "LENGTH" | "CHAR_LENGTH" | "CHARACTER_LENGTH" => {
             need(1)?;
             Ok(match &args[0] {
                 Value::Null => Value::Null,
-                v => Value::Int(v.to_display_string().chars().count() as i64),
+                v => Value::Int(text(v).chars().count() as i64),
             })
         }
         "UPPER" | "UCASE" => {
@@ -106,11 +140,12 @@ pub fn call_scalar(
             if args.iter().any(Value::is_null) {
                 return Ok(Value::Null);
             }
-            let s = args[0].to_display_string();
-            Ok(Value::Str(s.replace(
-                &args[1].to_display_string(),
-                &args[2].to_display_string(),
-            )))
+            let (s, from, to) = (text(&args[0]), text(&args[1]), text(&args[2]));
+            // Matches do not overlap, so they take at most `s.len()` bytes.
+            let hits = s.matches(&*from).count();
+            let kept = s.len() - hits * from.len();
+            value_bytes(hits.checked_mul(to.len()).and_then(|n| n.checked_add(kept)))?;
+            Ok(Value::Str(s.replace(&*from, &to)))
         }
         "SUBSTRING" | "SUBSTR" | "MID" => {
             if args.len() != 2 && args.len() != 3 {
@@ -252,6 +287,9 @@ pub fn call_scalar(
         }
         "HEX" => {
             need(1)?;
+            if let Value::Str(s) = &args[0] {
+                value_bytes(s.len().checked_mul(2))?;
+            }
             Ok(map_str(&args[0], |s| {
                 s.bytes().map(|b| format!("{b:02X}")).collect::<String>()
             }))
@@ -311,24 +349,32 @@ pub fn call_scalar(
             if args.iter().any(Value::is_null) {
                 return Ok(Value::Null);
             }
-            let s: Vec<char> = args[0].to_display_string().chars().collect();
-            let target = args[1].to_int().unwrap_or(0).max(0) as usize;
-            let pad: Vec<char> = args[2].to_display_string().chars().collect();
-            if target <= s.len() {
-                return Ok(Value::Str(s[..target].iter().collect()));
+            // Lengths count characters; the bound counts bytes.
+            let (s, target, pad) = (text(&args[0]), count(&args[1]), text(&args[2]));
+            let chars = s.chars().count();
+            if target <= chars {
+                return Ok(Value::from(&s[..char_boundary(&s, target)]));
             }
-            if pad.is_empty() {
+            let pad_chars = pad.chars().count();
+            if pad_chars == 0 {
                 return Ok(Value::Null); // MySQL returns NULL for empty pad
             }
-            let mut fill: Vec<char> = Vec::with_capacity(target - s.len());
-            while fill.len() < target - s.len() {
-                fill.push(pad[fill.len() % pad.len()]);
+            // The fill is whole copies of the pad, then a prefix of it.
+            let fill = target - chars;
+            let tail = &pad[..char_boundary(&pad, fill % pad_chars)];
+            let fill_bytes = (fill / pad_chars).checked_mul(pad.len());
+            let len = fill_bytes.and_then(|n| n.checked_add(tail.len() + s.len()));
+            let mut out = String::with_capacity(value_bytes(len)?);
+            if name == "RPAD" {
+                out.push_str(&s);
             }
-            let out: String = if name == "LPAD" {
-                fill.into_iter().chain(s).collect()
-            } else {
-                s.into_iter().chain(fill).collect()
-            };
+            for _ in 0..fill / pad_chars {
+                out.push_str(&pad);
+            }
+            out.push_str(tail);
+            if name == "LPAD" {
+                out.push_str(&s);
+            }
             Ok(Value::Str(out))
         }
         "REPEAT" => {
@@ -336,18 +382,13 @@ pub fn call_scalar(
             if args.iter().any(Value::is_null) {
                 return Ok(Value::Null);
             }
-            let n = args[1].to_int().unwrap_or(0);
-            if n <= 0 {
-                return Ok(Value::Str(String::new()));
-            }
-            // Cap like MySQL's max_allowed_packet would.
-            let n = (n as usize).min(1 << 20);
-            Ok(Value::Str(args[0].to_display_string().repeat(n)))
+            let (s, n) = (text(&args[0]), count(&args[1]));
+            value_bytes(s.len().checked_mul(n))?;
+            Ok(Value::Str(s.repeat(n)))
         }
         "SPACE" => {
             need(1)?;
-            let n = args[0].to_int().unwrap_or(0).max(0) as usize;
-            Ok(Value::Str(" ".repeat(n.min(1 << 20))))
+            Ok(Value::Str(" ".repeat(value_bytes(Some(count(&args[0])))?)))
         }
         "STRCMP" => {
             need(2)?;
@@ -458,6 +499,20 @@ fn find_one_based(hay: &str, needle: &str) -> i64 {
         Some(byte_pos) => hay[..byte_pos].chars().count() as i64 + 1,
         None => 0,
     }
+}
+
+/// A value's text, borrowed from a string: a builder measures its
+/// arguments before it copies any of them.
+fn text(v: &Value) -> Cow<'_, str> {
+    match v {
+        Value::Str(s) => Cow::Borrowed(s),
+        other => Cow::Owned(other.to_display_string()),
+    }
+}
+
+/// The byte offset of `s`'s `n`th character, or `s.len()` past its end.
+fn char_boundary(s: &str, n: usize) -> usize {
+    s.char_indices().nth(n).map_or(s.len(), |(at, _)| at)
 }
 
 fn map_str(v: &Value, f: impl FnOnce(&str) -> String) -> Value {
@@ -679,6 +734,74 @@ mod tests {
             Value::from("")
         );
         assert_eq!(call("SPACE", &[Value::Int(3)]), Value::from("   "));
+        assert_eq!(
+            call("RPAD", &["é".into(), Value::Int(4), "ñü".into()]),
+            Value::from("éñüñ")
+        );
+        assert_eq!(
+            call("LPAD", &["héllo".into(), Value::Int(2), "x".into()]),
+            Value::from("hé")
+        );
+    }
+
+    #[test]
+    fn every_builder_refuses_past_the_value_bound_before_allocating() {
+        // The built length in bytes, or the refusal.
+        let built = |name: &str, args: &[Value]| {
+            let mut fx = SideEffects::default();
+            call_scalar(name, args, 0, &mut fx).map(|v| v.to_display_string().len())
+        };
+        let max = MAX_VALUE_BYTES as i64;
+        let big = || Value::Str("a".repeat(MAX_VALUE_BYTES));
+        let over = Err(DbError::ValueBytes(MAX_VALUE_BYTES));
+        // Exactly at the bound is built; one byte past it is not.
+        assert_eq!(
+            built("REPEAT", &["a".into(), Value::Int(max)]),
+            Ok(MAX_VALUE_BYTES)
+        );
+        assert_eq!(
+            built("REPEAT", &["ab".into(), Value::Int(max / 2 + 1)]),
+            over
+        );
+        assert_eq!(built("REPEAT", &["ab".into(), Value::Int(i64::MAX)]), over);
+        assert_eq!(built("REPEAT", &["".into(), Value::Int(i64::MAX)]), Ok(0));
+        assert_eq!(built("SPACE", &[Value::Int(max)]), Ok(MAX_VALUE_BYTES));
+        assert_eq!(built("SPACE", &[Value::Int(max + 1)]), over);
+        for pad in ["LPAD", "RPAD"] {
+            let at = built(pad, &["a".into(), Value::Int(max), "xy".into()]);
+            assert_eq!(at, Ok(MAX_VALUE_BYTES), "{pad}");
+            assert_eq!(
+                built(pad, &["a".into(), Value::Int(max + 1), "x".into()]),
+                over
+            );
+            assert_eq!(
+                built(pad, &["a".into(), Value::Int(i64::MAX), "x".into()]),
+                over
+            );
+            // Counted in characters, bounded in bytes.
+            assert_eq!(built(pad, &["a".into(), Value::Int(max), "é".into()]), over);
+        }
+        assert_eq!(built("CONCAT", &[big(), "".into()]), Ok(MAX_VALUE_BYTES));
+        assert_eq!(built("CONCAT", &[big(), "b".into()]), over);
+        let just_under = Value::Str("a".repeat(MAX_VALUE_BYTES - 1));
+        let ws = built("CONCAT_WS", &[",".into(), just_under.clone(), "".into()]);
+        assert_eq!(ws, Ok(MAX_VALUE_BYTES));
+        assert_eq!(built("CONCAT_WS", &[",".into(), big(), "".into()]), over);
+        assert_eq!(
+            built("CONCAT_WS", &[",".into(), big(), Value::Null]),
+            Ok(MAX_VALUE_BYTES)
+        );
+        let same = built("REPLACE", &[big(), "a".into(), "b".into()]);
+        assert_eq!(same, Ok(MAX_VALUE_BYTES));
+        assert_eq!(
+            built("REPLACE", &[just_under, "a".into(), "bb".into()]),
+            over
+        );
+        assert_eq!(
+            built("HEX", &["a".repeat(MAX_VALUE_BYTES / 2).into()]),
+            Ok(MAX_VALUE_BYTES)
+        );
+        assert_eq!(built("HEX", &[big()]), over);
     }
 
     #[test]

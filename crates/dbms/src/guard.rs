@@ -44,14 +44,14 @@ impl QueryContext<'_> {
     }
 }
 
-/// What the server does when the guard itself *fails* — panics, or reports
-/// [`GuardDecision::Fail`] because it could not clear the query (a blown
-/// detection budget).
+/// What the server does when the guard itself *fails*: panics in
+/// [`QueryGuard::inspect`], so the query was never cleared.
 ///
 /// The guard sits in the query path: its failure must degrade predictably
 /// instead of taking the engine down or silently disabling protection.
 /// The server is the one place that decides: it reads the guard's
-/// [`QueryGuard::failure_policy`] when the failure happens.
+/// [`QueryGuard::failure_policy`] when the failure happens. SEPTIC's
+/// policy is its mode's: fail-closed exactly when the mode drops attacks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FailurePolicy {
     /// Availability over protection: a failing guard lets the query
@@ -92,10 +92,6 @@ pub enum GuardDecision {
     /// Drop the query; the client receives [`crate::DbError::Blocked`] with
     /// the given reason.
     Block(String),
-    /// The guard could not clear the query (it ran out of time, say). Not a
-    /// detection: the server treats it exactly like a panic in
-    /// [`QueryGuard::inspect`] and applies the guard's failure policy.
-    Fail(String),
 }
 
 impl fmt::Display for GuardDecision {
@@ -103,7 +99,6 @@ impl fmt::Display for GuardDecision {
         match self {
             GuardDecision::Proceed => f.write_str("proceed"),
             GuardDecision::Block(r) => write!(f, "block: {r}"),
-            GuardDecision::Fail(r) => write!(f, "fail: {r}"),
         }
     }
 }
@@ -118,15 +113,14 @@ pub trait QueryGuard: Send + Sync {
         "guard"
     }
 
-    /// Policy the server applies when [`QueryGuard::inspect`] panics or
-    /// returns [`GuardDecision::Fail`]. Called after the failure, so a
-    /// guard whose policy depends on its mode answers for the mode in
-    /// effect then.
+    /// Policy the server applies when [`QueryGuard::inspect`] panics.
+    /// Called after the failure, so a guard whose policy depends on its
+    /// mode answers for the mode in effect then.
     ///
     /// The default is [`FailurePolicy::FailClosed`]: an unknown guard
     /// failure blocks the query rather than silently disabling
-    /// protection. Guards with mode-dependent policies (SEPTIC) override
-    /// this per call.
+    /// protection. SEPTIC answers with its mode's policy (Table I's drop
+    /// column).
     fn failure_policy(&self) -> FailurePolicy {
         FailurePolicy::FailClosed
     }
@@ -195,7 +189,6 @@ mod tests {
     fn decision_display() {
         assert_eq!(GuardDecision::Proceed.to_string(), "proceed");
         assert_eq!(GuardDecision::Block("x".into()).to_string(), "block: x");
-        assert_eq!(GuardDecision::Fail("y".into()).to_string(), "fail: y");
     }
 
     #[test]

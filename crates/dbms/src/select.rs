@@ -18,7 +18,7 @@ use septic_vm::Program;
 
 use crate::error::DbError;
 use crate::exec::{eval, Binding, CRow, EvalCtx};
-use crate::expr::{SideEffects, MAX_ROWS_EXAMINED};
+use crate::expr::{value_bytes, SideEffects, MAX_ROWS_EXAMINED};
 use crate::plan::{Access, AggregatePlan, SelectPlan};
 use crate::storage::{Database, Row, TableStore};
 use crate::value::Value;
@@ -400,13 +400,13 @@ struct AggArgs {
 
 impl Group<'_> {
     /// Hands `fold` the value of `arg` on every member, in row order,
-    /// where it lies.
+    /// where it lies; a refusal from `fold` ends the walk.
     fn each(
         &self,
         arg: &Expr,
         ctx: &EvalCtx<'_>,
         fx: &mut SideEffects,
-        mut fold: impl FnMut(&Value),
+        mut fold: impl FnMut(&Value) -> Result<(), DbError>,
     ) -> Result<(), DbError> {
         let mut args = self.args.borrow_mut();
         let AggArgs { readied, machine } = &mut *args;
@@ -428,7 +428,7 @@ impl Group<'_> {
         for &r in self.members {
             let row = self.rows.row(r as usize);
             let (operand, slots) = evaluate(arg, program, machine, row, &member, fx)?;
-            fold(operand.get(slots, row));
+            fold(operand.get(slots, row))?;
         }
         Ok(())
     }
@@ -452,7 +452,10 @@ pub(crate) fn eval_aggregate(
         "COUNT" if args.is_empty() => Ok(Value::Int(group.members.len() as i64)),
         "COUNT" => {
             let mut n = 0i64;
-            group.each(arg()?, ctx, fx, |v| n += i64::from(!v.is_null()))?;
+            group.each(arg()?, ctx, fx, |v| {
+                n += i64::from(!v.is_null());
+                Ok(())
+            })?;
             Ok(Value::Int(n))
         }
         "SUM" | "AVG" => {
@@ -463,6 +466,7 @@ pub(crate) fn eval_aggregate(
                     sum += f;
                     n += 1;
                 }
+                Ok(())
             })?;
             Ok(match (n, name) {
                 (0, _) => Value::Null,
@@ -485,22 +489,31 @@ pub(crate) fn eval_aggregate(
                 if take {
                     best = Some(v.clone());
                 }
+                Ok(())
             })?;
             Ok(best.unwrap_or(Value::Null))
         }
         "GROUP_CONCAT" => {
             let mut joined: Option<String> = None;
             group.each(arg()?, ctx, fx, |v| {
-                if !v.is_null() {
-                    let out = match &mut joined {
-                        Some(out) => {
-                            out.push(',');
-                            out
-                        }
-                        None => joined.insert(String::new()),
-                    };
-                    let _ = write!(out, "{v}");
+                if v.is_null() {
+                    return Ok(());
                 }
+                let out = match &mut joined {
+                    Some(out) => {
+                        out.push(',');
+                        out
+                    }
+                    None => joined.insert(String::new()),
+                };
+                // A string is checked before it is copied in; a number
+                // renders in a few bytes.
+                if let Value::Str(s) = v {
+                    value_bytes(out.len().checked_add(s.len()))?;
+                }
+                let _ = write!(out, "{v}");
+                value_bytes(Some(out.len()))?;
+                Ok(())
             })?;
             Ok(joined.map_or(Value::Null, Value::Str))
         }

@@ -18,9 +18,8 @@
 //! # One fail-safe
 //!
 //! The server is the only code that contains a guard: `guard_stage` runs
-//! `inspect` under `catch_unwind`, treats a [`GuardDecision::Fail`] like
-//! the panic it stands for, reads the guard's failure policy when the
-//! failure happens and counts the result; `scan_recovered` contains
+//! `inspect` under `catch_unwind`, reads the guard's failure policy when a
+//! panic happens and counts the result; `scan_recovered` contains
 //! `scan_stored` one value at a time.
 //!
 //! # Concurrency
@@ -119,8 +118,8 @@ pub struct GeneralLogEntry {
 #[derive(Debug)]
 struct Metrics {
     registry: MetricsRegistry,
-    /// Guard failures contained by the server: `inspect` panics and
-    /// [`GuardDecision::Fail`] reports, and `scan_stored` panics.
+    /// Guard failures contained by the server: `inspect` and
+    /// `scan_stored` panics.
     guard_panics: Arc<Counter>,
     /// Queries that executed *despite* a guard failure because the
     /// guard's policy was [`FailurePolicy::FailOpen`].
@@ -156,10 +155,12 @@ struct Metrics {
     rows_returned: Arc<Counter>,
     /// Statements refused at a resource bound
     /// (`dbms_resource_limit_total{limit=…}`): nesting beyond the parser's
-    /// `MAX_EXPR_DEPTH`, and rows examined beyond
-    /// [`crate::expr::MAX_ROWS_EXAMINED`].
+    /// `MAX_EXPR_DEPTH`, rows examined beyond
+    /// [`crate::expr::MAX_ROWS_EXAMINED`], and a built value past
+    /// [`crate::expr::MAX_VALUE_BYTES`].
     expr_depth_refusals: Arc<Counter>,
     rows_examined_refusals: Arc<Counter>,
+    value_bytes_refusals: Arc<Counter>,
     /// Simulated delay (`SLEEP`/`BENCHMARK`) answered so far, microseconds
     /// — the observable for time-based blind injection. Not exported.
     simulated_us: Counter,
@@ -198,6 +199,7 @@ impl Metrics {
             rows_returned: r.counter("dbms_rows_returned_total"),
             expr_depth_refusals: limit("expr_depth"),
             rows_examined_refusals: limit("rows_examined"),
+            value_bytes_refusals: limit("value_bytes"),
             simulated_us: Counter::new(),
             registry,
         }
@@ -218,6 +220,7 @@ impl Metrics {
             }
             Err(DbError::Parse(ParseError::TooDeep { .. })) => self.expr_depth_refusals.inc(),
             Err(DbError::RowsExamined(_)) => self.rows_examined_refusals.inc(),
+            Err(DbError::ValueBytes(_)) => self.value_bytes_refusals.inc(),
             Err(_) => {}
         }
     }
@@ -226,8 +229,8 @@ impl Metrics {
 /// Point-in-time snapshot of the server's degradation counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServerStatsSnapshot {
-    /// Guard failures contained by the server: `inspect` panics and
-    /// [`GuardDecision::Fail`] reports, and `scan_stored` panics.
+    /// Guard failures contained by the server: `inspect` and
+    /// `scan_stored` panics.
     pub guard_panics: u64,
     /// Queries executed despite a guard failure (fail-open policy).
     pub fail_open_passes: u64,
@@ -636,9 +639,8 @@ impl Server {
     /// The SEPTIC hook: lowers the statements to the item stack (the QS
     /// build) and hands the installed guard everything it may inspect,
     /// user data of INSERT/UPDATE included. The guard runs inside
-    /// `catch_unwind`; a panic and a [`GuardDecision::Fail`] are one
-    /// failure, counted here and decided by the guard's failure policy as
-    /// it reads when the failure happens. A buggy or overrun detector
+    /// `catch_unwind`; a panic is counted here and decided by the guard's
+    /// failure policy as it reads when the panic happens. A buggy detector
     /// degrades per that policy, never crashes the engine.
     fn guard_stage(
         &self,
@@ -667,7 +669,6 @@ impl Server {
         let what = match inspected {
             Ok(GuardDecision::Proceed) => return Ok(()),
             Ok(GuardDecision::Block(reason)) => return Err(DbError::Blocked(reason)),
-            Ok(GuardDecision::Fail(reason)) => format!("guard '{}' failed: {reason}", guard.name()),
             Err(payload) => {
                 let message = panic_message(payload.as_ref());
                 format!("guard '{}' panicked: {message}", guard.name())

@@ -14,9 +14,9 @@
 //! * [`PanickingGuard`] — a [`QueryGuard`] that always panics, with a
 //!   chosen failure policy;
 //! * [`PanickingPlugin`] — a stored-injection plugin that panics during
-//!   confirmation;
-//! * [`SlowPlugin`] — a plugin that sleeps through its scan, blowing any
-//!   configured detection deadline.
+//!   confirmation: a SEPTIC failure, which the server decides by the
+//!   mode's failure policy (fail-closed in prevention, fail-open in
+//!   training and detection);
 //! * [`socket`] — scripted socket faults against the framed TCP front
 //!   end (mid-frame disconnect, slowloris partial header, oversized
 //!   frame, garbage payload).
@@ -30,7 +30,6 @@ use std::collections::HashMap;
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Duration;
 
 use parking_lot::Mutex;
 use septic::{Plugin, StoredAttack};
@@ -220,29 +219,6 @@ impl Plugin for PanickingPlugin {
 
     fn confirm(&self, _input: &str) -> Option<StoredAttack> {
         panic!("injected plugin panic");
-    }
-}
-
-/// A plugin that sleeps through its scan and finds nothing — used to blow
-/// the configured detection deadline without flagging an attack.
-#[derive(Debug, Clone, Copy)]
-pub struct SlowPlugin {
-    /// How long each confirmation takes.
-    pub delay: Duration,
-}
-
-impl Plugin for SlowPlugin {
-    fn name(&self) -> &'static str {
-        "slow-plugin"
-    }
-
-    fn quick_filter(&self, _input: &str) -> bool {
-        true
-    }
-
-    fn confirm(&self, _input: &str) -> Option<StoredAttack> {
-        std::thread::sleep(self.delay);
-        None
     }
 }
 

@@ -1,7 +1,7 @@
 //! Fault-injection suite: drives the fail-safe layer end to end with the
 //! `septic-faults` test doubles — panicking guards and plugins at the
-//! server hook, slow detectors against the deadline budget (SEPTIC's own
-//! failures end exactly like any other guard's), and scripted
+//! server hook (SEPTIC's own failures end exactly like any other guard's,
+//! by the mode's failure policy), and scripted
 //! I/O faults against the one medium (`MemIo` under `FaultyIo`) that both
 //! the model store and the WAL persist through.
 
@@ -11,14 +11,13 @@ use std::sync::{mpsc, Arc, Barrier, Mutex};
 use std::time::Duration;
 
 use proptest::prelude::*;
-use septic_faults::{Fault, FaultyIo, IoOp, PanickingGuard, PanickingPlugin, SlowPlugin};
+use septic_faults::{Fault, FaultyIo, IoOp, PanickingGuard, PanickingPlugin};
 use septic_repro::dbms::wal::{encode_frame, sibling, WAL_CORRUPT_FILE};
 use septic_repro::dbms::{
     DbError, FailurePolicy, MemIo, Server, ServerConfig, StorageIo, Value, WalConfig,
 };
 use septic_repro::septic::{
-    backup_path, journal_path, quarantine_path, FailurePolicyMatrix, Mode, ModelStore, QueryId,
-    QueryModel, Septic,
+    backup_path, journal_path, quarantine_path, Mode, ModelStore, QueryId, QueryModel, Septic,
 };
 use septic_repro::sql::{items, parse};
 
@@ -146,62 +145,6 @@ fn plugin_panic_in_detection_mode_fails_open() {
     assert_eq!(stats.guard_panics, 1);
     assert_eq!(stats.fail_open_passes, 1);
     assert_eq!(conn.query("SELECT * FROM t").unwrap().rows.len(), 2);
-}
-
-#[test]
-fn operator_can_override_the_failure_policy_matrix() {
-    let (server, conn, septic) = deployed_with_plugin(Box::new(PanickingPlugin));
-    septic.set_mode(Mode::PREVENTION);
-    septic.set_failure_policies(FailurePolicyMatrix {
-        prevention: FailurePolicy::FailOpen,
-        ..FailurePolicyMatrix::default()
-    });
-
-    // Prevention now fails open on SEPTIC outages (availability over
-    // protection — the operator's call).
-    conn.execute("INSERT INTO t (a) VALUES ('anything')")
-        .unwrap();
-    assert_eq!(server.stats().fail_open_passes, 1);
-    let report = septic.status_report();
-    assert!(report.contains("fail-open"), "{report}");
-}
-
-// ---------------------------------------------------------------------------
-// Detection deadline budget
-// ---------------------------------------------------------------------------
-
-#[test]
-fn blown_deadline_fails_closed_in_prevention_mode() {
-    let (server, conn, septic) = deployed_with_plugin(Box::new(SlowPlugin {
-        delay: Duration::from_millis(25),
-    }));
-    septic.set_detection_deadline(Some(Duration::from_millis(1)));
-    septic.set_mode(Mode::PREVENTION);
-
-    let err = conn
-        .execute("INSERT INTO t (a) VALUES ('anything')")
-        .unwrap_err();
-    assert!(matches!(err, DbError::GuardFailure(_)), "got {err:?}");
-    assert!(err.to_string().contains("deadline exceeded"), "got {err}");
-    assert_eq!(septic.counters().deadline_exceeded, 1);
-    assert_eq!(septic.counters().queries_dropped, 0);
-    let stats = server.stats();
-    assert_eq!(stats.guard_panics, 1);
-    assert_eq!(stats.fail_open_passes, 0);
-}
-
-#[test]
-fn blown_deadline_fails_open_in_detection_mode() {
-    let (server, conn, septic) = deployed_with_plugin(Box::new(SlowPlugin {
-        delay: Duration::from_millis(25),
-    }));
-    septic.set_detection_deadline(Some(Duration::from_millis(1)));
-    septic.set_mode(Mode::DETECTION);
-
-    conn.execute("INSERT INTO t (a) VALUES ('anything')")
-        .unwrap();
-    assert_eq!(septic.counters().deadline_exceeded, 1);
-    assert_eq!(server.stats().fail_open_passes, 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,19 +2,18 @@
 //! end writes one general-log entry whose outcome names how it ended — two
 //! entries when a guard failure is passed fail-open, the failure and then
 //! the call's own outcome — and moves exactly one of the session's three
-//! outcome counters. SEPTIC's own failures (a panicking plugin, a blown
-//! detection deadline) end exactly like any other guard's.
+//! outcome counters. SEPTIC's own failure (a panicking plugin) ends
+//! exactly like any other guard's, by the policy of SEPTIC's mode.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use septic::{Mode, Plugin, Septic};
-use septic_dbms::expr::MAX_ROWS_EXAMINED;
+use septic_dbms::expr::{MAX_ROWS_EXAMINED, MAX_VALUE_BYTES};
 use septic_dbms::{
     Connection, DbError, ExecResult, FailurePolicy, GuardDecision, MemIo, QueryContext, QueryGuard,
     Server, ServerConfig, StorageIo, Value, WalConfig,
 };
-use septic_faults::{Fault, FaultyIo, IoOp, PanickingGuard, PanickingPlugin, SlowPlugin};
+use septic_faults::{Fault, FaultyIo, IoOp, PanickingGuard, PanickingPlugin};
 use septic_sql::ParseError;
 
 /// A WAL-backed server over a fault-scripting medium, stacked statements
@@ -95,10 +94,9 @@ const ALL: &[&str] = &STAGES;
 fn nothing(_: &Fixture) {}
 
 /// Installs a SEPTIC with `plugin` appended to its scan chain, trains it on
-/// one INSERT shape, then sets the detection deadline and switches to
-/// `mode`. The stored-injection scan runs on a known INSERT shape, so the
-/// call's INSERT reaches the plugin.
-fn septic_with(f: &Fixture, plugin: Box<dyn Plugin>, deadline: Option<Duration>, mode: Mode) {
+/// one INSERT shape, then switches to `mode`. The stored-injection scan
+/// runs on a known INSERT shape, so the call's INSERT reaches the plugin.
+fn septic_with(f: &Fixture, plugin: Box<dyn Plugin>, mode: Mode) {
     let mut septic = Septic::new();
     septic.add_plugin(plugin);
     let septic = Arc::new(septic);
@@ -107,7 +105,6 @@ fn septic_with(f: &Fixture, plugin: Box<dyn Plugin>, deadline: Option<Duration>,
     f.conn
         .execute("INSERT INTO t (id, v) VALUES (7, 'seed')")
         .unwrap();
-    septic.set_detection_deadline(deadline);
     septic.set_mode(mode);
 }
 
@@ -222,7 +219,7 @@ fn cases() -> Vec<Case> {
         Case {
             name: "SEPTIC plugin panic, prevention",
             ends: |r| matches!(r, Err(DbError::GuardFailure(_))),
-            arrange: |f| septic_with(f, Box::new(PanickingPlugin), None, Mode::PREVENTION),
+            arrange: |f| septic_with(f, Box::new(PanickingPlugin), Mode::PREVENTION),
             call: |c| c.execute(SEPTIC_INSERT),
             prefix: "guard failure (fail-closed): ",
             entries: 1,
@@ -232,28 +229,12 @@ fn cases() -> Vec<Case> {
         Case {
             name: "SEPTIC plugin panic, detection",
             ends: |r| r.is_ok(),
-            arrange: |f| septic_with(f, Box::new(PanickingPlugin), None, Mode::DETECTION),
+            arrange: |f| septic_with(f, Box::new(PanickingPlugin), Mode::DETECTION),
             call: |c| c.execute(SEPTIC_INSERT),
             prefix: "guard failure (fail-open): ",
             entries: 2,
             stages: ALL,
             moved: Moved::Ok,
-        },
-        Case {
-            name: "SEPTIC deadline exceeded, prevention",
-            ends: |r| matches!(r, Err(DbError::GuardFailure(what)) if what.contains("deadline exceeded")),
-            arrange: |f| {
-                let slow = SlowPlugin {
-                    delay: Duration::from_millis(25),
-                };
-                let budget = Some(Duration::from_millis(1));
-                septic_with(f, Box::new(slow), budget, Mode::PREVENTION);
-            },
-            call: |c| c.execute(SEPTIC_INSERT),
-            prefix: "guard failure (fail-closed): ",
-            entries: 1,
-            stages: GUARDED,
-            moved: Moved::Failed,
         },
         Case {
             name: "runtime error",
@@ -312,6 +293,16 @@ fn cases() -> Vec<Case> {
             ends: |r| matches!(r, Err(DbError::RowsExamined(MAX_ROWS_EXAMINED))),
             arrange: |f| create_wide(&f.conn),
             call: |c| c.execute(CROSS_JOIN),
+            prefix: "error: ",
+            entries: 1,
+            stages: UNGUARDED,
+            moved: Moved::Failed,
+        },
+        Case {
+            name: "value-bytes bound",
+            ends: |r| matches!(r, Err(DbError::ValueBytes(MAX_VALUE_BYTES))),
+            arrange: nothing,
+            call: |c| c.execute("SELECT LENGTH(REPEAT(REPEAT('a', 1048576), 1048576))"),
             prefix: "error: ",
             entries: 1,
             stages: UNGUARDED,

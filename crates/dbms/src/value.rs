@@ -177,9 +177,14 @@ impl From<String> for Value {
 /// character, so up to there the two orderings read the same sequence,
 /// and the split falls on a character boundary of both strings. A side
 /// that ends first is a prefix of the other, and every character folds
-/// to at least one: the shorter string sorts first.
+/// to at least one: the shorter string sorts first. Two equal ASCII bytes
+/// fold alike and are passed over unfolded; an equal byte from 0x80 up
+/// may be part of a character that still differs, so it is not.
 fn case_insensitive_cmp(a: &str, b: &str) -> Ordering {
     for (i, (x, y)) in a.bytes().zip(b.bytes()).enumerate() {
+        if x == y && x.is_ascii() {
+            continue;
+        }
         if !(x.is_ascii() && y.is_ascii()) {
             return folded_chars_cmp(&a[i..], &b[i..]);
         }
@@ -377,15 +382,23 @@ mod tests {
             Ordering::Greater
         );
         assert_eq!(case_insensitive_cmp("\u{1C5}", "\u{1C6}"), Ordering::Equal);
+        // Equal non-ASCII bytes, then the first difference: an ASCII case
+        // pair, and a continuation byte after a shared lead byte.
+        assert_eq!(case_insensitive_cmp("\u{e9}a", "\u{e9}B"), Ordering::Less);
+        assert_eq!(case_insensitive_cmp("\u{e9}", "\u{c9}"), Ordering::Equal);
+        assert_eq!(
+            case_insensitive_cmp("x\u{e9}", "x\u{df}"),
+            Ordering::Greater
+        );
     }
 
     /// Strings biased toward what the byte path could get wrong: case
     /// pairs, characters whose lower-case form is ASCII or is several
     /// characters, combining marks, and ASCII prefixes of any length.
     fn collation_string() -> impl Strategy<Value = String> {
-        const POOL: [&str; 16] = [
+        const POOL: [&str; 17] = [
             "a", "A", "k", "K", "z", "i", "I", "\u{130}", "\u{212A}", "\u{df}", "\u{1C5}",
-            "\u{1C6}", "\u{307}", "e\u{301}", "\u{3a3}", "\u{e9}",
+            "\u{1C6}", "\u{307}", "e\u{301}", "\u{3a3}", "\u{e9}", "\u{c9}",
         ];
         fn_strategy(|rng| {
             let mut s: String = (0..rng.below(5)).map(|_| *rng.pick(&POOL)).collect();
@@ -393,6 +406,35 @@ mod tests {
                 s.insert_str(0, &"[a-cA-C]{0,4}".generate(rng));
             }
             s
+        })
+    }
+
+    /// 0 to 64 bytes both sides of a comparison share, byte for byte,
+    /// before they differ: ASCII, two-byte characters that share a lead
+    /// byte with others (`é`, `É`, `ß`), and three- and four-byte ones.
+    fn common_prefix() -> impl Strategy<Value = String> {
+        const POOL: [&str; 10] = [
+            "a",
+            "B",
+            "z",
+            "7",
+            "\u{e9}",
+            "\u{c9}",
+            "\u{df}",
+            "\u{212A}",
+            "\u{4e2d}",
+            "\u{1F600}",
+        ];
+        fn_strategy(|rng| {
+            let limit = rng.below(65) as usize;
+            let mut prefix = String::new();
+            loop {
+                let piece = *rng.pick(&POOL);
+                if prefix.len() + piece.len() > limit {
+                    return prefix;
+                }
+                prefix.push_str(piece);
+            }
         })
     }
 
@@ -431,12 +473,18 @@ mod tests {
 
     proptest! {
         /// The byte path is the old per-character fold, on every input.
+        /// Passing over an equal byte from 0x80 up as an equal ASCII byte
+        /// is passed over fails it (and
+        /// `non_ascii_collation_keeps_the_per_character_fold`).
         #[test]
         fn collation_matches_the_per_character_fold(
-            a in collation_string(), b in collation_string(), c in "\\PC{0,6}", share in any::<bool>()
+            a in collation_string(), b in collation_string(), c in "\\PC{0,6}", share in any::<bool>(),
+            prefix in common_prefix()
         ) {
-            // Half the pairs share a prefix, so the comparison gets past it.
+            // Half the pairs share a prefix up to case, so the fold gets
+            // past it; every pair shares `prefix` byte for byte.
             let (a, b) = if share { (format!("{c}{a}"), format!("{}{b}", c.to_uppercase())) } else { (a, b) };
+            let (a, b) = (format!("{prefix}{a}"), format!("{prefix}{b}"));
             prop_assert_eq!(case_insensitive_cmp(&a, &b), folded_chars_cmp(&a, &b));
             prop_assert_eq!(case_insensitive_cmp(&b, &a), folded_chars_cmp(&b, &a));
             // A string PK finds a row exactly when `=` calls the keys equal.

@@ -9,16 +9,26 @@
 //! row, a reusable [`septic_vm::Vm`] runs the opcode loop instead of
 //! recursing over the AST.
 //!
-//! A program does less per row than the walker in three places, none of
+//! A program does less per row than the walker in four places, none of
 //! which a result can show. `<column> <op> <literal>` is one op
 //! (`BinaryColumnSlot`) instead of three. An AND whose left side is false,
 //! or an OR whose left side is true, skips its right side (`ShortCircuit`)
 //! when that side is total ([`is_total`], the rule the planner skips
 //! predicates by): a `SLEEP`, any other call, a `?`, a subquery or an
 //! unknown column is still evaluated on every row, as the walker
-//! evaluates both sides. And a program that is one `Column` op — a bare
+//! evaluates both sides. A program that is one `Column` op — a bare
 //! GROUP BY key, aggregate argument or projected column — is not run at
-//! all: [`evaluate`] hands back the cell's location.
+//! all: [`evaluate`] hands back the cell's location. And a WHERE or ON
+//! whose top-level AND conjuncts are all `<column> <cmp> <literal>`
+//! (`= <> < <= > >=`, either way round, the column in the layout) is not
+//! run either: [`Prepared::holds`] tests each stored cell against its
+//! literal with [`Value::sql_cmp`] and rejects the row at the first test
+//! that fails or orders a NULL. That is the AND's verdict — every
+//! conjunct true — and nothing is skipped that could be seen: such a
+//! conjunct is total, cannot fail and has no effect, so a chain with any
+//! other conjunct keeps its program. The tests are built once per shape,
+//! beside its program in the [`ProgramCache`], and read the statement's
+//! literals from its slots.
 //!
 //! Operands are borrowed. The VM's stack holds [`Operand`]s — *where* a
 //! value is (a cell of the row under the scan, a constant slot) or a
@@ -599,6 +609,90 @@ pub(crate) fn literal_value(l: &Literal) -> Value {
 }
 
 // ---------------------------------------------------------------------------
+// tests on the stored cell
+// ---------------------------------------------------------------------------
+
+/// One conjunct `<column> <op> <literal>` of a predicate, read from the
+/// column: the cell at `(binding, column)` must stand in `op` to the
+/// statement's literal in `slot`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CellTest {
+    binding: u16,
+    column: u16,
+    op: BinaryOp,
+    slot: u32,
+}
+
+/// The tests of a predicate whose top-level AND conjuncts are all
+/// `<column> <cmp> <literal>`, either way round, over columns of `layout`;
+/// `None` for any other expression. Each conjunct holds one literal, so
+/// the `i`-th test reads slot `i`, the order [`collect_literals`] fills.
+fn cell_tests(expr: &Expr, layout: &[Binding<'_>]) -> Option<Arc<[CellTest]>> {
+    fn push(expr: &Expr, layout: &[Binding<'_>], tests: &mut Vec<CellTest>) -> Option<()> {
+        let Expr::Binary { left, op, right } = expr else {
+            return None;
+        };
+        if *op == BinaryOp::And {
+            push(left, layout, tests)?;
+            return push(right, layout, tests);
+        }
+        let (column, op) = match (&**left, &**right) {
+            (column, Expr::Literal(_)) => (column, column_side(*op, false)?),
+            (Expr::Literal(_), column) => (column, column_side(*op, true)?),
+            _ => return None,
+        };
+        let Expr::Column { table, name } = column else {
+            return None;
+        };
+        let (binding, column) = resolve_column(layout, table.as_deref(), name)?;
+        let slot = tests.len() as u32;
+        tests.push(CellTest {
+            binding,
+            column,
+            op,
+            slot,
+        });
+        Some(())
+    }
+    let mut tests = Vec::new();
+    push(expr, layout, &mut tests)?;
+    Some(tests.into())
+}
+
+/// The comparison `op` as the column sees it — flipped when the literal
+/// is on its left (`5 < c` is `c > 5`); `None` for any other operator.
+fn column_side(op: BinaryOp, literal_first: bool) -> Option<BinaryOp> {
+    use BinaryOp::{Eq, Ge, Gt, Le, Lt, Ne};
+    Some(match (op, literal_first) {
+        (Eq | Ne, _) | (Lt | Le | Gt | Ge, false) => op,
+        (Lt, true) => Gt,
+        (Le, true) => Ge,
+        (Gt, true) => Lt,
+        (Ge, true) => Le,
+        _ => return None,
+    })
+}
+
+/// Whether every test holds on `row`: the first that fails rejects it, and
+/// so does a NULL on either side, as the AND of the compares would. The
+/// op's reading of an ordering is `apply_binary`'s, written out again so
+/// that the walker the lane is tested against shares none of its code.
+fn passes(tests: &[CellTest], slots: &[Value], row: CRow<'_>) -> bool {
+    tests.iter().all(|t| {
+        let cell = &row[usize::from(t.binding)][usize::from(t.column)];
+        cell.sql_cmp(&slots[t.slot as usize])
+            .is_some_and(|ord| match t.op {
+                BinaryOp::Eq => ord == Ordering::Equal,
+                BinaryOp::Ne => ord != Ordering::Equal,
+                BinaryOp::Lt => ord == Ordering::Less,
+                BinaryOp::Le => ord != Ordering::Greater,
+                BinaryOp::Gt => ord == Ordering::Greater,
+                _ => ord != Ordering::Less,
+            })
+    })
+}
+
+// ---------------------------------------------------------------------------
 // the Host
 // ---------------------------------------------------------------------------
 
@@ -740,8 +834,13 @@ pub(crate) struct Prepared<'e> {
     compiled: Option<Compiled>,
 }
 
-/// A shared program and the literals of one statement of its shape.
-pub(crate) type Compiled = (Arc<Program>, Vec<Value>);
+/// A shared program, the shape's cell tests when it has them, and the
+/// literals of one statement of the shape.
+pub(crate) struct Compiled {
+    program: Arc<Program>,
+    tests: Option<Arc<[CellTest]>>,
+    slots: Vec<Value>,
+}
 
 /// The cached (or just compiled) program for `expr` with its literal
 /// slots filled for this statement; `None` means "use the walker".
@@ -750,11 +849,15 @@ pub(crate) fn compiled(
     layout: &[Binding<'_>],
     cache: Option<&ProgramCache>,
 ) -> Option<Compiled> {
-    let program = cache?.program_for(expr, layout)?;
+    let (program, tests) = cache?.shape_for(expr, layout)?;
     let mut slots = Vec::with_capacity(program.slots() as usize);
     collect_literals(expr, &mut slots);
     debug_assert_eq!(slots.len(), program.slots() as usize);
-    Some((program, slots))
+    Some(Compiled {
+        program,
+        tests,
+        slots,
+    })
 }
 
 /// Evaluates `expr` on `row` — by its program on `m` when it has one — and
@@ -772,7 +875,7 @@ pub(crate) fn evaluate<'c>(
     scope: &EvalCtx<'_>,
     fx: &mut SideEffects,
 ) -> Result<(&'c mut Operand, &'c [Value]), DbError> {
-    let Some((program, slots)) = compiled else {
+    let Some(Compiled { program, slots, .. }) = compiled else {
         let value = eval(expr, &EvalCtx { row, ..*scope }, fx)?;
         return Ok((m.aside.insert(Operand::Owned(value)), &[]));
     };
@@ -830,7 +933,8 @@ impl<'e> Prepared<'e> {
         Ok(operand.take(slots, row))
     }
 
-    /// Whether the expression is truthy on `row` (WHERE / ON).
+    /// Whether the expression is truthy on `row` (WHERE / ON): by its cell
+    /// tests when its shape has them, without entering the VM.
     pub(crate) fn holds(
         &self,
         m: &mut Machine,
@@ -838,6 +942,14 @@ impl<'e> Prepared<'e> {
         scope: &EvalCtx<'_>,
         fx: &mut SideEffects,
     ) -> Result<bool, DbError> {
+        if let Some(Compiled {
+            tests: Some(tests),
+            slots,
+            ..
+        }) = &self.compiled
+        {
+            return Ok(passes(tests, slots, row));
+        }
         let (operand, slots) = self.operand(m, row, scope, fx)?;
         Ok(operand.get(slots, row).is_truthy())
     }
@@ -857,6 +969,10 @@ struct CacheMetrics {
     cached: Arc<Counter>,
 }
 
+/// What the cache keeps for a compiled shape: its program, and its cell
+/// tests ([`cell_tests`], built once) when it is a conjunction of them.
+type Shape = (Arc<Program>, Option<Arc<[CellTest]>>);
+
 /// Shape-keyed cache of compiled expression programs, shared by all
 /// sessions of a [`crate::Server`]: two sessions preparing the same
 /// statement shape get the *same* `Arc<Program>` (a refcount bump).
@@ -865,7 +981,7 @@ pub struct ProgramCache {
     /// Keyed by the full 128-bit shape fingerprint. `None` marks a
     /// walker-only shape, cached so the compile attempt is not repeated
     /// on every execution.
-    map: RwLock<HashMap<ShapeKey, Option<Arc<Program>>>>,
+    map: RwLock<HashMap<ShapeKey, Option<Shape>>>,
     compiles: AtomicU64,
     metrics: RwLock<Option<CacheMetrics>>,
 }
@@ -910,11 +1026,17 @@ impl ProgramCache {
     /// The compiled program for `expr` under `layout` — cached per shape;
     /// compiles on first sight. `None` means "use the walker".
     pub(crate) fn program_for(&self, expr: &Expr, layout: &[Binding<'_>]) -> Option<Arc<Program>> {
+        self.shape_for(expr, layout).map(|(program, _)| program)
+    }
+
+    /// [`Self::program_for`] with the shape's cell tests.
+    fn shape_for(&self, expr: &Expr, layout: &[Binding<'_>]) -> Option<Shape> {
         let key = shape_key(expr, layout);
         if let Some(entry) = self.map.read().get(&key) {
             return entry.clone();
         }
-        let compiled = compile_expr(expr, layout).map(Arc::new);
+        let compiled =
+            compile_expr(expr, layout).map(|program| (Arc::new(program), cell_tests(expr, layout)));
         let mut map = self.map.write();
         // Double-checked: a racing session may have inserted meanwhile —
         // return *its* program so the Arc stays shared.

@@ -14,6 +14,9 @@
 //! `grouping_costs_per_group_not_per_member`, where survivors are not
 //! output rows.
 //!
+//! Building the cell-test list per statement instead of once per shape
+//! fails `a_filter_of_cell_tests_allocates_no_test_list_per_statement`.
+//!
 //! The same counter prices the one write that copies a table: the first
 //! write under a snapshot. A `table_mut` that deep-copies the rows (a row
 //! `Vec` and a string cell each) fails
@@ -173,6 +176,26 @@ fn a_join_costs_per_output_row_not_per_candidate() {
     assert_eq!(few.2, 3);
 }
 
+/// Fresh allocations of a repeated statement whose WHERE is all
+/// `<column> <cmp> <literal>` conjuncts, to the unit. They are tested on
+/// the stored cell with the cell-test list the program cache built with the
+/// shape's program, so a statement builds no list of its own and never
+/// allocates the VM's operand stack. Before this lane the count was 10; a
+/// list built per statement (a `Vec`, then the shared slice) makes it 11.
+const ALL_TEST_SCAN: u64 = 9;
+
+#[test]
+fn a_filter_of_cell_tests_allocates_no_test_list_per_statement() {
+    let db = database(1000, 0, 7);
+    for sql in [
+        "SELECT id, note FROM tickets WHERE note = 'drop-0' AND price < 1000",
+        // The literal on the left: the same tests, their ops flipped.
+        "SELECT id, note FROM tickets WHERE 1000 > price AND 'drop-0' = note",
+    ] {
+        assert_eq!(cost(&db, sql), (ALL_TEST_SCAN, 0, 0), "`{sql}`");
+    }
+}
+
 /// Fresh allocations of the first write to `tickets` on a snapshot of
 /// `db`, the write that copies the table.
 fn first_write_cost(db: &Database) -> u64 {
@@ -218,8 +241,10 @@ fn call_costs(conn: &septic_dbms::Connection, sql: &str, calls: usize) -> Vec<u6
 /// whole call is pinned here, to the allocation: what it costs beyond
 /// its parse (which `septic-sql`'s own allocation test pins). The QS build
 /// allocates the stack once and no text for its `=` and `+` nodes, and a
-/// general-log `ok` is static text.
-const CALL_BEYOND_PARSE: u64 = 19;
+/// general-log `ok` is static text. Its `WHERE id = 5` is tested on the
+/// stored cell, so the VM's operand stack is never allocated: 19 before
+/// that lane.
+const CALL_BEYOND_PARSE: u64 = 18;
 
 #[test]
 fn an_in_memory_autocommit_update_renders_no_redo_text() {

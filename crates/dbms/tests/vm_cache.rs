@@ -396,3 +396,46 @@ fn a_recreated_table_never_reuses_a_stale_program() {
     assert_eq!(first_column(&after), [Value::Int(1)]);
     assert!(server.vm_cache().compile_count() > compiles);
 }
+
+/// A shape whose WHERE is all `<column> <cmp> <literal>` conjuncts is
+/// compiled once, its cell tests built with it, however many statements
+/// of it run: each statement reads its own literals from its slots.
+#[test]
+fn a_shape_of_cell_tests_compiles_once_over_a_hundred_statements() {
+    let server = Server::new();
+    let conn = server.connect();
+    conn.execute("CREATE TABLE tickets (id INT PRIMARY KEY, note VARCHAR(32), price INT)")
+        .expect("create");
+    for id in 0..20 {
+        conn.execute(&format!(
+            "INSERT INTO tickets VALUES ({id}, 'n{}', {})",
+            id % 4,
+            10 * id
+        ))
+        .expect("row");
+    }
+    let compiles = || {
+        server
+            .metrics_snapshot()
+            .counter("dbms_vm_compiles_total")
+            .expect("the cache reports its compiles")
+    };
+    let shape = |n: i64| {
+        format!(
+            "SELECT COUNT(*) FROM tickets WHERE note = 'N{}' AND {} > price",
+            n % 4,
+            10 * n
+        )
+    };
+    for n in 0..100 {
+        let out = conn.query(&shape(n)).expect("count");
+        // Ids below `n` with `id % 4 == n % 4`.
+        let expected = (0..n.min(20)).filter(|id| id % 4 == n % 4).count() as i64;
+        assert_eq!(out.rows, [vec![Value::Int(expected)]], "`{}`", shape(n));
+    }
+    assert_eq!(compiles(), 1, "COUNT(*) compiles nothing; the WHERE once");
+    let first = server.vm_program_for(&shape(0)).expect("compiled");
+    let last = server.vm_program_for(&shape(99)).expect("compiled");
+    assert!(Arc::ptr_eq(&first, &last), "one program for the shape");
+    assert_eq!(compiles(), 1);
+}

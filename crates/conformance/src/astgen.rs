@@ -21,12 +21,25 @@ fn column(rng: &mut ConformanceRng) -> &'static str {
     COLUMNS[rng.below(COLUMNS.len() as u64) as usize]
 }
 
+/// Pieces of a string literal as SQL spells them: escapes the lexer
+/// decodes (`\\`, `\'`, `\n`, `\t`, `\0`, `\b`, `\Z`, `\%`), a doubled
+/// quote, the other quote, U+02BC, NUL, the `LIKE` wildcards, control
+/// characters and multibyte text. A printer that does not escape what the
+/// lexer decodes fails the round trip on these.
+const STRING_PIECES: [&str; 20] = [
+    r"\\", r"\'", r"\n", r"\t", r"\0", r"\b", r"\Z", r"\%", "''", "\"", "\u{2BC}", "\0", "%", "_",
+    "\u{1}", "\u{1f}", "é", "日本", "😀", "a",
+];
+
 fn literal(rng: &mut ConformanceRng) -> String {
-    match rng.below(4) {
+    match rng.below(6) {
         0 => rng.below(1000).to_string(),
         // Fractional part keeps the printed float a float on reparse.
         1 => format!("{}.5", rng.below(100)),
         2 => format!("'{}'", rng.benign_word(0, 8)),
+        3 => (0..rng.below(5)).fold(String::from("'"), |s, _| s + *rng.pick(&STRING_PIECES)) + "'",
+        // Numbers at the edges of their types.
+        4 => (*rng.pick(&["9223372036854775807", "1.7976931348623157e308", "5e-324"])).into(),
         _ => "NULL".to_string(),
     }
 }

@@ -23,7 +23,8 @@ use crate::value::Value;
 ///
 /// # Errors
 ///
-/// [`DbError::Semantic`] when the placeholder count and value count differ.
+/// [`DbError::Semantic`] when the placeholder count and value count
+/// differ, or when a value is a NaN or infinite real.
 pub fn bind_params(stmt: &Statement, params: &[Value]) -> Result<Statement, DbError> {
     let mut bound = stmt.clone();
     let mut iter = params.iter();
@@ -112,13 +113,17 @@ fn bind_select<'a>(
     Ok(())
 }
 
-fn value_to_literal(v: &Value) -> Literal {
-    match v {
+/// The literal a bound value stands for. A NaN or infinite real has none
+/// (it would render as a column name), and MySQL refuses it as out of
+/// range, so binding fails before anything runs or is logged.
+fn value_to_literal(v: &Value) -> Result<Literal, DbError> {
+    Ok(match v {
         Value::Null => Literal::Null,
         Value::Int(i) => Literal::Int(*i),
-        Value::Real(r) => Literal::Float(*r),
+        Value::Real(r) if r.is_finite() => Literal::Float(*r),
+        Value::Real(_) => return Err(DbError::Semantic("DOUBLE value is out of range".into())),
         Value::Str(s) => Literal::Str(s.clone()),
-    }
+    })
 }
 
 fn bind_expr<'a>(
@@ -128,7 +133,7 @@ fn bind_expr<'a>(
     match expr {
         Expr::Param => {
             let v = params.next().ok_or_else(too_few)?;
-            *expr = Expr::Literal(value_to_literal(v));
+            *expr = Expr::Literal(value_to_literal(v)?);
             Ok(())
         }
         Expr::Literal(_) | Expr::Column { .. } => Ok(()),

@@ -1,13 +1,14 @@
 //! Schema catalog: table and column metadata, name resolution.
 
 use septic_sql::ast::{ColumnDef, ColumnType, Literal};
-use serde::{Deserialize, Serialize};
 
+use crate::codec::{tagged, Codec};
+use crate::codec_fields;
 use crate::error::DbError;
 use crate::value::Value;
 
 /// Column metadata.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Column {
     pub name: String,
     pub column_type: ColumnType,
@@ -60,7 +61,7 @@ impl Column {
 }
 
 /// Table metadata.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TableSchema {
     pub name: String,
     pub columns: Vec<Column>,
@@ -92,6 +93,44 @@ impl TableSchema {
     #[must_use]
     pub fn primary_key_index(&self) -> Option<usize> {
         self.columns.iter().position(|c| c.primary_key)
+    }
+}
+
+// The durable encoding of a schema (checkpoints, `crate::wal`).
+codec_fields!(Column {
+    name: String,
+    column_type: ColumnType,
+    not_null: bool,
+    primary_key: bool,
+    auto_increment: bool,
+    default: Option<Value>,
+});
+codec_fields!(TableSchema { name: String, columns: Vec<Column> });
+
+impl Codec for ColumnType {
+    const MIN_LEN: usize = 1;
+
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            ColumnType::Int => out.push(0),
+            ColumnType::BigInt => out.push(1),
+            ColumnType::Double => out.push(2),
+            ColumnType::Varchar(n) => tagged(out, 3, n),
+            ColumnType::Text => out.push(4),
+            ColumnType::DateTime => out.push(5),
+        }
+    }
+
+    fn decode(input: &mut &[u8]) -> Result<Self, String> {
+        match u8::decode(input)? {
+            0 => Ok(ColumnType::Int),
+            1 => Ok(ColumnType::BigInt),
+            2 => Ok(ColumnType::Double),
+            3 => u32::decode(input).map(ColumnType::Varchar),
+            4 => Ok(ColumnType::Text),
+            5 => Ok(ColumnType::DateTime),
+            t => Err(format!("unknown column type tag {t}")),
+        }
     }
 }
 

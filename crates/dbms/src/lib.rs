@@ -25,6 +25,7 @@
 
 pub mod bind;
 pub mod catalog;
+pub mod codec;
 pub mod error;
 pub mod exec;
 pub mod expr;

@@ -32,9 +32,8 @@ use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::catalog::TableSchema;
+use crate::codec::Codec;
 use crate::error::DbError;
 use crate::value::Value;
 
@@ -417,22 +416,6 @@ impl TableStore {
         }
     }
 
-    /// The table as it physically is, rows cloned (checkpoint
-    /// serialization).
-    #[must_use]
-    pub fn image(&self) -> TableImage {
-        TableImage {
-            schema: self.schema.clone(),
-            rows: self
-                .rows
-                .iter()
-                .map(|r| r.as_deref().map(<[Value]>::to_vec))
-                .collect(),
-            free: self.free.clone(),
-            next_auto_increment: self.next_auto_increment,
-        }
-    }
-
     /// Rebuilds the store an image was taken of, slot for slot; the index
     /// and the live count are derived from the slots.
     ///
@@ -479,16 +462,33 @@ impl TableStore {
 
 /// A [`TableStore`] in the form a checkpoint stores it: every slot with
 /// its tombstones, the free-list in order and the cursor, because the
-/// statements recovery replays on top of it land by slot. (A file written
-/// before tombstones were kept has every slot live and no `free`: the
-/// same image with nothing deleted.)
-#[derive(Debug, Serialize, Deserialize)]
+/// statements recovery replays on top of it land by slot. A checkpoint is
+/// decoded into images and each is rebuilt by [`TableStore::restore`].
+#[derive(Debug)]
 pub struct TableImage {
     schema: TableSchema,
     rows: Vec<Option<Row>>,
-    #[serde(default)]
     free: Vec<usize>,
     next_auto_increment: i64,
+}
+
+crate::codec_fields!(TableImage {
+    schema: TableSchema,
+    rows: Vec<Option<Row>>,
+    free: Vec<usize>,
+    next_auto_increment: i64,
+});
+
+impl TableStore {
+    /// Appends the encoding of the [`TableImage`] this store would give,
+    /// field for field, straight from its own slots: a checkpoint clones
+    /// no row.
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
+        self.schema.encode(out);
+        self.rows.encode(out);
+        self.free.encode(out);
+        self.next_auto_increment.encode(out);
+    }
 }
 
 /// One reversible step of an [`UndoLog`].
@@ -851,6 +851,28 @@ impl Database {
 mod tests {
     use super::*;
     use septic_sql::ast::{ColumnDef, ColumnType};
+
+    /// The table as it physically is, rows cloned: what these tests tamper
+    /// with before [`TableStore::restore`]. A checkpoint encodes the store
+    /// itself instead.
+    trait Image {
+        fn image(&self) -> TableImage;
+    }
+
+    impl Image for TableStore {
+        fn image(&self) -> TableImage {
+            TableImage {
+                schema: self.schema.clone(),
+                rows: self
+                    .rows
+                    .iter()
+                    .map(|r| r.as_deref().map(<[Value]>::to_vec))
+                    .collect(),
+                free: self.free.clone(),
+                next_auto_increment: self.next_auto_increment,
+            }
+        }
+    }
 
     fn users_schema() -> TableSchema {
         TableSchema::new(

@@ -11,15 +11,12 @@
 //!
 //! # Payload encoding
 //!
+//! The primitives — integers, `f64` by its bits, strings, `Option`, `Vec`
+//! and `Value` — are [`septic_dbms::codec`]'s, shared with the WAL and the
+//! checkpoints. The wire's own types:
+//!
 //! | item | bytes |
 //! |---|---|
-//! | `u32` (a count, a length, a version) | 4, little-endian |
-//! | `u64`, `i64` | 8, little-endian |
-//! | `f64` | its bits (`to_bits`) as a `u64`: NaN, ±inf and -0.0 survive |
-//! | string | `u32` byte length, then that many bytes of UTF-8 |
-//! | `Option<T>` | `0`, or `1` then `T` |
-//! | `Vec<T>` | `u32` count, then each `T` |
-//! | `Value` | tag `0` Null · `1` Int `i64` · `2` Real `f64` · `3` Str string |
 //! | `QueryRequest` | `sql` string, `params` `Option<Vec<Value>>` |
 //! | `Request` | tag `0` Hello `u32` · `1` Query `QueryRequest` · `2` Batch `Vec<QueryRequest>` · `3` Ping |
 //! | `WireOutput` | `columns` `Vec<string>`, `rows` `Vec<Vec<Value>>`, `affected` `u64`, `last_insert_id` `Option<i64>` |
@@ -37,9 +34,8 @@
 
 use std::io::{self, Read, Write};
 
+use septic_dbms::codec::{decode_all, Codec};
 use septic_dbms::{DbError, ExecResult, QueryOutput, Value};
-
-use self::codec::Codec;
 
 /// Protocol version carried in `Request::Hello`. Version 2 is the binary
 /// encoding; version 1 framed JSON and the two do not interoperate.
@@ -268,10 +264,16 @@ impl FrameError {
 
 /// A type that travels as one frame's payload: [`Request`] or
 /// [`Response`], in the encoding of the module docs. Sealed.
-pub trait Message: Codec {}
+pub trait Message: Codec + sealed::Sealed {}
 
 impl Message for Request {}
 impl Message for Response {}
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for super::Request {}
+    impl Sealed for super::Response {}
+}
 
 /// Writes `msg` as one frame onto `w`, header and payload in one
 /// `write_all`.
@@ -364,180 +366,25 @@ pub fn read_frame<R: Read, T: Message>(r: &mut R, max_len: u32) -> Result<T, Fra
             FrameError::Io(e)
         }
     })?;
-    let mut input = payload.as_slice();
-    let msg = T::decode(&mut input).map_err(FrameError::Decode)?;
-    match input.len() {
-        0 => Ok(msg),
-        n => Err(FrameError::Decode(format!("{n} trailing bytes"))),
-    }
+    decode_all(&payload).map_err(FrameError::Decode)
 }
 
-/// The encoding of the module docs, one [`Codec`](codec::Codec) per item.
-/// Private, so that [`Message`] stays sealed.
+/// The encoding of the module docs for the wire's own types, on the
+/// primitives of [`septic_dbms::codec`].
 mod codec {
+    use septic_dbms::codec::{tagged, Codec};
+    use septic_dbms::codec_fields;
+
     use super::{QueryRequest, Request, Response, Value, WireOutput, WireResult};
 
-    pub trait Codec: Sized {
-        /// Bytes of the smallest encoding: what a count is checked
-        /// against before anything is allocated for it.
-        const MIN_LEN: usize;
-
-        /// Appends the encoding of `self` to `out`.
-        fn encode(&self, out: &mut Vec<u8>);
-
-        /// Decodes one item from the front of `input` and advances it.
-        fn decode(input: &mut &[u8]) -> Result<Self, String>;
-    }
-
-    fn take<'a>(input: &mut &'a [u8], n: usize) -> Result<&'a [u8], String> {
-        let have = input.len();
-        let short = || format!("payload ends {} bytes short", n - have);
-        input.split_off(..n).ok_or_else(short)
-    }
-
-    /// A variant: its tag, then its content.
-    fn tagged(out: &mut Vec<u8>, tag: u8, content: &impl Codec) {
-        out.push(tag);
-        content.encode(out);
-    }
-
-    /// A count or length, saturated: a count past `u32::MAX` means a
-    /// payload past it too, which the frame's length check refuses.
-    fn encode_count(n: usize, out: &mut Vec<u8>) {
-        u32::try_from(n).unwrap_or(u32::MAX).encode(out);
-    }
-
-    /// A count of items of at least `min_len` bytes each, refused when the
-    /// bytes left cannot hold that many.
-    fn decode_count(input: &mut &[u8], min_len: usize) -> Result<usize, String> {
-        let n = u32::decode(input)? as usize;
-        if n > input.len() / min_len {
-            return Err(format!("count {n} exceeds the {} bytes left", input.len()));
-        }
-        Ok(n)
-    }
-
-    macro_rules! le_bytes {
-        ($($ty:ty),*) => {$(
-            impl Codec for $ty {
-                const MIN_LEN: usize = std::mem::size_of::<$ty>();
-
-                fn encode(&self, out: &mut Vec<u8>) {
-                    out.extend_from_slice(&self.to_le_bytes());
-                }
-
-                fn decode(input: &mut &[u8]) -> Result<Self, String> {
-                    let bytes = take(input, Self::MIN_LEN)?;
-                    Ok(<$ty>::from_le_bytes(bytes.try_into().expect("took MIN_LEN bytes")))
-                }
-            }
-        )*};
-    }
-    // A tag is a `u8`; an `f64`'s little-endian bytes are its bits'.
-    le_bytes!(u8, u32, u64, i64, f64);
-
-    impl Codec for String {
-        const MIN_LEN: usize = u32::MIN_LEN;
-
-        fn encode(&self, out: &mut Vec<u8>) {
-            encode_count(self.len(), out);
-            out.extend_from_slice(self.as_bytes());
-        }
-
-        fn decode(input: &mut &[u8]) -> Result<Self, String> {
-            let len = decode_count(input, 1)?;
-            std::str::from_utf8(take(input, len)?)
-                .map(str::to_owned)
-                .map_err(|e| format!("string is not UTF-8: {e}"))
-        }
-    }
-
-    impl<T: Codec> Codec for Vec<T> {
-        const MIN_LEN: usize = u32::MIN_LEN;
-
-        fn encode(&self, out: &mut Vec<u8>) {
-            encode_count(self.len(), out);
-            for item in self {
-                item.encode(out);
-            }
-        }
-
-        fn decode(input: &mut &[u8]) -> Result<Self, String> {
-            let n = decode_count(input, T::MIN_LEN)?;
-            let mut items = Vec::with_capacity(n);
-            for _ in 0..n {
-                items.push(T::decode(input)?);
-            }
-            Ok(items)
-        }
-    }
-
-    impl<T: Codec> Codec for Option<T> {
-        const MIN_LEN: usize = 1;
-
-        fn encode(&self, out: &mut Vec<u8>) {
-            match self {
-                None => out.push(0),
-                Some(v) => tagged(out, 1, v),
-            }
-        }
-
-        fn decode(input: &mut &[u8]) -> Result<Self, String> {
-            match u8::decode(input)? {
-                0 => Ok(None),
-                1 => T::decode(input).map(Some),
-                t => Err(format!("unknown option tag {t}")),
-            }
-        }
-    }
-
-    impl Codec for Value {
-        const MIN_LEN: usize = 1;
-
-        fn encode(&self, out: &mut Vec<u8>) {
-            match self {
-                Value::Null => out.push(0),
-                Value::Int(v) => tagged(out, 1, v),
-                Value::Real(v) => tagged(out, 2, v),
-                Value::Str(s) => tagged(out, 3, s),
-            }
-        }
-
-        fn decode(input: &mut &[u8]) -> Result<Self, String> {
-            match u8::decode(input)? {
-                0 => Ok(Value::Null),
-                1 => i64::decode(input).map(Value::Int),
-                2 => f64::decode(input).map(Value::Real),
-                3 => String::decode(input).map(Value::Str),
-                t => Err(format!("unknown value tag {t}")),
-            }
-        }
-    }
-
-    /// A struct: its fields, in the order listed.
-    macro_rules! fields {
-        ($ty:ident { $($field:ident: $fty:ty),* }) => {
-            impl Codec for $ty {
-                const MIN_LEN: usize = 0 $(+ <$fty>::MIN_LEN)*;
-
-                fn encode(&self, out: &mut Vec<u8>) {
-                    $(self.$field.encode(out);)*
-                }
-
-                fn decode(input: &mut &[u8]) -> Result<Self, String> {
-                    Ok($ty { $($field: <$fty>::decode(input)?),* })
-                }
-            }
-        };
-    }
-    fields!(QueryRequest { sql: String, params: Option<Vec<Value>> });
-    fields!(WireOutput {
+    codec_fields!(QueryRequest { sql: String, params: Option<Vec<Value>> });
+    codec_fields!(WireOutput {
         columns: Vec<String>,
         rows: Vec<Vec<Value>>,
         affected: u64,
         last_insert_id: Option<i64>
     });
-    fields!(WireResult { outputs: Vec<WireOutput>, elapsed_us: u64, simulated_us: u64 });
+    codec_fields!(WireResult { outputs: Vec<WireOutput>, elapsed_us: u64, simulated_us: u64 });
 
     impl Codec for Request {
         const MIN_LEN: usize = 1;

@@ -281,7 +281,9 @@ impl fmt::Display for Literal {
             // `{v:?}` keeps a decimal point on integral values (`2.0`, not
             // `2`), so a printed float never reparses as an integer.
             Literal::Float(v) => write!(f, "{v:?}"),
-            Literal::Str(s) => write!(f, "'{}'", s.replace('\'', "''")),
+            // Every backslash and quote doubled: the lexer decodes
+            // backslash escapes, and WAL redo re-parses this rendering.
+            Literal::Str(s) => write!(f, "'{}'", s.replace('\\', r"\\").replace('\'', "''")),
             Literal::Null => write!(f, "NULL"),
         }
     }

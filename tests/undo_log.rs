@@ -17,6 +17,8 @@
 //! | `execute_autocommit` / `commit_txn` skip the rollback when `log_commit` fails | `refused_append_undoes_the_whole_call`, `refused_append_undoes_the_commit` |
 //! | the in-transaction error path skips the undo | `failed_statement_in_a_transaction_leaves_its_snapshot_untouched`, `server::failed_statement_inside_txn_is_atomic` |
 //! | a checkpoint stores live rows only and `TableStore::restore` re-inserts them | `checkpoint_keeps_tombstones_and_the_free_list`, `recovery_equals_the_live_state_across_checkpoints`, `storage::restore_is_slot_for_slot` |
+//! | `Literal::Str` renders with only `'` doubled, so redo decodes a backslash as an escape | `recovery_equals_the_live_state_across_checkpoints` (a replay error, or other text) |
+//! | checkpoints written through JSON again: a non-finite real as `null`, read back as NaN | `recovery_equals_the_live_state_across_checkpoints` (its bits differ) |
 
 use std::sync::Arc;
 
@@ -24,16 +26,27 @@ use proptest::prelude::*;
 use septic_faults::{Fault, FaultyIo, IoOp};
 use septic_repro::dbms::{
     execute_logged, execute_with, Database, DbError, MemIo, QueryOutput, Server, ServerConfig,
-    StorageIo, UndoLog, WalConfig,
+    StorageIo, UndoLog, Value, WalConfig,
 };
 use septic_repro::sql::{parse, Statement};
 
 const NOW: i64 = 1_000;
 
 /// The physical state of a database: every table's rows with their
-/// tombstones, free-list, index and cursor.
+/// tombstones, free-list, index and cursor, and each real cell by its bits
+/// (`NaN != NaN`, and `Debug` prints every NaN alike).
 fn physical(db: &Database) -> String {
-    format!("{:?}", db.tables_sorted())
+    let tables = db.tables_sorted();
+    let reals: Vec<String> = tables
+        .iter()
+        .flat_map(|t| (0..t.physical_slots()).filter_map(|slot| t.row(slot)))
+        .flatten()
+        .filter_map(|v| match v {
+            Value::Real(f) => Some(format!("{:#018x}", f.to_bits())),
+            _ => None,
+        })
+        .collect();
+    format!("{tables:?} reals by bits {reals:?}")
 }
 
 fn statement(sql: &str) -> Statement {
@@ -55,7 +68,7 @@ fn visible(result: &Result<QueryOutput, DbError>) -> String {
 // ---------------------------------------------------------------------------
 
 const SCHEMA: [&str; 2] = [
-    "CREATE TABLE a (id INT PRIMARY KEY AUTO_INCREMENT, v VARCHAR(8) NOT NULL, n INT)",
+    "CREATE TABLE a (id INT PRIMARY KEY AUTO_INCREMENT, v VARCHAR(8) NOT NULL, n INT, d DOUBLE)",
     "CREATE TABLE b (k VARCHAR(8) PRIMARY KEY, n INT)",
 ];
 
@@ -67,10 +80,38 @@ struct Call {
     log_fails: bool,
 }
 
+/// Pieces of a string literal as SQL spells them: escapes the lexer
+/// decodes (`\\`, `\'`, `\n`, `\t`, `\0`, `\b`, `\Z`, `\%`), a doubled
+/// quote, the other quote, U+02BC, the `LIKE` wildcards, control
+/// characters and multibyte text.
+const LITERAL_PIECES: [&str; 20] = [
+    r"\\", r"\'", r"\n", r"\t", r"\0", r"\b", r"\Z", r"\%", "''", "\"", "\u{2BC}", "%", "_",
+    "\u{1}", "\u{1f}", "é", "日本", "😀", "x", "C:",
+];
+
+/// A string literal of up to four pieces.
+fn hostile_literal(rng: &mut TestRng) -> String {
+    let body: String = (0..rng.below(5))
+        .map(|_| *rng.pick(&LITERAL_PIECES))
+        .collect();
+    format!("'{body}'")
+}
+
+/// Values for the `DOUBLE` column: half of them overflow to ±inf or NaN.
+const DOUBLES: [&str; 6] = [
+    "1e308 * 10",
+    "-1e308 * 10",
+    "1e308 * 10 - 1e308 * 10",
+    "-0.0",
+    "0.5",
+    "NULL",
+];
+
 /// A random statement over `a` (integer auto-increment key), `b` (string
 /// key) and the come-and-go table `c`, biased towards statements that fail
 /// part-way: duplicate keys and `NULL` into `NOT NULL` in a late row,
-/// re-keying updates that collide on their second row.
+/// re-keying updates that collide on their second row. Strings and
+/// doubles reach what redo and checkpoints must carry byte for byte.
 fn random_statement(rng: &mut TestRng) -> String {
     let small = |rng: &mut TestRng| rng.below(12) + 1;
     match rng.below(14) {
@@ -82,16 +123,24 @@ fn random_statement(rng: &mut TestRng) -> String {
                     } else {
                         "NULL".to_string()
                     };
-                    let v = if rng.below(8) == 0 { "NULL" } else { "'x'" };
-                    format!("({id}, {v}, {})", rng.below(5))
+                    let v = if rng.below(8) == 0 {
+                        "NULL".to_string()
+                    } else {
+                        hostile_literal(rng)
+                    };
+                    format!("({id}, {v}, {}, {})", rng.below(5), rng.pick(&DOUBLES))
                 })
                 .collect();
-            format!("INSERT INTO a (id, v, n) VALUES {}", rows.join(", "))
+            format!("INSERT INTO a (id, v, n, d) VALUES {}", rows.join(", "))
         }
         3 | 4 => {
             let rows: Vec<String> = (0..=rng.below(3))
                 .map(|_| {
-                    let k = *rng.pick(&["'p'", "'q'", "'r'", "'s'", "'P'", "'t'", "NULL"]);
+                    let k = match rng.below(8) {
+                        0 => hostile_literal(rng),
+                        _ => (*rng.pick(&["'p'", "'q'", "'r'", "'s'", "'P'", "'t'", "NULL"]))
+                            .to_string(),
+                    };
                     format!("({k}, {})", rng.below(5))
                 })
                 .collect();
@@ -100,8 +149,13 @@ fn random_statement(rng: &mut TestRng) -> String {
         5 => format!("UPDATE a SET id = id + {}", small(rng)),
         6 => format!("UPDATE a SET id = {} WHERE n < 3", small(rng)),
         7 => format!(
-            "UPDATE a SET n = n + 1, v = {} WHERE id > {} LIMIT {}",
-            rng.pick(&["'y'", "'z'", "NULL"]),
+            "UPDATE a SET n = n + 1, v = {}, d = {} WHERE id > {} LIMIT {}",
+            match rng.below(3) {
+                0 => "NULL".to_string(),
+                1 => format!("CONCAT(v, {})", hostile_literal(rng)),
+                _ => hostile_literal(rng),
+            },
+            rng.pick(&DOUBLES),
             rng.below(6),
             small(rng)
         ),
@@ -669,7 +723,9 @@ proptest! {
     /// The property the engine claims: at every checkpoint cadence, a
     /// crash after any call recovers the live database slot for slot —
     /// whether the call was acknowledged, failed part-way or had its
-    /// commit refused by the log.
+    /// commit refused by the log — with strings of every escape the lexer
+    /// decodes and doubles that overflow to ±inf and NaN, compared by
+    /// their bits.
     #[test]
     fn recovery_equals_the_live_state_across_checkpoints(script in random_script()) {
         for checkpoint_every in [1, 2, 3, 5] {

@@ -10,18 +10,21 @@
 //!
 //! `Database` holds its tables behind `Arc` so a snapshot is a cheap
 //! epoch clone: readers keep the epoch they started with while writers
-//! copy-on-write only the tables they touch. A table holds its rows behind
-//! `Arc` too, and a stored row is never edited, only replaced: the copy a
-//! write makes is of the slot vector's pointers and the index, and the
-//! rows stay shared until each is replaced. Snapshots have one job, read
-//! isolation for a transaction opened by `BEGIN`; they are not rollback
-//! points.
+//! copy-on-write only the tables they touch. Inside a table the same rule
+//! goes two levels down. Slots live in chunks of 64 behind `Arc`, the
+//! index in P = 32 hash partitions behind `Arc`, and a stored row is an
+//! `Arc` that is never edited, only replaced. So the copy a table's first
+//! write under a snapshot makes is of the chunk and partition pointers,
+//! plus the one chunk the write lands in and the partition of each key it
+//! adds or removes: O(slots / 64 + keys / P), never a row and never the
+//! whole index. Snapshots have one job, read isolation for a transaction
+//! opened by `BEGIN`; they are not rollback points.
 //!
 //! Rollback is by [`UndoLog`]: every mutator hands back what it displaced
 //! (a [`RowUndo`] owns the old row's `Arc`, nothing is cloned),
 //! `CREATE`/`DROP TABLE` record the name / the dropped store, and
 //! [`Database::rollback`] replays the entries in strict reverse order. The restore is **exact**:
-//! slot order, free-list order, `rows.len()`, the index and the
+//! slot order, free-list order, the slot count, the index and the
 //! auto-increment cursor come back as they were, not merely an equivalent
 //! set of rows. WAL recovery replays only acknowledged statements, and
 //! slot order decides `LIMIT` and un-ordered `SELECT`s, so "live equals
@@ -33,7 +36,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::catalog::TableSchema;
-use crate::codec::Codec;
+use crate::codec::{encode_count, Codec};
 use crate::error::DbError;
 use crate::value::Value;
 
@@ -100,19 +103,79 @@ impl RowUndo {
     }
 }
 
+/// Slots per chunk: slot `s` is entry `s % CHUNK` of chunk `s / CHUNK`.
+const CHUNK: usize = 64;
+
+/// Hash partitions of the primary-key index. On `durable_write` (a
+/// 500-row table; seed 1, 8 s runs, 4 alternating rounds) 16, 32 and 64
+/// read 165k, 171k and 170k rps; an insert's first write over 10,000 rows
+/// copies a partition of 101, 51 and 25 B-tree nodes. 32 is within noise
+/// of the best on both, and every table copy and its drop touch half the
+/// pointers 64 would.
+const PARTITIONS: usize = 32;
+
+/// One slot: a stored row, or the tombstone of a deleted one.
+type Slot = Option<Arc<[Value]>>;
+
+/// The primary-key index, key → slot, split by a hash of the key into
+/// [`PARTITIONS`] maps behind `Arc`: a write copies only the partition its
+/// key lands in, and only if a snapshot shares it. Keys come from clients,
+/// so some may be chosen to collide; each partition is an ordered map, and
+/// the worst case is one partition holding every key, the flat index.
+#[derive(Debug, Clone)]
+struct PkIndex([Arc<BTreeMap<PkKey, usize>>; PARTITIONS]);
+
+impl PkIndex {
+    /// Every partition shares one empty map until its first key.
+    fn new() -> Self {
+        let empty = Arc::new(BTreeMap::new());
+        PkIndex(std::array::from_fn(|_| Arc::clone(&empty)))
+    }
+
+    /// The partition of `key`: FNV-1a over a string's folded bytes, the
+    /// integer itself, then a Fibonacci multiply whose top bits pick.
+    fn partition(key: &PkKey) -> usize {
+        let h = match key {
+            PkKey::Int(v) => *v as u64,
+            PkKey::Str(s) => s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+            }),
+        };
+        (h.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - PARTITIONS.trailing_zeros())) as usize
+    }
+
+    fn get(&self, key: &PkKey) -> Option<usize> {
+        self.0[Self::partition(key)].get(key).copied()
+    }
+
+    /// Indexes `key` at `slot`, handing back the slot it had before.
+    fn insert(&mut self, key: PkKey, slot: usize) -> Option<usize> {
+        Arc::make_mut(&mut self.0[Self::partition(&key)]).insert(key, slot)
+    }
+
+    /// Drops `key`; an absent key copies nothing.
+    fn remove(&mut self, key: &PkKey) {
+        let part = &mut self.0[Self::partition(key)];
+        if part.contains_key(key) {
+            Arc::make_mut(part).remove(key);
+        }
+    }
+}
+
 /// Storage for one table: rows in slot order, a free-list of reclaimed
 /// tombstone slots, and a typed primary-key index. A clone shares every
-/// row with its source.
+/// chunk, every index partition and so every row with its source.
 #[derive(Debug, Clone)]
 pub struct TableStore {
     pub schema: TableSchema,
-    rows: Vec<Option<Arc<[Value]>>>,
-    /// live row count (rows minus tombstones)
+    /// The slots, [`CHUNK`] to a chunk: every chunk is full but the last,
+    /// and the last is never empty.
+    chunks: Vec<Arc<Vec<Slot>>>,
+    /// live row count (slots minus tombstones)
     live: usize,
     /// Slots of deleted rows, reused by the next inserts.
     free: Vec<usize>,
-    /// PK value → slot.
-    pk_index: BTreeMap<PkKey, usize>,
+    index: PkIndex,
     next_auto_increment: i64,
 }
 
@@ -122,10 +185,10 @@ impl TableStore {
     pub fn new(schema: TableSchema) -> Self {
         TableStore {
             schema,
-            rows: Vec::new(),
+            chunks: Vec::new(),
             live: 0,
             free: Vec::new(),
-            pk_index: BTreeMap::new(),
+            index: PkIndex::new(),
             next_auto_increment: 1,
         }
     }
@@ -146,7 +209,37 @@ impl TableStore {
     /// stays near the live count under DELETE/INSERT churn).
     #[must_use]
     pub fn physical_slots(&self) -> usize {
-        self.rows.len()
+        self.chunks
+            .last()
+            .map_or(0, |last| (self.chunks.len() - 1) * CHUNK + last.len())
+    }
+
+    /// The slot, written in place: its chunk is copied first if a snapshot
+    /// shares it. Callers check the slot is worth writing before asking.
+    fn slot_mut(&mut self, slot: usize) -> &mut Slot {
+        &mut Arc::make_mut(&mut self.chunks[slot / CHUNK])[slot % CHUNK]
+    }
+
+    /// Appends a slot, opening a chunk when the last one is full.
+    fn push_slot(&mut self, slot: Slot) {
+        match self.chunks.last_mut() {
+            Some(last) if last.len() < CHUNK => Arc::make_mut(last).push(slot),
+            _ => {
+                let mut chunk = Vec::with_capacity(CHUNK);
+                chunk.push(slot);
+                self.chunks.push(Arc::new(chunk));
+            }
+        }
+    }
+
+    /// Removes the last slot, and its chunk with it when that empties it.
+    fn pop_slot(&mut self) {
+        let last = self.chunks.last_mut().expect("a slot to pop");
+        if last.len() == 1 {
+            self.chunks.pop();
+        } else {
+            Arc::make_mut(last).pop();
+        }
     }
 
     /// The index key of a stored row (`None` without a primary key).
@@ -198,10 +291,10 @@ impl TableStore {
                 return Err(DbError::NotNull(col.name.clone()));
             }
         }
-        let slot = self.free.last().copied().unwrap_or(self.rows.len());
+        let slot = self.free.last().copied().unwrap_or(self.physical_slots());
         if let Some(pk) = self.schema.primary_key_index() {
             let (key, cell) = self.index_key(pk, &row[pk])?;
-            if self.pk_index.contains_key(&key) {
+            if self.index.get(&key).is_some() {
                 return Err(DbError::DuplicateKey(cell.to_display_string()));
             }
             if let PkKey::Int(v) = key {
@@ -210,14 +303,13 @@ impl TableStore {
                 }
             }
             row[pk] = cell;
-            self.pk_index.insert(key, slot);
+            self.index.insert(key, slot);
         }
         let reused = self.free.pop().is_some();
-        let row = Some(Arc::from(row));
         if reused {
-            self.rows[slot] = row;
+            *self.slot_mut(slot) = Some(Arc::from(row));
         } else {
-            self.rows.push(row);
+            self.push_slot(Some(Arc::from(row)));
         }
         self.live += 1;
         Ok(RowUndo::Inserted {
@@ -231,28 +323,31 @@ impl TableStore {
     /// catalog views, whose rows are well-formed by construction and whose
     /// schemas declare no primary key.
     fn push_unchecked(&mut self, row: Row) {
-        self.rows.push(Some(Arc::from(row)));
+        self.push_slot(Some(Arc::from(row)));
         self.live += 1;
     }
 
-    /// Iterates over live rows with their slot numbers.
+    /// Iterates over live rows with their slot numbers, a chunk at a time.
     pub fn scan(&self) -> impl Iterator<Item = (usize, &[Value])> {
-        self.rows
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| r.as_deref().map(|row| (i, row)))
+        self.chunks.iter().enumerate().flat_map(|(c, chunk)| {
+            let base = c * CHUNK;
+            chunk
+                .iter()
+                .enumerate()
+                .filter_map(move |(i, r)| r.as_deref().map(|row| (base + i, row)))
+        })
     }
 
     /// The live row in `slot`, if any.
     #[must_use]
     pub fn row(&self, slot: usize) -> Option<&[Value]> {
-        self.rows.get(slot)?.as_deref()
+        self.chunks.get(slot / CHUNK)?.get(slot % CHUNK)?.as_deref()
     }
 
     /// The slot of the row indexed under `key`.
     #[must_use]
     pub fn slot_of(&self, key: &PkKey) -> Option<usize> {
-        self.pk_index.get(key).copied()
+        self.index.get(key)
     }
 
     /// The index key that finds **every** row whose primary key the
@@ -323,11 +418,11 @@ impl TableStore {
             let (old_key, _) = self.index_key(pk, &old[pk])?;
             let (new_key, cell) = self.index_key(pk, &row[pk])?;
             if old_key != new_key {
-                if self.pk_index.contains_key(&new_key) {
+                if self.index.get(&new_key).is_some() {
                     return Err(DbError::DuplicateKey(cell.to_display_string()));
                 }
-                self.pk_index.remove(&old_key);
-                self.pk_index.insert(new_key.clone(), slot);
+                self.index.remove(&old_key);
+                self.index.insert(new_key.clone(), slot);
             }
             // A rekey must also advance the auto-increment cursor, or the
             // next auto-filled insert collides with the moved row.
@@ -338,7 +433,8 @@ impl TableStore {
             }
             row[pk] = cell;
         }
-        let old = self.rows[slot]
+        let old = self
+            .slot_mut(slot)
             .replace(Arc::from(row))
             .expect("the slot was live a moment ago");
         Ok(RowUndo::Updated {
@@ -352,9 +448,10 @@ impl TableStore {
     /// `None` (and no change) when the slot is already dead.
     #[must_use = "a mutation whose undo record is dropped cannot be rolled back"]
     pub fn delete_slot(&mut self, slot: usize) -> Option<RowUndo> {
-        let old = self.rows.get_mut(slot)?.take()?;
-        if let Some(key) = self.stored_key(&old) {
-            self.pk_index.remove(&key);
+        let key = self.stored_key(self.row(slot)?);
+        let old = self.slot_mut(slot).take().expect("the slot is live");
+        if let Some(key) = key {
+            self.index.remove(&key);
         }
         self.live -= 1;
         self.free.push(slot);
@@ -373,16 +470,19 @@ impl TableStore {
                 reused,
                 prev_auto_increment,
             } => {
-                let row = if reused {
+                let row = self
+                    .row(slot)
+                    .expect("an inserted row is undone while it is still there");
+                let key = self.stored_key(row);
+                if reused {
                     self.free.push(slot);
-                    self.rows[slot].take()
+                    *self.slot_mut(slot) = None;
                 } else {
-                    debug_assert_eq!(slot + 1, self.rows.len());
-                    self.rows.pop().flatten()
+                    debug_assert_eq!(slot + 1, self.physical_slots());
+                    self.pop_slot();
                 }
-                .expect("an inserted row is undone while it is still there");
-                if let Some(key) = self.stored_key(&row) {
-                    self.pk_index.remove(&key);
+                if let Some(key) = key {
+                    self.index.remove(&key);
                 }
                 self.live -= 1;
                 self.next_auto_increment = prev_auto_increment;
@@ -393,13 +493,14 @@ impl TableStore {
                 prev_auto_increment,
             } => {
                 let old_key = self.stored_key(&old);
-                let new = self.rows[slot]
+                let new = self
+                    .slot_mut(slot)
                     .replace(old)
                     .expect("an updated row is undone while it is still there");
                 if let (Some(new_key), Some(old_key)) = (self.stored_key(&new), old_key) {
                     if new_key != old_key {
-                        self.pk_index.remove(&new_key);
-                        self.pk_index.insert(old_key, slot);
+                        self.index.remove(&new_key);
+                        self.index.insert(old_key, slot);
                     }
                 }
                 self.next_auto_increment = prev_auto_increment;
@@ -408,9 +509,9 @@ impl TableStore {
                 let freed = self.free.pop();
                 debug_assert_eq!(freed, Some(slot));
                 if let Some(key) = self.stored_key(&old) {
-                    self.pk_index.insert(key, slot);
+                    self.index.insert(key, slot);
                 }
-                self.rows[slot] = Some(old);
+                *self.slot_mut(slot) = Some(old);
                 self.live += 1;
             }
         }
@@ -426,35 +527,32 @@ impl TableStore {
     /// tombstones, an un-indexable or repeated key.
     pub fn restore(image: TableImage) -> Result<Self, DbError> {
         let invalid = |what: String| DbError::Storage(format!("table image invalid: {what}"));
-        let mut store = TableStore {
-            schema: image.schema,
-            rows: image.rows.into_iter().map(|r| r.map(Arc::from)).collect(),
-            live: 0,
-            free: image.free,
-            pk_index: BTreeMap::new(),
-            next_auto_increment: image.next_auto_increment,
-        };
-        let mut freed = store.free.clone();
+        let mut freed = image.free.clone();
         freed.sort_unstable();
-        let tombstones = store.rows.iter().enumerate().filter(|(_, r)| r.is_none());
+        let tombstones = image.rows.iter().enumerate().filter(|(_, r)| r.is_none());
         if !tombstones.map(|(slot, _)| slot).eq(freed) {
             return Err(invalid("the free-list is not the tombstones".into()));
         }
+        let mut store = TableStore::new(image.schema);
+        store.free = image.free;
+        store.next_auto_increment = image.next_auto_increment;
         let pk = store.schema.primary_key_index();
-        for (slot, row) in store.rows.iter().enumerate() {
-            let Some(row) = row else { continue };
-            if row.len() != store.schema.columns.len() {
-                return Err(invalid(format!("slot {slot} has {} cells", row.len())));
-            }
-            if let Some(pk) = pk {
-                let (key, _) = store
-                    .index_key(pk, &row[pk])
-                    .map_err(|e| invalid(e.to_string()))?;
-                if store.pk_index.insert(key, slot).is_some() {
-                    return Err(invalid(format!("slot {slot} repeats a key")));
+        for (slot, row) in image.rows.into_iter().enumerate() {
+            if let Some(row) = &row {
+                if row.len() != store.schema.columns.len() {
+                    return Err(invalid(format!("slot {slot} has {} cells", row.len())));
                 }
+                if let Some(pk) = pk {
+                    let (key, _) = store
+                        .index_key(pk, &row[pk])
+                        .map_err(|e| invalid(e.to_string()))?;
+                    if store.index.insert(key, slot).is_some() {
+                        return Err(invalid(format!("slot {slot} repeats a key")));
+                    }
+                }
+                store.live += 1;
             }
-            store.live += 1;
+            store.push_slot(row.map(Arc::from));
         }
         Ok(store)
     }
@@ -485,7 +583,10 @@ impl TableStore {
     /// no row.
     pub(crate) fn encode(&self, out: &mut Vec<u8>) {
         self.schema.encode(out);
-        self.rows.encode(out);
+        encode_count(self.physical_slots(), out);
+        for slot in self.chunks.iter().flat_map(|chunk| chunk.iter()) {
+            slot.encode(out);
+        }
         self.free.encode(out);
         self.next_auto_increment.encode(out);
     }
@@ -558,7 +659,7 @@ fn table_key(name: &str) -> Cow<'_, str> {
 /// Tables live behind `Arc`, so cloning a `Database` clones the *map*,
 /// not the tables: [`Database::snapshot`] is O(tables) and two snapshots
 /// share table storage until a writer copies-on-write its table — and
-/// that copy shares the rows.
+/// that copy shares every chunk, index partition and row.
 #[derive(Debug, Clone, Default)]
 pub struct Database {
     tables: HashMap<String, Arc<TableStore>>,
@@ -578,8 +679,10 @@ impl Database {
     /// storage with `self`.  Mutating either side copies only the touched
     /// tables (MVCC snapshot isolation for the reads of a transaction).
     /// While a snapshot is alive, the first write to each table it shares
-    /// copies the table's slot pointers and index, O(slots), never a row;
-    /// a rollback point is an [`UndoLog::mark`] instead.
+    /// copies the table's chunk and partition pointers, O(slots / 64), and
+    /// each write copies at most the one chunk it lands in and the index
+    /// partition of each key it adds or removes, never a row; a rollback
+    /// point is an [`UndoLog::mark`] instead.
     #[must_use]
     pub fn snapshot(&self) -> Database {
         self.clone()
@@ -684,7 +787,9 @@ impl Database {
 
     /// Mutable table lookup; copies-on-write (and counts the copy) when
     /// the table's storage is shared with a snapshot. The copy shares every
-    /// row with the snapshot: a row is replaced, never written through.
+    /// chunk, index partition and row with the snapshot: a row is
+    /// replaced, never written through, and a chunk or partition is copied
+    /// by the write that lands in it.
     ///
     /// # Errors
     ///
@@ -719,7 +824,7 @@ impl Database {
     }
 
     /// How many [`Database::table_mut`] calls have copied a table (its
-    /// slot pointers and index, not its rows) because a snapshot still
+    /// chunk and partition pointers, not its rows) because a snapshot still
     /// shared it. A snapshot starts from its source's count, so a caller
     /// reports the difference across the calls it made.
     #[must_use]
@@ -863,10 +968,8 @@ mod tests {
         fn image(&self) -> TableImage {
             TableImage {
                 schema: self.schema.clone(),
-                rows: self
-                    .rows
-                    .iter()
-                    .map(|r| r.as_deref().map(<[Value]>::to_vec))
+                rows: (0..self.physical_slots())
+                    .map(|slot| self.row(slot).map(<[Value]>::to_vec))
                     .collect(),
                 free: self.free.clone(),
                 next_auto_increment: self.next_auto_increment,
@@ -1003,7 +1106,7 @@ mod tests {
             "tombstones never reclaimed: {} physical slots for 1 live row",
             t.physical_slots()
         );
-        assert!(t.rows[keep].is_some());
+        assert!(t.row(keep).is_some());
         assert_eq!(t.scan().count(), 1);
         // The next insert reuses a reclaimed slot instead of growing.
         let slot = put(&mut t, vec![Value::Null, Value::from("after")]);
@@ -1219,12 +1322,12 @@ mod tests {
 
     /// The slots whose row is one and the same allocation in both.
     fn shared_rows(a: &Database, b: &Database) -> Vec<usize> {
-        let (a, b) = (
-            &a.table("users").unwrap().rows,
-            &b.table("users").unwrap().rows,
-        );
-        a.iter()
-            .zip(b)
+        let slots = |db: &Database| {
+            let chunks = db.table("users").unwrap().chunks.clone();
+            chunks.into_iter().flat_map(|c| c.to_vec())
+        };
+        slots(a)
+            .zip(slots(b))
             .enumerate()
             .filter(|(_, pair)| matches!(pair, (Some(x), Some(y)) if Arc::ptr_eq(x, y)))
             .map(|(slot, _)| slot)
@@ -1285,6 +1388,34 @@ mod tests {
             assert_eq!(undo.slot(), 250, "the tombstone is reused");
             undo
         });
+    }
+
+    // A write that changes nothing copies nothing: fails when
+    // `delete_slot` reaches `slot_mut` for a dead slot, when
+    // `PkIndex::remove` calls `make_mut` for an absent key, or when an
+    // update that keeps its key re-files it.
+    #[test]
+    fn a_no_op_under_a_snapshot_copies_no_chunk_and_no_partition() {
+        let mut db = five_hundred();
+        let snap = db.snapshot();
+        let shared = |db: &Database| {
+            let (a, b) = (db.table("users").unwrap(), snap.table("users").unwrap());
+            let chunks = a.chunks.iter().zip(&b.chunks);
+            let parts = a.index.0.iter().zip(&b.index.0);
+            (
+                chunks.filter(|(x, y)| Arc::ptr_eq(x, y)).count(),
+                parts.filter(|(x, y)| Arc::ptr_eq(x, y)).count(),
+            )
+        };
+        let t = db.table_mut("users").unwrap();
+        assert!(t.delete_slot(250).is_none(), "slot 250 is a tombstone");
+        t.index.remove(&PkKey::Int(9999));
+        assert_eq!(shared(&db), (8, PARTITIONS));
+        let t = db.table_mut("users").unwrap();
+        let _ = t
+            .update_slot(7, vec![Value::Int(8), Value::from("new")])
+            .unwrap();
+        assert_eq!(shared(&db), (7, PARTITIONS), "only chunk 0 is copied");
     }
 
     // The undo tests compare `Debug` text: rows with their tombstones, the
@@ -1384,5 +1515,257 @@ mod tests {
         assert_eq!(db.rollback(&mut undo, first), 1);
         assert_eq!(format!("{db:?}"), before);
         assert_eq!(db.rollback(&mut undo, first), 0, "nothing left to undo");
+    }
+
+    /// The chunked store against the flat layout it replaced. Seeded
+    /// scripts grow an INT- or VARCHAR-keyed table to just under, at and
+    /// just past one and two chunks, then insert (explicit and
+    /// `AUTO_INCREMENT` keys), update (keeping the key, rekeying, changing
+    /// only the case of a string key), delete, roll back to earlier marks
+    /// and take snapshots, every write through [`Database::write_table`].
+    /// After each step the live table and every snapshot must read as a
+    /// flat `Vec<Option<Row>>` + `BTreeMap<PkKey, usize>` reference of its
+    /// moment does, and the live table must encode as that reference's
+    /// [`TableImage`], byte for byte, and restore from those bytes to
+    /// itself. Hand-mutations of the store that it fails:
+    /// - a write of a shared chunk without `Arc::make_mut` (in safe Rust,
+    ///   through `Arc::get_mut` that skips the write when a snapshot
+    ///   shares the chunk): the live table loses the write;
+    /// - `pop_slot` that leaves an empty last chunk behind when undoing
+    ///   an append: the restored store has no such chunk;
+    /// - a rekey that files the new key in the old key's partition:
+    ///   `slot_of` misses it.
+    mod chunked {
+        use super::*;
+        use crate::codec::decode_all;
+        use proptest::prelude::*;
+
+        /// The layout `TableStore` had before chunks, with its rules for
+        /// slots, the free-list and the cursor. Column 0 is the key.
+        #[derive(Debug, Clone, Default)]
+        struct Flat {
+            rows: Vec<Option<Row>>,
+            index: BTreeMap<PkKey, usize>,
+            free: Vec<usize>,
+            next_auto_increment: i64,
+        }
+
+        fn key(cell: &Value) -> PkKey {
+            match cell {
+                Value::Int(v) => PkKey::Int(*v),
+                Value::Str(s) => PkKey::text(s),
+                other => unreachable!("no script writes the key {other:?}"),
+            }
+        }
+
+        impl Flat {
+            fn bump(&mut self, key: &PkKey) {
+                if let PkKey::Int(v) = *key {
+                    self.next_auto_increment = self.next_auto_increment.max(v.saturating_add(1));
+                }
+            }
+
+            fn insert(&mut self, mut row: Row) -> Option<usize> {
+                if row[0].is_null() {
+                    row[0] = Value::Int(self.next_auto_increment);
+                }
+                let key = key(&row[0]);
+                if self.index.contains_key(&key) {
+                    return None;
+                }
+                self.bump(&key);
+                let slot = match self.free.pop() {
+                    Some(slot) => slot,
+                    None => {
+                        self.rows.push(None);
+                        self.rows.len() - 1
+                    }
+                };
+                self.rows[slot] = Some(row);
+                self.index.insert(key, slot);
+                Some(slot)
+            }
+
+            fn update(&mut self, slot: usize, row: Row) -> bool {
+                let Some(Some(old)) = self.rows.get(slot) else {
+                    return false;
+                };
+                let (old_key, new_key) = (key(&old[0]), key(&row[0]));
+                if old_key != new_key {
+                    if self.index.contains_key(&new_key) {
+                        return false;
+                    }
+                    self.index.remove(&old_key);
+                    self.index.insert(new_key.clone(), slot);
+                }
+                self.bump(&new_key);
+                self.rows[slot] = Some(row);
+                true
+            }
+
+            fn delete(&mut self, slot: usize) -> bool {
+                let Some(old) = self.rows.get_mut(slot).and_then(Option::take) else {
+                    return false;
+                };
+                self.index.remove(&key(&old[0]));
+                self.free.push(slot);
+                true
+            }
+
+            fn image(&self, schema: &TableSchema) -> TableImage {
+                TableImage {
+                    schema: schema.clone(),
+                    rows: self.rows.clone(),
+                    free: self.free.clone(),
+                    next_auto_increment: self.next_auto_increment,
+                }
+            }
+        }
+
+        /// `t` reads as `flat` does, through every read method.
+        fn reads_as(t: &TableStore, flat: &Flat) -> Result<(), TestCaseError> {
+            let live: Vec<(usize, &[Value])> = flat
+                .rows
+                .iter()
+                .enumerate()
+                .filter_map(|(slot, r)| Some((slot, r.as_deref()?)))
+                .collect();
+            prop_assert_eq!(t.scan().collect::<Vec<_>>(), live.clone());
+            prop_assert_eq!(t.len(), live.len());
+            prop_assert_eq!(t.physical_slots(), flat.rows.len());
+            for slot in 0..flat.rows.len() + 2 {
+                prop_assert_eq!(t.row(slot), flat.rows.get(slot).and_then(|r| r.as_deref()));
+            }
+            for (key, &slot) in &flat.index {
+                prop_assert_eq!(t.slot_of(key), Some(slot));
+            }
+            let indexed: usize = t.index.0.iter().map(|part| part.len()).sum();
+            prop_assert_eq!(indexed, flat.index.len());
+            Ok(())
+        }
+
+        /// A key cell of the script's key space: small, so inserts and
+        /// rekeys collide; string keys in mixed case, some of it non-ASCII.
+        fn gen_key(rng: &mut TestRng, int_key: bool) -> Value {
+            let n = rng.below(300);
+            if int_key {
+                Value::Int(n as i64)
+            } else {
+                Value::from(format!(
+                    "{}{n}",
+                    rng.pick(&["key", "Key", "KEY", "été", "ÉTÉ"])
+                ))
+            }
+        }
+
+        fn run_script(seed: u64) -> Result<(), TestCaseError> {
+            let mut rng = TestRng::deterministic(&seed.to_string());
+            let int_key = rng.bool();
+            let schema = if int_key {
+                users_schema()
+            } else {
+                tokens_schema()
+            };
+            let name = schema.name.clone();
+            let mut db = Database::new();
+            db.create_table(schema.clone(), false, &mut UndoLog::new())
+                .unwrap();
+            let mut flat = Flat {
+                next_auto_increment: 1,
+                ..Flat::default()
+            };
+            let grown = *rng.pick(&[0, 62, 63, 64, 65, 126, 127, 128, 129]);
+            let t = db.table_mut(&name).unwrap();
+            for i in 0..grown {
+                let cell = if int_key {
+                    Value::Null
+                } else {
+                    Value::from(format!("key{i}"))
+                };
+                let row = vec![cell, Value::from(format!("v{i}"))];
+                let slot = put(t, row.clone());
+                prop_assert_eq!(flat.insert(row), Some(slot));
+            }
+            let mut undo = UndoLog::new();
+            let mut marks: Vec<(usize, Flat)> = vec![(undo.mark(), flat.clone())];
+            let mut snapshots: Vec<(Database, Flat)> = Vec::new();
+            for step in 0..40 {
+                let slots = flat.rows.len() as u64;
+                let payload = Value::from(format!("s{step}"));
+                match rng.below(10) {
+                    0..=2 => {
+                        let cell = if int_key && rng.below(3) == 0 {
+                            Value::Null
+                        } else {
+                            gen_key(&mut rng, int_key)
+                        };
+                        let row = vec![cell, payload];
+                        let (t, log) = db.write_table(&name, &mut undo).unwrap();
+                        let done = t.insert(row.clone()).ok().map(|op| {
+                            let slot = op.slot();
+                            log.push(op);
+                            slot
+                        });
+                        prop_assert_eq!(done, flat.insert(row));
+                    }
+                    3..=4 => {
+                        let slot = rng.below(slots + 2) as usize;
+                        let old = flat.rows.get(slot).cloned().flatten();
+                        let cell = match (rng.below(3), &old) {
+                            (0, Some(old)) => old[0].clone(),
+                            (1, Some(old)) if !int_key => {
+                                let s = old[0].to_display_string();
+                                let lower = s.to_lowercase();
+                                Value::from(if s == lower { s.to_uppercase() } else { lower })
+                            }
+                            _ => gen_key(&mut rng, int_key),
+                        };
+                        let row = vec![cell, payload];
+                        let (t, log) = db.write_table(&name, &mut undo).unwrap();
+                        let done = t.update_slot(slot, row.clone()).map(|op| log.push(op));
+                        prop_assert_eq!(done.is_ok(), flat.update(slot, row));
+                    }
+                    5..=6 => {
+                        let slot = rng.below(slots + 2) as usize;
+                        let (t, log) = db.write_table(&name, &mut undo).unwrap();
+                        let done = t.delete_slot(slot).map(|op| log.push(op));
+                        prop_assert_eq!(done.is_some(), flat.delete(slot));
+                    }
+                    7 => marks.push((undo.mark(), flat.clone())),
+                    8 => {
+                        let (mark, earlier) = marks[rng.below(marks.len() as u64) as usize].clone();
+                        marks.retain(|(m, _)| *m <= mark);
+                        db.rollback(&mut undo, mark);
+                        flat = earlier;
+                    }
+                    _ => {
+                        if snapshots.len() == 4 {
+                            snapshots.remove(0);
+                        }
+                        snapshots.push((db.snapshot(), flat.clone()));
+                    }
+                }
+                let t = db.table(&name).unwrap();
+                reads_as(t, &flat)?;
+                for (snapshot, then) in &snapshots {
+                    reads_as(snapshot.table(&name).unwrap(), then)?;
+                }
+                let (mut bytes, mut expected) = (Vec::new(), Vec::new());
+                t.encode(&mut bytes);
+                flat.image(&schema).encode(&mut expected);
+                prop_assert_eq!(&bytes, &expected);
+                let restored =
+                    TableStore::restore(decode_all::<TableImage>(&bytes).unwrap()).unwrap();
+                prop_assert_eq!(format!("{restored:?}"), format!("{t:?}"));
+            }
+            Ok(())
+        }
+
+        proptest! {
+            #[test]
+            fn the_chunked_store_reads_and_encodes_as_the_flat_one(seed in any::<u64>()) {
+                run_script(seed)?;
+            }
+        }
     }
 }

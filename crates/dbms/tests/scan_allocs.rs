@@ -19,8 +19,12 @@
 //!
 //! The same counter prices the one write that copies a table: the first
 //! write under a snapshot. A `table_mut` that deep-copies the rows (a row
-//! `Vec` and a string cell each) fails
-//! `a_snapshots_first_write_copies_pointers_not_rows`.
+//! `Vec` and a string cell each), or a store that keeps its key index in
+//! one map (the flat layout before chunks), fails
+//! `a_snapshots_first_write_copies_pointers_not_rows` and
+//! `a_write_beside_an_open_transaction_copies_one_chunk_and_one_partition`.
+//! A flat slot vector is one allocation at any size, so no count here
+//! sees it; CI's lint "One table layout" does.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -196,10 +200,27 @@ fn a_filter_of_cell_tests_allocates_no_test_list_per_statement() {
     }
 }
 
-/// Fresh allocations of the first write to `tickets` on a snapshot of
-/// `db`, the write that copies the table.
-fn first_write_cost(db: &Database) -> u64 {
-    let parsed = parse("UPDATE tickets SET note = 'x' WHERE id = 5").expect("update parses");
+/// The two first writes the pins price: an update that keeps its key
+/// (it copies one chunk and no index partition) and an insert (the last
+/// chunk and the partition of its key).
+const FIRST_WRITES: [&str; 2] = [
+    "UPDATE tickets SET note = 'x' WHERE id = 5",
+    "INSERT INTO tickets (id, note, price, ref) VALUES (20000, 'x', 1, 1)",
+];
+
+/// How many more allocations the first write spends over 10,000 rows than
+/// over 10. The flat layout spent 1,665 more on the update (and 166 more
+/// over 1,000 rows), every one a node of the key index it copied whole.
+/// With 64-slot chunks and 32 key partitions the update spends none more:
+/// it copies one chunk either way. The insert copies its key's partition,
+/// about 10,000 / 32 keys: 51 more nodes, here and through the server.
+/// The bound is that plus a margin, under a tenth of the flat layout's gap.
+const FIRST_WRITE_GAP: u64 = 64;
+
+/// Fresh allocations of the first write `sql` to `tickets` on a snapshot
+/// of `db`, the write that copies the table.
+fn first_write_cost(db: &Database, sql: &str) -> u64 {
+    let parsed = parse(sql).expect("write parses");
     let mut snapshot = db.snapshot();
     let (fresh, _) = COUNTS.get();
     execute_with(&mut snapshot, &parsed.statements[0], 0, None).expect("update");
@@ -210,15 +231,74 @@ fn first_write_cost(db: &Database) -> u64 {
 
 #[test]
 fn a_snapshots_first_write_copies_pointers_not_rows() {
-    let few = first_write_cost(&database(10, 0, 7));
-    let many = first_write_cost(&database(1000, 0, 7));
-    // 990 more rows to copy: a deep copy spends at least two allocations
-    // on each; a copy of the row pointers spends none, and what is left is
-    // the index's B-tree nodes, a few rows to a node.
-    assert!(
-        many - few < 990 / 4,
-        "{few} allocations over 10 rows, {many} over 1000"
+    let (few, thousand, many) = (
+        database(10, 0, 7),
+        database(1000, 0, 7),
+        database(10_000, 0, 7),
     );
+    for sql in FIRST_WRITES {
+        let costs = [&few, &thousand, &many].map(|db| first_write_cost(db, sql));
+        println!("`{sql}`: {costs:?} allocations over 10, 1,000 and 10,000 rows");
+        // 990 more rows to copy: a deep copy spends at least two
+        // allocations on each; a copy of the chunk pointers spends none.
+        assert!(
+            costs[1].saturating_sub(costs[0]) < 990 / 4,
+            "`{sql}`: {costs:?}"
+        );
+        assert!(
+            costs[2].saturating_sub(costs[0]) <= FIRST_WRITE_GAP,
+            "`{sql}`: {costs:?}"
+        );
+    }
+}
+
+/// Fresh allocations of session B's autocommit `sql` on a `tickets` of
+/// `rows` rows while session A holds a `BEGIN` open: the write that copies
+/// the table under the global write lock, on A's behalf.
+fn write_beside_a_transaction(rows: usize, sql: &str) -> u64 {
+    let server = septic_dbms::Server::new();
+    let (a, b) = (server.connect(), server.connect());
+    b.execute("CREATE TABLE tickets (id INT PRIMARY KEY, note VARCHAR(32), price INT, ref INT)")
+        .expect("schema");
+    let ids: Vec<usize> = (1..=rows).collect();
+    for batch in ids.chunks(500) {
+        let values: Vec<String> = batch
+            .iter()
+            .map(|id| format!("({id}, 'n{id}', {id}, {id})"))
+            .collect();
+        b.execute(&format!("INSERT INTO tickets VALUES {}", values.join(", ")))
+            .expect("rows");
+    }
+    // Warm-ups with nothing shared: the program cache, the general log.
+    b.execute("UPDATE tickets SET note = 'w' WHERE id = 6")
+        .expect("warm-up");
+    b.execute("UPDATE tickets SET note = 'w' WHERE id = 7")
+        .expect("warm-up");
+    a.execute("BEGIN").expect("begin");
+    let copies = || {
+        server
+            .metrics()
+            .counter("dbms_cow_table_copies_total")
+            .get()
+    };
+    let before = copies();
+    let (fresh, _) = COUNTS.get();
+    b.execute(sql).expect("write");
+    let cost = COUNTS.get().0 - fresh;
+    assert_eq!(copies() - before, 1, "`{sql}` over {rows} rows");
+    cost
+}
+
+#[test]
+fn a_write_beside_an_open_transaction_copies_one_chunk_and_one_partition() {
+    for sql in FIRST_WRITES {
+        let (few, many) = (
+            write_beside_a_transaction(10, sql),
+            write_beside_a_transaction(10_000, sql),
+        );
+        println!("`{sql}`: {few} allocations over 10 rows, {many} over 10,000");
+        assert!(many.saturating_sub(few) <= FIRST_WRITE_GAP, "`{sql}`");
+    }
 }
 
 /// Fresh allocations of each of `calls` runs of `sql` on `conn`, after

@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use septic_sql::ItemStack;
+use septic_sql::{Fnv1a, ItemStack};
 use serde::{Deserialize, Serialize};
 
 /// Prefix that marks a block comment as an external query identifier.
@@ -97,7 +97,7 @@ pub fn internal_id(stack: &ItemStack) -> u64 {
     if stack.items().first().filter(in_head).is_none() {
         return structural_hash(stack);
     }
-    let mut hash = Fnv1a::new();
+    let mut hash = Fnv1a::default();
     for item in stack.items().iter().take_while(in_head) {
         item.canonical_bytes(&mut hash);
     }
@@ -109,7 +109,7 @@ pub fn internal_id(stack: &ItemStack) -> u64 {
 /// identifier ablation harness.
 #[must_use]
 pub fn structural_hash(stack: &ItemStack) -> u64 {
-    let mut hash = Fnv1a::new();
+    let mut hash = Fnv1a::default();
     for item in stack.items() {
         item.canonical_bytes(&mut hash);
     }
@@ -255,24 +255,6 @@ impl IdGenerator {
                 None
             },
             internal: internal_id(stack),
-        }
-    }
-}
-
-/// A 64-bit FNV-1a state the canonical bytes stream into: no buffer.
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    fn new() -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Extend<u8> for Fnv1a {
-    fn extend<I: IntoIterator<Item = u8>>(&mut self, bytes: I) {
-        for b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
 }

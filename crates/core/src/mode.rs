@@ -37,12 +37,6 @@ impl Mode {
     pub const PREVENTION: Mode = Mode::Normal(NormalMode::Prevention);
     /// Shorthand for `Mode::Normal(NormalMode::Detection)`.
     pub const DETECTION: Mode = Mode::Normal(NormalMode::Detection);
-
-    /// True while in training mode.
-    #[must_use]
-    pub fn is_training(&self) -> bool {
-        matches!(self, Mode::Training)
-    }
 }
 
 impl fmt::Display for Mode {
@@ -176,7 +170,5 @@ mod tests {
         assert_eq!(Mode::Training.to_string(), "training");
         assert_eq!(Mode::PREVENTION.to_string(), "prevention");
         assert_eq!(Mode::DETECTION.to_string(), "detection");
-        assert!(Mode::Training.is_training());
-        assert!(!Mode::PREVENTION.is_training());
     }
 }

@@ -39,7 +39,7 @@
 //!   already holds.
 
 use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::BuildHasherDefault;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -50,6 +50,7 @@ use septic_dbms::wal::{
     decode_json, encode_frame, install_verified, sibling, single_frame, FrameLog,
 };
 use septic_dbms::{FsIo, StorageIo};
+use septic_sql::Fnv1a;
 use serde::{Deserialize, Serialize};
 
 use crate::id::QueryId;
@@ -59,39 +60,13 @@ use crate::model::QueryModel;
 // Hot-path hashing
 // ---------------------------------------------------------------------------
 
-/// FNV-1a [`Hasher`] for the model map. `QueryId::internal` is already a
+/// The model map hashes with FNV-1a: `QueryId::internal` is already a
 /// 64-bit structural hash, so the default SipHash would be pure overhead on
-/// the per-query lookup; FNV folds the (short) external id and the internal
-/// hash in a few cycles. Keys are not attacker-controlled allocation sinks:
-/// the set of ids is bounded by the trained application's program points.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct FnvHasher(u64);
-
-impl Hasher for FnvHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        let mut hash = if self.0 == 0 {
-            0xcbf2_9ce4_8422_2325
-        } else {
-            self.0
-        };
-        for &b in bytes {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        self.0 = hash;
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        // Mix rather than re-digest: `internal` is already well distributed.
-        self.0 = (self.0 ^ v).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
-
-type FnvBuild = BuildHasherDefault<FnvHasher>;
+/// the per-query lookup; FNV folds the (short) external id in a few cycles
+/// and mixes the internal hash in one step. Keys are not attacker-controlled
+/// allocation sinks: the set of ids is bounded by the trained application's
+/// program points.
+type FnvBuild = BuildHasherDefault<Fnv1a>;
 
 /// A learned model together with its compiled comparison program.
 ///

@@ -130,62 +130,23 @@ fn bind_expr<'a>(
     expr: &mut Expr,
     params: &mut impl Iterator<Item = &'a Value>,
 ) -> Result<(), DbError> {
+    if let Expr::Param = expr {
+        let v = params.next().ok_or_else(too_few)?;
+        *expr = Expr::Literal(value_to_literal(v)?);
+        return Ok(());
+    }
+    let mut bound = Ok(());
+    expr.for_each_child_mut(|child| {
+        if bound.is_ok() {
+            bound = bind_expr(child, params);
+        }
+    });
+    bound?;
     match expr {
-        Expr::Param => {
-            let v = params.next().ok_or_else(too_few)?;
-            *expr = Expr::Literal(value_to_literal(v)?);
-            Ok(())
-        }
-        Expr::Literal(_) | Expr::Column { .. } => Ok(()),
-        Expr::Unary { operand, .. } => bind_expr(operand, params),
-        Expr::Binary { left, right, .. } => {
-            bind_expr(left, params)?;
-            bind_expr(right, params)
-        }
-        Expr::Function { args, .. } => {
-            for a in args {
-                bind_expr(a, params)?;
-            }
-            Ok(())
-        }
-        Expr::IsNull { expr, .. } => bind_expr(expr, params),
-        Expr::InList { expr, list, .. } => {
-            bind_expr(expr, params)?;
-            for e in list {
-                bind_expr(e, params)?;
-            }
-            Ok(())
-        }
-        Expr::InSelect { expr, select, .. } => {
-            bind_expr(expr, params)?;
+        Expr::InSelect { select, .. } | Expr::Subquery(select) | Expr::Exists { select, .. } => {
             bind_select(select, params)
         }
-        Expr::Between {
-            expr, low, high, ..
-        } => {
-            bind_expr(expr, params)?;
-            bind_expr(low, params)?;
-            bind_expr(high, params)
-        }
-        Expr::Subquery(s) => bind_select(s, params),
-        Expr::Exists { select, .. } => bind_select(select, params),
-        Expr::Case {
-            operand,
-            branches,
-            else_branch,
-        } => {
-            if let Some(op) = operand {
-                bind_expr(op, params)?;
-            }
-            for (w, t) in branches {
-                bind_expr(w, params)?;
-                bind_expr(t, params)?;
-            }
-            if let Some(e) = else_branch {
-                bind_expr(e, params)?;
-            }
-            Ok(())
-        }
+        _ => Ok(()),
     }
 }
 
@@ -256,16 +217,28 @@ mod tests {
 
     #[test]
     fn binds_nested_positions() {
-        let s = bind(
-            "SELECT CASE WHEN a = ? THEN ? ELSE 0 END FROM t \
-             WHERE id IN (SELECT x FROM u WHERE y = ?) ORDER BY ?",
-            &[
-                Value::Int(1),
-                Value::Int(2),
-                Value::from("k"),
-                Value::Int(1),
-            ],
+        // One distinct value per `?`, numbered in source order: the
+        // rendering shows each value where its placeholder stood.
+        let sql = "SELECT CASE ? WHEN ? THEN ? ELSE ? END, UPPER(?), -?, \
+                   (SELECT MAX(x) FROM u WHERE y = ?) \
+                   FROM t JOIN v ON v.id = ? \
+                   WHERE a BETWEEN ? AND ? AND b IN (?, ?) \
+                   AND c IN (SELECT x FROM u WHERE y = ?) \
+                   AND EXISTS (SELECT 1 FROM u WHERE z = ?) \
+                   GROUP BY a HAVING COUNT(*) > ? ORDER BY ? \
+                   UNION SELECT ?";
+        let params: Vec<Value> = (1..=17).map(Value::Int).collect();
+        let s = bind(sql, &params).unwrap();
+        assert_eq!(
+            s.to_string(),
+            "SELECT CASE 1 WHEN 2 THEN 3 ELSE 4 END, UPPER(5), (-(6)), \
+             (SELECT MAX(x) FROM u WHERE (y = 7)) \
+             FROM t JOIN v ON (v.id = 8) \
+             WHERE ((((a BETWEEN 9 AND 10) AND (b IN (11, 12))) \
+             AND (c IN (SELECT x FROM u WHERE (y = 13)))) \
+             AND (EXISTS (SELECT 1 FROM u WHERE (z = 14)))) \
+             GROUP BY a HAVING (COUNT(*) > 15) ORDER BY 16 \
+             UNION SELECT 17"
         );
-        assert!(s.is_ok());
     }
 }

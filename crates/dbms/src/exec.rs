@@ -137,30 +137,21 @@ pub fn execute_logged(
 }
 
 /// True when executing the statement cannot mutate the database, so the
-/// server may run it under a shared read lock ([`execute_read`]) and let
-/// parallel sessions overlap.
+/// server may run it under a shared read lock ([`execute_read_with`]) and
+/// let parallel sessions overlap.
 #[must_use]
 pub fn is_read_only(stmt: &Statement) -> bool {
     matches!(stmt, Statement::Select(_))
 }
 
 /// Executes a read-only statement (see [`is_read_only`]) against a shared
-/// database reference — the concurrent-SELECT fast path.
+/// database reference — the concurrent-SELECT fast path — with an optional
+/// compiled-expression program cache (see [`execute_with`]).
 ///
 /// # Errors
 ///
 /// As [`execute`]; additionally [`DbError::Semantic`] if the statement is
 /// not read-only (a server-side logic bug, not a user error).
-pub fn execute_read(db: &Database, stmt: &Statement, now: i64) -> Result<QueryOutput, DbError> {
-    execute_read_with(db, stmt, now, None)
-}
-
-/// [`execute_read`] with an optional compiled-expression program cache
-/// (see [`execute_with`]).
-///
-/// # Errors
-///
-/// As [`execute_read`].
 pub fn execute_read_with(
     db: &Database,
     stmt: &Statement,
@@ -169,7 +160,7 @@ pub fn execute_read_with(
 ) -> Result<QueryOutput, DbError> {
     let Statement::Select(s) = stmt else {
         return Err(DbError::Semantic(
-            "execute_read called with a mutating statement".into(),
+            "execute_read_with called with a mutating statement".into(),
         ));
     };
     let mut effects = SideEffects::default();

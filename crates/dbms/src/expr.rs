@@ -2,6 +2,8 @@
 
 use std::borrow::Cow;
 
+use septic_sql::Fnv1a;
+
 use crate::error::DbError;
 use crate::value::Value;
 
@@ -555,17 +557,11 @@ fn fold_extreme(args: &[Value], greatest: bool) -> Result<Value, DbError> {
 /// (FNV-1a folded to 32 hex chars).
 #[must_use]
 pub fn pseudo_digest(alg: &str, input: &str) -> String {
-    let mut h1: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in alg.bytes().chain(input.bytes()) {
-        h1 ^= u64::from(b);
-        h1 = h1.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    let mut h2: u64 = h1 ^ 0x9e37_79b9_7f4a_7c15;
-    for b in input.bytes().rev() {
-        h2 ^= u64::from(b);
-        h2 = h2.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    format!("{h1:016x}{h2:016x}")
+    let mut h1 = Fnv1a::default();
+    h1.extend(alg.bytes().chain(input.bytes()));
+    let mut h2 = Fnv1a(h1.0 ^ 0x9e37_79b9_7f4a_7c15);
+    h2.extend(input.bytes().rev());
+    format!("{:016x}{:016x}", h1.0, h2.0)
 }
 
 #[cfg(test)]
@@ -684,6 +680,14 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert_eq!(a.len(), 32);
+    }
+
+    #[test]
+    fn a_digest_keeps_its_value_across_builds() {
+        assert_eq!(
+            pseudo_digest("MD5", "secret"),
+            "ab9d67859cc45f9352be4271ee26543e"
+        );
     }
 
     #[test]

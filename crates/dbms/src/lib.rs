@@ -39,9 +39,7 @@ pub mod vmexec;
 pub mod wal;
 
 pub use error::DbError;
-pub use exec::{
-    execute_logged, execute_read, execute_read_with, execute_with, is_read_only, QueryOutput,
-};
+pub use exec::{execute_logged, execute_read_with, execute_with, is_read_only, QueryOutput};
 pub use guard::{AllowAll, FailurePolicy, GuardDecision, QueryContext, QueryGuard, SharedGuard};
 pub use plan::explain;
 pub use server::{

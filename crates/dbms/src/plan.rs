@@ -371,31 +371,12 @@ pub fn explain(db: &Database, stmt: &Statement) -> Result<String, DbError> {
 /// applies to the *current* scope (subqueries run their own planner pass,
 /// so aggregates inside them do not force grouping here).
 pub(crate) fn expr_has_aggregate(expr: &Expr) -> bool {
-    match expr {
-        Expr::Function { name, args } => is_aggregate(name) || args.iter().any(expr_has_aggregate),
-        Expr::Unary { operand, .. } => expr_has_aggregate(operand),
-        Expr::Binary { left, right, .. } => expr_has_aggregate(left) || expr_has_aggregate(right),
-        Expr::IsNull { expr, .. } => expr_has_aggregate(expr),
-        Expr::InList { expr, list, .. } => {
-            expr_has_aggregate(expr) || list.iter().any(expr_has_aggregate)
-        }
-        Expr::InSelect { expr, .. } => expr_has_aggregate(expr),
-        Expr::Between {
-            expr, low, high, ..
-        } => expr_has_aggregate(expr) || expr_has_aggregate(low) || expr_has_aggregate(high),
-        Expr::Case {
-            operand,
-            branches,
-            else_branch,
-        } => {
-            operand.as_deref().is_some_and(expr_has_aggregate)
-                || branches
-                    .iter()
-                    .any(|(w, t)| expr_has_aggregate(w) || expr_has_aggregate(t))
-                || else_branch.as_deref().is_some_and(expr_has_aggregate)
-        }
-        _ => false,
+    if matches!(expr, Expr::Function { name, .. } if is_aggregate(name)) {
+        return true;
     }
+    let mut found = false;
+    expr.for_each_child(|child| found = found || expr_has_aggregate(child));
+    found
 }
 
 #[cfg(test)]

@@ -35,6 +35,8 @@ use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use septic_sql::Fnv1a;
+
 use crate::catalog::TableSchema;
 use crate::codec::{encode_count, Codec};
 use crate::error::DbError;
@@ -137,9 +139,11 @@ impl PkIndex {
     fn partition(key: &PkKey) -> usize {
         let h = match key {
             PkKey::Int(v) => *v as u64,
-            PkKey::Str(s) => s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-                (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
-            }),
+            PkKey::Str(s) => {
+                let mut h = Fnv1a::default();
+                h.extend(s.bytes());
+                h.0
+            }
         };
         (h.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - PARTITIONS.trailing_zeros())) as usize
     }
@@ -1028,6 +1032,15 @@ mod tests {
                 },
             ],
         )
+    }
+
+    #[test]
+    fn a_string_key_keeps_its_partition_across_builds() {
+        let part = |s: &str| PkIndex::partition(&PkKey::Str(s.into()));
+        assert_eq!(
+            [part("alice"), part("bob"), part(""), part(&"x".repeat(17))],
+            [2, 18, 31, 24]
+        );
     }
 
     #[test]

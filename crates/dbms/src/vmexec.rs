@@ -9,6 +9,13 @@
 //! row, a reusable [`septic_vm::Vm`] runs the opcode loop instead of
 //! recursing over the AST.
 //!
+//! The compiler (`Compiler::emit`) is the one recursion here with logic
+//! between children (the fused compare, jumps, the short-circuit). The
+//! shape key (`hash_expr`), the slot values (`collect_literals`) and the
+//! totality rule (`is_total`) only say what one node contributes and
+//! leave the order of its children to [`Expr::for_each_child`], the order
+//! `emit` compiles them in.
+//!
 //! A program does less per row than the walker in four places, none of
 //! which a result can show. `<column> <op> <literal>` is one op
 //! (`BinaryColumnSlot`) instead of three. An AND whose left side is false,
@@ -175,7 +182,8 @@ impl ShapeHash {
 }
 
 /// Hashes the *shape* of an expression: every node except literal values,
-/// so statements differing only in constants share a program.
+/// so statements differing only in constants share a program. Each node
+/// writes a header that fixes how many children follow, then its children.
 fn hash_expr(expr: &Expr, h: &mut ShapeHash) {
     match expr {
         // Literal values are runtime slots — only the fact that a literal
@@ -189,62 +197,37 @@ fn hash_expr(expr: &Expr, h: &mut ShapeHash) {
             }
             h.str(name);
         }
-        Expr::Unary { op, operand } => {
+        Expr::Unary { op, .. } => {
             h.tag(4);
             h.num(u64::from(un_code(*op)));
-            hash_expr(operand, h);
         }
-        Expr::Binary { left, op, right } => {
+        Expr::Binary { op, .. } => {
             h.tag(5);
             h.num(u64::from(bin_code(*op)));
-            hash_expr(left, h);
-            hash_expr(right, h);
         }
         Expr::Function { name, args } => {
             h.tag(6);
             h.str(name);
             h.num(args.len() as u64);
-            for a in args {
-                hash_expr(a, h);
-            }
         }
-        Expr::IsNull { expr, negated } => {
+        Expr::IsNull { negated, .. } => {
             h.tag(7);
             h.num(u64::from(*negated));
-            hash_expr(expr, h);
         }
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => {
+        Expr::InList { list, negated, .. } => {
             h.tag(8);
             h.num(u64::from(*negated));
             h.num(list.len() as u64);
-            hash_expr(expr, h);
-            for i in list {
-                hash_expr(i, h);
-            }
         }
         // Subquery forms never compile (they cache a fallback entry), so
-        // hashing their outer shape without descending into the SELECT is
-        // enough to key them.
-        Expr::InSelect { expr, negated, .. } => {
+        // their outer shape keys them; the walk does not enter a SELECT.
+        Expr::InSelect { negated, .. } => {
             h.tag(9);
             h.num(u64::from(*negated));
-            hash_expr(expr, h);
         }
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => {
+        Expr::Between { negated, .. } => {
             h.tag(10);
             h.num(u64::from(*negated));
-            hash_expr(expr, h);
-            hash_expr(low, h);
-            hash_expr(high, h);
         }
         Expr::Subquery(_) => h.tag(11),
         Expr::Exists { negated, .. } => {
@@ -259,19 +242,10 @@ fn hash_expr(expr: &Expr, h: &mut ShapeHash) {
             h.tag(13);
             h.num(u64::from(operand.is_some()));
             h.num(branches.len() as u64);
-            if let Some(o) = operand {
-                hash_expr(o, h);
-            }
-            for (w, t) in branches {
-                hash_expr(w, h);
-                hash_expr(t, h);
-            }
             h.num(u64::from(else_branch.is_some()));
-            if let Some(e) = else_branch {
-                hash_expr(e, h);
-            }
         }
     }
+    expr.for_each_child(|child| hash_expr(child, h));
 }
 
 /// A binding's fingerprint: its alias, its table's name and the names of
@@ -341,32 +315,19 @@ pub(crate) fn resolve_column(
 /// access path that rules rows out ([`crate::plan`]) and a compiled
 /// AND / OR that skips its right side.
 pub(crate) fn is_total(expr: &Expr, layout: &[Binding<'_>], bindings: usize) -> bool {
-    let total = |e: &Expr| is_total(e, layout, bindings);
     match expr {
-        Expr::Literal(_) => true,
         Expr::Column { table, name } => resolve_column(layout, table.as_deref(), name)
             .is_some_and(|(binding, _)| usize::from(binding) < bindings),
-        Expr::Unary { operand, .. } => total(operand),
-        Expr::Binary { left, right, .. } => total(left) && total(right),
-        Expr::IsNull { expr, .. } => total(expr),
-        Expr::InList { expr, list, .. } => total(expr) && list.iter().all(total),
-        Expr::Between {
-            expr, low, high, ..
-        } => total(expr) && total(low) && total(high),
-        Expr::Case {
-            operand,
-            branches,
-            else_branch,
-        } => {
-            operand.as_deref().is_none_or(total)
-                && branches.iter().all(|(w, t)| total(w) && total(t))
-                && else_branch.as_deref().is_none_or(total)
-        }
         Expr::Param
         | Expr::Function { .. }
         | Expr::InSelect { .. }
         | Expr::Subquery(_)
         | Expr::Exists { .. } => false,
+        _ => {
+            let mut total = true;
+            expr.for_each_child(|child| total = total && is_total(child, layout, bindings));
+            total
+        }
     }
 }
 
@@ -547,55 +508,15 @@ pub(crate) fn compile_expr(expr: &Expr, layout: &[Binding<'_>]) -> Option<Progra
     Some(c.b.finish())
 }
 
-/// Collects literal values in the exact order [`compile_expr`] reserved
-/// slots for them (the same traversal order), filling the program's
-/// runtime constant table for one statement execution.
+/// Collects the literal values of a compiled expression into the runtime
+/// constant table of one statement execution. A pre-order walk in source
+/// order meets the literals in the order [`compile_expr`] reserves their
+/// slots, because the compiler emits children in that same order (it never
+/// sees a subquery, which it rejects).
 pub(crate) fn collect_literals(expr: &Expr, out: &mut Vec<Value>) {
     match expr {
         Expr::Literal(l) => out.push(literal_value(l)),
-        Expr::Param | Expr::Column { .. } => {}
-        Expr::Unary { operand, .. } => collect_literals(operand, out),
-        Expr::Binary { left, right, .. } => {
-            collect_literals(left, out);
-            collect_literals(right, out);
-        }
-        Expr::Function { args, .. } => {
-            for a in args {
-                collect_literals(a, out);
-            }
-        }
-        Expr::IsNull { expr, .. } => collect_literals(expr, out),
-        Expr::InList { expr, list, .. } => {
-            collect_literals(expr, out);
-            for i in list {
-                collect_literals(i, out);
-            }
-        }
-        Expr::Between {
-            expr, low, high, ..
-        } => {
-            collect_literals(expr, out);
-            collect_literals(low, out);
-            collect_literals(high, out);
-        }
-        Expr::Case {
-            operand,
-            branches,
-            else_branch,
-        } => {
-            if let Some(o) = operand {
-                collect_literals(o, out);
-            }
-            for (w, t) in branches {
-                collect_literals(w, out);
-                collect_literals(t, out);
-            }
-            if let Some(e) = else_branch {
-                collect_literals(e, out);
-            }
-        }
-        // Never part of a compiled program (compile_expr rejects them).
-        Expr::InSelect { .. } | Expr::Subquery(_) | Expr::Exists { .. } => {}
+        _ => expr.for_each_child(|child| collect_literals(child, out)),
     }
 }
 
@@ -1066,5 +987,110 @@ impl std::fmt::Debug for ProgramCache {
             .field("entries", &self.len())
             .field("compiles", &self.compile_count())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::borrow::Cow;
+
+    use proptest::TestRng;
+    use septic_sql::ast::{ColumnDef, ColumnType};
+
+    use super::*;
+    use crate::catalog::TableSchema;
+    use crate::storage::TableStore;
+
+    fn layout() -> Vec<Binding<'static>> {
+        let column = |name: &str| ColumnDef {
+            name: name.into(),
+            column_type: ColumnType::Int,
+            not_null: false,
+            primary_key: false,
+            auto_increment: false,
+            default: None,
+        };
+        let schema = TableSchema::new("t", &[column("a"), column("b")]);
+        vec![Binding::new("t", Cow::Owned(TableStore::new(schema)))]
+    }
+
+    fn literal(rng: &mut TestRng) -> Expr {
+        match rng.below(4) {
+            0 => Expr::int(rng.below(100) as i64),
+            1 => Expr::Literal(Literal::Float(0.5)),
+            2 => Expr::str("s"),
+            _ => Expr::Literal(Literal::Null),
+        }
+    }
+
+    /// A random expression the compiler accepts: every variant but `?`, a
+    /// subquery, an aggregate call and an `IN` list with a non-literal
+    /// member. Columns resolve (`a`, `t.b`) or raise (`zz`), so the fused
+    /// `<column> <op> <literal>` op and `MissingColumn` both occur.
+    fn compilable(rng: &mut TestRng, depth: u32) -> Expr {
+        let boxed = |e: Expr| Box::new(e);
+        if depth == 0 {
+            return match rng.below(4) {
+                0 => Expr::col("a"),
+                1 => Expr::Column {
+                    table: Some("t".into()),
+                    name: "b".into(),
+                },
+                2 => Expr::col("zz"),
+                _ => literal(rng),
+            };
+        }
+        let sub = |rng: &mut TestRng| {
+            let depth = rng.below(u64::from(depth)) as u32;
+            compilable(rng, depth)
+        };
+        match rng.below(9) {
+            0 => literal(rng),
+            1 => Expr::Unary {
+                op: *rng.pick(&UN_OPS),
+                operand: boxed(sub(rng)),
+            },
+            2 => Expr::binary(sub(rng), *rng.pick(&BIN_OPS), sub(rng)),
+            3 => Expr::binary(Expr::col("a"), *rng.pick(&BIN_OPS), literal(rng)),
+            4 => Expr::Function {
+                name: (*rng.pick(&["CONCAT", "ABS", "COALESCE"])).into(),
+                args: (0..1 + rng.below(3)).map(|_| sub(rng)).collect(),
+            },
+            5 => Expr::IsNull {
+                expr: boxed(sub(rng)),
+                negated: rng.bool(),
+            },
+            6 => Expr::InList {
+                expr: boxed(sub(rng)),
+                list: (0..1 + rng.below(3)).map(|_| literal(rng)).collect(),
+                negated: rng.bool(),
+            },
+            7 => Expr::Between {
+                expr: boxed(sub(rng)),
+                low: boxed(sub(rng)),
+                high: boxed(sub(rng)),
+                negated: rng.bool(),
+            },
+            _ => Expr::Case {
+                operand: rng.bool().then(|| boxed(sub(rng))),
+                branches: (0..1 + rng.below(2))
+                    .map(|_| (sub(rng), sub(rng)))
+                    .collect(),
+                else_branch: rng.bool().then(|| boxed(sub(rng))),
+            },
+        }
+    }
+
+    #[test]
+    fn a_program_has_one_slot_per_collected_literal() {
+        let layout = layout();
+        let mut rng = TestRng::deterministic("a_program_has_one_slot_per_collected_literal");
+        for _ in 0..2_000 {
+            let expr = compilable(&mut rng, 4);
+            let program = compile_expr(&expr, &layout).expect("compilable");
+            let mut slots = Vec::new();
+            collect_literals(&expr, &mut slots);
+            assert_eq!(program.slots() as usize, slots.len(), "{expr}");
+        }
     }
 }

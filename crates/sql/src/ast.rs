@@ -44,13 +44,6 @@ impl Statement {
         }
     }
 
-    /// True for the statements whose user data SEPTIC's stored-injection
-    /// plugins examine (the paper: `INSERT` and `UPDATE` commands).
-    #[must_use]
-    pub fn is_write_with_user_data(&self) -> bool {
-        matches!(self, Statement::Insert(_) | Statement::Update(_))
-    }
-
     /// True for transaction-control statements (`BEGIN`/`COMMIT`/
     /// `ROLLBACK`), which the server handles in its transactional path
     /// rather than the executor.
@@ -477,55 +470,103 @@ impl Expr {
         }
     }
 
-    /// Collects every string literal in the expression tree, in evaluation
-    /// order. SEPTIC's stored-injection plugins scan these as the candidate
-    /// user inputs of `INSERT`/`UPDATE` statements.
-    pub fn collect_string_literals<'a>(&'a self, out: &mut Vec<&'a str>) {
+    /// Calls `f` on each direct child expression, in source order: the
+    /// operand, both sides of a binary operator, each argument, the tested
+    /// expression then the `IN` list or the `BETWEEN` bounds, and a `CASE`'s
+    /// operand, each `WHEN` then its `THEN`, then `ELSE`. A nested `SELECT`
+    /// is never a child: `IN (SELECT …)` yields its left operand only, and
+    /// a scalar subquery or `EXISTS` yields nothing. This is the one place
+    /// that states the child order every structural recursion follows.
+    pub fn for_each_child<'a>(&'a self, mut f: impl FnMut(&'a Expr)) {
         match self {
-            Expr::Literal(Literal::Str(s)) => out.push(s),
-            Expr::Literal(_) | Expr::Column { .. } | Expr::Param => {}
-            Expr::Unary { operand, .. } => operand.collect_string_literals(out),
+            Expr::Literal(_)
+            | Expr::Column { .. }
+            | Expr::Param
+            | Expr::Subquery(_)
+            | Expr::Exists { .. } => {}
+            Expr::Unary { operand: e, .. }
+            | Expr::IsNull { expr: e, .. }
+            | Expr::InSelect { expr: e, .. } => f(e),
             Expr::Binary { left, right, .. } => {
-                left.collect_string_literals(out);
-                right.collect_string_literals(out);
+                f(left);
+                f(right);
             }
-            Expr::Function { args, .. } => {
-                for a in args {
-                    a.collect_string_literals(out);
-                }
-            }
-            Expr::IsNull { expr, .. } => expr.collect_string_literals(out),
+            Expr::Function { args, .. } => args.iter().for_each(f),
             Expr::InList { expr, list, .. } => {
-                expr.collect_string_literals(out);
-                for e in list {
-                    e.collect_string_literals(out);
-                }
+                f(expr);
+                list.iter().for_each(f);
             }
-            Expr::InSelect { expr, .. } => expr.collect_string_literals(out),
             Expr::Between {
                 expr, low, high, ..
             } => {
-                expr.collect_string_literals(out);
-                low.collect_string_literals(out);
-                high.collect_string_literals(out);
+                f(expr);
+                f(low);
+                f(high);
             }
-            Expr::Subquery(_) | Expr::Exists { .. } => {}
             Expr::Case {
                 operand,
                 branches,
                 else_branch,
             } => {
-                if let Some(op) = operand {
-                    op.collect_string_literals(out);
+                operand.as_deref().into_iter().for_each(&mut f);
+                for (when, then) in branches {
+                    f(when);
+                    f(then);
                 }
-                for (w, t) in branches {
-                    w.collect_string_literals(out);
-                    t.collect_string_literals(out);
-                }
-                if let Some(e) = else_branch {
-                    e.collect_string_literals(out);
-                }
+                else_branch.as_deref().into_iter().for_each(f);
             }
+        }
+    }
+
+    /// [`Expr::for_each_child`] with mutable access, in the same order.
+    pub fn for_each_child_mut(&mut self, mut f: impl FnMut(&mut Expr)) {
+        match self {
+            Expr::Literal(_)
+            | Expr::Column { .. }
+            | Expr::Param
+            | Expr::Subquery(_)
+            | Expr::Exists { .. } => {}
+            Expr::Unary { operand: e, .. }
+            | Expr::IsNull { expr: e, .. }
+            | Expr::InSelect { expr: e, .. } => f(e),
+            Expr::Binary { left, right, .. } => {
+                f(left);
+                f(right);
+            }
+            Expr::Function { args, .. } => args.iter_mut().for_each(f),
+            Expr::InList { expr, list, .. } => {
+                f(expr);
+                list.iter_mut().for_each(f);
+            }
+            Expr::Between {
+                expr, low, high, ..
+            } => {
+                f(expr);
+                f(low);
+                f(high);
+            }
+            Expr::Case {
+                operand,
+                branches,
+                else_branch,
+            } => {
+                operand.as_deref_mut().into_iter().for_each(&mut f);
+                for (when, then) in branches {
+                    f(when);
+                    f(then);
+                }
+                else_branch.as_deref_mut().into_iter().for_each(f);
+            }
+        }
+    }
+
+    /// Collects every string literal in the expression tree, in source
+    /// order. SEPTIC's stored-injection plugins scan these as the candidate
+    /// user inputs of `INSERT`/`UPDATE` statements.
+    pub fn collect_string_literals<'a>(&'a self, out: &mut Vec<&'a str>) {
+        match self {
+            Expr::Literal(Literal::Str(s)) => out.push(s),
+            _ => self.for_each_child(|child| child.collect_string_literals(out)),
         }
     }
 }
@@ -538,13 +579,6 @@ mod tests {
     fn command_names() {
         let s = Statement::Select(Select::new());
         assert_eq!(s.command(), "SELECT");
-        assert!(!s.is_write_with_user_data());
-        let i = Statement::Insert(Insert {
-            table: "t".into(),
-            columns: vec![],
-            source: InsertSource::Values(vec![]),
-        });
-        assert!(i.is_write_with_user_data());
     }
 
     #[test]

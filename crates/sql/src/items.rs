@@ -498,6 +498,7 @@ fn lower_delete(delete: &Delete, out: &mut impl Sink) {
 
 /// Postfix lowering of an expression: operands first, operator on top.
 fn lower_expr(expr: &Expr, out: &mut impl Sink) {
+    expr.for_each_child(|child| lower_expr(child, out));
     match expr {
         Expr::Literal(Literal::Int(v)) => data(out, ItemTag::IntItem, ItemData::Int(*v)),
         Expr::Literal(Literal::Float(v)) => data(out, ItemTag::RealItem, ItemData::Real(*v)),
@@ -511,13 +512,8 @@ fn lower_expr(expr: &Expr, out: &mut impl Sink) {
         Expr::Column { table, name } => {
             out.named(ItemTag::FieldItem, || column_label(table.as_deref(), name));
         }
-        Expr::Unary { op, operand } => {
-            lower_expr(operand, out);
-            out.fixed(ItemTag::FuncItem, op.symbol());
-        }
-        Expr::Binary { left, op, right } => {
-            lower_expr(left, out);
-            lower_expr(right, out);
+        Expr::Unary { op, .. } => out.fixed(ItemTag::FuncItem, op.symbol()),
+        Expr::Binary { op, .. } => {
             let tag = if op.is_condition() {
                 ItemTag::CondItem
             } else {
@@ -525,53 +521,24 @@ fn lower_expr(expr: &Expr, out: &mut impl Sink) {
             };
             out.fixed(tag, op.symbol());
         }
-        Expr::Function { name, args } => {
-            for a in args {
-                lower_expr(a, out);
-            }
-            out.named(ItemTag::FuncItem, || name.clone());
-        }
-        Expr::IsNull { expr, negated } => {
-            lower_expr(expr, out);
-            out.fixed(
-                ItemTag::FuncItem,
-                if *negated { "IS NOT NULL" } else { "IS NULL" },
-            );
-        }
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => {
-            lower_expr(expr, out);
-            for e in list {
-                lower_expr(e, out);
-            }
+        Expr::Function { name, .. } => out.named(ItemTag::FuncItem, || name.clone()),
+        Expr::IsNull { negated, .. } => out.fixed(
+            ItemTag::FuncItem,
+            if *negated { "IS NOT NULL" } else { "IS NULL" },
+        ),
+        Expr::InList { negated, .. } => {
             out.fixed(ItemTag::FuncItem, if *negated { "NOT IN" } else { "IN" });
         }
         Expr::InSelect {
-            expr,
-            select,
-            negated,
+            select, negated, ..
         } => {
-            lower_expr(expr, out);
             lower_subselect(select, out);
             out.fixed(ItemTag::FuncItem, if *negated { "NOT IN" } else { "IN" });
         }
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => {
-            lower_expr(expr, out);
-            lower_expr(low, out);
-            lower_expr(high, out);
-            out.fixed(
-                ItemTag::FuncItem,
-                if *negated { "NOT BETWEEN" } else { "BETWEEN" },
-            );
-        }
+        Expr::Between { negated, .. } => out.fixed(
+            ItemTag::FuncItem,
+            if *negated { "NOT BETWEEN" } else { "BETWEEN" },
+        ),
         Expr::Subquery(select) => lower_subselect(select, out),
         Expr::Exists { select, negated } => {
             lower_subselect(select, out);
@@ -580,23 +547,7 @@ fn lower_expr(expr: &Expr, out: &mut impl Sink) {
                 if *negated { "NOT EXISTS" } else { "EXISTS" },
             );
         }
-        Expr::Case {
-            operand,
-            branches,
-            else_branch,
-        } => {
-            if let Some(op) = operand {
-                lower_expr(op, out);
-            }
-            for (when, then) in branches {
-                lower_expr(when, out);
-                lower_expr(then, out);
-            }
-            if let Some(e) = else_branch {
-                lower_expr(e, out);
-            }
-            out.fixed(ItemTag::FuncItem, "CASE");
-        }
+        Expr::Case { .. } => out.fixed(ItemTag::FuncItem, "CASE"),
     }
 }
 

@@ -33,12 +33,14 @@ pub mod ast;
 pub mod charset;
 pub mod display;
 pub mod error;
+pub mod fnv;
 pub mod items;
 pub mod parser;
 pub mod token;
 
 pub use ast::Statement;
 pub use error::{ParseError, Span};
+pub use fnv::Fnv1a;
 pub use items::{Item, ItemData, ItemStack, ItemTag};
 pub use parser::{parse, Parsed};
 

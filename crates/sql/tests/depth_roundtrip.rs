@@ -3,6 +3,11 @@
 //! and for its fully parenthesised rendering alike. Random trees of every
 //! node kind, built to an exact height, are rendered and parsed at the
 //! bound, one below it and one above it.
+//!
+//! The same trees pin `Expr::for_each_child`'s order to the source order
+//! (`the_walk_visits_children_in_source_order`): swapping `BETWEEN`'s
+//! bounds, a `CASE` branch's `WHEN` and `THEN`, or visiting `ELSE` before
+//! the branches each fails it.
 
 use proptest::prelude::*;
 use septic_sql::ast::*;
@@ -233,6 +238,18 @@ fn tree_of(height: usize) -> impl Strategy<Value = Expr> {
     fn_strategy(move |rng| tree(rng, height))
 }
 
+/// Replaces each literal a pre-order walk reaches with `'L<n>'`, `n`
+/// counting from `next` in visiting order. Literals inside a nested
+/// `SELECT` are not children and keep their values.
+fn label_literals(e: &mut Expr, next: &mut usize) {
+    if let Expr::Literal(_) = e {
+        *e = Expr::str(format!("L{next}"));
+        *next += 1;
+    } else {
+        e.for_each_child_mut(|child| label_literals(child, next));
+    }
+}
+
 proptest! {
     #[test]
     fn trees_at_the_bound_render_to_text_that_parses_back(
@@ -261,5 +278,31 @@ proptest! {
             parse_as_assignment(&above),
             Err(ParseError::TooDeep { limit: MAX_EXPR_DEPTH, .. })
         ));
+    }
+
+    #[test]
+    fn the_walk_visits_children_in_source_order(
+        generated in fn_strategy(|rng| {
+            let height = 1 + rng.below(10) as usize;
+            tree(rng, height)
+        }),
+    ) {
+        let mut e = generated;
+        let mut count = 0;
+        label_literals(&mut e, &mut count);
+        let labels: Vec<String> = (0..count).map(|n| format!("L{n}")).collect();
+        let mut walked = Vec::new();
+        e.collect_string_literals(&mut walked);
+        prop_assert_eq!(&walked, &labels);
+        // No generated literal renders with `'L`, so these are the labels.
+        let text = e.to_string();
+        let rendered: Vec<&str> = text
+            .match_indices("'L")
+            .map(|(at, _)| {
+                let label = &text[at + 1..];
+                &label[..label.find('\'').unwrap()]
+            })
+            .collect();
+        prop_assert_eq!(rendered, walked);
     }
 }

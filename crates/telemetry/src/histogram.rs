@@ -146,15 +146,6 @@ impl HistogramSnapshot {
         }
         self.max_us
     }
-
-    /// Arithmetic mean in microseconds (0 when empty).
-    pub fn mean_us(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_us as f64 / self.count as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -203,7 +194,6 @@ mod tests {
         assert_eq!(s.percentile_us(50.0), 64);
         assert_eq!(s.percentile_us(99.0), 128);
         assert_eq!(s.percentile_us(100.0), 128);
-        assert!((s.mean_us() - 50.5).abs() < 1e-9);
     }
 
     #[test]
@@ -221,6 +211,5 @@ mod tests {
         let s = Histogram::new().snapshot("t");
         assert_eq!(s.count, 0);
         assert_eq!(s.percentile_us(50.0), 0);
-        assert_eq!(s.mean_us(), 0.0);
     }
 }

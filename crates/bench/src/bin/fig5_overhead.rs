@@ -1,138 +1,53 @@
-//! Regenerates **Figure 5**: average latency overhead of the four SEPTIC
-//! detector configurations (NN, YN, NY, YY) versus vanilla MySQL, for the
-//! three workload applications (PHP Address Book, refbase, ZeroCMS) under
-//! the paper's maximum client fleet (20 browsers on 4 machines).
-//!
-//! Also reproduces the client-scaling phases of the evaluation (1→4
-//! machines with one browser, then 8→20 browsers) with `--scaling`.
-//!
-//! Paper reference points: overhead between ~0.5% (NN) and ~2.2% (YY),
-//! with YN ≈ 0.8%; overhead similar across applications.
+//! Regenerates **Figure 5**: what the four SEPTIC detector configurations
+//! (NN, YN, NY, YY) add to a request of the three workload applications
+//! (PHP Address Book, refbase, ZeroCMS), measured against vanilla MySQL,
+//! with the A/A row (vanilla against vanilla) as the noise floor.
 //!
 //! ```text
-//! cargo run --release -p septic-bench --bin fig5_overhead [-- --quick|--scaling]
+//! cargo run --release -p septic-bench --bin fig5_overhead
 //! ```
 
-use septic_bench::{banner, render_table};
-use septic_benchlab::{measure, overhead_sweep, ExperimentPlan, Fleet, GuardSetup};
+use septic_bench::{banner, fig5, render_table};
 use septic_webapp::apps::workload_apps;
 
+/// Interleaved rounds per application.
+const ROUNDS: usize = 300;
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let scaling = args.iter().any(|a| a == "--scaling");
-    let fleet = args.iter().any(|a| a == "--fleet");
-
-    // Default: single browser, many interleaved rounds — the cleanest
-    // signal on small machines. `--fleet` uses the paper's 20-browser
-    // fleet (meaningful on multi-core hosts; on one core the thread
-    // oversubscription adds noise larger than the measured effect).
-    let plan = if quick {
-        ExperimentPlan {
-            fleet: Fleet {
-                machines: 1,
-                browsers_per_machine: 1,
-            },
-            warmup_loops: 2,
-            loops: 15,
-            ..ExperimentPlan::default()
-        }
-    } else if fleet {
-        ExperimentPlan::default()
-    } else {
-        ExperimentPlan {
-            fleet: Fleet {
-                machines: 1,
-                browsers_per_machine: 1,
-            },
-            warmup_loops: 5,
-            loops: 120,
-            ..ExperimentPlan::default()
-        }
-    };
-
-    println!(
-        "{}",
-        banner(&format!(
-            "Figure 5 — SEPTIC latency overhead ({} machines x {} browsers, {} loops)",
-            plan.fleet.machines, plan.fleet.browsers_per_machine, plan.loops
-        ))
-    );
-
+    let title = format!("Figure 5 — SEPTIC overhead per application request ({ROUNDS} rounds)");
+    println!("{}", banner(&title));
     let mut rows = Vec::new();
-    for app in workload_apps() {
-        let row = overhead_sweep(app, plan);
-        eprintln!(
-            "measured {:<16} baseline mean {:?}",
-            row.app, row.baseline_mean
-        );
-        rows.push(
-            std::iter::once(row.app.clone())
-                .chain(row.overheads.iter().map(|(_, o)| format!("{o:+.2}%")))
-                .collect::<Vec<String>>(),
-        );
+    for sweep in workload_apps()
+        .into_iter()
+        .map(|app| fig5::sweep(app, ROUNDS))
+    {
+        let (lo, hi) = sweep.noise;
+        for row in &sweep.rows {
+            let verdict = match row.config {
+                "vanilla" => String::new(),
+                "A/A" => format!("noise IQR [{lo:+.2}, {hi:+.2}]"),
+                _ if row.below_noise => "below noise".to_string(),
+                _ => "above noise".to_string(),
+            };
+            rows.push(vec![
+                format!("{} ({} req)", sweep.app, sweep.requests),
+                row.config.to_string(),
+                format!("{:.2}", row.us_per_request),
+                format!("{:+.2} ({:+.2}%)", row.delta_us, row.delta_pct),
+                verdict,
+            ]);
+        }
     }
-    println!(
-        "{}",
-        render_table(&["application", "NN", "YN", "NY", "YY"], &rows)
-    );
-    println!("paper: 0.5% (NN) … 2.2% (YY); YN ≈ 0.8%; similar across the three applications");
-    println!(
-        "(client-observed latency = measured DBMS+app time + {:?} simulated",
-        plan.service_pad
-    );
-    println!(" web/network tier; see EXPERIMENTS.md for the calibration rationale)");
-
-    if scaling {
-        client_scaling();
-    }
-}
-
-/// The evaluation's scaling phases: refbase with 1→4 machines × 1 browser,
-/// then 4 machines × 2→5 browsers (8, 12, 16, 20 browsers).
-fn client_scaling() {
-    println!("{}", banner("Client scaling (refbase workload, SEPTIC YY)"));
-    let mut rows = Vec::new();
-    let fleets: Vec<Fleet> = (1..=4)
-        .map(|m| Fleet {
-            machines: m,
-            browsers_per_machine: 1,
-        })
-        .chain((2..=5).map(|b| Fleet {
-            machines: 4,
-            browsers_per_machine: b,
-        }))
-        .collect();
-    for fleet in fleets {
-        let plan = ExperimentPlan {
-            fleet,
-            warmup_loops: 1,
-            loops: 10,
-            ..ExperimentPlan::default()
-        };
-        let app: std::sync::Arc<dyn septic_webapp::WebApp> =
-            std::sync::Arc::new(septic_webapp::Refbase::new());
-        let vanilla = measure(app.clone(), GuardSetup::Vanilla, plan);
-        let septic = measure(app, GuardSetup::Septic(septic::DetectionConfig::YY), plan);
-        rows.push(vec![
-            format!("{}x{}", fleet.machines, fleet.browsers_per_machine),
-            format!("{}", fleet.browsers()),
-            format!("{:?}", vanilla.stats.mean),
-            format!("{:?}", septic.stats.mean),
-            format!("{:+.2}%", septic.stats.overhead_vs(&vanilla.stats)),
-        ]);
-    }
-    println!(
-        "{}",
-        render_table(
-            &[
-                "machines x browsers",
-                "total",
-                "vanilla mean",
-                "septic YY mean",
-                "overhead"
-            ],
-            &rows,
-        )
-    );
+    let headers = [
+        "application",
+        "config",
+        "µs/request",
+        "Δ vs vanilla, µs (%)",
+        "vs A/A",
+    ];
+    println!("{}", render_table(&headers, &rows));
+    println!("µs/request and Δ are medians over interleaved rounds; Δ is paired per round.");
+    println!("% is of the vanilla request as measured here, in-process, with no");
+    println!("web or network tier added. The paper reported 0.5% (NN) to 2.2% (YY)");
+    println!("of millisecond-scale requests through Apache, PHP and a LAN.");
 }

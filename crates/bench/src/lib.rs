@@ -8,17 +8,20 @@
 //! | Figure 2 | `fig2_qs_qm` | QS and QM of the tickets query |
 //! | Figures 3–4 | `fig2_qs_qm` | attacked query structures + detection |
 //! | Table I | `table1_modes` | operation modes × actions (measured) |
-//! | Figure 5 | `fig5_overhead` | SEPTIC latency overhead NN/YN/NY/YY |
+//! | Figure 5 | `fig5_overhead` | SEPTIC overhead NN/YN/NY/YY, measured ([`fig5`]) |
 //! | §IV-A…E | `demo_phases` | the five demonstration phases |
 //! | — | `accuracy` | SEPTIC vs ModSecurity detection matrix |
 //! | — | `ablation_ids` | external-identifier ablation |
 //! | — | `sqlmap_scan` | sqlmap-style probing session |
 //!
-//! These binaries reproduce the paper's artefacts. What the system costs
-//! is measured by the repo benchmark (`benchmark/`, `BENCHMARK.json`) and
-//! nowhere else.
+//! These binaries reproduce the paper's artefacts; Figure 5's is the
+//! paper-shaped view of SEPTIC's cost. What the system costs, layer by
+//! layer and with regression bounds, is measured by the repo benchmark
+//! (`benchmark/`, `BENCHMARK.json`).
 
 use std::fmt::Write as _;
+
+pub mod fig5;
 
 /// Renders an ASCII table with a header row.
 #[must_use]

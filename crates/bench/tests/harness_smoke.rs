@@ -166,3 +166,37 @@ fn sqlmap_scan_shows_the_expected_envelope() {
     // SEPTIC leaves the numeric param unexploitable.
     assert!(out.contains("not shown"), "{out}");
 }
+
+// Figure 5 is timed, so its binary's numbers are not asserted; its sweep
+// is, at two rounds. `sweep` asserts that every response is a success, so
+// returning at all means no SEPTIC configuration blocked a benign
+// workload request.
+#[test]
+fn fig5_sweep_reports_six_clean_rows_per_app() {
+    let apps = septic_webapp::apps::workload_apps();
+    let sweeps: Vec<_> = apps
+        .into_iter()
+        .map(|app| septic_bench::fig5::sweep(app, 2))
+        .collect();
+    let names: Vec<(&str, usize)> = sweeps.iter().map(|s| (s.app, s.requests)).collect();
+    assert_eq!(
+        names,
+        [("PHP Address Book", 12), ("refbase", 14), ("ZeroCMS", 26)]
+    );
+    for sweep in &sweeps {
+        let configs: Vec<&str> = sweep.rows.iter().map(|r| r.config).collect();
+        assert_eq!(configs, ["vanilla", "A/A", "NN", "YN", "NY", "YY"]);
+        assert!(sweep.noise.0.is_finite() && sweep.noise.0 <= sweep.noise.1);
+        for row in &sweep.rows {
+            assert!(
+                row.us_per_request.is_finite() && row.us_per_request > 0.0,
+                "{row:?}"
+            );
+            assert!(
+                row.delta_us.is_finite() && row.delta_pct.is_finite(),
+                "{row:?}"
+            );
+        }
+        assert_eq!(sweep.rows[0].delta_us, 0.0);
+    }
+}

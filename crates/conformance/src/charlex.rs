@@ -25,7 +25,7 @@ pub enum Token {
     QuotedIdent(String),
     /// String literal, with escapes already decoded.
     Str(String),
-    /// Integer literal.
+    /// Unsigned integer literal; 2^63 is held by its bits, as `i64::MIN`.
     Int(i64),
     /// Floating-point literal.
     Float(f64),
@@ -65,7 +65,7 @@ impl fmt::Display for Token {
             Token::Ident(s) => write!(f, "{s}"),
             Token::QuotedIdent(s) => write!(f, "`{s}`"),
             Token::Str(s) => write!(f, "'{s}'"),
-            Token::Int(v) => write!(f, "{v}"),
+            Token::Int(v) => write!(f, "{}", v.unsigned_abs()),
             Token::Float(v) => write!(f, "{v}"),
             Token::Param => write!(f, "?"),
             Token::LParen => write!(f, "("),
@@ -430,10 +430,11 @@ impl Lexer {
                 .map(Token::Float)
                 .map_err(|_| self.err(start, "invalid numeric literal"))
         } else {
-            // Overflowing integers fall back to float, like MySQL DECIMAL.
-            match text.parse::<i64>() {
-                Ok(v) => Ok(Token::Int(v)),
-                Err(_) => text
+            // Overflowing integers fall back to float, like MySQL DECIMAL;
+            // 2^63 stays an integer token, for a minus sign to fold.
+            match text.parse::<u64>() {
+                Ok(v) if v <= 1 << 63 => Ok(Token::Int(v as i64)),
+                _ => text
                     .parse::<f64>()
                     .map(Token::Float)
                     .map_err(|_| self.err(start, "invalid numeric literal")),

@@ -162,8 +162,27 @@ fn pieces(rng: &mut TestRng, pool: &[&str], max: u64) -> String {
 }
 
 const WHITESPACE_PIECES: &[&str] = &[
-    "SELECT", "a", "1", "'x'", "=", "--", "-", "#", "/* c */", "\u{a0}", "\u{2028}", "\u{3000}",
-    "\u{85}", "\u{1680}", "\u{202f}", " ", "\n", "\u{b}", "\u{200b}", "\u{feff}",
+    "SELECT",
+    "a",
+    "1",
+    "9223372036854775808",
+    "'x'",
+    "=",
+    "--",
+    "-",
+    "#",
+    "/* c */",
+    "\u{a0}",
+    "\u{2028}",
+    "\u{3000}",
+    "\u{85}",
+    "\u{1680}",
+    "\u{202f}",
+    " ",
+    "\n",
+    "\u{b}",
+    "\u{200b}",
+    "\u{feff}",
 ];
 
 const WORD_PIECES: &[&str] = &[

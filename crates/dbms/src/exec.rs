@@ -315,6 +315,33 @@ impl<'a> EvalCtx<'a> {
     }
 }
 
+/// Three-valued `[NOT] IN`: NULL for a NULL needle, true at the first
+/// equal candidate (the rest are never produced), else NULL if a
+/// candidate was NULL, else false; `negated` flips true and false. A
+/// candidate's error ends the test in candidate order.
+fn membership(
+    needle: &Value,
+    candidates: impl Iterator<Item = Result<Value, DbError>>,
+    negated: bool,
+) -> Result<Value, DbError> {
+    if needle.is_null() {
+        return Ok(Value::Null);
+    }
+    let mut saw_null = false;
+    for candidate in candidates {
+        match needle.sql_eq(&candidate?) {
+            Some(true) => return Ok(Value::Int(i64::from(!negated))),
+            Some(false) => {}
+            None => saw_null = true,
+        }
+    }
+    Ok(if saw_null {
+        Value::Null
+    } else {
+        Value::Int(i64::from(negated))
+    })
+}
+
 pub(crate) fn eval(expr: &Expr, ctx: &EvalCtx<'_>, fx: &mut SideEffects) -> Result<Value, DbError> {
     match expr {
         Expr::Literal(Literal::Int(v)) => Ok(Value::Int(*v)),
@@ -350,23 +377,8 @@ pub(crate) fn eval(expr: &Expr, ctx: &EvalCtx<'_>, fx: &mut SideEffects) -> Resu
             negated,
         } => {
             let needle = eval(expr, ctx, fx)?;
-            if needle.is_null() {
-                return Ok(Value::Null);
-            }
-            let mut saw_null = false;
-            for item in list {
-                let v = eval(item, ctx, fx)?;
-                match needle.sql_eq(&v) {
-                    Some(true) => return Ok(Value::Int(i64::from(!*negated))),
-                    Some(false) => {}
-                    None => saw_null = true,
-                }
-            }
-            if saw_null {
-                Ok(Value::Null)
-            } else {
-                Ok(Value::Int(i64::from(*negated)))
-            }
+            let items = list.iter().map(|item| eval(item, ctx, fx));
+            membership(&needle, items, *negated)
         }
         Expr::InSelect {
             expr,
@@ -374,24 +386,15 @@ pub(crate) fn eval(expr: &Expr, ctx: &EvalCtx<'_>, fx: &mut SideEffects) -> Resu
             negated,
         } => {
             let needle = eval(expr, ctx, fx)?;
-            if needle.is_null() {
-                return Ok(Value::Null);
-            }
-            let (_, rows) = run_select(ctx.db, select, ctx.now, Some(ctx), None, fx)?;
-            let mut saw_null = false;
-            for row in &rows {
-                let v = row.first().cloned().unwrap_or(Value::Null);
-                match needle.sql_eq(&v) {
-                    Some(true) => return Ok(Value::Int(i64::from(!*negated))),
-                    Some(false) => {}
-                    None => saw_null = true,
-                }
-            }
-            if saw_null {
-                Ok(Value::Null)
-            } else {
-                Ok(Value::Int(i64::from(*negated)))
-            }
+            // A NULL needle decides the answer before the subquery runs.
+            let rows = match needle {
+                Value::Null => Vec::new(),
+                _ => run_select(ctx.db, select, ctx.now, Some(ctx), None, fx)?.1,
+            };
+            let firsts = rows
+                .iter()
+                .map(|row| Ok(row.first().cloned().unwrap_or(Value::Null)));
+            membership(&needle, firsts, *negated)
         }
         Expr::Between {
             expr,
@@ -472,7 +475,8 @@ pub(crate) fn apply_unary(op: UnaryOp, v: &Value) -> Value {
     match op {
         UnaryOp::Neg => match v {
             Value::Null => Value::Null,
-            Value::Int(i) => Value::Int(-i),
+            // Wraps at `i64::MIN`, as integer `+ - *` do in `apply_binary`.
+            Value::Int(i) => Value::Int(i.wrapping_neg()),
             other => Value::Real(-other.to_real().unwrap_or(0.0)),
         },
         UnaryOp::Not => match v {

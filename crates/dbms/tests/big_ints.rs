@@ -157,3 +157,22 @@ fn a_recovered_row_keeps_its_exact_int() {
     }
     assert_eq!(cell(&conn, "SELECT COUNT(*) FROM big"), Value::Int(6));
 }
+
+// `-9223372036854775808` is an integer literal, so a sign over it, or over
+// a bound `i64::MIN`, negates an integer that has no positive twin. It
+// wraps, as integer `+` does past `i64::MAX`, where it once overflowed.
+#[test]
+fn negating_the_most_negative_int_wraps_like_addition() {
+    let server = Server::new();
+    let conn = server.connect();
+    let wrapped = cell(&conn, "SELECT 9223372036854775807 + 1");
+    assert_eq!(wrapped, Value::Int(i64::MIN));
+    assert_eq!(cell(&conn, "SELECT - -9223372036854775808"), wrapped);
+    let bound = conn
+        .execute_prepared("SELECT -?", &[Value::Int(i64::MIN)])
+        .unwrap();
+    assert_eq!(
+        bound.last().map(|o| o.rows.clone()),
+        Some(vec![vec![wrapped]])
+    );
+}

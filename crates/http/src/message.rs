@@ -2,10 +2,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// HTTP method (the subset the simulated apps use).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Method {
     Get,
     Post,
@@ -21,7 +19,7 @@ impl fmt::Display for Method {
 }
 
 /// Response status (the subset the simulated apps produce).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Status {
     Ok,
     Redirect,
@@ -55,7 +53,7 @@ impl fmt::Display for Status {
 /// A simulated HTTP request: path plus ordered parameters (query string for
 /// GET, form body for POST — the distinction only matters to the WAF's
 /// target selection).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HttpRequest {
     pub method: Method,
     pub path: String,
@@ -144,7 +142,7 @@ impl fmt::Display for HttpRequest {
 }
 
 /// A simulated HTTP response.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HttpResponse {
     pub status: Status,
     /// Rendered body (HTML-ish text the demo inspects for attack effects).

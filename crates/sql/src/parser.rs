@@ -151,6 +151,16 @@ fn infix_level(token: &Token) -> Option<(BinaryOp, u8)> {
     })
 }
 
+/// The literal an unsigned integer token stands for: its value, or a real
+/// for 2^63, which the token holds as `i64::MIN` and no BIGINT can.
+fn unsigned(v: i64) -> Literal {
+    if v < 0 {
+        Literal::Float(v.unsigned_abs() as f64)
+    } else {
+        Literal::Int(v)
+    }
+}
+
 #[derive(Default)]
 struct Parser<'a> {
     tokens: Vec<SpannedToken<'a>>,
@@ -622,7 +632,7 @@ impl<'a> Parser<'a> {
                 def.auto_increment = true;
             } else if self.eat_kw(Kw::Default) {
                 def.default = Some(match self.advance() {
-                    Some(Token::Int(v)) => Literal::Int(v),
+                    Some(Token::Int(v)) => unsigned(v),
                     Some(Token::Float(v)) => Literal::Float(v),
                     Some(Token::Str(s)) => Literal::Str(s.into_owned()),
                     Some(Token::Ident(_, Kw::Null)) => Literal::Null,
@@ -740,6 +750,7 @@ impl<'a> Parser<'a> {
             self.pos += 1;
         }
         let last = self.pos;
+        let two_to_the_63 = self.peek() == Some(&Token::Int(i64::MIN));
         let mut expr = self.primary()?;
         for sign in (first..last).rev() {
             let op = match self.tokens[sign].token {
@@ -751,7 +762,17 @@ impl<'a> Parser<'a> {
                 // Fold the sign into numeric literals (as MySQL's parser
                 // does): `-5` is one data item, not an operator applied to
                 // data.
-                (UnaryOp::Neg, Expr::Literal(Literal::Int(v))) => Expr::Literal(Literal::Int(-v)),
+                (UnaryOp::Neg, Expr::Literal(Literal::Int(v))) if v != i64::MIN => {
+                    Expr::Literal(Literal::Int(-v))
+                }
+                // `-9223372036854775808` is `i64::MIN`, as in MySQL: 2^63
+                // alone is a real, but the sign right before its token
+                // keeps it a BIGINT.
+                (UnaryOp::Neg, Expr::Literal(Literal::Float(_)))
+                    if sign + 1 == last && two_to_the_63 =>
+                {
+                    Expr::Literal(Literal::Int(i64::MIN))
+                }
                 (UnaryOp::Neg, Expr::Literal(Literal::Float(v))) => {
                     Expr::Literal(Literal::Float(-v))
                 }
@@ -837,7 +858,7 @@ impl<'a> Parser<'a> {
     fn literal(&mut self) -> Result<Expr, ParseError> {
         self.node()?;
         Ok(match self.advance() {
-            Some(Token::Int(v)) => Expr::Literal(Literal::Int(v)),
+            Some(Token::Int(v)) => Expr::Literal(unsigned(v)),
             Some(Token::Float(v)) => Expr::Literal(Literal::Float(v)),
             Some(Token::Str(s)) => Expr::Literal(Literal::Str(s.into_owned())),
             _ => Expr::Param,
@@ -1027,6 +1048,41 @@ mod tests {
         assert_eq!(one("BEGIN").to_string(), "BEGIN");
         assert_eq!(one("COMMIT").to_string(), "COMMIT");
         assert_eq!(one("ROLLBACK").to_string(), "ROLLBACK");
+    }
+
+    #[test]
+    fn the_most_negative_bigint_is_an_integer() {
+        let items = |src: &str| match one(src) {
+            Statement::Select(sel) => sel
+                .items
+                .into_iter()
+                .map(|item| match item {
+                    SelectItem::Expr { expr, .. } => expr,
+                    other => panic!("{other:?}"),
+                })
+                .collect::<Vec<_>>(),
+            other => panic!("{other:?}"),
+        };
+        let min = Expr::Literal(Literal::Int(i64::MIN));
+        assert_eq!(
+            items("SELECT -9223372036854775808, 9223372036854775808, -9223372036854775809"),
+            [
+                min.clone(),
+                Expr::Literal(Literal::Float(9_223_372_036_854_775_808.0)),
+                Expr::Literal(Literal::Float(-9_223_372_036_854_775_809.0)),
+            ]
+        );
+        // A second sign cannot fold: 2^63 is no BIGINT.
+        let negated = items("SELECT - -9223372036854775808").remove(0);
+        assert_eq!(
+            negated,
+            Expr::Unary {
+                op: UnaryOp::Neg,
+                operand: Box::new(min.clone()),
+            }
+        );
+        // Rendering then parsing gives the literal back.
+        assert_eq!(items(&format!("SELECT {min}, {negated}")), [min, negated]);
     }
 
     #[test]

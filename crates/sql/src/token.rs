@@ -151,7 +151,8 @@ pub enum Token<'a> {
     QuotedIdent(Cow<'a, str>),
     /// String literal, with escapes already decoded.
     Str(Cow<'a, str>),
-    /// Integer literal.
+    /// Unsigned integer literal. 2^63, which MySQL keeps an integer only
+    /// under a minus sign, is held by its bits, as `i64::MIN`.
     Int(i64),
     /// Floating-point literal.
     Float(f64),
@@ -203,7 +204,7 @@ impl fmt::Display for Token<'_> {
             Token::Ident(s, _) => write!(f, "{s}"),
             Token::QuotedIdent(s) => write!(f, "`{s}`"),
             Token::Str(s) => write!(f, "'{s}'"),
-            Token::Int(v) => write!(f, "{v}"),
+            Token::Int(v) => write!(f, "{}", v.unsigned_abs()),
             Token::Float(v) => write!(f, "{v}"),
             Token::Param => write!(f, "?"),
             Token::LParen => write!(f, "("),
@@ -536,12 +537,12 @@ impl<'a> Lexer<'a> {
     }
 
     fn number(&mut self, start: usize) -> Result<Token<'a>, ParseError> {
-        let mut is_float = false;
+        let mut seen_dot = false;
         while let Some(b) = self.byte(0) {
             match b {
                 b'0'..=b'9' => self.pos += 1,
-                b'.' if !is_float => {
-                    is_float = true;
+                b'.' if !seen_dot => {
+                    seen_dot = true;
                     self.pos += 1;
                 }
                 b'e' | b'E'
@@ -549,7 +550,6 @@ impl<'a> Lexer<'a> {
                         .byte(1)
                         .is_some_and(|c| c.is_ascii_digit() || c == b'+' || c == b'-') =>
                 {
-                    is_float = true;
                     self.pos += 2;
                     while self.byte(0).is_some_and(|c| c.is_ascii_digit()) {
                         self.pos += 1;
@@ -560,11 +560,12 @@ impl<'a> Lexer<'a> {
             }
         }
         let text = &self.src[start..self.pos];
-        // Overflowing integers fall back to float, like MySQL DECIMAL.
-        let int = if is_float { None } else { text.parse().ok() };
-        match int {
-            Some(v) => Ok(Token::Int(v)),
-            None => text
+        // Overflowing integers fall back to float, like MySQL DECIMAL;
+        // 2^63 stays an integer token, for a minus sign to fold. Digits
+        // with a `.` or an exponent never parse as a `u64`.
+        match text.parse::<u64>() {
+            Ok(v) if v <= 1 << 63 => Ok(Token::Int(v as i64)),
+            _ => text
                 .parse()
                 .map(Token::Float)
                 .map_err(|_| self.err(start, "invalid numeric literal")),

@@ -13,7 +13,6 @@
 //! * [`waf`] — the ModSecurity-style comparison baseline;
 //! * [`webapp`] — PHP-semantics applications (WaspMon & the workload apps);
 //! * [`attacks`] — attack corpus, sqlmap-style prober, trainer, runner;
-//! * [`benchlab`] — workload replay and the Figure 5 experiment driver;
 //! * [`telemetry`] — lock-free metrics registry (counters, histograms,
 //!   Prometheus text export) shared by the guard and the server;
 //! * [`net`] — the framed TCP front end: wire protocol, blocking server
@@ -38,7 +37,6 @@
 
 pub use septic;
 pub use septic_attacks as attacks;
-pub use septic_benchlab as benchlab;
 pub use septic_dbms as dbms;
 pub use septic_http as http;
 pub use septic_net as net;

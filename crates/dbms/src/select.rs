@@ -3,26 +3,31 @@
 //!
 //! A scanned row is looked at where it lies. The scan evaluates WHERE / ON
 //! on a scratch composite row of borrowed storage rows; a survivor is
-//! appended to one flat arena ([`Rows`]); grouping hashes the key values
-//! and records a group number per row. Nothing is allocated for a row
-//! until the projection copies the cells of an output row.
+//! appended to one flat arena ([`Rows`]); grouping numbers the key values
+//! and feeds each group's folded aggregates. Nothing is allocated for a
+//! row until the projection copies the cells of an output row.
 
 use std::borrow::Cow;
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::cmp::Ordering;
+use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::hash::{BuildHasher as _, BuildHasherDefault, Hasher, RandomState};
 use std::sync::Arc;
 
 use septic_sql::ast::*;
+use septic_sql::Fnv1a;
 use septic_vm::Program;
 
 use crate::error::DbError;
 use crate::exec::{eval, Binding, CRow, EvalCtx};
-use crate::expr::{value_bytes, SideEffects, MAX_ROWS_EXAMINED};
+use crate::expr::{is_aggregate, value_bytes, SideEffects, MAX_ROWS_EXAMINED};
 use crate::plan::{Access, AggregatePlan, SelectPlan};
 use crate::storage::{Database, Row, TableStore};
 use crate::value::Value;
-use crate::vmexec::{compiled, evaluate, Compiled, Machine, Operand, Prepared, ProgramCache};
+use crate::vmexec::{
+    compiled, evaluate, is_total, Compiled, Machine, Operand, Prepared, ProgramCache,
+};
 
 pub(crate) fn run_select(
     db: &Database,
@@ -127,14 +132,136 @@ impl<'v> Ident<'v> {
     }
 }
 
+/// Bits of the front-table index: [`Identities`] keeps `1 << FRONT_BITS`
+/// slots before its keyed map.
+const FRONT_BITS: u32 = 8;
+const FRONT_SLOTS: usize = 1 << FRONT_BITS;
+
+/// Numbers identity keys in first-seen order: the one table GROUP BY,
+/// DISTINCT and UNION share. Every group's key is stored once, in
+/// `keys`.
+///
+/// Keys are table contents a client can write, so a key is found by its
+/// randomly keyed SipHash (`RandomState`, keyed per table): no key set a
+/// client picks makes two keys share that hash, except by a full 64-bit
+/// collision, which `same_hash` chains. The hash is taken once per row
+/// and is the std map's own hash (`Prehashed`). It still costs more than
+/// the rest of a grouped row, so a direct-mapped table of [`FRONT_SLOTS`]
+/// groups sits in front, indexed by an unkeyed hash ([`front_slot`]). A
+/// slot is a hit only when its group's key equals the row's; anything
+/// else falls through to the map and refills the slot, so a key chosen to
+/// share a slot costs one compare more, never a chain. Past `FRONT_SLOTS`
+/// groups the front table is no longer consulted.
+struct Identities<'v> {
+    width: usize,
+    /// Group `g`'s key is `keys[g * width..][..width]`.
+    keys: Vec<Ident<'v>>,
+    sip: RandomState,
+    /// A key's SipHash to the last group opened with that hash.
+    map: HashMap<u64, u32, BuildHasherDefault<Prehashed>>,
+    /// Per group, the group opened before it with the same hash.
+    same_hash: Vec<Option<u32>>,
+    front: Vec<Option<u32>>,
+}
+
+impl<'v> Identities<'v> {
+    fn new(width: usize) -> Self {
+        Identities {
+            width,
+            keys: Vec::new(),
+            sip: RandomState::new(),
+            map: HashMap::default(),
+            same_hash: Vec::new(),
+            front: vec![None; FRONT_SLOTS],
+        }
+    }
+
+    fn key(&self, g: u32) -> &[Ident<'v>] {
+        &self.keys[g as usize * self.width..][..self.width]
+    }
+
+    /// The number of `key`'s group, and whether `key` opened it.
+    fn number(&mut self, key: &[Ident<'v>]) -> (u32, bool) {
+        let slot = (self.same_hash.len() <= FRONT_SLOTS).then(|| front_slot(key));
+        if let Some(Some(g)) = slot.map(|s| self.front[s]) {
+            if self.key(g) == key {
+                return (g, false);
+            }
+        }
+        let hash = self.sip.hash_one(key);
+        let mut at = self.map.get(&hash).copied();
+        let (g, opened) = loop {
+            match at {
+                Some(g) if self.key(g) == key => break (g, false),
+                Some(g) => at = self.same_hash[g as usize],
+                None => {
+                    let g = self.same_hash.len() as u32;
+                    self.keys.extend_from_slice(key);
+                    self.same_hash.push(self.map.insert(hash, g));
+                    break (g, true);
+                }
+            }
+        };
+        if let Some(s) = slot {
+            self.front[s] = Some(g);
+        }
+        (g, opened)
+    }
+}
+
+/// The hasher of a map whose `u64` keys are already a keyed hash: it
+/// passes the word through.
+#[derive(Default)]
+struct Prehashed(u64);
+
+impl Hasher for Prehashed {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a prehashed key is one u64");
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+}
+
+/// The front-table slot of `key`: each value's word (a string's FNV-1a)
+/// multiply-mixed in, the slot the top bits. Unkeyed, so anyone can make
+/// keys share a slot; [`Identities`] confirms every hit by the key.
+fn front_slot(key: &[Ident<'_>]) -> usize {
+    let mut h = 0u64;
+    for ident in key {
+        let word = match ident {
+            Ident::Null => 0,
+            Ident::Int(v) => *v as u64,
+            Ident::Real(bits) => *bits,
+            Ident::Str(s) => {
+                let mut fnv = Fnv1a::default();
+                fnv.write(s.as_bytes());
+                fnv.finish()
+            }
+        };
+        h = (h.rotate_left(5) ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+    (h >> (64 - FRONT_BITS)) as usize
+}
+
 /// Keeps the first of every run of identical rows (`DISTINCT`, `UNION`).
 fn dedupe(rows: &mut Vec<Row>) {
-    let mut seen = HashSet::with_capacity(rows.len());
+    let mut seen = Identities::new(rows.first().map_or(0, Vec::len));
+    let mut key = Vec::new();
     let first: Vec<bool> = rows
         .iter()
-        .map(|row| seen.insert(row.iter().map(Ident::of).collect::<Vec<_>>()))
+        .map(|row| {
+            key.clear();
+            key.extend(row.iter().map(Ident::of));
+            seen.number(&key).1
+        })
         .collect();
-    drop(seen);
+    drop((seen, key));
     let mut first = first.into_iter();
     rows.retain(|_| first.next().unwrap_or(true));
 }
@@ -302,91 +429,261 @@ fn source_stage<'p>(
 // grouping and aggregates
 // ---------------------------------------------------------------------------
 
+/// What an aggregate keeps while it folds its group's values in row
+/// order: the one fold of COUNT(x), SUM, AVG, MIN and MAX, whether the
+/// grouping pass feeds it ([`Fold`]) or a member walk does.
+#[derive(Clone)]
+enum Acc<'v> {
+    /// `COUNT(x)`: the non-NULL values.
+    Count(i64),
+    /// `SUM`, or `AVG` when `mean`: the running sum of the numeric values,
+    /// and how many.
+    Sum { sum: f64, n: usize, mean: bool },
+    /// `MIN` (`wanted` is `Less`) or `MAX`: the first non-NULL value no
+    /// later one orders `wanted` of. A bare column's stays in its cell.
+    Best {
+        best: Option<Cow<'v, Value>>,
+        wanted: Ordering,
+    },
+}
+
+impl<'v> Acc<'v> {
+    /// The empty fold of aggregate `name`; `None` for `GROUP_CONCAT`,
+    /// which is no fold (it can fail as it grows).
+    fn new(name: &str) -> Option<Self> {
+        Some(match name {
+            "COUNT" => Acc::Count(0),
+            "SUM" | "AVG" => Acc::Sum {
+                sum: 0.0,
+                n: 0,
+                mean: name == "AVG",
+            },
+            "MIN" => Acc::Best {
+                best: None,
+                wanted: Ordering::Less,
+            },
+            "MAX" => Acc::Best {
+                best: None,
+                wanted: Ordering::Greater,
+            },
+            _ => return None,
+        })
+    }
+
+    /// Folds in the next value, `v`; MIN / MAX keep `keep(v)` of one they
+    /// take.
+    fn add<'a>(&mut self, v: &'a Value, keep: impl FnOnce(&'a Value) -> Cow<'v, Value>) {
+        match self {
+            Acc::Count(n) => *n += i64::from(!v.is_null()),
+            Acc::Sum { sum, n, .. } => {
+                if let Some(f) = v.to_real() {
+                    *sum += f;
+                    *n += 1;
+                }
+            }
+            Acc::Best { best, wanted } => {
+                let take = match best {
+                    None => !v.is_null(),
+                    Some(b) => v.sql_cmp(b) == Some(*wanted),
+                };
+                if take {
+                    *best = Some(keep(v));
+                }
+            }
+        }
+    }
+
+    fn value(self) -> Value {
+        match self {
+            Acc::Count(n) => Value::Int(n),
+            Acc::Sum { n: 0, .. } => Value::Null,
+            Acc::Sum {
+                sum, mean: false, ..
+            } => Value::Real(sum),
+            Acc::Sum { sum, n, .. } => Value::Real(sum / n as f64),
+            Acc::Best { best, .. } => best.map_or(Value::Null, Cow::into_owned),
+        }
+    }
+}
+
+/// An aggregate call the grouping pass folds: `COUNT`, `SUM`, `AVG`, `MIN`
+/// or `MAX` of a total argument ([`is_total`]). Evaluating such an
+/// argument can neither fail nor have an effect, so feeding every row to
+/// the fold as grouping meets it, before any HAVING or projection, is not
+/// observable; rows meet it in row order, so a float sum is the walk's to
+/// the bit.
+struct Fold<'e> {
+    arg: &'e Expr,
+    ready: Prepared<'e>,
+    /// A bare column's `(binding, column)`, read per row unevaluated.
+    cell: Option<(usize, usize)>,
+    empty: Acc<'static>,
+}
+
+/// The aggregate calls a grouped statement evaluates — in its projection,
+/// HAVING and ORDER BY, never inside another call's argument or a nested
+/// SELECT — as the folds the grouping pass feeds, and whether some other
+/// call (`GROUP_CONCAT`, or an argument that is not total) walks the
+/// members of its group. `COUNT(*)` is neither: it reads the group's size.
+fn aggregate_calls<'e>(
+    plan: &SelectPlan<'e>,
+    layout: &[Binding<'_>],
+    cache: Option<&ProgramCache>,
+) -> (Vec<Fold<'e>>, bool) {
+    fn collect<'e>(expr: &'e Expr, calls: &mut Vec<(&'e str, &'e [Expr])>) {
+        match expr {
+            Expr::Function { name, args } if is_aggregate(name) => calls.push((name, args)),
+            _ => expr.for_each_child(|child| collect(child, calls)),
+        }
+    }
+    let mut calls = Vec::new();
+    for item in plan.project.items {
+        if let SelectItem::Expr { expr, .. } = item {
+            collect(expr, &mut calls);
+        }
+    }
+    if let Some(having) = plan.aggregate.as_ref().and_then(|agg| agg.having) {
+        collect(having, &mut calls);
+    }
+    for o in plan.order_by {
+        collect(&o.expr, &mut calls);
+    }
+    let (mut folds, mut walk) = (Vec::new(), false);
+    for (name, args) in calls {
+        match (Acc::new(name), args.first()) {
+            // `COUNT(*)`; any other call without one fails when it is read.
+            (_, None) => {}
+            (Some(empty), Some(arg)) if is_total(arg, layout, layout.len()) => {
+                let ready = Prepared::new(arg, layout, cache);
+                folds.push(Fold {
+                    arg,
+                    cell: ready.column(),
+                    ready,
+                    empty,
+                });
+            }
+            _ => walk = true,
+        }
+    }
+    (folds, walk)
+}
+
 /// The filtered rows partitioned by GROUP BY key, groups in first-seen
-/// order: group `g` is rows `members[starts[g]..starts[g + 1]]`, in row
-/// order. Two flat vectors however many groups and members there are.
-struct Groups {
+/// order, with what the statement's aggregate calls read of each.
+#[derive(Default)]
+struct Groups<'v> {
+    /// Per group: its first row, which it emits on, and its size.
+    heads: Vec<(u32, u32)>,
+    /// The statement's folds' accumulators, `folds.len()` per group.
+    accs: Vec<Acc<'v>>,
+    /// Group `g` is rows `members[starts[g]..starts[g + 1]]`, in row
+    /// order; listed only when some call walks them.
     members: Vec<u32>,
     starts: Vec<u32>,
 }
 
-impl Groups {
-    fn iter(&self) -> impl Iterator<Item = &[u32]> {
-        self.starts
-            .windows(2)
-            .map(|w| &self.members[w[0] as usize..w[1] as usize])
-    }
-}
-
-/// Partitions `rows` by the values of `keys`. Without keys every row is
-/// in the one group, which exists even for no rows at all (`COUNT(*)`
-/// over an empty table is one row); with keys and no rows there is no
-/// group.
+/// Partitions `rows` by the values of `keys`, feeding each row to its
+/// group's `folds` as it goes. Without keys every row is in the one group,
+/// which exists even for no rows at all (`COUNT(*)` over an empty table is
+/// one row); with keys and no rows there is no group. A bare key's cell is
+/// read where it lies; members are listed only when `walk`.
 fn group_rows<'p>(
     keys: &[Prepared<'_>],
+    folds: &[Fold<'_>],
+    walk: bool,
     rows: &Rows<'p>,
     m: &mut Machine,
     scope: &EvalCtx<'_>,
     fx: &mut SideEffects,
-) -> Result<Groups, DbError> {
-    if keys.is_empty() {
-        return Ok(Groups {
-            members: (0..rows.len as u32).collect(),
-            starts: vec![0, rows.len as u32],
-        });
+) -> Result<Groups<'p>, DbError> {
+    let mut groups = Groups::default();
+    let open = |groups: &mut Groups<'p>, first: usize| {
+        groups.heads.push((first as u32, 0));
+        groups.accs.extend(folds.iter().map(|f| f.empty.clone()));
+    };
+    let cells: Vec<Option<(usize, usize)>> = keys.iter().map(Prepared::column).collect();
+    let mut table = (!keys.is_empty()).then(|| Identities::new(keys.len()));
+    if table.is_none() {
+        open(&mut groups, 0);
     }
-    let mut index: HashMap<Vec<Ident<'p>>, u32> = HashMap::new();
-    let mut group_of = Vec::with_capacity(rows.len);
-    let mut sizes: Vec<u32> = Vec::new();
     let mut key = Vec::with_capacity(keys.len());
+    let mut group_of = Vec::with_capacity(if walk { rows.len } else { 0 });
     for r in 0..rows.len {
         let row = rows.row(r);
-        key.clear();
-        for k in keys {
-            let (operand, slots) = k.operand(m, row, scope, fx)?;
-            key.push(match *operand {
-                Operand::Column { binding, column } => {
-                    Ident::of(&row[usize::from(binding)][usize::from(column)])
+        let g = match &mut table {
+            None => 0,
+            Some(table) => {
+                key.clear();
+                for (k, cell) in keys.iter().zip(&cells) {
+                    let ident = match *cell {
+                        Some((binding, column)) => Ident::of(&row[binding][column]),
+                        None => {
+                            let (operand, slots) = k.operand(m, row, scope, fx)?;
+                            match *operand {
+                                Operand::Column { binding, column } => {
+                                    Ident::of(&row[usize::from(binding)][usize::from(column)])
+                                }
+                                _ => Ident::owned(operand.take(slots, row)),
+                            }
+                        }
+                    };
+                    key.push(ident);
                 }
-                _ => Ident::owned(operand.take(slots, row)),
-            });
-        }
-        let g = match index.get(key.as_slice()) {
-            Some(&g) => g,
-            None => {
-                index.insert(key.clone(), sizes.len() as u32);
-                sizes.push(0);
-                sizes.len() as u32 - 1
+                let (g, opened) = table.number(&key);
+                if opened {
+                    open(&mut groups, r);
+                }
+                g as usize
             }
         };
-        sizes[g as usize] += 1;
-        group_of.push(g);
+        groups.heads[g].1 += 1;
+        let accs = &mut groups.accs[g * folds.len()..][..folds.len()];
+        for (fold, acc) in folds.iter().zip(accs) {
+            if let Some((binding, column)) = fold.cell {
+                acc.add(&row[binding][column], Cow::Borrowed);
+                continue;
+            }
+            let (operand, slots) = fold.ready.operand(m, row, scope, fx)?;
+            acc.add(operand.get(slots, row), |v| Cow::Owned(v.clone()));
+        }
+        if walk {
+            group_of.push(g as u32);
+        }
     }
-    // Counting sort by group number: stable, so members keep row order.
-    let mut starts = Vec::with_capacity(sizes.len() + 1);
-    let mut at = 0;
-    starts.push(at);
-    for size in &sizes {
-        at += size;
-        starts.push(at);
+    if walk {
+        // Counting sort by group number: stable, so members keep row order.
+        let mut at = 0;
+        groups.starts.reserve(groups.heads.len() + 1);
+        groups.starts.push(at);
+        for &(_, size) in &groups.heads {
+            at += size;
+            groups.starts.push(at);
+        }
+        let mut next = groups.starts.clone();
+        groups.members = vec![0; rows.len];
+        for (r, g) in group_of.into_iter().enumerate() {
+            groups.members[next[g as usize] as usize] = r as u32;
+            next[g as usize] += 1;
+        }
     }
-    let mut next = starts.clone();
-    let mut members = vec![0; rows.len];
-    for (r, g) in group_of.into_iter().enumerate() {
-        members[next[g as usize] as usize] = r as u32;
-        next[g as usize] += 1;
-    }
-    Ok(Groups { members, starts })
+    Ok(groups)
 }
 
-/// The group an aggregate folds: its member rows in the arena, and the
-/// statement's readied aggregate arguments.
+/// A grouped statement as its aggregate calls read it: the rows, the
+/// groups, the folds and the arguments readied for member walks.
+struct Grouping<'a> {
+    rows: &'a Rows<'a>,
+    groups: Groups<'a>,
+    folds: Vec<Fold<'a>>,
+    args: RefCell<AggArgs>,
+    cache: Option<&'a ProgramCache>,
+}
+
+/// The group an aggregate call reads: group `g` of its statement.
 #[derive(Clone, Copy)]
 pub(crate) struct Group<'a> {
-    rows: &'a Rows<'a>,
-    members: &'a [u32],
-    args: &'a RefCell<AggArgs>,
-    cache: Option<&'a ProgramCache>,
+    of: &'a Grouping<'a>,
+    g: usize,
 }
 
 /// Aggregate arguments readied so far in this statement, found again by
@@ -398,7 +695,19 @@ struct AggArgs {
     machine: Machine,
 }
 
-impl Group<'_> {
+impl<'a> Group<'a> {
+    fn size(&self) -> u32 {
+        self.of.groups.heads[self.g].1
+    }
+
+    /// The accumulator the grouping pass fed for the call whose argument
+    /// is `arg`, if it folds.
+    fn folded(&self, arg: &Expr) -> Option<&'a Acc<'a>> {
+        let folds = &self.of.folds;
+        let at = folds.iter().position(|f| std::ptr::eq(f.arg, arg))?;
+        Some(&self.of.groups.accs[self.g * folds.len() + at])
+    }
+
     /// Hands `fold` the value of `arg` on every member, in row order,
     /// where it lies; a refusal from `fold` ends the walk.
     fn each(
@@ -408,15 +717,25 @@ impl Group<'_> {
         fx: &mut SideEffects,
         mut fold: impl FnMut(&Value) -> Result<(), DbError>,
     ) -> Result<(), DbError> {
-        let mut args = self.args.borrow_mut();
+        let Grouping {
+            rows,
+            groups,
+            args,
+            cache,
+            ..
+        } = self.of;
+        // Members are listed when a call the statement holds walks them;
+        // a call that is not one of its calls has none to walk.
+        let members = match groups.starts.get(self.g..=self.g + 1) {
+            Some(&[from, to]) => &groups.members[from as usize..to as usize],
+            _ => return Err(DbError::Runtime("aggregate outside its statement".into())),
+        };
+        let mut args = args.borrow_mut();
         let AggArgs { readied, machine } = &mut *args;
         let at = match readied.iter().position(|(e, _)| std::ptr::eq(*e, arg)) {
             Some(at) => at,
             None => {
-                readied.push((
-                    std::ptr::from_ref(arg),
-                    compiled(arg, ctx.layout, self.cache),
-                ));
+                readied.push((std::ptr::from_ref(arg), compiled(arg, ctx.layout, *cache)));
                 readied.len() - 1
             }
         };
@@ -425,8 +744,8 @@ impl Group<'_> {
             group: None,
             ..*ctx
         };
-        for &r in self.members {
-            let row = self.rows.row(r as usize);
+        for &r in members {
+            let row = rows.row(r as usize);
             let (operand, slots) = evaluate(arg, program, machine, row, &member, fx)?;
             fold(operand.get(slots, row))?;
         }
@@ -449,50 +768,7 @@ pub(crate) fn eval_aggregate(
     };
     match name {
         // COUNT(*)
-        "COUNT" if args.is_empty() => Ok(Value::Int(group.members.len() as i64)),
-        "COUNT" => {
-            let mut n = 0i64;
-            group.each(arg()?, ctx, fx, |v| {
-                n += i64::from(!v.is_null());
-                Ok(())
-            })?;
-            Ok(Value::Int(n))
-        }
-        "SUM" | "AVG" => {
-            let mut sum = 0.0;
-            let mut n = 0usize;
-            group.each(arg()?, ctx, fx, |v| {
-                if let Some(f) = v.to_real() {
-                    sum += f;
-                    n += 1;
-                }
-                Ok(())
-            })?;
-            Ok(match (n, name) {
-                (0, _) => Value::Null,
-                (_, "SUM") => Value::Real(sum),
-                _ => Value::Real(sum / n as f64),
-            })
-        }
-        "MIN" | "MAX" => {
-            let wanted = if name == "MAX" {
-                std::cmp::Ordering::Greater
-            } else {
-                std::cmp::Ordering::Less
-            };
-            let mut best: Option<Value> = None;
-            group.each(arg()?, ctx, fx, |v| {
-                let take = match &best {
-                    None => !v.is_null(),
-                    Some(b) => v.sql_cmp(b) == Some(wanted),
-                };
-                if take {
-                    best = Some(v.clone());
-                }
-                Ok(())
-            })?;
-            Ok(best.unwrap_or(Value::Null))
-        }
+        "COUNT" if args.is_empty() => Ok(Value::Int(i64::from(group.size()))),
         "GROUP_CONCAT" => {
             let mut joined: Option<String> = None;
             group.each(arg()?, ctx, fx, |v| {
@@ -517,7 +793,20 @@ pub(crate) fn eval_aggregate(
             })?;
             Ok(joined.map_or(Value::Null, Value::Str))
         }
-        other => Err(DbError::Runtime(format!("unknown aggregate {other}()"))),
+        _ => {
+            let Some(mut acc) = Acc::new(name) else {
+                return Err(DbError::Runtime(format!("unknown aggregate {name}()")));
+            };
+            let arg = arg()?;
+            if let Some(folded) = group.folded(arg) {
+                return Ok(folded.clone().value());
+            }
+            group.each(arg, ctx, fx, |v| {
+                acc.add(v, |v| Cow::Owned(v.clone()));
+                Ok(())
+            })?;
+            Ok(acc.value())
+        }
     }
 }
 
@@ -625,8 +914,9 @@ fn emit_stage(
 }
 
 /// Partitions by the GROUP BY key vector — or one synthetic all-rows
-/// group — applies HAVING per group, then emits one row per group on the
-/// group's first member.
+/// group — folding what the statement's aggregate calls fold on the way,
+/// applies HAVING per group, then emits one row per group on the group's
+/// first row.
 fn emit_groups(
     agg: &AggregatePlan<'_>,
     rows: &Rows<'_>,
@@ -637,7 +927,8 @@ fn emit_groups(
 ) -> Result<(), DbError> {
     let ready = |key| Prepared::new(key, scope.layout, cache);
     let keys: Vec<Prepared<'_>> = agg.group_by.iter().map(ready).collect();
-    let groups = group_rows(&keys, rows, &mut emitter.machine, scope, fx)?;
+    let (folds, walk) = aggregate_calls(emitter.plan, scope.layout, cache);
+    let groups = group_rows(&keys, &folds, walk, rows, &mut emitter.machine, scope, fx)?;
     // The one group of an empty input is represented by an all-NULL row.
     let null_rows: Vec<Row> = if rows.len == 0 {
         let nulls = |b: &Binding<'_>| vec![Value::Null; b.schema().columns.len()];
@@ -646,18 +937,21 @@ fn emit_groups(
         Vec::new()
     };
     let null_row: Vec<&[Value]> = null_rows.iter().map(Vec::as_slice).collect();
-    let args = RefCell::default();
-    for members in groups.iter() {
+    let grouping = Grouping {
+        rows,
+        groups,
+        folds,
+        args: RefCell::default(),
+        cache,
+    };
+    for (g, &(first, _)) in grouping.groups.heads.iter().enumerate() {
         let ctx = EvalCtx {
-            row: members
-                .first()
-                .map_or(&null_row[..], |&r| rows.row(r as usize)),
-            group: Some(Group {
-                rows,
-                members,
-                args: &args,
-                cache,
-            }),
+            row: if rows.len == 0 {
+                &null_row[..]
+            } else {
+                rows.row(first as usize)
+            },
+            group: Some(Group { of: &grouping, g }),
             ..*scope
         };
         if let Some(h) = agg.having {
@@ -722,4 +1016,216 @@ fn sort_rows(rows: Vec<Row>, keys: Vec<Vec<Value>>, order: &[OrderBy]) -> Vec<Ro
     let mut zipped: Vec<(Vec<Value>, Row)> = keys.into_iter().zip(rows).collect();
     zipped.sort_by(|a, b| compare_key_vecs(&a.0, &b.0, order));
     zipped.into_iter().map(|(_, r)| r).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    //! A fold equals the member walk. `AGG(x)` with a total `x` is folded
+    //! in the grouping pass; `AGG(COALESCE(x))` is not total, so it walks
+    //! the members of its group, and the two must agree to the bit, in
+    //! the projection, HAVING and ORDER BY, with and without a program
+    //! cache. The keys include integers and strings chosen to share one
+    //! front-table slot, and more groups than the front table has slots;
+    //! grouping and DISTINCT are held to a model of first-seen order.
+    //!
+    //! Hand-mutations that fail `a_fold_equals_the_member_walk`: feeding
+    //! the folds in a second pass over the rows in reverse order (a float
+    //! sum then depends on it), and counting a front-table slot as a hit
+    //! without comparing its key.
+
+    use super::*;
+    use crate::{execute_read_with, execute_with};
+    use septic_sql::parse;
+
+    /// xorshift64*: the test's rows are a pure function of its seed.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        }
+
+        fn pick<'a, T>(&mut self, from: &'a [T]) -> &'a T {
+            &from[(self.next() % from.len() as u64) as usize]
+        }
+    }
+
+    fn slot_of(value: &Value) -> usize {
+        front_slot(&[Ident::of(value)])
+    }
+
+    /// `n` keys from `make(0..)` that share a front-table slot, and `m`
+    /// more that do not.
+    fn keys<T>(make: impl Fn(i64) -> T, value: impl Fn(&T) -> Value, n: usize, m: usize) -> Vec<T> {
+        let slot = slot_of(&value(&make(0)));
+        let (shared, other): (Vec<T>, Vec<T>) = (0..20_000)
+            .map(make)
+            .partition(|k| slot_of(&value(k)) == slot);
+        assert!(shared.len() >= n && other.len() >= m);
+        shared
+            .into_iter()
+            .take(n)
+            .chain(other.into_iter().take(m))
+            .collect()
+    }
+
+    /// Every cell by its bits: `-0.0 == 0.0` for `Value`'s `==`.
+    fn bits(rows: &[Row]) -> Vec<Vec<String>> {
+        let cell = |v: &Value| match v {
+            Value::Real(f) => format!("real {:#018x}", f.to_bits()),
+            other => format!("{other:?}"),
+        };
+        rows.iter().map(|r| r.iter().map(cell).collect()).collect()
+    }
+
+    fn literal(v: &Value) -> String {
+        match v {
+            Value::Null => "NULL".into(),
+            Value::Int(i) => i.to_string(),
+            Value::Real(f) => format!("{f:?}"),
+            Value::Str(s) => format!("'{s}'"),
+        }
+    }
+
+    /// `m (id, ki, ks, i, r, t)`: 1,200 rows over 300 integer and 300
+    /// string keys, 40 and 30 of them in one front-table slot.
+    fn table(seed: u64) -> (Database, Vec<(Value, Value)>) {
+        let mut rng = Rng(seed);
+        let ints = keys(|k| k, |&k| Value::Int(k), 40, 260);
+        let strs = keys(|k| format!("k{k}"), |s| Value::from(s.as_str()), 30, 270);
+        let reals = [
+            Value::Null,
+            Value::Real(-0.0),
+            Value::Real(0.0),
+            Value::Real(1e308),
+            Value::Real(-1e308),
+            Value::Real(1e16),
+            Value::Real(-1e16),
+            Value::Real(1.0),
+            Value::Real(0.1),
+            Value::Real(0.2),
+            Value::Real(0.3),
+            Value::Real(1e-300),
+            Value::Real(5e-324),
+        ];
+        let texts = [
+            "NULL", "'10'", "'9'", "'abc'", "''", "'1e3'", "'-0'", "'0.1'",
+        ];
+        let mut db = Database::new();
+        let mut run = |sql: &str| {
+            let parsed = parse(sql).unwrap_or_else(|e| panic!("`{sql}`: {e}"));
+            execute_with(&mut db, &parsed.statements[0], 0, None).expect("setup runs");
+        };
+        run(
+            "CREATE TABLE m (id INT PRIMARY KEY, ki INT, ks VARCHAR(16), \
+             i INT, r DOUBLE, t VARCHAR(16))",
+        );
+        let mut keyed = Vec::new();
+        for chunk in 0..12 {
+            let mut values = Vec::new();
+            for id in chunk * 100..(chunk + 1) * 100 {
+                let ki = Value::Int(*rng.pick(&ints));
+                let ks = Value::from(rng.pick(&strs).as_str());
+                let i = match rng.next() % 8 {
+                    0 => "NULL".to_string(),
+                    n => (n as i64 * 7 - 30).to_string(),
+                };
+                values.push(format!(
+                    "({id}, {}, {}, {i}, {}, {})",
+                    literal(&ki),
+                    literal(&ks),
+                    literal(rng.pick(&reals)),
+                    rng.pick(&texts)
+                ));
+                keyed.push((ki, ks));
+            }
+            run(&format!(
+                "INSERT INTO m (id, ki, ks, i, r, t) VALUES {}",
+                values.join(", ")
+            ));
+        }
+        (db, keyed)
+    }
+
+    fn query(db: &Database, sql: &str, cache: Option<&ProgramCache>) -> Vec<Row> {
+        let parsed = parse(sql).unwrap_or_else(|e| panic!("`{sql}`: {e}"));
+        execute_read_with(db, &parsed.statements[0], 0, cache)
+            .unwrap_or_else(|e| panic!("`{sql}`: {e}"))
+            .rows
+    }
+
+    /// The first-seen order of `keys` and how often each occurs.
+    fn model(keys: impl Iterator<Item = Value>) -> Vec<Row> {
+        let mut out: Vec<Row> = Vec::new();
+        for key in keys {
+            match out
+                .iter_mut()
+                .find(|row| bits(&[vec![row[0].clone()]]) == bits(&[vec![key.clone()]]))
+            {
+                Some(row) => {
+                    let Value::Int(n) = &mut row[1] else {
+                        unreachable!()
+                    };
+                    *n += 1;
+                }
+                None => out.push(vec![key, Value::Int(1)]),
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn a_fold_equals_the_member_walk() {
+        // Ints, strings, reals and NULLs through one total argument.
+        let mixed = "CASE id % 4 WHEN 0 THEN i WHEN 1 THEN t WHEN 2 THEN r END";
+        for seed in [0x5eed_0001_u64, 0x5eed_0002] {
+            let (db, keyed) = table(seed);
+            let cache = ProgramCache::new();
+            for cache in [Some(&cache), None] {
+                // Grouping and DISTINCT keep every key apart, first seen first.
+                let ki = model(keyed.iter().map(|k| k.0.clone()));
+                let ks = model(keyed.iter().map(|k| k.1.clone()));
+                assert!(ki.len() > FRONT_SLOTS && ks.len() > FRONT_SLOTS);
+                let sql = "SELECT ki, COUNT(*) FROM m GROUP BY ki";
+                assert_eq!(bits(&query(&db, sql, cache)), bits(&ki), "{sql}");
+                let sql = "SELECT ks, COUNT(*) FROM m GROUP BY ks";
+                assert_eq!(bits(&query(&db, sql, cache)), bits(&ks), "{sql}");
+                let firsts: Vec<Row> = ki.iter().map(|row| vec![row[0].clone()]).collect();
+                let sql = "SELECT DISTINCT ki FROM m";
+                assert_eq!(bits(&query(&db, sql, cache)), bits(&firsts), "{sql}");
+                for key in ["ki", "ks", "ki, ks", "i"] {
+                    for agg in ["COUNT", "SUM", "AVG", "MIN", "MAX"] {
+                        for arg in ["i", "r", "t", mixed] {
+                            let sql = |arg: &str| {
+                                format!(
+                                    "SELECT {key}, {agg}({arg}), COUNT(*) FROM m GROUP BY {key} \
+                                     HAVING {agg}({arg}) IS NOT NULL OR COUNT(*) > 3 \
+                                     ORDER BY {agg}({arg}) IS NULL, COUNT(*) DESC"
+                                )
+                            };
+                            let (folded, walked) = (sql(arg), sql(&format!("COALESCE({arg})")));
+                            assert_eq!(
+                                bits(&query(&db, &folded, cache)),
+                                bits(&query(&db, &walked, cache)),
+                                "{folded}"
+                            );
+                        }
+                    }
+                }
+                // The one group of no GROUP BY, over rows and over none.
+                for filter in ["", " WHERE id < 0"] {
+                    let sql = |arg: &str| {
+                        format!("SELECT COUNT({arg}), SUM({arg}), AVG({arg}), MIN({arg}), MAX({arg}) FROM m{filter}")
+                    };
+                    assert_eq!(
+                        bits(&query(&db, &sql(mixed), cache)),
+                        bits(&query(&db, &sql(&format!("COALESCE({mixed})")), cache)),
+                    );
+                }
+            }
+        }
+    }
 }

@@ -831,6 +831,16 @@ impl<'e> Prepared<'e> {
         }
     }
 
+    /// The `(binding, column)` of the cell the expression is, when its
+    /// program is one `Column` op: a caller reads that cell per row and
+    /// runs nothing.
+    pub(crate) fn column(&self) -> Option<(usize, usize)> {
+        match self.compiled.as_ref()?.program.ops() {
+            [Op::Column { binding, column }] => Some((usize::from(*binding), usize::from(*column))),
+            _ => None,
+        }
+    }
+
     /// [`evaluate`] on `row`.
     pub(crate) fn operand<'c>(
         &'c self,

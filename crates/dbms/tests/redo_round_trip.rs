@@ -10,6 +10,7 @@
 //! | a checkpoint writes a non-finite real as JSON did (`null`, read back as NaN) | `overflowed_doubles_survive_a_checkpoint_by_their_bits` |
 //! | `bind_params` lets a non-finite real through | `a_non_finite_bound_real_is_refused_before_anything_runs` |
 //! | `-9223372036854775808` parses as a real again (the parser's sign fold ignores the 2^63 token) | `a_bound_i64_min_survives_redo`, `bound_numbers_recover_equal` |
+//! | a column's `DEFAULT` takes one literal token again, no sign | `a_negative_column_default_survives_redo` |
 
 use std::path::Path;
 use std::sync::Arc;
@@ -83,6 +84,31 @@ fn a_backslash_path_survives_redo() {
     assert_eq!(cell(&server, "SELECT v FROM t WHERE id = 3"), path);
     let revived = recovers_equal(&io, &server);
     assert_eq!(cell(&revived, "SELECT v FROM t WHERE id = 3"), path);
+}
+
+#[test]
+fn a_negative_column_default_survives_redo() {
+    let (io, server, conn) = durable(0);
+    conn.execute(
+        "CREATE TABLE n (id INT PRIMARY KEY, a INT DEFAULT -1, \
+         b BIGINT DEFAULT -9223372036854775808, d DOUBLE DEFAULT -2.5)",
+    )
+    .unwrap();
+    conn.execute("INSERT INTO n (id) VALUES (1)").unwrap();
+    let row = |server: &Arc<Server>, id: i64| {
+        let sql = format!("SELECT a, b, d FROM n WHERE id = {id}");
+        server.connect().query(&sql).unwrap().rows[0].clone()
+    };
+    let defaults = vec![Value::Int(-1), Value::Int(i64::MIN), Value::Real(-2.5)];
+    assert_eq!(row(&server, 1), defaults);
+    let revived = recovers_equal(&io, &server);
+    assert_eq!(row(&revived, 1), defaults);
+    // The table was re-created with its defaults, not only its rows.
+    revived
+        .connect()
+        .execute("INSERT INTO n (id) VALUES (2)")
+        .unwrap();
+    assert_eq!(row(&revived, 2), defaults);
 }
 
 #[test]

@@ -13,6 +13,8 @@
 //! key) built per member in `group_rows`, each fail
 //! `grouping_costs_per_group_not_per_member`, where survivors are not
 //! output rows.
+//! A key `Vec` collected per row in `dedupe` (its `HashSet` before the
+//! identity table) fails `distinct_costs_per_distinct_row_not_per_row`.
 //!
 //! Building the cell-test list per statement instead of once per shape
 //! fails `a_filter_of_cell_tests_allocates_no_test_list_per_statement`.
@@ -158,6 +160,23 @@ fn grouping_costs_per_group_not_per_member() {
     let groups = cost(&database(1000, 0, 50), sql);
     assert_eq!(groups.2, 50);
     assert!(groups.0 > many.0);
+}
+
+#[test]
+fn distinct_costs_per_distinct_row_not_per_row() {
+    let plain = "SELECT price FROM tickets WHERE ref > 0";
+    let distinct = "SELECT DISTINCT price FROM tickets WHERE ref > 0";
+    // What DISTINCT adds to the same SELECT: (fresh, regrown).
+    let added = |db: &Database| {
+        let (p, d) = (cost(db, plain), cost(db, distinct));
+        assert_eq!(d.2, 5, "distinct prices");
+        (d.0 - p.0, d.1.abs_diff(p.1))
+    };
+    assert_eq!(
+        added(&database(10, 0, 5)),
+        added(&database(1000, 0, 5)),
+        "5 distinct of 10 rows and of 1000"
+    );
 }
 
 #[test]

@@ -631,12 +631,18 @@ impl<'a> Parser<'a> {
             } else if self.eat_kw(Kw::AutoIncrement) {
                 def.auto_increment = true;
             } else if self.eat_kw(Kw::Default) {
+                // One sign may precede a number, folded into it as
+                // `Parser::signed` folds one: `-9223372036854775808` (the
+                // token holds 2^63 as `i64::MIN`) is `i64::MIN`.
+                let negative = self.eat_token(&Token::Minus);
+                let signed = negative || self.eat_token(&Token::Plus);
                 def.default = Some(match self.advance() {
+                    Some(Token::Int(v)) if negative => Literal::Int(v.wrapping_neg()),
                     Some(Token::Int(v)) => unsigned(v),
-                    Some(Token::Float(v)) => Literal::Float(v),
-                    Some(Token::Str(s)) => Literal::Str(s.into_owned()),
-                    Some(Token::Ident(_, Kw::Null)) => Literal::Null,
-                    Some(Token::Ident(_, Kw::CurrentTimestamp)) => {
+                    Some(Token::Float(v)) => Literal::Float(if negative { -v } else { v }),
+                    Some(Token::Str(s)) if !signed => Literal::Str(s.into_owned()),
+                    Some(Token::Ident(_, Kw::Null)) if !signed => Literal::Null,
+                    Some(Token::Ident(_, Kw::CurrentTimestamp)) if !signed => {
                         Literal::Str("CURRENT_TIMESTAMP".into())
                     }
                     _ => return Err(self.unexpected("a literal default")),
@@ -1195,6 +1201,36 @@ mod tests {
         assert!(c.columns[0].primary_key && c.columns[0].auto_increment);
         assert!(c.columns[1].not_null);
         assert_eq!(c.columns[3].default, Some(Literal::Int(0)));
+    }
+
+    #[test]
+    fn a_signed_number_is_a_column_default() {
+        let s = one("CREATE TABLE x (a INT DEFAULT -1, b DOUBLE DEFAULT -2.5, \
+             c BIGINT DEFAULT -9223372036854775808, d INT DEFAULT +7, \
+             e DOUBLE DEFAULT -0.0, f DOUBLE DEFAULT +9223372036854775808)");
+        let Statement::CreateTable(c) = &s else {
+            panic!()
+        };
+        let defaults: Vec<Option<Literal>> = c.columns.iter().map(|c| c.default.clone()).collect();
+        assert_eq!(
+            defaults,
+            [
+                Some(Literal::Int(-1)),
+                Some(Literal::Float(-2.5)),
+                Some(Literal::Int(i64::MIN)),
+                Some(Literal::Int(7)),
+                Some(Literal::Float(-0.0)),
+                Some(Literal::Float(9_223_372_036_854_775_808.0)),
+            ]
+        );
+        assert!(matches!(c.columns[4].default, Some(Literal::Float(v)) if v.is_sign_negative()));
+        // Rendered and parsed back, the statement is itself.
+        assert_eq!(one(&s.to_string()), s);
+        // A sign goes before one number only.
+        for bad in ["-'x'", "-NULL", "- -1", "-a", "+CURRENT_TIMESTAMP"] {
+            let sql = format!("CREATE TABLE x (a INT DEFAULT {bad})");
+            assert!(parse(&sql).is_err(), "{sql}");
+        }
     }
 
     #[test]

@@ -94,6 +94,12 @@ pub(crate) struct SelectPlan<'a> {
     pub(crate) aggregate: Option<AggregatePlan<'a>>,
     pub(crate) project: ProjectPlan<'a>,
     pub(crate) order_by: &'a [OrderBy],
+    /// Per ORDER BY key, the output column of the select alias a bare
+    /// name names (ASCII case-insensitively). MySQL resolves an
+    /// unqualified ORDER BY name against the aliases first, then against
+    /// the FROM columns, so `SELECT price AS id … ORDER BY id` sorts by
+    /// price.
+    pub(crate) order_aliases: Vec<Option<usize>>,
     pub(crate) distinct: bool,
     pub(crate) limit: Option<&'a Limit>,
 }
@@ -165,6 +171,7 @@ impl<'a> SelectPlan<'a> {
         };
 
         let mut columns: Vec<String> = Vec::new();
+        let mut aliases = Vec::new();
         for item in &select.items {
             match item {
                 SelectItem::Wildcard => {
@@ -184,10 +191,21 @@ impl<'a> SelectPlan<'a> {
                     }
                 }
                 SelectItem::Expr { expr, alias } => {
+                    if let Some(alias) = alias {
+                        aliases.push((alias.as_str(), columns.len()));
+                    }
                     columns.push(alias.clone().unwrap_or_else(|| expr.to_string()));
                 }
             }
         }
+        let alias_of = |o: &OrderBy| match &o.expr {
+            Expr::Column { table: None, name } => aliases
+                .iter()
+                .find(|(alias, _)| alias.eq_ignore_ascii_case(name))
+                .map(|&(_, column)| column),
+            _ => None,
+        };
+        let order_aliases = select.order_by.iter().map(alias_of).collect();
 
         Ok(SelectPlan {
             layout,
@@ -199,6 +217,7 @@ impl<'a> SelectPlan<'a> {
                 columns,
             },
             order_by: &select.order_by,
+            order_aliases,
             distinct: select.distinct,
             limit: select.limit.as_ref(),
         })

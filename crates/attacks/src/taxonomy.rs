@@ -2,10 +2,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Classes of injection attacks the demonstration exercises.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AttackClass {
     /// Textbook quote-based SQLI (stopped by correct sanitization — shown
     /// for contrast; the demo focuses on the classes below).

@@ -22,7 +22,8 @@ fn column(rng: &mut ConformanceRng) -> &'static str {
 }
 
 /// Pieces of a string literal as SQL spells them: escapes the lexer
-/// decodes (`\\`, `\'`, `\n`, `\t`, `\0`, `\b`, `\Z`, `\%`), a doubled
+/// decodes (`\\`, `\'`, `\n`, `\t`, `\0`, `\b`, `\Z`; `\%` keeps its
+/// backslash, for `LIKE`), a doubled
 /// quote, the other quote, U+02BC, NUL, the `LIKE` wildcards, control
 /// characters and multibyte text. A printer that does not escape what the
 /// lexer decodes fails the round trip on these.

@@ -335,6 +335,9 @@ impl Lexer {
                         None => return Err(self.err(start, "unterminated string literal")),
                         Some(e) => {
                             self.pos += 1;
+                            if matches!(e, '%' | '_') {
+                                s.push('\\');
+                            }
                             s.push(unescape(e));
                         }
                     }

@@ -180,11 +180,91 @@ fn internal_ids_of_the_golden_cases_are_pinned() {
     );
 }
 
+/// Builds, through `ModelStore`'s public API, the store an earlier build's
+/// JSON snapshot holds (the format before the store moved to the binary
+/// codec): each model is learned from its items, quarantined ids are
+/// learned provisionally, rejected ids are rejected.
+fn store_from_json(json: &str, store: &septic::ModelStore) {
+    use septic::{QueryId, QueryModel};
+    use septic_sql::items::ITEM_TAGS;
+    use septic_sql::{Item, ItemData, ItemStack};
+    use serde::Value;
+
+    fn field<'a>(value: &'a Value, name: &str) -> &'a Value {
+        match value {
+            Value::Object(fields) => fields.iter().find(|(k, _)| k == name).map(|(_, v)| v),
+            _ => None,
+        }
+        .unwrap_or_else(|| panic!("no field {name} in {value:?}"))
+    }
+    fn array(value: &Value) -> &[Value] {
+        match value {
+            Value::Array(items) => items,
+            other => panic!("expected an array, found {other:?}"),
+        }
+    }
+    fn id_of(value: &Value) -> QueryId {
+        QueryId {
+            external: match field(value, "external") {
+                Value::Null => None,
+                Value::Str(s) => Some(s.as_str().into()),
+                other => panic!("external id {other:?}"),
+            },
+            internal: match field(value, "internal") {
+                Value::Uint(n) => *n,
+                Value::Int(n) => u64::try_from(*n).expect("an internal id is unsigned"),
+                other => panic!("internal id {other:?}"),
+            },
+        }
+    }
+    fn item_of(value: &Value) -> Item {
+        let Value::Str(name) = field(value, "tag") else {
+            panic!("tag of {value:?}")
+        };
+        let &(tag, _) = ITEM_TAGS
+            .iter()
+            .find(|(tag, _)| format!("{tag:?}") == *name)
+            .unwrap_or_else(|| panic!("unknown tag {name}"));
+        let data = match field(value, "data") {
+            Value::Str(unit) if unit == "Bot" => ItemData::Bot,
+            text @ Value::Object(_) => match field(text, "Text") {
+                Value::Str(s) => ItemData::Text(s.clone().into()),
+                other => panic!("text {other:?}"),
+            },
+            other => panic!("the fixture holds element text and ⊥ only, found {other:?}"),
+        };
+        Item { tag, data }
+    }
+
+    let doc = serde_json::parse_value_complete(json).expect("fixture parses");
+    let ids = |name: &str| -> Vec<QueryId> { array(field(&doc, name)).iter().map(id_of).collect() };
+    let quarantine = ids("quarantine");
+    for pair in array(field(&doc, "models")) {
+        let [id, model] = array(pair) else {
+            panic!("a model entry is an [id, model] pair")
+        };
+        let id = id_of(id);
+        let items: ItemStack = array(field(model, "items")).iter().map(item_of).collect();
+        let model = QueryModel::from_structure(&items);
+        if quarantine.contains(&id) {
+            store.learn_provisional(id, model);
+        } else {
+            store.learn(id, model);
+        }
+    }
+    for id in ids("rejected") {
+        store.reject(&id);
+    }
+}
+
 /// A model store written by an earlier build (`tests/golden/model_store.json`:
-/// the store `recovered_prevention_deployment` trains, as `ModelStore::to_json`
-/// wrote it before element payloads became `Cow<'static, str>`) still loads:
-/// it holds the models and ids this build trains, and with it in place a
-/// deployment decides every golden case as a freshly trained one does.
+/// the store `recovered_prevention_deployment` trains, as its JSON snapshot
+/// was written before element payloads became `Cow<'static, str>` and the
+/// store moved to the binary codec) keeps its ids and verdicts: converted
+/// by [`store_from_json`], saved and loaded back, it holds the models and
+/// ids this build trains, and with it in place a deployment decides every
+/// golden case as a freshly trained one does. The JSON file itself, framed
+/// as that build saved it, is refused and left as it was.
 #[test]
 fn a_model_store_from_an_earlier_build_keeps_its_ids_and_verdicts() {
     use septic::Septic;
@@ -192,13 +272,25 @@ fn a_model_store_from_an_earlier_build_keeps_its_ids_and_verdicts() {
         prevention_verdict, recovered_prevention_deployment, run_case_recovered,
     };
     use septic_conformance::grammar::generate_cases;
+    use septic_dbms::wal::encode_frame;
+    use septic_dbms::MemIo;
+    use std::path::Path;
 
     let fixture = std::fs::read_to_string(golden_path().with_file_name("model_store.json"))
         .expect("model store fixture");
     let (_server, _conn, trained, _report) = recovered_prevention_deployment();
+    let converted = Septic::new();
+    store_from_json(&fixture, converted.store());
+    let io = MemIo::new();
+    let path = Path::new("model_store.db");
+    converted.store().save_with(&*io, path).expect("save");
     let loaded = Septic::new();
     assert_eq!(
-        loaded.store().load_json(&fixture).expect("fixture loads"),
+        loaded
+            .store()
+            .load_with(&*io, path)
+            .expect("fixture loads")
+            .models_loaded,
         11
     );
     let mut ids = loaded.store().ids();
@@ -211,7 +303,7 @@ fn a_model_store_from_an_earlier_build_keeps_its_ids_and_verdicts() {
     }
     for case in generate_cases(MATRIX_SEED) {
         let (_server, conn, septic, _report) = recovered_prevention_deployment();
-        septic.store().load_json(&fixture).expect("fixture loads");
+        septic.store().load_with(&*io, path).expect("fixture loads");
         assert_eq!(
             prevention_verdict(&conn, &septic, &case),
             run_case_recovered(&case),
@@ -219,4 +311,11 @@ fn a_model_store_from_an_earlier_build_keeps_its_ids_and_verdicts() {
             case.id
         );
     }
+
+    let old = MemIo::new();
+    let framed = encode_frame(fixture.as_bytes());
+    old.plant(path, framed.clone());
+    let err = Septic::new().store().load_with(&*old, path).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert_eq!(old.contents(path), Some(framed));
 }

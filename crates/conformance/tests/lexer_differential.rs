@@ -140,7 +140,7 @@ fn any_char(rng: &mut TestRng) -> char {
 /// step over whole.
 const SHARP: &[char] = &[
     '\'', '"', '`', '\\', '#', '-', '/', '*', '!', 'x', 'X', '0', '9', '.', 'e', '+', ' ', '\t',
-    '\n', '\u{b}', ';', '(', '=', '<', '>', '|', '&', '?', 'a', '_', '@', '$', '\0', '\u{a0}',
+    '\n', '\u{b}', ';', '(', '=', '<', '>', '|', '&', '?', 'a', '_', '%', '@', '$', '\0', '\u{a0}',
     '\u{85}', '\u{2028}', '\u{3000}', '\u{200b}', 'é', 'ß', '中', '😀', '\u{2bc}', '\u{fffd}',
 ];
 

@@ -15,14 +15,13 @@
 use std::fmt;
 
 use septic_sql::ItemStack;
-use serde::{Deserialize, Serialize};
 
 use crate::model::QueryModel;
 
 /// Which step of the SQLI algorithm flagged the query. Logged by the paper
 /// ("it also logs if they are structural or syntactical, i.e., in which
 /// step of the SQLI detection algorithm discovered the attack").
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SqliKind {
     /// Step 1: node counts differ.
     Structural {

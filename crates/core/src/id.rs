@@ -27,7 +27,6 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use septic_sql::{Fnv1a, ItemStack};
-use serde::{Deserialize, Serialize};
 
 /// Prefix that marks a block comment as an external query identifier.
 /// A prefixed comment is honoured in any position before the first
@@ -41,7 +40,7 @@ pub const EXTERNAL_ID_PREFIX: &str = "qid:";
 /// applications send the same handful of `qid:` strings millions of times,
 /// so cloning an identifier on the query hot path is two refcount bumps and
 /// a `u64` copy — never a heap allocation.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct QueryId {
     /// Application/SSLE-provided identifier, when present (interned).
     pub external: Option<Arc<str>>,

@@ -11,7 +11,6 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 
 use crate::detector::SqliKind;
 use crate::id::QueryId;
@@ -19,7 +18,7 @@ use crate::mode::Mode;
 use crate::plugins::StoredAttack;
 
 /// The action SEPTIC took for a flagged query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AttackAction {
     /// Prevention mode: query dropped.
     Dropped,
@@ -37,7 +36,7 @@ impl fmt::Display for AttackAction {
 }
 
 /// One event in SEPTIC's register.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum EventKind {
     /// A model was created and stored (training or incremental learning).
     ModelCreated { id: QueryId, incremental: bool },
@@ -69,7 +68,7 @@ pub enum EventKind {
 }
 
 /// A sequenced event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Event {
     /// Monotone sequence number.
     pub seq: u64,

@@ -12,10 +12,9 @@
 use std::fmt;
 
 use septic_dbms::FailurePolicy;
-use serde::{Deserialize, Serialize};
 
 /// Normal-mode sub-mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NormalMode {
     /// Attacks are logged but queries still execute.
     Detection,
@@ -24,7 +23,7 @@ pub enum NormalMode {
 }
 
 /// SEPTIC operation mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Mode {
     /// Learn query models; no detection.
     Training,
@@ -52,7 +51,7 @@ impl fmt::Display for Mode {
 /// The action matrix of Table I, derivable from a mode. Used by the
 /// `table1_modes` harness to print the table from behaviour rather than
 /// hard-coding it, and by SEPTIC for its failure policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ModeActions {
     /// Models are learned during an explicit training phase.
     pub qm_training: bool,

@@ -9,12 +9,11 @@
 use std::fmt;
 
 use septic_sql::{Item, ItemData, ItemStack};
-use serde::{Deserialize, Serialize};
 
 /// A learned query model: an item stack with blanked data nodes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryModel {
-    items: Vec<Item>,
+    pub(crate) items: Vec<Item>,
 }
 
 impl QueryModel {

@@ -10,8 +10,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 pub mod fi;
 pub mod osci;
 pub mod xss;
@@ -21,7 +19,7 @@ pub use osci::{OsciPlugin, RcePlugin};
 pub use xss::StoredXssPlugin;
 
 /// A confirmed stored-injection finding.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoredAttack {
     /// Attack class name, e.g. `stored XSS`.
     pub class: String,

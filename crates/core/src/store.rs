@@ -37,6 +37,33 @@
 //! * every journal record carries a sequence number and every snapshot
 //!   the highest one it covers, so the loader skips records a snapshot
 //!   already holds.
+//!
+//! # File format
+//!
+//! A snapshot (`<path>`, `<path>.bak`) is one frame and the journal
+//! (`<path>.journal`) one frame per record. Payloads are in
+//! [`septic_dbms::codec`], the encoding of the WAL and the wire, and start
+//! with a format tag byte, as the WAL's do:
+//!
+//! | item | bytes |
+//! |---|---|
+//! | snapshot | tag `M` · version `u32` (2) · seq `u64` · `u32` model count, then each `QueryId` · `QueryModel` · quarantine `Vec<QueryId>` · rejected `Vec<QueryId>` |
+//! | journal record | tag `J` · seq `u64` · op |
+//! | op | `u8` tag, then: `0` Learn `QueryId` · `QueryModel`, `1` LearnProvisional `QueryId` · `QueryModel`, `2` Approve `QueryId`, `3` Reject `QueryId`, `4` Forget `QueryId`, `5` Clear |
+//! | `QueryId` | external `Option<string>` · internal `u64` |
+//! | `QueryModel` | `u32` item count, then each item's tag and data |
+//! | item tag | `u8`: its index in [`ITEM_TAGS`] |
+//! | item data | `u8` tag, then: `0` Text string, `1` Int `i64`, `2` Real `f64`, `3` Null, `4` ⊥ |
+//!
+//! Snapshots are sorted by id, so one state has one encoding. Version 1
+//! was JSON. A file whose first payload byte is `{` was written by an
+//! earlier build: the loader refuses such a snapshot or journal, or such a
+//! backup when it would fall back to it, with [`io::ErrorKind::InvalidData`]
+//! (the WAL's [`refuse_json`] rule) and leaves every file as it was.
+//! Taking it for corruption would quarantine the snapshot or cut the
+//! journal, and drop every learned model. A backup behind a snapshot this
+//! build saved is not read: the first save over an earlier build's store
+//! keeps that store as the backup.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::BuildHasherDefault;
@@ -46,12 +73,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
+use septic_dbms::codec::{
+    decode_all, decode_count, encode_count, encode_items, encode_str, tagged, untag, Codec,
+};
+use septic_dbms::codec_fields;
 use septic_dbms::wal::{
-    decode_json, encode_frame, install_verified, sibling, single_frame, FrameLog,
+    encode_frame, install_verified, refuse_json, sibling, single_frame, FrameLog,
 };
 use septic_dbms::{FsIo, StorageIo};
-use septic_sql::Fnv1a;
-use serde::{Deserialize, Serialize};
+use septic_sql::items::ITEM_TAGS;
+use septic_sql::{Fnv1a, Item, ItemData};
 
 use crate::id::QueryId;
 use crate::model::QueryModel;
@@ -122,32 +153,29 @@ pub fn quarantine_path(path: &Path) -> PathBuf {
 }
 
 // ---------------------------------------------------------------------------
-// Persistence formats
+// Persistence formats (module docs)
 // ---------------------------------------------------------------------------
 
-/// The only snapshot version written or accepted.
-const SNAPSHOT_VERSION: u32 = 1;
+/// The only snapshot version written or accepted; version 1 was JSON.
+const SNAPSHOT_VERSION: u32 = 2;
+/// First byte of a snapshot's payload.
+const SNAPSHOT_TAG: u8 = b'M';
+/// First byte of a journal record's payload.
+const JOURNAL_TAG: u8 = b'J';
 
-/// Serialized form of the store: the payload of the snapshot's one frame.
-/// Models are held behind `Arc` so building a snapshot from the live map
-/// is a refcount bump per model, not a deep clone.
-#[derive(Debug, Default, Serialize, Deserialize)]
+/// A decoded snapshot: the payload of the snapshot's one frame.
+#[derive(Debug, Default)]
 struct PersistedStore {
-    #[serde(default)]
-    version: u32,
     /// Highest journal sequence this snapshot covers; replay skips records
     /// at or below it.
-    #[serde(default)]
     seq: u64,
-    models: Vec<(QueryId, Arc<QueryModel>)>,
-    #[serde(default)]
+    models: Vec<(QueryId, QueryModel)>,
     quarantine: Vec<QueryId>,
-    #[serde(default)]
     rejected: Vec<QueryId>,
 }
 
 /// One mutation: what a mutator applies and what the journal records.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 enum JournalOp {
     /// Explicit training learned a model (and lifted any rejection).
     Learn { id: QueryId, model: Arc<QueryModel> },
@@ -178,10 +206,164 @@ impl JournalOp {
 }
 
 /// One frame of `<path>.journal`.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug)]
 struct JournalRecord {
     seq: u64,
     op: JournalOp,
+}
+
+codec_fields!(QueryId {
+    external: Option<Arc<str>>,
+    internal: u64,
+});
+codec_fields!(JournalRecord {
+    seq: u64,
+    op: JournalOp
+});
+
+/// The items, each its tag's index in [`ITEM_TAGS`] and its data. The
+/// items are `septic_sql`'s, so their encoding lives here.
+impl Codec for QueryModel {
+    const MIN_LEN: usize = u32::MIN_LEN;
+
+    fn encode(&self, out: &mut Vec<u8>) {
+        encode_count(self.items().len(), out);
+        for item in self.items() {
+            out.push(item.tag as u8);
+            match &item.data {
+                ItemData::Text(text) => {
+                    out.push(0);
+                    encode_str(text, out);
+                }
+                ItemData::Int(v) => tagged(out, 1, v),
+                ItemData::Real(v) => tagged(out, 2, v),
+                ItemData::Null => out.push(3),
+                ItemData::Bot => out.push(4),
+            }
+        }
+    }
+
+    fn decode(input: &mut &[u8]) -> Result<Self, String> {
+        // An item is at least its tag and its data's tag.
+        let n = decode_count(input, 2)?;
+        let mut items = Vec::with_capacity(n);
+        for _ in 0..n {
+            let code = u8::decode(input)?;
+            let &(tag, _) = ITEM_TAGS
+                .get(usize::from(code))
+                .ok_or_else(|| format!("unknown item tag {code}"))?;
+            let data = match u8::decode(input)? {
+                0 => ItemData::Text(String::decode(input)?.into()),
+                1 => ItemData::Int(i64::decode(input)?),
+                2 => ItemData::Real(f64::decode(input)?),
+                3 => ItemData::Null,
+                4 => ItemData::Bot,
+                t => return Err(format!("unknown item data tag {t}")),
+            };
+            items.push(Item { tag, data });
+        }
+        Ok(QueryModel { items })
+    }
+}
+
+impl Codec for JournalOp {
+    const MIN_LEN: usize = 1;
+
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            JournalOp::Learn { id, model } => {
+                tagged(out, 0, id);
+                model.encode(out);
+            }
+            JournalOp::LearnProvisional { id, model } => {
+                tagged(out, 1, id);
+                model.encode(out);
+            }
+            JournalOp::Approve { id } => tagged(out, 2, id),
+            JournalOp::Reject { id } => tagged(out, 3, id),
+            JournalOp::Forget { id } => tagged(out, 4, id),
+            JournalOp::Clear => out.push(5),
+        }
+    }
+
+    fn decode(input: &mut &[u8]) -> Result<Self, String> {
+        // Fields decode in the order they are written.
+        Ok(match u8::decode(input)? {
+            0 => JournalOp::Learn {
+                id: QueryId::decode(input)?,
+                model: Arc::new(QueryModel::decode(input)?),
+            },
+            1 => JournalOp::LearnProvisional {
+                id: QueryId::decode(input)?,
+                model: Arc::new(QueryModel::decode(input)?),
+            },
+            2 => JournalOp::Approve {
+                id: QueryId::decode(input)?,
+            },
+            3 => JournalOp::Reject {
+                id: QueryId::decode(input)?,
+            },
+            4 => JournalOp::Forget {
+                id: QueryId::decode(input)?,
+            },
+            5 => JournalOp::Clear,
+            t => return Err(format!("unknown journal op {t}")),
+        })
+    }
+}
+
+/// A snapshot's payload: its tag and version, then the parts of a state.
+fn snapshot_payload(
+    seq: u64,
+    models: &[(&QueryId, &QueryModel)],
+    quarantine: &[QueryId],
+    rejected: &[QueryId],
+) -> Vec<u8> {
+    let mut payload = Vec::new();
+    tagged(&mut payload, SNAPSHOT_TAG, &SNAPSHOT_VERSION);
+    seq.encode(&mut payload);
+    encode_count(models.len(), &mut payload);
+    for (id, model) in models {
+        id.encode(&mut payload);
+        model.encode(&mut payload);
+    }
+    encode_items(quarantine, &mut payload);
+    encode_items(rejected, &mut payload);
+    payload
+}
+
+/// A snapshot payload, field by field; the version is checked before any
+/// model is decoded.
+fn decode_snapshot(payload: &[u8]) -> Result<PersistedStore, String> {
+    let mut body = untag(payload, SNAPSHOT_TAG)?;
+    match u32::decode(&mut body)? {
+        SNAPSHOT_VERSION => {
+            let seq = u64::decode(&mut body)?;
+            let n = decode_count(&mut body, QueryId::MIN_LEN + QueryModel::MIN_LEN)?;
+            let mut models = Vec::with_capacity(n);
+            for _ in 0..n {
+                models.push((QueryId::decode(&mut body)?, QueryModel::decode(&mut body)?));
+            }
+            Ok(PersistedStore {
+                seq,
+                models,
+                quarantine: Vec::decode(&mut body)?,
+                rejected: decode_all(body)?,
+            })
+        }
+        version => Err(format!("unsupported snapshot version {version}")),
+    }
+}
+
+/// A journal record's payload.
+fn record_payload(record: &JournalRecord) -> Vec<u8> {
+    let mut payload = Vec::new();
+    tagged(&mut payload, JOURNAL_TAG, record);
+    payload
+}
+
+fn decode_record(payload: &[u8]) -> Result<JournalRecord, String> {
+    untag(payload, JOURNAL_TAG).and_then(decode_all::<JournalRecord>)
 }
 
 /// Journal sequencing and the attached journal. One mutex holds both, and
@@ -418,10 +600,8 @@ impl ModelStore {
     fn journal(&self, persist: &mut Persistence, op: JournalOp) {
         let Persistence { next_seq, journal } = persist;
         let Some((io, log)) = journal else { return };
-        let appended = serde_json::to_string(&JournalRecord { seq: *next_seq, op })
-            .map_err(io::Error::other)
-            .and_then(|record| log.append(&**io, record.as_bytes()));
-        match appended {
+        let payload = record_payload(&JournalRecord { seq: *next_seq, op });
+        match log.append(&**io, &payload) {
             Ok(_) => *next_seq += 1,
             Err(_) => {
                 self.journal_errors.fetch_add(1, Ordering::Relaxed);
@@ -530,44 +710,33 @@ impl ModelStore {
         self.state.read().models.keys().cloned().collect()
     }
 
-    /// Serializes the store to JSON (the payload of the snapshot frame).
-    ///
-    /// # Errors
-    ///
-    /// Propagates serializer errors.
-    pub fn to_json(&self) -> serde_json::Result<String> {
-        let persist = self.persist.lock();
-        serde_json::to_string_pretty(&self.snapshot(persist.next_seq - 1))
-    }
-
-    /// The persisted form of the state, covering journal records up to
-    /// `seq`. Only models are persisted: programs are derived state,
-    /// rebuilt when the snapshot is loaded.
-    fn snapshot(&self, seq: u64) -> PersistedStore {
+    /// The snapshot payload of the state, covering journal records up to
+    /// `seq`. Only models are stored: programs are derived state, rebuilt
+    /// when the snapshot is loaded.
+    fn snapshot(&self, seq: u64) -> Vec<u8> {
         let state = self.state.read();
-        let mut models: Vec<(QueryId, Arc<QueryModel>)> = state
+        let mut models: Vec<(&QueryId, &QueryModel)> = state
             .models
             .iter()
-            .map(|(id, cm)| (id.clone(), Arc::clone(&cm.model)))
+            .map(|(id, cm)| (id, &*cm.model))
             .collect();
-        models.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        PersistedStore {
-            version: SNAPSHOT_VERSION,
+        models.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        snapshot_payload(
             seq,
-            models,
-            quarantine: sorted(&state.quarantine),
-            rejected: sorted(&state.rejected),
-        }
+            &models,
+            &sorted(&state.quarantine),
+            &sorted(&state.rejected),
+        )
     }
 
-    /// The state a snapshot holds, every model recompiled: programs are
-    /// never serialized.
+    /// The state a snapshot holds, every model compiled: programs are
+    /// never stored.
     fn restore(&self, persisted: PersistedStore) -> State {
         State {
             models: persisted
                 .models
                 .into_iter()
-                .map(|(id, model)| (id, self.compiled(model)))
+                .map(|(id, model)| (id, self.compiled(Arc::new(model))))
                 .collect(),
             quarantine: persisted.quarantine.into_iter().collect(),
             rejected: persisted.rejected.into_iter().collect(),
@@ -578,21 +747,6 @@ impl ModelStore {
     fn install(&self, state: State) {
         *self.state.write() = state;
         self.refresh_cached_gauge();
-    }
-
-    /// Replaces the store contents from JSON produced by
-    /// [`ModelStore::to_json`]. Unlike the file loaders this is strict:
-    /// malformed input is an error, not a recovery.
-    ///
-    /// # Errors
-    ///
-    /// Propagates deserializer errors.
-    pub fn load_json(&self, json: &str) -> serde_json::Result<usize> {
-        let persisted: PersistedStore = serde_json::from_str(json)?;
-        let n = persisted.models.len();
-        let _persist = self.persist.lock();
-        self.install(self.restore(persisted));
-        Ok(n)
     }
 
     /// Persists the store to a file through the real filesystem (an
@@ -618,20 +772,14 @@ impl ModelStore {
     ///
     /// # Errors
     ///
-    /// I/O errors; serialization errors and detected torn writes surface
-    /// as [`io::ErrorKind::InvalidData`].
+    /// I/O errors; a detected torn write surfaces as
+    /// [`io::ErrorKind::InvalidData`].
     pub fn save_with(&self, io: &dyn StorageIo, path: &Path) -> io::Result<()> {
         // Held to the end: a mutation arriving meanwhile waits, then lands
         // in the emptied journal numbered above this snapshot.
         let persist = self.persist.lock();
-        let payload = serde_json::to_string_pretty(&self.snapshot(persist.next_seq - 1))
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        install_verified(
-            io,
-            path,
-            &encode_frame(payload.as_bytes()),
-            Some(&backup_path(path)),
-        )?;
+        let payload = self.snapshot(persist.next_seq - 1);
+        install_verified(io, path, &encode_frame(&payload), Some(&backup_path(path)))?;
         let journal = journal_path(path);
         if io.exists(&journal) && io.write(&journal, &[]).is_err() {
             self.journal_errors.fetch_add(1, Ordering::Relaxed);
@@ -652,6 +800,9 @@ impl ModelStore {
 
     /// Loads the store through `io`, recovering instead of erroring:
     ///
+    /// * a snapshot or journal an earlier build wrote in JSON is refused,
+    ///   and so is such a backup when the loader would fall back to it;
+    ///   every file is left as it was (module docs);
     /// * a snapshot that is not exactly one valid frame of a supported
     ///   version is quarantined to `<path>.corrupt` and the loader falls
     ///   back to `<path>.bak` (or an empty base when no usable backup
@@ -666,42 +817,59 @@ impl ModelStore {
     /// # Errors
     ///
     /// [`io::ErrorKind::NotFound`] when nothing exists to load at all — no
-    /// snapshot, no backup and no journal; otherwise only an I/O failure
-    /// reading or cutting the journal, which leaves the contents as they
-    /// were.
+    /// snapshot, no backup and no journal;
+    /// [`io::ErrorKind::InvalidData`] for a file in an earlier build's JSON;
+    /// otherwise only an I/O failure reading or cutting the journal. An
+    /// error leaves the contents as they were.
     pub fn load_with(&self, io: &dyn StorageIo, path: &Path) -> io::Result<LoadReport> {
         let mut report = LoadReport::default();
         let backup = backup_path(path);
         let journal = journal_path(path);
         let mut persist = self.persist.lock();
 
+        // An earlier build's file is refused before anything is moved or
+        // cut (module docs). The journal is replayed whatever the snapshot
+        // holds, so it is checked first; `FrameLog::read` reads it again.
+        let refuse = |file: &Path, bytes: &[u8]| {
+            refuse_json(file, bytes)
+                .map_err(|refusal| io::Error::new(io::ErrorKind::InvalidData, refusal))
+        };
+        if let Ok(bytes) = io.read(&journal) {
+            refuse(&journal, &bytes)?;
+        }
+
         let mut persisted: Option<PersistedStore> = None;
+        let mut corrupt = false;
         match io.read(path) {
-            Ok(bytes) => match decode_snapshot(&bytes) {
-                Ok(p) => persisted = Some(p),
-                Err(reason) => {
-                    // Corrupt snapshot: quarantine for post-mortem, recover.
-                    let _ = io.rename(path, &quarantine_path(path));
-                    report.recovered = true;
-                    report.corruption = Some(reason);
+            Ok(bytes) => {
+                refuse(path, &bytes)?;
+                match single_frame(&bytes).and_then(decode_snapshot) {
+                    Ok(p) => persisted = Some(p),
+                    Err(reason) => {
+                        corrupt = true;
+                        report.corruption = Some(reason);
+                    }
                 }
-            },
+            }
             Err(e) if e.kind() == io::ErrorKind::NotFound => {
                 if !io.exists(&backup) && !io.exists(&journal) {
                     return Err(e);
                 }
-                report.recovered = true;
                 report.corruption = Some("snapshot missing".to_string());
             }
-            Err(e) => {
-                report.recovered = true;
-                report.corruption = Some(format!("snapshot unreadable: {e}"));
-            }
+            Err(e) => report.corruption = Some(format!("snapshot unreadable: {e}")),
         }
 
         if persisted.is_none() {
+            report.recovered = true;
+            // The backup counts only when it is loaded.
             if let Ok(bytes) = io.read(&backup) {
-                persisted = decode_snapshot(&bytes).ok();
+                refuse(&backup, &bytes)?;
+                persisted = single_frame(&bytes).and_then(decode_snapshot).ok();
+            }
+            if corrupt {
+                // Quarantined for post-mortem.
+                let _ = io.rename(path, &quarantine_path(path));
             }
         }
         let base = persisted.unwrap_or_default();
@@ -709,7 +877,7 @@ impl ModelStore {
         let mut ops = Vec::new();
         let mut last_seq = base.seq;
         let torn = FrameLog::new(journal).read(io, &mut |payload| {
-            let Ok(record) = decode_json::<JournalRecord>(payload) else {
+            let Ok(record) = decode_record(payload) else {
                 return false;
             };
             if record.seq > base.seq {
@@ -733,18 +901,6 @@ impl ModelStore {
     }
 }
 
-/// Decodes a snapshot file: exactly one valid frame of a supported version.
-fn decode_snapshot(bytes: &[u8]) -> Result<PersistedStore, String> {
-    let persisted: PersistedStore = decode_json(single_frame(bytes)?)?;
-    if persisted.version != SNAPSHOT_VERSION {
-        return Err(format!(
-            "unsupported snapshot version {}",
-            persisted.version
-        ));
-    }
-    Ok(persisted)
-}
-
 /// An [`FsIo`] on the directory of `path`, and the file's name in it.
 pub(crate) fn open_fs(path: &Path) -> io::Result<(Arc<FsIo>, PathBuf)> {
     match (path.parent(), path.file_name()) {
@@ -759,6 +915,7 @@ pub(crate) fn open_fs(path: &Path) -> io::Result<(Arc<FsIo>, PathBuf)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use septic_dbms::MemIo;
     use septic_sql::{items, parse};
 
@@ -777,7 +934,24 @@ mod tests {
     fn scratch(test: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("septic-store-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        dir.join(format!("{test}.json"))
+        dir.join(format!("{test}.db"))
+    }
+
+    /// Where the in-memory tests keep the store.
+    const PATH: &str = "models.db";
+
+    /// `store` saved to a fresh in-memory disk at [`PATH`].
+    fn saved(store: &ModelStore) -> Arc<MemIo> {
+        let io = MemIo::new();
+        store.save_with(&*io, Path::new(PATH)).expect("save");
+        io
+    }
+
+    /// The payload of the snapshot at [`PATH`].
+    fn payload_of(io: &MemIo) -> Vec<u8> {
+        single_frame(&io.contents(PATH).expect("snapshot"))
+            .expect("one frame")
+            .to_vec()
     }
 
     fn cleanup(path: &Path) {
@@ -826,21 +1000,23 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip() {
+    fn snapshot_round_trip() {
         let store = ModelStore::new();
         store.learn(id(1), model("SELECT a FROM t WHERE x = 'v'"));
-        store.learn(
-            QueryId {
-                external: Some("login".into()),
-                internal: 7,
-            },
-            model("SELECT b FROM u"),
-        );
-        let json = store.to_json().expect("serialize");
+        let login = QueryId {
+            external: Some("login".into()),
+            internal: 7,
+        };
+        store.learn(login.clone(), model("SELECT b FROM u"));
+        let io = saved(&store);
         let restored = ModelStore::new();
-        assert_eq!(restored.load_json(&json).expect("load"), 2);
+        let report = restored.load_with(&*io, Path::new(PATH)).expect("load");
+        assert_eq!(report.models_loaded, 2);
         assert_eq!(restored.len(), 2);
         assert_eq!(restored.get(&id(1)), store.get(&id(1)));
+        assert_eq!(restored.get(&login), store.get(&login));
+        // The same state writes the same bytes.
+        assert_eq!(payload_of(&saved(&restored)), payload_of(&io));
     }
 
     #[test]
@@ -849,9 +1025,9 @@ mod tests {
         store.learn(id(42), model("SELECT 1"));
         let path = scratch("file_round_trip");
         store.save_to(&path).expect("save");
-        // The file is one CRC frame around the JSON payload.
+        // The file is one CRC frame around the tagged payload.
         let raw = std::fs::read(&path).unwrap();
-        assert!(single_frame(&raw).is_ok());
+        assert_eq!(single_frame(&raw).unwrap()[0], SNAPSHOT_TAG);
         let restored = ModelStore::new();
         let report = restored.load_from(&path).expect("load");
         assert_eq!(report.models_loaded, 1);
@@ -864,23 +1040,20 @@ mod tests {
     fn only_one_frame_of_the_supported_version_loads() {
         let store = ModelStore::new();
         store.learn(id(1), model("SELECT 1"));
-        let json = store.to_json().unwrap();
-        let future = json.replacen("\"version\": 1", "\"version\": 9", 1);
-        assert_ne!(future, json);
+        let payload = payload_of(&saved(&store));
+        let mut future = payload.clone();
+        future[1..5].copy_from_slice(&9u32.to_le_bytes());
         for (planted, reason) in [
+            (encode_frame(&future), "unsupported snapshot version 9"),
+            // A frameless payload, even a valid one, is not a snapshot.
+            (payload.clone(), "truncated payload"),
             (
-                encode_frame(future.as_bytes()),
-                "unsupported snapshot version 9",
-            ),
-            // Frameless JSON, even a valid payload, is not a snapshot.
-            (json.clone().into_bytes(), "truncated payload"),
-            (
-                [encode_frame(json.as_bytes()), encode_frame(json.as_bytes())].concat(),
+                [encode_frame(&payload), encode_frame(&payload)].concat(),
                 "expected 1 frame, found 2",
             ),
         ] {
             let io = MemIo::new();
-            let path = Path::new("models.json");
+            let path = Path::new(PATH);
             io.plant(path, planted);
             let report = ModelStore::new()
                 .load_with(&*io, path)
@@ -905,27 +1078,42 @@ mod tests {
             "get_compiled() must share the cached program, not recompile"
         );
         assert_eq!(store.compile_count(), 1, "lookups never compile");
-        // The serialized form carries models only; programs are derived.
-        let json = store.to_json().expect("serialize");
-        assert!(!json.contains("program"), "programs must not serialize");
+        // The snapshot holds its header, the id and the model, nothing
+        // more: programs are derived.
+        let mut model_bytes = Vec::new();
+        store.get(&id(1)).unwrap().encode(&mut model_bytes);
+        let header = 1 + 4 + 8 + 4;
+        let review = 4 + 4;
+        assert_eq!(
+            payload_of(&saved(&store)).len(),
+            header + QueryId::MIN_LEN + model_bytes.len() + review
+        );
     }
 
     #[test]
     fn load_replaces_existing_content() {
         let store = ModelStore::new();
         store.learn(id(1), model("SELECT 1"));
-        let json = store.to_json().unwrap();
+        let io = saved(&store);
         store.clear();
         store.learn(id(99), model("SELECT 2"));
-        store.load_json(&json).unwrap();
+        store.load_with(&*io, Path::new(PATH)).unwrap();
         assert!(store.contains(&id(1)));
         assert!(!store.contains(&id(99)));
     }
 
+    /// Any snapshot payload that starts like JSON is refused, not taken
+    /// for corruption: even one that is not valid JSON.
     #[test]
     fn bad_json_is_an_error() {
+        let io = MemIo::new();
+        io.plant(PATH, encode_frame(b"{not json"));
         let store = ModelStore::new();
-        assert!(store.load_json("not json").is_err());
+        store.learn(id(1), model("SELECT 1"));
+        let err = store.load_with(&*io, Path::new(PATH)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(store.contains(&id(1)), "a refused load changes nothing");
+        assert!(!io.exists(&quarantine_path(Path::new(PATH))));
     }
 
     #[test]
@@ -985,20 +1173,46 @@ mod tests {
         store.learn_provisional(id(2), model("SELECT 2"));
         store.learn_provisional(id(3), model("SELECT 3"));
         store.reject(&id(3));
-        let json = store.to_json().unwrap();
+        let io = saved(&store);
         let restored = ModelStore::new();
-        restored.load_json(&json).unwrap();
+        restored.load_with(&*io, Path::new(PATH)).unwrap();
         assert_eq!(restored.pending_review(), vec![id(2)]);
         assert!(restored.is_rejected(&id(3)));
         assert!(restored.contains(&id(1)) && restored.contains(&id(2)));
     }
 
+    /// A snapshot from before the review workflow, which lacks its
+    /// fields, is JSON too: refused like any other, and left in place.
     #[test]
-    fn old_persisted_format_still_loads() {
-        // Files written before the review workflow lack the new fields.
-        let legacy = r#"{"models": []}"#;
+    fn an_old_persisted_format_is_refused_untouched() {
+        let io = MemIo::new();
+        let legacy = encode_frame(br#"{"models": []}"#);
+        io.plant(PATH, legacy.clone());
+        let err = ModelStore::new()
+            .load_with(&*io, Path::new(PATH))
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("JSON written by an earlier build"));
+        assert_eq!(io.contents(PATH), Some(legacy));
+    }
+
+    /// Training again over an earlier build's store: the first save keeps
+    /// the JSON snapshot as the backup, and loading reads the new snapshot
+    /// without touching it.
+    #[test]
+    fn a_json_backup_behind_a_saved_snapshot_is_not_read() {
+        let io = MemIo::new();
+        let legacy = encode_frame(br#"{"models": []}"#);
+        io.plant(PATH, legacy.clone());
         let store = ModelStore::new();
-        assert_eq!(store.load_json(legacy).unwrap(), 0);
+        store.learn(id(1), model("SELECT 1"));
+        store.save_with(&*io, Path::new(PATH)).unwrap();
+        let backup = backup_path(Path::new(PATH));
+        assert_eq!(io.contents(&backup), Some(legacy.clone()));
+        let fresh = ModelStore::new();
+        let report = fresh.load_with(&*io, Path::new(PATH)).unwrap();
+        assert_eq!((report.models_loaded, report.recovered), (1, false));
+        assert_eq!(io.contents(&backup), Some(legacy));
     }
 
     #[test]
@@ -1068,7 +1282,7 @@ mod tests {
         // the journal leaves covered records behind; replaying the
         // `Forget` among them would drop a model the snapshot holds.
         let io = MemIo::new();
-        let path = Path::new("models.json");
+        let path = Path::new(PATH);
         let store = ModelStore::new();
         store.attach_persistence(io.clone(), path);
         store.learn(id(1), model("SELECT 1"));
@@ -1087,7 +1301,7 @@ mod tests {
     #[test]
     fn torn_journal_tail_is_cut_off_and_quarantined() {
         let io = MemIo::new();
-        let path = Path::new("models.json");
+        let path = Path::new(PATH);
         let store = ModelStore::new();
         store.attach_persistence(io.clone(), path);
         store.save_with(&*io, path).unwrap();
@@ -1129,5 +1343,366 @@ mod tests {
         assert!(!sibling(&path, ".tmp").exists());
         assert!(path.exists());
         cleanup(&path);
+    }
+
+    // -----------------------------------------------------------------
+    // properties of the store's codec
+    // -----------------------------------------------------------------
+
+    /// Text that SQL escapes and a JSON encoder both trip on, and the
+    /// pieces of an external id's comment.
+    const PIECES: [&str; 14] = [
+        "\\", "'", "\"", "\0", "\u{2BC}", "é", "日本", "😀", "a", "qid:", "*/", "\n", "%",
+        "C:\\new",
+    ];
+
+    fn gen_text(rng: &mut TestRng) -> String {
+        (0..rng.below(6)).map(|_| *rng.pick(&PIECES)).collect()
+    }
+
+    fn gen_id(rng: &mut TestRng) -> QueryId {
+        QueryId {
+            external: rng.bool().then(|| Arc::from(gen_text(rng))),
+            internal: rng.next_u64(),
+        }
+    }
+
+    /// Items of any tag with data of any kind: hostile identifiers and
+    /// string payloads, integer edges, every float class.
+    fn gen_model(rng: &mut TestRng) -> QueryModel {
+        let items = (0..rng.below(8))
+            .map(|_| {
+                let (tag, _) = *rng.pick(&ITEM_TAGS);
+                let data = match rng.below(5) {
+                    0 => ItemData::Text(gen_text(rng).into()),
+                    1 => {
+                        let any = rng.next_u64() as i64;
+                        ItemData::Int(*rng.pick(&[i64::MIN, i64::MAX, 0, -1, any]))
+                    }
+                    2 => ItemData::Real(match rng.below(3) {
+                        0 => f64::from_bits(rng.next_u64()),
+                        1 => f64::arbitrary(rng),
+                        _ => *rng.pick(&[
+                            f64::INFINITY,
+                            f64::NEG_INFINITY,
+                            f64::NAN,
+                            -0.0,
+                            f64::MIN_POSITIVE / 4.0,
+                        ]),
+                    }),
+                    3 => ItemData::Null,
+                    _ => ItemData::Bot,
+                };
+                Item { tag, data }
+            })
+            .collect();
+        QueryModel { items }
+    }
+
+    fn gen_record(rng: &mut TestRng) -> JournalRecord {
+        let seq = rng.next_u64();
+        let op = match rng.below(6) {
+            0 => JournalOp::Learn {
+                id: gen_id(rng),
+                model: Arc::new(gen_model(rng)),
+            },
+            1 => JournalOp::LearnProvisional {
+                id: gen_id(rng),
+                model: Arc::new(gen_model(rng)),
+            },
+            2 => JournalOp::Approve { id: gen_id(rng) },
+            3 => JournalOp::Reject { id: gen_id(rng) },
+            4 => JournalOp::Forget { id: gen_id(rng) },
+            _ => JournalOp::Clear,
+        };
+        JournalRecord { seq, op }
+    }
+
+    /// A snapshot as a store writes one: ids sorted and unique.
+    fn gen_snapshot(rng: &mut TestRng) -> PersistedStore {
+        let ids = |rng: &mut TestRng| -> Vec<QueryId> {
+            let set: std::collections::BTreeSet<QueryId> =
+                (0..rng.below(4)).map(|_| gen_id(rng)).collect();
+            set.into_iter().collect()
+        };
+        let models: std::collections::BTreeMap<QueryId, QueryModel> = (0..rng.below(5))
+            .map(|_| (gen_id(rng), gen_model(rng)))
+            .collect();
+        PersistedStore {
+            seq: rng.next_u64(),
+            models: models.into_iter().collect(),
+            quarantine: ids(rng),
+            rejected: ids(rng),
+        }
+    }
+
+    fn snapshot_bytes(persisted: &PersistedStore) -> Vec<u8> {
+        let models: Vec<(&QueryId, &QueryModel)> =
+            persisted.models.iter().map(|(id, m)| (id, m)).collect();
+        snapshot_payload(
+            persisted.seq,
+            &models,
+            &persisted.quarantine,
+            &persisted.rejected,
+        )
+    }
+
+    /// Noise, or a valid payload with one byte changed (half the time to
+    /// a small value, a tag's neighbour), cut short or one byte longer.
+    fn hostile(rng: &mut TestRng, valid: fn(&mut TestRng) -> Vec<u8>) -> Vec<u8> {
+        let mut bytes = match rng.below(4) {
+            0 => (0..rng.below(40)).map(|_| rng.next_u64() as u8).collect(),
+            _ => valid(rng),
+        };
+        let len = bytes.len() as u64;
+        let byte = |rng: &mut TestRng| {
+            if rng.bool() {
+                rng.below(8) as u8
+            } else {
+                rng.next_u64() as u8
+            }
+        };
+        match rng.below(4) {
+            0 if len > 0 => bytes[rng.below(len) as usize] = byte(rng),
+            1 => bytes.truncate(rng.below(len + 1) as usize),
+            2 => bytes.push(rng.next_u64() as u8),
+            _ => {}
+        }
+        bytes
+    }
+
+    /// A `len`-byte payload: `prefix`, a count of `u32::MAX`, zero padding.
+    fn declares_u32_max(prefix: &[u8], len: usize) -> Vec<u8> {
+        let mut payload = prefix.to_vec();
+        payload.extend_from_slice(&u32::MAX.to_le_bytes());
+        payload.resize(len, 0);
+        payload
+    }
+
+    #[test]
+    fn a_count_past_the_payload_is_refused_before_allocation() {
+        let mut header = vec![SNAPSHOT_TAG];
+        header.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        header.extend_from_slice(&[0; 8]);
+        // One model whose id has no external part, then its item count.
+        let mut items = header.clone();
+        items.extend_from_slice(&1u32.to_le_bytes());
+        items.extend_from_slice(&[0; 9]);
+        // One model whose id's external part is a string: its length.
+        let mut external = header.clone();
+        external.extend_from_slice(&1u32.to_le_bytes());
+        external.push(1);
+        let mut quarantine = header.clone();
+        quarantine.extend_from_slice(&0u32.to_le_bytes());
+        let mut rejected = quarantine.clone();
+        rejected.extend_from_slice(&0u32.to_le_bytes());
+        let mut record = vec![JOURNAL_TAG];
+        record.extend_from_slice(&[0; 8]);
+        // A Learn op of an id without an external part: its item count.
+        let mut learn = record.clone();
+        learn.extend_from_slice(&[0; 10]);
+        // An Approve op's external id: its length.
+        record.extend_from_slice(&[2, 1]);
+        let refused = |what: &str, err: String| {
+            assert!(
+                err.starts_with("count 4294967295 exceeds the"),
+                "{what}: {err}"
+            );
+        };
+        for (what, prefix) in [
+            ("models", &header),
+            ("items", &items),
+            ("external id", &external),
+            ("quarantine", &quarantine),
+            ("rejected", &rejected),
+        ] {
+            refused(
+                what,
+                decode_snapshot(&declares_u32_max(prefix, 64)).unwrap_err(),
+            );
+        }
+        for (what, prefix) in [("journaled items", &learn), ("journaled id", &record)] {
+            refused(
+                what,
+                decode_record(&declares_u32_max(prefix, 64))
+                    .map(|_| ())
+                    .unwrap_err(),
+            );
+        }
+    }
+
+    #[test]
+    fn trailing_bytes_are_refused() {
+        let mut record = record_payload(&gen_record(&mut TestRng::deterministic("trailing")));
+        record.push(0);
+        assert!(decode_record(&record)
+            .map(|_| ())
+            .unwrap_err()
+            .contains("trailing"));
+        let mut snapshot = snapshot_payload(0, &[], &[], &[]);
+        snapshot.push(0);
+        assert!(decode_snapshot(&snapshot).unwrap_err().contains("trailing"));
+    }
+
+    /// A snapshot as `to_string_pretty` of an earlier build's store wrote
+    /// it, and one of its journal records.
+    const JSON_SNAPSHOT: &[u8] = br#"{
+  "version": 1,
+  "seq": 0,
+  "models": [
+    [
+      {
+        "external": "login",
+        "internal": 7
+      },
+      {
+        "items": [
+          {
+            "tag": "FromTable",
+            "data": {
+              "Text": "users"
+            }
+          }
+        ]
+      }
+    ]
+  ],
+  "quarantine": [],
+  "rejected": []
+}"#;
+    const JSON_RECORD: &[u8] =
+        br#"{"seq":1,"op":{"Approve":{"id":{"external":"login","internal":7}}}}"#;
+
+    /// A disk where an earlier build left at least one of the snapshot,
+    /// the backup and the journal. The others are this build's or absent,
+    /// and `.corrupt` holds a quarantined file or nothing. Snapshot,
+    /// backup, journal come first, in that order.
+    fn gen_json_disk(rng: &mut TestRng) -> Vec<(PathBuf, Vec<u8>)> {
+        let path = Path::new(PATH);
+        let store = ModelStore::new();
+        store.learn(gen_id(rng), gen_model(rng));
+        let snapshot = encode_frame(&store.snapshot(0));
+        let mut old_journal: Vec<u8> = (0..1 + rng.below(3))
+            .flat_map(|_| encode_frame(JSON_RECORD))
+            .collect();
+        if rng.bool() {
+            // It died mid-append, too.
+            old_journal.extend_from_slice(&encode_frame(JSON_RECORD)[..9]);
+        }
+        let choices = [
+            (
+                path.to_path_buf(),
+                encode_frame(JSON_SNAPSHOT),
+                snapshot.clone(),
+            ),
+            (backup_path(path), encode_frame(JSON_SNAPSHOT), snapshot),
+            (
+                journal_path(path),
+                old_journal,
+                encode_frame(&record_payload(&gen_record(rng))),
+            ),
+        ];
+        let old = loop {
+            let old = [rng.bool(), rng.bool(), rng.bool()];
+            if old.contains(&true) {
+                break old;
+            }
+        };
+        let mut files = Vec::new();
+        for ((file, earlier, current), old) in choices.into_iter().zip(old) {
+            if old {
+                files.push((file, earlier));
+            } else if rng.bool() {
+                files.push((file, current));
+            }
+        }
+        if rng.bool() {
+            let noise = (0..rng.below(40)).map(|_| rng.next_u64() as u8).collect();
+            files.push((quarantine_path(path), noise));
+        }
+        files
+    }
+
+    proptest! {
+        #[test]
+        fn every_journal_record_round_trips(record in fn_strategy(gen_record)) {
+            let payload = record_payload(&record);
+            let decoded = decode_record(&payload).unwrap();
+            prop_assert_eq!(record_payload(&decoded), payload);
+            prop_assert_eq!(format!("{decoded:?}"), format!("{record:?}"));
+        }
+
+        /// Decoded, then loaded into a store and saved by it again: the
+        /// same bytes.
+        #[test]
+        fn every_snapshot_round_trips(persisted in fn_strategy(gen_snapshot)) {
+            let payload = snapshot_bytes(&persisted);
+            let decoded = decode_snapshot(&payload).unwrap();
+            prop_assert_eq!(format!("{decoded:?}"), format!("{persisted:?}"));
+            let io = MemIo::new();
+            io.plant(PATH, encode_frame(&payload));
+            let store = ModelStore::new();
+            store.load_with(&*io, Path::new(PATH)).unwrap();
+            prop_assert_eq!(payload_of(&saved(&store)), payload);
+        }
+
+        #[test]
+        fn hostile_journal_records_never_panic_and_decode_only_canonically(
+            payload in fn_strategy(|rng: &mut TestRng| hostile(rng, |rng| record_payload(&gen_record(rng))))
+        ) {
+            if let Ok(record) = decode_record(&payload) {
+                prop_assert_eq!(record_payload(&record), payload);
+            }
+        }
+
+        #[test]
+        fn hostile_snapshots_never_panic_and_decode_only_canonically(
+            payload in fn_strategy(|rng: &mut TestRng| hostile(rng, |rng| snapshot_bytes(&gen_snapshot(rng))))
+        ) {
+            if let Ok(persisted) = decode_snapshot(&payload) {
+                prop_assert_eq!(snapshot_bytes(&persisted), payload);
+            }
+        }
+
+        /// Refused whenever a JSON file would be read, and nothing is
+        /// moved, cut or loaded.
+        #[test]
+        fn a_json_store_file_of_an_earlier_build_is_refused_untouched(
+            disk in fn_strategy(gen_json_disk)
+        ) {
+            let io = MemIo::new();
+            for (file, bytes) in &disk {
+                io.plant(file, bytes.clone());
+            }
+            let path = Path::new(PATH);
+            let files = [
+                path.to_path_buf(),
+                backup_path(path),
+                journal_path(path),
+                quarantine_path(path),
+                sibling(&journal_path(path), ".corrupt"),
+            ];
+            let before: Vec<Option<Vec<u8>>> = files.iter().map(|f| io.contents(f)).collect();
+            let json = |f: &PathBuf| io.contents(f).is_some_and(|b| b.get(8) == Some(&b'{'));
+            // A backup counts only when the snapshot is missing.
+            let refused = json(&files[0])
+                || json(&files[2])
+                || (json(&files[1]) && !io.exists(&files[0]));
+            let store = ModelStore::new();
+            match store.load_with(&*io, path) {
+                Err(err) => {
+                    prop_assert!(refused, "{}", err);
+                    prop_assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+                    prop_assert!(err.to_string().contains("JSON written by an earlier build"), "{}", err);
+                    prop_assert!(store.is_empty());
+                }
+                Ok(report) => {
+                    prop_assert!(!refused);
+                    prop_assert_eq!(report.models_loaded, 1);
+                }
+            }
+            let after: Vec<Option<Vec<u8>>> = files.iter().map(|f| io.contents(f)).collect();
+            prop_assert_eq!(after, before);
+        }
     }
 }

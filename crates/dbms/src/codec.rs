@@ -7,7 +7,7 @@
 //! | `u32` (a count, a length, a version) | 4, little-endian |
 //! | `u64`, `i64`, `usize` | 8, little-endian |
 //! | `f64` | its bits (`to_bits`) as a `u64`: NaN, ±inf and -0.0 survive |
-//! | string | `u32` byte length, then that many bytes of UTF-8 |
+//! | string (`String`, `Arc<str>`) | `u32` byte length, then that many bytes of UTF-8 |
 //! | `Option<T>` | `0`, or `1` then `T` |
 //! | `Vec<T>`, `Arc<[T]>` | `u32` count, then each `T` |
 //! | `Value` | tag `0` Null · `1` Int `i64` · `2` Real `f64` · `3` Str string |
@@ -75,6 +75,27 @@ pub fn tagged(out: &mut Vec<u8>, tag: u8, content: &impl Codec) {
     content.encode(out);
 }
 
+/// The body of a payload that starts with `tag`: [`tagged`]'s inverse for
+/// a file's format tag.
+///
+/// # Errors
+///
+/// An empty payload, or one that starts with another tag.
+pub fn untag(payload: &[u8], tag: u8) -> Result<&[u8], String> {
+    match payload.split_first() {
+        Some((&t, body)) if t == tag => Ok(body),
+        Some((&t, _)) => Err(format!("format tag {t:#04x}, expected {tag:#04x}")),
+        None => Err("empty payload".to_string()),
+    }
+}
+
+/// A string's encoding: its byte length, then its bytes.
+#[inline]
+pub fn encode_str(s: &str, out: &mut Vec<u8>) {
+    encode_count(s.len(), out);
+    out.extend_from_slice(s.as_bytes());
+}
+
 /// A count or length, saturated: a count past `u32::MAX` means a payload
 /// past it too, which every reader refuses.
 #[inline]
@@ -98,7 +119,7 @@ pub fn decode_count(input: &mut &[u8], min_len: usize) -> Result<usize, String> 
 }
 
 /// A count, then each item: a `Vec<T>`'s encoding, and an `Arc<[T]>`'s.
-fn encode_items<T: Codec>(items: &[T], out: &mut Vec<u8>) {
+pub fn encode_items<T: Codec>(items: &[T], out: &mut Vec<u8>) {
     encode_count(items.len(), out);
     for item in items {
         item.encode(out);
@@ -165,8 +186,7 @@ impl Codec for String {
 
     #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
-        encode_count(self.len(), out);
-        out.extend_from_slice(self.as_bytes());
+        encode_str(self, out);
     }
 
     #[inline]
@@ -175,6 +195,19 @@ impl Codec for String {
         std::str::from_utf8(take(input, len)?)
             .map(str::to_owned)
             .map_err(|e| format!("string is not UTF-8: {e}"))
+    }
+}
+
+/// As a `String`: an interned identifier encodes from its shared text.
+impl Codec for Arc<str> {
+    const MIN_LEN: usize = u32::MIN_LEN;
+
+    fn encode(&self, out: &mut Vec<u8>) {
+        encode_str(self, out);
+    }
+
+    fn decode(input: &mut &[u8]) -> Result<Self, String> {
+        String::decode(input).map(Arc::from)
     }
 }
 

@@ -636,8 +636,9 @@ impl Server {
         statements.iter().try_for_each(|stmt| validate(view, stmt))
     }
 
-    /// The SEPTIC hook: lowers the statements to the item stack (the QS
-    /// build) and hands the installed guard everything it may inspect,
+    /// The SEPTIC hook: when a guard is installed, lowers the statements
+    /// to the item stack (the QS build) and hands the guard everything it
+    /// may inspect,
     /// user data of INSERT/UPDATE included. The guard runs inside
     /// `catch_unwind`; a panic is counted here and decided by the guard's
     /// failure policy as it reads when the panic happens. A buggy detector
@@ -649,11 +650,12 @@ impl Server {
         parsed: &Parsed,
         laps: &mut Laps,
     ) -> Result<(), DbError> {
-        let stack = items::lower_all(&parsed.statements);
-        self.metrics.qs_build_us.record(laps.lap());
+        // Only a guard reads the QS: an unguarded server builds none.
         let Some(guard) = self.guard.read().clone() else {
             return Ok(());
         };
+        let stack = items::lower_all(&parsed.statements);
+        self.metrics.qs_build_us.record(laps.lap());
         let write_data = write_data(&parsed.statements);
         let ctx = QueryContext {
             raw_sql: req.raw_sql,

@@ -108,8 +108,9 @@ impl Value {
         }
     }
 
-    /// `LIKE` pattern match (`%` and `_` wildcards, case-insensitive as in
-    /// MySQL's default collation). Returns `None` if either side is NULL.
+    /// `LIKE` pattern match (`%` and `_` wildcards, `\` their escape,
+    /// case-insensitive as in MySQL's default collation). Returns `None` if
+    /// either side is NULL.
     #[must_use]
     pub fn sql_like(&self, pattern: &Value) -> Option<bool> {
         if self.is_null() || pattern.is_null() {
@@ -299,7 +300,9 @@ pub fn numeric_prefix(s: &str) -> f64 {
 }
 
 /// `LIKE` over characters or bytes; `fold` is applied to both sides of a
-/// literal comparison (the identity for input that is folded already).
+/// literal comparison (the identity for input that is folded already). A
+/// `\` makes the next pattern character literal, as MySQL's default
+/// escape does, and a trailing `\` matches itself.
 ///
 /// Two pointers, no recursion: when a literal stops matching, only the
 /// last `%` seen takes one more character and the match resumes after it.
@@ -311,7 +314,7 @@ fn like_match<T: Copy + PartialEq + From<u8>>(
     pat: &[T],
     fold: impl Fn(&T) -> T,
 ) -> bool {
-    let (percent, any) = (T::from(b'%'), T::from(b'_'));
+    let (percent, any, escape) = (T::from(b'%'), T::from(b'_'), T::from(b'\\'));
     let (mut t, mut p) = (0, 0);
     // The pattern index just past the last `%`, and the text index its
     // swallowing currently ends at.
@@ -320,11 +323,20 @@ fn like_match<T: Copy + PartialEq + From<u8>>(
         if pat.get(p) == Some(&percent) {
             p += 1;
             resume = Some((p, t));
-        } else if pat
-            .get(p)
-            .is_some_and(|c| *c == any || fold(c) == fold(&text[t]))
-        {
-            p += 1;
+            continue;
+        }
+        // The pattern width the text character matched.
+        let matched = match pat.get(p) {
+            Some(c) if *c == any => Some(1),
+            Some(c) if *c == escape => {
+                let (literal, width) = pat.get(p + 1).map_or((c, 1), |next| (next, 2));
+                (fold(literal) == fold(&text[t])).then_some(width)
+            }
+            Some(c) => (fold(c) == fold(&text[t])).then_some(1),
+            None => None,
+        };
+        if let Some(width) = matched {
+            p += width;
             t += 1;
         } else if let Some((after, swallowed)) = resume {
             resume = Some((after, swallowed + 1));
@@ -508,9 +520,12 @@ mod tests {
         let Some((p, rest)) = pat.split_first() else {
             return text.is_empty();
         };
-        match p {
-            '%' => (0..=text.len()).any(|i| like_match_reference(&text[i..], rest)),
-            '_' => !text.is_empty() && like_match_reference(&text[1..], rest),
+        match (p, rest) {
+            ('%', _) => (0..=text.len()).any(|i| like_match_reference(&text[i..], rest)),
+            ('_', _) => !text.is_empty() && like_match_reference(&text[1..], rest),
+            ('\\', [literal, rest @ ..]) => {
+                text.first() == Some(literal) && like_match_reference(&text[1..], rest)
+            }
             _ => text.first() == Some(p) && like_match_reference(&text[1..], rest),
         }
     }
@@ -530,8 +545,8 @@ mod tests {
         fn_strategy(|rng| match rng.below(8) {
             0 => Value::Null,
             1 => Value::Int(rng.below(200) as i64 - 100),
-            2 => Value::Str("[a-bA-B%_\u{e9}\u{c9}\u{3a3}]{0,12}".generate(rng)),
-            _ => Value::Str("[a-bA-B%_]{0,12}".generate(rng)),
+            2 => Value::Str("[a-bA-B%_\\\\\u{e9}\u{c9}\u{3a3}]{0,12}".generate(rng)),
+            _ => Value::Str("[a-bA-B%_\\\\]{0,12}".generate(rng)),
         })
     }
 
@@ -580,6 +595,32 @@ mod tests {
         assert_eq!(v.sql_like(&Value::from("nope")), Some(false));
         assert_eq!(v.sql_like(&Value::Null), None);
         assert_eq!(Value::from("").sql_like(&Value::from("%")), Some(true));
+    }
+
+    /// `\` makes the next pattern character literal (how applications
+    /// escape LIKE input), and a trailing `\` matches itself.
+    #[test]
+    fn a_backslash_escapes_the_next_pattern_character() {
+        for (text, pat, like) in [
+            ("a%b", "a\\%b", true),
+            ("axyb", "a\\%b", false),
+            ("a_b", "a\\_b", true),
+            ("axb", "a\\_b", false),
+            ("a\\b", "a\\\\b", true),
+            ("ab", "a\\b", true),
+            ("AB", "a\\b", true),
+            ("a\\", "a\\", true),
+            ("a", "a\\", false),
+            ("a%", "%\\%", true),
+            ("a%x", "%\\%", false),
+            ("é%", "_\\%", true),
+        ] {
+            assert_eq!(
+                Value::from(text).sql_like(&Value::from(pat)),
+                Some(like),
+                "{text:?} LIKE {pat:?}"
+            );
+        }
     }
 
     #[test]

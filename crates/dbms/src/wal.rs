@@ -36,7 +36,8 @@
 //! A payload whose first byte is `{` was written in JSON by an earlier
 //! build. Recovery refuses such a file with [`DbError::Storage`] and leaves
 //! every file as it is: loading it as corrupt would quarantine a snapshot
-//! whose covering WAL is already gone.
+//! whose covering WAL is already gone. [`refuse_json`] is that rule, and
+//! the model store in `septic-core` refuses its own files by it.
 //!
 //! A torn tail (truncated or bit-flipped last record, the crash window a
 //! write-ahead log must survive) is **quarantined**: the bytes move to
@@ -62,7 +63,7 @@ use std::sync::OnceLock;
 use parking_lot::Mutex;
 use septic_telemetry::{Counter, MetricsRegistry};
 
-use crate::codec::{decode_all, encode_count, tagged, Codec};
+use crate::codec::{decode_all, encode_count, tagged, untag, Codec};
 use crate::codec_fields;
 use crate::error::DbError;
 use crate::exec;
@@ -582,23 +583,20 @@ codec_fields!(WalStmt {
 });
 codec_fields!(WalRecord { seq: u64, stmts: Vec<WalStmt> });
 
-/// The body of a payload that starts with `tag`.
-fn untag(payload: &[u8], tag: u8) -> Result<&[u8], String> {
-    match payload.split_first() {
-        Some((&t, body)) if t == tag => Ok(body),
-        Some((&t, _)) => Err(format!("format tag {t:#04x}, expected {tag:#04x}")),
-        None => Err("empty payload".to_string()),
-    }
-}
-
-/// Refuses a file an earlier build wrote in JSON (module docs): the first
-/// payload byte of its first frame is `{`.
-fn refuse_json(file: &str, frames: &[u8]) -> Result<(), DbError> {
+/// Refuses a stored file an earlier build wrote in JSON (module docs):
+/// the first payload byte of its first frame is `{`. The one rule for
+/// every file kept in frames: the WAL's two and the model store's three.
+///
+/// # Errors
+///
+/// The refusal, naming `file` and the earlier format.
+pub fn refuse_json(file: &Path, frames: &[u8]) -> Result<(), String> {
     if frames.get(8) == Some(&b'{') {
-        return Err(DbError::Storage(format!(
-            "{file} holds JSON written by an earlier build; this build reads only its \
-             binary format (snapshot version {SNAPSHOT_VERSION}) and has left every file as it was"
-        )));
+        return Err(format!(
+            "{} holds JSON written by an earlier build; this build reads only its \
+             binary format and has left every file as it was",
+            file.display()
+        ));
     }
     Ok(())
 }
@@ -745,11 +743,11 @@ impl WalStorage {
 
         // An earlier build's log is JSON from its first record on.
         if self.io.exists(Path::new(WAL_FILE)) {
-            refuse_json(WAL_FILE, &self.read(WAL_FILE)?)?;
+            refuse_json(Path::new(WAL_FILE), &self.read(WAL_FILE)?).map_err(DbError::Storage)?;
         }
         if self.io.exists(Path::new(SNAPSHOT_FILE)) {
             let bytes = self.read(SNAPSHOT_FILE)?;
-            refuse_json(SNAPSHOT_FILE, &bytes)?;
+            refuse_json(Path::new(SNAPSHOT_FILE), &bytes).map_err(DbError::Storage)?;
             match single_frame(&bytes).and_then(decode_snapshot) {
                 Ok(snap) => {
                     base_seq = snap.seq;
@@ -826,7 +824,7 @@ impl WalStorage {
             && self.state.lock().commits_since_checkpoint >= self.cfg.checkpoint_every
     }
 
-    /// Serializes the database to the snapshot file (tmp → readback
+    /// Encodes the database into the snapshot file (tmp → readback
     /// verify → atomic rename) and truncates the WAL it covers.
     ///
     /// # Errors
@@ -921,19 +919,6 @@ fn decode_snapshot(payload: &[u8]) -> Result<DbSnapshot, String> {
         }),
         version => Err(format!("unsupported snapshot version {version}")),
     }
-}
-
-/// Decodes a JSON payload (the vendored `serde_json` only parses from
-/// `&str`, so non-UTF-8 bytes are a decode failure like any other). The
-/// model store in `septic-core` keeps its files in JSON; the WAL and the
-/// checkpoints do not.
-///
-/// # Errors
-///
-/// The decoder's message.
-pub fn decode_json<T: serde::Deserialize>(payload: &[u8]) -> Result<T, String> {
-    let text = std::str::from_utf8(payload).map_err(|e| e.to_string())?;
-    serde_json::from_str(text).map_err(|e| e.to_string())
 }
 
 /// Re-executes one redo statement without any guard: recovery restores

@@ -338,12 +338,12 @@ fn call_costs(conn: &septic_dbms::Connection, sql: &str, calls: usize) -> Vec<u6
 /// An in-memory server has no durability backend, so an autocommit write
 /// renders no redo text: no `Statement::to_string`, no `Vec<WalStmt>`. Its
 /// whole call is pinned here, to the allocation: what it costs beyond
-/// its parse (which `septic-sql`'s own allocation test pins). The QS build
-/// allocates the stack once and no text for its `=` and `+` nodes, and a
-/// general-log `ok` is static text. Its `WHERE id = 5` is tested on the
-/// stored cell, so the VM's operand stack is never allocated: 19 before
-/// that lane.
-const CALL_BEYOND_PARSE: u64 = 18;
+/// its parse (which `septic-sql`'s own allocation test pins). With no guard
+/// installed no QS is built: 18 while an unguarded server still built it
+/// (the stack and the text of its four identifier nodes). A general-log
+/// `ok` is static text. Its `WHERE id = 5` is tested on the stored cell,
+/// so the VM's operand stack is never allocated: 19 before that lane.
+const CALL_BEYOND_PARSE: u64 = 13;
 
 #[test]
 fn an_in_memory_autocommit_update_renders_no_redo_text() {

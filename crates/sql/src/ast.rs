@@ -7,10 +7,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A full SQL statement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Statement {
     Select(Select),
     Insert(Insert),
@@ -57,7 +55,7 @@ impl Statement {
 }
 
 /// `SELECT` statement (one arm of a possible `UNION` chain).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Select {
     pub distinct: bool,
     pub items: Vec<SelectItem>,
@@ -105,7 +103,7 @@ impl Default for Select {
 }
 
 /// One projected column.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SelectItem {
     /// `*`
     Wildcard,
@@ -116,7 +114,7 @@ pub enum SelectItem {
 }
 
 /// A table reference with optional alias.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TableRef {
     pub name: String,
     pub alias: Option<String>,
@@ -139,7 +137,7 @@ impl TableRef {
 }
 
 /// Join kinds supported by the executor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinKind {
     Inner,
     Left,
@@ -155,7 +153,7 @@ impl fmt::Display for JoinKind {
 }
 
 /// `JOIN <table> ON <expr>`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Join {
     pub kind: JoinKind,
     pub table: TableRef,
@@ -163,21 +161,21 @@ pub struct Join {
 }
 
 /// `ORDER BY` element.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OrderBy {
     pub expr: Expr,
     pub descending: bool,
 }
 
 /// `LIMIT [offset,] count`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Limit {
     pub count: u64,
     pub offset: u64,
 }
 
 /// `INSERT INTO t (cols) VALUES (...), ...` or `INSERT INTO t ... SELECT`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Insert {
     pub table: String,
     pub columns: Vec<String>,
@@ -185,14 +183,14 @@ pub struct Insert {
 }
 
 /// The row source of an `INSERT`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum InsertSource {
     Values(Vec<Vec<Expr>>),
     Select(Box<Select>),
 }
 
 /// `UPDATE t SET col = expr, ... [WHERE ...] [LIMIT n]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Update {
     pub table: String,
     pub assignments: Vec<(String, Expr)>,
@@ -201,7 +199,7 @@ pub struct Update {
 }
 
 /// `DELETE FROM t [WHERE ...] [LIMIT n]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Delete {
     pub table: String,
     pub where_clause: Option<Expr>,
@@ -209,7 +207,7 @@ pub struct Delete {
 }
 
 /// Column data types (MySQL subset).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ColumnType {
     Int,
     BigInt,
@@ -233,7 +231,7 @@ impl fmt::Display for ColumnType {
 }
 
 /// A column definition in `CREATE TABLE`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ColumnDef {
     pub name: String,
     pub column_type: ColumnType,
@@ -244,7 +242,7 @@ pub struct ColumnDef {
 }
 
 /// `CREATE TABLE [IF NOT EXISTS] t (...)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CreateTable {
     pub name: String,
     pub if_not_exists: bool,
@@ -252,14 +250,14 @@ pub struct CreateTable {
 }
 
 /// `DROP TABLE [IF EXISTS] t`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DropTable {
     pub name: String,
     pub if_exists: bool,
 }
 
 /// Literal values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Literal {
     Int(i64),
     Float(f64),
@@ -283,7 +281,7 @@ impl fmt::Display for Literal {
 }
 
 /// Binary operators, carrying the MySQL spelling for display.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BinaryOp {
     And,
     Or,
@@ -357,7 +355,7 @@ impl fmt::Display for BinaryOp {
 }
 
 /// Unary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UnaryOp {
     Neg,
     Not,
@@ -376,7 +374,7 @@ impl UnaryOp {
 }
 
 /// Expressions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     Literal(Literal),
     /// Column reference, optionally table-qualified.

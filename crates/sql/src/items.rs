@@ -28,8 +28,6 @@
 use std::borrow::Cow;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ast::*;
 
 /// The category of a stack node.
@@ -38,7 +36,7 @@ use crate::ast::*;
 /// `RealItem`, `NullItem`, `ParamItem`) are **data** nodes: their payload is
 /// user-controlled and is blanked to ⊥ in query models. All other tags are
 /// **element** nodes whose payload is part of the query structure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ItemTag {
     // -- element (structure) tags --
     FromTable,
@@ -87,35 +85,49 @@ impl ItemTag {
     /// The `SCREAMING_SNAKE` name MySQL/SEPTIC logs use.
     #[must_use]
     pub fn name(self) -> &'static str {
-        match self {
-            ItemTag::FromTable => "FROM_TABLE",
-            ItemTag::SelectField => "SELECT_FIELD",
-            ItemTag::FieldItem => "FIELD_ITEM",
-            ItemTag::FuncItem => "FUNC_ITEM",
-            ItemTag::CondItem => "COND_ITEM",
-            ItemTag::OrderField => "ORDER_FIELD",
-            ItemTag::GroupField => "GROUP_FIELD",
-            ItemTag::HavingItem => "HAVING_ITEM",
-            ItemTag::LimitItem => "LIMIT_ITEM",
-            ItemTag::UnionItem => "UNION_ITEM",
-            ItemTag::JoinItem => "JOIN_ITEM",
-            ItemTag::SubselectBegin => "SUBSELECT_BEGIN",
-            ItemTag::SubselectEnd => "SUBSELECT_END",
-            ItemTag::InsertTable => "INSERT_TABLE",
-            ItemTag::InsertField => "INSERT_FIELD",
-            ItemTag::RowItem => "ROW_ITEM",
-            ItemTag::UpdateTable => "UPDATE_TABLE",
-            ItemTag::UpdateField => "UPDATE_FIELD",
-            ItemTag::DeleteTable => "DELETE_TABLE",
-            ItemTag::DdlItem => "DDL_ITEM",
-            ItemTag::IntItem => "INT_ITEM",
-            ItemTag::StringItem => "STRING_ITEM",
-            ItemTag::RealItem => "REAL_ITEM",
-            ItemTag::NullItem => "NULL_ITEM",
-            ItemTag::ParamItem => "PARAM_ITEM",
-        }
+        ITEM_TAGS[self as usize].1
     }
 }
+
+/// Every tag with its `SCREAMING_SNAKE` name, in declaration order, so a
+/// tag's index is its discriminant: [`ItemTag::name`] reads it, and so does
+/// the model store's decoder, which stores a tag as that index.
+pub const ITEM_TAGS: [(ItemTag, &str); 25] = [
+    (ItemTag::FromTable, "FROM_TABLE"),
+    (ItemTag::SelectField, "SELECT_FIELD"),
+    (ItemTag::FieldItem, "FIELD_ITEM"),
+    (ItemTag::FuncItem, "FUNC_ITEM"),
+    (ItemTag::CondItem, "COND_ITEM"),
+    (ItemTag::OrderField, "ORDER_FIELD"),
+    (ItemTag::GroupField, "GROUP_FIELD"),
+    (ItemTag::HavingItem, "HAVING_ITEM"),
+    (ItemTag::LimitItem, "LIMIT_ITEM"),
+    (ItemTag::UnionItem, "UNION_ITEM"),
+    (ItemTag::JoinItem, "JOIN_ITEM"),
+    (ItemTag::SubselectBegin, "SUBSELECT_BEGIN"),
+    (ItemTag::SubselectEnd, "SUBSELECT_END"),
+    (ItemTag::InsertTable, "INSERT_TABLE"),
+    (ItemTag::InsertField, "INSERT_FIELD"),
+    (ItemTag::RowItem, "ROW_ITEM"),
+    (ItemTag::UpdateTable, "UPDATE_TABLE"),
+    (ItemTag::UpdateField, "UPDATE_FIELD"),
+    (ItemTag::DeleteTable, "DELETE_TABLE"),
+    (ItemTag::DdlItem, "DDL_ITEM"),
+    (ItemTag::IntItem, "INT_ITEM"),
+    (ItemTag::StringItem, "STRING_ITEM"),
+    (ItemTag::RealItem, "REAL_ITEM"),
+    (ItemTag::NullItem, "NULL_ITEM"),
+    (ItemTag::ParamItem, "PARAM_ITEM"),
+];
+
+// A table out of declaration order does not compile.
+const _: () = {
+    let mut i = 0;
+    while i < ITEM_TAGS.len() {
+        assert!(ITEM_TAGS[i].0 as usize == i, "ITEM_TAGS is out of order");
+        i += 1;
+    }
+};
 
 impl fmt::Display for ItemTag {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -124,11 +136,11 @@ impl fmt::Display for ItemTag {
 }
 
 /// Payload of a stack node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ItemData {
     /// Element text or a string literal. Fixed text (an operator, a
     /// keyword, `*`, `;`, the empty payload) is `&'static`; only an
-    /// identifier or a literal owns its text. Serialized as a plain string.
+    /// identifier or a literal owns its text.
     Text(Cow<'static, str>),
     Int(i64),
     Real(f64),
@@ -150,7 +162,7 @@ impl fmt::Display for ItemData {
 }
 
 /// One node of the item stack.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Item {
     pub tag: ItemTag,
     pub data: ItemData,
@@ -191,7 +203,7 @@ impl fmt::Display for Item {
 
 /// The full item stack of a validated query. Index 0 is the **bottom** of
 /// the stack; [`ItemStack::rows_top_down`] yields the paper's figure order.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ItemStack {
     items: Vec<Item>,
 }

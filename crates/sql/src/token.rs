@@ -10,6 +10,7 @@
 //! * `/*!12345 ... */` version comments have their body **executed** — a
 //!   classic WAF-evasion channel that the lexer must honour;
 //! * string literals accept both backslash escapes and doubled quotes;
+//!   `\%` and `\_` keep their backslash, which LIKE reads as its escape;
 //! * hexadecimal literals `0x41` / `X'41'` decode to strings.
 //!
 //! Tokens borrow from the query: a word is a slice of it, and a string or
@@ -511,6 +512,11 @@ impl<'a> Lexer<'a> {
                 let Some(e) = self.char_at(self.pos) else {
                     return Err(self.err(start, unterminated));
                 };
+                if matches!(e, '%' | '_') {
+                    // MySQL keeps the backslash of `\%` and `\_`, so LIKE
+                    // reads them as an escaped wildcard.
+                    s.push('\\');
+                }
                 s.push(unescape(e));
                 self.pos += e.len_utf8();
             }
@@ -780,6 +786,8 @@ mod tests {
         assert_eq!(toks(r"'a\nb'"), vec![Token::Str("a\nb".into())]);
         assert_eq!(toks(r#""dq""#), vec![Token::Str("dq".into())]);
         assert_eq!(toks("'\\é'"), vec![Token::Str("é".into())]);
+        // `\%` and `\_` keep their backslash, for LIKE; `\x` is `x`.
+        assert_eq!(toks(r"'a\%b\_c\xd'"), vec![Token::Str(r"a\%b\_cxd".into())]);
     }
 
     #[test]

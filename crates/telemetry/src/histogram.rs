@@ -5,7 +5,6 @@
 //! is identical for every histogram — snapshots and the Prometheus
 //! renderer never need per-histogram bound tables.
 
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -108,7 +107,7 @@ impl Histogram {
 }
 
 /// Serializable point-in-time copy of a [`Histogram`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Metric name, possibly carrying a `{label="value"}` suffix.
     pub name: String,

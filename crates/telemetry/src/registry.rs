@@ -8,7 +8,6 @@ use crate::histogram::{Histogram, HistogramSnapshot};
 use crate::prometheus::render_prometheus;
 use crate::Counter;
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -72,7 +71,7 @@ impl MetricsRegistry {
 }
 
 /// One named counter value inside a [`MetricsSnapshot`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CounterSample {
     /// Metric name (optionally with an embedded label set).
     pub name: String,
@@ -82,7 +81,7 @@ pub struct CounterSample {
 
 /// A serializable point-in-time copy of a [`MetricsRegistry`] — the
 /// programmatic face of the telemetry layer.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// All counters, sorted by name.
     pub counters: Vec<CounterSample>,
@@ -122,7 +121,6 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     #[test]
     fn registry_returns_the_same_handle_for_a_name() {
@@ -133,19 +131,6 @@ mod tests {
         b.add(2);
         assert_eq!(reg.snapshot().counter("x_total"), Some(3));
         assert!(Arc::ptr_eq(&a, &b));
-    }
-
-    #[test]
-    fn snapshot_round_trips_through_json() {
-        let reg = MetricsRegistry::new();
-        reg.counter("a_total").add(7);
-        reg.histogram("b_microseconds")
-            .record(Duration::from_micros(42));
-        let snap = reg.snapshot();
-        let json = serde_json::to_string(&snap).unwrap();
-        let back: MetricsSnapshot = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, snap);
-        assert_eq!(back.histogram("b_microseconds").unwrap().count, 1);
     }
 
     #[test]

@@ -85,8 +85,8 @@ const STAGES: [&str; 4] = ["parse", "qs_build", "guard", "execute"];
 /// Refused in the parse stage or before the QS build: the parse stage
 /// times the charset decode and the parse, and ends there.
 const PARSE: &[&str] = &["parse"];
-/// No guard installed: there is no guard stage to reach.
-const UNGUARDED: &[&str] = &["parse", "qs_build", "execute"];
+/// No guard installed: no QS is built and there is no guard stage to reach.
+const UNGUARDED: &[&str] = &["parse", "execute"];
 /// Refused by the guard, or by the server for a guard failure.
 const GUARDED: &[&str] = &["parse", "qs_build", "guard"];
 const ALL: &[&str] = &STAGES;

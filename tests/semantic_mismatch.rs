@@ -4,10 +4,10 @@
 
 use std::sync::Arc;
 
-use septic_repro::dbms::{DbError, Server, Value};
+use septic_repro::dbms::{execute_with, Database, DbError, ProgramCache, Server, Value};
 use septic_repro::http::HttpRequest;
 use septic_repro::septic::{Mode, Septic};
-use septic_repro::sql::charset;
+use septic_repro::sql::{charset, parse};
 use septic_repro::waf::ModSecurity;
 use septic_repro::webapp::php::mysql_real_escape_string;
 
@@ -121,4 +121,45 @@ fn prepared_statements_are_immune_by_construction() {
     assert!(server.with_db(|db| db.has_table("t")));
     let out = conn.query("SELECT COUNT(*) FROM t").unwrap();
     assert_eq!(out.scalar(), Some(&Value::Int(2)));
+}
+
+/// How applications sanitise LIKE input: `\%` and `\_` keep their
+/// backslash in a string literal (MySQL 5.7 gives `LENGTH('a\%b')` = 4),
+/// and LIKE reads `\` as its escape, so the wildcard matches only itself.
+/// Every other escape still drops its backslash. Each row runs in the
+/// projection and in WHERE, on the walker and on the VM.
+#[test]
+fn an_escaped_wildcard_is_literal_in_like() {
+    let server = Server::new();
+    let conn = server.connect();
+    conn.execute("CREATE TABLE one (id INT)").unwrap();
+    conn.execute("INSERT INTO one (id) VALUES (1)").unwrap();
+    let db = server.with_db(Database::clone);
+    let programs = ProgramCache::new();
+    for (expr, expected) in [
+        (r"'axyb' LIKE 'a\%b'", 0),
+        (r"'a%b' LIKE 'a\%b'", 1),
+        (r"'axb' LIKE 'a\_b'", 0),
+        (r"'a_b' LIKE 'a\_b'", 1),
+        (r"LENGTH('a\%b')", 4),
+        (r"LENGTH('a\_b')", 4),
+        (r"LENGTH('a\xb')", 3),
+    ] {
+        let sql = format!("SELECT {expr} FROM one WHERE ({expr}) = {expected}");
+        let stmt = &parse(&sql).expect("parses").statements[0];
+        for cache in [None, Some(&programs)] {
+            let out = execute_with(&mut db.clone(), stmt, 0, cache).expect("runs");
+            assert_eq!(
+                out.rows,
+                vec![vec![Value::Int(expected)]],
+                "{sql}, compiled: {}",
+                cache.is_some()
+            );
+        }
+        assert_eq!(
+            conn.query(&sql).expect("runs").scalar(),
+            Some(&Value::Int(expected)),
+            "{sql} through the server"
+        );
+    }
 }

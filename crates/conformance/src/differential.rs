@@ -177,9 +177,21 @@ const SCHEMA_SQL: [&str; 8] = [
     "INSERT INTO devices (name, owner) VALUES ('dev-1', 'ann'), ('dev-2', 'bob')",
 ];
 
-fn create_schema(conn: &Connection) {
+/// Creates the web apps' schema and seed rows through `conn`.
+pub fn create_schema(conn: &Connection) {
     for sql in SCHEMA_SQL {
         conn.execute(sql).expect("schema setup");
+    }
+}
+
+/// Trains `septic`, installed behind `conn`, on every template's benign
+/// instances, as each matrix column does; its mode is training after.
+pub fn train(conn: &Connection, septic: &Septic) {
+    septic.set_mode(Mode::Training);
+    for t in templates() {
+        for payload in training_payloads(t) {
+            conn.execute(&t.build(payload)).expect("training query");
+        }
     }
 }
 
@@ -196,12 +208,7 @@ fn deployment(defense: Defense) -> (Arc<Server>, Connection, Option<Arc<Septic>>
         Defense::SepticDetection | Defense::SepticPrevention | Defense::SepticStructural => {
             let septic = Arc::new(Septic::new());
             server.install_guard(septic.clone());
-            septic.set_mode(Mode::Training);
-            for t in templates() {
-                for payload in training_payloads(t) {
-                    conn.execute(&t.build(payload)).expect("training query");
-                }
-            }
+            train(&conn, &septic);
             match defense {
                 Defense::SepticDetection => septic.set_mode(Mode::DETECTION),
                 Defense::SepticStructural => {
@@ -256,12 +263,7 @@ pub fn recovered_prevention_deployment() -> (Arc<Server>, Connection, Arc<Septic
     let conn = server.connect();
     let septic = Arc::new(Septic::new());
     server.install_guard(septic.clone());
-    septic.set_mode(Mode::Training);
-    for t in templates() {
-        for payload in training_payloads(t) {
-            conn.execute(&t.build(payload)).expect("training query");
-        }
-    }
+    train(&conn, &septic);
     septic.set_mode(Mode::PREVENTION);
     (server, conn, septic, report)
 }

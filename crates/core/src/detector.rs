@@ -141,7 +141,14 @@ pub fn detect_sqli_vm(
     qs: &ItemStack,
     model: &QueryModel,
 ) -> SqliOutcome {
-    match septic_vm::run_model(program, qs.items()) {
+    outcome_of(septic_vm::run_model(program, qs.items()), qs, model)
+}
+
+/// The [`SqliOutcome`] of a compiled program's verdict over `qs`, the
+/// mimicry nodes rendered from the model and the structure.
+#[must_use]
+pub fn outcome_of(verdict: septic_vm::Verdict, qs: &ItemStack, model: &QueryModel) -> SqliOutcome {
+    match verdict {
         septic_vm::Verdict::Clean => SqliOutcome::Clean,
         septic_vm::Verdict::Structural { expected, observed } => {
             SqliOutcome::Attack(SqliKind::Structural { expected, observed })

@@ -20,13 +20,15 @@
 //! `' /* x */ OR 1=1 -- ` would get the id `x`, be learned incrementally
 //! as an unknown query and execute.
 
+use std::borrow::Borrow;
 use std::collections::HashSet;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use septic_sql::{Fnv1a, ItemStack};
+use septic_sql::{Fnv1a, ItemStack, ItemTag};
 
 /// Prefix that marks a block comment as an external query identifier.
 /// A prefixed comment is honoured in any position before the first
@@ -46,6 +48,59 @@ pub struct QueryId {
     pub external: Option<Arc<str>>,
     /// Structural hash of the query model.
     pub internal: u64,
+}
+
+/// A query identifier's two parts, borrowed: what a model lookup needs.
+/// A [`QueryId`] borrows as one, so the store can be asked for a query's
+/// model before its external part is interned.
+pub trait IdParts {
+    /// The external identifier, if any.
+    fn external(&self) -> Option<&str>;
+    /// The internal identifier.
+    fn internal(&self) -> u64;
+}
+
+impl IdParts for QueryId {
+    fn external(&self) -> Option<&str> {
+        self.external.as_deref()
+    }
+
+    fn internal(&self) -> u64 {
+        self.internal
+    }
+}
+
+impl IdParts for (Option<&str>, u64) {
+    fn external(&self) -> Option<&str> {
+        self.0
+    }
+
+    fn internal(&self) -> u64 {
+        self.1
+    }
+}
+
+// Hashed and compared as `QueryId`'s derives hash and compare it, as a
+// borrowed key must be.
+impl Hash for dyn IdParts + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.external().hash(state);
+        self.internal().hash(state);
+    }
+}
+
+impl PartialEq for dyn IdParts + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.external() == other.external() && self.internal() == other.internal()
+    }
+}
+
+impl Eq for dyn IdParts + '_ {}
+
+impl<'a> Borrow<dyn IdParts + 'a> for QueryId {
+    fn borrow(&self) -> &(dyn IdParts + 'a) {
+        self
+    }
 }
 
 impl fmt::Display for QueryId {
@@ -78,21 +133,7 @@ impl fmt::Display for QueryId {
 /// head (`SELECT 1`) fall back to hashing the full canonical stack.
 #[must_use]
 pub fn internal_id(stack: &ItemStack) -> u64 {
-    use septic_sql::ItemTag;
-    let in_head = |i: &&septic_sql::Item| {
-        matches!(
-            i.tag,
-            ItemTag::FromTable
-                | ItemTag::JoinItem
-                | ItemTag::SelectField
-                | ItemTag::InsertTable
-                | ItemTag::InsertField
-                | ItemTag::UpdateTable
-                | ItemTag::UpdateField
-                | ItemTag::DeleteTable
-                | ItemTag::DdlItem
-        )
-    };
+    let in_head = |i: &&septic_sql::Item| in_head(i.tag);
     if stack.items().first().filter(in_head).is_none() {
         return structural_hash(stack);
     }
@@ -101,6 +142,24 @@ pub fn internal_id(stack: &ItemStack) -> u64 {
         item.canonical_bytes(&mut hash);
     }
     hash.0
+}
+
+/// Whether a node of this tag can belong to the injection-invariant head
+/// [`internal_id`] hashes: the head is the leading run of such nodes.
+#[must_use]
+pub fn in_head(tag: ItemTag) -> bool {
+    matches!(
+        tag,
+        ItemTag::FromTable
+            | ItemTag::JoinItem
+            | ItemTag::SelectField
+            | ItemTag::InsertTable
+            | ItemTag::InsertField
+            | ItemTag::UpdateTable
+            | ItemTag::UpdateField
+            | ItemTag::DeleteTable
+            | ItemTag::DdlItem
+    )
 }
 
 /// Hash of the *entire* canonical stack (data payloads contribute only
@@ -157,7 +216,7 @@ pub fn external_id(comments: &[String]) -> Option<&str> {
 /// the number of program points in the protected applications.
 #[derive(Debug, Default)]
 pub struct Interner {
-    strings: Mutex<HashSet<Arc<str>>>,
+    strings: Mutex<HashSet<Arc<str>, BuildHasherDefault<Fnv1a>>>,
 }
 
 impl Interner {
@@ -247,13 +306,22 @@ impl IdGenerator {
     /// Generates the query identifier for a validated query.
     #[must_use]
     pub fn generate(&self, stack: &ItemStack, comments: &[String]) -> QueryId {
+        self.id(self.external(comments), internal_id(stack))
+    }
+
+    /// The external identifier the comments name, when external
+    /// identifiers are honoured.
+    #[must_use]
+    pub fn external<'c>(&self, comments: &'c [String]) -> Option<&'c str> {
+        self.use_external().then(|| external_id(comments)).flatten()
+    }
+
+    /// The query identifier of these parts, its external part interned.
+    #[must_use]
+    pub fn id(&self, external: Option<&str>, internal: u64) -> QueryId {
         QueryId {
-            external: if self.use_external() {
-                external_id(comments).map(|s| self.interner.intern(s))
-            } else {
-                None
-            },
-            internal: internal_id(stack),
+            external: external.map(|s| self.interner.intern(s)),
+            internal,
         }
     }
 }
@@ -409,6 +477,36 @@ mod tests {
         let b = gen.generate(&stack, &["qid:page-b".to_string()]);
         assert_ne!(a, b);
         assert_eq!(a.internal, b.internal);
+    }
+
+    /// A map keyed by `QueryId` finds an id by its borrowed parts, with
+    /// the std hasher and the store's FNV-1a alike, and tells parts that
+    /// differ in either half apart.
+    #[test]
+    fn an_id_and_its_parts_hash_and_compare_alike() {
+        use std::collections::HashMap;
+        let ids = [
+            QueryId {
+                external: Some("page".into()),
+                internal: 7,
+            },
+            QueryId {
+                external: None,
+                internal: 7,
+            },
+        ];
+        let std_map: HashMap<QueryId, usize> = ids.iter().cloned().zip(0..).collect();
+        let fnv_map: HashMap<QueryId, usize, BuildHasherDefault<Fnv1a>> =
+            ids.iter().cloned().zip(0..).collect();
+        for (n, id) in ids.iter().enumerate() {
+            let parts = (id.external.as_deref(), id.internal);
+            assert_eq!(std_map.get(&parts as &dyn IdParts), Some(&n));
+            assert_eq!(fnv_map.get(&parts as &dyn IdParts), Some(&n));
+            let other = (id.external.as_deref(), id.internal + 1);
+            assert_eq!(fnv_map.get(&other as &dyn IdParts), None);
+        }
+        let renamed = (Some("other"), 7_u64);
+        assert_eq!(fnv_map.get(&renamed as &dyn IdParts), None);
     }
 
     #[test]

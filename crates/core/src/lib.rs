@@ -52,6 +52,7 @@
 //! # Ok::<(), septic_dbms::DbError>(())
 //! ```
 
+mod check;
 pub mod detector;
 pub mod id;
 pub mod logger;
@@ -70,5 +71,5 @@ pub use plugins::{Plugin, StoredAttack};
 pub use septic::{CounterSnapshot, DetectionConfig, Septic};
 pub use septic_dbms::FailurePolicy;
 pub use store::{
-    backup_path, journal_path, quarantine_path, CompiledModel, LoadReport, ModelStore,
+    backup_path, journal_path, quarantine_path, CompiledModel, LoadReport, Lookup, ModelStore,
 };

@@ -82,14 +82,13 @@ pub fn default_plugins() -> Vec<Box<dyn Plugin>> {
 /// Runs every plugin over every user input; returns the first finding.
 #[must_use]
 pub fn scan_inputs(plugins: &[Box<dyn Plugin>], inputs: &[String]) -> Option<StoredAttack> {
-    for input in inputs {
-        for plugin in plugins {
-            if let Some(found) = plugin.scan(input) {
-                return Some(found);
-            }
-        }
-    }
-    None
+    inputs.iter().find_map(|input| scan_input(plugins, input))
+}
+
+/// Runs every plugin over one user input; returns the first finding.
+#[must_use]
+pub fn scan_input(plugins: &[Box<dyn Plugin>], input: &str) -> Option<StoredAttack> {
+    plugins.iter().find_map(|plugin| plugin.scan(input))
 }
 
 #[cfg(test)]

@@ -6,6 +6,10 @@
 //! query structure (QS) → generate the query ID → look up the query model
 //! (QM) → either learn (training / incremental) or detect (SQLI + stored
 //! injection) → log → proceed or drop.
+//!
+//! From the server, the first four steps are one walk: the QS is checked
+//! while it is lowered (`check::Check`), and an item stack is built only
+//! when the query is to be learned or explained.
 
 use std::io;
 use std::path::Path;
@@ -13,16 +17,22 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::RwLock;
-use septic_dbms::{FailurePolicy, GuardDecision, QueryContext, QueryGuard};
+use septic_dbms::{
+    for_each_write_literal, write_data, FailurePolicy, GuardDecision, ParsedQuery, QueryContext,
+    QueryGuard,
+};
+use septic_sql::items;
 use septic_telemetry::{Counter, Histogram, Laps, MetricsRegistry, MetricsSnapshot};
+use septic_vm::{run_model, Verdict};
 
-use crate::detector::{detect_sqli_structural_only, detect_sqli_vm, SqliOutcome};
+use crate::check::{Check, Resolved};
+use crate::detector::{detect_sqli_structural_only, outcome_of, SqliOutcome};
 use crate::id::{IdGenerator, QueryId};
 use crate::logger::{AttackAction, EventKind, Logger};
 use crate::mode::{Mode, ModeActions};
 use crate::model::QueryModel;
-use crate::plugins::{default_plugins, scan_inputs, Plugin};
-use crate::store::{self, CompiledModel, LoadReport, ModelStore};
+use crate::plugins::{default_plugins, scan_input, scan_inputs, Plugin, StoredAttack};
+use crate::store::{self, CompiledModel, LoadReport, Lookup, ModelStore};
 
 /// Which detectors are enabled — the four combinations benchmarked in
 /// Figure 5 (`NN`, `YN`, `NY`, `YY`; first letter = SQLI, second = stored
@@ -516,25 +526,23 @@ impl Septic {
     }
 
     /// The detection half of [`Septic::inspect`]: SQLI + stored-injection
-    /// scans over a known model. Returns the block decision, if any; each
-    /// stage that runs is timed on `laps`.
+    /// scans over a known model. `compared` is the compiled program's
+    /// verdict when [`Check`] already ran it over this structure. Returns
+    /// the block decision, if any; each stage that runs is timed on `laps`.
     fn run_detectors(
         &self,
         ctx: &QueryContext<'_>,
         compiled: &CompiledModel,
+        compared: Option<Verdict>,
         id: &QueryId,
         engine: &EngineConfig,
-        actions: ModeActions,
         laps: &mut Laps,
     ) -> Option<GuardDecision> {
+        let actions = ModeActions::for_mode(engine.mode);
         let qs = ctx.stack;
         let model: &QueryModel = compiled.model();
         let config = engine.detection;
-        let action = if actions.drop_on_attack {
-            AttackAction::Dropped
-        } else {
-            AttackAction::LoggedOnly
-        };
+        let action = attack_action(actions);
 
         // SQLI detection (structural + syntactic; optionally step 1 only
         // for the detector ablation), compared through the model's
@@ -543,7 +551,8 @@ impl Septic {
             let outcome = if engine.structural_only {
                 detect_sqli_structural_only(qs, model)
             } else {
-                detect_sqli_vm(compiled.program(), qs, model)
+                let verdict = compared.unwrap_or_else(|| run_model(compiled.program(), qs.items()));
+                outcome_of(verdict, qs, model)
             };
             self.stages.sqli_detect.record(laps.lap());
             if let SqliOutcome::Attack(kind) = outcome {
@@ -578,35 +587,143 @@ impl Septic {
         // Stored-injection detection over INSERT/UPDATE user data.
         if config.stored && actions.detect_stored && !ctx.write_data.is_empty() {
             let found = scan_inputs(&self.plugins, ctx.write_data);
-            self.stages.stored_scan.record(laps.lap());
-            if let Some(found) = found {
-                Self::bump(&self.counters.stored_detected);
-                Self::bump(&self.counters.attacks_detected);
-                self.log_event(EventKind::StoredDetected {
-                    id: id.clone(),
-                    attack: found.clone(),
-                    action,
-                    query: ctx.decoded_sql.to_string(),
-                });
-                if actions.drop_on_attack {
-                    Self::bump(&self.counters.queries_dropped);
-                    return Some(GuardDecision::Block(format!(
-                        "stored injection [{found}] id={id}"
-                    )));
-                }
-            }
+            return self.stored_verdict(found, id, ctx.decoded_sql, actions, laps);
         }
 
         None
+    }
+
+    /// The stored-injection stage, once the plugins have scanned the write
+    /// data and `found` is their first finding: times the stage, and counts,
+    /// logs and (when the mode drops attacks) blocks a finding.
+    fn stored_verdict(
+        &self,
+        found: Option<StoredAttack>,
+        id: &QueryId,
+        query: &str,
+        actions: ModeActions,
+        laps: &mut Laps,
+    ) -> Option<GuardDecision> {
+        self.stages.stored_scan.record(laps.lap());
+        let found = found?;
+        Self::bump(&self.counters.stored_detected);
+        Self::bump(&self.counters.attacks_detected);
+        let action = attack_action(actions);
+        self.log_event(EventKind::StoredDetected {
+            id: id.clone(),
+            attack: found.clone(),
+            action,
+            query: query.to_string(),
+        });
+        if !actions.drop_on_attack {
+            return None;
+        }
+        Self::bump(&self.counters.queries_dropped);
+        Some(GuardDecision::Block(format!(
+            "stored injection [{found}] id={id}"
+        )))
+    }
+
+    /// SEPTIC's hot path, for a query [`Check`] found clean: known, not
+    /// rejected and matched node for node. Counts and times it as
+    /// [`Septic::inspect_timed`] would, then runs the stored-injection
+    /// stage over the write literals borrowed from the statements.
+    fn proceed_checked(
+        &self,
+        query: &ParsedQuery<'_>,
+        checked: &Resolved<'_>,
+        engine: &EngineConfig,
+        laps: &mut Laps,
+    ) -> GuardDecision {
+        let actions = ModeActions::for_mode(engine.mode);
+        Self::bump(&self.counters.queries_seen);
+        self.stages.id_gen.record(checked.id_gen);
+        self.stages.store_get.record(checked.store_get);
+        Self::bump(&self.counters.models_found);
+        if engine.detection.sqli && actions.detect_sqli {
+            self.stages.sqli_detect.record(laps.lap());
+        }
+        if engine.detection.stored && actions.detect_stored {
+            let (mut written, mut attack) = (false, None);
+            for_each_write_literal(query.statements, |input| {
+                written = true;
+                if attack.is_none() {
+                    attack = scan_input(&self.plugins, input);
+                }
+            });
+            if written {
+                let id = checked.id(&self.id_generator);
+                if let Some(block) =
+                    self.stored_verdict(attack, &id, query.decoded_sql, actions, laps)
+                {
+                    return block;
+                }
+            }
+        }
+        GuardDecision::Proceed
+    }
+}
+
+/// How the mode treats a flagged query, for its event.
+fn attack_action(actions: ModeActions) -> AttackAction {
+    if actions.drop_on_attack {
+        AttackAction::Dropped
+    } else {
+        AttackAction::LoggedOnly
     }
 }
 
 impl QueryGuard for Septic {
     fn inspect(&self, ctx: &QueryContext<'_>) -> GuardDecision {
         let mut laps = Laps::start();
-        let decision = self.inspect_timed(ctx, &mut laps);
+        let engine = *self.engine.read();
+        let decision = self.inspect_timed(ctx, &engine, &mut laps);
         laps.lap();
         self.stages.inspect.record(laps.total());
+        decision
+    }
+
+    /// The server's entry: the QS is checked while it is lowered
+    /// (`check::Check`), and a clean query is decided without a stack
+    /// (`Septic::proceed_checked`). Any other query is decided over the
+    /// built stack by the code that decides it in [`Septic::inspect`]:
+    /// after the lookup the check made, or from the start when it formed
+    /// no identifier (a head-less query) or did not run (training, the
+    /// structural-only ablation). The stages continue the server's laps;
+    /// the `inspect` stage ends at the last of them.
+    fn inspect_parsed(&self, query: &ParsedQuery<'_>, laps: &mut Laps) -> GuardDecision {
+        let begin = laps.last();
+        let engine = *self.engine.read();
+        let actions = ModeActions::for_mode(engine.mode);
+        let checked = if actions.qm_training || engine.structural_only {
+            None
+        } else {
+            let sqli = engine.detection.sqli && actions.detect_sqli;
+            let mut check = Check::new(&self.store, &self.id_generator, query.comments, sqli, laps);
+            items::lower_into(query.statements, &mut check);
+            check.finish()
+        };
+        let decision = match checked {
+            Some(checked) if checked.clean() => {
+                self.proceed_checked(query, &checked, &engine, laps)
+            }
+            Some(checked) => {
+                let stack = items::lower_counted(query.statements, checked.nodes);
+                let write_data = write_data(query.statements);
+                let ctx = query.context(&stack, &write_data);
+                Self::bump(&self.counters.queries_seen);
+                self.stages.id_gen.record(checked.id_gen);
+                self.stages.store_get.record(checked.store_get);
+                let id = checked.id(&self.id_generator);
+                self.decide(&ctx, id, checked.lookup, checked.verdict, &engine, laps)
+            }
+            None => {
+                let stack = items::lower_all(query.statements);
+                let write_data = write_data(query.statements);
+                self.inspect_timed(&query.context(&stack, &write_data), &engine, laps)
+            }
+        };
+        self.stages.inspect.record(laps.last() - begin);
         decision
     }
 
@@ -658,10 +775,13 @@ impl Septic {
     /// through: each stage ends at one clock read, which starts the next.
     /// The verdict depends on the mode, the detectors, the models and the
     /// query alone, never on how long a stage took.
-    fn inspect_timed(&self, ctx: &QueryContext<'_>, laps: &mut Laps) -> GuardDecision {
+    fn inspect_timed(
+        &self,
+        ctx: &QueryContext<'_>,
+        engine: &EngineConfig,
+        laps: &mut Laps,
+    ) -> GuardDecision {
         Self::bump(&self.counters.queries_seen);
-        // One lock acquisition for every per-query tunable.
-        let engine = *self.engine.read();
         let actions = ModeActions::for_mode(engine.mode);
 
         // QS&QM manager: QS is the validated item stack; ask the ID
@@ -684,31 +804,46 @@ impl Septic {
             return GuardDecision::Proceed;
         }
 
-        // Identifiers the administrator rejected are refused outright
-        // instead of being re-learned.
-        let rejected = self.store.is_rejected(&id);
-        let compiled = if rejected {
-            None
-        } else {
-            self.store.get_compiled(&id)
-        };
+        // One read lock: rejection and the model (with its compiled
+        // comparison program, `Arc` refcount bumps, never a deep clone).
+        let found = self.store.lookup(&id);
         self.stages.store_get.record(laps.lap());
-        if rejected {
-            Self::bump(&self.counters.queries_dropped);
-            let reason = format!("query id {id} rejected by administrator");
-            self.log_event(EventKind::RejectedQueryRefused {
-                id,
-                query: ctx.decoded_sql.to_string(),
-            });
-            return GuardDecision::Block(reason);
-        }
+        self.decide(ctx, id, found, None, engine, laps)
+    }
 
-        // Normal mode: the model (with its compiled comparison program)
-        // was fetched above (one read lock + `Arc` refcount bumps,
-        // never a deep clone); a miss is learned incrementally (into
-        // quarantine, pending administrator review — Section II-E).
+    /// What follows the lookup outside training: refuses a rejected
+    /// identifier, learns an unknown one incrementally, and runs the
+    /// detectors over a known one (see [`Septic::run_detectors`] for
+    /// `compared`).
+    fn decide(
+        &self,
+        ctx: &QueryContext<'_>,
+        id: QueryId,
+        found: Lookup,
+        compared: Option<Verdict>,
+        engine: &EngineConfig,
+        laps: &mut Laps,
+    ) -> GuardDecision {
+        let compiled = match found {
+            Lookup::Known(compiled) => Some(compiled),
+            Lookup::Unknown => None,
+            // Identifiers the administrator rejected are refused outright
+            // instead of being re-learned.
+            Lookup::Rejected => {
+                Self::bump(&self.counters.queries_dropped);
+                let reason = format!("query id {id} rejected by administrator");
+                self.log_event(EventKind::RejectedQueryRefused {
+                    id,
+                    query: ctx.decoded_sql.to_string(),
+                });
+                return GuardDecision::Block(reason);
+            }
+        };
+
+        // Normal mode: a miss is learned incrementally (into quarantine,
+        // pending administrator review — Section II-E).
         let Some(compiled) = compiled else {
-            let model = QueryModel::from_structure(qs);
+            let model = QueryModel::from_structure(ctx.stack);
             self.store.learn_provisional(id.clone(), model);
             Self::bump(&self.counters.models_created);
             self.log_event(EventKind::ModelCreated {
@@ -724,7 +859,7 @@ impl Septic {
         // A detector or plugin that panics is not caught here: the server
         // contains it and the mode's failure policy decides the query, as
         // for any guard failure.
-        self.run_detectors(ctx, &compiled, &id, &engine, actions, laps)
+        self.run_detectors(ctx, &compiled, compared, &id, engine, laps)
             .unwrap_or(GuardDecision::Proceed)
     }
 }
@@ -864,6 +999,27 @@ mod tests {
             .logger()
             .events_where(|k| matches!(k, EventKind::ModelCreated { .. }));
         assert_eq!(created.len(), 1);
+    }
+
+    /// The streamed check compares the head too: a model stored under the
+    /// query's identifier whose head differs (a hash collision, a planted
+    /// store) is a mimicry, not a match.
+    #[test]
+    fn a_matching_id_is_no_proof_that_the_head_matches() {
+        let (_s, conn, septic) = deployed();
+        let stack = |sql: &str| items::lower_all(&septic_sql::parse(sql).unwrap().statements);
+        let query = "SELECT note FROM tickets WHERE creditCard = 1";
+        let id = septic.id_generator.generate(&stack(query), &[]);
+        let other =
+            QueryModel::from_structure(&stack("SELECT reservID FROM tickets WHERE creditCard = 2"));
+        assert!(septic.store.learn(id, other));
+        septic.set_mode(Mode::PREVENTION);
+        let err = conn.execute(query).unwrap_err();
+        assert!(
+            matches!(&err, DbError::Blocked(reason) if reason.contains("node 1 expected")),
+            "{err}"
+        );
+        assert_eq!(septic.counters().sqli_detected, 1);
     }
 
     #[test]

@@ -84,7 +84,7 @@ use septic_dbms::{FsIo, StorageIo};
 use septic_sql::items::ITEM_TAGS;
 use septic_sql::{Fnv1a, Item, ItemData};
 
-use crate::id::QueryId;
+use crate::id::{IdParts, QueryId};
 use crate::model::QueryModel;
 
 // ---------------------------------------------------------------------------
@@ -103,10 +103,13 @@ type FnvBuild = BuildHasherDefault<Fnv1a>;
 ///
 /// The program is derived state: it is compiled exactly once — at train
 /// or load time — and cached in the model map next to the model, so the
-/// detection hot path gets both for one read lock and two refcount bumps.
+/// detection hot path gets both for one read lock and one refcount bump.
 /// It is **never** serialized; loading a persisted store recompiles.
 #[derive(Debug, Clone)]
-pub struct CompiledModel {
+pub struct CompiledModel(Arc<Compiled>);
+
+#[derive(Debug)]
+struct Compiled {
     model: Arc<QueryModel>,
     program: Arc<septic_vm::Program>,
 }
@@ -114,20 +117,31 @@ pub struct CompiledModel {
 impl CompiledModel {
     fn new(model: Arc<QueryModel>) -> Self {
         let program = Arc::new(septic_vm::compile_model(model.items()));
-        CompiledModel { model, program }
+        CompiledModel(Arc::new(Compiled { model, program }))
     }
 
     /// The learned model.
     #[must_use]
     pub fn model(&self) -> &Arc<QueryModel> {
-        &self.model
+        &self.0.model
     }
 
     /// The model's compiled comparison program.
     #[must_use]
     pub fn program(&self) -> &Arc<septic_vm::Program> {
-        &self.program
+        &self.0.program
     }
+}
+
+/// What [`ModelStore::lookup`] found for an identifier.
+#[derive(Debug)]
+pub enum Lookup {
+    /// The administrator rejected the identifier.
+    Rejected,
+    /// No model is stored for it.
+    Unknown,
+    /// Its model, with the compiled program.
+    Known(CompiledModel),
 }
 
 // ---------------------------------------------------------------------------
@@ -613,15 +627,31 @@ impl ModelStore {
     /// bump — the model is shared, never deep-cloned.
     #[must_use]
     pub fn get(&self, id: &QueryId) -> Option<Arc<QueryModel>> {
-        self.get_compiled(id).map(|cm| cm.model)
+        self.get_compiled(id).map(|cm| cm.model().clone())
     }
 
     /// Looks up the model *and* its compiled comparison program: still
-    /// one read lock, now two refcount bumps — the program was compiled
+    /// one read lock and one refcount bump — the program was compiled
     /// at train/load time, never on the query path.
     #[must_use]
     pub fn get_compiled(&self, id: &QueryId) -> Option<CompiledModel> {
         self.state.read().models.get(id).cloned()
+    }
+
+    /// Whether the identifier is rejected, and else its model with the
+    /// compiled program: one read lock for the whole question. The id may
+    /// be a [`QueryId`] or its borrowed parts.
+    #[must_use]
+    pub fn lookup(&self, id: &dyn IdParts) -> Lookup {
+        let state = self.state.read();
+        if state.rejected.contains(id) {
+            return Lookup::Rejected;
+        }
+        state
+            .models
+            .get(id)
+            .cloned()
+            .map_or(Lookup::Unknown, Lookup::Known)
     }
 
     /// True when a model exists for the identifier.
@@ -718,7 +748,7 @@ impl ModelStore {
         let mut models: Vec<(&QueryId, &QueryModel)> = state
             .models
             .iter()
-            .map(|(id, cm)| (id, &*cm.model))
+            .map(|(id, cm)| (id, &**cm.model()))
             .collect();
         models.sort_unstable_by(|a, b| a.0.cmp(b.0));
         snapshot_payload(
@@ -887,6 +917,14 @@ impl ModelStore {
             true
         })?;
 
+        // The next save numbers its frame one past the last: a stored
+        // `u64::MAX` leaves no number for it.
+        let next_seq = last_seq.checked_add(1).ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("sequence number {last_seq} leaves no room for the next save"),
+            )
+        })?;
         report.models_loaded = base.models.len();
         report.journal_replayed = ops.len();
         report.torn_journal_records = usize::from(torn.is_some());
@@ -896,7 +934,7 @@ impl ModelStore {
             state.apply(op, compiled);
         }
         self.install(state);
-        persist.next_seq = last_seq + 1;
+        persist.next_seq = next_seq;
         Ok(report)
     }
 }
@@ -1034,6 +1072,46 @@ mod tests {
         assert!(!report.recovered);
         assert!(restored.contains(&id(42)));
         cleanup(&path);
+    }
+
+    /// A CRC-valid snapshot or journal record numbered `u64::MAX` leaves
+    /// no sequence number for the next save: the load is refused before
+    /// anything is installed, and every file stays as it was.
+    #[test]
+    fn a_sequence_number_at_its_maximum_is_refused_untouched() {
+        let one = Arc::new(model("SELECT a FROM t"));
+        let snapshot = snapshot_payload(u64::MAX, &[(&id(1), &one)], &[], &[]);
+        let record = record_payload(&JournalRecord {
+            seq: u64::MAX,
+            op: JournalOp::Learn {
+                id: id(2),
+                model: one.clone(),
+            },
+        });
+        let path = Path::new(PATH);
+        for (what, file, payload) in [
+            ("snapshot", path.to_path_buf(), snapshot),
+            ("journal record", journal_path(path), record),
+        ] {
+            let io = MemIo::new();
+            io.plant(file, encode_frame(&payload));
+            let files = || {
+                [
+                    path.to_path_buf(),
+                    backup_path(path),
+                    journal_path(path),
+                    quarantine_path(path),
+                ]
+                .map(|file| io.contents(file))
+            };
+            let before = files();
+            let store = ModelStore::new();
+            store.learn(id(7), model("SELECT b FROM u"));
+            let err = store.load_with(&*io, path).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+            assert_eq!(files(), before, "{what}: a file changed");
+            assert_eq!(store.ids(), vec![id(7)], "{what}: the store changed");
+        }
     }
 
     #[test]

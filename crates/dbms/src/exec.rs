@@ -354,7 +354,7 @@ pub(crate) fn eval(expr: &Expr, ctx: &EvalCtx<'_>, fx: &mut SideEffects) -> Resu
             .ok_or_else(|| DbError::UnknownColumn(name.clone())),
         Expr::Unary { op, operand } => {
             let v = eval(operand, ctx, fx)?;
-            Ok(apply_unary(*op, &v))
+            apply_unary(*op, &v)
         }
         Expr::Binary { left, op, right } => eval_binary(left, *op, right, ctx, fx),
         Expr::Function { name, args } => {
@@ -465,18 +465,25 @@ fn eval_binary(
 ) -> Result<Value, DbError> {
     let l = eval(left, ctx, fx)?;
     let r = eval(right, ctx, fx)?;
-    Ok(apply_binary(op, &l, &r))
+    apply_binary(op, &l, &r)
+}
+
+/// MySQL's error 1690 for an integer result outside `BIGINT`: `+`, `-`,
+/// `*` and unary minus over integers are checked, never wrapped.
+fn bigint_out_of_range() -> DbError {
+    DbError::Runtime("BIGINT value is out of range".into())
 }
 
 /// Applies a unary operator to an evaluated operand — shared by the
 /// recursive walker ([`eval`]) and the bytecode VM host
 /// ([`crate::vmexec`]), so the two evaluation paths cannot drift.
-pub(crate) fn apply_unary(op: UnaryOp, v: &Value) -> Value {
-    match op {
+pub(crate) fn apply_unary(op: UnaryOp, v: &Value) -> Result<Value, DbError> {
+    Ok(match op {
         UnaryOp::Neg => match v {
             Value::Null => Value::Null,
-            // Wraps at `i64::MIN`, as integer `+ - *` do in `apply_binary`.
-            Value::Int(i) => Value::Int(i.wrapping_neg()),
+            // `-i64::MIN` is out of range, as an overflowing `+ - *` is in
+            // `apply_binary`.
+            Value::Int(i) => Value::Int(i.checked_neg().ok_or_else(bigint_out_of_range)?),
             other => Value::Real(-other.to_real().unwrap_or(0.0)),
         },
         UnaryOp::Not => match v {
@@ -487,7 +494,7 @@ pub(crate) fn apply_unary(op: UnaryOp, v: &Value) -> Value {
             None => Value::Null,
             Some(i) => Value::Int(!i),
         },
-    }
+    })
 }
 
 /// Applies a binary operator to evaluated operands — the single
@@ -498,7 +505,22 @@ pub(crate) fn apply_unary(op: UnaryOp, v: &Value) -> Value {
 /// what this function returns for that left value whatever the right is
 /// (`Int(0)` / `Int(1)`), which no result can tell apart. Operands are
 /// only read: the VM passes cells and literals where they lie.
-pub(crate) fn apply_binary(op: BinaryOp, l: &Value, r: &Value) -> Value {
+pub(crate) fn apply_binary(op: BinaryOp, l: &Value, r: &Value) -> Result<Value, DbError> {
+    use BinaryOp::*;
+    // Two integers add, subtract and multiply as integers, exactly.
+    if let (Value::Int(x), Value::Int(y), Add | Sub | Mul) = (l, r, op) {
+        let exact = match op {
+            Add => x.checked_add(*y),
+            Sub => x.checked_sub(*y),
+            _ => x.checked_mul(*y),
+        };
+        return exact.map(Value::Int).ok_or_else(bigint_out_of_range);
+    }
+    Ok(apply_total(op, l, r))
+}
+
+/// [`apply_binary`] for every operator and operands that cannot fail.
+fn apply_total(op: BinaryOp, l: &Value, r: &Value) -> Value {
     use BinaryOp::*;
     // Logical operators need MySQL's three-valued logic.
     if matches!(op, And | Or | Xor) {
@@ -553,14 +575,6 @@ pub(crate) fn apply_binary(op: BinaryOp, l: &Value, r: &Value) -> Value {
             .sql_like(r)
             .map_or(Value::Null, |b| Value::Int(i64::from(!b))),
         Add | Sub | Mul | Div | IntDiv | Mod => {
-            // Two integers add, subtract and multiply as integers, exactly.
-            if let (Value::Int(x), Value::Int(y), Add | Sub | Mul) = (l, r, op) {
-                return Value::Int(match op {
-                    Add => x.wrapping_add(*y),
-                    Sub => x.wrapping_sub(*y),
-                    _ => x.wrapping_mul(*y),
-                });
-            }
             let (Some(a), Some(b)) = (l.to_real(), r.to_real()) else {
                 return Value::Null;
             };

@@ -2,14 +2,87 @@
 //!
 //! The paper: *"SEPTIC runs right before the execution step, after all
 //! potential modifications have been applied to the queries"*. The server
-//! calls the installed [`QueryGuard`] with the fully parsed, validated and
-//! lowered query; the guard's [`GuardDecision`] determines whether the
+//! calls the installed [`QueryGuard`] with the parsed and validated
+//! statements ([`ParsedQuery`]); building the query structure from them is
+//! the guard's job, as it is the QS&QM manager's in the paper. A guard
+//! that keeps the default [`QueryGuard::inspect_parsed`] gets the lowered
+//! item stack and the write data in a [`QueryContext`]; SEPTIC checks the
+//! QS while it lowers it, and builds the stack only when it must explain
+//! or learn. The guard's [`GuardDecision`] determines whether the
 //! executor runs.
 
 use std::fmt;
 use std::sync::Arc;
 
-use septic_sql::{ItemStack, Statement};
+use septic_sql::ast::InsertSource;
+use septic_sql::{items, ItemStack, Statement};
+use septic_telemetry::Laps;
+
+/// A parsed and validated query as the server hands it to the guard,
+/// before any query structure is built.
+#[derive(Debug, Clone, Copy)]
+pub struct ParsedQuery<'a> {
+    /// The raw query text as received from the client.
+    pub raw_sql: &'a str,
+    /// The query text after connection-charset decoding.
+    pub decoded_sql: &'a str,
+    /// Parsed statements (piggybacked queries arrive as several).
+    pub statements: &'a [Statement],
+    /// Bodies of `/* ... */` comments (external query identifiers).
+    pub comments: &'a [String],
+    /// True when a line comment swallowed the tail of the query.
+    pub trailing_line_comment: bool,
+}
+
+impl<'a> ParsedQuery<'a> {
+    /// The context [`QueryGuard::inspect`] reads, over `stack` and
+    /// `write_data` built from these statements.
+    #[must_use]
+    pub fn context(&self, stack: &'a ItemStack, write_data: &'a [String]) -> QueryContext<'a> {
+        QueryContext {
+            raw_sql: self.raw_sql,
+            decoded_sql: self.decoded_sql,
+            statements: self.statements,
+            stack,
+            comments: self.comments,
+            trailing_line_comment: self.trailing_line_comment,
+            write_data,
+        }
+    }
+}
+
+/// Feeds `f` the string literals of the values an `INSERT … VALUES` or an
+/// `UPDATE … SET` writes, in source order, borrowed: the candidate user
+/// inputs of the stored-injection plugins. A subquery's literals are not
+/// written, and not fed.
+pub fn for_each_write_literal<'a>(statements: &'a [Statement], mut f: impl FnMut(&'a str)) {
+    for stmt in statements {
+        match stmt {
+            Statement::Insert(i) => {
+                if let InsertSource::Values(rows) = &i.source {
+                    for e in rows.iter().flatten() {
+                        e.for_each_string_literal(&mut f);
+                    }
+                }
+            }
+            Statement::Update(u) => {
+                for (_, e) in &u.assignments {
+                    e.for_each_string_literal(&mut f);
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
+/// [`for_each_write_literal`]'s literals, copied: a [`QueryContext`]'s
+/// `write_data`.
+#[must_use]
+pub fn write_data(statements: &[Statement]) -> Vec<String> {
+    let mut literals = Vec::new();
+    for_each_write_literal(statements, |s| literals.push(s));
+    literals.into_iter().map(String::from).collect()
+}
 
 /// Everything a guard can see about a query at the interception point.
 ///
@@ -105,8 +178,24 @@ impl fmt::Display for GuardDecision {
 
 /// A pre-execution query inspector (SEPTIC implements this).
 pub trait QueryGuard: Send + Sync {
-    /// Inspects a validated query immediately before execution.
+    /// Inspects a validated query immediately before execution, its item
+    /// stack already built.
     fn inspect(&self, ctx: &QueryContext<'_>) -> GuardDecision;
+
+    /// The entry the server calls: inspects the parsed, validated
+    /// statements, building whatever query structure the guard needs.
+    /// The last boundary of `laps` is the guard's start; a guard may end
+    /// stages of its own on it, and the server ends the guard stage after
+    /// it returns.
+    ///
+    /// The default lowers the statements to their item stack, copies the
+    /// write data out, and calls [`QueryGuard::inspect`].
+    fn inspect_parsed(&self, query: &ParsedQuery<'_>, laps: &mut Laps) -> GuardDecision {
+        let _ = laps;
+        let stack = items::lower_all(query.statements);
+        let write_data = write_data(query.statements);
+        self.inspect(&query.context(&stack, &write_data))
+    }
 
     /// Guard name for the server log.
     fn name(&self) -> &str {

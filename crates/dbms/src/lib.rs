@@ -40,7 +40,10 @@ pub mod wal;
 
 pub use error::DbError;
 pub use exec::{execute_logged, execute_read_with, execute_with, is_read_only, QueryOutput};
-pub use guard::{AllowAll, FailurePolicy, GuardDecision, QueryContext, QueryGuard, SharedGuard};
+pub use guard::{
+    for_each_write_literal, write_data, AllowAll, FailurePolicy, GuardDecision, ParsedQuery,
+    QueryContext, QueryGuard, SharedGuard,
+};
 pub use plan::explain;
 pub use server::{
     Connection, ExecResult, GeneralLogEntry, Server, ServerConfig, ServerStatsSnapshot,

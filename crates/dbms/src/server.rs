@@ -54,9 +54,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::{Mutex, RwLock};
-use septic_sql::ast::InsertSource;
 use septic_sql::parser::Parsed;
-use septic_sql::{charset, items, parse, ParseError, Statement};
+use septic_sql::{charset, parse, ParseError, Statement};
 use septic_telemetry::{
     saturating_micros, Counter, Histogram, Laps, MetricsRegistry, MetricsSnapshot,
 };
@@ -64,7 +63,7 @@ use septic_telemetry::{
 use crate::bind::bind_params;
 use crate::error::DbError;
 use crate::exec::{execute_logged, execute_read_with, is_read_only, validate, QueryOutput};
-use crate::guard::{panic_message, FailurePolicy, GuardDecision, QueryContext, SharedGuard};
+use crate::guard::{panic_message, FailurePolicy, GuardDecision, ParsedQuery, SharedGuard};
 use crate::select::where_program;
 use crate::storage::{Database, UndoLog};
 use crate::value::Value;
@@ -144,7 +143,6 @@ struct Metrics {
     txn_conflict_rollbacks: Arc<Counter>,
     /// Per-stage latency (`dbms_stage_duration_microseconds{stage=…}`).
     parse_us: Arc<Histogram>,
-    qs_build_us: Arc<Histogram>,
     guard_us: Arc<Histogram>,
     execute_us: Arc<Histogram>,
     /// What the statements a client was answered cost and gave back: rows
@@ -192,7 +190,6 @@ impl Metrics {
             log_failure_rollbacks: rollbacks("log_failure"),
             txn_conflict_rollbacks: rollbacks("txn_conflict"),
             parse_us: stage("parse"),
-            qs_build_us: stage("qs_build"),
             guard_us: stage("guard"),
             execute_us: stage("execute"),
             rows_examined: r.counter("dbms_rows_examined_total"),
@@ -636,13 +633,13 @@ impl Server {
         statements.iter().try_for_each(|stmt| validate(view, stmt))
     }
 
-    /// The SEPTIC hook: when a guard is installed, lowers the statements
-    /// to the item stack (the QS build) and hands the guard everything it
-    /// may inspect,
-    /// user data of INSERT/UPDATE included. The guard runs inside
-    /// `catch_unwind`; a panic is counted here and decided by the guard's
-    /// failure policy as it reads when the panic happens. A buggy detector
-    /// degrades per that policy, never crashes the engine.
+    /// The SEPTIC hook: when a guard is installed, hands it the parsed
+    /// statements ([`QueryGuard::inspect_parsed`]): the guard builds the
+    /// query structure it checks. The guard runs inside `catch_unwind`; a
+    /// panic is counted here and decided by the guard's failure policy as
+    /// it reads when the panic happens. A buggy detector degrades per that
+    /// policy, never crashes the engine. The guard continues `laps`; its
+    /// stage ends here, one clock read after it returns.
     fn guard_stage(
         &self,
         req: &Request<'_>,
@@ -654,20 +651,17 @@ impl Server {
         let Some(guard) = self.guard.read().clone() else {
             return Ok(());
         };
-        let stack = items::lower_all(&parsed.statements);
-        self.metrics.qs_build_us.record(laps.lap());
-        let write_data = write_data(&parsed.statements);
-        let ctx = QueryContext {
+        let query = ParsedQuery {
             raw_sql: req.raw_sql,
             decoded_sql: decoded,
             statements: &parsed.statements,
-            stack: &stack,
             comments: &parsed.comments,
             trailing_line_comment: parsed.trailing_line_comment,
-            write_data: &write_data,
         };
-        let inspected = catch_unwind(AssertUnwindSafe(|| guard.inspect(&ctx)));
-        self.metrics.guard_us.record(laps.lap());
+        let begin = laps.last();
+        let inspected = catch_unwind(AssertUnwindSafe(|| guard.inspect_parsed(&query, laps)));
+        laps.lap();
+        self.metrics.guard_us.record(laps.last() - begin);
         let what = match inspected {
             Ok(GuardDecision::Proceed) => return Ok(()),
             Ok(GuardDecision::Block(reason)) => return Err(DbError::Blocked(reason)),
@@ -853,34 +847,10 @@ impl std::fmt::Debug for Server {
     }
 }
 
-/// The string literals of `INSERT` values and `UPDATE` assignments: the
-/// user inputs stored-injection plugins scan.
-fn write_data(statements: &[Statement]) -> Vec<String> {
-    let mut lits = Vec::new();
-    for stmt in statements {
-        match stmt {
-            Statement::Insert(i) => {
-                if let InsertSource::Values(rows) = &i.source {
-                    for e in rows.iter().flatten() {
-                        e.collect_string_literals(&mut lits);
-                    }
-                }
-            }
-            Statement::Update(u) => {
-                for (_, e) in &u.assignments {
-                    e.collect_string_literals(&mut lits);
-                }
-            }
-            _ => {}
-        }
-    }
-    lits.into_iter().map(String::from).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::guard::{AllowAll, FailurePolicy, GuardDecision, QueryGuard};
+    use crate::guard::{AllowAll, FailurePolicy, GuardDecision, QueryContext, QueryGuard};
     use crate::value::Value;
 
     #[test]

@@ -686,16 +686,12 @@ impl Host for ExprHost<'_> {
 
     fn unary(&mut self, code: u16, v: &Operand) -> Result<Operand, DbError> {
         let op = UN_OPS[usize::from(code)];
-        Ok(Operand::Owned(apply_unary(op, self.get(v))))
+        apply_unary(op, self.get(v)).map(Operand::Owned)
     }
 
     fn binary(&mut self, code: u16, left: &Operand, right: &Operand) -> Result<Operand, DbError> {
         let op = BIN_OPS[usize::from(code)];
-        Ok(Operand::Owned(apply_binary(
-            op,
-            self.get(left),
-            self.get(right),
-        )))
+        apply_binary(op, self.get(left), self.get(right)).map(Operand::Owned)
     }
 
     fn call(&mut self, name: &str, args: std::vec::Drain<'_, Operand>) -> Result<Operand, DbError> {

@@ -732,8 +732,9 @@ impl WalStorage {
     /// # Errors
     ///
     /// [`DbError::Storage`] for IO failures, for a snapshot or WAL an
-    /// earlier build wrote in JSON (nothing is touched) and for a table
-    /// image [`TableStore::restore`] refuses; corruption never fails
+    /// earlier build wrote in JSON (nothing is touched), for a sequence
+    /// number or clock at its maximum (nothing is touched either) and for
+    /// a table image [`TableStore::restore`] refuses; corruption never fails
     /// recovery, it is quarantined and counted.
     pub fn recover(&self) -> Result<(Database, RecoveryReport), DbError> {
         let mut db = Database::new();
@@ -805,9 +806,17 @@ impl WalStorage {
             report.torn_records += 1;
         }
 
-        state.next_seq = max_seq + 1;
+        // The next commit takes the sequence number and the clock one past
+        // the last: a stored maximum leaves none for it.
+        let (Some(next_seq), Some(next_clock)) = (max_seq.checked_add(1), clock.checked_add(1))
+        else {
+            return Err(DbError::Storage(format!(
+                "recover: sequence number {max_seq} or clock {clock} leaves no room for the next commit"
+            )));
+        };
+        state.next_seq = next_seq;
         report.tables = db.table_names().count();
-        report.next_clock = clock + 1;
+        report.next_clock = next_clock;
         Ok((db, report))
     }
 
@@ -1133,6 +1142,40 @@ mod tests {
             let err = wal_over(io.clone()).recover().unwrap_err();
             assert!(
                 matches!(&err, DbError::Storage(m) if m.contains("JSON written by an earlier build")),
+                "{what}: {err}"
+            );
+            assert_eq!(files(&io), before, "{what}: a file changed");
+        }
+    }
+
+    /// A CRC-valid WAL record numbered `u64::MAX`, or a snapshot at it,
+    /// leaves no sequence number for the next commit: recovery is refused
+    /// and every file stays as it was.
+    #[test]
+    fn a_sequence_number_at_its_maximum_is_refused_untouched() {
+        let record = WalRecord {
+            seq: u64::MAX,
+            stmts: vec![stmt("CREATE TABLE t (id INT)")],
+        };
+        for (what, file, payload) in [
+            ("wal record", WAL_FILE, record_payload(&record)),
+            (
+                "snapshot",
+                SNAPSHOT_FILE,
+                snapshot_payload(&Database::new(), u64::MAX, 42),
+            ),
+            (
+                "clock",
+                SNAPSHOT_FILE,
+                snapshot_payload(&Database::new(), 1, i64::MAX),
+            ),
+        ] {
+            let io = MemIo::new();
+            io.plant(file, encode_frame(&payload));
+            let before = files(&io);
+            let err = wal_over(io.clone()).recover().unwrap_err();
+            assert!(
+                matches!(&err, DbError::Storage(m) if m.contains("no room for the next commit")),
                 "{what}: {err}"
             );
             assert_eq!(files(&io), before, "{what}: a file changed");

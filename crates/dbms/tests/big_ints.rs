@@ -8,8 +8,8 @@
 use std::sync::Arc;
 
 use septic_dbms::{
-    execute_with, Connection, Database, MemIo, ProgramCache, Server, ServerConfig, StorageIo,
-    Value, WalConfig,
+    execute_with, Connection, Database, DbError, MemIo, ProgramCache, Server, ServerConfig,
+    StorageIo, Value, WalConfig,
 };
 use septic_sql::parse;
 
@@ -159,20 +159,23 @@ fn a_recovered_row_keeps_its_exact_int() {
 }
 
 // `-9223372036854775808` is an integer literal, so a sign over it, or over
-// a bound `i64::MIN`, negates an integer that has no positive twin. It
-// wraps, as integer `+` does past `i64::MAX`, where it once overflowed.
+// a bound `i64::MIN`, negates an integer that has no positive twin. Like
+// integer `+` past `i64::MAX`, that is MySQL's error 1690, not a wrap.
 #[test]
-fn negating_the_most_negative_int_wraps_like_addition() {
+fn negating_the_most_negative_int_is_out_of_range_like_addition() {
     let server = Server::new();
     let conn = server.connect();
-    let wrapped = cell(&conn, "SELECT 9223372036854775807 + 1");
-    assert_eq!(wrapped, Value::Int(i64::MIN));
-    assert_eq!(cell(&conn, "SELECT - -9223372036854775808"), wrapped);
-    let bound = conn
-        .execute_prepared("SELECT -?", &[Value::Int(i64::MIN)])
-        .unwrap();
+    let out_of_range = DbError::Runtime("BIGINT value is out of range".into());
     assert_eq!(
-        bound.last().map(|o| o.rows.clone()),
-        Some(vec![vec![wrapped]])
+        cell(&conn, "SELECT -9223372036854775808"),
+        Value::Int(i64::MIN)
     );
+    for sql in [
+        "SELECT 9223372036854775807 + 1",
+        "SELECT - -9223372036854775808",
+    ] {
+        assert_eq!(conn.execute(sql).unwrap_err(), out_of_range, "{sql}");
+    }
+    let bound = conn.execute_prepared("SELECT -?", &[Value::Int(i64::MIN)]);
+    assert_eq!(bound.unwrap_err(), out_of_range);
 }

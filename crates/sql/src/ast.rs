@@ -562,9 +562,15 @@ impl Expr {
     /// order. SEPTIC's stored-injection plugins scan these as the candidate
     /// user inputs of `INSERT`/`UPDATE` statements.
     pub fn collect_string_literals<'a>(&'a self, out: &mut Vec<&'a str>) {
+        self.for_each_string_literal(&mut |s| out.push(s));
+    }
+
+    /// Feeds `f` every string literal in the expression tree, in source
+    /// order: [`Expr::collect_string_literals`] without the vector.
+    pub fn for_each_string_literal<'a>(&'a self, f: &mut impl FnMut(&'a str)) {
         match self {
-            Expr::Literal(Literal::Str(s)) => out.push(s),
-            _ => self.for_each_child(|child| child.collect_string_literals(out)),
+            Expr::Literal(Literal::Str(s)) => f(s),
+            _ => self.for_each_child(|child| child.for_each_string_literal(f)),
         }
     }
 }

@@ -178,6 +178,152 @@ impl Item {
         }
     }
 
+    /// Canonical bytes used for hashing into the internal query identifier
+    /// (see [`Node::canonical_bytes`]).
+    pub fn canonical_bytes(&self, out: &mut impl Extend<u8>) {
+        self.node().canonical_bytes(out);
+    }
+
+    /// The node as the QS consumers read it, its text borrowed.
+    #[inline]
+    #[must_use]
+    pub fn node(&self) -> Node<'_> {
+        let payload = match &self.data {
+            ItemData::Text(s) => Payload::Text(s),
+            ItemData::Int(v) => Payload::Int(*v),
+            ItemData::Real(v) => Payload::Real(*v),
+            ItemData::Null => Payload::Null,
+            ItemData::Bot => Payload::Bot,
+        };
+        Node {
+            tag: self.tag,
+            payload,
+        }
+    }
+}
+
+/// One node of the QS as lowering states it, before any stack holds it:
+/// its text is borrowed from the statement, in the pieces it is made of.
+/// The stack sink assembles an [`Item`] from it; the internal id and the
+/// model compare read the pieces in place. Both are ASCII-case-insensitive,
+/// so they never need the lowercased `String` a stored node owns.
+#[derive(Debug, Clone, Copy)]
+pub struct Node<'a> {
+    pub tag: ItemTag,
+    pub payload: Payload<'a>,
+}
+
+/// The payload of a [`Node`].
+#[derive(Debug, Clone, Copy)]
+pub enum Payload<'a> {
+    /// Fixed text: a keyword, an operator, `*`, or nothing.
+    Fixed(&'static str),
+    /// Text kept as written: a string literal, a function name, the text
+    /// of a stored node.
+    Text(&'a str),
+    /// An identifier, lowercased when stored: a table or column name.
+    Name(&'a str),
+    /// Fixed text, then an identifier lowercased when stored:
+    /// `CREATE TABLE t`, `LEFT JOIN d`.
+    Keyword(&'static str, &'a str),
+    /// A table's columns, `t.*`, the table lowercased when stored.
+    Wildcard(&'a str),
+    /// A column label, `table.name` or `name`, lowercased when stored.
+    Column(Option<&'a str>, &'a str),
+    /// A function's label, `name()`, kept as written.
+    Call(&'a str),
+    /// A projected literal, as the literal displays.
+    Shown(&'a Literal),
+    Int(i64),
+    Real(f64),
+    Null,
+    /// ⊥ — the blanked value in query models.
+    Bot,
+}
+
+/// Hands each piece written to it on to a closure.
+struct Pieces<F>(F);
+
+impl<F: FnMut(&str)> fmt::Write for Pieces<F> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        (self.0)(s);
+        Ok(())
+    }
+}
+
+impl Node<'_> {
+    /// Feeds the node's text to `f` piece by piece, each with whether it is
+    /// lowercased when stored. False, and nothing fed, for a payload that
+    /// is not text.
+    fn pieces(&self, mut f: impl FnMut(&str, bool)) -> bool {
+        match self.payload {
+            Payload::Fixed(s) | Payload::Text(s) => f(s, false),
+            Payload::Name(name) => f(name, true),
+            Payload::Keyword(keyword, name) => {
+                f(keyword, false);
+                f(name, true);
+            }
+            Payload::Wildcard(table) => {
+                f(table, true);
+                f(".*", false);
+            }
+            Payload::Column(table, name) => {
+                if let Some(t) = table {
+                    f(t, true);
+                    f(".", false);
+                }
+                f(name, true);
+            }
+            Payload::Call(name) => {
+                f(name, false);
+                f("()", false);
+            }
+            Payload::Shown(literal) => {
+                // Writing into a closure cannot fail.
+                let _ = fmt::write(
+                    &mut Pieces(|s: &str| f(s, false)),
+                    format_args!("{literal}"),
+                );
+            }
+            Payload::Int(_) | Payload::Real(_) | Payload::Null | Payload::Bot => return false,
+        }
+        true
+    }
+
+    /// Whether the node's text equals `text`, ASCII-case-insensitively:
+    /// the model compare's rule for an element node. False for a payload
+    /// that is not text.
+    #[inline]
+    #[must_use]
+    pub fn text_eq_ignore_ascii_case(&self, text: &str) -> bool {
+        // One piece, the common case (every stored node's text), in one
+        // compare; what `pieces` states for these payloads.
+        if let Payload::Fixed(s) | Payload::Text(s) | Payload::Name(s) | Payload::Column(None, s) =
+            self.payload
+        {
+            return text.eq_ignore_ascii_case(s);
+        }
+        let mut rest = text.as_bytes();
+        let mut same = true;
+        let is_text = self.pieces(|piece, _| {
+            same = same
+                && match rest.split_at_checked(piece.len()) {
+                    Some((head, tail)) if head.eq_ignore_ascii_case(piece.as_bytes()) => {
+                        rest = tail;
+                        true
+                    }
+                    _ => false,
+                };
+        });
+        is_text && same && rest.is_empty()
+    }
+
+    /// Whether the node carries exactly `data`, as its [`Item`] would.
+    #[must_use]
+    pub fn payload_eq(&self, data: &ItemData) -> bool {
+        self.to_item().data == *data
+    }
+
     /// Canonical bytes used for hashing into the internal query identifier,
     /// streamed into `out` (a buffer, or a hash state that takes bytes).
     /// Data payloads contribute only their tag, so queries differing only in
@@ -186,12 +332,47 @@ impl Item {
         out.extend(self.tag.name().bytes());
         out.extend([0x1f]);
         if !self.tag.is_data() {
-            if let ItemData::Text(s) = &self.data {
-                // Identifiers are case-insensitive in MySQL.
-                out.extend(s.bytes().map(|b| b.to_ascii_lowercase()));
-            }
+            // Identifiers are case-insensitive in MySQL.
+            self.pieces(|piece, _| out.extend(piece.bytes().map(|b| b.to_ascii_lowercase())));
         }
         out.extend([0x1e]);
+    }
+
+    /// The stack node: fixed text stays borrowed, any other text is
+    /// assembled into one `String`, its identifiers lowercased.
+    #[inline]
+    #[must_use]
+    pub fn to_item(&self) -> Item {
+        let data = match self.payload {
+            Payload::Fixed(s) => ItemData::Text(Cow::Borrowed(s)),
+            Payload::Int(v) => ItemData::Int(v),
+            Payload::Real(v) => ItemData::Real(v),
+            Payload::Null => ItemData::Null,
+            Payload::Bot => ItemData::Bot,
+            // One piece, the common case, in one call; what `pieces`
+            // states for these payloads.
+            Payload::Text(s) => ItemData::Text(Cow::Owned(s.to_owned())),
+            Payload::Name(s) | Payload::Column(None, s) => {
+                ItemData::Text(Cow::Owned(s.to_ascii_lowercase()))
+            }
+            _ => {
+                let mut len = 0;
+                self.pieces(|piece, _| len += piece.len());
+                let mut text = String::with_capacity(len);
+                self.pieces(|piece, lower| {
+                    let start = text.len();
+                    text.push_str(piece);
+                    if lower {
+                        text[start..].make_ascii_lowercase();
+                    }
+                });
+                ItemData::Text(Cow::Owned(text))
+            }
+        };
+        Item {
+            tag: self.tag,
+            data,
+        }
     }
 }
 
@@ -312,113 +493,120 @@ pub fn lower(statement: &Statement) -> ItemStack {
 #[must_use]
 pub fn lower_all(statements: &[Statement]) -> ItemStack {
     let mut count = Count(0);
-    lower_statements(statements, &mut count);
-    let mut items = Vec::with_capacity(count.0);
-    lower_statements(statements, &mut items);
-    debug_assert_eq!(items.len(), count.0);
+    lower_into(statements, &mut count);
+    lower_counted(statements, count.0)
+}
+
+/// [`lower_all`] when the node count is known already, counted by a sink
+/// the nodes streamed through: one walk, not two.
+#[must_use]
+pub fn lower_counted(statements: &[Statement], nodes: usize) -> ItemStack {
+    let mut items = Vec::with_capacity(nodes);
+    lower_into(statements, &mut items);
+    debug_assert_eq!(items.len(), nodes);
     ItemStack { items }
 }
 
-/// Where lowering puts nodes: the stack, or a count that sizes it. The
-/// payload is a closure, so counting builds no text.
-trait Sink {
-    fn node(&mut self, tag: ItemTag, data: impl FnOnce() -> ItemData);
-
-    /// An element node with fixed text: a keyword or operator.
-    fn fixed(&mut self, tag: ItemTag, text: &'static str) {
-        self.node(tag, || ItemData::Text(Cow::Borrowed(text)));
-    }
-
-    /// An element node that owns its text: an identifier.
-    fn named(&mut self, tag: ItemTag, text: impl FnOnce() -> String) {
-        self.node(tag, || ItemData::Text(Cow::Owned(text())));
-    }
+/// Where lowering puts nodes, bottom of the stack first: the stack, a
+/// count that sizes it, or a consumer that reads each node as it comes
+/// (SEPTIC checks the QS this way without building it).
+pub trait Sink<'a> {
+    fn node(&mut self, node: Node<'a>);
 }
 
 struct Count(usize);
 
-impl Sink for Count {
-    fn node(&mut self, _: ItemTag, _: impl FnOnce() -> ItemData) {
+impl Sink<'_> for Count {
+    fn node(&mut self, _: Node<'_>) {
         self.0 += 1;
     }
 }
 
-impl Sink for Vec<Item> {
-    fn node(&mut self, tag: ItemTag, data: impl FnOnce() -> ItemData) {
-        self.push(Item { tag, data: data() });
+impl<'a> Sink<'a> for Vec<Item> {
+    fn node(&mut self, node: Node<'a>) {
+        self.push(node.to_item());
     }
 }
 
-fn lower_statements(statements: &[Statement], out: &mut impl Sink) {
+/// Streams the nodes of `statements` into `out` in stack order, bottom
+/// first: the one statement of what the QS is.
+pub fn lower_into<'a>(statements: &'a [Statement], out: &mut impl Sink<'a>) {
     for (i, s) in statements.iter().enumerate() {
         if i > 0 {
-            out.fixed(ItemTag::DdlItem, ";");
+            fixed(out, ItemTag::DdlItem, ";");
         }
         lower_statement(s, out);
     }
 }
 
-fn lower_statement(statement: &Statement, out: &mut impl Sink) {
+fn put<'a>(out: &mut impl Sink<'a>, tag: ItemTag, payload: Payload<'a>) {
+    out.node(Node { tag, payload });
+}
+
+/// An element node with fixed text: a keyword or operator.
+fn fixed<'a>(out: &mut impl Sink<'a>, tag: ItemTag, text: &'static str) {
+    put(out, tag, Payload::Fixed(text));
+}
+
+/// An element node naming a table or column: the identifier, lowercased.
+fn name<'a>(out: &mut impl Sink<'a>, tag: ItemTag, name: &'a str) {
+    put(out, tag, Payload::Name(name));
+}
+
+fn lower_statement<'a>(statement: &'a Statement, out: &mut impl Sink<'a>) {
     match statement {
         Statement::Select(s) => lower_select(s, out),
         Statement::Insert(i) => lower_insert(i, out),
         Statement::Update(u) => lower_update(u, out),
         Statement::Delete(d) => lower_delete(d, out),
         Statement::CreateTable(c) => {
-            out.named(ItemTag::DdlItem, || format!("CREATE TABLE {}", lc(&c.name)));
+            put(
+                out,
+                ItemTag::DdlItem,
+                Payload::Keyword("CREATE TABLE ", &c.name),
+            );
         }
         Statement::DropTable(d) => {
-            out.named(ItemTag::DdlItem, || format!("DROP TABLE {}", lc(&d.name)));
+            put(
+                out,
+                ItemTag::DdlItem,
+                Payload::Keyword("DROP TABLE ", &d.name),
+            );
         }
         // Transaction control lowers like DDL: a bare keyword item, so a
         // piggybacked `; COMMIT` still changes the query structure.
-        Statement::Begin => out.fixed(ItemTag::DdlItem, "BEGIN"),
-        Statement::Commit => out.fixed(ItemTag::DdlItem, "COMMIT"),
-        Statement::Rollback => out.fixed(ItemTag::DdlItem, "ROLLBACK"),
+        Statement::Begin => fixed(out, ItemTag::DdlItem, "BEGIN"),
+        Statement::Commit => fixed(out, ItemTag::DdlItem, "COMMIT"),
+        Statement::Rollback => fixed(out, ItemTag::DdlItem, "ROLLBACK"),
     }
 }
 
-fn lc(s: &str) -> String {
-    s.to_ascii_lowercase()
-}
-
-/// A column label, `table.name` or `name`, lowercased into one `String`.
-fn column_label(table: Option<&str>, name: &str) -> String {
-    let mut label = String::with_capacity(table.map_or(0, |t| t.len() + 1) + name.len());
-    if let Some(t) = table {
-        label.push_str(t);
-        label.push('.');
-    }
-    label.push_str(name);
-    label.make_ascii_lowercase();
-    label
-}
-
-/// A data node.
-fn data(out: &mut impl Sink, tag: ItemTag, data: ItemData) {
-    out.node(tag, || data);
-}
-
-fn lower_select(select: &Select, out: &mut impl Sink) {
+fn lower_select<'a>(select: &'a Select, out: &mut impl Sink<'a>) {
     for table in &select.from {
-        out.named(ItemTag::FromTable, || lc(&table.name));
+        name(out, ItemTag::FromTable, &table.name);
     }
     for join in &select.joins {
-        out.named(ItemTag::JoinItem, || {
-            format!("{} {}", join.kind, lc(&join.table.name))
-        });
+        let keyword = match join.kind {
+            JoinKind::Inner => "JOIN ",
+            JoinKind::Left => "LEFT JOIN ",
+        };
+        put(
+            out,
+            ItemTag::JoinItem,
+            Payload::Keyword(keyword, &join.table.name),
+        );
         if let Some(on) = &join.on {
             lower_expr(on, out);
         }
     }
     for item in &select.items {
         match item {
-            SelectItem::Wildcard => out.fixed(ItemTag::SelectField, "*"),
+            SelectItem::Wildcard => fixed(out, ItemTag::SelectField, "*"),
             SelectItem::QualifiedWildcard(t) => {
-                out.named(ItemTag::SelectField, || format!("{}.*", lc(t)));
+                put(out, ItemTag::SelectField, Payload::Wildcard(t))
             }
             SelectItem::Expr { expr, .. } => {
-                out.node(ItemTag::SelectField, || ItemData::Text(expr_label(expr)));
+                put(out, ItemTag::SelectField, expr_label(expr));
                 // Non-trivial projected expressions contribute their own
                 // structure (a projected subquery or function can smuggle
                 // data out).
@@ -433,41 +621,46 @@ fn lower_select(select: &Select, out: &mut impl Sink) {
     }
     for g in &select.group_by {
         lower_expr(g, out);
-        out.fixed(ItemTag::GroupField, "");
+        fixed(out, ItemTag::GroupField, "");
     }
     if let Some(h) = &select.having {
         lower_expr(h, out);
-        out.fixed(ItemTag::HavingItem, "");
+        fixed(out, ItemTag::HavingItem, "");
     }
     for o in &select.order_by {
         lower_expr(&o.expr, out);
-        out.fixed(
+        fixed(
+            out,
             ItemTag::OrderField,
             if o.descending { "DESC" } else { "ASC" },
         );
     }
     if let Some(limit) = &select.limit {
-        data(out, ItemTag::IntItem, ItemData::Int(limit.count as i64));
-        data(out, ItemTag::IntItem, ItemData::Int(limit.offset as i64));
-        out.fixed(ItemTag::LimitItem, "");
+        put(out, ItemTag::IntItem, Payload::Int(limit.count as i64));
+        put(out, ItemTag::IntItem, Payload::Int(limit.offset as i64));
+        fixed(out, ItemTag::LimitItem, "");
     }
     if let Some((all, next)) = &select.union {
-        out.fixed(ItemTag::UnionItem, if *all { "UNION ALL" } else { "UNION" });
+        fixed(
+            out,
+            ItemTag::UnionItem,
+            if *all { "UNION ALL" } else { "UNION" },
+        );
         lower_select(next, out);
     }
 }
 
 /// `SUBSELECT_BEGIN`, the subquery, `SUBSELECT_END`.
-fn lower_subselect(select: &Select, out: &mut impl Sink) {
-    out.fixed(ItemTag::SubselectBegin, "");
+fn lower_subselect<'a>(select: &'a Select, out: &mut impl Sink<'a>) {
+    fixed(out, ItemTag::SubselectBegin, "");
     lower_select(select, out);
-    out.fixed(ItemTag::SubselectEnd, "");
+    fixed(out, ItemTag::SubselectEnd, "");
 }
 
-fn lower_insert(insert: &Insert, out: &mut impl Sink) {
-    out.named(ItemTag::InsertTable, || lc(&insert.table));
+fn lower_insert<'a>(insert: &'a Insert, out: &mut impl Sink<'a>) {
+    name(out, ItemTag::InsertTable, &insert.table);
     for col in &insert.columns {
-        out.named(ItemTag::InsertField, || lc(col));
+        name(out, ItemTag::InsertField, col);
     }
     match &insert.source {
         InsertSource::Values(rows) => {
@@ -475,102 +668,111 @@ fn lower_insert(insert: &Insert, out: &mut impl Sink) {
                 for value in row {
                     lower_expr(value, out);
                 }
-                out.fixed(ItemTag::RowItem, "");
+                fixed(out, ItemTag::RowItem, "");
             }
         }
         InsertSource::Select(select) => lower_subselect(select, out),
     }
 }
 
-fn lower_update(update: &Update, out: &mut impl Sink) {
-    out.named(ItemTag::UpdateTable, || lc(&update.table));
+fn lower_update<'a>(update: &'a Update, out: &mut impl Sink<'a>) {
+    name(out, ItemTag::UpdateTable, &update.table);
     for (col, value) in &update.assignments {
-        out.named(ItemTag::UpdateField, || lc(col));
+        name(out, ItemTag::UpdateField, col);
         lower_expr(value, out);
     }
     if let Some(where_clause) = &update.where_clause {
         lower_expr(where_clause, out);
     }
     if let Some(limit) = &update.limit {
-        data(out, ItemTag::IntItem, ItemData::Int(limit.count as i64));
-        out.fixed(ItemTag::LimitItem, "");
+        put(out, ItemTag::IntItem, Payload::Int(limit.count as i64));
+        fixed(out, ItemTag::LimitItem, "");
     }
 }
 
-fn lower_delete(delete: &Delete, out: &mut impl Sink) {
-    out.named(ItemTag::DeleteTable, || lc(&delete.table));
+fn lower_delete<'a>(delete: &'a Delete, out: &mut impl Sink<'a>) {
+    name(out, ItemTag::DeleteTable, &delete.table);
     if let Some(where_clause) = &delete.where_clause {
         lower_expr(where_clause, out);
     }
     if let Some(limit) = &delete.limit {
-        data(out, ItemTag::IntItem, ItemData::Int(limit.count as i64));
-        out.fixed(ItemTag::LimitItem, "");
+        put(out, ItemTag::IntItem, Payload::Int(limit.count as i64));
+        fixed(out, ItemTag::LimitItem, "");
     }
 }
 
 /// Postfix lowering of an expression: operands first, operator on top.
-fn lower_expr(expr: &Expr, out: &mut impl Sink) {
+fn lower_expr<'a>(expr: &'a Expr, out: &mut impl Sink<'a>) {
     expr.for_each_child(|child| lower_expr(child, out));
     match expr {
-        Expr::Literal(Literal::Int(v)) => data(out, ItemTag::IntItem, ItemData::Int(*v)),
-        Expr::Literal(Literal::Float(v)) => data(out, ItemTag::RealItem, ItemData::Real(*v)),
-        Expr::Literal(Literal::Str(s)) => {
-            out.node(ItemTag::StringItem, || {
-                ItemData::Text(Cow::Owned(s.clone()))
-            });
-        }
-        Expr::Literal(Literal::Null) => data(out, ItemTag::NullItem, ItemData::Null),
-        Expr::Param => data(out, ItemTag::ParamItem, ItemData::Bot),
-        Expr::Column { table, name } => {
-            out.named(ItemTag::FieldItem, || column_label(table.as_deref(), name));
-        }
-        Expr::Unary { op, .. } => out.fixed(ItemTag::FuncItem, op.symbol()),
+        Expr::Literal(Literal::Int(v)) => put(out, ItemTag::IntItem, Payload::Int(*v)),
+        Expr::Literal(Literal::Float(v)) => put(out, ItemTag::RealItem, Payload::Real(*v)),
+        Expr::Literal(Literal::Str(s)) => put(out, ItemTag::StringItem, Payload::Text(s)),
+        Expr::Literal(Literal::Null) => put(out, ItemTag::NullItem, Payload::Null),
+        Expr::Param => put(out, ItemTag::ParamItem, Payload::Bot),
+        Expr::Column { table, name } => put(
+            out,
+            ItemTag::FieldItem,
+            Payload::Column(table.as_deref(), name),
+        ),
+        Expr::Unary { op, .. } => fixed(out, ItemTag::FuncItem, op.symbol()),
         Expr::Binary { op, .. } => {
             let tag = if op.is_condition() {
                 ItemTag::CondItem
             } else {
                 ItemTag::FuncItem
             };
-            out.fixed(tag, op.symbol());
+            fixed(out, tag, op.symbol());
         }
-        Expr::Function { name, .. } => out.named(ItemTag::FuncItem, || name.clone()),
-        Expr::IsNull { negated, .. } => out.fixed(
+        Expr::Function { name, .. } => put(out, ItemTag::FuncItem, Payload::Text(name)),
+        Expr::IsNull { negated, .. } => fixed(
+            out,
             ItemTag::FuncItem,
             if *negated { "IS NOT NULL" } else { "IS NULL" },
         ),
         Expr::InList { negated, .. } => {
-            out.fixed(ItemTag::FuncItem, if *negated { "NOT IN" } else { "IN" });
+            fixed(
+                out,
+                ItemTag::FuncItem,
+                if *negated { "NOT IN" } else { "IN" },
+            );
         }
         Expr::InSelect {
             select, negated, ..
         } => {
             lower_subselect(select, out);
-            out.fixed(ItemTag::FuncItem, if *negated { "NOT IN" } else { "IN" });
+            fixed(
+                out,
+                ItemTag::FuncItem,
+                if *negated { "NOT IN" } else { "IN" },
+            );
         }
-        Expr::Between { negated, .. } => out.fixed(
+        Expr::Between { negated, .. } => fixed(
+            out,
             ItemTag::FuncItem,
             if *negated { "NOT BETWEEN" } else { "BETWEEN" },
         ),
         Expr::Subquery(select) => lower_subselect(select, out),
         Expr::Exists { select, negated } => {
             lower_subselect(select, out);
-            out.fixed(
+            fixed(
+                out,
                 ItemTag::FuncItem,
                 if *negated { "NOT EXISTS" } else { "EXISTS" },
             );
         }
-        Expr::Case { .. } => out.fixed(ItemTag::FuncItem, "CASE"),
+        Expr::Case { .. } => fixed(out, ItemTag::FuncItem, "CASE"),
     }
 }
 
 /// Short label for a projected expression (shown in `SELECT_FIELD` nodes).
-fn expr_label(expr: &Expr) -> Cow<'static, str> {
+fn expr_label(expr: &Expr) -> Payload<'_> {
     match expr {
-        Expr::Column { table, name } => column_label(table.as_deref(), name).into(),
-        Expr::Function { name, .. } => format!("{name}()").into(),
-        Expr::Literal(l) => l.to_string().into(),
-        Expr::Subquery(_) => "(subquery)".into(),
-        _ => "(expr)".into(),
+        Expr::Column { table, name } => Payload::Column(table.as_deref(), name),
+        Expr::Function { name, .. } => Payload::Call(name),
+        Expr::Literal(l) => Payload::Shown(l),
+        Expr::Subquery(_) => Payload::Fixed("(subquery)"),
+        _ => Payload::Fixed("(expr)"),
     }
 }
 
@@ -589,6 +791,64 @@ mod tests {
             .rows_top_down()
             .map(|i| (i.tag, i.data.to_string()))
             .collect()
+    }
+
+    /// Every streamed node reads as the stack node built from it: the same
+    /// text ASCII-case-insensitively (against the stored text, lowercased
+    /// as a model's program holds it), the same payload, the same
+    /// canonical bytes; and another node's text does not match.
+    #[test]
+    fn a_streamed_node_reads_as_its_stack_node() {
+        struct Against<'s> {
+            items: &'s [Item],
+            at: usize,
+        }
+        impl<'a> Sink<'a> for Against<'_> {
+            fn node(&mut self, node: Node<'a>) {
+                let item = &self.items[self.at];
+                self.at += 1;
+                assert_eq!(node.tag, item.tag);
+                assert!(node.payload_eq(&item.data), "{item}");
+                let (mut streamed, mut stored) = (Vec::new(), Vec::new());
+                node.canonical_bytes(&mut streamed);
+                item.canonical_bytes(&mut stored);
+                assert_eq!(streamed, stored, "{item}");
+                if let ItemData::Text(text) = &item.data {
+                    assert!(
+                        node.text_eq_ignore_ascii_case(&text.to_ascii_lowercase()),
+                        "{item}"
+                    );
+                    assert!(
+                        !node.text_eq_ignore_ascii_case(&format!("{text}x")),
+                        "{item}"
+                    );
+                    if !text.is_empty() {
+                        assert!(!node.text_eq_ignore_ascii_case(&text[1..]), "{item}");
+                    }
+                }
+            }
+        }
+        for sql in [
+            "CREATE TABLE Tab (a INT)",
+            "DROP TABLE Tab",
+            "SELECT Tab.*, T.Col, Col, UPPER(x), 'it''s', 1.5, -2, NULL, (SELECT 1) \
+             FROM Tab T JOIN U ON T.a = U.B LEFT JOIN V ON V.c IS NULL \
+             WHERE x IN (1, 2) AND y BETWEEN ? AND 3 OR NOT EXISTS (SELECT 1 FROM W) \
+             GROUP BY Col HAVING COUNT(*) > 1 ORDER BY Col DESC LIMIT 5 \
+             UNION ALL SELECT a FROM b",
+            "INSERT INTO Tab (A, b) VALUES ('x', 1), (CONCAT('y', 'z'), 2)",
+            "UPDATE Tab SET A = 'x', B = b + 1 WHERE C = 2 LIMIT 1",
+            "DELETE FROM Tab WHERE a = CASE WHEN b THEN 1 ELSE 2 END; BEGIN",
+        ] {
+            let parsed = parse(sql).expect("parse ok");
+            let stack = lower_all(&parsed.statements);
+            let mut against = Against {
+                items: stack.items(),
+                at: 0,
+            };
+            lower_into(&parsed.statements, &mut against);
+            assert_eq!(against.at, stack.len(), "{sql}");
+        }
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub mod token;
 pub use ast::Statement;
 pub use error::{ParseError, Span};
 pub use fnv::Fnv1a;
-pub use items::{Item, ItemData, ItemStack, ItemTag};
+pub use items::{Item, ItemData, ItemStack, ItemTag, Node, Payload};
 pub use parser::{parse, Parsed};
 
 /// Convenience: charset-decode then parse, the way the server front end

@@ -71,7 +71,11 @@ impl Histogram {
     /// Record one observation already expressed in microseconds.
     pub fn record_us(&self, us: u64) {
         self.buckets[bucket_index(us)].fetch_add(1, Ordering::Relaxed);
-        self.sum_us.fetch_add(us, Ordering::Relaxed);
+        // Most stages of a request take under a microsecond: adding 0
+        // changes nothing, so it costs no read-modify-write.
+        if us > 0 {
+            self.sum_us.fetch_add(us, Ordering::Relaxed);
+        }
         // A read-modify-write only for a new maximum: the max only grows,
         // so a value at or under a loaded one cannot become it.
         if us > self.max_us.load(Ordering::Relaxed) {

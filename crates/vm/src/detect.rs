@@ -9,7 +9,7 @@
 //! its comparison mode and (pre-lowercased) expected payload baked in,
 //! so the per-query scan is a straight run over a flat op vector.
 
-use septic_sql::{Item, ItemData};
+use septic_sql::{Item, ItemData, Node};
 
 use crate::ops::Op;
 use crate::program::{Program, ProgramBuilder};
@@ -69,50 +69,109 @@ pub fn compile_model(items: &[Item]) -> Program {
 }
 
 /// Runs a compiled detection program against an observed (bottom-up)
-/// query structure. No recursion, no allocation — and, after the
-/// `CheckLen` prefix is consumed, a straight bounds-check-free zip of
-/// match ops over query nodes.
+/// query structure: [`Lockstep`] over its nodes. No recursion, no
+/// allocation.
 #[inline]
 #[must_use]
 pub fn run_model(program: &Program, qs: &[Item]) -> Verdict {
-    let mut ops = program.ops();
-    // The compiler emits exactly one leading CheckLen; consuming the
-    // prefix here keeps the node loop below a plain ops×items zip.
-    while let Some(Op::CheckLen(n)) = ops.first() {
-        let expected = *n as usize;
-        if qs.len() != expected {
+    let mut run = Lockstep::new(program);
+    for item in qs {
+        run.step(program, &item.node());
+    }
+    run.verdict(program)
+}
+
+/// Whether one QS node satisfies one match op: the one comparison rule,
+/// for a stored node ([`run_model`]) and a streamed one ([`Lockstep`])
+/// alike. A data node's tag alone decides; an element node's text is
+/// compared ASCII-case-insensitively with the pre-lowercased model text.
+#[inline]
+#[must_use]
+pub fn op_matches(program: &Program, op: &Op, node: &Node<'_>) -> bool {
+    match op {
+        Op::MatchTag(tag) => node.tag == *tag,
+        Op::MatchText { tag, text } => {
+            node.tag == *tag && node.text_eq_ignore_ascii_case(program.text(*text))
+        }
+        Op::MatchData { tag, data } => node.tag == *tag && node.payload_eq(program.data(*data)),
+        other => {
+            debug_assert!(false, "value op {other:?} in detection program");
+            true
+        }
+    }
+}
+
+/// A detection program run node by node, over a stored structure
+/// ([`run_model`]) or while the QS is being lowered, so the structure is
+/// never held in memory. A node count that differs from any `CheckLen`,
+/// or from the number of match ops (a malformed program), is a
+/// structural verdict; otherwise the first node that fails its op, by
+/// the one [`op_matches`], is a mimicry. Nodes past the last op are only
+/// counted.
+#[derive(Debug, Default)]
+pub struct Lockstep {
+    /// Where the match ops start: after the `CheckLen` prefix.
+    start: usize,
+    /// Nodes seen so far.
+    seen: usize,
+    /// The first node that failed its op.
+    first_miss: Option<usize>,
+}
+
+impl Lockstep {
+    /// A run of `program` that has seen no node yet.
+    #[inline]
+    #[must_use]
+    pub fn new(program: &Program) -> Self {
+        let start = program
+            .ops()
+            .iter()
+            .take_while(|op| matches!(op, Op::CheckLen(_)))
+            .count();
+        Lockstep {
+            start,
+            seen: 0,
+            first_miss: None,
+        }
+    }
+
+    /// Checks the next node (bottom-up). After the first mismatch, and
+    /// past the last op, nodes are only counted.
+    #[inline]
+    pub fn step(&mut self, program: &Program, node: &Node<'_>) {
+        if self.first_miss.is_none() {
+            if let Some(op) = program.ops().get(self.start + self.seen) {
+                if !op_matches(program, op, node) {
+                    self.first_miss = Some(self.seen);
+                }
+            }
+        }
+        self.seen += 1;
+    }
+
+    /// The verdict over the nodes seen.
+    #[inline]
+    #[must_use]
+    pub fn verdict(&self, program: &Program) -> Verdict {
+        let (lens, ops) = program.ops().split_at(self.start);
+        let observed = self.seen;
+        for op in lens {
+            if let Op::CheckLen(n) = op {
+                if *n as usize != observed {
+                    return Verdict::Structural {
+                        expected: *n as usize,
+                        observed,
+                    };
+                }
+            }
+        }
+        if ops.len() > observed {
             return Verdict::Structural {
-                expected,
-                observed: qs.len(),
+                expected: ops.len(),
+                observed,
             };
         }
-        ops = &ops[1..];
+        self.first_miss
+            .map_or(Verdict::Clean, |index| Verdict::Mimicry { index })
     }
-    // Unreachable for well-formed programs (CheckLen passed), but a
-    // malformed one must degrade, not panic or silently under-compare.
-    if ops.len() > qs.len() {
-        return Verdict::Structural {
-            expected: ops.len(),
-            observed: qs.len(),
-        };
-    }
-    for (index, (op, q)) in ops.iter().zip(qs).enumerate() {
-        let matched = match op {
-            Op::MatchTag(tag) => q.tag == *tag,
-            Op::MatchText { tag, text } => {
-                q.tag == *tag
-                    && matches!(&q.data,
-                        ItemData::Text(b) if program.text(*text).eq_ignore_ascii_case(b))
-            }
-            Op::MatchData { tag, data } => q.tag == *tag && &q.data == program.data(*data),
-            other => {
-                debug_assert!(false, "value op {other:?} in detection program");
-                true
-            }
-        };
-        if !matched {
-            return Verdict::Mimicry { index };
-        }
-    }
-    Verdict::Clean
 }

@@ -28,7 +28,7 @@ pub mod ops;
 pub mod program;
 pub mod vm;
 
-pub use detect::{compile_model, run_model, Verdict};
+pub use detect::{compile_model, op_matches, run_model, Lockstep, Verdict};
 pub use ops::Op;
 pub use program::{Program, ProgramBuilder};
 pub use vm::{Host, Vm};
@@ -58,6 +58,50 @@ mod tests {
                 }
             })
             .collect()
+    }
+
+    /// `Lockstep` over the nodes as they are lowered gives `run_model`'s
+    /// verdict over the built stack: clean, structural both ways, and a
+    /// mimicry at the same index; also for a malformed program whose
+    /// `CheckLen` and op count disagree (its text pool left empty).
+    #[test]
+    fn lockstep_gives_run_models_verdict() {
+        struct Run<'p>(&'p Program, Lockstep);
+        impl<'a> septic_sql::items::Sink<'a> for Run<'_> {
+            fn node(&mut self, node: septic_sql::Node<'a>) {
+                self.1.step(self.0, &node);
+            }
+        }
+        let shapes = [
+            "SELECT * FROM t WHERE a = 'x' AND b = 1",
+            "SELECT * FROM t WHERE a = 'x'",
+            "SELECT * FROM t WHERE a = 'x' AND b = 1 OR 1 = 1",
+            "SELECT * FROM t WHERE a = 'x' AND 1 = 1",
+            "SELECT * FROM T WHERE A = 'y' AND B = 2",
+            "SELECT t.a FROM t JOIN u ON t.a = u.b WHERE u.c LIKE 'x%'",
+        ];
+        for trained in shapes {
+            let model = blank(&qs(trained));
+            let mut malformed = compile_model(&model[..model.len() - 1]).ops().to_vec();
+            malformed[0] = Op::CheckLen(model.len() as u32);
+            let mut b = ProgramBuilder::new();
+            for op in malformed {
+                b.emit(op);
+            }
+            for program in [compile_model(&model), b.finish()] {
+                for probe in shapes {
+                    let parsed = parse(probe).expect("parse");
+                    let mut run = Run(&program, Lockstep::new(&program));
+                    items::lower_into(&parsed.statements, &mut run);
+                    let stack = items::lower_all(&parsed.statements);
+                    assert_eq!(
+                        run.1.verdict(&program),
+                        run_model(&program, stack.items()),
+                        "{trained} / {probe}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

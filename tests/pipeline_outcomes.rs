@@ -81,14 +81,14 @@ struct Case {
     moved: Moved,
 }
 
-const STAGES: [&str; 4] = ["parse", "qs_build", "guard", "execute"];
+const STAGES: [&str; 3] = ["parse", "guard", "execute"];
 /// Refused in the parse stage or before the QS build: the parse stage
 /// times the charset decode and the parse, and ends there.
 const PARSE: &[&str] = &["parse"];
 /// No guard installed: no QS is built and there is no guard stage to reach.
 const UNGUARDED: &[&str] = &["parse", "execute"];
 /// Refused by the guard, or by the server for a guard failure.
-const GUARDED: &[&str] = &["parse", "qs_build", "guard"];
+const GUARDED: &[&str] = &["parse", "guard"];
 const ALL: &[&str] = &STAGES;
 
 fn nothing(_: &Fixture) {}
@@ -410,7 +410,7 @@ fn a_cross_join_past_the_row_ceiling_is_refused() {
     assert_eq!(left.scalar(), Some(&Value::Int(200)));
 }
 
-fn stage_counts(server: &Server) -> [u64; 4] {
+fn stage_counts(server: &Server) -> [u64; 3] {
     let snapshot = server.metrics_snapshot();
     STAGES.map(|stage| {
         let name = format!("dbms_stage_duration_microseconds{{stage=\"{stage}\"}}");

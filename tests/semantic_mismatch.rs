@@ -163,3 +163,59 @@ fn an_escaped_wildcard_is_literal_in_like() {
         );
     }
 }
+
+/// MySQL 5.7 checks integer arithmetic: a `BIGINT` result out of range is
+/// error 1690, never a wrapped value. Each operator runs in the projection
+/// and in WHERE, on the walker, on the VM (a column beside a literal is
+/// one fused op there) and through the server; its in-range neighbour
+/// stays exact.
+#[test]
+fn integer_arithmetic_out_of_range_is_an_error() {
+    let server = Server::new();
+    let conn = server.connect();
+    conn.execute("CREATE TABLE edge (hi BIGINT, lo BIGINT)")
+        .unwrap();
+    conn.execute("INSERT INTO edge (hi, lo) VALUES (9223372036854775807, -9223372036854775808)")
+        .unwrap();
+    let db = server.with_db(Database::clone);
+    let programs = ProgramCache::new();
+    let out_of_range = DbError::Runtime("BIGINT value is out of range".into());
+    for (overflows, in_range, value) in [
+        ("hi + 1", "hi + 0", i64::MAX),
+        ("lo - 1", "lo - 0", i64::MIN),
+        ("hi * 2", "hi * 1", i64::MAX),
+        ("-lo", "-hi", -i64::MAX),
+        (
+            "9223372036854775807 + 1",
+            "9223372036854775806 + 1",
+            i64::MAX,
+        ),
+    ] {
+        for (sql, expected) in [
+            (
+                format!("SELECT {overflows} FROM edge"),
+                Err(out_of_range.clone()),
+            ),
+            (
+                format!("SELECT hi FROM edge WHERE {overflows} <> 0"),
+                Err(out_of_range.clone()),
+            ),
+            (
+                format!("SELECT {in_range} FROM edge"),
+                Ok(vec![vec![Value::Int(value)]]),
+            ),
+            (
+                format!("SELECT hi FROM edge WHERE {in_range} = {value}"),
+                Ok(vec![vec![Value::Int(i64::MAX)]]),
+            ),
+        ] {
+            let stmt = &parse(&sql).expect("parses").statements[0];
+            for cache in [None, Some(&programs)] {
+                let got = execute_with(&mut db.clone(), stmt, 0, cache).map(|out| out.rows);
+                assert_eq!(got, expected, "{sql}, compiled: {}", cache.is_some());
+            }
+            let got = conn.query(&sql).map(|out| out.rows);
+            assert_eq!(got, expected, "{sql} through the server");
+        }
+    }
+}

@@ -98,6 +98,26 @@ pub fn seed_corpus() -> Vec<Vec<u8>> {
     corpus
 }
 
+/// [`seed_corpus`] and statements with `i64::MAX` and `i64::MIN` operands
+/// of `+ - *` and unary minus, under AND and OR, in the projection and in
+/// WHERE: what the VM run mutates. The parser's runs keep the seed corpus,
+/// which their fingerprints are taken over.
+#[must_use]
+pub fn vm_corpus() -> Vec<Vec<u8>> {
+    let mut corpus = seed_corpus();
+    for extra in [
+        "SELECT 0 AND 9223372036854775807 + 1, 1 OR -9223372036854775808 - 1",
+        "SELECT watts FROM readings WHERE 0 AND watts * 9223372036854775807 > 0",
+        "SELECT id FROM users WHERE 1 OR -(-9223372036854775808 + id - 1) > 0",
+        "SELECT day + 9223372036854775807 OR 1, -day * -9223372036854775808 AND 0 FROM readings",
+        "SELECT creditCard FROM tickets WHERE -9223372036854775808 - creditCard < 0 AND 0",
+        "SELECT device FROM readings WHERE watts - 9223372036854775807 < 0 OR day",
+    ] {
+        corpus.push(extra.as_bytes().to_vec());
+    }
+    corpus
+}
+
 /// Seed for iteration `i` of a run.
 #[must_use]
 pub fn iteration_seed(run_seed: u64, i: u64) -> u64 {
@@ -287,21 +307,22 @@ pub fn shrink(input: &[u8], still_fails: impl Fn(&[u8]) -> bool) -> Vec<u8> {
 /// carries its iteration seed for standalone reproduction.
 #[must_use]
 pub fn run_fuzz(config: &FuzzConfig) -> FuzzReport {
-    run_fuzz_with(config, probe)
+    run_fuzz_with(config, &seed_corpus(), probe)
 }
 
-/// [`run_fuzz`] with a caller-chosen probe — the VM differential run uses
-/// [`probe_vm`]. Failing inputs are minimized against the same probe, so
-/// a divergence shrinks to a minimal still-divergent program.
+/// [`run_fuzz`] over a caller-chosen corpus and probe — the VM
+/// differential run uses [`vm_corpus`] and [`probe_vm`]. Failing inputs
+/// are minimized against the same probe, so a divergence shrinks to a
+/// minimal still-divergent program.
 pub fn run_fuzz_with(
     config: &FuzzConfig,
+    corpus: &[Vec<u8>],
     probe_fn: impl Fn(&[u8]) -> Option<String>,
 ) -> FuzzReport {
-    let corpus = seed_corpus();
     let mut failures = Vec::new();
     for i in 0..config.iterations {
         let iter_seed = iteration_seed(config.seed, i);
-        let mutant = mutant_for(iter_seed, &corpus, config.max_len);
+        let mutant = mutant_for(iter_seed, corpus, config.max_len);
         if let Some(message) = probe_fn(&mutant) {
             let minimized = shrink(&mutant, |candidate| probe_fn(candidate).is_some());
             failures.push(FuzzFailure {

@@ -28,13 +28,24 @@
 //! [`astgen`] and [`rng`] are shared infrastructure: an every-node-kind
 //! SQL statement generator for roundtrip properties, and the xorshift RNG
 //! everything derives its randomness from.
+//!
+//! The test-support layer every crate's tests draw from, each piece
+//! defined once: [`hostile`] (the byte mutator and the alphabet of
+//! literals, identifiers and payloads), [`codec_property`] (the one
+//! property of every binary format), [`alloc`] (the counting allocator
+//! behind every exact allocation count) and [`dump`] (a database's state,
+//! bit for bit).
 
 pub mod access;
+pub mod alloc;
 pub mod astgen;
 pub mod charlex;
+pub mod codec_property;
 pub mod differential;
+pub mod dump;
 pub mod fuzz;
 pub mod golden;
 pub mod grammar;
+pub mod hostile;
 pub mod metamorphic;
 pub mod rng;

@@ -954,6 +954,8 @@ pub(crate) fn open_fs(path: &Path) -> io::Result<(Arc<FsIo>, PathBuf)> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use septic_conformance::codec_property::Format;
+    use septic_conformance::hostile;
     use septic_dbms::MemIo;
     use septic_sql::{items, parse};
 
@@ -1427,20 +1429,9 @@ mod tests {
     // properties of the store's codec
     // -----------------------------------------------------------------
 
-    /// Text that SQL escapes and a JSON encoder both trip on, and the
-    /// pieces of an external id's comment.
-    const PIECES: [&str; 14] = [
-        "\\", "'", "\"", "\0", "\u{2BC}", "é", "日本", "😀", "a", "qid:", "*/", "\n", "%",
-        "C:\\new",
-    ];
-
-    fn gen_text(rng: &mut TestRng) -> String {
-        (0..rng.below(6)).map(|_| *rng.pick(&PIECES)).collect()
-    }
-
     fn gen_id(rng: &mut TestRng) -> QueryId {
         QueryId {
-            external: rng.bool().then(|| Arc::from(gen_text(rng))),
+            external: rng.bool().then(|| Arc::from(hostile::text(rng))),
             internal: rng.next_u64(),
         }
     }
@@ -1452,22 +1443,9 @@ mod tests {
             .map(|_| {
                 let (tag, _) = *rng.pick(&ITEM_TAGS);
                 let data = match rng.below(5) {
-                    0 => ItemData::Text(gen_text(rng).into()),
-                    1 => {
-                        let any = rng.next_u64() as i64;
-                        ItemData::Int(*rng.pick(&[i64::MIN, i64::MAX, 0, -1, any]))
-                    }
-                    2 => ItemData::Real(match rng.below(3) {
-                        0 => f64::from_bits(rng.next_u64()),
-                        1 => f64::arbitrary(rng),
-                        _ => *rng.pick(&[
-                            f64::INFINITY,
-                            f64::NEG_INFINITY,
-                            f64::NAN,
-                            -0.0,
-                            f64::MIN_POSITIVE / 4.0,
-                        ]),
-                    }),
+                    0 => ItemData::Text(hostile::text(rng).into()),
+                    1 => ItemData::Int(hostile::int(rng)),
+                    2 => ItemData::Real(hostile::real(rng)),
                     3 => ItemData::Null,
                     _ => ItemData::Bot,
                 };
@@ -1525,37 +1503,19 @@ mod tests {
         )
     }
 
-    /// Noise, or a valid payload with one byte changed (half the time to
-    /// a small value, a tag's neighbour), cut short or one byte longer.
-    fn hostile(rng: &mut TestRng, valid: fn(&mut TestRng) -> Vec<u8>) -> Vec<u8> {
-        let mut bytes = match rng.below(4) {
-            0 => (0..rng.below(40)).map(|_| rng.next_u64() as u8).collect(),
-            _ => valid(rng),
-        };
-        let len = bytes.len() as u64;
-        let byte = |rng: &mut TestRng| {
-            if rng.bool() {
-                rng.below(8) as u8
-            } else {
-                rng.next_u64() as u8
-            }
-        };
-        match rng.below(4) {
-            0 if len > 0 => bytes[rng.below(len) as usize] = byte(rng),
-            1 => bytes.truncate(rng.below(len + 1) as usize),
-            2 => bytes.push(rng.next_u64() as u8),
-            _ => {}
-        }
-        bytes
-    }
+    const RECORD: Format<JournalRecord> = Format {
+        name: "store journal record",
+        gen: gen_record,
+        encode: record_payload,
+        decode: decode_record,
+    };
 
-    /// A `len`-byte payload: `prefix`, a count of `u32::MAX`, zero padding.
-    fn declares_u32_max(prefix: &[u8], len: usize) -> Vec<u8> {
-        let mut payload = prefix.to_vec();
-        payload.extend_from_slice(&u32::MAX.to_le_bytes());
-        payload.resize(len, 0);
-        payload
-    }
+    const SNAPSHOT: Format<PersistedStore> = Format {
+        name: "store snapshot",
+        gen: gen_snapshot,
+        encode: snapshot_bytes,
+        decode: decode_snapshot,
+    };
 
     #[test]
     fn a_count_past_the_payload_is_refused_before_allocation() {
@@ -1581,45 +1541,17 @@ mod tests {
         learn.extend_from_slice(&[0; 10]);
         // An Approve op's external id: its length.
         record.extend_from_slice(&[2, 1]);
-        let refused = |what: &str, err: String| {
-            assert!(
-                err.starts_with("count 4294967295 exceeds the"),
-                "{what}: {err}"
-            );
-        };
-        for (what, prefix) in [
-            ("models", &header),
-            ("items", &items),
-            ("external id", &external),
-            ("quarantine", &quarantine),
-            ("rejected", &rejected),
-        ] {
-            refused(
-                what,
-                decode_snapshot(&declares_u32_max(prefix, 64)).unwrap_err(),
-            );
-        }
-        for (what, prefix) in [("journaled items", &learn), ("journaled id", &record)] {
-            refused(
-                what,
-                decode_record(&declares_u32_max(prefix, 64))
-                    .map(|_| ())
-                    .unwrap_err(),
-            );
-        }
-    }
-
-    #[test]
-    fn trailing_bytes_are_refused() {
-        let mut record = record_payload(&gen_record(&mut TestRng::deterministic("trailing")));
-        record.push(0);
-        assert!(decode_record(&record)
-            .map(|_| ())
-            .unwrap_err()
-            .contains("trailing"));
-        let mut snapshot = snapshot_payload(0, &[], &[], &[]);
-        snapshot.push(0);
-        assert!(decode_snapshot(&snapshot).unwrap_err().contains("trailing"));
+        SNAPSHOT.refuses_counts_past_the_payload(&[
+            ("models", &header, 64),
+            ("items", &items, 64),
+            ("external id", &external, 64),
+            ("quarantine", &quarantine, 64),
+            ("rejected", &rejected, 64),
+        ]);
+        RECORD.refuses_counts_past_the_payload(&[
+            ("journaled items", &learn, 64),
+            ("journaled id", &record, 64),
+        ]);
     }
 
     /// A snapshot as `to_string_pretty` of an earlier build's store wrote
@@ -1701,47 +1633,37 @@ mod tests {
         files
     }
 
-    proptest! {
-        #[test]
-        fn every_journal_record_round_trips(record in fn_strategy(gen_record)) {
-            let payload = record_payload(&record);
-            let decoded = decode_record(&payload).unwrap();
-            prop_assert_eq!(record_payload(&decoded), payload);
-            prop_assert_eq!(format!("{decoded:?}"), format!("{record:?}"));
-        }
+    #[test]
+    fn every_journal_record_round_trips() {
+        RECORD.round_trips();
+    }
 
-        /// Decoded, then loaded into a store and saved by it again: the
-        /// same bytes.
-        #[test]
-        fn every_snapshot_round_trips(persisted in fn_strategy(gen_snapshot)) {
-            let payload = snapshot_bytes(&persisted);
-            let decoded = decode_snapshot(&payload).unwrap();
-            prop_assert_eq!(format!("{decoded:?}"), format!("{persisted:?}"));
+    /// And loaded into a store and saved by it again: the same bytes.
+    #[test]
+    fn every_snapshot_round_trips() {
+        SNAPSHOT.round_trips();
+        let mut rng = TestRng::deterministic("every_snapshot_round_trips");
+        for _ in 0..cases() {
+            let payload = snapshot_bytes(&gen_snapshot(&mut rng));
             let io = MemIo::new();
             io.plant(PATH, encode_frame(&payload));
             let store = ModelStore::new();
             store.load_with(&*io, Path::new(PATH)).unwrap();
-            prop_assert_eq!(payload_of(&saved(&store)), payload);
+            assert_eq!(payload_of(&saved(&store)), payload);
         }
+    }
 
-        #[test]
-        fn hostile_journal_records_never_panic_and_decode_only_canonically(
-            payload in fn_strategy(|rng: &mut TestRng| hostile(rng, |rng| record_payload(&gen_record(rng))))
-        ) {
-            if let Ok(record) = decode_record(&payload) {
-                prop_assert_eq!(record_payload(&record), payload);
-            }
-        }
+    #[test]
+    fn hostile_journal_records_never_panic_and_decode_only_canonically() {
+        RECORD.hostile_bytes_decode_only_canonically();
+    }
 
-        #[test]
-        fn hostile_snapshots_never_panic_and_decode_only_canonically(
-            payload in fn_strategy(|rng: &mut TestRng| hostile(rng, |rng| snapshot_bytes(&gen_snapshot(rng))))
-        ) {
-            if let Ok(persisted) = decode_snapshot(&payload) {
-                prop_assert_eq!(snapshot_bytes(&persisted), payload);
-            }
-        }
+    #[test]
+    fn hostile_snapshots_never_panic_and_decode_only_canonically() {
+        SNAPSHOT.hostile_bytes_decode_only_canonically();
+    }
 
+    proptest! {
         /// Refused whenever a JSON file would be read, and nothing is
         /// moved, cut or loaded.
         #[test]

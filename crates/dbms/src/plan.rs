@@ -27,7 +27,8 @@
 //! ([`crate::storage::TableStore::lookup_key`]), and the
 //! predicates whose evaluation it skips for the rows it rules out can
 //! neither fail nor have a side effect ([`is_total`]: no function call —
-//! `SLEEP` — no subquery, no parameter, no unresolved column).
+//! `SLEEP` — no subquery, no parameter, no unresolved column, no integer
+//! `+ - *` or unary minus, which can overflow).
 //!
 //! Splitting the plan from its interpretation keeps the stage decisions
 //! (access path, aggregate-or-not, output labels) inspectable:
@@ -646,11 +647,15 @@ mod tests {
             "NestedLoopJoin JOIN devices AS d via PkProbe(id = r.watts) ON (r.watts = d.id)"
         );
         assert_eq!(
-            join_line("SELECT 1 FROM readings r LEFT JOIN devices d ON d.id = r.watts + 1 AND d.owner <> ''"),
-            "NestedLoopJoin LEFT JOIN devices AS d via PkProbe(id = (r.watts + 1)) \
-             ON ((d.id = (r.watts + 1)) AND (d.owner <> ''))"
+            join_line(
+                "SELECT 1 FROM readings r LEFT JOIN devices d ON d.id = r.watts AND d.owner <> ''"
+            ),
+            "NestedLoopJoin LEFT JOIN devices AS d via PkProbe(id = r.watts) \
+             ON ((d.id = r.watts) AND (d.owner <> ''))"
         );
         for sql in [
+            // a key that can fail: integer `+` may overflow, so it is not total
+            "SELECT 1 FROM readings r LEFT JOIN devices d ON d.id = r.watts + 1 AND d.owner <> ''",
             // not the joined table's key / key on both sides / under OR
             "SELECT 1 FROM readings r JOIN devices d ON r.id = d.name",
             "SELECT 1 FROM readings r JOIN devices d ON d.id = d.id",

@@ -21,9 +21,9 @@
 //! (`BinaryColumnSlot`) instead of three. An AND whose left side is false,
 //! or an OR whose left side is true, skips its right side (`ShortCircuit`)
 //! when that side is total ([`is_total`], the rule the planner skips
-//! predicates by): a `SLEEP`, any other call, a `?`, a subquery or an
-//! unknown column is still evaluated on every row, as the walker
-//! evaluates both sides. A program that is one `Column` op — a bare
+//! predicates by): a `SLEEP`, any other call, a `?`, a subquery, an
+//! unknown column or integer arithmetic that may overflow is still
+//! evaluated on every row, as the walker evaluates both sides. A program that is one `Column` op — a bare
 //! GROUP BY key, aggregate argument or projected column — is not run at
 //! all: [`evaluate`] hands back the cell's location. And a WHERE or ON
 //! whose top-level AND conjuncts are all `<column> <cmp> <literal>`
@@ -310,8 +310,10 @@ pub(crate) fn resolve_column(
 
 /// True when evaluating `expr` on a row of `layout` can neither fail nor
 /// have a side effect, and reads only `layout[..bindings]`: literals,
-/// columns that resolve there, and operators over them. Not evaluating
-/// such an expression cannot be observed — the one rule behind both an
+/// columns that resolve there, and the operators over them that cannot
+/// fail. Integer `+ - *` and unary minus can (MySQL error 1690, a result
+/// out of `BIGINT`'s range), so they are not total. Not evaluating a
+/// total expression cannot be observed — the one rule behind both an
 /// access path that rules rows out ([`crate::plan`]) and a compiled
 /// AND / OR that skips its right side.
 pub(crate) fn is_total(expr: &Expr, layout: &[Binding<'_>], bindings: usize) -> bool {
@@ -322,7 +324,14 @@ pub(crate) fn is_total(expr: &Expr, layout: &[Binding<'_>], bindings: usize) -> 
         | Expr::Function { .. }
         | Expr::InSelect { .. }
         | Expr::Subquery(_)
-        | Expr::Exists { .. } => false,
+        | Expr::Exists { .. }
+        | Expr::Unary {
+            op: UnaryOp::Neg, ..
+        }
+        | Expr::Binary {
+            op: BinaryOp::Add | BinaryOp::Sub | BinaryOp::Mul,
+            ..
+        } => false,
         _ => {
             let mut total = true;
             expr.for_each_child(|child| total = total && is_total(child, layout, bindings));

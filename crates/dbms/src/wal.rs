@@ -951,6 +951,8 @@ mod tests {
     use crate::catalog::{Column, TableSchema};
     use crate::value::Value;
     use proptest::prelude::*;
+    use septic_conformance::codec_property::Format;
+    use septic_conformance::hostile;
     use septic_sql::ast::ColumnType;
 
     fn registry() -> MetricsRegistry {
@@ -1255,40 +1257,12 @@ mod tests {
     // decoder properties of the durable codec
     // -----------------------------------------------------------------
 
-    /// Text that SQL escapes and a JSON encoder both trip on.
-    const PIECES: [&str; 16] = [
-        "\\", "'", "\"", "\u{2BC}", "\0", "%", "_", "\n", "\t", "\u{8}", "\u{1a}", "é", "日本",
-        "😀", "a", "C:\\new",
-    ];
-
-    fn gen_string(rng: &mut TestRng) -> String {
-        (0..rng.below(6)).map(|_| *rng.pick(&PIECES)).collect()
-    }
-
-    fn gen_real(rng: &mut TestRng) -> f64 {
-        match rng.below(3) {
-            0 => f64::arbitrary(rng),
-            1 => f64::from_bits(rng.next_u64()),
-            _ => *rng.pick(&[
-                f64::INFINITY,
-                f64::NEG_INFINITY,
-                f64::NAN,
-                -0.0,
-                f64::MIN_POSITIVE / 4.0,
-                -f64::from_bits(1),
-            ]),
-        }
-    }
-
     fn gen_value(rng: &mut TestRng) -> Value {
         match rng.below(5) {
             0 => Value::Null,
-            1 => {
-                let any = rng.next_u64() as i64;
-                Value::Int(*rng.pick(&[i64::MIN, i64::MAX, 0, -1, any]))
-            }
-            2 | 3 => Value::Real(gen_real(rng)),
-            _ => Value::Str(gen_string(rng)),
+            1 => Value::Int(hostile::int(rng)),
+            2 | 3 => Value::Real(hostile::real(rng)),
+            _ => Value::Str(hostile::text(rng)),
         }
     }
 
@@ -1298,7 +1272,7 @@ mod tests {
             stmts: (0..rng.below(4))
                 .map(|_| WalStmt {
                     now: rng.next_u64() as i64,
-                    sql: gen_string(rng),
+                    sql: hostile::text(rng),
                 })
                 .collect(),
         }
@@ -1356,7 +1330,7 @@ mod tests {
             let mut row: Vec<Value> = (0..width).map(|_| gen_value(rng)).collect();
             match key {
                 0 => row[0] = Value::Null,
-                1 => row[0] = Value::Str(gen_string(rng)),
+                1 => row[0] = Value::Str(hostile::text(rng)),
                 _ => {}
             }
             let _ = table.insert(row);
@@ -1376,44 +1350,35 @@ mod tests {
         db
     }
 
-    fn gen_snapshot_payload(rng: &mut TestRng) -> Vec<u8> {
-        snapshot_payload(&gen_database(rng), rng.next_u64(), rng.next_u64() as i64)
+    /// A decoded snapshot of a generated database.
+    fn gen_snapshot(rng: &mut TestRng) -> DbSnapshot {
+        let payload = snapshot_payload(&gen_database(rng), rng.next_u64(), rng.next_u64() as i64);
+        decode_snapshot(&payload).unwrap()
     }
 
-    /// Noise, or a valid payload with one byte changed, cut short or one
-    /// byte longer.
-    fn hostile(rng: &mut TestRng, valid: fn(&mut TestRng) -> Vec<u8>) -> Vec<u8> {
-        let mut bytes = match rng.below(4) {
-            0 => (0..rng.below(40)).map(|_| rng.next_u64() as u8).collect(),
-            _ => valid(rng),
-        };
-        let len = bytes.len() as u64;
-        match rng.below(4) {
-            0 if len > 0 => bytes[rng.below(len) as usize] = rng.next_u64() as u8,
-            1 => bytes.truncate(rng.below(len + 1) as usize),
-            2 => bytes.push(rng.next_u64() as u8),
-            _ => {}
-        }
-        bytes
-    }
-
-    #[test]
-    fn trailing_bytes_are_refused() {
-        let mut record = record_payload(&gen_record(&mut TestRng::deterministic("trailing")));
-        record.push(0);
-        assert!(decode_record(&record).unwrap_err().contains("trailing"));
-        let mut snapshot = snapshot_payload(&Database::new(), 1, 1);
-        snapshot.push(0);
-        assert!(decode_snapshot(&snapshot).unwrap_err().contains("trailing"));
-    }
-
-    /// A `len`-byte payload: `prefix`, a count of `u32::MAX`, zero padding.
-    fn declares_u32_max(prefix: &[u8], len: usize) -> Vec<u8> {
-        let mut payload = prefix.to_vec();
-        payload.extend_from_slice(&u32::MAX.to_le_bytes());
-        payload.resize(len, 0);
+    /// The payload of a decoded snapshot: its images encoded again.
+    fn image_payload(snap: &DbSnapshot) -> Vec<u8> {
+        let mut payload = Vec::new();
+        tagged(&mut payload, SNAPSHOT_TAG, &SNAPSHOT_VERSION);
+        snap.seq.encode(&mut payload);
+        snap.clock.encode(&mut payload);
+        snap.tables.encode(&mut payload);
         payload
     }
+
+    const RECORD: Format<WalRecord> = Format {
+        name: "WAL record",
+        gen: gen_record,
+        encode: record_payload,
+        decode: decode_record,
+    };
+
+    const SNAPSHOT: Format<DbSnapshot> = Format {
+        name: "WAL snapshot",
+        gen: gen_snapshot,
+        encode: image_payload,
+        decode: decode_snapshot,
+    };
 
     #[test]
     fn a_count_past_the_payload_is_refused_before_allocation() {
@@ -1432,78 +1397,56 @@ mod tests {
         slots.extend_from_slice(&0u32.to_le_bytes());
         let mut free = slots.clone();
         free.extend_from_slice(&0u32.to_le_bytes());
-        let refused = |what: &str, err: String| {
-            assert!(
-                err.starts_with("count 4294967295 exceeds the"),
-                "{what}: {err}"
-            );
-        };
-        refused(
-            "statements",
-            decode_record(&declares_u32_max(&record, 64)).unwrap_err(),
-        );
-        for (what, prefix) in [
-            ("tables", &header),
-            ("columns", &table),
-            ("slots", &slots),
-            ("free-list", &free),
-        ] {
-            refused(
-                what,
-                decode_snapshot(&declares_u32_max(prefix, 64)).unwrap_err(),
-            );
-        }
+        RECORD.refuses_counts_past_the_payload(&[("statements", &record, 64)]);
+        SNAPSHOT.refuses_counts_past_the_payload(&[
+            ("tables", &header, 64),
+            ("columns", &table, 64),
+            ("slots", &slots, 64),
+            ("free-list", &free, 64),
+        ]);
     }
 
-    proptest! {
-        #[test]
-        fn every_wal_record_round_trips(record in fn_strategy(gen_record)) {
-            prop_assert_eq!(decode_record(&record_payload(&record)).unwrap(), record);
-        }
+    #[test]
+    fn every_wal_record_round_trips() {
+        RECORD.round_trips();
+    }
 
-        /// Encoded from the stores, decoded into images, rebuilt by
-        /// `restore` and encoded again: the same bytes, so every cell came
-        /// back bit for bit and every slot, tombstone and free-list entry
-        /// where it was.
-        #[test]
-        fn every_snapshot_round_trips(db in fn_strategy(gen_database)) {
+    /// Bit for bit as images; and rebuilt by `restore` and encoded from
+    /// the stores, the same bytes, so every slot, tombstone and free-list
+    /// entry is where it was.
+    #[test]
+    fn every_snapshot_round_trips() {
+        SNAPSHOT.round_trips();
+        let mut rng = TestRng::deterministic("every_snapshot_round_trips");
+        for _ in 0..cases() {
+            let db = gen_database(&mut rng);
             let payload = snapshot_payload(&db, 9, -4);
-            let snap = decode_snapshot(&payload).unwrap();
-            prop_assert_eq!((snap.seq, snap.clock), (9, -4));
             let mut restored = Database::new();
-            for image in snap.tables {
+            for image in decode_snapshot(&payload).unwrap().tables {
                 restored.install_table(TableStore::restore(image).unwrap());
             }
-            prop_assert_eq!(snapshot_payload(&restored, 9, -4), payload);
-            prop_assert_eq!(
+            assert_eq!(snapshot_payload(&restored, 9, -4), payload);
+            assert_eq!(
                 format!("{:?}", restored.tables_sorted()),
                 format!("{:?}", db.tables_sorted())
             );
         }
+    }
 
-        #[test]
-        fn hostile_wal_records_never_panic_and_decode_only_canonically(
-            payload in fn_strategy(|rng: &mut TestRng| hostile(rng, |rng| record_payload(&gen_record(rng))))
-        ) {
-            if let Ok(record) = decode_record(&payload) {
-                prop_assert_eq!(record_payload(&record), payload);
-            }
-        }
+    #[test]
+    fn hostile_wal_records_never_panic_and_decode_only_canonically() {
+        RECORD.hostile_bytes_decode_only_canonically();
+    }
 
-        #[test]
-        fn hostile_snapshots_never_panic_and_decode_only_canonically(
-            payload in fn_strategy(|rng: &mut TestRng| hostile(rng, gen_snapshot_payload))
-        ) {
-            if let Ok(snap) = decode_snapshot(&payload) {
-                let mut again = Vec::new();
-                tagged(&mut again, SNAPSHOT_TAG, &SNAPSHOT_VERSION);
-                snap.seq.encode(&mut again);
-                snap.clock.encode(&mut again);
-                snap.tables.encode(&mut again);
-                prop_assert_eq!(again, payload);
-                for image in snap.tables {
-                    let _ = TableStore::restore(image);
-                }
+    /// And `restore` takes or refuses whatever images they decode to.
+    #[test]
+    fn hostile_snapshots_never_panic_and_decode_only_canonically() {
+        SNAPSHOT.hostile_bytes_decode_only_canonically();
+        let mut rng = TestRng::deterministic("hostile snapshots restored");
+        for _ in 0..cases() {
+            let payload = hostile::hostile(&mut rng, |rng| image_payload(&gen_snapshot(rng)));
+            for image in decode_snapshot(&payload).into_iter().flat_map(|s| s.tables) {
+                let _ = TableStore::restore(image);
             }
         }
     }

@@ -17,26 +17,9 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use septic_conformance::dump::physical;
 use septic_dbms::wal::WAL_FILE;
-use septic_dbms::{
-    Connection, Database, DbError, MemIo, Server, ServerConfig, StorageIo, Value, WalConfig,
-};
-
-/// Every table slot for slot, with each real cell also listed by its bits:
-/// `NaN != NaN`, and `Debug` prints every NaN alike.
-fn physical(db: &Database) -> String {
-    let tables = db.tables_sorted();
-    let reals: Vec<String> = tables
-        .iter()
-        .flat_map(|t| (0..t.physical_slots()).filter_map(|slot| t.row(slot)))
-        .flatten()
-        .filter_map(|v| match v {
-            Value::Real(f) => Some(format!("{:#018x}", f.to_bits())),
-            _ => None,
-        })
-        .collect();
-    format!("{tables:?} reals by bits {reals:?}")
-}
+use septic_dbms::{Connection, DbError, MemIo, Server, ServerConfig, StorageIo, Value, WalConfig};
 
 /// A durable server over a fresh medium holding
 /// `t (id INT PRIMARY KEY, v TEXT, d DOUBLE)` with two rows.

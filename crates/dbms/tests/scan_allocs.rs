@@ -28,47 +28,9 @@
 //! A flat slot vector is one allocation at any size, so no count here
 //! sees it; CI's lint "One table layout" does.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
+use septic_conformance::alloc::{counted, Counting};
 use septic_dbms::{execute_read_with, execute_with, Database, ProgramCache};
 use septic_sql::parse;
-
-thread_local! {
-    /// (fresh allocations, regrowths of an existing one) on this thread:
-    /// `cargo test` runs the tests of a file on parallel threads.
-    static COUNTS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
-}
-
-struct Counting;
-
-fn count(fresh: u64, regrown: u64) {
-    // Unreachable only while a thread is torn down; nothing is measured then.
-    let _ = COUNTS.try_with(|c| {
-        let (f, r) = c.get();
-        c.set((f + fresh, r + regrown));
-    });
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, whose
-// contract is the one `GlobalAlloc` states; counting touches no allocation.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(1, 0);
-        System.alloc(layout)
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count(1, 0);
-        System.alloc_zeroed(layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(0, 1);
-        System.realloc(ptr, layout, new_size)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-    }
-}
 
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
@@ -107,11 +69,9 @@ fn cost(db: &Database, sql: &str) -> (u64, u64, usize) {
     let parsed = parse(sql).expect("query parses");
     let stmt = &parsed.statements[0];
     execute_read_with(db, stmt, 0, Some(&cache)).expect("warm-up");
-    let (fresh, regrown) = COUNTS.get();
-    let out = execute_read_with(db, stmt, 0, Some(&cache)).expect("query");
-    let (fresh_after, regrown_after) = COUNTS.get();
+    let (made, out) = counted(|| execute_read_with(db, stmt, 0, Some(&cache)).expect("query"));
     assert!(cache.compile_count() > 0, "`{sql}` ran no compiled program");
-    (fresh_after - fresh, regrown_after - regrown, out.rows.len())
+    (made.fresh, made.regrown, out.rows.len())
 }
 
 #[test]
@@ -241,11 +201,11 @@ const FIRST_WRITE_GAP: u64 = 64;
 fn first_write_cost(db: &Database, sql: &str) -> u64 {
     let parsed = parse(sql).expect("write parses");
     let mut snapshot = db.snapshot();
-    let (fresh, _) = COUNTS.get();
-    execute_with(&mut snapshot, &parsed.statements[0], 0, None).expect("update");
-    let (fresh_after, _) = COUNTS.get();
+    let (made, _) = counted(|| {
+        execute_with(&mut snapshot, &parsed.statements[0], 0, None).expect("update");
+    });
     assert_eq!(snapshot.cow_table_copies() - db.cow_table_copies(), 1);
-    fresh_after - fresh
+    made.fresh
 }
 
 #[test]
@@ -301,11 +261,11 @@ fn write_beside_a_transaction(rows: usize, sql: &str) -> u64 {
             .get()
     };
     let before = copies();
-    let (fresh, _) = COUNTS.get();
-    b.execute(sql).expect("write");
-    let cost = COUNTS.get().0 - fresh;
+    let (made, _) = counted(|| {
+        b.execute(sql).expect("write");
+    });
     assert_eq!(copies() - before, 1, "`{sql}` over {rows} rows");
-    cost
+    made.fresh
 }
 
 #[test]
@@ -328,9 +288,11 @@ fn call_costs(conn: &septic_dbms::Connection, sql: &str, calls: usize) -> Vec<u6
     }
     (0..calls)
         .map(|_| {
-            let (fresh, _) = COUNTS.get();
-            conn.execute(sql).expect("write");
-            COUNTS.get().0 - fresh
+            counted(|| {
+                conn.execute(sql).expect("write");
+            })
+            .0
+            .fresh
         })
         .collect()
 }
@@ -356,9 +318,7 @@ fn an_in_memory_autocommit_update_renders_no_redo_text() {
             .expect("row");
     }
     let sql = "UPDATE tickets SET price = price + 1 WHERE id = 5";
-    let (fresh, _) = COUNTS.get();
-    drop(parse(sql).expect("update parses"));
-    let parse_cost = COUNTS.get().0 - fresh;
+    let parse_cost = counted(|| parse(sql).expect("update parses")).0.fresh;
     let costs = call_costs(&conn, sql, 5);
     println!("parse {parse_cost}, calls {costs:?}");
     // Rendering the redo record would add its `String` and the `Vec`.

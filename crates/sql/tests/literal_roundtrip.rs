@@ -8,24 +8,9 @@
 //! only `'` doubled (`s.replace('\'', "''")`).
 
 use proptest::prelude::*;
+use septic_conformance::hostile::text;
 use septic_sql::ast::*;
 use septic_sql::parse;
-
-/// Backslash, both quotes, U+02BC, NUL, the `LIKE` wildcards, text after
-/// a backslash that the lexer would decode, and multibyte text.
-const PIECES: [&str; 14] = [
-    "\\", "'", "\"", "\u{2BC}", "\0", "%", "_", "n", "t", "Z", "é", "日本", "😀", "C:\\new",
-];
-
-fn hostile(rng: &mut TestRng) -> String {
-    (0..rng.below(8))
-        .map(|_| match rng.below(4) {
-            // Any control character, DEL included.
-            0 => char::from(*rng.pick(&[1u8, 8, 9, 10, 13, 26, 27, 31, 127])).to_string(),
-            _ => (*rng.pick(&PIECES)).to_string(),
-        })
-        .collect()
-}
 
 /// A `SELECT`, an `INSERT` or an `UPDATE` carrying hostile strings in a
 /// select item, a row, a function argument and a `LIKE` pattern.
@@ -33,7 +18,7 @@ fn statement(rng: &mut TestRng) -> Statement {
     match rng.below(3) {
         0 => Statement::Select(Select {
             items: vec![SelectItem::Expr {
-                expr: Expr::str(hostile(rng)),
+                expr: Expr::str(text(rng)),
                 alias: None,
             }],
             ..Select::new()
@@ -41,10 +26,7 @@ fn statement(rng: &mut TestRng) -> Statement {
         1 => Statement::Insert(Insert {
             table: "t".into(),
             columns: vec!["a".into(), "b".into()],
-            source: InsertSource::Values(vec![vec![
-                Expr::str(hostile(rng)),
-                Expr::str(hostile(rng)),
-            ]]),
+            source: InsertSource::Values(vec![vec![Expr::str(text(rng)), Expr::str(text(rng))]]),
         }),
         _ => Statement::Update(Update {
             table: "t".into(),
@@ -52,13 +34,13 @@ fn statement(rng: &mut TestRng) -> Statement {
                 "a".into(),
                 Expr::Function {
                     name: "CONCAT".into(),
-                    args: vec![Expr::col("a"), Expr::str(hostile(rng))],
+                    args: vec![Expr::col("a"), Expr::str(text(rng))],
                 },
             )],
             where_clause: Some(Expr::binary(
                 Expr::col("b"),
                 BinaryOp::Like,
-                Expr::str(hostile(rng)),
+                Expr::str(text(rng)),
             )),
             limit: None,
         }),

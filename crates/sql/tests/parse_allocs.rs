@@ -5,61 +5,18 @@
 //! after it allocates the stack once and a `String` only for a node that
 //! owns its text: an identifier or a string literal.
 //!
-//! Exact counts from a counting allocator, per test thread.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+//! Exact counts from `septic_conformance::alloc`'s counting allocator,
+//! per test thread.
 
 use std::borrow::Cow;
 
+use septic_conformance::alloc::{allocations, Counting};
 use septic_sql::items::lower_all;
 use septic_sql::token::lex;
 use septic_sql::{charset, parse, ItemData};
 
-thread_local! {
-    /// Allocations (fresh and regrown) made on this thread: `cargo test`
-    /// runs the tests of a file on parallel threads.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-fn count() {
-    // Unreachable only while a thread is torn down; nothing is measured then.
-    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, whose
-// contract is the one `GlobalAlloc` states; counting touches no allocation.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
-        System.alloc(layout)
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
-        System.alloc_zeroed(layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
-        System.realloc(ptr, layout, new_size)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-    }
-}
-
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
-
-/// Allocations `work` makes, its result dropped uncounted.
-fn allocations<T>(work: impl FnOnce() -> T) -> u64 {
-    let before = ALLOCS.get();
-    let out = work();
-    let made = ALLOCS.get() - before;
-    drop(out);
-    made
-}
 
 /// The one allocation of a lex is its token vector, sized at a token per
 /// four bytes of query, which SQL with words longer than a letter or two

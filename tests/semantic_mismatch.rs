@@ -4,7 +4,9 @@
 
 use std::sync::Arc;
 
-use septic_repro::dbms::{execute_with, Database, DbError, ProgramCache, Server, Value};
+use septic_repro::dbms::{
+    execute_with, Connection, Database, DbError, ProgramCache, Server, Value,
+};
 use septic_repro::http::HttpRequest;
 use septic_repro::septic::{Mode, Septic};
 use septic_repro::sql::{charset, parse};
@@ -164,6 +166,48 @@ fn an_escaped_wildcard_is_literal_in_like() {
     }
 }
 
+/// The rows of `sql` on the walker, on the VM and through the server
+/// behind `conn`, over a copy of `db` (the server's tables): each must be
+/// `expected`.
+fn rows_everywhere(
+    conn: &Connection,
+    db: &Database,
+    programs: &ProgramCache,
+    sql: &str,
+    expected: &Result<Vec<Vec<Value>>, DbError>,
+) {
+    let stmt = &parse(sql).expect("parses").statements[0];
+    for cache in [None, Some(programs)] {
+        let got = execute_with(&mut db.clone(), stmt, 0, cache).map(|out| out.rows);
+        assert_eq!(&got, expected, "{sql}, compiled: {}", cache.is_some());
+    }
+    let got = conn.query(sql).map(|out| out.rows);
+    assert_eq!(&got, expected, "{sql} through the server");
+}
+
+/// `edge`: one row, `id` 1, `hi` = `i64::MAX`, `lo` = `i64::MIN`.
+fn edge() -> (Arc<Server>, Connection, Database) {
+    let server = Server::new();
+    let conn = server.connect();
+    conn.execute("CREATE TABLE edge (id INT, hi BIGINT, lo BIGINT)")
+        .unwrap();
+    conn.execute(
+        "INSERT INTO edge (id, hi, lo) VALUES (1, 9223372036854775807, -9223372036854775808)",
+    )
+    .unwrap();
+    let db = server.with_db(Database::clone);
+    (server, conn, db)
+}
+
+/// Each overflowing operation and its in-range neighbour.
+const ARITHMETIC: [(&str, &str); 5] = [
+    ("hi + 1", "hi + 0"),
+    ("lo - 1", "lo - 0"),
+    ("hi * 2", "hi * 1"),
+    ("-lo", "-hi"),
+    ("9223372036854775807 + 1", "9223372036854775806 + 1"),
+];
+
 /// MySQL 5.7 checks integer arithmetic: a `BIGINT` result out of range is
 /// error 1690, never a wrapped value. Each operator runs in the projection
 /// and in WHERE, on the walker, on the VM (a column beside a literal is
@@ -171,26 +215,14 @@ fn an_escaped_wildcard_is_literal_in_like() {
 /// stays exact.
 #[test]
 fn integer_arithmetic_out_of_range_is_an_error() {
-    let server = Server::new();
-    let conn = server.connect();
-    conn.execute("CREATE TABLE edge (hi BIGINT, lo BIGINT)")
-        .unwrap();
-    conn.execute("INSERT INTO edge (hi, lo) VALUES (9223372036854775807, -9223372036854775808)")
-        .unwrap();
-    let db = server.with_db(Database::clone);
+    let (_server, conn, db) = edge();
     let programs = ProgramCache::new();
     let out_of_range = DbError::Runtime("BIGINT value is out of range".into());
-    for (overflows, in_range, value) in [
-        ("hi + 1", "hi + 0", i64::MAX),
-        ("lo - 1", "lo - 0", i64::MIN),
-        ("hi * 2", "hi * 1", i64::MAX),
-        ("-lo", "-hi", -i64::MAX),
-        (
-            "9223372036854775807 + 1",
-            "9223372036854775806 + 1",
-            i64::MAX,
-        ),
-    ] {
+    for ((overflows, in_range), value) in
+        ARITHMETIC
+            .into_iter()
+            .zip([i64::MAX, i64::MIN, i64::MAX, -i64::MAX, i64::MAX])
+    {
         for (sql, expected) in [
             (
                 format!("SELECT {overflows} FROM edge"),
@@ -209,13 +241,47 @@ fn integer_arithmetic_out_of_range_is_an_error() {
                 Ok(vec![vec![Value::Int(i64::MAX)]]),
             ),
         ] {
-            let stmt = &parse(&sql).expect("parses").statements[0];
-            for cache in [None, Some(&programs)] {
-                let got = execute_with(&mut db.clone(), stmt, 0, cache).map(|out| out.rows);
-                assert_eq!(got, expected, "{sql}, compiled: {}", cache.is_some());
+            rows_everywhere(&conn, &db, &programs, &sql, &expected);
+        }
+    }
+}
+
+/// One rule for when an operand is evaluated: an AND or an OR evaluates
+/// its other side whenever that side can fail, on the walker and on the
+/// VM alike, in the projection and in WHERE. Integer `+ - *` and unary
+/// minus can fail, so `0 AND hi + 1 > 0` is error 1690, not 0, and its
+/// in-range neighbour is the deciding side's value. MySQL 5.7 stops at
+/// the deciding operand instead (`Item_cond_and::val_int`), which would
+/// also stop `0 AND SLEEP(1)` from sleeping; this engine does not.
+#[test]
+fn an_operand_that_can_fail_is_evaluated_under_and_and_or() {
+    let (_server, conn, db) = edge();
+    let programs = ProgramCache::new();
+    let out_of_range = DbError::Runtime("BIGINT value is out of range".into());
+    for (overflows, in_range) in ARITHMETIC {
+        for (shape, decided) in [
+            ("0 AND {} > 0", 0),
+            ("1 OR {} > 0", 1),
+            ("{} > 0 AND 0", 0),
+            ("{} > 0 OR 1", 1),
+        ] {
+            let kept = vec![vec![Value::Int(1)]; usize::from(decided == 1)];
+            for (operand, fails) in [(overflows, true), (in_range, false)] {
+                let cond = shape.replace("{}", operand);
+                for (sql, ok) in [
+                    (
+                        format!("SELECT {cond} FROM edge"),
+                        Ok(vec![vec![Value::Int(decided)]]),
+                    ),
+                    (
+                        format!("SELECT id FROM edge WHERE {cond}"),
+                        Ok(kept.clone()),
+                    ),
+                ] {
+                    let expected = if fails { Err(out_of_range.clone()) } else { ok };
+                    rows_everywhere(&conn, &db, &programs, &sql, &expected);
+                }
             }
-            let got = conn.query(&sql).map(|out| out.rows);
-            assert_eq!(got, expected, "{sql} through the server");
         }
     }
 }

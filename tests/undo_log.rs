@@ -23,31 +23,16 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
+use septic_conformance::dump::physical;
+use septic_conformance::hostile::sql_literal;
 use septic_faults::{Fault, FaultyIo, IoOp};
 use septic_repro::dbms::{
     execute_logged, execute_with, Database, DbError, MemIo, QueryOutput, Server, ServerConfig,
-    StorageIo, UndoLog, Value, WalConfig,
+    StorageIo, UndoLog, WalConfig,
 };
 use septic_repro::sql::{parse, Statement};
 
 const NOW: i64 = 1_000;
-
-/// The physical state of a database: every table's rows with their
-/// tombstones, free-list, index and cursor, and each real cell by its bits
-/// (`NaN != NaN`, and `Debug` prints every NaN alike).
-fn physical(db: &Database) -> String {
-    let tables = db.tables_sorted();
-    let reals: Vec<String> = tables
-        .iter()
-        .flat_map(|t| (0..t.physical_slots()).filter_map(|slot| t.row(slot)))
-        .flatten()
-        .filter_map(|v| match v {
-            Value::Real(f) => Some(format!("{:#018x}", f.to_bits())),
-            _ => None,
-        })
-        .collect();
-    format!("{tables:?} reals by bits {reals:?}")
-}
 
 fn statement(sql: &str) -> Statement {
     let mut parsed = parse(sql).unwrap_or_else(|e| panic!("parse `{sql}`: {e}"));
@@ -80,23 +65,6 @@ struct Call {
     log_fails: bool,
 }
 
-/// Pieces of a string literal as SQL spells them: escapes the lexer
-/// decodes (`\\`, `\'`, `\n`, `\t`, `\0`, `\b`, `\Z`, `\%`), a doubled
-/// quote, the other quote, U+02BC, the `LIKE` wildcards, control
-/// characters and multibyte text.
-const LITERAL_PIECES: [&str; 20] = [
-    r"\\", r"\'", r"\n", r"\t", r"\0", r"\b", r"\Z", r"\%", "''", "\"", "\u{2BC}", "%", "_",
-    "\u{1}", "\u{1f}", "é", "日本", "😀", "x", "C:",
-];
-
-/// A string literal of up to four pieces.
-fn hostile_literal(rng: &mut TestRng) -> String {
-    let body: String = (0..rng.below(5))
-        .map(|_| *rng.pick(&LITERAL_PIECES))
-        .collect();
-    format!("'{body}'")
-}
-
 /// Values for the `DOUBLE` column: half of them overflow to ±inf or NaN.
 const DOUBLES: [&str; 6] = [
     "1e308 * 10",
@@ -126,7 +94,7 @@ fn random_statement(rng: &mut TestRng) -> String {
                     let v = if rng.below(8) == 0 {
                         "NULL".to_string()
                     } else {
-                        hostile_literal(rng)
+                        sql_literal(rng)
                     };
                     format!("({id}, {v}, {}, {})", rng.below(5), rng.pick(&DOUBLES))
                 })
@@ -137,7 +105,7 @@ fn random_statement(rng: &mut TestRng) -> String {
             let rows: Vec<String> = (0..=rng.below(3))
                 .map(|_| {
                     let k = match rng.below(8) {
-                        0 => hostile_literal(rng),
+                        0 => sql_literal(rng),
                         _ => (*rng.pick(&["'p'", "'q'", "'r'", "'s'", "'P'", "'t'", "NULL"]))
                             .to_string(),
                     };
@@ -152,8 +120,8 @@ fn random_statement(rng: &mut TestRng) -> String {
             "UPDATE a SET n = n + 1, v = {}, d = {} WHERE id > {} LIMIT {}",
             match rng.below(3) {
                 0 => "NULL".to_string(),
-                1 => format!("CONCAT(v, {})", hostile_literal(rng)),
-                _ => hostile_literal(rng),
+                1 => format!("CONCAT(v, {})", sql_literal(rng)),
+                _ => sql_literal(rng),
             },
             rng.pick(&DOUBLES),
             rng.below(6),

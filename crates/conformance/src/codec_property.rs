@@ -25,13 +25,14 @@
 //! | mutation | fails |
 //! |---|---|
 //! | the store's item data tag 5 decodes as ⊥ (`4 \| 5 => ItemData::Bot`, `crates/core/src/store.rs`) | `store::tests::hostile_journal_records_never_panic_and_decode_only_canonically`, `store::tests::hostile_snapshots_never_panic_and_decode_only_canonically` |
-//! | `Value`'s tag 4 decodes as a string (`3 \| 4 => … Value::Str`, `crates/dbms/src/codec.rs`) | `wal::tests::hostile_snapshots_never_panic_and_decode_only_canonically`, `frame::tests::hostile_response_payloads_never_panic_and_decode_only_canonically` |
+//! | `Value`'s tag 4 decodes as a string (`3 \| 4 => … Value::Str`, `crates/dbms/src/codec.rs`) | `wal::tests::hostile_snapshots_never_panic_and_decode_only_canonically`, `frame::tests::hostile_request_payloads_never_panic_and_decode_only_canonically` (at three seeds: most generated queries carry values), `frame::tests::hostile_response_payloads_never_panic_and_decode_only_canonically` |
 //! | `Response`'s tag 7 decodes as `Pong` (`6 \| 7 => Ok(Response::Pong)`, `crates/net/src/frame.rs`) | `frame::tests::hostile_response_payloads_never_panic_and_decode_only_canonically` |
 
 use std::fmt::Debug;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use proptest::prelude::TestRng;
+use septic_dbms::wal::build_frame;
 
 use crate::hostile::hostile;
 
@@ -114,4 +115,11 @@ pub fn declares_u32_max(prefix: &[u8], len: usize) -> Vec<u8> {
     payload.extend_from_slice(&u32::MAX.to_le_bytes());
     payload.resize(len, 0);
     payload
+}
+
+/// `payload` as one frame of a stored file, for a test that plants a file
+/// by hand (an earlier build's JSON, a record at a limit, a torn tail).
+#[must_use]
+pub fn framed(payload: &[u8]) -> Vec<u8> {
+    build_frame(payload.len(), |out| out.extend_from_slice(payload))
 }

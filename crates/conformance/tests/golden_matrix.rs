@@ -268,11 +268,11 @@ fn store_from_json(json: &str, store: &septic::ModelStore) {
 #[test]
 fn a_model_store_from_an_earlier_build_keeps_its_ids_and_verdicts() {
     use septic::Septic;
+    use septic_conformance::codec_property::framed;
     use septic_conformance::differential::{
         prevention_verdict, recovered_prevention_deployment, run_case_recovered,
     };
     use septic_conformance::grammar::generate_cases;
-    use septic_dbms::wal::encode_frame;
     use septic_dbms::MemIo;
     use std::path::Path;
 
@@ -313,9 +313,9 @@ fn a_model_store_from_an_earlier_build_keeps_its_ids_and_verdicts() {
     }
 
     let old = MemIo::new();
-    let framed = encode_frame(fixture.as_bytes());
-    old.plant(path, framed.clone());
+    let legacy = framed(fixture.as_bytes());
+    old.plant(path, legacy.clone());
     let err = Septic::new().store().load_with(&*old, path).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-    assert_eq!(old.contents(path), Some(framed));
+    assert_eq!(old.contents(path), Some(legacy));
 }

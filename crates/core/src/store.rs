@@ -78,7 +78,7 @@ use septic_dbms::codec::{
 };
 use septic_dbms::codec_fields;
 use septic_dbms::wal::{
-    encode_frame, install_verified, refuse_json, sibling, single_frame, FrameLog,
+    build_frame, install_verified, refuse_json, sibling, single_frame, FrameLog,
 };
 use septic_dbms::{FsIo, StorageIo};
 use septic_sql::items::ITEM_TAGS;
@@ -326,24 +326,24 @@ impl Codec for JournalOp {
     }
 }
 
-/// A snapshot's payload: its tag and version, then the parts of a state.
-fn snapshot_payload(
+/// Appends a snapshot's payload: its tag and version, then the parts of a
+/// state.
+fn encode_snapshot(
+    out: &mut Vec<u8>,
     seq: u64,
     models: &[(&QueryId, &QueryModel)],
     quarantine: &[QueryId],
     rejected: &[QueryId],
-) -> Vec<u8> {
-    let mut payload = Vec::new();
-    tagged(&mut payload, SNAPSHOT_TAG, &SNAPSHOT_VERSION);
-    seq.encode(&mut payload);
-    encode_count(models.len(), &mut payload);
+) {
+    tagged(out, SNAPSHOT_TAG, &SNAPSHOT_VERSION);
+    seq.encode(out);
+    encode_count(models.len(), out);
     for (id, model) in models {
-        id.encode(&mut payload);
-        model.encode(&mut payload);
+        id.encode(out);
+        model.encode(out);
     }
-    encode_items(quarantine, &mut payload);
-    encode_items(rejected, &mut payload);
-    payload
+    encode_items(quarantine, out);
+    encode_items(rejected, out);
 }
 
 /// A snapshot payload, field by field; the version is checked before any
@@ -367,13 +367,6 @@ fn decode_snapshot(payload: &[u8]) -> Result<PersistedStore, String> {
         }
         version => Err(format!("unsupported snapshot version {version}")),
     }
-}
-
-/// A journal record's payload.
-fn record_payload(record: &JournalRecord) -> Vec<u8> {
-    let mut payload = Vec::new();
-    tagged(&mut payload, JOURNAL_TAG, record);
-    payload
 }
 
 fn decode_record(payload: &[u8]) -> Result<JournalRecord, String> {
@@ -614,8 +607,8 @@ impl ModelStore {
     fn journal(&self, persist: &mut Persistence, op: JournalOp) {
         let Persistence { next_seq, journal } = persist;
         let Some((io, log)) = journal else { return };
-        let payload = record_payload(&JournalRecord { seq: *next_seq, op });
-        match log.append(&**io, &payload) {
+        let record = JournalRecord { seq: *next_seq, op };
+        match log.append(&**io, 0, |out| tagged(out, JOURNAL_TAG, &record)) {
             Ok(_) => *next_seq += 1,
             Err(_) => {
                 self.journal_errors.fetch_add(1, Ordering::Relaxed);
@@ -740,10 +733,10 @@ impl ModelStore {
         self.state.read().models.keys().cloned().collect()
     }
 
-    /// The snapshot payload of the state, covering journal records up to
-    /// `seq`. Only models are stored: programs are derived state, rebuilt
-    /// when the snapshot is loaded.
-    fn snapshot(&self, seq: u64) -> Vec<u8> {
+    /// Appends the snapshot payload of the state, covering journal records
+    /// up to `seq`. Only models are stored: programs are derived state,
+    /// rebuilt when the snapshot is loaded.
+    fn snapshot(&self, out: &mut Vec<u8>, seq: u64) {
         let state = self.state.read();
         let mut models: Vec<(&QueryId, &QueryModel)> = state
             .models
@@ -751,12 +744,13 @@ impl ModelStore {
             .map(|(id, cm)| (id, &**cm.model()))
             .collect();
         models.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        snapshot_payload(
+        encode_snapshot(
+            out,
             seq,
             &models,
             &sorted(&state.quarantine),
             &sorted(&state.rejected),
-        )
+        );
     }
 
     /// The state a snapshot holds, every model compiled: programs are
@@ -808,8 +802,8 @@ impl ModelStore {
         // Held to the end: a mutation arriving meanwhile waits, then lands
         // in the emptied journal numbered above this snapshot.
         let persist = self.persist.lock();
-        let payload = self.snapshot(persist.next_seq - 1);
-        install_verified(io, path, &encode_frame(&payload), Some(&backup_path(path)))?;
+        let frame = build_frame(0, |out| self.snapshot(out, persist.next_seq - 1));
+        install_verified(io, path, &frame, Some(&backup_path(path)))?;
         let journal = journal_path(path);
         if io.exists(&journal) && io.write(&journal, &[]).is_err() {
             self.journal_errors.fetch_add(1, Ordering::Relaxed);
@@ -954,10 +948,27 @@ pub(crate) fn open_fs(path: &Path) -> io::Result<(Arc<FsIo>, PathBuf)> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use septic_conformance::codec_property::Format;
+    use septic_conformance::codec_property::{framed, Format};
     use septic_conformance::hostile;
     use septic_dbms::MemIo;
     use septic_sql::{items, parse};
+
+    fn snapshot_payload(
+        seq: u64,
+        models: &[(&QueryId, &QueryModel)],
+        quarantine: &[QueryId],
+        rejected: &[QueryId],
+    ) -> Vec<u8> {
+        let mut payload = Vec::new();
+        encode_snapshot(&mut payload, seq, models, quarantine, rejected);
+        payload
+    }
+
+    fn record_payload(record: &JournalRecord) -> Vec<u8> {
+        let mut payload = Vec::new();
+        tagged(&mut payload, JOURNAL_TAG, record);
+        payload
+    }
 
     fn model(sql: &str) -> QueryModel {
         QueryModel::from_structure(&items::lower_all(&parse(sql).expect("parse").statements))
@@ -1096,7 +1107,7 @@ mod tests {
             ("journal record", journal_path(path), record),
         ] {
             let io = MemIo::new();
-            io.plant(file, encode_frame(&payload));
+            io.plant(file, framed(&payload));
             let files = || {
                 [
                     path.to_path_buf(),
@@ -1124,11 +1135,11 @@ mod tests {
         let mut future = payload.clone();
         future[1..5].copy_from_slice(&9u32.to_le_bytes());
         for (planted, reason) in [
-            (encode_frame(&future), "unsupported snapshot version 9"),
+            (framed(&future), "unsupported snapshot version 9"),
             // A frameless payload, even a valid one, is not a snapshot.
             (payload.clone(), "truncated payload"),
             (
-                [encode_frame(&payload), encode_frame(&payload)].concat(),
+                [framed(&payload), framed(&payload)].concat(),
                 "expected 1 frame, found 2",
             ),
         ] {
@@ -1187,7 +1198,7 @@ mod tests {
     #[test]
     fn bad_json_is_an_error() {
         let io = MemIo::new();
-        io.plant(PATH, encode_frame(b"{not json"));
+        io.plant(PATH, framed(b"{not json"));
         let store = ModelStore::new();
         store.learn(id(1), model("SELECT 1"));
         let err = store.load_with(&*io, Path::new(PATH)).unwrap_err();
@@ -1266,7 +1277,7 @@ mod tests {
     #[test]
     fn an_old_persisted_format_is_refused_untouched() {
         let io = MemIo::new();
-        let legacy = encode_frame(br#"{"models": []}"#);
+        let legacy = framed(br#"{"models": []}"#);
         io.plant(PATH, legacy.clone());
         let err = ModelStore::new()
             .load_with(&*io, Path::new(PATH))
@@ -1282,7 +1293,7 @@ mod tests {
     #[test]
     fn a_json_backup_behind_a_saved_snapshot_is_not_read() {
         let io = MemIo::new();
-        let legacy = encode_frame(br#"{"models": []}"#);
+        let legacy = framed(br#"{"models": []}"#);
         io.plant(PATH, legacy.clone());
         let store = ModelStore::new();
         store.learn(id(1), model("SELECT 1"));
@@ -1388,7 +1399,7 @@ mod tests {
         store.learn(id(1), model("SELECT 1"));
         // Simulate a crash mid-append: a half-written frame.
         let intact = io.contents(journal_path(path)).unwrap();
-        io.append(&journal_path(path), &encode_frame(b"{\"seq\": 2")[..11])
+        io.append(&journal_path(path), &framed(b"{\"seq\": 2")[..11])
             .unwrap();
 
         let fresh = ModelStore::new();
@@ -1591,25 +1602,21 @@ mod tests {
         let path = Path::new(PATH);
         let store = ModelStore::new();
         store.learn(gen_id(rng), gen_model(rng));
-        let snapshot = encode_frame(&store.snapshot(0));
+        let snapshot = build_frame(0, |out| store.snapshot(out, 0));
         let mut old_journal: Vec<u8> = (0..1 + rng.below(3))
-            .flat_map(|_| encode_frame(JSON_RECORD))
+            .flat_map(|_| framed(JSON_RECORD))
             .collect();
         if rng.bool() {
             // It died mid-append, too.
-            old_journal.extend_from_slice(&encode_frame(JSON_RECORD)[..9]);
+            old_journal.extend_from_slice(&framed(JSON_RECORD)[..9]);
         }
         let choices = [
-            (
-                path.to_path_buf(),
-                encode_frame(JSON_SNAPSHOT),
-                snapshot.clone(),
-            ),
-            (backup_path(path), encode_frame(JSON_SNAPSHOT), snapshot),
+            (path.to_path_buf(), framed(JSON_SNAPSHOT), snapshot.clone()),
+            (backup_path(path), framed(JSON_SNAPSHOT), snapshot),
             (
                 journal_path(path),
                 old_journal,
-                encode_frame(&record_payload(&gen_record(rng))),
+                framed(&record_payload(&gen_record(rng))),
             ),
         ];
         let old = loop {
@@ -1646,7 +1653,7 @@ mod tests {
         for _ in 0..cases() {
             let payload = snapshot_bytes(&gen_snapshot(&mut rng));
             let io = MemIo::new();
-            io.plant(PATH, encode_frame(&payload));
+            io.plant(PATH, framed(&payload));
             let store = ModelStore::new();
             store.load_with(&*io, Path::new(PATH)).unwrap();
             assert_eq!(payload_of(&saved(&store)), payload);

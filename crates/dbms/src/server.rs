@@ -48,6 +48,7 @@ mod session;
 
 use std::borrow::Cow;
 use std::collections::VecDeque;
+use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -75,6 +76,10 @@ pub use session::{Connection, SessionSnapshot};
 
 /// The logical clock of a fresh server.
 const FIRST_CLOCK: i64 = 1_000_000;
+
+/// The buffer a write's redo text is rendered into: room for a typical
+/// statement, so the text is written without regrowing.
+const REDO_TEXT_CAPACITY: usize = 256;
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -801,9 +806,10 @@ impl Server {
             return Ok(());
         };
         let redo: Vec<WalStmt> = writes
-            .map(|(stmt, now)| WalStmt {
-                now,
-                sql: stmt.to_string(),
+            .map(|(stmt, now)| {
+                let mut sql = String::with_capacity(REDO_TEXT_CAPACITY);
+                write!(sql, "{stmt}").expect("rendering into a String cannot fail");
+                WalStmt { now, sql }
             })
             .collect();
         if redo.is_empty() {

@@ -58,7 +58,6 @@ use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::sync::OnceLock;
 
 use parking_lot::Mutex;
 use septic_telemetry::{Counter, MetricsRegistry};
@@ -298,39 +297,69 @@ impl StorageIo for FsIo {
 /// CRC32 (IEEE 802.3 polynomial) over `data` — the one checksum in the
 /// workspace; it lives here because `dbms` sits below `core` in the
 /// dependency order, so the model store borrows it through the frames.
+/// Slicing-by-8: one step folds eight bytes with eight lookups in
+/// `CRC_TABLES`, and the tail goes a byte at a time through row 0.
 #[must_use]
 pub fn crc32(data: &[u8]) -> u32 {
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, entry) in table.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 == 1 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *entry = c;
-        }
-        table
-    });
     let mut crc = !0u32;
-    for &b in data {
-        crc = table[((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
+    let mut words = data.chunks_exact(8);
+    for word in &mut words {
+        let x = u64::from_le_bytes(word.try_into().expect("an 8-byte word")) ^ u64::from(crc);
+        let bytes = x.to_le_bytes().into_iter().zip(CRC_TABLES.iter().rev());
+        crc = bytes.fold(0, |acc, (b, row)| acc ^ row[usize::from(b)]);
+    }
+    for &b in words.remainder() {
+        crc = CRC_TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }
 
-/// Frames a payload as `len | crc | payload`.
+/// Row 0 is the byte-at-a-time table of the reflected polynomial
+/// `0xEDB8_8320`; row `k` is row `k - 1` advanced through one more zero
+/// byte, so a byte `k` places before the end of an 8-byte word is looked
+/// up in row `k`. Built at compile time.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = (c >> 1) ^ (0xEDB8_8320 & (c & 1).wrapping_neg());
+            bit += 1;
+        }
+        tables[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let c = tables[k - 1][i];
+            tables[k][i] = (c >> 8) ^ tables[0][(c & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
+/// Builds one frame, `len | crc | payload`, in one buffer: the header is
+/// reserved, `payload` encodes straight behind it (`capacity` bytes
+/// expected), then the header is patched with the payload's length and
+/// CRC.
 #[must_use]
-pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+pub fn build_frame(capacity: usize, payload: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(8 + capacity);
+    frame.extend_from_slice(&[0; 8]);
+    payload(&mut frame);
+    let len = (frame.len() - 8) as u32;
+    let crc = crc32(&frame[8..]);
+    frame[..4].copy_from_slice(&len.to_le_bytes());
+    frame[4..8].copy_from_slice(&crc.to_le_bytes());
+    frame
 }
 
 /// A torn (unreplayable) tail found while scanning frames.
@@ -517,7 +546,8 @@ impl FrameLog {
         Ok(torn)
     }
 
-    /// Appends one record and returns the frame's length.  When the
+    /// Appends one record, encoded by `payload` into its frame with
+    /// [`build_frame`], and returns the frame's length.  When the
     /// medium reports failure, whatever part of the frame it kept — all of
     /// it, possibly — is cut off again with [`FrameLog::read`] before the
     /// error is returned, so a record the caller was told failed is never
@@ -525,9 +555,14 @@ impl FrameLog {
     ///
     /// # Errors
     ///
-    /// The medium's [`io::Error`]; or, without touching the file, a
-    /// refusal when an earlier cut itself failed.
-    pub fn append(&mut self, io: &dyn StorageIo, payload: &[u8]) -> io::Result<usize> {
+    /// The medium's [`io::Error`]; or, without touching the file or
+    /// encoding the record, a refusal when an earlier cut itself failed.
+    pub fn append(
+        &mut self,
+        io: &dyn StorageIo,
+        capacity: usize,
+        payload: impl FnOnce(&mut Vec<u8>),
+    ) -> io::Result<usize> {
         if self.broken {
             return Err(io::Error::other(format!(
                 "{} may end in a partial frame that could not be cut off; \
@@ -535,11 +570,12 @@ impl FrameLog {
                 self.path.display()
             )));
         }
-        let frame = encode_frame(payload);
+        let frame = build_frame(capacity, payload);
         match io.append(&self.path, &frame) {
             Ok(()) => Ok(frame.len()),
             Err(e) => {
                 // A failed cut leaves `broken` set.
+                let payload = &frame[8..];
                 let _ = self.read(io, &mut |kept| kept != payload);
                 Err(e)
             }
@@ -852,14 +888,10 @@ impl WalStorage {
 
     fn try_checkpoint(&self, db: &Database, clock: i64) -> Result<(), DbError> {
         let mut state = self.state.lock();
-        let payload = snapshot_payload(db, state.next_seq - 1, clock);
-        install_verified(
-            &*self.io,
-            Path::new(SNAPSHOT_FILE),
-            &encode_frame(&payload),
-            None,
-        )
-        .map_err(|e| DbError::Storage(format!("install {SNAPSHOT_FILE}: {e}")))?;
+        let seq = state.next_seq - 1;
+        let frame = build_frame(0, |out| encode_snapshot(out, db, seq, clock));
+        install_verified(&*self.io, Path::new(SNAPSHOT_FILE), &frame, None)
+            .map_err(|e| DbError::Storage(format!("install {SNAPSHOT_FILE}: {e}")))?;
         // Everything at or below snap.seq is covered; if this truncate
         // crashes, replay skips those records by sequence anyway.
         self.io
@@ -879,9 +911,9 @@ impl StorageBackend for WalStorage {
             stmts,
         };
         let len: usize = record.stmts.iter().map(|s| 12 + s.sql.len()).sum();
-        let mut payload = Vec::with_capacity(1 + WalRecord::MIN_LEN + len);
-        tagged(&mut payload, WAL_RECORD_TAG, &record);
-        let frame_len = state.log.append(&*self.io, &payload).map_err(|e| {
+        let capacity = 1 + WalRecord::MIN_LEN + len;
+        let encode = |out: &mut Vec<u8>| tagged(out, WAL_RECORD_TAG, &record);
+        let frame_len = state.log.append(&*self.io, capacity, encode).map_err(|e| {
             self.append_failures.inc();
             DbError::Storage(format!("append {WAL_FILE}: {e}"))
         })?;
@@ -901,19 +933,18 @@ impl StorageBackend for WalStorage {
     }
 }
 
-/// The payload of a snapshot of `db` covering the WAL up to `seq`: its
-/// tag, header and every table, each encoded straight from its store.
-fn snapshot_payload(db: &Database, seq: u64, clock: i64) -> Vec<u8> {
-    let mut payload = Vec::new();
-    tagged(&mut payload, SNAPSHOT_TAG, &SNAPSHOT_VERSION);
-    seq.encode(&mut payload);
-    clock.encode(&mut payload);
+/// Appends the payload of a snapshot of `db` covering the WAL up to
+/// `seq`: its tag, header and every table, each encoded straight from its
+/// store.
+fn encode_snapshot(out: &mut Vec<u8>, db: &Database, seq: u64, clock: i64) {
+    tagged(out, SNAPSHOT_TAG, &SNAPSHOT_VERSION);
+    seq.encode(out);
+    clock.encode(out);
     let tables = db.tables_sorted();
-    encode_count(tables.len(), &mut payload);
+    encode_count(tables.len(), out);
     for table in tables {
-        table.encode(&mut payload);
+        table.encode(out);
     }
-    payload
 }
 
 /// A snapshot payload, field by field; the version is checked before any
@@ -951,7 +982,7 @@ mod tests {
     use crate::catalog::{Column, TableSchema};
     use crate::value::Value;
     use proptest::prelude::*;
-    use septic_conformance::codec_property::Format;
+    use septic_conformance::codec_property::{framed, Format};
     use septic_conformance::hostile;
     use septic_sql::ast::ColumnType;
 
@@ -977,10 +1008,54 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
+    /// The CRC a bit at a time, straight from the polynomial: the
+    /// reference the sliced table is held to.
+    fn reference_crc(data: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in data {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = if crc & 1 == 1 {
+                    0xEDB8_8320 ^ (crc >> 1)
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        !crc
+    }
+
+    /// The slicing-by-8 CRC against the bitwise reference: every length
+    /// 0..=64 (each word/tail split) at every start offset 0..8, then
+    /// random buffers of up to 64 KiB, log-uniform in length. It fails
+    /// with two rows of `CRC_TABLES` swapped, with a row advanced from row
+    /// 0 instead of its predecessor, with the word's bytes folded in
+    /// reverse, and with one entry of row 7 off by a bit, which the check
+    /// value misses.
+    #[test]
+    fn the_sliced_crc_equals_the_bitwise_crc() {
+        let bytes: Vec<u8> = (0..72u32)
+            .map(|i| (i.wrapping_mul(0x9E37_79B9) >> 24) as u8)
+            .collect();
+        for start in 0..8 {
+            for len in 0..=64 {
+                let data = &bytes[start..start + len];
+                assert_eq!(crc32(data), reference_crc(data), "start {start}, len {len}");
+            }
+        }
+        let mut rng = TestRng::deterministic("the_sliced_crc_equals_the_bitwise_crc");
+        for case in 0..cases() {
+            let bits = rng.below(17);
+            let len = rng.below((1 << bits) + 1) as usize;
+            let data: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            assert_eq!(crc32(&data), reference_crc(&data), "case {case}, len {len}");
+        }
+    }
+
     #[test]
     fn frame_roundtrip_and_torn_detection() {
-        let a = encode_frame(b"hello");
-        let b = encode_frame(b"world!");
+        let a = framed(b"hello");
+        let b = framed(b"world!");
         let mut log = a.clone();
         log.extend_from_slice(&b);
         let (payloads, torn) = scan_frames(&log);
@@ -1127,11 +1202,11 @@ mod tests {
     fn a_json_snapshot_or_wal_record_from_an_earlier_build_is_refused_untouched() {
         let json_record = br#"{"seq":1,"stmts":[{"now":42,"sql":"CREATE TABLE t (id INT)"}]}"#;
         let json_snapshot = br#"{"version":2,"seq":1,"clock":42,"tables":[]}"#;
-        let mut torn_behind = encode_frame(json_record);
-        torn_behind.extend_from_slice(&encode_frame(b"torn")[..6]);
+        let mut torn_behind = framed(json_record);
+        torn_behind.extend_from_slice(&framed(b"torn")[..6]);
         let cases = [
-            ("snapshot", Some(encode_frame(json_snapshot)), Vec::new()),
-            ("wal record", None, encode_frame(json_record)),
+            ("snapshot", Some(framed(json_snapshot)), Vec::new()),
+            ("wal record", None, framed(json_record)),
             ("wal record with a torn tail", None, torn_behind),
         ];
         for (what, snapshot, wal) in cases {
@@ -1173,7 +1248,7 @@ mod tests {
             ),
         ] {
             let io = MemIo::new();
-            io.plant(file, encode_frame(&payload));
+            io.plant(file, framed(&payload));
             let before = files(&io);
             let err = wal_over(io.clone()).recover().unwrap_err();
             assert!(
@@ -1276,6 +1351,12 @@ mod tests {
                 })
                 .collect(),
         }
+    }
+
+    fn snapshot_payload(db: &Database, seq: u64, clock: i64) -> Vec<u8> {
+        let mut payload = Vec::new();
+        encode_snapshot(&mut payload, db, seq, clock);
+        payload
     }
 
     fn record_payload(record: &WalRecord) -> Vec<u8> {

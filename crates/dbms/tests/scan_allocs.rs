@@ -27,6 +27,14 @@
 //! `a_write_beside_an_open_transaction_copies_one_chunk_and_one_partition`.
 //! A flat slot vector is one allocation at any size, so no count here
 //! sees it; CI's lint "One table layout" does.
+//!
+//! The durable write path is priced the same way, on the parent of the
+//! change that made it allocation-free (each failed there):
+//! `Literal::Str` escaping through two `replace` copies fails
+//! `rendering_into_a_sized_string_allocates_nothing` (4 fresh, 3
+//! regrown), and `log_commit` encoding a payload `Vec` that a second
+//! frame `Vec` copies fails `a_frame_log_append_builds_one_buffer_per_record`
+//! (2 fresh).
 
 use septic_conformance::alloc::{counted, Counting};
 use septic_dbms::{execute_read_with, execute_with, Database, ProgramCache};
@@ -323,4 +331,80 @@ fn an_in_memory_autocommit_update_renders_no_redo_text() {
     println!("parse {parse_cost}, calls {costs:?}");
     // Rendering the redo record would add its `String` and the `Vec`.
     assert_eq!(costs, [parse_cost + CALL_BEYOND_PARSE; 5]);
+}
+
+/// A statement holding string literals the renderer escapes (`'`, `\`,
+/// `\%`), rendered into a `String` with room for it: `Display` writes
+/// every piece straight into the formatter and builds no escaped copy, so
+/// the call allocates nothing, neither fresh nor by regrowing.
+#[test]
+fn rendering_into_a_sized_string_allocates_nothing() {
+    use std::fmt::Write as _;
+    for sql in [
+        r"UPDATE tickets SET note = 'it''s C:\\dir\\', price = 2.5 WHERE id IN (1, 2) AND note LIKE 'a\%b'",
+        r"INSERT INTO tickets (id, note, price) VALUES (1, 'x''y', NULL), (2, '\\', -3)",
+        "SELECT COUNT(*), CONCAT(note, '''') FROM tickets WHERE NOT (id BETWEEN 1 AND 9) GROUP BY note",
+    ] {
+        let stmt = &parse(sql).expect("parses").statements[0];
+        let expected = stmt.to_string();
+        let mut text = String::with_capacity(expected.len());
+        let (made, ()) = counted(|| write!(text, "{stmt}").expect("renders"));
+        assert_eq!(text, expected);
+        assert_eq!((made.fresh, made.regrown), (0, 0), "{sql}");
+    }
+}
+
+/// A medium that keeps nothing and allocates nothing: what the frame
+/// code allocates is all that is counted.
+#[derive(Debug, Default)]
+struct Sink(std::sync::atomic::AtomicUsize);
+
+impl septic_dbms::StorageIo for Sink {
+    fn read(&self, _: &std::path::Path) -> std::io::Result<Vec<u8>> {
+        Ok(Vec::new())
+    }
+    fn write(&self, _: &std::path::Path, _: &[u8]) -> std::io::Result<()> {
+        Ok(())
+    }
+    fn append(&self, _: &std::path::Path, data: &[u8]) -> std::io::Result<()> {
+        self.0
+            .fetch_add(data.len(), std::sync::atomic::Ordering::Relaxed);
+        Ok(())
+    }
+    fn rename(&self, _: &std::path::Path, _: &std::path::Path) -> std::io::Result<()> {
+        Ok(())
+    }
+    fn exists(&self, _: &std::path::Path) -> bool {
+        false
+    }
+}
+
+/// A record is encoded straight into the frame it is appended from: one
+/// buffer per record, sized once, through `FrameLog::append` and through a
+/// WAL commit (its payload and a copy of it in the frame were two).
+#[test]
+fn a_frame_log_append_builds_one_buffer_per_record() {
+    use septic_dbms::wal::{FrameLog, WalStmt, WalStorage};
+    let sink = std::sync::Arc::new(Sink::default());
+    let mut log = FrameLog::new("log");
+    let payload = [7u8; 100];
+    for _ in 0..3 {
+        let (made, len) = counted(|| {
+            log.append(&*sink, payload.len(), |out| out.extend_from_slice(&payload))
+                .expect("append")
+        });
+        assert_eq!(len, 8 + payload.len());
+        assert_eq!((made.fresh, made.regrown), (1, 0), "FrameLog::append");
+    }
+    let registry = septic_telemetry::MetricsRegistry::new();
+    let wal = WalStorage::new(sink.clone(), septic_dbms::WalConfig::default(), &registry);
+    for now in 0..3 {
+        let redo = vec![WalStmt {
+            now,
+            sql: "UPDATE tickets SET note = 'it''s' WHERE id = 1".to_string(),
+        }];
+        let (made, ()) =
+            counted(|| septic_dbms::wal::StorageBackend::log_commit(&wal, redo).expect("commit"));
+        assert_eq!((made.fresh, made.regrown), (1, 0), "WalStorage::log_commit");
+    }
 }

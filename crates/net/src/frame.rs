@@ -690,6 +690,12 @@ mod tests {
         (0..n).map(|_| item(rng)).collect()
     }
 
+    /// Like [`gen_vec`], never empty.
+    fn gen_some<T>(rng: &mut TestRng, max: u64, item: impl Fn(&mut TestRng) -> T) -> Vec<T> {
+        let n = 1 + rng.below(max);
+        (0..n).map(|_| item(rng)).collect()
+    }
+
     /// Any printable text, or the hostile alphabet's.
     fn gen_string(rng: &mut TestRng) -> String {
         if rng.bool() {
@@ -708,13 +714,15 @@ mod tests {
         }
     }
 
+    /// Most queries carry values, so a request's bytes hold `Value` tags
+    /// for the mutator to hit.
     fn gen_query(rng: &mut TestRng) -> QueryRequest {
         QueryRequest {
             sql: gen_string(rng),
-            params: match rng.below(3) {
+            params: match rng.below(6) {
                 0 => None,
                 1 => Some(Vec::new()),
-                _ => Some(gen_vec(rng, 4, gen_value)),
+                _ => Some(gen_some(rng, 4, gen_value)),
             },
         }
     }
@@ -733,7 +741,7 @@ mod tests {
     fn gen_output(rng: &mut TestRng) -> WireOutput {
         WireOutput {
             columns: gen_vec(rng, 3, gen_string),
-            rows: gen_vec(rng, 3, |rng| gen_vec(rng, 3, gen_value)),
+            rows: gen_some(rng, 3, |rng| gen_vec(rng, 3, gen_value)),
             affected: u64::arbitrary(rng),
             last_insert_id: if rng.bool() {
                 Some(i64::arbitrary(rng))
@@ -743,26 +751,27 @@ mod tests {
         }
     }
 
+    /// Most responses are results with rows, for the same reason.
     fn gen_response(rng: &mut TestRng) -> Response {
-        match rng.below(7) {
+        match rng.below(13) {
             0 => Response::Hello {
                 version: u32::arbitrary(rng),
             },
-            1 => Response::Result(WireResult {
-                outputs: gen_vec(rng, 3, gen_output),
+            1..=7 => Response::Result(WireResult {
+                outputs: gen_some(rng, 3, gen_output),
                 elapsed_us: u64::arbitrary(rng),
                 simulated_us: u64::arbitrary(rng),
             }),
-            2 => Response::Blocked {
+            8 => Response::Blocked {
                 reason: gen_string(rng),
             },
-            3 => Response::GuardFailure {
+            9 => Response::GuardFailure {
                 reason: gen_string(rng),
             },
-            4 => Response::Error {
+            10 => Response::Error {
                 message: gen_string(rng),
             },
-            5 => Response::ServerBusy {
+            11 => Response::ServerBusy {
                 reason: gen_string(rng),
             },
             _ => Response::Pong,

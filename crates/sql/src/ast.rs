@@ -146,8 +146,8 @@ pub enum JoinKind {
 impl fmt::Display for JoinKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            JoinKind::Inner => write!(f, "JOIN"),
-            JoinKind::Left => write!(f, "LEFT JOIN"),
+            JoinKind::Inner => f.write_str("JOIN"),
+            JoinKind::Left => f.write_str("LEFT JOIN"),
         }
     }
 }
@@ -220,12 +220,12 @@ pub enum ColumnType {
 impl fmt::Display for ColumnType {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ColumnType::Int => write!(f, "INT"),
-            ColumnType::BigInt => write!(f, "BIGINT"),
-            ColumnType::Double => write!(f, "DOUBLE"),
+            ColumnType::Int => f.write_str("INT"),
+            ColumnType::BigInt => f.write_str("BIGINT"),
+            ColumnType::Double => f.write_str("DOUBLE"),
             ColumnType::Varchar(n) => write!(f, "VARCHAR({n})"),
-            ColumnType::Text => write!(f, "TEXT"),
-            ColumnType::DateTime => write!(f, "DATETIME"),
+            ColumnType::Text => f.write_str("TEXT"),
+            ColumnType::DateTime => f.write_str("DATETIME"),
         }
     }
 }
@@ -272,10 +272,20 @@ impl fmt::Display for Literal {
             // `{v:?}` keeps a decimal point on integral values (`2.0`, not
             // `2`), so a printed float never reparses as an integer.
             Literal::Float(v) => write!(f, "{v:?}"),
-            // Every backslash and quote doubled: the lexer decodes
-            // backslash escapes, and WAL redo re-parses this rendering.
-            Literal::Str(s) => write!(f, "'{}'", s.replace('\\', r"\\").replace('\'', "''")),
-            Literal::Null => write!(f, "NULL"),
+            // Every backslash and quote doubled, as it is written: the
+            // lexer decodes backslash escapes, and WAL redo re-parses this
+            // rendering.
+            Literal::Str(s) => {
+                f.write_str("'")?;
+                for piece in s.split_inclusive(['\\', '\'']) {
+                    f.write_str(piece)?;
+                    if piece.ends_with(['\\', '\'']) {
+                        f.write_str(&piece[piece.len() - 1..])?;
+                    }
+                }
+                f.write_str("'")
+            }
+            Literal::Null => f.write_str("NULL"),
         }
     }
 }

@@ -11,8 +11,9 @@ use std::sync::{mpsc, Arc, Barrier, Mutex};
 use std::time::Duration;
 
 use proptest::prelude::*;
+use septic_conformance::codec_property::framed;
 use septic_faults::{Fault, FaultyIo, IoOp, PanickingGuard, PanickingPlugin};
-use septic_repro::dbms::wal::{encode_frame, sibling, WAL_CORRUPT_FILE};
+use septic_repro::dbms::wal::{sibling, WAL_CORRUPT_FILE};
 use septic_repro::dbms::{
     DbError, FailurePolicy, MemIo, Server, ServerConfig, StorageIo, Value, WalConfig,
 };
@@ -330,7 +331,7 @@ fn learn_journaled_after_a_torn_journal_tail_survives() {
     // frame reach the disk and nothing is left running to cut them off.
     faulty.inject(IoOp::Append, 0, Fault::Torn { keep: 5 });
     faulty
-        .append(&journal_path(path), &encode_frame(b"never completed"))
+        .append(&journal_path(path), &framed(b"never completed"))
         .expect_err("the torn append surfaces");
     drop(crashed);
 
